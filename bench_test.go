@@ -273,19 +273,6 @@ func TestSteadyRoundAllocBudget(t *testing.T) {
 			}
 		})
 	}
-	// The concurrent engine rides the same scratch discipline: after
-	// warmup its per-round buffers (delivery slices, reply slots, worker
-	// transition buffers) are all recycled and the channel barriers run
-	// off runtime caches, so its steady rounds are allocation-free too.
-	// A regression that rebuilds any per-node buffer per round adds
-	// Θ(n) allocations and trips this hard at n=25.
-	t.Run("concurrent/n=25", func(t *testing.T) {
-		eng := steadyConcurrentEngine(t, 25, anondyn.Complete())
-		defer eng.Close()
-		if avg := testing.AllocsPerRun(100, eng.Step); avg != 0 {
-			t.Errorf("steady-state concurrent round allocated %g times per round, want 0", avg)
-		}
-	})
 }
 
 // TestSteadyRoundAllocBudgetMetrics holds the same budget with a live
@@ -329,25 +316,6 @@ func TestSteadyRoundAllocBudgetMetrics(t *testing.T) {
 			}
 		})
 	}
-}
-
-// steadyConcurrentEngine mirrors steadyEngine for the goroutine-per-
-// node engine: never-deciding processes, warmed scratch.
-func steadyConcurrentEngine(tb testing.TB, n int, adv anondyn.Adversary) *sim.ConcurrentEngine {
-	tb.Helper()
-	eng, err := sim.NewConcurrentEngine(sim.Config{
-		N:         n,
-		Procs:     steadyProcs(tb, n),
-		Adversary: adv,
-		MaxRounds: 1 << 30,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < 32; i++ { // warm the per-receiver delivery buffers
-		eng.Step()
-	}
-	return eng
 }
 
 // BenchmarkEngineSteadyRound measures one steady-state round in
@@ -473,31 +441,6 @@ func BenchmarkEngineRoundCompiled(b *testing.B) {
 			rounds := 0
 			for i := 0; i < b.N; i++ {
 				res, err := cs.Run(int64(i), nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds += res.Rounds
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
-		})
-	}
-}
-
-// BenchmarkConcurrentEngineRound measures the goroutine-per-node engine
-// on the same workload for comparison with the sequential one.
-func BenchmarkConcurrentEngineRound(b *testing.B) {
-	for _, n := range []int{7, 25} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.ReportAllocs()
-			rounds := 0
-			for i := 0; i < b.N; i++ {
-				res, err := anondyn.Scenario{
-					N: n, F: 0, Eps: 1e-3,
-					Algorithm:  anondyn.AlgoDAC,
-					Inputs:     anondyn.SpreadInputs(n),
-					Adversary:  anondyn.Complete(),
-					Concurrent: true,
-				}.Run()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -151,7 +151,7 @@ func run(args []string) error {
 		if *specDir != "" {
 			return runSpecDir(*specDir, seedsOverride, *workers, target, coll)
 		}
-		return runSpecFile(*specFile, seedsOverride, *workers, target, coll, true)
+		return runSpecFile(*specFile, seedsOverride, *workers, target, coll)
 	}
 	if *validate {
 		return fmt.Errorf("-validate wants -spec or -spec-dir (it dry-runs spec files)")
@@ -456,13 +456,15 @@ func validateSpecDir(dir string) error {
 }
 
 // runSpecFile runs one declarative sweep file. seedsOverride > 0
-// replaces the file's seeds_per_cell (the CI one-seed smoke).
-func runSpecFile(path string, seedsOverride, workers int, target report.Target, coll *metrics.Collector, banner bool) error {
+// replaces the file's seeds_per_cell (the CI one-seed smoke). The
+// description banner is human output: a stdout report target replaces
+// it along with the table, so stdout stays a parseable document.
+func runSpecFile(path string, seedsOverride, workers int, target report.Target, coll *metrics.Collector) error {
 	sw, grid, err := spec.Load(path, seedsOverride)
 	if err != nil {
 		return err
 	}
-	if banner && sw.Description != "" {
+	if !target.Stdout() && sw.Description != "" {
 		fmt.Printf("# %s\n", sw.Description)
 	}
 	return printSweep(grid, sw.RunTitle(path, len(grid.Cells())), sw, workers, target, coll)
@@ -476,10 +478,10 @@ func runSpecDir(dir string, seedsOverride, workers int, target report.Target, co
 		return err
 	}
 	for i, path := range files {
-		if i > 0 {
+		if i > 0 && !target.Stdout() {
 			fmt.Println()
 		}
-		if err := runSpecFile(path, seedsOverride, workers, target.ForSpec(path), coll, true); err != nil {
+		if err := runSpecFile(path, seedsOverride, workers, target.ForSpec(path), coll); err != nil {
 			return err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"anondyn/internal/report"
+	"anondyn/internal/spec"
 )
 
 func TestRunList(t *testing.T) {
@@ -219,5 +220,61 @@ func TestServeModeFlagExclusion(t *testing.T) {
 	// A bad listen address surfaces as an error rather than a hang.
 	if err := run([]string{"-serve", "256.256.256.256:99999"}); err == nil {
 		t.Error("bad -serve address accepted")
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a file and returns
+// what it wrote.
+func captureStdout(t *testing.T, fn func() error) []byte {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestSpecStdoutReportIsParseable: with a stdout report target the
+// document is ALL of stdout — no description banner ahead of it (the
+// committed spec has one), no table after it.
+func TestSpecStdoutReportIsParseable(t *testing.T) {
+	const specPath = "../../examples/specs/er-crash-sweep.yaml"
+	out := captureStdout(t, func() error {
+		return run([]string{"-spec", specPath, "-seeds", "2", "-report", "json"})
+	})
+	var rep report.Sweep
+	if err := json.Unmarshal(out, &rep); err != nil {
+		t.Fatalf("-report json stdout is not one JSON document: %v\n%s", err, out)
+	}
+	if len(rep.Cells) == 0 {
+		t.Error("JSON report has no cells")
+	}
+
+	out = captureStdout(t, func() error {
+		return run([]string{"-spec", specPath, "-seeds", "2", "-report", "csv"})
+	})
+	header := strings.Join(spec.Columns(false), ",")
+	if first, _, _ := strings.Cut(string(out), "\n"); first != header {
+		t.Errorf("-report csv stdout starts with %q, want the header %q", first, header)
+	}
+
+	// The human mode keeps its banner.
+	out = captureStdout(t, func() error {
+		return run([]string{"-spec", specPath, "-seeds", "1"})
+	})
+	if !strings.HasPrefix(string(out), "# ") {
+		t.Errorf("table mode lost the description banner:\n%s", out)
 	}
 }

@@ -65,7 +65,6 @@ func run(args []string) error {
 		maxRounds  = fs.Int("rounds", 0, "round budget (0 = engine default)")
 		seed       = fs.Int64("seed", 1, "seed for random ports / adversaries")
 		randPorts  = fs.Bool("randports", false, "use random per-node port numberings")
-		concurrent = fs.Bool("concurrent", false, "use the goroutine-per-node engine")
 		inputSpec  = fs.String("inputs", "spread", "spread | split:<k> | random")
 		traceOut   = fs.String("trace", "", "write the execution event log (JSONL) to this file")
 		showSeries = fs.Bool("series", false, "print the per-round convergence curve (log-scale sparkline)")
@@ -138,8 +137,8 @@ func run(args []string) error {
 	}
 
 	if *saveSpec != "" {
-		if *randPorts || *shuffle || *concurrent {
-			return fmt.Errorf("-save-spec cannot capture -randports, -shuffle or -concurrent (not spec-expressible)")
+		if *randPorts || *shuffle {
+			return fmt.Errorf("-save-spec cannot capture -randports or -shuffle (not spec-expressible)")
 		}
 		sw, err := flagSweep(flagScenario{
 			algo: strings.ToLower(*algoName), n: *n, f: *f, eps: *eps,
@@ -172,7 +171,7 @@ func run(args []string) error {
 			crashes: crashes,
 			window:  *window, megaT: *megaT, pEnd: *pEnd,
 			maxRounds: *maxRounds, maxBytes: *maxBytes,
-			randPorts: *randPorts, shuffle: *shuffle, concurrent: *concurrent,
+			randPorts: *randPorts, shuffle: *shuffle,
 			seeds:   anondyn.Seeds(*seedsN, *seed),
 			workers: *workers,
 			target:  report.ParseTarget(*reportOut),
@@ -208,7 +207,6 @@ func run(args []string) error {
 		MaxRounds:       *maxRounds,
 		RandomPorts:     *randPorts,
 		Seed:            *seed,
-		Concurrent:      *concurrent,
 		Tracker:         tracker,
 		Series:          series,
 		Recorder:        rec,
@@ -299,9 +297,8 @@ type batchConfig struct {
 	maxRounds int
 	maxBytes  int
 
-	randPorts  bool
-	shuffle    bool
-	concurrent bool
+	randPorts bool
+	shuffle   bool
 
 	seeds   []int64
 	workers int
@@ -329,7 +326,6 @@ func (c batchConfig) scenario(seed int64) anondyn.Scenario {
 		MaxRounds:        c.maxRounds,
 		RandomPorts:      c.randPorts,
 		Seed:             seed,
-		Concurrent:       c.concurrent,
 		MaxMessageBytes:  c.maxBytes,
 		ShuffleDelivery:  c.shuffle,
 		AccountBandwidth: true,

@@ -144,6 +144,10 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run([]string{"-algo", "nope"}); err == nil {
 		t.Error("bad algorithm accepted")
 	}
+	// RoundWorkers is the only multi-goroutine round; there is no engine switch.
+	if err := run([]string{"-concurrent"}); err == nil {
+		t.Error("-concurrent still accepted")
+	}
 }
 
 // TestRunBatchMode drives the -seeds worker-pool path with a JSON

@@ -6,7 +6,6 @@ import (
 	"anondyn/internal/core"
 	"anondyn/internal/fault"
 	"anondyn/internal/network"
-	"anondyn/internal/sim"
 )
 
 // reseeder matches adversary.Reseeder (and any Byzantine strategy with
@@ -140,29 +139,7 @@ func (c *CompiledScenario) Run(seed int64, inputs []float64) (*Result, error) {
 		}
 	}
 
-	cfg := s.config(procs, ports, c.byz, c.crashes, seed)
-	if s.Concurrent {
-		if c.box.ceng == nil {
-			eng, err := sim.NewConcurrentEngine(*cfg)
-			if err != nil {
-				return nil, err
-			}
-			c.box.ceng = eng
-		} else if err := c.box.ceng.Reset(*cfg); err != nil {
-			return nil, err
-		}
-		return c.box.ceng.Run(), nil
-	}
-	if c.box.eng == nil {
-		eng, err := sim.NewEngine(*cfg)
-		if err != nil {
-			return nil, err
-		}
-		c.box.eng = eng
-	} else if err := c.box.eng.Reset(*cfg); err != nil {
-		return nil, err
-	}
-	return c.box.eng.Run(), nil
+	return c.box.run(s.config(procs, ports, c.byz, c.crashes, seed))
 }
 
 // Scenario returns the template the compiled scenario was built from.

@@ -137,7 +137,7 @@ func TestLinkBandwidthOverridesUniformCap(t *testing.T) {
 }
 
 func TestBandwidthCapEngineEquivalence(t *testing.T) {
-	mk := func() Config {
+	mk := func(Observer) Config {
 		return Config{
 			N:               7,
 			Procs:           fullInfoProcs(t, 7, 1e-2),
@@ -146,9 +146,7 @@ func TestBandwidthCapEngineEquivalence(t *testing.T) {
 			MaxRounds:       40,
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
-	if seq.MessagesOversized == 0 {
+	if res := runThreeWays(t, mk); res.MessagesOversized == 0 {
 		t.Error("equivalence test vacuous: no drops happened")
 	}
 }

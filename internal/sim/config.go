@@ -1,9 +1,9 @@
 // Package sim executes the synchronous-round protocol of §II-A: in every
 // round the message adversary picks E(t), every alive node broadcasts,
 // Byzantine nodes emit per-receiver messages, and deliveries reach each
-// receiver tagged with its local port. Two engines share the semantics:
-// a deterministic sequential engine and a goroutine-per-node concurrent
-// engine with a round barrier; they produce identical results.
+// receiver tagged with its local port. One deterministic Engine executes
+// it; Config.RoundWorkers spreads a round's receivers over several
+// goroutines without changing a single result bit.
 package sim
 
 import (
@@ -40,7 +40,7 @@ type Observer interface {
 }
 
 // RoundObserver is an optional extension of Observer: when the
-// configured Observer also implements it, the engines call OnRoundEnd
+// configured Observer also implements it, the engine calls OnRoundEnd
 // after every round with the post-round state values of the nodes that
 // are still running (fault-free and not-yet-crashed; Byzantine indices
 // are absent). Used for round-resolution convergence curves (the F1
@@ -113,7 +113,7 @@ func (rv RoundValues) Range(fn func(node int, value float64)) {
 // Dispatch is by optional interface: an Observer that also implements
 // RoundObserver additionally receives OnRoundEnd. The Metrics sink is
 // deliberately NOT part of the trackPhases gating — attaching it never
-// changes which code path the engines select, so enabling metrics can
+// changes which code path the engine selects, so enabling metrics can
 // never perturb results (pinned by the parity property tests).
 type Hooks struct {
 	// Observer receives phase/decide callbacks (and OnRoundEnd when it
@@ -122,7 +122,7 @@ type Hooks struct {
 	// Recorder receives the execution event log.
 	Recorder *trace.Recorder
 	// Metrics receives one RoundSample per round, at the end of the
-	// round, from whichever engine runs the execution.
+	// round.
 	Metrics metrics.Sink
 }
 
@@ -194,7 +194,7 @@ type Config struct {
 	// offline dynaDegree verification.
 	KeepTrace bool
 
-	// RoundWorkers shards the sequential engine's receiver loop across a
+	// RoundWorkers shards the engine's receiver loop across a
 	// persistent worker pool: 0 (or 1) keeps the loop sequential, -1
 	// resolves to GOMAXPROCS, any other positive count is honored as
 	// given (capped at N). Delivery order, observer semantics and every
@@ -212,7 +212,7 @@ type Config struct {
 	ForceCSR bool
 }
 
-// validate checks the invariants shared by both engines and returns the
+// validate checks the configuration's invariants and returns the
 // effective MaxRounds.
 func (c *Config) validate() (int, error) {
 	if c.N < 1 {

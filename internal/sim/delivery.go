@@ -30,14 +30,13 @@ func fillCrashState(rounds []int, info []fault.Crash, s fault.Schedule) {
 	}
 }
 
-// Shared pieces of the word-wise delivery core, used identically by the
-// sequential and the concurrent engine so the two stay bit-for-bit
-// equivalent.
+// Pieces of the word-wise delivery core shared by every execution of
+// the round (sequential range, parallel ranges, scatter).
 
 // sortDeliveriesByPort restores the documented ascending-port delivery
 // order after a node-order in-neighbor gather. Ports within one
 // receiver's round are distinct (the numbering is a bijection), so the
-// sorted order is unique — identical to what the reference port loop
+// sorted order is unique — identical to what a walk over all n ports
 // produces. slices.SortFunc is allocation-free, keeping the steady
 // round at 0 allocs even under non-identity numberings.
 func sortDeliveriesByPort(ds []core.Delivery) {

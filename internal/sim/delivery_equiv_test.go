@@ -19,10 +19,11 @@ import (
 // byte-identical Results (trace, MessagesLost/Delivered/Oversized,
 // BytesDelivered, outputs) AND an identical per-delivery event stream
 // (delivery order is visible through the recorder) compared to the
-// retained reference implementations (Engine.referenceRound: port-loop
-// gather, eager per-round view refresh, word-wise lost count).
+// test-only reference oracle (referenceStep: port-loop gather, eager
+// per-round view refresh, per-edge Deliver, word-wise lost count).
 func TestDeliveryEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	scattered := 0
 	// Sizes straddle the 64-bit word boundary on purpose: the word-wise
 	// path must be exact in the multi-word regime too.
 	for trial := 0; trial < 60; trial++ {
@@ -36,8 +37,7 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		refEng.referenceRound = true
-		ref := refEng.RunRounds(25)
+		ref := referenceRunRounds(refEng, 25)
 
 		wwCfg, wwRec := cfg(), trace.NewRecorder()
 		wwCfg.Hooks.Recorder = wwRec
@@ -67,34 +67,69 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		}
 
 		// Third run: no Recorder, no bandwidth accounting. This is the
-		// only shape that arms the fused fast paths (fastGather and the
-		// direct-deliver core fire exactly when nothing observes
-		// deliveries), so it must be pinned against the reference too —
-		// through Results, since there is no event stream to compare.
+		// only shape that arms fastGather, DeliverAll and the scatter
+		// round (they fire exactly when nothing observes deliveries), so
+		// it must be pinned against the reference too — through Results,
+		// since there is no event stream to compare.
 		bareRef := cfg()
 		bareRef.AccountBandwidth = false
 		bareRefEng, err := NewEngine(bareRef)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		bareRefEng.referenceRound = true
 		bareWW := cfg()
 		bareWW.AccountBandwidth = false
-		// Random CSR/parallel knobs: in this shape the direct-deliver
-		// core, the sequential CSR scatter round and the receiver-
-		// parallel round all arm (depending on the drawn faults, ports
-		// and shuffling), each of which must reproduce the reference
-		// delivery stream exactly.
+		// Random CSR/parallel knobs: in this shape the sequential range,
+		// the CSR scatter round and the receiver-parallel round all arm
+		// (depending on the drawn faults, ports and shuffling), each of
+		// which must reproduce the reference delivery stream exactly.
 		bareWW.ForceCSR = rng.Intn(2) == 0
 		bareWW.RoundWorkers = []int{0, -1, 2, 3, 5}[rng.Intn(5)]
 		bareWWEng, err := NewEngine(bareWW)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rr, ww := bareRefEng.RunRounds(25), bareWWEng.RunRounds(25)
+		rr, ww := referenceRunRounds(bareRefEng, 25), bareWWEng.RunRounds(25)
 		assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d, csr=%v, workers=%d) bare pair",
 			trial, n, seed, bareWW.ForceCSR, bareWW.RoundWorkers)
+		assertEqualStates(t, bareRefEng, bareWWEng, "trial %d (n=%d, seed=%d, csr=%v, workers=%d) bare pair",
+			trial, n, seed, bareWW.ForceCSR, bareWW.RoundWorkers)
 		bareWWEng.Close()
+
+		// Fourth run, on fault-free draws: strip what disarms the
+		// sender-major scatter (ports, shuffling, caps, the dense
+		// scratch, workers) so scatterRound itself — with whichever
+		// algorithm was drawn, seam or per-edge — meets the oracle.
+		if len(bareRef.Byzantine)+len(bareRef.Crashes) > 0 {
+			continue
+		}
+		scatter := func() Config {
+			c := cfg()
+			c.AccountBandwidth, c.MaxMessageBytes = false, 0
+			c.Ports, c.ShuffleDelivery = nil, false
+			return c
+		}
+		scRefEng, err := NewEngine(scatter())
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		scCfg := scatter()
+		scCfg.ForceCSR = true
+		scEng, err := NewEngine(scCfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		rr, ww = referenceRunRounds(scRefEng, 25), scEng.RunRounds(25)
+		assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d) scatter pair", trial, n, seed)
+		assertEqualStates(t, scRefEng, scEng, "trial %d (n=%d, seed=%d) scatter pair", trial, n, seed)
+		// Complete graphs (FillComplete converts the scratch to dense) and
+		// adversaries that return their own dense set still gather.
+		if scEng.flat != nil {
+			scattered++
+		}
+	}
+	if scattered < 10 {
+		t.Errorf("only %d trials exercised scatterRound — property nearly vacuous", scattered)
 	}
 }
 
@@ -119,6 +154,21 @@ func assertEqualResults(t *testing.T, ref, got *Result, format string, args ...a
 	}
 }
 
+// assertEqualStates compares every node's end state (phase, value,
+// decided). The property's processes never decide, so without a
+// Recorder this is the only place a dropped or reordered delivery shows.
+func assertEqualStates(t *testing.T, ref, got *Engine, format string, args ...any) {
+	t.Helper()
+	for i, p := range ref.cfg.Procs {
+		if p == nil {
+			continue
+		}
+		if r, g := core.Snap(p), core.Snap(got.cfg.Procs[i]); r != g {
+			t.Fatalf(format+": node %d ends at %+v, reference %+v", append(args, i, g, r)...)
+		}
+	}
+}
+
 func describeAt(events []trace.Event, i int) string {
 	if i >= len(events) {
 		return "<missing>"
@@ -129,9 +179,11 @@ func describeAt(events []trace.Event, i int) string {
 // randomDeliveryConfig draws one scenario from the property test's
 // distribution: sparse/dense adversaries, optional crashes (clean,
 // silent and partial), optional Byzantine senders, random port
-// numberings, delivery shuffling, bandwidth accounting and per-link
-// caps. Everything is a deterministic function of (n, seed) so both
-// engines see identical configurations.
+// numberings, delivery shuffling, bandwidth accounting, per-link caps,
+// and the algorithm — DAC, DBAC, or a DAC hidden behind a type without
+// DeliverAll, so the per-edge Deliver fallback of deliverRange and
+// scatterRound sits under the oracle too. Everything is a deterministic
+// function of (n, seed) so both runs see identical configurations.
 func randomDeliveryConfig(t *testing.T, n int, seed int64) Config {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -211,16 +263,29 @@ func randomDeliveryConfig(t *testing.T, n int, seed int64) Config {
 		}
 	}
 
+	algo := rng.Intn(3)
 	procs := make([]core.Process, n)
 	for i := 0; i < n; i++ {
 		if _, isByz := byz[i]; isByz {
 			continue
 		}
-		d, err := core.NewDACPhases(n, i, 1<<20, rng.Float64())
+		var p core.Process
+		var err error
+		switch algo {
+		case 0:
+			p, err = core.NewDACPhases(n, i, 1<<20, rng.Float64())
+		case 1:
+			// The custom constructor skips the n ≥ 5f+1 resilience check:
+			// the property is about delivery streams, not correctness.
+			p, err = core.NewDBACCustom(n, len(byz), i, 1<<20, core.ByzQuorum(n, len(byz)), rng.Float64())
+		default:
+			p, err = core.NewDACPhases(n, i, 1<<20, rng.Float64())
+			p = perEdgeOnly{p}
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		procs[i] = d
+		procs[i] = p
 	}
 
 	cfg := Config{
@@ -246,6 +311,11 @@ func randomDeliveryConfig(t *testing.T, n int, seed int64) Config {
 	}
 	return cfg
 }
+
+// perEdgeOnly hides every optional interface of the wrapped Process —
+// in particular core.BulkDeliverer — so the engine must fall back to one
+// Deliver call per edge.
+type perEdgeOnly struct{ core.Process }
 
 // TestEnginePortsRecycledAcrossReset: the engine-owned identity
 // numberings — and with them the dense PortOf cache the delivery core
@@ -311,7 +381,6 @@ func TestDeliveryEquivalenceAcrossReset(t *testing.T) {
 			if refEng, err = NewEngine(refCfg); err != nil {
 				t.Fatal(err)
 			}
-			refEng.referenceRound = true
 			if wwEng, err = NewEngine(wwCfg); err != nil {
 				t.Fatal(err)
 			}
@@ -323,8 +392,10 @@ func TestDeliveryEquivalenceAcrossReset(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ref, ww := refEng.RunRounds(20), wwEng.RunRounds(20)
+		ref, ww := referenceRunRounds(refEng, 20), wwEng.RunRounds(20)
 		assertEqualResults(t, ref, ww, "trial %d (n=%d, seed=%d, csr=%v, workers=%d) recycled pair",
+			trial, n, seed, wwCfg.ForceCSR, wwCfg.RoundWorkers)
+		assertEqualStates(t, refEng, wwEng, "trial %d (n=%d, seed=%d, csr=%v, workers=%d) recycled pair",
 			trial, n, seed, wwCfg.ForceCSR, wwCfg.RoundWorkers)
 	}
 	wwEng.Close()

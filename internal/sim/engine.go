@@ -14,7 +14,7 @@ import (
 	"anondyn/internal/wire"
 )
 
-// Engine is the deterministic sequential executor. One instance runs one
+// Engine is the deterministic round executor. One instance runs one
 // execution; it is not safe for concurrent use. Engines are recyclable:
 // Reset reconfigures an instance for a fresh execution while reusing
 // every allocation of the previous one, which is what makes Monte-Carlo
@@ -53,13 +53,13 @@ type Engine struct {
 	byzMsgs    [][]*core.Message
 	scratch    []recvScratch        // per-worker receiver scratch; scratch[0] serves the sequential loop
 	seq        [1]recvScratch       // fixed backing for the sequential scratch — no slice-header alloc per build
-	flat       []core.Delivery      // sender-major scatter buffer (sequential CSR direct rounds)
+	flat       []core.Delivery      // sender-major scatter buffer (scatterRound)
 	cursor     []int32              // per-receiver write cursor over flat, seeded from the in-CSR starts
 	bulk       []core.BulkDeliverer // per-node DeliverAll seam, probed once per Reset (nil: plain Deliver)
 	recvMask   []uint64             // word-wise mask of round-t-eligible receivers
 	edges      *network.EdgeSet     // engine-owned E(t) for InPlace adversaries
 	inPlace    adversary.InPlace    // non-nil when the adversary has the fast path
-	hooks      Hooks                // effective hooks: cfg.Hooks with the deprecated fields folded in
+	hooks      Hooks                // cfg.Hooks, cached
 	roundObs   RoundObserver        // the effective Observer's optional round hook, cached
 	needSize   bool                 // any consumer of wire sizes configured
 	hasCap     bool                 // any per-link byte budget configured
@@ -98,19 +98,18 @@ type Engine struct {
 	// fastGather additionally rules out bandwidth accounting: every
 	// in-neighbor then delivers its broadcast unconditionally. Combined
 	// with allIdentity (every numbering is the identity bijection,
-	// checked once per Reset) the gather fuses: it scans the receiver's
-	// in-row bitmap words straight into the delivery buffer, skipping
-	// the intermediate neighbor list, outgoing()'s fault checks and the
-	// cap/size branches per delivery.
+	// checked once per Reset) the gather scans the receiver's in-row
+	// (bitmap words or CSR list) straight into the delivery buffer,
+	// skipping the intermediate neighbor list, outgoing()'s fault checks
+	// and the cap/size branches per delivery.
 	fastGather  bool
 	allIdentity bool
 
-	// directDeliver is the fully fused round core: with fastGather,
-	// identity ports everywhere, no delivery shuffling and no
-	// Observer/Recorder, nothing between the edge bitmap and the
-	// algorithm needs the delivery buffer — each in-row bit becomes a
-	// Deliver call on the spot, in the same ascending order the buffered
-	// path produces.
+	// directDeliver is the precondition of the sender-major scatter
+	// round: fastGather, identity ports everywhere, no delivery shuffling
+	// and no Observer/Recorder — every node is alive, Port == sender ID,
+	// and nothing between the edge structure and the algorithm looks at
+	// individual deliveries.
 	directDeliver bool
 
 	// trackPhases is false when neither an Observer nor a Recorder is
@@ -118,14 +117,6 @@ type Engine struct {
 	// delivery loop skips the two Phase() probes per delivery — at
 	// n=1025/p=8/n that is ~16k interface calls per round feeding a no-op.
 	trackPhases bool
-
-	// referenceRound switches the round loop to the retained reference
-	// implementations: the original O(n)-per-receiver port-loop gather,
-	// the eager full view refresh, and the word-wise lost count. Every
-	// fast path must be bit-for-bit equivalent to the reference —
-	// TestDeliveryEquivalenceProperty flips this flag to prove it. Never
-	// set outside tests.
-	referenceRound bool
 
 	result Result // counters accumulate here; finish() materializes maps
 }
@@ -367,18 +358,15 @@ func (e *Engine) roundEdges(t int) *network.EdgeSet {
 	return e.cfg.Adversary.Edges(t, e.view)
 }
 
-// refreshView brings the state window up to date for round t. The eager
-// full refresh is the reference semantics; the lazy modes below are
-// equivalent because every Process.Broadcast implementation is a pure
-// read — a node's public state at the start of round t is exactly its
-// state after EndRound of the last round it was processed in, which the
-// delivery loop captures as it goes. The concurrent engine has used the
-// same end-of-round capture since its introduction; the property test
-// pins both against the eager reference.
+// refreshView brings the state window up to date for round t without
+// the O(n) eager capture (execView.refresh) the model describes. The
+// lazy modes are equivalent to it because every Process.Broadcast
+// implementation is a pure read — a node's public state at the start of
+// round t is exactly its state after EndRound of the last round it was
+// processed in, which the delivery loop captures as it goes. The
+// equivalence property tests pin this against the eager refresh.
 func (e *Engine) refreshView(t int) {
 	switch {
-	case e.referenceRound:
-		e.view.refresh(t)
 	case e.viewSkip:
 		// Oblivious adversary, no Byzantine strategies: no snapshot is
 		// ever read, so none is taken.
@@ -398,24 +386,64 @@ func (e *Engine) refreshView(t int) {
 	}
 }
 
-// Step executes one synchronous round.
+// Step executes one synchronous round: open it (E(t), broadcasts), run
+// the per-receiver core, close it (counters, observers). The core —
+// skip receivers that cannot receive, gather the in-edges in port
+// order, deliver, EndRound — has exactly three executions, each chosen
+// from something the engine observes:
+//
+//   - parallelRound (RoundWorkers > 1, no Observer/Recorder) runs
+//     deliverRange on contiguous receiver ranges across the pool;
+//   - scatterRound (CSR representation, directDeliver, at most
+//     scatterMaxEdges edges) walks the senders once and scatters into
+//     per-receiver slices instead of gathering per receiver;
+//   - everything else runs deliverRange over the full range.
 func (e *Engine) Step() {
 	t := e.round
 	e.refreshView(t)
+	edges := e.openRound(t)
 
-	// (1) The adversary chooses E(t) (it may read start-of-round state).
+	var delivered int
+	switch {
+	case e.parRounds:
+		delivered = e.parallelRound(t, edges)
+	case e.directDeliver && edges.IsSparse() && edges.Len() <= scatterMaxEdges:
+		delivered = e.scatterRound(t, edges)
+	default:
+		s := &e.scratch[0]
+		e.deliverRange(t, 0, e.cfg.N, edges, s)
+		delivered = e.foldScratch(s)
+	}
+
+	// Count adversary-suppressed messages: alive sender, receiver able
+	// to receive in round t, no link. With no Byzantine nodes, no crashes
+	// and no link caps, every one of the n(n−1) potential messages either
+	// delivered or was suppressed, so the count is a subtraction;
+	// otherwise countLost folds one word-wise mask of eligible receivers.
+	var lost int
+	if e.lostFast {
+		lost = e.cfg.N*(e.cfg.N-1) - delivered
+	} else {
+		lost = countLost(t, e.cfg.N, e.isByz, e.crashRound, edges, e.recvMask)
+	}
+	e.closeRound(t, delivered, lost)
+}
+
+// openRound is the first half of a round: the adversary chooses E(t)
+// (it may read start-of-round state through the view), then every live
+// node broadcasts. Crash-scheduled nodes still broadcast in their crash
+// round (possibly reaching only a subset); Byzantine nodes produce
+// per-receiver messages, overwriting last round's slices so nothing
+// stale is ever consulted.
+func (e *Engine) openRound(t int) *network.EdgeSet {
 	edges := e.roundEdges(t)
-	if e.hooks.Recorder != nil {
-		e.hooks.Recorder.Record(trace.Event{Kind: trace.KindRound, Round: t, Edges: edges.Edges()})
+	rec := e.hooks.Recorder
+	if rec != nil {
+		rec.Record(trace.Event{Kind: trace.KindRound, Round: t, Edges: edges.Edges()})
 	}
 	if e.cfg.KeepTrace {
 		e.result.Trace = append(e.result.Trace, edges.Clone())
 	}
-
-	// (2) Broadcasts. Crash-scheduled nodes still broadcast in their
-	// crash round (possibly reaching only a subset); Byzantine nodes
-	// produce per-receiver messages, overwriting last round's slices so
-	// nothing stale is ever consulted.
 	for i := 0; i < e.cfg.N; i++ {
 		e.hasBcast[i] = false
 		if e.isByz[i] {
@@ -432,66 +460,36 @@ func (e *Engine) Step() {
 			// One Size per broadcast per round; deliveries reuse it.
 			e.bcastSize[i] = wire.Size(m)
 		}
-		if e.hooks.Recorder != nil {
-			e.hooks.Recorder.Record(trace.Event{
+		if rec != nil {
+			rec.Record(trace.Event{
 				Kind: trace.KindBroadcast, Round: t, Node: i, Value: m.Value, Phase: m.Phase,
 			})
+			if e.crashRound[i] == t {
+				rec.Record(trace.Event{Kind: trace.KindCrash, Round: t, Node: i})
+			}
 		}
-		if e.hooks.Recorder != nil && e.crashRound[i] == t {
-			e.hooks.Recorder.Record(trace.Event{Kind: trace.KindCrash, Round: t, Node: i})
-		}
 	}
+	return edges
+}
 
-	// (3) Deliveries, per receiver in node order, per sender in the
-	// receiver's port order — fully deterministic. The gather walks the
-	// edge set's in-neighbor structure (bitmap or CSR row), so its cost
-	// scales with the receiver's actual in-degree, not n. Three
-	// executions of the same per-receiver semantics: the parallel round
-	// shards contiguous receiver ranges over the pool, the sequential
-	// CSR direct round scatters sender-major into per-receiver slices,
-	// and everything else runs deliverRange over the full range.
-	liveView := !e.viewSkip && !e.referenceRound
-	sparse := edges.IsSparse()
-	var roundDelivered int
-	switch {
-	case e.parRounds && !e.referenceRound:
-		var bytes, oversized int
-		roundDelivered, bytes, oversized = e.parallelRound(t, edges, liveView, sparse)
-		e.result.BytesDelivered += bytes
-		e.result.MessagesOversized += oversized
-	case sparse && e.directDeliver && !e.referenceRound && edges.Len() <= scatterMaxEdges:
-		roundDelivered = e.scatterRound(t, edges, liveView)
-	default:
-		s := &e.scratch[0]
-		s.delivered, s.bytes, s.oversized = 0, 0, 0
-		e.deliverRange(t, 0, e.cfg.N, edges, s, liveView, sparse)
-		roundDelivered = s.delivered
-		e.result.BytesDelivered += s.bytes
-		e.result.MessagesOversized += s.oversized
-	}
-	e.result.MessagesDelivered += roundDelivered
-
-	// Count adversary-suppressed messages: alive sender, receiver able
-	// to receive in round t, no link. Receivers that cannot receive —
-	// Byzantine nodes, or nodes not fully alive through the round — are
-	// excluded: a missing link toward them suppresses nothing. With no
-	// Byzantine nodes, no crashes and no link caps, every one of the
-	// n(n−1) potential messages either delivered or was suppressed, so
-	// the count is a subtraction; otherwise one word-wise mask of the
-	// eligible receivers replaces the former O(n²) faulted fallback.
-	var roundLost int
-	if e.lostFast && !e.referenceRound {
-		roundLost = e.cfg.N*(e.cfg.N-1) - roundDelivered
-	} else {
-		roundLost = countLost(t, e.cfg.N, e.isByz, e.crashRound, edges, e.recvMask)
-	}
-	e.result.MessagesLost += roundLost
-
+// closeRound is the second half: fold the round's message counts into
+// the Result, feed the round-level observers, advance the clock.
+func (e *Engine) closeRound(t, delivered, lost int) {
+	e.result.MessagesDelivered += delivered
+	e.result.MessagesLost += lost
 	e.notifyRoundEnd(t)
 	if e.hooks.Metrics != nil {
-		e.emitRound(t, roundDelivered, roundLost)
+		e.emitRound(t, delivered, lost)
 	}
 	e.round++
+}
+
+// foldScratch adds one receiver range's byte and oversize counters to
+// the Result and returns its delivery count.
+func (e *Engine) foldScratch(s *recvScratch) int {
+	e.result.BytesDelivered += s.bytes
+	e.result.MessagesOversized += s.oversized
+	return s.delivered
 }
 
 // emitRound feeds the metrics sink one RoundSample: counters from the
@@ -532,109 +530,62 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 	e.hooks.Metrics.RoundDone(s)
 }
 
-// deliverRange processes receivers [lo, hi): gather (or fused direct
-// delivery), algorithm calls, end-of-round bookkeeping. It is the
-// shared round core of the sequential loop (the full range) and the
-// parallel round (contiguous sub-ranges on pool workers): receivers
-// are independent within a round — everything cross-receiver it
-// touches is either frozen for the round (edges, broadcasts, byzMsgs,
-// crash state) or indexed by the receiver (decided/outputs/
-// decideRound, view snapshots) — so disjoint ranges compose to exactly
-// the sequential result, in the same per-receiver delivery order.
-// Counters accumulate into the range's own scratch; the caller folds
-// them into the Result.
-func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScratch, liveView, sparse bool) {
-	direct := e.directDeliver && !e.referenceRound
+// deliverRange is the per-receiver round core over receivers [lo, hi):
+// gather the in-edges in ascending port order, optionally shuffle, hand
+// them to the algorithm, end the round. It serves the sequential loop
+// (the full range) and the parallel round (contiguous sub-ranges on
+// pool workers): receivers are independent within a round — everything
+// cross-receiver it touches is either frozen for the round (edges,
+// broadcasts, byzMsgs, crash state) or indexed by the receiver
+// (decided/outputs/decideRound, view snapshots) — so disjoint ranges
+// compose to exactly the sequential result, in the same per-receiver
+// delivery order. The range's counters land in its own scratch; the
+// caller folds them into the Result.
+//
+// There is one body on purpose: variants that skip the delivery buffer
+// when nothing observes deliveries measure within ±3 % of it on every
+// repo-benchmark workload (BenchmarkEngineRound/n=51 is faster without
+// them, 0.61 → 0.53 ms/run), so they are not worth a second route.
+func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScratch) {
+	s.bytes, s.oversized = 0, 0
 	delivered := 0
+	sparse, liveView := edges.IsSparse(), !e.viewSkip
 	for v := lo; v < hi; v++ {
-		if e.isByz[v] {
-			continue
-		}
 		// A node receives in round t only if it survives the whole
 		// round: its crash round delivers nothing to it.
-		if t >= e.crashRound[v] {
+		if e.isByz[v] || t >= e.crashRound[v] {
 			continue
 		}
 		proc := e.cfg.Procs[v]
-		switch {
-		case direct && e.bulk[v] != nil:
-			// Fused core with the DeliverAll seam: batch the receiver's
-			// whole in-edge slice and hand it over in ONE dynamic call —
-			// the fold inside dispatches statically. Same senders, same
-			// ascending order as the per-edge path.
-			ds := s.deliveries[:0]
-			if sparse {
-				for _, u := range edges.InList(v) {
-					ds = append(ds, core.Delivery{Port: int(u), Msg: e.broadcasts[u]})
+		s.deliveries = s.deliveries[:0]
+		e.gatherInNeighbors(t, v, edges, s, sparse)
+		if e.cfg.ShuffleDelivery {
+			shuffleDeliveries(s.deliveries, e.cfg.ShuffleSeed, t, v)
+		}
+		delivered += len(s.deliveries)
+		if e.trackPhases {
+			// Observer/Recorder configured: sequential-only (parRounds
+			// excludes it), per-delivery probes interleaved.
+			for _, d := range s.deliveries {
+				if e.hooks.Recorder != nil {
+					e.hooks.Recorder.Record(trace.Event{
+						Kind: trace.KindDeliver, Round: t, Node: v, Port: d.Port,
+						Value: d.Msg.Value, Phase: d.Msg.Phase,
+					})
 				}
-			} else {
-				base := 0
-				for _, w := range edges.InRow(v) {
-					for w != 0 {
-						u := base + bits.TrailingZeros64(w)
-						w &= w - 1
-						ds = append(ds, core.Delivery{Port: u, Msg: e.broadcasts[u]})
-					}
-					base += 64
-				}
-			}
-			s.deliveries = ds
-			delivered += len(ds)
-			e.bulk[v].DeliverAll(ds)
-		case direct:
-			// Fused per-edge core for algorithms without the seam: each
-			// in-edge becomes a Deliver call on the spot, with no
-			// intermediate Delivery written.
-			if sparse {
-				for _, u := range edges.InList(v) {
-					proc.Deliver(core.Delivery{Port: int(u), Msg: e.broadcasts[u]})
-					delivered++
-				}
-			} else {
-				base := 0
-				for _, w := range edges.InRow(v) {
-					for w != 0 {
-						u := base + bits.TrailingZeros64(w)
-						w &= w - 1
-						proc.Deliver(core.Delivery{Port: u, Msg: e.broadcasts[u]})
-						delivered++
-					}
-					base += 64
+				before := proc.Phase()
+				proc.Deliver(d)
+				if after := proc.Phase(); after != before {
+					e.notePhase(v, before, after, proc.Value(), t)
 				}
 			}
-		default:
-			s.deliveries = s.deliveries[:0]
-			if e.referenceRound {
-				e.gatherPortLoop(t, v, edges, s)
-			} else {
-				e.gatherInNeighbors(t, v, edges, s, sparse)
-			}
-			if e.cfg.ShuffleDelivery {
-				shuffleDeliveries(s.deliveries, e.cfg.ShuffleSeed, t, v)
-			}
-			delivered += len(s.deliveries)
-			if e.trackPhases {
-				// Observer/Recorder configured: sequential-only (parRounds
-				// excludes it), per-delivery probes interleaved.
-				for _, d := range s.deliveries {
-					if e.hooks.Recorder != nil {
-						e.hooks.Recorder.Record(trace.Event{
-							Kind: trace.KindDeliver, Round: t, Node: v, Port: d.Port,
-							Value: d.Msg.Value, Phase: d.Msg.Phase,
-						})
-					}
-					before := proc.Phase()
-					proc.Deliver(d)
-					if after := proc.Phase(); after != before {
-						e.notePhase(v, before, after, proc.Value(), t)
-					}
-				}
-			} else if b := e.bulk[v]; b != nil {
-				b.DeliverAll(s.deliveries)
-			} else {
-				for _, d := range s.deliveries {
-					proc.Deliver(d)
-				}
+		} else if b := e.bulk[v]; b != nil {
+			// The DeliverAll seam: the receiver's whole in-edge batch in
+			// ONE dynamic call — the fold inside dispatches statically.
+			b.DeliverAll(s.deliveries)
+		} else {
+			for _, d := range s.deliveries {
+				proc.Deliver(d)
 			}
 		}
 		proc.EndRound()
@@ -645,7 +596,7 @@ func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScra
 			e.view.snaps[v] = core.Snap(proc)
 		}
 	}
-	s.delivered += delivered
+	s.delivered = delivered
 }
 
 // scatterMaxEdges bounds the rounds that take the sender-major scatter:
@@ -653,23 +604,26 @@ func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScra
 // a quarter-million edges it outgrows the last-level cache — the
 // scatter's random writes then cost more than the per-receiver gather's
 // random broadcast reads (measured: the crossover sits between the
-// n=16385 and n=65537 er2 rows of BenchmarkEngineRound). Above the
-// bound the direct CSR round falls back to deliverRange's per-receiver
-// InList gather, which touches only a receiver-sized buffer.
+// n=16385 and n=65537 er2 rows of BenchmarkEngineRound). Below the
+// bound the scatter pays for itself — forcing it off costs the repo
+// benchmark's round-sparse-regular 1.58 → 2.25 s and round-sparse-er2
+// ≈ 1.50 → 1.70 s wall — so it stays, cap included; above it the round
+// falls back to deliverRange's per-receiver InList gather, which
+// touches only a receiver-sized buffer.
 const scatterMaxEdges = 1 << 18
 
-// scatterRound is the sequential CSR direct round: instead of gathering
-// per receiver (one random broadcast read per edge), it walks the
-// senders once and scatters each broadcast down its out-row into a
-// flat sender-major delivery buffer partitioned by the in-CSR row
-// starts — then hands every receiver its contiguous in-edge slice in
-// one DeliverAll (or a per-edge fold for algorithms without the seam).
+// scatterRound is the sender-major execution of the round core: instead
+// of gathering per receiver (one random broadcast read per edge), it
+// walks the senders once and scatters each broadcast down its out-row
+// into a flat delivery buffer partitioned by the in-CSR row starts —
+// then hands every receiver its contiguous in-edge slice in one
+// DeliverAll (or a per-edge fold for algorithms without the seam).
 // Reachable only under directDeliver (no faults, identity ports, no
 // shuffle, no observers), so every node is alive and Port == sender ID;
 // each receiver's slice comes out in ascending sender order because the
-// scatter's outer loop ascends, matching the gather paths bit-for-bit.
-func (e *Engine) scatterRound(t int, edges *network.EdgeSet, liveView bool) int {
-	n := e.cfg.N
+// scatter's outer loop ascends, matching the gather bit-for-bit.
+func (e *Engine) scatterRound(t int, edges *network.EdgeSet) int {
+	n, liveView := e.cfg.N, !e.viewSkip
 	inStarts, _ := edges.InCSR()
 	outStarts, outIDs := edges.OutCSR()
 	total := int(outStarts[n])
@@ -713,14 +667,14 @@ func (e *Engine) scatterRound(t int, edges *network.EdgeSet, liveView bool) int 
 	return total
 }
 
-// gatherInNeighbors is the delivery core: it iterates only v's actual
-// in-neighbors off the edge set's transposed structure — the bitmap
-// in-row dense, the CSR in-list sparse, both O(in-degree) — maps each
-// sender to v's local port in O(1), and restores the documented
-// ascending-port delivery order — bit-for-bit the order the reference
-// port loop produces, because ports are a bijection. Under the default
-// identity numbering ascending node order already IS ascending port
-// order and the sort is skipped entirely.
+// gatherInNeighbors is the gather half of the core: it iterates only
+// v's actual in-neighbors off the edge set's transposed structure — the
+// bitmap in-row dense, the CSR in-list sparse, both O(in-degree) — maps
+// each sender to v's local port in O(1), and restores the documented
+// ascending-port delivery order — bit-for-bit the order a walk over all
+// n ports produces (the test oracle's gather), because ports are a
+// bijection. Under the default identity numbering ascending node order
+// already IS ascending port order and the sort is skipped entirely.
 func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet, s *recvScratch, sparse bool) {
 	if e.fastGather && e.allIdentity {
 		// No Byzantine senders, no crashes, no caps, no bandwidth
@@ -764,32 +718,6 @@ func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet, s *recvScra
 	}
 	if !numbering.IsIdentity() {
 		sortDeliveriesByPort(s.deliveries)
-	}
-}
-
-// gatherPortLoop is the retained reference implementation: walk all n
-// ports in ascending order and probe the edge set per sender. Kept
-// solely as the equivalence oracle for the word-wise path (see
-// referenceRound); it is not reachable in production configurations.
-func (e *Engine) gatherPortLoop(t, v int, edges *network.EdgeSet, s *recvScratch) {
-	numbering := e.ports[v]
-	for port := 0; port < e.cfg.N; port++ {
-		u := numbering.Node(port)
-		if u == v || !edges.Has(u, v) {
-			continue
-		}
-		m, size, ok := e.outgoing(t, u, v)
-		if !ok {
-			continue
-		}
-		if limit := e.cfg.linkCap(u, v); limit > 0 && size > limit {
-			s.oversized++
-			continue
-		}
-		s.deliveries = append(s.deliveries, core.Delivery{Port: port, Msg: *m})
-		if e.cfg.AccountBandwidth {
-			s.bytes += size
-		}
 	}
 }
 

@@ -12,61 +12,53 @@ import (
 	"anondyn/internal/network"
 )
 
-// buildPair constructs two identical configurations (fresh Process
-// instances, fresh adversaries from the same factory) for the two
-// engines.
-func buildPair(t *testing.T, mk func() Config) (Config, Config) {
-	t.Helper()
-	return mk(), mk()
+// executions are the three ways one configuration is run: the engine's
+// own path selection, the test-only reference oracle, and the engine
+// with its receiver loop spread over three pool workers.
+var executions = []struct {
+	name    string
+	workers int
+	run     func(*Engine) *Result
+}{
+	{"engine", 0, (*Engine).Run},
+	{"reference", 0, referenceRun},
+	{"workers=3", 3, (*Engine).Run},
 }
 
-// assertSameResult compares everything that must match between engines.
-func assertSameResult(t *testing.T, seq, conc *Result) {
+// runThreeWays builds the configuration afresh for every execution
+// (fresh Process instances, fresh adversaries from the same factory),
+// asserts byte-identical Results and identical observer logs, and
+// returns the engine's Result. mk may attach obs or ignore it: attached,
+// it keeps the workers=3 run on the sequential loop, which is then the
+// fallback being pinned.
+func runThreeWays(t *testing.T, mk func(obs Observer) Config) *Result {
 	t.Helper()
-	if seq.Decided != conc.Decided {
-		t.Fatalf("Decided: seq %v, conc %v", seq.Decided, conc.Decided)
+	var first *Result
+	var firstLog *observerLog
+	for _, ex := range executions {
+		log := newObserverLog()
+		cfg := mk(log)
+		cfg.RoundWorkers = ex.workers
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", ex.name, err)
+		}
+		res := ex.run(eng)
+		eng.Close()
+		if first == nil {
+			first, firstLog = res, log
+			continue
+		}
+		assertEqualResults(t, first, res, "%s vs %s", executions[0].name, ex.name)
+		if !reflect.DeepEqual(firstLog, log) {
+			t.Errorf("observer logs differ between %s and %s", executions[0].name, ex.name)
+		}
 	}
-	if seq.Rounds != conc.Rounds {
-		t.Errorf("Rounds: seq %d, conc %d", seq.Rounds, conc.Rounds)
-	}
-	if !reflect.DeepEqual(seq.Outputs, conc.Outputs) {
-		t.Errorf("Outputs differ:\nseq  %v\nconc %v", seq.Outputs, conc.Outputs)
-	}
-	if !reflect.DeepEqual(seq.DecideRound, conc.DecideRound) {
-		t.Errorf("DecideRound differ:\nseq  %v\nconc %v", seq.DecideRound, conc.DecideRound)
-	}
-	if seq.MessagesDelivered != conc.MessagesDelivered {
-		t.Errorf("MessagesDelivered: seq %d, conc %d", seq.MessagesDelivered, conc.MessagesDelivered)
-	}
-	if seq.MessagesLost != conc.MessagesLost {
-		t.Errorf("MessagesLost: seq %d, conc %d", seq.MessagesLost, conc.MessagesLost)
-	}
-	if seq.MessagesOversized != conc.MessagesOversized {
-		t.Errorf("MessagesOversized: seq %d, conc %d", seq.MessagesOversized, conc.MessagesOversized)
-	}
-	if seq.BytesDelivered != conc.BytesDelivered {
-		t.Errorf("BytesDelivered: seq %d, conc %d", seq.BytesDelivered, conc.BytesDelivered)
-	}
-}
-
-func runBoth(t *testing.T, mk func() Config) (*Result, *Result) {
-	t.Helper()
-	seqCfg, concCfg := buildPair(t, mk)
-	seqEng, err := NewEngine(seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := seqEng.Run()
-	concEng, err := NewConcurrentEngine(concCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc := concEng.Run()
-	return seq, conc
+	return first
 }
 
 func TestEquivalenceDACRotating(t *testing.T) {
-	mk := func() Config {
+	mk := func(Observer) Config {
 		rot, err := adversary.NewRotating(3)
 		if err != nil {
 			t.Fatal(err)
@@ -78,15 +70,13 @@ func TestEquivalenceDACRotating(t *testing.T) {
 			AccountBandwidth: true,
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
-	if !seq.Decided {
+	if res := runThreeWays(t, mk); !res.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
 }
 
 func TestEquivalenceDACCrashesRandomPorts(t *testing.T) {
-	mk := func() Config {
+	mk := func(Observer) Config {
 		rd, err := adversary.NewRandomDegree(2, 3, 0.1, 4242)
 		if err != nil {
 			t.Fatal(err)
@@ -103,15 +93,13 @@ func TestEquivalenceDACCrashesRandomPorts(t *testing.T) {
 			Ports:     network.RandomPorts(7, newRand(17)),
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
-	if !seq.Decided {
+	if res := runThreeWays(t, mk); !res.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
 }
 
 func TestEquivalenceDBACByzantine(t *testing.T) {
-	mk := func() Config {
+	mk := func(Observer) Config {
 		byz := map[int]fault.Strategy{
 			3:  fault.Equivocator{Low: 0, High: 1},
 			10: fault.NewRandomNoise(555),
@@ -124,15 +112,13 @@ func TestEquivalenceDBACByzantine(t *testing.T) {
 			Adversary: adversary.NewComplete(),
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
-	if !seq.Decided {
+	if res := runThreeWays(t, mk); !res.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
 }
 
 func TestEquivalenceAdaptiveClustered(t *testing.T) {
-	mk := func() Config {
+	mk := func(Observer) Config {
 		cl, err := adversary.NewClustered(3)
 		if err != nil {
 			t.Fatal(err)
@@ -144,15 +130,13 @@ func TestEquivalenceAdaptiveClustered(t *testing.T) {
 			MaxRounds: 400,
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
-	if !seq.Decided {
+	if res := runThreeWays(t, mk); !res.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
 }
 
 func TestEquivalenceUndecidedRun(t *testing.T) {
-	mk := func() Config {
+	mk := func(Observer) Config {
 		halves, err := adversary.NewHalves(6)
 		if err != nil {
 			t.Fatal(err)
@@ -164,16 +148,13 @@ func TestEquivalenceUndecidedRun(t *testing.T) {
 			MaxRounds: 40,
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
-	if seq.Decided {
+	if res := runThreeWays(t, mk); res.Decided {
 		t.Error("split scenario should not decide")
 	}
 }
 
-// observerLog records callbacks for cross-engine comparison. Within a
-// round the concurrent engine groups transitions by node, so we compare
-// per-node sequences, which must match exactly.
+// observerLog records callbacks for cross-execution comparison:
+// per-node phase-transition sequences and decide values.
 type observerLog struct {
 	phases  map[int][]int
 	decides map[int]float64
@@ -192,7 +173,7 @@ func (o *observerLog) OnDecide(node int, value float64, round int) {
 }
 
 func TestEquivalenceObserverStreams(t *testing.T) {
-	mkWith := func(obs Observer) Config {
+	mk := func(obs Observer) Config {
 		rot, err := adversary.NewRotating(4)
 		if err != nil {
 			t.Fatal(err)
@@ -204,40 +185,32 @@ func TestEquivalenceObserverStreams(t *testing.T) {
 			Hooks:     Hooks{Observer: obs},
 		}
 	}
-	seqObs, concObs := newObserverLog(), newObserverLog()
-	seqEng, err := NewEngine(mkWith(seqObs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqEng.Run()
-	concEng, err := NewConcurrentEngine(mkWith(concObs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	concEng.Run()
-	if !reflect.DeepEqual(seqObs.phases, concObs.phases) {
-		t.Error("per-node phase transition streams differ between engines")
-	}
-	if !reflect.DeepEqual(seqObs.decides, concObs.decides) {
-		t.Error("decide callbacks differ between engines")
+	if res := runThreeWays(t, mk); !res.Decided {
+		t.Error("scenario never decided — equivalence test vacuous")
 	}
 }
 
-func TestConcurrentEngineNoGoroutineLeak(t *testing.T) {
+// TestRoundPoolNoGoroutineLeak: engines that ran parallel rounds and
+// were Closed leave no pool worker behind.
+func TestRoundPoolNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
-		cfg := Config{
-			N:         7,
-			Procs:     dacProcs(t, 7, 5, spread(7)),
-			Adversary: adversary.NewComplete(),
-		}
-		eng, err := NewConcurrentEngine(cfg)
+	for i := 0; i < 50; i++ {
+		eng, err := NewEngine(Config{
+			N:            7,
+			Procs:        dacProcs(t, 7, 5, spread(7)),
+			Adversary:    adversary.NewComplete(),
+			RoundWorkers: 4,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res := eng.Run(); !res.Decided {
 			t.Fatal("undecided")
 		}
+		if eng.pool == nil {
+			t.Fatal("RoundWorkers: 4 never started the pool — leak test vacuous")
+		}
+		eng.Close()
 	}
 	// Give exiting workers a moment, then compare.
 	deadline := time.Now().Add(2 * time.Second)
@@ -250,36 +223,49 @@ func TestConcurrentEngineNoGoroutineLeak(t *testing.T) {
 	t.Errorf("goroutines: %d before, %d after — workers leaked", before, runtime.NumGoroutine())
 }
 
-func TestConcurrentEngineCloseIdempotent(t *testing.T) {
-	cfg := Config{
-		N:         3,
-		Procs:     dacProcs(t, 3, 2, []float64{0, 0.5, 1}),
-		Adversary: adversary.NewComplete(),
+// TestEngineCloseIdempotent: Close may be called any number of times,
+// with or without a pool, and the engine stays usable afterwards — the
+// next parallel round re-creates the pool.
+func TestEngineCloseIdempotent(t *testing.T) {
+	mk := func() Config {
+		return Config{
+			N:            3,
+			Procs:        dacProcs(t, 3, 2, []float64{0, 0.5, 1}),
+			Adversary:    adversary.NewComplete(),
+			RoundWorkers: 2,
+		}
 	}
-	eng, err := NewConcurrentEngine(cfg)
+	eng, err := NewEngine(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := eng.Run()
-	if !res.Decided {
+	eng.Close() // no pool yet
+	first := eng.Run()
+	if !first.Decided {
 		t.Error("undecided")
 	}
 	eng.Close()
 	eng.Close()
+	if err := eng.Reset(mk()); err != nil {
+		t.Fatal(err)
+	}
+	assertEqualResults(t, first, eng.Run(), "run after Close")
+	eng.Close()
 }
 
 func TestConcurrentMatchesTheoreticalContraction(t *testing.T) {
-	// Concurrent engine, complete graph: same optimal-rate result as the
-	// sequential engine’s Theorem 3 behavior.
-	cfg := Config{
-		N:         9,
-		Procs:     dacProcs(t, 9, 10, spread(9)),
-		Adversary: adversary.NewComplete(),
-	}
-	eng, err := NewConcurrentEngine(cfg)
+	// Complete graph, receivers spread over pool workers: the same
+	// optimal-rate Theorem 3 behavior as the sequential loop.
+	eng, err := NewEngine(Config{
+		N:            9,
+		Procs:        dacProcs(t, 9, 10, spread(9)),
+		Adversary:    adversary.NewComplete(),
+		RoundWorkers: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	res := eng.Run()
 	if !res.Decided || res.Rounds != 10 {
 		t.Fatalf("rounds = %d decided = %v, want 10, true", res.Rounds, res.Decided)

@@ -25,13 +25,11 @@ type recvScratch struct {
 // pool worker. Everything a worker touches through it is either frozen
 // for the round or private to the task's scratch — see deliverRange.
 type roundTask struct {
-	e        *Engine
-	t        int
-	lo, hi   int
-	edges    *network.EdgeSet
-	s        *recvScratch
-	liveView bool
-	sparse   bool
+	e      *Engine
+	t      int
+	lo, hi int
+	edges  *network.EdgeSet
+	s      *recvScratch
 }
 
 // roundPool is the persistent worker pool behind Config.RoundWorkers.
@@ -57,7 +55,7 @@ func newRoundPool(size int) *roundPool {
 
 func poolWorker(tasks <-chan roundTask) {
 	for task := range tasks {
-		task.e.deliverRange(task.t, task.lo, task.hi, task.edges, task.s, task.liveView, task.sparse)
+		task.e.deliverRange(task.t, task.lo, task.hi, task.edges, task.s)
 		task.e.wg.Done()
 	}
 }
@@ -108,28 +106,23 @@ func (e *Engine) ensurePool() {
 // per-worker scratch), so the result is bit-for-bit the sequential
 // one: integer counter sums are order-independent, and per-receiver
 // delivery order never crosses a range boundary.
-func (e *Engine) parallelRound(t int, edges *network.EdgeSet, liveView, sparse bool) (delivered, bytes, oversized int) {
+func (e *Engine) parallelRound(t int, edges *network.EdgeSet) (delivered int) {
 	e.ensurePool()
-	if sparse {
+	if edges.IsSparse() {
 		edges.InCSR() // force the CSR build before workers read it concurrently
 	}
 	k := e.workers
 	n := e.cfg.N
 	e.wg.Add(k)
 	for i := 0; i < k; i++ {
-		s := &e.scratch[i]
-		s.delivered, s.bytes, s.oversized = 0, 0, 0
 		e.pool.tasks <- roundTask{
 			e: e, t: t, lo: i * n / k, hi: (i + 1) * n / k,
-			edges: edges, s: s, liveView: liveView, sparse: sparse,
+			edges: edges, s: &e.scratch[i],
 		}
 	}
 	e.wg.Wait()
 	for i := 0; i < k; i++ {
-		s := &e.scratch[i]
-		delivered += s.delivered
-		bytes += s.bytes
-		oversized += s.oversized
+		delivered += e.foldScratch(&e.scratch[i])
 	}
-	return delivered, bytes, oversized
+	return delivered
 }

@@ -1,0 +1,93 @@
+package sim
+
+import (
+	"anondyn/internal/core"
+	"anondyn/internal/network"
+	"anondyn/internal/trace"
+)
+
+// referenceStep executes one round of e the way §II-A states it, with
+// none of the production shortcuts: the view is captured eagerly for
+// every node, each receiver walks all n ports probing the edge set,
+// every delivery is one Deliver call, and the suppressed-message count
+// is always the word-wise fold. It reuses the engine's open/close round
+// halves — what the oracle pins is everything in between. Every
+// execution Step can select must match it bit for bit (Results and, when
+// a Recorder is attached, the event stream).
+func referenceStep(e *Engine) {
+	t := e.round
+	e.view.refresh(t)
+	edges := e.openRound(t)
+
+	s := &e.scratch[0]
+	s.delivered, s.bytes, s.oversized = 0, 0, 0
+	for v := 0; v < e.cfg.N; v++ {
+		if e.isByz[v] || t >= e.crashRound[v] {
+			continue
+		}
+		proc := e.cfg.Procs[v]
+		s.deliveries = s.deliveries[:0]
+		gatherPortLoop(e, t, v, edges, s)
+		if e.cfg.ShuffleDelivery {
+			shuffleDeliveries(s.deliveries, e.cfg.ShuffleSeed, t, v)
+		}
+		s.delivered += len(s.deliveries)
+		for _, d := range s.deliveries {
+			if e.hooks.Recorder != nil {
+				e.hooks.Recorder.Record(trace.Event{
+					Kind: trace.KindDeliver, Round: t, Node: v, Port: d.Port,
+					Value: d.Msg.Value, Phase: d.Msg.Phase,
+				})
+			}
+			before := proc.Phase()
+			proc.Deliver(d)
+			if after := proc.Phase(); after != before {
+				e.notePhase(v, before, after, proc.Value(), t)
+			}
+		}
+		proc.EndRound()
+		e.noteDecision(v, proc, t)
+	}
+	e.closeRound(t, e.foldScratch(s), countLost(t, e.cfg.N, e.isByz, e.crashRound, edges, e.recvMask))
+}
+
+// gatherPortLoop is the reference gather: walk all n ports in ascending
+// order and probe the edge set per sender — O(n) per receiver, delivery
+// order by construction.
+func gatherPortLoop(e *Engine, t, v int, edges *network.EdgeSet, s *recvScratch) {
+	numbering := e.ports[v]
+	for port := 0; port < e.cfg.N; port++ {
+		u := numbering.Node(port)
+		if u == v || !edges.Has(u, v) {
+			continue
+		}
+		m, size, ok := e.outgoing(t, u, v)
+		if !ok {
+			continue
+		}
+		if limit := e.cfg.linkCap(u, v); limit > 0 && size > limit {
+			s.oversized++
+			continue
+		}
+		s.deliveries = append(s.deliveries, core.Delivery{Port: port, Msg: *m})
+		if e.cfg.AccountBandwidth {
+			s.bytes += size
+		}
+	}
+}
+
+// referenceRun mirrors Engine.Run on the oracle.
+func referenceRun(e *Engine) *Result {
+	for e.round < e.maxRounds && !e.allDecided() {
+		referenceStep(e)
+	}
+	return e.finish()
+}
+
+// referenceRunRounds mirrors Engine.RunRounds on the oracle.
+func referenceRunRounds(e *Engine, k int) *Result {
+	for i := 0; i < k; i++ {
+		referenceStep(e)
+	}
+	return e.finish()
+}

@@ -78,10 +78,10 @@ func TestShuffleDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestShuffleEngineEquivalence: the concurrent engine applies the same
-// deterministic permutations.
+// TestShuffleEngineEquivalence: the reference oracle and the parallel
+// round apply the same deterministic permutations as the engine.
 func TestShuffleEngineEquivalence(t *testing.T) {
-	mk := func() Config {
+	mk := func(Observer) Config {
 		rot, err := adversary.NewRotating(3)
 		if err != nil {
 			t.Fatal(err)
@@ -94,8 +94,7 @@ func TestShuffleEngineEquivalence(t *testing.T) {
 			ShuffleSeed:     99,
 		}
 	}
-	seq, conc := runBoth(t, mk)
-	assertSameResult(t, seq, conc)
+	runThreeWays(t, mk)
 }
 
 func TestShuffleDeliveriesHelper(t *testing.T) {

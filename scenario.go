@@ -73,11 +73,7 @@ type Scenario struct {
 	// port order. Correctness never depends on the choice.
 	ShuffleDelivery bool
 
-	// Concurrent runs the goroutine-per-node engine instead of the
-	// sequential one (identical results, parallel execution).
-	Concurrent bool
-
-	// RoundWorkers shards the sequential engine's receiver loop across
+	// RoundWorkers shards the engine's receiver loop across
 	// a persistent worker pool (0/1: sequential, -1: GOMAXPROCS);
 	// results are bit-for-bit identical. See sim.Config.RoundWorkers.
 	RoundWorkers int
@@ -119,44 +115,36 @@ func (s Scenario) Run() (*Result, error) {
 	return s.runOn(&engineBox{})
 }
 
-// engineBox carries a recyclable engine between runs (sequential and
-// concurrent each have their own slot). The batch harness gives every
-// worker one box, so a thousand-seed batch builds the engine's views
-// and scratch once per worker instead of once per seed.
+// engineBox carries a recyclable engine between runs. The batch harness
+// gives every worker one box, so a thousand-seed batch builds the
+// engine's views and scratch once per worker instead of once per seed.
 type engineBox struct {
-	eng  *sim.Engine
-	ceng *sim.ConcurrentEngine
+	eng *sim.Engine
 }
 
-// runOn executes the scenario, recycling the box's engine when one is
-// already there (a Reset engine is indistinguishable from a fresh one —
-// asserted by the recycle tests). Concurrent engines recycle their
-// buffers the same way; only the per-run goroutines are rebuilt.
+// run executes cfg, recycling the box's engine when one is already
+// there (a Reset engine is indistinguishable from a fresh one — asserted
+// by the recycle tests).
+func (box *engineBox) run(cfg *sim.Config) (*Result, error) {
+	if box.eng == nil {
+		eng, err := sim.NewEngine(*cfg)
+		if err != nil {
+			return nil, err
+		}
+		box.eng = eng
+	} else if err := box.eng.Reset(*cfg); err != nil {
+		return nil, err
+	}
+	return box.eng.Run(), nil
+}
+
+// runOn builds the scenario's configuration and executes it on the box.
 func (s Scenario) runOn(box *engineBox) (*Result, error) {
 	cfg, err := s.build()
 	if err != nil {
 		return nil, err
 	}
-	if s.Concurrent {
-		if box.ceng == nil {
-			box.ceng, err = sim.NewConcurrentEngine(*cfg)
-			if err != nil {
-				return nil, err
-			}
-		} else if err := box.ceng.Reset(*cfg); err != nil {
-			return nil, err
-		}
-		return box.ceng.Run(), nil
-	}
-	if box.eng == nil {
-		box.eng, err = sim.NewEngine(*cfg)
-		if err != nil {
-			return nil, err
-		}
-	} else if err := box.eng.Reset(*cfg); err != nil {
-		return nil, err
-	}
-	return box.eng.Run(), nil
+	return box.run(cfg)
 }
 
 // validate checks the scenario's static structure.

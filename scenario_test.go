@@ -2,7 +2,7 @@ package anondyn_test
 
 import (
 	"errors"
-	"math"
+	"reflect"
 	"testing"
 
 	"anondyn"
@@ -103,30 +103,25 @@ func TestScenarioDBACByzantine(t *testing.T) {
 	}
 }
 
+// TestScenarioConcurrentMatchesSequential: spreading a round's receivers
+// over pool workers (Scenario.RoundWorkers) changes no result byte.
 func TestScenarioConcurrentMatchesSequential(t *testing.T) {
-	mk := func(concurrent bool) *anondyn.Result {
+	mk := func(workers int) *anondyn.Result {
 		res, err := anondyn.Scenario{
 			N: 9, F: 4, Eps: 1e-3,
-			Algorithm:  anondyn.AlgoDAC,
-			Inputs:     anondyn.SpreadInputs(9),
-			Adversary:  anondyn.Rotating(4),
-			Crashes:    map[int]anondyn.Crash{1: anondyn.CrashAt(2)},
-			Concurrent: concurrent,
+			Algorithm:    anondyn.AlgoDAC,
+			Inputs:       anondyn.SpreadInputs(9),
+			Adversary:    anondyn.Rotating(4),
+			Crashes:      map[int]anondyn.Crash{1: anondyn.CrashAt(2)},
+			RoundWorkers: workers,
 		}.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	seq, conc := mk(false), mk(true)
-	if seq.Rounds != conc.Rounds || seq.Decided != conc.Decided {
-		t.Errorf("rounds/decided differ: seq %d/%v, conc %d/%v",
-			seq.Rounds, seq.Decided, conc.Rounds, conc.Decided)
-	}
-	for node, v := range seq.Outputs {
-		if cv, ok := conc.Outputs[node]; !ok || math.Abs(cv-v) > 0 {
-			t.Errorf("node %d: seq %g, conc %v", node, v, conc.Outputs[node])
-		}
+	if seq, par := mk(0), mk(3); !reflect.DeepEqual(seq, par) {
+		t.Errorf("Results differ:\nseq %+v\npar %+v", seq, par)
 	}
 }
 

@@ -70,7 +70,7 @@ func soakDAC(t *testing.T, iter int, seed int64) {
 		}
 	}
 
-	res, err := anondyn.Scenario{
+	s := anondyn.Scenario{
 		N: n, F: f, Eps: eps,
 		Algorithm:   anondyn.AlgoDAC,
 		Inputs:      anondyn.RandomInputs(n, seed),
@@ -78,9 +78,12 @@ func soakDAC(t *testing.T, iter int, seed int64) {
 		Crashes:     crashes,
 		RandomPorts: rng.Intn(2) == 0,
 		Seed:        seed,
-		Concurrent:  iter%10 == 0, // sprinkle the concurrent engine in
 		MaxRounds:   60000,
-	}.Run()
+	}
+	if iter%10 == 0 {
+		s.RoundWorkers = 3 // sprinkle receiver-parallel rounds in
+	}
+	res, err := s.Run()
 	if err != nil {
 		t.Fatalf("iter %d (seed %d): %v", iter, seed, err)
 	}
