@@ -240,9 +240,9 @@ func TestSteadyRoundAllocBudget(t *testing.T) {
 		}
 	})
 	// The CSR round core keeps the budget: the forced-sparse scratch
-	// (mutation log, CSR arrays, the sender-major scatter buffer) must
-	// absorb record-edge rounds through its headroom, never by
-	// reallocating in the steady state.
+	// (mutation log, receiver-major CSR arrays) must absorb record-edge
+	// rounds through its headroom, never by reallocating in the steady
+	// state.
 	t.Run("er2/n=1025/csr", func(t *testing.T) {
 		eng := steadyEngine(t, 1025, anondyn.SparseProbabilistic(8.0/1025, 1),
 			func(cfg *sim.Config) { cfg.ForceCSR = true })
@@ -342,8 +342,8 @@ func BenchmarkEngineSteadyRound(b *testing.B) {
 // n=1025 and n=4097 with ~8 expected in-links per node (er2, the
 // geometric-skip sparse sampler) and a rotating d=4 graph, and the CSR
 // regime at n=16385 and n=65537 where the per-round graph lives in
-// sparse CSR form and the round loop scatters sender-major into
-// DeliverAll slices. The density axis is what shows round cost scaling
+// sparse CSR form and the round loop gathers each receiver's
+// DeliverAll slice off its in-CSR row. The density axis is what shows round cost scaling
 // with edges rather than n²: ns/edge must stay roughly flat from
 // n=1025 to n=65537 (an n²-proportional round loop would grow it
 // 64×). Rows above the convergence horizon cap their round budget — a

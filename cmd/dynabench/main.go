@@ -64,7 +64,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("dynabench", flag.ContinueOnError)
 	var (
 		exp        = fs.String("exp", "", "run only this experiment (e.g. E3)")
@@ -84,6 +84,7 @@ func run(args []string) error {
 		metricsOut = fs.String("metrics", "", "stream live metrics snapshots as NDJSON to this file or host:port address")
 		specFile   = fs.String("spec", "", "run the sweep defined in this YAML/JSON scenario file")
 		specDir    = fs.String("spec-dir", "", "run every scenario file (*.yaml, *.yml, *.json) in this directory")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
 		validate   = fs.Bool("validate", false, "with -spec/-spec-dir: parse, validate and compile the spec(s), then exit without running")
 		saveSpec   = fs.String("save-spec", "", "with -sweep: additionally write the sweep as a spec file")
 		serveAddr  = fs.String("serve", "", "run as a distributed sweep worker on this address (shards arrive from dynagrid; -workers sizes the per-shard pool)")
@@ -95,6 +96,16 @@ func run(args []string) error {
 	}
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+
+	stopProfile, err := metrics.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := stopProfile(); err == nil {
+			err = cerr
+		}
+	}()
 
 	coll, closeMetrics, err := metrics.Start(*metricsOut, 0)
 	if err != nil {

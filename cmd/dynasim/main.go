@@ -49,7 +49,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("dynasim", flag.ContinueOnError)
 	var (
 		algoName   = fs.String("algo", "dac", "algorithm: dac, dbac, dbac-pb, megaround, fullinfo, reliter, bacrel, floodmin")
@@ -76,11 +76,22 @@ func run(args []string) error {
 		metricsOut = fs.String("metrics", "", "stream live metrics snapshots as NDJSON to this file or host:port address")
 		specFile   = fs.String("spec", "", "run the sweep defined in this YAML/JSON scenario file instead of the flag scenario")
 		saveSpec   = fs.String("save-spec", "", "write the flag scenario as a declarative spec file before running")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
 		validate   = fs.Bool("validate", false, "with -spec: parse, validate and compile the spec, then exit without running")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+
+	stopProfile, err := metrics.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := stopProfile(); err == nil {
+			err = cerr
+		}
+	}()
 
 	coll, closeMetrics, err := metrics.Start(*metricsOut, 0)
 	if err != nil {

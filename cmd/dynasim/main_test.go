@@ -1,7 +1,9 @@
 package main
 
 import (
+	"compress/gzip"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -235,5 +237,52 @@ func TestSpecModeRejectsPerRunViews(t *testing.T) {
 	}
 	if err := run([]string{"-adversary", "complete", "-randports", "-save-spec", "x.yaml"}); err == nil {
 		t.Error("-save-spec with -randports accepted")
+	}
+}
+
+// TestCPUProfileFlag: -cpuprofile writes a complete profile on the
+// success path and on an early error return alike, and an uncreatable
+// file fails the command before anything runs.
+func TestCPUProfileFlag(t *testing.T) {
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "run.prof")
+	if err := run([]string{"-n", "9", "-adversary", "rotating:3", "-cpuprofile", prof}); err != nil {
+		t.Fatal(err)
+	}
+	assertPprof(t, prof)
+
+	early := filepath.Join(dir, "early.prof")
+	if err := run([]string{"-algo", "nope", "-cpuprofile", early}); err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+	assertPprof(t, early)
+
+	out := filepath.Join(dir, "batch.json")
+	err := run([]string{"-seeds", "3", "-report", out, "-cpuprofile", filepath.Join(dir, "missing", "x.prof")})
+	if err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
+		t.Fatalf("uncreatable profile file: err = %v", err)
+	}
+	if _, statErr := os.Stat(out); statErr == nil {
+		t.Error("the batch ran although the profile file could not be created")
+	}
+}
+
+// assertPprof checks that path holds a CPU profile: pprof files are
+// gzip-compressed protobuf, so a clean, non-empty inflate is the check
+// the standard library lets a test make.
+func assertPprof(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s is not a pprof file: %v", path, err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil || len(body) == 0 {
+		t.Fatalf("%s: profile inflates to %d bytes (err %v)", path, len(body), err)
 	}
 }

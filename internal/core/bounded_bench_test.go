@@ -104,3 +104,61 @@ func BenchmarkDBACDeliver(b *testing.B) {
 		d.Deliver(Delivery{Port: port, Msg: Message{Value: vals[port], Phase: d.Phase()}})
 	}
 }
+
+// BenchmarkDeliverAll measures the bulk seam the way the engine drives
+// it: one op is one round over a whole fleet, every node folding one
+// small batch of same-phase deliveries out of a reused scratch slice.
+// DAC runs at the repo benchmark's sparse shape (n = 16385, 8 in-links,
+// 33 MB of per-node bitsets, so each node's state is cold when its turn
+// comes); DBAC at the dense Byzantine sweep's (n = 51, f = 10, every
+// other node delivering).
+func BenchmarkDeliverAll(b *testing.B) {
+	type bulkProcess interface {
+		Process
+		BulkDeliverer
+	}
+	round := func(b *testing.B, n, deg int, fleet []bulkProcess) {
+		vals := benchValues(n)
+		ds := make([]Delivery, deg)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for v, p := range fleet {
+				phase := p.Phase()
+				for j := range ds {
+					port := (v + 1 + i + j*(n/deg)) % n // distinct ports, rotating with the round
+					if port == v {
+						port = (port + 1) % n
+					}
+					ds[j] = Delivery{Port: port, Msg: Message{Value: vals[port], Phase: phase}}
+				}
+				p.DeliverAll(ds)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(fleet)*deg), "ns/edge")
+	}
+	b.Run("DAC", func(b *testing.B) {
+		const n, deg = 16385, 8
+		fleet := make([]bulkProcess, n)
+		for i := range fleet {
+			d, err := NewDACPhases(n, i, 1<<30, 0.5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fleet[i] = d
+		}
+		round(b, n, deg, fleet)
+	})
+	b.Run("DBAC", func(b *testing.B) {
+		const n, f, deg = 51, 10, 50
+		fleet := make([]bulkProcess, n)
+		for i := range fleet {
+			d, err := NewDBACPhases(n, f, i, 1<<30, 0.5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fleet[i] = d
+		}
+		round(b, n, deg, fleet)
+	})
+}

@@ -5,7 +5,7 @@ package core
 // for it once per Reset and hand each receiver its whole in-edge batch
 // in ONE dynamic call per round instead of one per edge — at sparse
 // scale the per-edge interface dispatch is a measurable floor (~14 ns)
-// that this seam amortizes, because the inner Deliver calls dispatch
+// that this seam amortizes, because the fold inside dispatches
 // statically on the concrete type.
 //
 // The contract is fold equivalence: DeliverAll(ds) must leave the
@@ -17,28 +17,44 @@ type BulkDeliverer interface {
 	DeliverAll(ds []Delivery)
 }
 
-// DeliverAll implements BulkDeliverer as the in-order fold of Deliver;
-// the inner calls dispatch statically on *DAC.
+// DeliverAll implements BulkDeliverer, folding the slice in place: no
+// Delivery is copied. The same-phase case — what nearly every delivery
+// of a sparse round is — runs inline (bit test, count, STORE, quorum
+// rule); jumps, stale messages and the ablation go through deliver.
+// Skipping maybeDecide on the inline path is sound because decided ⇔
+// p ≥ pEnd holds between calls and only a phase change can flip it.
 func (d *DAC) DeliverAll(ds []Delivery) {
 	for i := range ds {
-		d.Deliver(ds[i])
+		dl := &ds[i]
+		if dl.Msg.Phase != d.p {
+			d.deliver(dl.Port, dl.Msg.Value, dl.Msg.Phase)
+			continue
+		}
+		if w, bit := dl.Port>>6, uint64(1)<<(uint(dl.Port)&63); d.r[w]&bit == 0 {
+			d.r[w] |= bit
+			d.nr++
+			d.store(dl.Msg.Value)
+		}
+		if d.p < d.pEnd && d.nr >= d.quorum {
+			d.advance()
+			d.maybeDecide()
+		}
 	}
 }
 
-// DeliverAll implements BulkDeliverer as the in-order fold of Deliver;
-// the inner calls dispatch statically on *DBAC.
+// DeliverAll implements BulkDeliverer as the in-order, in-place fold of
+// deliver.
 func (d *DBAC) DeliverAll(ds []Delivery) {
 	for i := range ds {
-		d.Deliver(ds[i])
+		d.deliver(ds[i].Port, ds[i].Msg.Value, ds[i].Msg.Phase)
 	}
 }
 
-// DeliverAll implements BulkDeliverer as the in-order fold of Deliver;
-// the inner calls dispatch statically on *DBACPiggyback (and from there
-// on the inner *DBAC).
+// DeliverAll implements BulkDeliverer as the in-order, in-place fold of
+// deliver (and from there the inner *DBAC's).
 func (pb *DBACPiggyback) DeliverAll(ds []Delivery) {
 	for i := range ds {
-		pb.Deliver(ds[i])
+		pb.deliver(ds[i].Port, &ds[i].Msg)
 	}
 }
 

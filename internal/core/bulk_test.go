@@ -2,14 +2,19 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
 // TestDeliverAllFoldEquivalenceProperty is the BulkDeliverer contract:
 // for random delivery streams chopped into random chunks, DeliverAll on
 // one instance must track Deliver-one-at-a-time on a twin instance
-// through every observable after every chunk — including jump/quorum
-// phase transitions landing mid-chunk.
+// through every observable — and, the twins being the same type built
+// the same way, every private field — after every chunk, including
+// jump/quorum phase transitions landing mid-chunk. The DAC variants are
+// the ones DAC.DeliverAll's inlined same-phase loop could get wrong:
+// quorum 1 advances on EVERY processed message (stale and already-
+// counted ones included), the no-jump ablation drops future phases.
 func TestDeliverAllFoldEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type pair struct {
@@ -30,8 +35,17 @@ func TestDeliverAllFoldEquivalenceProperty(t *testing.T) {
 		dbacB := mk(func() (Process, error) { return NewDBACPhases(n, f, 0, 6, input) })
 		pbA := mk(func() (Process, error) { return NewDBACPiggybackPhases(n, f, 0, 2, 6, input) })
 		pbB := mk(func() (Process, error) { return NewDBACPiggybackPhases(n, f, 0, 2, 6, input) })
+		q1A := mk(func() (Process, error) { return NewDACCustom(n, 0, 6, 1, input) })
+		q1B := mk(func() (Process, error) { return NewDACCustom(n, 0, 6, 1, input) })
+		q2A := mk(func() (Process, error) { return NewDACCustom(n, 0, 40, 2, input) })
+		q2B := mk(func() (Process, error) { return NewDACCustom(n, 0, 40, 2, input) })
+		njA := mk(func() (Process, error) { return NewDACNoJumpPhases(n, 0, 6, input) })
+		njB := mk(func() (Process, error) { return NewDACNoJumpPhases(n, 0, 6, input) })
 		return []pair{
 			{"DAC", dacA, dacB},
+			{"DAC/quorum=1", q1A, q1B},
+			{"DAC/quorum=2", q2A, q2B},
+			{"DAC/noJump", njA, njB},
 			{"DBAC", dbacA, dbacB},
 			{"DBACPiggyback", pbA, pbB},
 		}
@@ -84,7 +98,132 @@ func TestDeliverAllFoldEquivalenceProperty(t *testing.T) {
 					t.Fatalf("trial %d %s round %d: Output (%v,%v) vs (%v,%v)",
 						trial, pr.name, round, gv, gok, wv, wok)
 				}
+				if !reflect.DeepEqual(pr.bulk, pr.step) {
+					t.Fatalf("trial %d %s round %d: private state diverged\nbulk %+v\nstep %+v",
+						trial, pr.name, round, pr.bulk, pr.step)
+				}
 			}
 		}
+	}
+}
+
+// TestDACDeliverAllMidSliceTransitions scripts the slices where the
+// inlined loop's shortcuts meet a phase change, and checks them against
+// the per-edge fold AND against what Algorithm 1 says the outcome is.
+func TestDACDeliverAllMidSliceTransitions(t *testing.T) {
+	msg := func(port int, v float64, p int) Delivery {
+		return Delivery{Port: port, Msg: Message{Value: v, Phase: p}}
+	}
+	cases := []struct {
+		name      string
+		build     func() (*DAC, error)
+		slices    [][]Delivery
+		wantPhase int
+		wantValue float64
+		wantOut   float64 // decision; NaN-free: checked only when wantDone
+		wantDone  bool
+		wantJumps int
+		wantQuor  int
+	}{
+		{
+			// n=5: quorum 3. Ports 1,2 complete phase 0 mid-slice (v becomes
+			// (0+1)/2); ports 3,4 then deliver phase-1 states in the SAME
+			// slice and complete phase 1: midpoint of {0.5, 0.25, 0.75}.
+			name:  "quorum mid-slice, then the new phase in the same slice",
+			build: func() (*DAC, error) { return NewDACPhases(5, 0, 9, 0) },
+			slices: [][]Delivery{{
+				msg(1, 1, 0), msg(2, 0.5, 0), msg(3, 0.25, 1), msg(4, 0.75, 1),
+			}},
+			wantPhase: 2, wantValue: 0.5, wantQuor: 2,
+		},
+		{
+			// A stale duplicate of a counted port between the two: the bit is
+			// already set after the reset only for self, so port 1's phase-0
+			// message after the advance is stale (phase 0 < 1) and ignored.
+			name:  "stale message after a mid-slice advance is ignored",
+			build: func() (*DAC, error) { return NewDACPhases(5, 0, 9, 0) },
+			slices: [][]Delivery{{
+				msg(1, 1, 0), msg(2, 1, 0), msg(1, 0, 0), msg(3, 1, 1),
+			}},
+			wantPhase: 1, wantValue: 0.5, wantQuor: 1,
+		},
+		{
+			// pEnd=1: the quorum decides 0.5 mid-slice; a later claim from
+			// phase 7 > pEnd still jumps (v ← 0.9, p clamped to pEnd) but the
+			// decision stays the value at the first p ≥ pEnd.
+			name:  "jump above pEnd after deciding keeps the decision",
+			build: func() (*DAC, error) { return NewDACPhases(5, 0, 1, 0) },
+			slices: [][]Delivery{{
+				msg(1, 1, 0), msg(2, 1, 0), msg(3, 0.9, 7), msg(4, 0.1, 1),
+			}},
+			wantPhase: 1, wantValue: 0.9, wantOut: 0.5, wantDone: true, wantJumps: 1, wantQuor: 1,
+		},
+		{
+			// Deciding BY a jump above pEnd: the decision is the jumped value.
+			name:  "jump above pEnd decides the adopted value",
+			build: func() (*DAC, error) { return NewDACPhases(5, 0, 3, 0) },
+			slices: [][]Delivery{{
+				msg(1, 1, 0), msg(2, 0.7, 9), msg(3, 0.2, 3), msg(4, 0.3, 3),
+			}},
+			wantPhase: 3, wantValue: 0.7, wantOut: 0.7, wantDone: true, wantJumps: 1,
+		},
+		{
+			// Quorum 1: every processed message advances — the fresh one and
+			// the two stale ones alike.
+			name:  "quorum 1 advances on every processed message",
+			build: func() (*DAC, error) { return NewDACCustom(5, 0, 9, 1, 0.25) },
+			slices: [][]Delivery{{
+				msg(1, 0.75, 0), msg(1, 0, 0), msg(2, 1, 0),
+			}},
+			wantPhase: 3, wantValue: 0.5, wantQuor: 3,
+		},
+		{
+			// The ablation discards the future state; the same-phase ones
+			// around it still count and complete the quorum.
+			name:  "noJump drops a future phase mid-slice",
+			build: func() (*DAC, error) { return NewDACNoJumpPhases(5, 0, 9, 0) },
+			slices: [][]Delivery{{
+				msg(1, 1, 0), msg(2, 0.9, 4), msg(3, 1, 0),
+			}},
+			wantPhase: 1, wantValue: 0.5, wantQuor: 1,
+		},
+		{
+			// Across slices: the port bits survive the call boundary, so a
+			// repeat of port 1 in the next round is not counted twice.
+			name:  "a counted port is not recounted in the next slice",
+			build: func() (*DAC, error) { return NewDACPhases(5, 0, 9, 0) },
+			slices: [][]Delivery{
+				{msg(1, 1, 0)},
+				{msg(1, 1, 0)},
+			},
+			wantPhase: 0, wantValue: 0,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bulk, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			step, _ := c.build()
+			for _, ds := range c.slices {
+				bulk.DeliverAll(ds)
+				for _, d := range ds {
+					step.Deliver(d)
+				}
+			}
+			if !reflect.DeepEqual(bulk, step) {
+				t.Fatalf("DeliverAll diverged from the per-edge fold\nbulk %+v\nstep %+v", bulk, step)
+			}
+			if bulk.Phase() != c.wantPhase || bulk.Value() != c.wantValue {
+				t.Errorf("ended at ⟨%v, %d⟩, want ⟨%v, %d⟩", bulk.Value(), bulk.Phase(), c.wantValue, c.wantPhase)
+			}
+			if out, done := bulk.Output(); done != c.wantDone || (done && out != c.wantOut) {
+				t.Errorf("Output (%v, %v), want (%v, %v)", out, done, c.wantOut, c.wantDone)
+			}
+			if bulk.Jumps() != c.wantJumps || bulk.Quorums() != c.wantQuor {
+				t.Errorf("%d jumps, %d quorums; want %d, %d", bulk.Jumps(), bulk.Quorums(), c.wantJumps, c.wantQuor)
+			}
+		})
 	}
 }

@@ -64,12 +64,12 @@ func NewDAC(n, selfPort int, input, eps float64) (*DAC, error) {
 		return nil, err
 	}
 	d := &DAC{
-		n:        n,
-		pEnd:     PEndDAC(eps),
-		quorum:   CrashQuorum(n),
-		v:        input,
-		vmin:     input,
-		vmax:     input,
+		n:      n,
+		pEnd:   PEndDAC(eps),
+		quorum: CrashQuorum(n),
+		v:      input,
+		vmin:   input,
+		vmax:   input,
 		// A bitset, not []bool: with n nodes each holding an n-entry R
 		// vector the per-node ~n bytes would put the whole population at
 		// Θ(n²) — a gigabyte-scale footprint at n≥6·10⁴. Bits cut it 8×
@@ -104,37 +104,48 @@ func NewDACPhases(n, selfPort, pEnd int, input float64) (*DAC, error) {
 func (d *DAC) Broadcast() Message { return Message{Value: d.v, Phase: d.p} }
 
 // Deliver implements Process (Algorithm 1 lines 4–15).
-func (d *DAC) Deliver(dl Delivery) {
-	m := dl.Msg
+func (d *DAC) Deliver(dl Delivery) { d.deliver(dl.Port, dl.Msg.Value, dl.Msg.Phase) }
+
+// deliver is the body of Deliver on the port and the two fields
+// Algorithm 1 reads, so no caller copies a 48-byte Delivery to get
+// here. DeliverAll shares it for every case its inlined loop does not
+// handle itself.
+func (d *DAC) deliver(port int, value float64, phase int) {
 	switch {
-	case m.Phase > d.p:
+	case phase > d.p:
 		if d.noJump {
 			break // ablation: future states are discarded
 		}
 		// Jump: copy the future state (lines 5–8).
-		d.v = m.Value
-		d.p = m.Phase
+		d.v = value
+		d.p = phase
 		if d.p > d.pEnd {
 			d.p = d.pEnd // peers never exceed pEnd; defensive clamp
 		}
 		d.jumps++
 		d.reset()
-	case m.Phase == d.p:
+	case phase == d.p:
 		// New same-phase state (lines 9–11).
-		if w := dl.Port >> 6; d.r[w]&(1<<(uint(dl.Port)&63)) == 0 {
-			d.r[w] |= 1 << (uint(dl.Port) & 63)
+		if w, bit := port>>6, uint64(1)<<(uint(port)&63); d.r[w]&bit == 0 {
+			d.r[w] |= bit
 			d.nr++
-			d.store(m.Value)
+			d.store(value)
 		}
 	}
-	// Quorum check (lines 12–15) runs after every processed message.
+	// Quorum check (lines 12–15) runs after every processed message,
+	// stale ones included.
 	if d.p < d.pEnd && d.nr >= d.quorum {
-		d.v = (d.vmin + d.vmax) / 2
-		d.p++
-		d.quorums++
-		d.reset()
+		d.advance()
 	}
 	d.maybeDecide()
+}
+
+// advance is the quorum transition (lines 13–15).
+func (d *DAC) advance() {
+	d.v = (d.vmin + d.vmax) / 2
+	d.p++
+	d.quorums++
+	d.reset()
 }
 
 // EndRound implements Process; DAC is edge-triggered.

@@ -101,13 +101,17 @@ func newDBACWithPEnd(n, f, selfPort int, input float64, pEnd int) (*DBAC, error)
 func (d *DBAC) Broadcast() Message { return Message{Value: d.v, Phase: d.p} }
 
 // Deliver implements Process (Algorithm 2 lines 4–11).
-func (d *DBAC) Deliver(dl Delivery) {
-	m := dl.Msg
-	if m.Phase >= d.p && !d.r[dl.Port] {
-		d.r[dl.Port] = true
+func (d *DBAC) Deliver(dl Delivery) { d.deliver(dl.Port, dl.Msg.Value, dl.Msg.Phase) }
+
+// deliver is the body of Deliver on the two fields Algorithm 2 reads,
+// so DeliverAll and the piggyback wrapper hand them over without
+// copying a Delivery per call.
+func (d *DBAC) deliver(port int, value float64, phase int) {
+	if phase >= d.p && !d.r[port] {
+		d.r[port] = true
 		d.nr++
-		d.low.add(m.Value)
-		d.high.add(m.Value)
+		d.low.add(value)
+		d.high.add(value)
 	}
 	if d.p < d.pEnd && d.nr >= d.quorum {
 		d.v = (d.low.max() + d.high.min()) / 2

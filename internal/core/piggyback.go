@@ -100,42 +100,45 @@ func (pb *DBACPiggyback) Broadcast() Message {
 }
 
 // Deliver implements Process, preferring the same-phase piggybacked entry.
-func (pb *DBACPiggyback) Deliver(dl Delivery) {
+func (pb *DBACPiggyback) Deliver(dl Delivery) { pb.deliver(dl.Port, &dl.Msg) }
+
+// deliver is the body of Deliver; the message stays where the caller
+// holds it (DeliverAll passes the slice element).
+func (pb *DBACPiggyback) deliver(port int, m *Message) {
 	p := pb.inner.p
-	m := dl.Msg
 	if m.Phase < p {
 		// Sender behind us and no usable entry: every history phase is
 		// even older. Plain DBAC would ignore this message too.
-		pb.forward(dl)
+		pb.forward(port, m.Value, m.Phase)
 		return
 	}
-	if m.Phase == p || pb.inner.r[dl.Port] {
+	if m.Phase == p || pb.inner.r[port] {
 		// Current value already has the receiver's phase, or the port is
 		// already counted — plain DBAC handles both cases correctly.
-		if m.Phase == p && !pb.inner.r[dl.Port] {
+		if m.Phase == p && !pb.inner.r[port] {
 			pb.exact++
 		}
-		pb.forward(dl)
+		pb.forward(port, m.Value, m.Phase)
 		return
 	}
 	// Sender is ahead: look for the entry matching our phase exactly.
 	for _, e := range m.History {
 		if e.Phase == p {
 			pb.exact++
-			pb.forward(Delivery{Port: dl.Port, Msg: Message{Value: e.Value, Phase: e.Phase}})
+			pb.forward(port, e.Value, e.Phase)
 			return
 		}
 	}
 	// Skew exceeds K: fall back to the sender's current value.
 	pb.fallbacks++
-	pb.forward(dl)
+	pb.forward(port, m.Value, m.Phase)
 }
 
-// forward hands a (possibly rewritten) delivery to the inner DBAC and
+// forward hands a (possibly rewritten) state to the inner DBAC and
 // refreshes the history ring after any phase advance.
-func (pb *DBACPiggyback) forward(dl Delivery) {
+func (pb *DBACPiggyback) forward(port int, value float64, phase int) {
 	before := pb.inner.p
-	pb.inner.Deliver(Delivery{Port: dl.Port, Msg: Message{Value: dl.Msg.Value, Phase: dl.Msg.Phase}})
+	pb.inner.deliver(port, value, phase)
 	if pb.inner.p != before {
 		pb.hist[pb.inner.p%(pb.k+1)] = HistEntry{Value: pb.inner.v, Phase: pb.inner.p}
 	}

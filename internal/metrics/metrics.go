@@ -20,10 +20,12 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"os"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -421,6 +423,29 @@ func Start(target string, interval time.Duration) (*Collector, func() error, err
 	c := NewCollector()
 	s := StreamNDJSON(c, w, interval)
 	return c, s.Close, nil
+}
+
+// StartCPUProfile is the CLI-facing assembly of a -cpuprofile flag: it
+// creates the file and starts the runtime's CPU profiler before any
+// work runs, so an unwritable path fails the command up front. The
+// returned stop ends the profile and closes the file; callers defer it
+// so every exit path flushes. An empty path profiles nothing.
+func StartCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // Open resolves a -metrics destination: a "host:port" address dials

@@ -15,25 +15,46 @@ import (
 const SparseThreshold = 2048
 
 // csrState is the sparse-mode representation behind an EdgeSet: a
-// mutation log of packed (u,v) pairs plus lazily (re)built CSR views in
-// both directions. The log is the source of truth — mutators only
-// append to or filter it — and build() compacts it into sender-major
-// (outStart/outList) and receiver-major (inStart/inList) adjacency the
-// first time a reader needs one, deduplicating on the way (adversaries
-// that layer extra links over a copied schedule may log one link
-// twice; it must still deliver once).
+// mutation log of packed (u,v) pairs plus two CSR views of it. The log
+// is the source of truth — mutators only append to or filter it — and
+// each view is compacted from the log the first time a reader asks for
+// THAT direction, deduplicating on the way (adversaries that layer
+// extra links over a copied schedule may log one link twice; it must
+// still deliver once).
+//
+// The views are lazy and independent because their readers are: a
+// fault-free round reads only the receiver-major view (the gather), a
+// storm filter only the sender-major one (ForEachEdge), and building
+// the view nobody reads was a sixth of the sparse round. Which reader
+// forces which:
+//
+//   - receiver-major (inStart/inList): InCSR, InList and what is built
+//     on them (InNeighborsInto, InDegree, InBitsInto), and Len when
+//     neither view exists yet;
+//   - sender-major (outStart/outList): OutCSR, OutList, OutNeighbors,
+//     OutDegree, OutMissing, Has, ForEachEdge (hence Equal and Edges).
+//
+// Any mutation invalidates both. A build writes the state, so views
+// shared across goroutines must be forced before the fan-out (see
+// sim.parallelRound).
 type csrState struct {
 	pairs []uint64 // mutation log, u<<32 | v per link (duplicates allowed)
-	dirty bool     // log changed since the last build
+	built uint8    // viewIn|viewOut: the views current with the log
+	edges int      // distinct links, valid while built != 0
 
 	outStart []int32 // n+1 prefix offsets into outList
 	outList  []int32 // receivers, ascending within each sender row
 	inStart  []int32 // n+1 prefix offsets into inList
 	inList   []int32 // senders, ascending within each receiver row
 
-	cursor   []int32 // length-n scatter scratch for build
+	cursor   []int32 // length-n scatter scratch for a build
 	maxPairs int     // high-water mark of the log, for headroom sizing
 }
+
+const (
+	viewIn uint8 = 1 << iota
+	viewOut
+)
 
 // NewEdgeSetSparse returns an empty edge set over n nodes in sparse CSR
 // mode: no n×n bit-matrix is ever materialized, and storage scales with
@@ -51,7 +72,6 @@ func NewEdgeSetSparse(n int) *EdgeSet {
 			outStart: make([]int32, n+1),
 			inStart:  make([]int32, n+1),
 			cursor:   make([]int32, n),
-			dirty:    true,
 		},
 	}
 }
@@ -77,16 +97,17 @@ func (e *EdgeSet) IsSparse() bool { return e.csr != nil }
 // are valid until the next mutation, and must be treated as read-only.
 func (e *EdgeSet) OutCSR() (starts, ids []int32) {
 	c := e.mustSparse("OutCSR")
-	e.build()
+	e.buildOut()
 	return c.outStart, c.outList
 }
 
 // InCSR exposes the receiver-major CSR view: ids[starts[v]:starts[v+1]]
 // lists v's senders in ascending order — the delivery core's gather
-// rows. Same aliasing rules as OutCSR.
+// rows. Same aliasing rules as OutCSR. It never builds the sender-major
+// view.
 func (e *EdgeSet) InCSR() (starts, ids []int32) {
 	c := e.mustSparse("InCSR")
-	e.build()
+	e.buildIn()
 	return c.inStart, c.inList
 }
 
@@ -96,7 +117,7 @@ func (e *EdgeSet) InCSR() (starts, ids []int32) {
 func (e *EdgeSet) InList(v int) []int32 {
 	c := e.mustSparse("InList")
 	e.check(v)
-	e.build()
+	e.buildIn()
 	return c.inList[c.inStart[v]:c.inStart[v+1]:c.inStart[v+1]]
 }
 
@@ -105,7 +126,7 @@ func (e *EdgeSet) InList(v int) []int32 {
 func (e *EdgeSet) OutList(u int) []int32 {
 	c := e.mustSparse("OutList")
 	e.check(u)
-	e.build()
+	e.buildOut()
 	return c.outList[c.outStart[u]:c.outStart[u+1]:c.outStart[u+1]]
 }
 
@@ -116,79 +137,79 @@ func (e *EdgeSet) mustSparse(method string) *csrState {
 	return e.csr
 }
 
-// build compacts the mutation log into both CSR views: counting sort by
-// sender, per-row ascending order, in-place dedup, then a second
-// counting scatter for the transposed view. Cost O(n + log length);
-// rows arrive already sorted from every in-place generator (they emit
-// links in lexicographic or per-sender ascending order), so the sort is
-// normally a verification scan.
-func (e *EdgeSet) build() {
-	c := e.csr
-	if !c.dirty {
-		return
+// buildIn brings the receiver-major view up to date with the log.
+func (e *EdgeSet) buildIn() {
+	if c := e.csr; c.built&viewIn == 0 {
+		c.inList, c.edges = c.compact(e.n, c.inStart, c.inList, 0)
+		c.built |= viewIn
 	}
-	c.dirty = false
-	if len(c.pairs) > c.maxPairs {
-		c.maxPairs = len(c.pairs)
-	}
-	n := e.n
+}
 
-	// Sender-major: count, prefix, scatter.
-	clear(c.outStart)
-	for _, p := range c.pairs {
-		c.outStart[(p>>32)+1]++
+// buildOut brings the sender-major view up to date with the log.
+func (e *EdgeSet) buildOut() {
+	if c := e.csr; c.built&viewOut == 0 {
+		c.outList, c.edges = c.compact(e.n, c.outStart, c.outList, 32)
+		c.built |= viewOut
 	}
-	for u := 0; u < n; u++ {
-		c.outStart[u+1] += c.outStart[u]
+}
+
+// sparseLen answers Len from whichever view exists — both deduplicate
+// to the same count — and builds the receiver-major one when neither
+// does: it is the view a round is about to read anyway.
+func (e *EdgeSet) sparseLen() int {
+	if e.csr.built == 0 {
+		e.buildIn()
 	}
-	copy(c.cursor, c.outStart[:n])
-	c.outList = growInt32(c.outList, len(c.pairs))
+	return e.csr.edges
+}
+
+// compact count-sorts the log into one CSR view and returns its list
+// and the number of distinct links. keyShift picks the direction: a
+// pair's row is uint32(p>>keyShift), its entry the other half — 32 for
+// sender-major rows of receivers, 0 for receiver-major rows of senders.
+// The scatter is stable, so a row holds its entries in log order; rows
+// arrive already ascending from every in-place generator (sender-major
+// emitters in lexicographic order, receiver-major ones per receiver
+// ascending, bar the rows that wrap around n), so the sort is normally
+// a verification scan. Cost O(n + log length).
+func (c *csrState) compact(n int, start, list []int32, keyShift uint) ([]int32, int) {
+	valShift := 32 - keyShift
+	clear(start)
 	for _, p := range c.pairs {
-		u := p >> 32
-		c.outList[c.cursor[u]] = int32(uint32(p))
-		c.cursor[u]++
+		start[uint32(p>>keyShift)+1]++
+	}
+	for k := 0; k < n; k++ {
+		start[k+1] += start[k]
+	}
+	copy(c.cursor, start[:n])
+	list = growInt32(list, len(c.pairs))
+	for _, p := range c.pairs {
+		k := uint32(p >> keyShift)
+		list[c.cursor[k]] = int32(uint32(p >> valShift))
+		c.cursor[k]++
 	}
 
 	// Sort each row if needed and dedup, compacting in place. The write
 	// cursor never passes the read position within a row (w ≤ row start),
 	// so the compaction is safe.
 	w := int32(0)
-	for u := 0; u < n; u++ {
-		lo, hi := c.outStart[u], c.outStart[u+1]
-		row := c.outList[lo:hi]
+	for k := 0; k < n; k++ {
+		row := list[start[k]:start[k+1]]
 		if !sortedInt32(row) {
 			slices.Sort(row)
 		}
-		c.outStart[u] = w
+		start[k] = w
 		prev := int32(-1)
-		for _, v := range row {
-			if v != prev {
-				c.outList[w] = v
+		for _, x := range row {
+			if x != prev {
+				list[w] = x
 				w++
-				prev = v
+				prev = x
 			}
 		}
 	}
-	c.outStart[n] = w
-	m := int(w)
-
-	// Receiver-major transpose: senders land in ascending order because
-	// the scatter walks senders in ascending order.
-	clear(c.inStart)
-	for _, v := range c.outList[:m] {
-		c.inStart[v+1]++
-	}
-	for v := 0; v < n; v++ {
-		c.inStart[v+1] += c.inStart[v]
-	}
-	copy(c.cursor, c.inStart[:n])
-	c.inList = growInt32(c.inList, m)
-	for u := 0; u < n; u++ {
-		for _, v := range c.outList[c.outStart[u]:c.outStart[u+1]] {
-			c.inList[c.cursor[v]] = int32(u)
-			c.cursor[v]++
-		}
-	}
+	start[n] = w
+	return list, int(w)
 }
 
 // sparseReset clears the log, keeping storage. The log slice is resized
@@ -205,12 +226,12 @@ func (e *EdgeSet) sparseReset() {
 	} else {
 		c.pairs = c.pairs[:0]
 	}
-	c.dirty = true
+	c.built = 0
 }
 
 // sparseHas binary-searches u's out row.
 func (e *EdgeSet) sparseHas(u, v int) bool {
-	e.build()
+	e.buildOut()
 	c := e.csr
 	row := c.outList[c.outStart[u]:c.outStart[u+1]]
 	lo, hi := 0, len(row)
@@ -238,7 +259,7 @@ func (e *EdgeSet) sparseRemove(u, v int) {
 	}
 	if w != len(c.pairs) {
 		c.pairs = c.pairs[:w]
-		c.dirty = true
+		c.built = 0
 	}
 }
 
@@ -257,7 +278,7 @@ func (e *EdgeSet) sparseLogFromDense(other *EdgeSet) {
 			}
 		}
 	}
-	c.dirty = true
+	c.built = 0
 }
 
 // makeDense converts a sparse set to the dense bit-matrix
@@ -269,18 +290,14 @@ func (e *EdgeSet) makeDense() {
 	if e.csr == nil {
 		return
 	}
-	e.build()
-	c := e.csr
+	pairs := e.csr.pairs
 	backing := make([]uint64, 2*e.n*e.words)
 	e.out = backing[: e.n*e.words : e.n*e.words]
 	e.in = backing[e.n*e.words:]
-	for u := 0; u < e.n; u++ {
-		for _, v := range c.outList[c.outStart[u]:c.outStart[u+1]] {
-			e.out[u*e.words+int(v)/wordBits] |= 1 << (uint(v) % wordBits)
-			e.in[int(v)*e.words+u/wordBits] |= 1 << (uint(u) % wordBits)
-		}
-	}
 	e.csr = nil
+	for _, p := range pairs {
+		e.AddUnchecked(int(p>>32), int(uint32(p))) // bits dedup the log for free
+	}
 }
 
 // forEachEdge calls fn for every link in sender-major, ascending-
@@ -288,7 +305,7 @@ func (e *EdgeSet) makeDense() {
 // and Edges are built on. fn returning false stops the walk.
 func (e *EdgeSet) forEachEdge(fn func(u, v int) bool) {
 	if e.csr != nil {
-		e.build()
+		e.buildOut()
 		c := e.csr
 		for u := 0; u < e.n; u++ {
 			for _, v := range c.outList[c.outStart[u]:c.outStart[u+1]] {

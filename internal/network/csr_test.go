@@ -222,3 +222,170 @@ func TestFillCompleteConvertsSparse(t *testing.T) {
 		t.Fatal("self-loop present after FillComplete")
 	}
 }
+
+// randomPairLog draws a mutation log the way generators produce one:
+// random pairs (unsorted rows, duplicates), a rotating in-regular graph
+// emitted receiver-major (ascending rows, bar the ones that wrap around
+// n), a lexicographic sender-major sample, or a layering of two of them
+// (so one link is logged twice). Rows of nodes nothing picks stay empty.
+func randomPairLog(rng *rand.Rand, n int) [][2]int {
+	var log [][2]int
+	emit := func(kind int) {
+		switch kind {
+		case 0:
+			for k := rng.Intn(4 * n); k > 0; k-- {
+				if u, v := rng.Intn(n), rng.Intn(n); u != v {
+					log = append(log, [2]int{u, v})
+				}
+			}
+		case 1:
+			d, offset := rng.Intn(min(n, 5)), rng.Intn(n)
+			for v := 0; v < n; v++ {
+				for j := 1; j <= d; j++ {
+					if u := (v + offset + j) % n; u != v {
+						log = append(log, [2]int{u, v})
+					}
+				}
+			}
+		default:
+			p := rng.Float64() * 0.2
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					if u != v && rng.Float64() < p {
+						log = append(log, [2]int{u, v})
+					}
+				}
+			}
+		}
+	}
+	emit(rng.Intn(3))
+	if rng.Intn(2) == 0 {
+		emit(rng.Intn(3))
+	}
+	return log
+}
+
+// TestLazyViewsProperty pins the two CSR views' independence: over
+// random pair logs at word-boundary sizes, building receiver-major
+// first or sender-major first yields the same two views, both equal to
+// the dense reference; a build touches only the view that was asked
+// for; Len is answerable — and right — at every point; and a mutation
+// after either build invalidates both.
+func TestLazyViewsProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	sizes := []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 200}
+	for trial := 0; trial < 300; trial++ {
+		n := sizes[rng.Intn(len(sizes))]
+		log := randomPairLog(rng, n)
+		extra := [2]int{rng.Intn(n), rng.Intn(n)} // the later mutation; may be a self-loop (a no-op Add)
+
+		dense := NewEdgeSet(n)
+		fill := func(s *EdgeSet) {
+			for _, p := range log {
+				s.AddUnchecked(p[0], p[1])
+			}
+		}
+		fill(dense)
+
+		check := func(s *EdgeSet, ref *EdgeSet, when string) {
+			t.Helper()
+			want := ref.Edges()
+			if got := s.Len(); got != len(want) {
+				t.Fatalf("trial %d (n=%d) %s: Len %d, dense reference has %d", trial, n, when, got, len(want))
+			}
+			outStarts, outIDs := s.OutCSR()
+			if got := s.Len(); got != len(want) || int(outStarts[n]) != len(want) {
+				t.Fatalf("trial %d (n=%d) %s: Len %d / out total %d after OutCSR, want %d", trial, n, when, got, outStarts[n], len(want))
+			}
+			i := 0
+			for u := 0; u < n; u++ {
+				for _, v := range outIDs[outStarts[u]:outStarts[u+1]] {
+					if want[i] != [2]int{u, int(v)} {
+						t.Fatalf("trial %d (n=%d) %s: out view edge %d is %d→%d, want %v", trial, n, when, i, u, v, want[i])
+					}
+					i++
+				}
+			}
+			inStarts, inIDs := s.InCSR()
+			if got := s.Len(); got != len(want) || int(inStarts[n]) != len(want) {
+				t.Fatalf("trial %d (n=%d) %s: Len %d / in total %d after InCSR, want %d", trial, n, when, got, inStarts[n], len(want))
+			}
+			for v := 0; v < n; v++ {
+				row, wantRow := inIDs[inStarts[v]:inStarts[v+1]], ref.InNeighbors(v)
+				if len(row) != len(wantRow) {
+					t.Fatalf("trial %d (n=%d) %s: in row %d is %v, want %v", trial, n, when, v, row, wantRow)
+				}
+				for j, u := range row {
+					if int(u) != wantRow[j] {
+						t.Fatalf("trial %d (n=%d) %s: in row %d is %v, want %v", trial, n, when, v, row, wantRow)
+					}
+				}
+			}
+		}
+
+		inFirst, outFirst := NewEdgeSetSparse(n), NewEdgeSetSparse(n)
+		fill(inFirst)
+		fill(outFirst)
+
+		inFirst.InCSR()
+		if got := inFirst.Len(); got != dense.Len() {
+			t.Fatalf("trial %d (n=%d): Len %d off the in view alone, want %d", trial, n, got, dense.Len())
+		}
+		if inFirst.csr.built != viewIn {
+			t.Fatalf("trial %d: InCSR then Len built views %02b, want the receiver-major one only", trial, inFirst.csr.built)
+		}
+		outFirst.OutCSR()
+		if got := outFirst.Len(); got != dense.Len() {
+			t.Fatalf("trial %d (n=%d): Len %d off the out view alone, want %d", trial, n, got, dense.Len())
+		}
+		if outFirst.csr.built != viewOut {
+			t.Fatalf("trial %d: OutCSR then Len built views %02b, want the sender-major one only", trial, outFirst.csr.built)
+		}
+		check(inFirst, dense, "in-first")
+		check(outFirst, dense, "out-first")
+
+		// A mutation after either build order invalidates both views.
+		for _, s := range []*EdgeSet{inFirst, outFirst, dense} {
+			if trial%2 == 0 {
+				s.Add(extra[0], extra[1])
+			} else if len(log) > 0 {
+				s.Remove(log[0][0], log[0][1])
+			}
+		}
+		if (trial%2 == 0 && extra[0] != extra[1]) || (trial%2 == 1 && len(log) > 0) {
+			if inFirst.csr.built != 0 || outFirst.csr.built != 0 {
+				t.Fatalf("trial %d: views survived a mutation (%02b, %02b)", trial, inFirst.csr.built, outFirst.csr.built)
+			}
+		}
+		check(inFirst, dense, "in-first, mutated")
+		check(outFirst, dense, "out-first, mutated")
+	}
+}
+
+// TestLazyViewRebuildsAllocateNothing: once the log and both lists have
+// seen the edge count, Reset + refill + build allocates nothing,
+// whichever views the round asks for.
+func TestLazyViewRebuildsAllocateNothing(t *testing.T) {
+	const n = 2049
+	s := NewEdgeSetSparse(n)
+	round := func(in, out bool) {
+		InRegularInto(s, 4, 7)
+		if in {
+			s.InCSR()
+		}
+		if out {
+			s.OutCSR()
+		}
+		_ = s.Len()
+	}
+	round(true, true) // warmup sizes the log and both lists
+	round(true, true)
+	for _, c := range []struct {
+		name    string
+		in, out bool
+	}{{"in", true, false}, {"out", false, true}, {"both", true, true}, {"len", false, false}} {
+		if avg := testing.AllocsPerRun(20, func() { round(c.in, c.out) }); avg != 0 {
+			t.Errorf("%s: steady rebuild allocated %g times, want 0", c.name, avg)
+		}
+	}
+}

@@ -23,8 +23,9 @@ const wordBits = 64
 // possible senders. Past SparseThreshold nodes the bit matrices
 // outgrow the cache (and at n~10⁵ they would not fit memory at all), so
 // NewEdgeSetSparse/NewEdgeSetAuto select a sparse CSR mode instead: a
-// mutation log compacted lazily into sender-major and receiver-major
-// adjacency lists (see csr.go). Every method except InRow works in
+// mutation log compacted lazily — and separately, on first read of
+// each direction — into sender-major and receiver-major adjacency
+// lists (see csr.go). Every method except InRow works in
 // either mode; IsSparse tells the engines which fused iteration to use.
 type EdgeSet struct {
 	n     int
@@ -63,7 +64,7 @@ func (e *EdgeSet) Add(u, v int) {
 	}
 	if c := e.csr; c != nil {
 		c.pairs = append(c.pairs, uint64(u)<<32|uint64(uint32(v)))
-		c.dirty = true
+		c.built = 0
 		return
 	}
 	e.out[u*e.words+v/wordBits] |= 1 << (uint(v) % wordBits)
@@ -78,7 +79,7 @@ func (e *EdgeSet) Add(u, v int) {
 func (e *EdgeSet) AddUnchecked(u, v int) {
 	if c := e.csr; c != nil {
 		c.pairs = append(c.pairs, uint64(u)<<32|uint64(uint32(v)))
-		c.dirty = true
+		c.built = 0
 		return
 	}
 	e.out[u*e.words+v/wordBits] |= 1 << (uint(v) % wordBits)
@@ -192,9 +193,12 @@ func (e *EdgeSet) OutDegree(u int) int {
 
 // OutMissing counts the nodes in mask (a bitmap of MaskWords(n) words)
 // that u has NO link towards — the word-wise core of the engines'
-// suppressed-message accounting. The caller is responsible for masking
-// out u itself when u is in mask: (u, u) is never a link, so it always
-// counts as missing here.
+// suppressed-message accounting over dense sets. The caller is
+// responsible for masking out u itself when u is in mask: (u, u) is
+// never a link, so it always counts as missing here. In sparse mode a
+// call popcounts the whole mask, O(n/64 + out-degree) — fine for a
+// probe, quadratic as a per-sender loop, which is why sim.countLost
+// counts sparse rounds receiver-major instead.
 func (e *EdgeSet) OutMissing(u int, mask []uint64) int {
 	e.check(u)
 	if len(mask) != e.words {
@@ -224,8 +228,7 @@ func (e *EdgeSet) OutMissing(u int, mask []uint64) int {
 // Len returns the total number of directed links.
 func (e *EdgeSet) Len() int {
 	if e.csr != nil {
-		e.build()
-		return int(e.csr.outStart[e.n])
+		return e.sparseLen()
 	}
 	total := 0
 	for _, w := range e.out {
@@ -275,7 +278,7 @@ func (e *EdgeSet) CopyFrom(other *EdgeSet) {
 	switch {
 	case e.csr != nil && other.csr != nil:
 		e.csr.pairs = append(e.csr.pairs[:0], other.csr.pairs...)
-		e.csr.dirty = true
+		e.csr.built = 0
 	case e.csr != nil:
 		e.sparseLogFromDense(other)
 	case other.csr != nil:
@@ -330,7 +333,7 @@ func (e *EdgeSet) UnionWith(other *EdgeSet) {
 	case e.csr != nil && other.csr != nil:
 		// The log admits duplicates (build dedups), so a union is an append.
 		e.csr.pairs = append(e.csr.pairs, other.csr.pairs...)
-		e.csr.dirty = true
+		e.csr.built = 0
 	case e.csr != nil || other.csr != nil:
 		other.forEachEdge(func(u, v int) bool {
 			e.AddUnchecked(u, v)
@@ -363,7 +366,7 @@ func (e *EdgeSet) IntersectWith(other *EdgeSet) {
 			}
 		}
 		c.pairs = c.pairs[:w]
-		c.dirty = true
+		c.built = 0
 	case other.csr != nil:
 		for u := 0; u < e.n; u++ {
 			base := u * e.words

@@ -66,3 +66,53 @@ func BenchmarkEdgeSetReset(b *testing.B) {
 		e.Reset()
 	}
 }
+
+// BenchmarkCSRBuild measures the lazy view builds on their own, at the
+// repo benchmark's sparse size and on its two graph families: the log
+// is filled once and only the built flags are cleared per iteration, so
+// an op is exactly one compaction of the receiver-major view ("in":
+// what a fault-free round pays) or of both ("both": what it paid when
+// the views were built together). er2 logs arrive sender-major in
+// lexicographic order, rotating ones receiver-major with wrap-around
+// rows.
+func BenchmarkCSRBuild(b *testing.B) {
+	const n = 16385
+	fills := []struct {
+		name string
+		fill func(*EdgeSet)
+	}{
+		{"er2", func(s *EdgeSet) {
+			// ~8 links per sender at uniform gaps: p = 8/n without the sampler
+			// (internal/adversary imports this package).
+			rng := rand.New(rand.NewSource(1))
+			for u := 0; u < n; u++ {
+				for v := rng.Intn(n / 4); v < n; v += 1 + rng.Intn(n/4) {
+					if u != v {
+						s.AddUnchecked(u, v)
+					}
+				}
+			}
+		}},
+		{"rotating", func(s *EdgeSet) { InRegularInto(s, 4, 12345) }},
+	}
+	for _, views := range []string{"in", "both"} {
+		for _, f := range fills {
+			b.Run(fmt.Sprintf("%s/%s/n=%d", views, f.name, n), func(b *testing.B) {
+				s := NewEdgeSetSparse(n)
+				f.fill(s)
+				edges := s.Len()
+				s.OutCSR() // size both lists before timing
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.csr.built = 0
+					s.InCSR()
+					if views == "both" {
+						s.OutCSR()
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*edges), "ns/edge")
+			})
+		}
+	}
+}

@@ -31,7 +31,7 @@ func fillCrashState(rounds []int, info []fault.Crash, s fault.Schedule) {
 }
 
 // Pieces of the word-wise delivery core shared by every execution of
-// the round (sequential range, parallel ranges, scatter).
+// the round (sequential range, parallel ranges).
 
 // sortDeliveriesByPort restores the documented ascending-port delivery
 // order after a node-order in-neighbor gather. Ports within one
@@ -43,25 +43,57 @@ func sortDeliveriesByPort(ds []core.Delivery) {
 	slices.SortFunc(ds, func(a, b core.Delivery) int { return a.Port - b.Port })
 }
 
-// countLost computes one round's adversary-suppressed message count
-// word-wise: first a bitmap of the receivers able to receive in round t
-// (not Byzantine, fully alive through the round), then, per alive
-// sender, a popcount of the mask bits its out-row does not cover. This
-// replaces the former O(n²) Has-probe fallback for faulted
-// configurations; mask must be MaskWords(n) words and is overwritten.
+// countLost computes one round's adversary-suppressed message count:
+// the (alive sender, eligible receiver) pairs with no link between
+// them, where a receiver is eligible in round t when it is not
+// Byzantine and fully alive through the round, and a sender counts
+// while it is Byzantine or still alive at the start of round t (its
+// crash round still broadcasts). Dense sets fold a bitmap of the
+// eligible receivers against each sender's out-row, word-wise; mask
+// must be MaskWords(n) words and is overwritten.
+//
+// Sparse sets count from the other side, off the receiver-major view
+// the gather already built: the senders are counted once, and each
+// eligible receiver subtracts itself and its alive in-neighbors —
+// O(n + edges), and the sender-major view is never forced. (OutMissing
+// on a sparse set popcounts the whole mask per call, which as a
+// per-sender loop is Θ(n²/64) a round.)
 func countLost(t, n int, isByz []bool, crashRound []int, edges *network.EdgeSet, mask []uint64) int {
+	sends := func(u int) bool { return isByz[u] || t <= crashRound[u] }
+	receives := func(v int) bool { return !isByz[v] && t < crashRound[v] }
+	lost := 0
+	if edges.IsSparse() {
+		senders := 0
+		for u := 0; u < n; u++ {
+			if sends(u) {
+				senders++
+			}
+		}
+		inStarts, inIDs := edges.InCSR()
+		for v := 0; v < n; v++ {
+			if !receives(v) {
+				continue
+			}
+			// An eligible receiver is itself a sender, and (v, v) is never a
+			// link: v "missing" itself is no loss.
+			miss := senders - 1
+			for _, u := range inIDs[inStarts[v]:inStarts[v+1]] {
+				if sends(int(u)) {
+					miss--
+				}
+			}
+			lost += miss
+		}
+		return lost
+	}
 	clear(mask)
 	for v := 0; v < n; v++ {
-		if isByz[v] || t >= crashRound[v] {
-			continue
+		if receives(v) {
+			mask[v/64] |= 1 << (uint(v) % 64)
 		}
-		mask[v/64] |= 1 << (uint(v) % 64)
 	}
-	lost := 0
 	for u := 0; u < n; u++ {
-		// A sender counts while it is Byzantine or still alive at the
-		// start of round t (its crash round still broadcasts).
-		if !isByz[u] && t > crashRound[u] {
+		if !sends(u) {
 			continue
 		}
 		miss := edges.OutMissing(u, mask)

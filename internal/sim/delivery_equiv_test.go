@@ -23,7 +23,7 @@ import (
 // per-round view refresh, per-edge Deliver, word-wise lost count).
 func TestDeliveryEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	scattered := 0
+	direct := 0
 	// Sizes straddle the 64-bit word boundary on purpose: the word-wise
 	// path must be exact in the multi-word regime too.
 	for trial := 0; trial < 60; trial++ {
@@ -42,8 +42,8 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		wwCfg, wwRec := cfg(), trace.NewRecorder()
 		wwCfg.Hooks.Recorder = wwRec
 		// Half the trials force the CSR scratch: the sparse gather paths
-		// (InList fast branch, CSR-backed InNeighborsInto, sparse
-		// OutMissing lost count) must match the reference byte-for-byte
+		// (CSR-backed InNeighborsInto, the receiver-major sparse lost
+		// count) must match the reference byte-for-byte
 		// in the faulted/ported/shuffled regime too. The Recorder keeps
 		// these runs sequential, so the parallel loop is pinned by the
 		// bare pair below.
@@ -67,10 +67,10 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		}
 
 		// Third run: no Recorder, no bandwidth accounting. This is the
-		// only shape that arms fastGather, DeliverAll and the scatter
-		// round (they fire exactly when nothing observes deliveries), so
-		// it must be pinned against the reference too — through Results,
-		// since there is no event stream to compare.
+		// only shape that arms fastGather and DeliverAll (they fire
+		// exactly when nothing observes deliveries), so it must be pinned
+		// against the reference too — through Results, since there is no
+		// event stream to compare.
 		bareRef := cfg()
 		bareRef.AccountBandwidth = false
 		bareRefEng, err := NewEngine(bareRef)
@@ -79,10 +79,10 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		}
 		bareWW := cfg()
 		bareWW.AccountBandwidth = false
-		// Random CSR/parallel knobs: in this shape the sequential range,
-		// the CSR scatter round and the receiver-parallel round all arm
-		// (depending on the drawn faults, ports and shuffling), each of
-		// which must reproduce the reference delivery stream exactly.
+		// Random CSR/parallel knobs: in this shape the sequential range
+		// and the receiver-parallel ranges both arm, over either
+		// representation, and each must reproduce the reference delivery
+		// stream exactly.
 		bareWW.ForceCSR = rng.Intn(2) == 0
 		bareWW.RoundWorkers = []int{0, -1, 2, 3, 5}[rng.Intn(5)]
 		bareWWEng, err := NewEngine(bareWW)
@@ -96,40 +96,41 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 			trial, n, seed, bareWW.ForceCSR, bareWW.RoundWorkers)
 		bareWWEng.Close()
 
-		// Fourth run, on fault-free draws: strip what disarms the
-		// sender-major scatter (ports, shuffling, caps, the dense
-		// scratch, workers) so scatterRound itself — with whichever
-		// algorithm was drawn, seam or per-edge — meets the oracle.
+		// Fourth run, on fault-free draws: strip what disarms the sparse
+		// direct gather (ports, caps, the dense scratch, workers) so
+		// deliverRange's in-CSR fill — with whichever algorithm and
+		// shuffling was drawn, seam or per-edge — meets the oracle.
 		if len(bareRef.Byzantine)+len(bareRef.Crashes) > 0 {
 			continue
 		}
-		scatter := func() Config {
+		sparse := func() Config {
 			c := cfg()
 			c.AccountBandwidth, c.MaxMessageBytes = false, 0
-			c.Ports, c.ShuffleDelivery = nil, false
+			c.Ports = nil
 			return c
 		}
-		scRefEng, err := NewEngine(scatter())
+		spRefEng, err := NewEngine(sparse())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		scCfg := scatter()
-		scCfg.ForceCSR = true
-		scEng, err := NewEngine(scCfg)
+		spCfg := sparse()
+		spCfg.ForceCSR = true
+		spEng, err := NewEngine(spCfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rr, ww = referenceRunRounds(scRefEng, 25), scEng.RunRounds(25)
-		assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d) scatter pair", trial, n, seed)
-		assertEqualStates(t, scRefEng, scEng, "trial %d (n=%d, seed=%d) scatter pair", trial, n, seed)
+		rr, ww = referenceRunRounds(spRefEng, 25), spEng.RunRounds(25)
+		assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d) direct-gather pair", trial, n, seed)
+		assertEqualStates(t, spRefEng, spEng, "trial %d (n=%d, seed=%d) direct-gather pair", trial, n, seed)
 		// Complete graphs (FillComplete converts the scratch to dense) and
-		// adversaries that return their own dense set still gather.
-		if scEng.flat != nil {
-			scattered++
+		// adversaries that return their own dense set take the bitmap
+		// gather instead.
+		if spEng.fastGather && spEng.allIdentity && spEng.inPlace != nil && spEng.edges.IsSparse() {
+			direct++
 		}
 	}
-	if scattered < 10 {
-		t.Errorf("only %d trials exercised scatterRound — property nearly vacuous", scattered)
+	if direct < 10 {
+		t.Errorf("only %d trials exercised the sparse direct gather — property nearly vacuous", direct)
 	}
 }
 
@@ -181,8 +182,8 @@ func describeAt(events []trace.Event, i int) string {
 // silent and partial), optional Byzantine senders, random port
 // numberings, delivery shuffling, bandwidth accounting, per-link caps,
 // and the algorithm — DAC, DBAC, or a DAC hidden behind a type without
-// DeliverAll, so the per-edge Deliver fallback of deliverRange and
-// scatterRound sits under the oracle too. Everything is a deterministic
+// DeliverAll, so the per-edge Deliver fallback of deliverRange sits
+// under the oracle too. Everything is a deterministic
 // function of (n, seed) so both runs see identical configurations.
 func randomDeliveryConfig(t *testing.T, n int, seed int64) Config {
 	t.Helper()

@@ -53,8 +53,6 @@ type Engine struct {
 	byzMsgs    [][]*core.Message
 	scratch    []recvScratch        // per-worker receiver scratch; scratch[0] serves the sequential loop
 	seq        [1]recvScratch       // fixed backing for the sequential scratch — no slice-header alloc per build
-	flat       []core.Delivery      // sender-major scatter buffer (scatterRound)
-	cursor     []int32              // per-receiver write cursor over flat, seeded from the in-CSR starts
 	bulk       []core.BulkDeliverer // per-node DeliverAll seam, probed once per Reset (nil: plain Deliver)
 	recvMask   []uint64             // word-wise mask of round-t-eligible receivers
 	edges      *network.EdgeSet     // engine-owned E(t) for InPlace adversaries
@@ -99,18 +97,11 @@ type Engine struct {
 	// in-neighbor then delivers its broadcast unconditionally. Combined
 	// with allIdentity (every numbering is the identity bijection,
 	// checked once per Reset) the gather scans the receiver's in-row
-	// (bitmap words or CSR list) straight into the delivery buffer,
+	// (bitmap words or CSR row) straight into the delivery buffer,
 	// skipping the intermediate neighbor list, outgoing()'s fault checks
 	// and the cap/size branches per delivery.
 	fastGather  bool
 	allIdentity bool
-
-	// directDeliver is the precondition of the sender-major scatter
-	// round: fastGather, identity ports everywhere, no delivery shuffling
-	// and no Observer/Recorder — every node is alive, Port == sender ID,
-	// and nothing between the edge structure and the algorithm looks at
-	// individual deliveries.
-	directDeliver bool
 
 	// trackPhases is false when neither an Observer nor a Recorder is
 	// configured: phase transitions then have no consumer, and the
@@ -192,8 +183,6 @@ func (e *Engine) Reset(cfg Config) error {
 			inbuf:      make([]int, 0, n),
 		}
 		e.scratch = e.seq[:]
-		e.flat = nil
-		e.cursor = nil
 		e.bulk = make([]core.BulkDeliverer, n)
 		e.crashSched = nil
 		e.recvMask = make([]uint64, network.MaskWords(n))
@@ -230,8 +219,6 @@ func (e *Engine) Reset(cfg Config) error {
 			break
 		}
 	}
-	e.directDeliver = e.fastGather && e.allIdentity &&
-		!cfg.ShuffleDelivery && !e.trackPhases
 	// Probe each Process for the DeliverAll seam once per run, never per
 	// round: the delivery loops hand a receiver its whole in-edge batch
 	// in one dynamic call when its algorithm supports it.
@@ -387,29 +374,19 @@ func (e *Engine) refreshView(t int) {
 }
 
 // Step executes one synchronous round: open it (E(t), broadcasts), run
-// the per-receiver core, close it (counters, observers). The core —
-// skip receivers that cannot receive, gather the in-edges in port
-// order, deliver, EndRound — has exactly three executions, each chosen
-// from something the engine observes:
-//
-//   - parallelRound (RoundWorkers > 1, no Observer/Recorder) runs
-//     deliverRange on contiguous receiver ranges across the pool;
-//   - scatterRound (CSR representation, directDeliver, at most
-//     scatterMaxEdges edges) walks the senders once and scatters into
-//     per-receiver slices instead of gathering per receiver;
-//   - everything else runs deliverRange over the full range.
+// the per-receiver core, close it (counters, observers). The core is
+// deliverRange, executed one of two ways: on contiguous receiver ranges
+// across the pool (RoundWorkers > 1, no Observer/Recorder), or over the
+// full range here.
 func (e *Engine) Step() {
 	t := e.round
 	e.refreshView(t)
 	edges := e.openRound(t)
 
 	var delivered int
-	switch {
-	case e.parRounds:
+	if e.parRounds {
 		delivered = e.parallelRound(t, edges)
-	case e.directDeliver && edges.IsSparse() && edges.Len() <= scatterMaxEdges:
-		delivered = e.scatterRound(t, edges)
-	default:
+	} else {
 		s := &e.scratch[0]
 		e.deliverRange(t, 0, e.cfg.N, edges, s)
 		delivered = e.foldScratch(s)
@@ -546,10 +523,26 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 // when nothing observes deliveries measure within ±3 % of it on every
 // repo-benchmark workload (BenchmarkEngineRound/n=51 is faster without
 // them, 0.61 → 0.53 ms/run), so they are not worth a second route.
+//
+// Of a sparse set's two lazily built CSR views the loop reads only the
+// receiver-major one — directly (the fault-free gather below) or
+// through InNeighborsInto (gatherInNeighbors) — and countLost reads the
+// same one afterwards, so a round never pays for the sender-major
+// build; only an adversary that walks its own output (ForEachEdge, Has)
+// forces that.
 func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScratch) {
 	s.bytes, s.oversized = 0, 0
 	delivered := 0
-	sparse, liveView := edges.IsSparse(), !e.viewSkip
+	liveView := !e.viewSkip
+	// The fault-free sparse round gathers straight off the receiver-major
+	// CSR view. (On a pool worker InCSR is a plain read: parallelRound
+	// forced the build before the fan-out.)
+	direct := e.fastGather && e.allIdentity && edges.IsSparse()
+	var inStarts, inIDs []int32
+	broadcasts := e.broadcasts
+	if direct {
+		inStarts, inIDs = edges.InCSR()
+	}
 	for v := lo; v < hi; v++ {
 		// A node receives in round t only if it survives the whole
 		// round: its crash round delivers nothing to it.
@@ -557,8 +550,23 @@ func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScra
 			continue
 		}
 		proc := e.cfg.Procs[v]
-		s.deliveries = s.deliveries[:0]
-		e.gatherInNeighbors(t, v, edges, s, sparse)
+		if direct {
+			// Every in-neighbor delivers its broadcast at port == node
+			// ID, already ascending: fill the scratch by index off the
+			// CSR row. The row is a handful of entries, so the batch
+			// DeliverAll folds next is still in L1.
+			row := inIDs[inStarts[v]:inStarts[v+1]]
+			ds := s.deliveries[:len(row)]
+			for i, u := range row {
+				d := &ds[i]
+				d.Port = int(u)
+				d.Msg = broadcasts[u]
+			}
+			s.deliveries = ds
+		} else {
+			s.deliveries = s.deliveries[:0]
+			e.gatherInNeighbors(t, v, edges, s)
+		}
 		if e.cfg.ShuffleDelivery {
 			shuffleDeliveries(s.deliveries, e.cfg.ShuffleSeed, t, v)
 		}
@@ -599,74 +607,6 @@ func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScra
 	s.delivered = delivered
 }
 
-// scatterMaxEdges bounds the rounds that take the sender-major scatter:
-// the flat buffer holds one Delivery (48 B) per edge, and past roughly
-// a quarter-million edges it outgrows the last-level cache — the
-// scatter's random writes then cost more than the per-receiver gather's
-// random broadcast reads (measured: the crossover sits between the
-// n=16385 and n=65537 er2 rows of BenchmarkEngineRound). Below the
-// bound the scatter pays for itself — forcing it off costs the repo
-// benchmark's round-sparse-regular 1.58 → 2.25 s and round-sparse-er2
-// ≈ 1.50 → 1.70 s wall — so it stays, cap included; above it the round
-// falls back to deliverRange's per-receiver InList gather, which
-// touches only a receiver-sized buffer.
-const scatterMaxEdges = 1 << 18
-
-// scatterRound is the sender-major execution of the round core: instead
-// of gathering per receiver (one random broadcast read per edge), it
-// walks the senders once and scatters each broadcast down its out-row
-// into a flat delivery buffer partitioned by the in-CSR row starts —
-// then hands every receiver its contiguous in-edge slice in one
-// DeliverAll (or a per-edge fold for algorithms without the seam).
-// Reachable only under directDeliver (no faults, identity ports, no
-// shuffle, no observers), so every node is alive and Port == sender ID;
-// each receiver's slice comes out in ascending sender order because the
-// scatter's outer loop ascends, matching the gather bit-for-bit.
-func (e *Engine) scatterRound(t int, edges *network.EdgeSet) int {
-	n, liveView := e.cfg.N, !e.viewSkip
-	inStarts, _ := edges.InCSR()
-	outStarts, outIDs := edges.OutCSR()
-	total := int(outStarts[n])
-	if cap(e.flat) < total {
-		// Same headroom discipline as the sparse edge log: a later
-		// record-edge round within 25% of the high-water mark keeps
-		// steady rounds allocation-free.
-		e.flat = make([]core.Delivery, 0, total+total/4)
-	}
-	flat := e.flat[:total]
-	if cap(e.cursor) < n {
-		e.cursor = make([]int32, n)
-	}
-	cursor := e.cursor[:n]
-	copy(cursor, inStarts[:n])
-	for u := 0; u < n; u++ {
-		m := e.broadcasts[u]
-		for _, v := range outIDs[outStarts[u]:outStarts[u+1]] {
-			c := cursor[v]
-			flat[c] = core.Delivery{Port: u, Msg: m}
-			cursor[v] = c + 1
-		}
-	}
-	for v := 0; v < n; v++ {
-		proc := e.cfg.Procs[v]
-		ds := flat[inStarts[v]:inStarts[v+1]]
-		if b := e.bulk[v]; b != nil {
-			b.DeliverAll(ds)
-		} else {
-			for i := range ds {
-				proc.Deliver(ds[i])
-			}
-		}
-		proc.EndRound()
-		e.noteDecision(v, proc, t)
-		if liveView {
-			e.view.snaps[v] = core.Snap(proc)
-		}
-	}
-	e.flat = flat
-	return total
-}
-
 // gatherInNeighbors is the gather half of the core: it iterates only
 // v's actual in-neighbors off the edge set's transposed structure — the
 // bitmap in-row dense, the CSR in-list sparse, both O(in-degree) — maps
@@ -675,18 +615,13 @@ func (e *Engine) scatterRound(t int, edges *network.EdgeSet) int {
 // n ports produces (the test oracle's gather), because ports are a
 // bijection. Under the default identity numbering ascending node order
 // already IS ascending port order and the sort is skipped entirely.
-func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet, s *recvScratch, sparse bool) {
-	if e.fastGather && e.allIdentity {
+func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet, s *recvScratch) {
+	if e.fastGather && e.allIdentity && !edges.IsSparse() {
 		// No Byzantine senders, no crashes, no caps, no bandwidth
 		// accounting, identity ports: every in-neighbor delivers its
 		// broadcast at port == node ID, already in ascending order —
-		// outgoing()'s per-sender checks are all statically true.
-		if sparse {
-			for _, u := range edges.InList(v) {
-				s.deliveries = append(s.deliveries, core.Delivery{Port: int(u), Msg: e.broadcasts[u]})
-			}
-			return
-		}
+		// outgoing()'s per-sender checks are all statically true. (The
+		// sparse counterpart is deliverRange's direct CSR gather.)
 		base := 0
 		for _, w := range edges.InRow(v) {
 			for w != 0 {

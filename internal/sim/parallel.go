@@ -109,7 +109,12 @@ func (e *Engine) ensurePool() {
 func (e *Engine) parallelRound(t int, edges *network.EdgeSet) (delivered int) {
 	e.ensurePool()
 	if edges.IsSparse() {
-		edges.InCSR() // force the CSR build before workers read it concurrently
+		// CSR views build lazily, and a build writes the set: force the one
+		// view workers read — receiver-major; deliverRange's gathers and
+		// nothing else touch the set — before the fan-out, so every worker-
+		// side InCSR/InList is a plain read. The sender-major view stays
+		// unbuilt; nothing in a round reads it.
+		edges.InCSR()
 	}
 	k := e.workers
 	n := e.cfg.N
