@@ -200,6 +200,40 @@ func steadyEngine(tb testing.TB, n int, adv anondyn.Adversary, opts ...func(*sim
 	return eng
 }
 
+// byzMiddle turns a steady config into the Byzantine sweep's shape:
+// never-deciding DBAC processes and f Byzantine nodes placed `middle`
+// (IDs n/2 … n/2+f−1, where the spec layer puts them), each running the
+// strategy mk builds for it.
+func byzMiddle(tb testing.TB, f int, mk func(node int) anondyn.Strategy) func(*sim.Config) {
+	return func(cfg *sim.Config) {
+		n := cfg.N
+		cfg.F = f
+		cfg.Byzantine = make(map[int]anondyn.Strategy, f)
+		for id := n / 2; id < n/2+f; id++ {
+			cfg.Byzantine[id] = mk(id)
+		}
+		for i := range cfg.Procs {
+			if _, byz := cfg.Byzantine[i]; byz {
+				cfg.Procs[i] = nil
+				continue
+			}
+			d, err := core.NewDBACPhases(n, f, i, 1<<20, float64(i)/float64(n-1))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			cfg.Procs[i] = d
+		}
+	}
+}
+
+func equivocators(int) anondyn.Strategy { return anondyn.Equivocator(0, 1) }
+
+// byzDegree is the sweep's randomized (2B−1, ⌊(n+3f)/2⌋)-dynaDegree
+// adversary: block 3, so 200 measured rounds span 66 block rebuilds.
+func byzDegree(n, f int) anondyn.Adversary {
+	return anondyn.RandomDegree(3, anondyn.ByzDegree(n, f), 0.05, 1)
+}
+
 // steadyAdversaries are the adversaries the zero-allocation budget is
 // asserted on: the benign complete graph, the §VII probabilistic
 // adversary (the Monte-Carlo workhorse) at two densities, and a sparse
@@ -273,6 +307,32 @@ func TestSteadyRoundAllocBudget(t *testing.T) {
 			}
 		})
 	}
+	// The Byzantine round holds the same budget: in-place strategies fill
+	// storage the engine carved at Reset, the bounded extreme lists never
+	// regrow, and RandomDegree rebuilds its block schedule (every third
+	// round here) into reused sets through a reused permutation buffer.
+	for _, nf := range []struct{ n, f int }{{16, 3}, {51, 10}} {
+		for name, adv := range map[string]anondyn.Adversary{
+			"complete": anondyn.Complete(),
+			"byzdeg":   byzDegree(nf.n, nf.f),
+		} {
+			t.Run(fmt.Sprintf("dbac/n=%d/f=%d/%s", nf.n, nf.f, name), func(t *testing.T) {
+				eng := steadyEngine(t, nf.n, adv, byzMiddle(t, nf.f, equivocators))
+				if avg := testing.AllocsPerRun(200, eng.Step); avg != 0 {
+					t.Errorf("steady-state Byzantine round allocated %g times per round, want 0", avg)
+				}
+			})
+		}
+	}
+	// RandomNoise keeps no scratch of its own: it draws straight into the
+	// engine's storage, reading every receiver's phase off the live view.
+	t.Run("dbac/n=16/f=3/noise", func(t *testing.T) {
+		eng := steadyEngine(t, 16, byzDegree(16, 3),
+			byzMiddle(t, 3, func(node int) anondyn.Strategy { return anondyn.RandomNoise(int64(node)) }))
+		if avg := testing.AllocsPerRun(200, eng.Step); avg != 0 {
+			t.Errorf("steady-state RandomNoise round allocated %g times per round, want 0", avg)
+		}
+	})
 }
 
 // TestSteadyRoundAllocBudgetMetrics holds the same budget with a live
@@ -297,6 +357,16 @@ func TestSteadyRoundAllocBudgetMetrics(t *testing.T) {
 			}
 		})
 	}
+	t.Run("dbac/n=51/f=10/byzdeg", func(t *testing.T) {
+		coll := metrics.NewCollector()
+		eng := steadyEngine(t, 51, byzDegree(51, 10), byzMiddle(t, 10, equivocators), attach(coll))
+		if avg := testing.AllocsPerRun(200, eng.Step); avg != 0 {
+			t.Errorf("metrics-enabled Byzantine round allocated %g times per round, want 0", avg)
+		}
+		if snap := coll.Snapshot(); snap.Rounds == 0 || snap.Delivered == 0 {
+			t.Errorf("collector saw nothing: rounds=%d delivered=%d", snap.Rounds, snap.Delivered)
+		}
+	})
 	for _, sub := range []struct {
 		name    string
 		csr     bool
@@ -351,10 +421,15 @@ func BenchmarkEngineSteadyRound(b *testing.B) {
 // decision at n=65537 would add minutes without changing the metric.
 // The /par rows shard the receiver loop across GOMAXPROCS workers
 // (equal to the sequential rows on a single-core runner; their ratio
-// on multi-core CI is the parallel speedup).
+// on multi-core CI is the parallel speedup). The dbac rows are the
+// Byzantine sweep's largest cell — DBAC at n=51 with f=10 equivocators
+// placed `middle`, 40 phases — on the complete graph and on the
+// randomized (5, ⌊(n+3f)/2⌋)-dynaDegree one: they put allocs/op and
+// ns/edge of the faulted dense round under the gate.
 func engineRoundCases() []struct {
 	name      string
 	n         int
+	f         int // > 0: DBAC with f equivocators instead of fault-free DAC
 	maxRounds int // 0: run to decision
 	workers   int // Scenario.RoundWorkers
 	adv       func() anondyn.Adversary
@@ -367,47 +442,58 @@ func engineRoundCases() []struct {
 	return []struct {
 		name      string
 		n         int
+		f         int
 		maxRounds int
 		workers   int
 		adv       func() anondyn.Adversary
 	}{
-		{"n=7", 7, 0, 0, complete},
-		{"n=25", 25, 0, 0, complete},
-		{"n=51", 51, 0, 0, complete},
-		{"n=51/p=0.5", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.5, 1) }},
-		{"n=51/p=0.1", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.1, 1) }},
-		{"n=51/d=4", 51, 0, 0, d4},
-		{"n=1025/p=8n", 1025, 0, 0, er2(1025)},
-		{"n=1025/d=4", 1025, 0, 0, d4},
-		{"n=4097/p=8n", 4097, 0, 0, er2(4097)},
-		{"n=4097/d=4", 4097, 0, 0, d4},
-		{"n=16385/p=8n", 16385, 256, 0, er2(16385)},
-		{"n=16385/d=4", 16385, 256, 0, d4},
-		{"n=16385/p=8n/par", 16385, 256, -1, er2(16385)},
-		{"n=65537/p=8n", 65537, 128, 0, er2(65537)},
-		{"n=65537/d=4", 65537, 128, 0, d4},
-		{"n=65537/p=8n/par", 65537, 128, -1, er2(65537)},
+		{"n=7", 7, 0, 0, 0, complete},
+		{"n=25", 25, 0, 0, 0, complete},
+		{"n=51", 51, 0, 0, 0, complete},
+		{"n=51/p=0.5", 51, 0, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.5, 1) }},
+		{"n=51/p=0.1", 51, 0, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.1, 1) }},
+		{"n=51/d=4", 51, 0, 0, 0, d4},
+		{"dbac/n=51/f=10/complete", 51, 10, 0, 0, complete},
+		{"dbac/n=51/f=10/byzdeg", 51, 10, 0, 0, func() anondyn.Adversary { return byzDegree(51, 10) }},
+		{"n=1025/p=8n", 1025, 0, 0, 0, er2(1025)},
+		{"n=1025/d=4", 1025, 0, 0, 0, d4},
+		{"n=4097/p=8n", 4097, 0, 0, 0, er2(4097)},
+		{"n=4097/d=4", 4097, 0, 0, 0, d4},
+		{"n=16385/p=8n", 16385, 0, 256, 0, er2(16385)},
+		{"n=16385/d=4", 16385, 0, 256, 0, d4},
+		{"n=16385/p=8n/par", 16385, 0, 256, -1, er2(16385)},
+		{"n=65537/p=8n", 65537, 0, 128, 0, er2(65537)},
+		{"n=65537/d=4", 65537, 0, 128, 0, d4},
+		{"n=65537/p=8n/par", 65537, 0, 128, -1, er2(65537)},
 	}
 }
 
 // BenchmarkEngineRound measures simulator round throughput: one full
-// DAC run per case (round-capped at CSR scale), amortized per round
-// and per delivered edge — ns/edge is the density-axis invariant the
-// CSR core is gated on.
+// run per case (DAC, round-capped at CSR scale; DBAC against
+// equivocators on the dbac rows), amortized per round and per delivered
+// edge — ns/edge is the density-axis invariant the CSR core is gated on.
 func BenchmarkEngineRound(b *testing.B) {
 	for _, c := range engineRoundCases() {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			rounds, edges := 0, 0
 			for i := 0; i < b.N; i++ {
-				res, err := anondyn.Scenario{
+				s := anondyn.Scenario{
 					N: c.n, F: 0, Eps: 1e-3,
 					Algorithm:    anondyn.AlgoDAC,
 					Inputs:       anondyn.SpreadInputs(c.n),
 					Adversary:    c.adv(),
 					MaxRounds:    c.maxRounds,
 					RoundWorkers: c.workers,
-				}.Run()
+				}
+				if c.f > 0 {
+					s.F, s.Algorithm, s.PEndOverride = c.f, anondyn.AlgoDBAC, 40
+					s.Byzantine = make(map[int]anondyn.Strategy, c.f)
+					for id := c.n / 2; id < c.n/2+c.f; id++ {
+						s.Byzantine[id] = equivocators(id)
+					}
+				}
+				res, err := s.Run()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -343,12 +343,34 @@ func (c batchConfig) scenario(seed int64) anondyn.Scenario {
 	}
 }
 
-// seedRow is the compact per-run record of the JSON report.
+// seedRow is the compact per-run record of the JSON report. An
+// undecided run has no output range (Result.OutputRange reports +Inf,
+// which JSON cannot carry): Range is nil — "output_range": null, an
+// empty CSV/HTML cell — and the row's decided flag says why.
 type seedRow struct {
-	Seed    int64   `json:"seed"`
-	Decided bool    `json:"decided"`
-	Rounds  int     `json:"rounds"`
-	Range   float64 `json:"output_range"`
+	Seed    int64    `json:"seed"`
+	Decided bool     `json:"decided"`
+	Rounds  int      `json:"rounds"`
+	Range   *float64 `json:"output_range"`
+}
+
+// newSeedRow condenses one run's Result into its report row.
+func newSeedRow(seed int64, res *anondyn.Result) seedRow {
+	row := seedRow{Seed: seed, Decided: res.Decided, Rounds: res.Rounds}
+	if res.Decided {
+		r := res.OutputRange()
+		row.Range = &r
+	}
+	return row
+}
+
+// rangeCell renders the row's output range in %g form at the given
+// precision (−1: shortest exact), or an empty cell for an undecided run.
+func (row seedRow) rangeCell(prec int) string {
+	if row.Range == nil {
+		return ""
+	}
+	return strconv.FormatFloat(*row.Range, 'g', prec, 64)
 }
 
 // batchReport is the report document of one Monte-Carlo batch. It
@@ -390,7 +412,7 @@ func (r *batchReport) WriteCSV(w io.Writer) error {
 			strconv.FormatInt(row.Seed, 10),
 			strconv.FormatBool(row.Decided),
 			strconv.Itoa(row.Rounds),
-			strconv.FormatFloat(row.Range, 'g', -1, 64),
+			row.rangeCell(-1),
 		}); err != nil {
 			return err
 		}
@@ -423,7 +445,7 @@ func (r *batchReport) WriteHTML(w io.Writer) error {
 			strconv.FormatInt(row.Seed, 10),
 			strconv.FormatBool(row.Decided),
 			strconv.Itoa(row.Rounds),
-			fmt.Sprintf("%.3g", row.Range),
+			row.rangeCell(3),
 		})
 	}
 	blocks := []any{agg}
@@ -447,9 +469,7 @@ func runBatch(cfg batchConfig) error {
 	stats := &anondyn.BatchStats{Eps: cfg.eps}
 	rows := make([]seedRow, 0, len(cfg.seeds))
 	rowSink := anondyn.SinkFunc(func(_ int, seed int64, res *anondyn.Result) error {
-		rows = append(rows, seedRow{
-			Seed: seed, Decided: res.Decided, Rounds: res.Rounds, Range: res.OutputRange(),
-		})
+		rows = append(rows, newSeedRow(seed, res))
 		return nil
 	})
 	opts := anondyn.BatchOptions{Workers: cfg.workers, Retries: 0}

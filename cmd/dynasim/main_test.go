@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"compress/gzip"
+	"encoding/csv"
 	"encoding/json"
 	"io"
 	"os"
@@ -284,5 +286,70 @@ func assertPprof(t *testing.T, path string) {
 	body, err := io.ReadAll(zr)
 	if err != nil || len(body) == 0 {
 		t.Fatalf("%s: profile inflates to %d bytes (err %v)", path, len(body), err)
+	}
+}
+
+// TestBatchReportUndecidedRows: a batch whose runs exhaust the round
+// budget has no output range to report (Result.OutputRange is +Inf,
+// which encoding/json rejects). Its rows carry "output_range": null
+// and an empty CSV cell beside decided=false — and a fully decided
+// batch still renders the bytes it always did (the golden files were
+// written by the pre-fix binary).
+func TestBatchReportUndecidedRows(t *testing.T) {
+	dir := t.TempDir()
+	undecided := []string{"-algo", "dac", "-n", "9", "-adversary", "er:0.01", "-seeds", "3", "-rounds", "3"}
+	decided := []string{"-algo", "dac", "-n", "9", "-adversary", "rotating:5", "-inputs", "random",
+		"-eps", "0.1", "-seeds", "3", "-workers", "1"}
+	render := func(args []string, name string) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := run(append(args[:len(args):len(args)], "-report", path)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	var doc struct {
+		Runs []struct {
+			Decided bool     `json:"decided"`
+			Range   *float64 `json:"output_range"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(render(undecided, "u.json"), &doc); err != nil {
+		t.Fatalf("undecided report is not valid JSON: %v", err)
+	}
+	if len(doc.Runs) != 3 {
+		t.Fatalf("report has %d rows, want 3", len(doc.Runs))
+	}
+	for i, row := range doc.Runs {
+		if row.Decided || row.Range != nil {
+			t.Errorf("row %d = {decided %v, output_range %v}, want undecided and null", i, row.Decided, row.Range)
+		}
+	}
+	rows, err := csv.NewReader(bytes.NewReader(render(undecided, "u.csv"))).ReadAll()
+	if err != nil {
+		t.Fatalf("undecided CSV does not parse: %v", err)
+	}
+	for _, row := range rows[1:] {
+		if row[1] != "false" || row[3] != "" {
+			t.Errorf("CSV row %v, want decided=false and an empty output_range", row)
+		}
+	}
+	if html := render(undecided, "u.html"); bytes.Contains(html, []byte("Inf")) {
+		t.Error("undecided HTML report prints an infinite range")
+	}
+
+	for _, ext := range []string{"json", "csv"} {
+		want, err := os.ReadFile(filepath.Join("testdata", "batch_decided."+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := render(decided, "d."+ext); !bytes.Equal(got, want) {
+			t.Errorf("decided batch %s report changed:\n%s\nwant:\n%s", ext, got, want)
+		}
 	}
 }

@@ -160,6 +160,7 @@ type RandomDegree struct {
 
 	blockIdx int
 	schedule []*network.EdgeSet // the guaranteed links of the current block
+	perm     []int              // buildBlock's permutation buffer, reused across receivers and blocks
 }
 
 // NewRandomDegree builds the adversary. block ≥ 1 is the guarantee block
@@ -221,7 +222,7 @@ func (r *RandomDegree) Oblivious() bool { return true }
 // Reseed implements Reseeder: the next Edges call behaves exactly like
 // the first call of a fresh instance built with this seed.
 func (r *RandomDegree) Reseed(seed int64) {
-	r.rng = rand.New(rand.NewSource(seed))
+	r.rng.Seed(seed)
 	r.blockIdx = -1
 }
 
@@ -240,10 +241,21 @@ func (r *RandomDegree) buildBlock(b, n, d int) {
 			s.Reset()
 		}
 	}
+	if cap(r.perm) < n {
+		r.perm = make([]int, n)
+	}
+	perm := r.perm[:n]
 	for v := 0; v < n; v++ {
 		// d distinct in-neighbors for v, each scheduled in a random round
-		// of the block.
-		perm := r.rng.Perm(n)
+		// of the block. The permutation is rand.Perm's, draw for draw
+		// (including its i = 0 draw, which swaps nothing but advances the
+		// stream), into a reused buffer: every slot is written before it
+		// is read, so the previous receiver's contents never show.
+		for i := range perm {
+			j := r.rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
 		picked := 0
 		for _, u := range perm {
 			if u == v {

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -170,6 +171,64 @@ func TestRandomDegreeDeterministicPerSeed(t *testing.T) {
 		e2 := a2.Edges(r, SizeView(8))
 		if !e1.Equal(e2) {
 			t.Fatalf("round %d differs across same-seed instances", r)
+		}
+	}
+}
+
+// randomDegreePermReference renders RandomDegree's trace the way
+// buildBlock was first written: one rng.Perm(n) allocation per receiver
+// per block. The in-place permutation must reproduce it draw for draw.
+func randomDegreePermReference(block, d int, extra float64, seed int64, n, rounds int) []*network.EdgeSet {
+	rng := rand.New(rand.NewSource(seed))
+	var schedule, out []*network.EdgeSet
+	for t := 0; t < rounds; t++ {
+		if t%block == 0 {
+			schedule = schedule[:0]
+			for i := 0; i < block; i++ {
+				schedule = append(schedule, network.NewEdgeSet(n))
+			}
+			for v := 0; v < n; v++ {
+				picked := 0
+				for _, u := range rng.Perm(n) {
+					if u == v {
+						continue
+					}
+					schedule[rng.Intn(block)].Add(u, v)
+					if picked++; picked == d {
+						break
+					}
+				}
+			}
+		}
+		e := schedule[t%block].Clone()
+		sparseBernoulliInto(e, n, extra, rng)
+		out = append(out, e)
+	}
+	return out
+}
+
+// TestRandomDegreeGoldenAgainstPerm: the edge sets of the first three
+// blocks, for two seeds, equal the rand.Perm implementation's — through
+// Edges, through EdgesInto, and again after an in-place Reseed (whose
+// rng.Seed must rewind to the stream rand.NewSource(seed) starts).
+func TestRandomDegreeGoldenAgainstPerm(t *testing.T) {
+	const n, block, d, extra = 13, 3, 5, 0.05
+	view := SizeView(n)
+	for _, seed := range []int64{7, 20240929} {
+		want := randomDegreePermReference(block, d, extra, seed, n, 3*block)
+		viaEdges := mustAdv(NewRandomDegree(block, d, extra, seed))
+		viaInto := mustAdv(NewRandomDegree(block, d, extra, seed+1))
+		viaInto.Edges(0, view) // advance the stream, then rewind it in place
+		viaInto.Reseed(seed)
+		dst := network.NewEdgeSet(n)
+		for r, w := range want {
+			if got := viaEdges.Edges(r, view); !got.Equal(w) {
+				t.Fatalf("seed %d round %d: Edges %v, rand.Perm reference %v", seed, r, got.Edges(), w.Edges())
+			}
+			viaInto.EdgesInto(r, view, dst)
+			if !dst.Equal(w) {
+				t.Fatalf("seed %d round %d: EdgesInto after Reseed %v, rand.Perm reference %v", seed, r, dst.Edges(), w.Edges())
+			}
 		}
 	}
 }

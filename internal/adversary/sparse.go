@@ -121,7 +121,7 @@ func (a *SparseProbabilistic) EdgesInto(t int, view View, dst *network.EdgeSet) 
 // Reseed implements Reseeder: the next Edges call behaves exactly like
 // the first call of a fresh instance built with this seed.
 func (a *SparseProbabilistic) Reseed(seed int64) {
-	a.rng = rand.New(rand.NewSource(seed))
+	a.rng.Seed(seed)
 }
 
 // Oblivious implements the state-independence seam: E(t) never reads

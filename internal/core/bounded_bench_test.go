@@ -111,14 +111,18 @@ func BenchmarkDBACDeliver(b *testing.B) {
 // DAC runs at the repo benchmark's sparse shape (n = 16385, 8 in-links,
 // 33 MB of per-node bitsets, so each node's state is cold when its turn
 // comes); DBAC at the dense Byzantine sweep's (n = 51, f = 10, every
-// other node delivering).
+// other node delivering) — once on uniform random values, where most
+// deliveries still displace a held extreme early in a phase, and once
+// (DBACEquiv) with the f middle ports claiming the extremes 0 and 1
+// alternately, as equivocators do: R_low and R_high then fill with
+// extremes at once and nearly every honest value is a one-compare
+// reject, the case the remembered extreme index exists for.
 func BenchmarkDeliverAll(b *testing.B) {
 	type bulkProcess interface {
 		Process
 		BulkDeliverer
 	}
-	round := func(b *testing.B, n, deg int, fleet []bulkProcess) {
-		vals := benchValues(n)
+	round := func(b *testing.B, n, deg int, fleet []bulkProcess, vals []float64) {
 		ds := make([]Delivery, deg)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -147,18 +151,28 @@ func BenchmarkDeliverAll(b *testing.B) {
 			}
 			fleet[i] = d
 		}
-		round(b, n, deg, fleet)
+		round(b, n, deg, fleet, benchValues(n))
 	})
-	b.Run("DBAC", func(b *testing.B) {
-		const n, f, deg = 51, 10, 50
-		fleet := make([]bulkProcess, n)
-		for i := range fleet {
-			d, err := NewDBACPhases(n, f, i, 1<<30, 0.5)
-			if err != nil {
-				b.Fatal(err)
+	dbac := func(equivocated bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			const n, f, deg = 51, 10, 50
+			fleet := make([]bulkProcess, n)
+			for i := range fleet {
+				d, err := NewDBACPhases(n, f, i, 1<<30, 0.5)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fleet[i] = d
 			}
-			fleet[i] = d
+			vals := benchValues(n)
+			if equivocated {
+				for port := n / 2; port < n/2+f; port++ {
+					vals[port] = float64(port & 1)
+				}
+			}
+			round(b, n, deg, fleet, vals)
 		}
-		round(b, n, deg, fleet)
-	})
+	}
+	b.Run("DBAC", dbac(false))
+	b.Run("DBACEquiv", dbac(true))
 }

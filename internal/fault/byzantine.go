@@ -29,15 +29,39 @@ type Strategy interface {
 	Messages(round, self int, view View) []*core.Message
 }
 
-// uniform broadcasts one message to everyone; helper for the strategies
-// below.
-func uniform(n int, m core.Message) []*core.Message {
-	out := make([]*core.Message, n)
-	for i := range out {
-		mm := m
-		out[i] = &mm
+// InPlace is the optional allocation-free seam, mirroring
+// adversary.InPlace: the engine owns the round's message storage and the
+// strategy fills it. msgs and out both have length view.N(); the strategy
+// must set every out[i] — nil means "silent towards receiver i", a
+// non-nil entry points into msgs (entries may alias: several receivers
+// can share one message). Both slices are overwritten by the next round's
+// call, so nothing may be retained across rounds. The engine probes for
+// the seam once per Reset and falls back to Messages for strategies
+// without it; every strategy in this package implements it, and its
+// Messages is "allocate the two slices, call MessagesInto".
+type InPlace interface {
+	Strategy
+	MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message)
+}
+
+// farFuture is a claimed phase that dominates every real one, so DBAC's
+// pj ≥ pi rule always counts the value.
+const farFuture = int(^uint(0) >> 2)
+
+// newRound allocates the storage Messages hands to MessagesInto.
+func newRound(n int) ([]core.Message, []*core.Message) {
+	return make([]core.Message, n), make([]*core.Message, n)
+}
+
+// uniform sends one message to everyone: every receiver shares msgs[0].
+func uniform(m core.Message, msgs []core.Message, out []*core.Message) {
+	if len(out) == 0 {
+		return
 	}
-	return out
+	msgs[0] = m
+	for i := range out {
+		out[i] = &msgs[0]
+	}
 }
 
 // Silent never sends anything — a Byzantine node indistinguishable from
@@ -48,8 +72,15 @@ type Silent struct{}
 func (Silent) Name() string { return "silent" }
 
 // Messages implements Strategy.
-func (Silent) Messages(round, self int, view View) []*core.Message {
-	return make([]*core.Message, view.N())
+func (s Silent) Messages(round, self int, view View) []*core.Message {
+	out := make([]*core.Message, view.N())
+	s.MessagesInto(round, self, view, nil, out)
+	return out
+}
+
+// MessagesInto implements InPlace.
+func (Silent) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
+	clear(out)
 }
 
 // Extremist always claims an extreme value at a far-future phase, the
@@ -65,7 +96,14 @@ func (e Extremist) Name() string { return fmt.Sprintf("extremist(%g)", e.Value) 
 
 // Messages implements Strategy.
 func (e Extremist) Messages(round, self int, view View) []*core.Message {
-	return uniform(view.N(), core.Message{Value: e.Value, Phase: int(^uint(0) >> 2)})
+	msgs, out := newRound(view.N())
+	e.MessagesInto(round, self, view, msgs, out)
+	return out
+}
+
+// MessagesInto implements InPlace.
+func (e Extremist) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
+	uniform(core.Message{Value: e.Value, Phase: farFuture}, msgs, out)
 }
 
 // Equivocator sends value Low to the lower half of receiver IDs and High
@@ -80,17 +118,30 @@ func (e Equivocator) Name() string { return fmt.Sprintf("equivocator(%g|%g)", e.
 
 // Messages implements Strategy.
 func (e Equivocator) Messages(round, self int, view View) []*core.Message {
-	n := view.N()
-	out := make([]*core.Message, n)
-	phase := int(^uint(0) >> 2)
-	for i := 0; i < n; i++ {
-		v := e.Low
-		if i >= n/2 {
-			v = e.High
-		}
-		out[i] = &core.Message{Value: v, Phase: phase}
-	}
+	msgs, out := newRound(view.N())
+	e.MessagesInto(round, self, view, msgs, out)
 	return out
+}
+
+// MessagesInto implements InPlace. Each half shares one message, stored
+// in the slot of the half's first receiver.
+func (e Equivocator) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
+	n := len(out)
+	if n == 0 {
+		return
+	}
+	half := n / 2
+	if half > 0 {
+		msgs[0] = core.Message{Value: e.Low, Phase: farFuture}
+	}
+	msgs[half] = core.Message{Value: e.High, Phase: farFuture}
+	for i := range out {
+		if i < half {
+			out[i] = &msgs[0]
+		} else {
+			out[i] = &msgs[half]
+		}
+	}
 }
 
 // SplitBrain is the Theorem 10 equivocation: behave towards one receiver
@@ -107,17 +158,21 @@ func (s SplitBrain) Name() string { return fmt.Sprintf("splitBrain(%g|%g)", s.Va
 
 // Messages implements Strategy.
 func (s SplitBrain) Messages(round, self int, view View) []*core.Message {
-	n := view.N()
-	out := make([]*core.Message, n)
-	phase := int(^uint(0) >> 2)
-	for i := 0; i < n; i++ {
+	msgs, out := newRound(view.N())
+	s.MessagesInto(round, self, view, msgs, out)
+	return out
+}
+
+// MessagesInto implements InPlace.
+func (s SplitBrain) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
+	for i := range out {
 		v := s.ValueB
 		if s.InA != nil && s.InA(i) {
 			v = s.ValueA
 		}
-		out[i] = &core.Message{Value: v, Phase: phase}
+		msgs[i] = core.Message{Value: v, Phase: farFuture}
+		out[i] = &msgs[i]
 	}
-	return out
 }
 
 // RandomNoise sends every receiver an independently random value in
@@ -125,12 +180,6 @@ func (s SplitBrain) Messages(round, self int, view View) []*core.Message {
 // plausible-looking garbage.
 type RandomNoise struct {
 	rng *rand.Rand
-
-	// scratch reused across rounds by Messages. Receivers may retain the
-	// returned pointers only within the round, which the engine contract
-	// guarantees (messages are consumed during delivery).
-	msgs []core.Message
-	out  []*core.Message
 }
 
 // NewRandomNoise builds the strategy with its own deterministic stream.
@@ -142,35 +191,31 @@ func NewRandomNoise(seed int64) *RandomNoise {
 // this seed (the Reseeder contract compiled scenarios use to recycle
 // strategies across Monte-Carlo runs).
 func (r *RandomNoise) Reseed(seed int64) {
-	r.rng = rand.New(rand.NewSource(seed))
+	r.rng.Seed(seed)
 }
 
 // Name implements Strategy.
 func (*RandomNoise) Name() string { return "randomNoise" }
 
-// Messages implements Strategy. The returned slice and the messages it
-// points into are owned by the strategy and overwritten on the next
-// call; the engine consumes them within the round, so no per-round
-// allocation is needed. The RNG draw order (value, then phase offset,
-// per receiver in ID order) is unchanged from the allocating version,
-// so seeds render identical noise.
+// Messages implements Strategy.
 func (r *RandomNoise) Messages(round, self int, view View) []*core.Message {
-	n := view.N()
-	if cap(r.msgs) < n {
-		r.msgs = make([]core.Message, n)
-		r.out = make([]*core.Message, n)
-	}
-	r.msgs = r.msgs[:n]
-	r.out = r.out[:n]
-	for i := 0; i < n; i++ {
+	msgs, out := newRound(view.N())
+	r.MessagesInto(round, self, view, msgs, out)
+	return out
+}
+
+// MessagesInto implements InPlace. The RNG draw order — value, then phase
+// offset, per receiver in ID order — is the stream contract: seeds render
+// identical noise through either entry point.
+func (r *RandomNoise) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
+	for i := range out {
 		recvPhase := view.Snapshot(i).Phase
-		r.msgs[i] = core.Message{
+		msgs[i] = core.Message{
 			Value: r.rng.Float64(),
 			Phase: recvPhase + r.rng.Intn(3),
 		}
-		r.out[i] = &r.msgs[i]
+		out[i] = &msgs[i]
 	}
-	return r.out
 }
 
 // Laggard replays stale protocol state: it sends its genuine-looking
@@ -185,7 +230,14 @@ func (l Laggard) Name() string { return fmt.Sprintf("laggard(%g)", l.Value) }
 
 // Messages implements Strategy.
 func (l Laggard) Messages(round, self int, view View) []*core.Message {
-	return uniform(view.N(), core.Message{Value: l.Value, Phase: 0})
+	msgs, out := newRound(view.N())
+	l.MessagesInto(round, self, view, msgs, out)
+	return out
+}
+
+// MessagesInto implements InPlace.
+func (l Laggard) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
+	uniform(core.Message{Value: l.Value, Phase: 0}, msgs, out)
 }
 
 // Mimic copies the public state of a chosen fault-free node, making the
@@ -199,6 +251,23 @@ func (m Mimic) Name() string { return fmt.Sprintf("mimic(%d)", m.Target) }
 
 // Messages implements Strategy.
 func (m Mimic) Messages(round, self int, view View) []*core.Message {
-	snap := view.Snapshot(m.Target)
-	return uniform(view.N(), core.Message{Value: snap.Value, Phase: snap.Phase})
+	msgs, out := newRound(view.N())
+	m.MessagesInto(round, self, view, msgs, out)
+	return out
 }
+
+// MessagesInto implements InPlace.
+func (m Mimic) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
+	snap := view.Snapshot(m.Target)
+	uniform(core.Message{Value: snap.Value, Phase: snap.Phase}, msgs, out)
+}
+
+var (
+	_ InPlace = Silent{}
+	_ InPlace = Extremist{}
+	_ InPlace = Equivocator{}
+	_ InPlace = SplitBrain{}
+	_ InPlace = (*RandomNoise)(nil)
+	_ InPlace = Laggard{}
+	_ InPlace = Mimic{}
+)

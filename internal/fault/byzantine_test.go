@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math/rand"
 	"testing"
 
 	"anondyn/internal/core"
@@ -151,5 +152,85 @@ func TestStrategyNames(t *testing.T) {
 			t.Errorf("duplicate name %q", name)
 		}
 		seen[name] = true
+	}
+}
+
+// TestMessagesIntoMatchesMessages: for every built-in strategy and
+// random (n, round, self, view), the in-place seam and the allocating
+// entry point say the same thing — same nil pattern, same value and
+// phase per receiver — and both say what the strategy's definition says
+// (want, written per receiver and independent of either body). The
+// in-place storage arrives dirty, as the engine's does from the previous
+// round: stale pointers, stale histories, every slot must be rewritten.
+func TestMessagesIntoMatchesMessages(t *testing.T) {
+	type face struct {
+		silent bool
+		value  float64
+		phase  int
+	}
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		round, self := rng.Intn(100), rng.Intn(n)
+		view := make(testView, n)
+		for i := range view {
+			view[i] = core.Snapshot{Value: rng.Float64(), Phase: rng.Intn(50)}
+		}
+		lo, hi, target := rng.Float64(), rng.Float64(), rng.Intn(n)
+		inA := func(r int) bool { return r%3 == trial%3 }
+		noiseSeed := rng.Int63()
+		noise := rand.New(rand.NewSource(noiseSeed))
+		cases := []struct {
+			mk   func() Strategy // fresh per entry point: RandomNoise carries a stream
+			want func(receiver int) face
+		}{
+			{func() Strategy { return Silent{} }, func(int) face { return face{silent: true} }},
+			{func() Strategy { return Extremist{Value: hi} }, func(int) face { return face{value: hi, phase: farFuture} }},
+			{func() Strategy { return Equivocator{Low: lo, High: hi} }, func(r int) face {
+				if r < n/2 {
+					return face{value: lo, phase: farFuture}
+				}
+				return face{value: hi, phase: farFuture}
+			}},
+			{func() Strategy { return SplitBrain{InA: inA, ValueA: lo, ValueB: hi} }, func(r int) face {
+				if inA(r) {
+					return face{value: lo, phase: farFuture}
+				}
+				return face{value: hi, phase: farFuture}
+			}},
+			{func() Strategy { return NewRandomNoise(noiseSeed) }, func(r int) face {
+				// Stream contract: value, then phase offset, receivers in ID order.
+				return face{value: noise.Float64(), phase: view[r].Phase + noise.Intn(3)}
+			}},
+			{func() Strategy { return Laggard{Value: lo} }, func(int) face { return face{value: lo} }},
+			{func() Strategy { return Mimic{Target: target} }, func(int) face {
+				return face{value: view[target].Value, phase: view[target].Phase}
+			}},
+		}
+		for _, c := range cases {
+			alloc := c.mk().Messages(round, self, view)
+			msgs, out := make([]core.Message, n), make([]*core.Message, n)
+			stale := core.Message{Value: -1, Phase: -1, History: []core.HistEntry{{Value: 9, Phase: 9}}}
+			for i := range msgs {
+				msgs[i] = stale
+				out[i] = &stale
+			}
+			strat := c.mk()
+			strat.(InPlace).MessagesInto(round, self, view, msgs, out)
+			if len(alloc) != n {
+				t.Fatalf("%s: Messages returned %d entries for n=%d", strat.Name(), len(alloc), n)
+			}
+			for r := 0; r < n; r++ {
+				want := c.want(r)
+				for path, m := range map[string]*core.Message{"Messages": alloc[r], "MessagesInto": out[r]} {
+					switch {
+					case want.silent != (m == nil):
+						t.Fatalf("%s n=%d receiver %d: %s silent=%v, want %v", strat.Name(), n, r, path, m == nil, want.silent)
+					case m != nil && (m.Value != want.value || m.Phase != want.phase || m.History != nil):
+						t.Fatalf("%s n=%d receiver %d: %s sent %+v, want ⟨%g, %d⟩", strat.Name(), n, r, path, *m, want.value, want.phase)
+					}
+				}
+			}
+		}
 	}
 }

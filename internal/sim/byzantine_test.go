@@ -278,3 +278,102 @@ func linkInto(n, to, from int) *network.EdgeSet {
 	e.Add(from, to)
 	return e
 }
+
+// messagesOnly hides every optional interface of the wrapped strategy —
+// in particular fault.InPlace — so the engine must take the Messages
+// fallback, as it does for third-party strategies.
+type messagesOnly struct{ fault.Strategy }
+
+// TestInPlaceStrategiesMatchMessagesFallback: filling engine-owned
+// storage through MessagesInto and allocating through Messages are the
+// same execution. Every built-in strategy at once (n=16, f=3 rotated
+// through them in pairs), DBAC and DBACPiggyback, dense and CSR scratch,
+// sequential and receiver-parallel rounds, on a recycled engine pair so
+// the carved storage of one run serves the next: Results, recorded
+// traces and every node's end state must be identical.
+func TestInPlaceStrategiesMatchMessagesFallback(t *testing.T) {
+	const n, f, rounds = 16, 3, 40
+	strategies := func(seed int64) []fault.Strategy {
+		return []fault.Strategy{
+			fault.Silent{},
+			fault.Extremist{Value: 1},
+			fault.Equivocator{Low: 0, High: 1},
+			fault.SplitBrain{InA: func(r int) bool { return r%3 == 0 }, ValueA: 0.2, ValueB: 0.8},
+			fault.NewRandomNoise(seed),
+			fault.Laggard{Value: 0.4},
+			fault.Mimic{Target: 0},
+		}
+	}
+	mkConfig := func(trial int, piggyback, hide bool) Config {
+		seed := int64(trial) + 1
+		all := strategies(seed)
+		byz := map[int]fault.Strategy{}
+		for k := 0; k < f; k++ {
+			strat := all[(trial+k)%len(all)]
+			if hide {
+				strat = messagesOnly{strat}
+			}
+			byz[n/2+k] = strat
+		}
+		procs := dbacProcs(t, n, f, 1<<20, spread(n), byz)
+		if piggyback {
+			for i := range procs {
+				if procs[i] == nil {
+					continue
+				}
+				pb, err := core.NewDBACPiggybackPhases(n, f, i, 2, 1<<20, spread(n)[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				procs[i] = pb
+			}
+		}
+		adv, err := adversary.NewRandomDegree(3, core.ByzDegree(n, f), 0.05, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{
+			N: n, F: f, Procs: procs, Byzantine: byz, Adversary: adv,
+			MaxRounds: 1 << 20, KeepTrace: true, AccountBandwidth: trial%2 == 0,
+		}
+	}
+	for _, piggyback := range []bool{false, true} {
+		for _, csr := range []bool{false, true} {
+			for _, workers := range []int{0, 2} {
+				var bare, hidden *Engine
+				for trial := 0; trial < 7; trial++ {
+					bareCfg, hiddenCfg := mkConfig(trial, piggyback, false), mkConfig(trial, piggyback, true)
+					bareCfg.ForceCSR, hiddenCfg.ForceCSR = csr, csr
+					bareCfg.RoundWorkers, hiddenCfg.RoundWorkers = workers, workers
+					if bare == nil {
+						var err error
+						if bare, err = NewEngine(bareCfg); err != nil {
+							t.Fatal(err)
+						}
+						if hidden, err = NewEngine(hiddenCfg); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						if err := bare.Reset(bareCfg); err != nil {
+							t.Fatal(err)
+						}
+						if err := hidden.Reset(hiddenCfg); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for id := range bareCfg.Byzantine {
+						if bare.byz[id].inPlace == nil || hidden.byz[id].inPlace != nil {
+							t.Fatalf("node %d: seam probe got in-place %v / %v, want true / false",
+								id, bare.byz[id].inPlace != nil, hidden.byz[id].inPlace != nil)
+						}
+					}
+					want, got := hidden.RunRounds(rounds), bare.RunRounds(rounds)
+					assertEqualResults(t, want, got, "pb=%v csr=%v workers=%d trial %d", piggyback, csr, workers, trial)
+					assertEqualStates(t, hidden, bare, "pb=%v csr=%v workers=%d trial %d", piggyback, csr, workers, trial)
+				}
+				bare.Close()
+				hidden.Close()
+			}
+		}
+	}
+}

@@ -37,7 +37,7 @@ type Engine struct {
 
 	// dense per-node execution state, sized cfg.N
 	isByz       []bool
-	byzStrats   []fault.Strategy
+	byz         []byzNode // per node: its Byzantine strategy and this round's messages; nil until a run has Byzantine nodes
 	decided     []bool
 	outputs     []float64
 	decideRound []int
@@ -47,20 +47,21 @@ type Engine struct {
 	crashInfo   []fault.Crash // partial-delivery detail for crash-scheduled nodes
 
 	// scratch reused across rounds
-	broadcasts []core.Message
-	hasBcast   []bool
-	bcastSize  []int // wire.Size per broadcast, computed once per round
-	byzMsgs    [][]*core.Message
-	scratch    []recvScratch        // per-worker receiver scratch; scratch[0] serves the sequential loop
-	seq        [1]recvScratch       // fixed backing for the sequential scratch — no slice-header alloc per build
-	bulk       []core.BulkDeliverer // per-node DeliverAll seam, probed once per Reset (nil: plain Deliver)
-	recvMask   []uint64             // word-wise mask of round-t-eligible receivers
-	edges      *network.EdgeSet     // engine-owned E(t) for InPlace adversaries
-	inPlace    adversary.InPlace    // non-nil when the adversary has the fast path
-	hooks      Hooks                // cfg.Hooks, cached
-	roundObs   RoundObserver        // the effective Observer's optional round hook, cached
-	needSize   bool                 // any consumer of wire sizes configured
-	hasCap     bool                 // any per-link byte budget configured
+	broadcasts  []core.Message
+	hasBcast    []bool
+	bcastSize   []int                // wire.Size per broadcast, computed once per round
+	byzStoreBuf []core.Message       // flat backing of every byzNode.store, grown in Reset, recycled across runs
+	byzOutBuf   []*core.Message      // flat backing of the in-place senders' byzNode.out
+	scratch     []recvScratch        // per-worker receiver scratch; scratch[0] serves the sequential loop
+	seq         [1]recvScratch       // fixed backing for the sequential scratch — no slice-header alloc per build
+	bulk        []core.BulkDeliverer // per-node DeliverAll seam, probed once per Reset (nil: plain Deliver)
+	recvMask    []uint64             // word-wise mask of round-t-eligible receivers
+	edges       *network.EdgeSet     // engine-owned E(t) for InPlace adversaries
+	inPlace     adversary.InPlace    // non-nil when the adversary has the fast path
+	hooks       Hooks                // cfg.Hooks, cached
+	roundObs    RoundObserver        // the effective Observer's optional round hook, cached
+	needSize    bool                 // any consumer of wire sizes configured
+	hasCap      bool                 // any per-link byte budget configured
 
 	// receiver-parallel round state (see parallel.go)
 	workers   int        // resolved Config.RoundWorkers for this run
@@ -112,6 +113,14 @@ type Engine struct {
 	result Result // counters accumulate here; finish() materializes maps
 }
 
+// byzNode is one Byzantine node's sending state.
+type byzNode struct {
+	strat   fault.Strategy
+	inPlace fault.InPlace   // strat's allocation-free seam, probed once per Reset (nil: Messages)
+	store   []core.Message  // engine-owned storage an in-place strategy fills
+	out     []*core.Message // this round's message per receiver (nil entry: silent)
+}
+
 // NewEngine validates the configuration and prepares an execution.
 func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{}
@@ -151,19 +160,18 @@ func (e *Engine) Reset(cfg Config) error {
 	if sameN {
 		for i := 0; i < n; i++ {
 			e.isByz[i] = false
-			e.byzStrats[i] = nil
 			e.decided[i] = false
 			e.outputs[i] = 0
 			e.decideRound[i] = 0
 			e.inputs[i] = 0
 			e.hasBcast[i] = false
 			e.bcastSize[i] = 0
-			e.byzMsgs[i] = nil // drop last run's slices: nothing stale survives
 		}
 		e.crashSched = e.crashSched[:0]
+		clear(e.byz) // drop last run's slices: nothing stale survives
 	} else {
 		e.isByz = make([]bool, n)
-		e.byzStrats = make([]fault.Strategy, n)
+		e.byz = nil
 		e.decided = make([]bool, n)
 		e.outputs = make([]float64, n)
 		e.decideRound = make([]int, n)
@@ -171,7 +179,6 @@ func (e *Engine) Reset(cfg Config) error {
 		e.broadcasts = make([]core.Message, n)
 		e.hasBcast = make([]bool, n)
 		e.bcastSize = make([]int, n)
-		e.byzMsgs = make([][]*core.Message, n)
 		e.crashRound = make([]int, n)
 		e.crashInfo = make([]fault.Crash, n)
 		// Max in-degree is n−1: buffers sized up front so a later
@@ -191,9 +198,32 @@ func (e *Engine) Reset(cfg Config) error {
 		e.edges = nil
 		e.view = nil
 	}
+	// Byzantine senders' state exists only in runs that have them; a
+	// fault-free engine carries none of it. In-place strategies fill
+	// engine-owned storage: one n-message block and one n-pointer block
+	// per Byzantine node, carved from two flat buffers that grow here and
+	// never in a round, and that a recycled engine keeps. The pointers
+	// start nil, as on a fresh engine.
+	if len(cfg.Byzantine) > 0 && e.byz == nil {
+		e.byz = make([]byzNode, n)
+	}
+	if need := len(cfg.Byzantine) * n; cap(e.byzStoreBuf) < need {
+		e.byzStoreBuf = make([]core.Message, need)
+		e.byzOutBuf = make([]*core.Message, need)
+	} else {
+		clear(e.byzOutBuf[:need])
+	}
+	off := 0
 	for i, strat := range cfg.Byzantine {
 		e.isByz[i] = true
-		e.byzStrats[i] = strat
+		b := &e.byz[i]
+		b.strat = strat
+		if ip, ok := strat.(fault.InPlace); ok {
+			b.inPlace = ip
+			b.store = e.byzStoreBuf[off : off+n : off+n]
+			b.out = e.byzOutBuf[off : off+n : off+n]
+			off += n
+		}
 	}
 	fillCrashState(e.crashRound, e.crashInfo, cfg.Crashes)
 	for i := 0; i < n; i++ {
@@ -410,8 +440,9 @@ func (e *Engine) Step() {
 // (it may read start-of-round state through the view), then every live
 // node broadcasts. Crash-scheduled nodes still broadcast in their crash
 // round (possibly reaching only a subset); Byzantine nodes produce
-// per-receiver messages, overwriting last round's slices so nothing
-// stale is ever consulted.
+// per-receiver messages, overwriting last round's so nothing stale is
+// ever consulted — in-place strategies into the engine-owned storage
+// Reset carved for them (no allocation), the rest through Messages.
 func (e *Engine) openRound(t int) *network.EdgeSet {
 	edges := e.roundEdges(t)
 	rec := e.hooks.Recorder
@@ -424,7 +455,11 @@ func (e *Engine) openRound(t int) *network.EdgeSet {
 	for i := 0; i < e.cfg.N; i++ {
 		e.hasBcast[i] = false
 		if e.isByz[i] {
-			e.byzMsgs[i] = e.byzStrats[i].Messages(t, i, e.view)
+			if b := &e.byz[i]; b.inPlace != nil {
+				b.inPlace.MessagesInto(t, i, e.view, b.store, b.out)
+			} else {
+				b.out = b.strat.Messages(t, i, e.view)
+			}
 			continue
 		}
 		if t > e.crashRound[i] {
@@ -513,7 +548,7 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 // (the full range) and the parallel round (contiguous sub-ranges on
 // pool workers): receivers are independent within a round — everything
 // cross-receiver it touches is either frozen for the round (edges,
-// broadcasts, byzMsgs, crash state) or indexed by the receiver
+// broadcasts, Byzantine messages, crash state) or indexed by the receiver
 // (decided/outputs/decideRound, view snapshots) — so disjoint ranges
 // compose to exactly the sequential result, in the same per-receiver
 // delivery order. The range's counters land in its own scratch; the
@@ -564,7 +599,6 @@ func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScra
 			}
 			s.deliveries = ds
 		} else {
-			s.deliveries = s.deliveries[:0]
 			e.gatherInNeighbors(t, v, edges, s)
 		}
 		if e.cfg.ShuffleDelivery {
@@ -615,7 +649,17 @@ func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScra
 // n ports produces (the test oracle's gather), because ports are a
 // bijection. Under the default identity numbering ascending node order
 // already IS ascending port order and the sort is skipped entirely.
+//
+// Both branches store Port and Msg field-wise into s.deliveries[k] by
+// index, as deliverRange's direct gather does: appending a composite
+// Delivery literal builds the 48-byte value on the stack and copies it,
+// and DeliverAll's loads right behind stall on that copy's store
+// forwarding (21 % of the sweep-byz-dense profile before this). The
+// scratch holds n entries and a receiver has at most n−1 in-neighbors,
+// so the index never leaves it.
 func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet, s *recvScratch) {
+	ds := s.deliveries[:cap(s.deliveries)]
+	k := 0
 	if e.fastGather && e.allIdentity && !edges.IsSparse() {
 		// No Byzantine senders, no crashes, no caps, no bandwidth
 		// accounting, identity ports: every in-neighbor delivers its
@@ -627,10 +671,14 @@ func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet, s *recvScra
 			for w != 0 {
 				u := base + bits.TrailingZeros64(w)
 				w &= w - 1
-				s.deliveries = append(s.deliveries, core.Delivery{Port: u, Msg: e.broadcasts[u]})
+				d := &ds[k]
+				d.Port = u
+				d.Msg = e.broadcasts[u]
+				k++
 			}
 			base += 64
 		}
+		s.deliveries = ds[:k]
 		return
 	}
 	numbering := e.ports[v]
@@ -646,11 +694,15 @@ func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet, s *recvScra
 				continue // the link cannot carry a message this large
 			}
 		}
-		s.deliveries = append(s.deliveries, core.Delivery{Port: numbering.PortOf(u), Msg: *m})
+		d := &ds[k]
+		d.Port = numbering.PortOf(u)
+		d.Msg = *m
+		k++
 		if e.cfg.AccountBandwidth {
 			s.bytes += size
 		}
 	}
+	s.deliveries = ds[:k]
 	if !numbering.IsIdentity() {
 		sortDeliveriesByPort(s.deliveries)
 	}
@@ -686,7 +738,7 @@ func (e *Engine) notifyRoundEnd(t int) {
 // (each is delivered at most once per round).
 func (e *Engine) outgoing(t, u, v int) (m *core.Message, size int, ok bool) {
 	if e.isByz[u] {
-		mp := e.byzMsgs[u][v]
+		mp := e.byz[u].out[v]
 		if mp == nil {
 			return nil, 0, false
 		}
