@@ -70,6 +70,16 @@ func (o BatchOptions) runDone(res *Result) {
 	})
 }
 
+// Seeds returns 0, 1, …, n−1 offset by base — the conventional seed
+// batch for RunManyStream.
+func Seeds(n int, base int64) []int64 {
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = base + int64(i)
+	}
+	return seeds
+}
+
 // RunManyStream executes the scenario produced by mk(seed) for each
 // seed across a worker pool and streams every result into sink —
 // nothing is retained once a sink call returns, so memory stays
@@ -79,12 +89,11 @@ func (o BatchOptions) runDone(res *Result) {
 // are bit-identical across worker counts.
 //
 // Each worker recycles one simulation engine across every seed it
-// executes (the engine's dense state and scratch are rebuilt-free; only
-// the per-seed processes and adversary are fresh). A Reset engine is
-// indistinguishable from a fresh one, so recycling never changes
-// results — asserted by the recycle tests. Scenarios that only need
-// aggregate numbers and want the processes recycled too should use
-// RunManyCompiled.
+// executes, and reinitializes the previous seed's processes in place
+// whenever the next scenario has the same shape (fixed ports, same
+// algorithm parameters and Byzantine set, recyclable processes); only
+// the adversary and strategies mk builds are fresh per seed. Recycling
+// never changes results — asserted by the recycle tests.
 func RunManyStream(seeds []int64, mk func(seed int64) Scenario, sink ResultSink, opts BatchOptions) error {
 	return harness.RunPooled(len(seeds),
 		func() (*engineBox, error) { return &engineBox{}, nil },
@@ -93,7 +102,7 @@ func RunManyStream(seeds []int64, mk func(seed int64) Scenario, sink ResultSink,
 			if s.Metrics == nil {
 				s.Metrics = opts.Metrics
 			}
-			res, err := s.runOn(box)
+			res, err := box.run(s)
 			if err != nil {
 				return nil, fmt.Errorf("anondyn: seed %d: %w", seeds[i], err)
 			}
@@ -108,80 +117,6 @@ func RunManyStream(seeds []int64, mk func(seed int64) Scenario, sink ResultSink,
 		},
 		opts.harness())
 }
-
-// RunManyCompiled executes one scenario family across seeds with fully
-// recycled per-worker state: every worker calls family() once, compiles
-// it, and then reuses the compiled scenario — engine, scratch, and
-// (for DAC/DBAC under fixed ports) the process objects themselves —
-// for every seed it draws. inputs(seed), when non-nil, supplies each
-// run's input vector; nil means the template's Inputs for every run.
-//
-// family must build a fresh template per call (workers must not share
-// adversary RNG state). For per-seed reproducibility regardless of
-// which worker runs a seed, the template's randomized components must
-// implement Reseed(seed) — true of every randomized adversary and
-// strategy in this package — or be deterministic; the compiled run then
-// matches a fresh Scenario built with that seed exactly, and results
-// are bit-identical across worker counts. Results stream to sink in
-// batch order, as with RunManyStream.
-func RunManyCompiled(family func() Scenario, seeds []int64, inputs func(seed int64) []float64, sink ResultSink, opts BatchOptions) error {
-	if _, err := family().Compile(); err != nil {
-		return fmt.Errorf("anondyn: compile: %w", err)
-	}
-	return harness.RunPooled(len(seeds),
-		func() (*CompiledScenario, error) {
-			tpl := family()
-			if tpl.Metrics == nil {
-				tpl.Metrics = opts.Metrics
-			}
-			return tpl.Compile()
-		},
-		func(cs *CompiledScenario, i int) (*Result, error) {
-			var in []float64
-			if inputs != nil {
-				in = inputs(seeds[i])
-			}
-			res, err := cs.Run(seeds[i], in)
-			if err != nil {
-				return nil, fmt.Errorf("anondyn: seed %d: %w", seeds[i], err)
-			}
-			return res, nil
-		},
-		func(i int, res *Result) error {
-			if err := sink.Consume(i, seeds[i], res); err != nil {
-				return err
-			}
-			opts.runDone(res)
-			return nil
-		},
-		opts.harness())
-}
-
-// RetainSink is the opt-in retention policy: it keeps every Result and
-// reassembles the MultiResult that RunMany returns. Use it only when
-// the batch is small enough to hold in memory; aggregate with
-// BatchStats otherwise.
-type RetainSink struct {
-	mr MultiResult
-}
-
-// NewRetainSink returns a sink pre-sized for a batch of n runs.
-func NewRetainSink(n int) *RetainSink {
-	return &RetainSink{mr: MultiResult{
-		Results: make([]*Result, 0, n),
-		Seeds:   make([]int64, 0, n),
-	}}
-}
-
-// Consume implements ResultSink.
-func (s *RetainSink) Consume(_ int, seed int64, res *Result) error {
-	s.mr.Results = append(s.mr.Results, res)
-	s.mr.Seeds = append(s.mr.Seeds, seed)
-	return nil
-}
-
-// MultiResult returns the retained batch.
-func (s *RetainSink) MultiResult() *MultiResult { return &s.mr }
 
 // BatchStats is the streaming aggregation sink: it folds each result
 // into counters and analysis accumulators — decided count, safety
@@ -284,6 +219,10 @@ func (b *BatchStats) Report() BatchReport {
 		Bytes:       b.Bytes(),
 	}
 }
+
+// Summary is a re-export of the analysis summary type the BatchStats
+// accessors and reports carry.
+type Summary = analysis.Summary
 
 // BatchReport is the serialized form of a BatchStats aggregate.
 type BatchReport struct {

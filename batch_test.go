@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"anondyn"
+	"anondyn/internal/analysis"
 )
 
 // batchFamily is the scenario family shared by the determinism tests:
@@ -40,16 +41,14 @@ func runBatchAt(t *testing.T, workers int) ([]string, anondyn.BatchReport) {
 	t.Helper()
 	stats := &anondyn.BatchStats{Eps: 1e-3}
 	var prints []string
-	retain := anondyn.NewRetainSink(16)
 	err := anondyn.RunManyStream(anondyn.Seeds(16, 300), batchFamily,
-		anondyn.Sinks(stats, retain),
+		anondyn.Sinks(stats, anondyn.SinkFunc(func(_ int, seed int64, res *anondyn.Result) error {
+			prints = append(prints, fingerprint(seed, res))
+			return nil
+		})),
 		anondyn.BatchOptions{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
-	}
-	mr := retain.MultiResult()
-	for i, res := range mr.Results {
-		prints = append(prints, fingerprint(mr.Seeds[i], res))
 	}
 	return prints, stats.Report()
 }
@@ -73,18 +72,24 @@ func TestRunManyStreamDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunManyMatchesStream pins the delegation: RunMany retains exactly
-// what a RetainSink-backed stream delivers, in seed order.
+// TestRunManyMatchesStream: a batch streams exactly the direct runs of
+// its seeds, in seed order.
 func TestRunManyMatchesStream(t *testing.T) {
 	seeds := anondyn.Seeds(8, 70)
-	mr, err := anondyn.RunMany(seeds, batchFamily)
+	var gotSeeds []int64
+	var results []*anondyn.Result
+	err := anondyn.RunManyStream(seeds, batchFamily, anondyn.SinkFunc(func(_ int, seed int64, res *anondyn.Result) error {
+		gotSeeds = append(gotSeeds, seed)
+		results = append(results, res)
+		return nil
+	}), anondyn.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mr.Seeds, seeds) {
-		t.Errorf("Seeds = %v, want %v", mr.Seeds, seeds)
+	if !reflect.DeepEqual(gotSeeds, seeds) {
+		t.Errorf("seeds = %v, want %v", gotSeeds, seeds)
 	}
-	for i, res := range mr.Results {
+	for i, res := range results {
 		want, err := batchFamily(seeds[i]).Run()
 		if err != nil {
 			t.Fatal(err)
@@ -95,27 +100,41 @@ func TestRunManyMatchesStream(t *testing.T) {
 	}
 }
 
-// TestBatchStatsMatchesMultiResult checks the streaming aggregates
-// against the retained-batch accessors they replace.
-func TestBatchStatsMatchesMultiResult(t *testing.T) {
+// TestBatchStatsMatchesRetained checks the streaming aggregates against
+// the same numbers computed from the retained results.
+func TestBatchStatsMatchesRetained(t *testing.T) {
 	seeds := anondyn.Seeds(12, 900)
 	stats := &anondyn.BatchStats{Eps: 1e-3}
-	retain := anondyn.NewRetainSink(len(seeds))
+	var results []*anondyn.Result
+	retain := anondyn.SinkFunc(func(_ int, _ int64, res *anondyn.Result) error {
+		results = append(results, res)
+		return nil
+	})
 	if err := anondyn.RunManyStream(seeds, batchFamily, anondyn.Sinks(stats, retain), anondyn.BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	mr := retain.MultiResult()
-	if stats.Runs() != len(seeds) || stats.Decided() != mr.DecidedCount() {
-		t.Errorf("stats runs/decided = %d/%d, MultiResult decided = %d",
-			stats.Runs(), stats.Decided(), mr.DecidedCount())
+	decided, violations := 0, 0
+	var rounds []float64
+	for _, r := range results {
+		if !r.Decided {
+			continue
+		}
+		decided++
+		rounds = append(rounds, float64(r.Rounds))
+		if !r.Valid() || !r.EpsAgreement(1e-3) {
+			violations++
+		}
 	}
-	if stats.DecidedAll() != mr.DecidedAll() {
+	if stats.Runs() != len(seeds) || stats.Decided() != decided {
+		t.Errorf("stats runs/decided = %d/%d, retained %d/%d", stats.Runs(), stats.Decided(), len(results), decided)
+	}
+	if stats.DecidedAll() != (decided == len(results)) {
 		t.Error("DecidedAll mismatch")
 	}
-	if stats.Violations() != mr.Violations(1e-3) {
-		t.Errorf("violations = %d, want %d", stats.Violations(), mr.Violations(1e-3))
+	if stats.Violations() != violations {
+		t.Errorf("violations = %d, want %d", stats.Violations(), violations)
 	}
-	if got, want := stats.Rounds(), mr.Rounds(); got != want {
+	if got, want := stats.Rounds(), analysis.Summarize(rounds); got != want {
 		t.Errorf("rounds summary = %+v, want %+v", got, want)
 	}
 }

@@ -87,7 +87,9 @@ func BenchmarkF1ConvergenceCurves(b *testing.B) {
 
 // BenchmarkRunManyParallel measures the worker-pool batch harness on a
 // 1000-seed DAC Monte-Carlo batch against the sequential baseline
-// (workers=1). The per-seed results are identical by construction; the
+// (workers=1). Every worker recycles its engine and, the family's runs
+// sharing one shape, its DAC processes, so this is the fully recycled
+// batch path. The per-seed results are identical by construction; the
 // ratio of the two ns/op figures is the parallel speedup.
 func BenchmarkRunManyParallel(b *testing.B) {
 	const batch = 1000
@@ -111,45 +113,6 @@ func BenchmarkRunManyParallel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				stats := &anondyn.BatchStats{Eps: 1e-3}
 				err := anondyn.RunManyStream(anondyn.Seeds(batch, 0), family, stats,
-					anondyn.BatchOptions{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.Runs() != batch {
-					b.Fatalf("streamed %d runs", stats.Runs())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRunManyCompiled measures the fully recycled batch path —
-// engine, views and DAC processes built once per worker — on the same
-// 1000-seed workload as BenchmarkRunManyParallel. The allocs/op gap
-// between the two benchmarks is the per-seed construction tax the
-// compile-once API removes.
-func BenchmarkRunManyCompiled(b *testing.B) {
-	const batch = 1000
-	family := func() anondyn.Scenario {
-		return anondyn.Scenario{
-			N: 9, F: 2, Eps: 1e-3,
-			Algorithm: anondyn.AlgoDAC,
-			Inputs:    anondyn.RandomInputs(9, 0),
-			Adversary: anondyn.Probabilistic(0.5, 0),
-			MaxRounds: 5000,
-		}
-	}
-	inputs := func(seed int64) []float64 { return anondyn.RandomInputs(9, seed) }
-	pools := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		pools = append(pools, n)
-	}
-	for _, workers := range pools {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				stats := &anondyn.BatchStats{Eps: 1e-3}
-				err := anondyn.RunManyCompiled(family, anondyn.Seeds(batch, 0), inputs, stats,
 					anondyn.BatchOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)

@@ -220,6 +220,19 @@ func NewMegaRound(n, t, selfPort int, input, eps float64) (*MegaRound, error) {
 	return m, nil
 }
 
+// Reinit implements core.Reinitializer: return to the freshly-constructed
+// state with a new input, keeping n, T, pEnd and the self port. Mirrors
+// NewMegaRound's initialization exactly.
+func (m *MegaRound) Reinit(input float64) {
+	m.v, m.phase, m.round = input, 0, 0
+	clear(m.heard)
+	m.heard[m.selfPort] = true
+	m.nheard = 1
+	m.min, m.max = input, input
+	m.decided, m.decision = false, 0
+	m.maybeDecide()
+}
+
 // Broadcast implements core.Process.
 func (m *MegaRound) Broadcast() core.Message { return core.Message{Value: m.v, Phase: m.phase} }
 

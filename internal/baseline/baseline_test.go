@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"anondyn/internal/adversary"
@@ -154,6 +155,40 @@ func TestMegaRoundKnowsT(t *testing.T) {
 	// pEnd on the same adversary.
 	if res.Rounds < 2*core.PEndDAC(eps) {
 		t.Errorf("rounds = %d, expected ≥ T·pEnd = %d", res.Rounds, 2*core.PEndDAC(eps))
+	}
+}
+
+// TestMegaRoundReinitMatchesFresh: processes driven through a whole run
+// and then Reinit with new inputs must replay a fresh build's execution
+// exactly.
+func TestMegaRoundReinitMatchesFresh(t *testing.T) {
+	n, eps := 5, 0.1
+	build := func(inputs []float64) []core.Process {
+		procs := make([]core.Process, n)
+		for i := range procs {
+			m, err := NewMegaRound(n, 2, i, inputs[i], eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			procs[i] = m
+		}
+		return procs
+	}
+	run := func(procs []core.Process) *sim.Result {
+		rot, err := adversary.NewRotating(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runScenario(t, n, procs, rot, 2000)
+	}
+	recycled := build(spread(n))
+	run(recycled) // dirty every field
+	inputs := []float64{0.9, 0.1, 0.5, 0.3, 0.7}
+	for i, p := range recycled {
+		p.(core.Reinitializer).Reinit(inputs[i])
+	}
+	if got, want := run(recycled), run(build(inputs)); !reflect.DeepEqual(got, want) {
+		t.Errorf("reinit run diverged:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

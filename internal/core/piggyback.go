@@ -80,6 +80,18 @@ func newPB(inner *DBAC, k int) *DBACPiggyback {
 	return pb
 }
 
+// Reinit implements Reinitializer: return to the freshly-constructed
+// state with a new input, keeping the window and the inner DBAC's
+// parameters. Mirrors newPB's initialization exactly.
+func (pb *DBACPiggyback) Reinit(input float64) {
+	pb.inner.Reinit(input)
+	for i := range pb.hist {
+		pb.hist[i] = HistEntry{Phase: -1}
+	}
+	pb.hist[0] = HistEntry{Value: input, Phase: 0}
+	pb.exact, pb.fallbacks = 0, 0
+}
+
 // Broadcast implements Process: the current state plus up to K prior
 // phase states in the History field.
 func (pb *DBACPiggyback) Broadcast() Message {

@@ -46,7 +46,7 @@ type Process interface {
 // Reinitializer is the optional recycling extension of Process: Reinit
 // returns the node to its freshly-constructed state with a new input,
 // keeping its structural parameters (n, pEnd, quorum, self port). It
-// lets compiled scenarios reuse one set of processes across a whole
+// lets the scenario run path reuse one set of processes across a whole
 // Monte-Carlo batch instead of reallocating them per seed; a Reinit
 // process must be indistinguishable from a newly constructed one (the
 // recycle tests assert byte-identical executions).

@@ -70,6 +70,28 @@ func TestDBACReinitMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestDBACPiggybackReinitMatchesFresh is the piggyback counterpart; the
+// schedule's phase skews exercise the history ring and both counters.
+func TestDBACPiggybackReinitMatchesFresh(t *testing.T) {
+	recycled, err := NewDBACPiggybackPhases(6, 1, 0, 2, 3, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveSequence(recycled)
+	recycled.Reinit(0.2)
+
+	fresh, err := NewDBACPiggybackPhases(6, 1, 0, 2, 3, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := driveSequence(recycled), driveSequence(fresh); !reflect.DeepEqual(got, want) {
+		t.Errorf("reinit trajectory diverged:\ngot  %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(recycled, fresh) {
+		t.Errorf("reinit state diverged:\ngot  %+v\nwant %+v", recycled, fresh)
+	}
+}
+
 // TestReinitImmediateDecision: Reinit with pEnd 0 must re-decide at
 // construction time, exactly like the constructor.
 func TestReinitImmediateDecision(t *testing.T) {

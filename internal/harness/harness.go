@@ -1,6 +1,7 @@
 // Package harness is the worker-pool batch executor behind every
-// Monte-Carlo workload in this repository: RunMany, the experiment
-// sweeps, and the CLI batch modes all funnel through Run.
+// Monte-Carlo workload in this repository: RunManyStream (and through
+// it every Grid sweep), the experiment tables, and the CLI batch modes
+// all funnel through Run or RunPooled.
 //
 // The contract is determinism first: tasks are independent and seeded,
 // workers execute them in whatever order scheduling allows, and the

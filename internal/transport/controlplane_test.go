@@ -230,8 +230,8 @@ func TestSubmitSweepFailPropagates(t *testing.T) {
 			return
 		}
 		defer acc.Submit.Close()
-		acc.Submit.Ack(5, 8)                            //nolint:errcheck
-		acc.Submit.Fail(5, "spec: unknown algorithm")   //nolint:errcheck
+		acc.Submit.Ack(5, 8)                          //nolint:errcheck
+		acc.Submit.Fail(5, "spec: unknown algorithm") //nolint:errcheck
 	}()
 	_, err = SubmitSweep(ln.Addr().String(), "", SubmitRequest{Spec: []byte("x")}, 5*time.Second, nil)
 	var se *SweepError

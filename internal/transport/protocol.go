@@ -79,13 +79,13 @@ const (
 
 // Errors surfaced by the protocol layer.
 var (
-	ErrBadFrame  = errors.New("transport: malformed frame")
-	ErrBadType   = errors.New("transport: unexpected frame type")
-	ErrVersion   = errors.New("transport: protocol version mismatch")
-	ErrShutdown  = errors.New("transport: connection closed by peer")
-	ErrAuth      = errors.New("transport: shard auth failed (token mismatch)")
+	ErrBadFrame   = errors.New("transport: malformed frame")
+	ErrBadType    = errors.New("transport: unexpected frame type")
+	ErrVersion    = errors.New("transport: protocol version mismatch")
+	ErrShutdown   = errors.New("transport: connection closed by peer")
+	ErrAuth       = errors.New("transport: shard auth failed (token mismatch)")
 	ErrWorkerLeft = errors.New("transport: worker left the control plane")
-	errShortRead = errors.New("transport: short read")
+	errShortRead  = errors.New("transport: short read")
 )
 
 // conn wraps a stream with buffered varint-friendly framing. All methods

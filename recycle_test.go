@@ -3,15 +3,16 @@ package anondyn_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"anondyn"
 )
 
 // recycleFamily is a Monte-Carlo scenario family whose every randomized
-// component is constructed from the run seed — the shape RunMany
-// callers use — so a compiled run reseeded to `seed` must match a
-// fresh Scenario built with `seed` bit for bit.
+// component is constructed from the run seed — the shape batch callers
+// use — so a compiled run reseeded to `seed` must match a fresh
+// Scenario built with `seed` bit for bit.
 func recycleFamily(seed int64) anondyn.Scenario {
 	return anondyn.Scenario{
 		N: 9, F: 2, Eps: 1e-3,
@@ -54,6 +55,17 @@ func assertEqualResults(t *testing.T, want, got *anondyn.Result, label string) {
 	}
 }
 
+// collect runs a RunManyStream batch and returns its results by batch
+// index — nil where the run failed — together with the batch error.
+func collect(seeds []int64, mk func(int64) anondyn.Scenario, opts anondyn.BatchOptions) ([]*anondyn.Result, error) {
+	got := make([]*anondyn.Result, len(seeds))
+	err := anondyn.RunManyStream(seeds, mk, anondyn.SinkFunc(func(i int, _ int64, res *anondyn.Result) error {
+		got[i] = res
+		return nil
+	}), opts)
+	return got, err
+}
+
 // TestCompiledRunMatchesFreshScenario: one CompiledScenario, reseeded
 // and re-input per run, must reproduce fresh per-seed Scenario runs —
 // the contract that makes engine and process recycling safe.
@@ -66,9 +78,6 @@ func TestCompiledRunMatchesFreshScenario(t *testing.T) {
 			cs, err := family(0).Compile()
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !cs.Recycled() {
-				t.Error("fixed-port DAC/DBAC scenario should recycle processes")
 			}
 			for seed := int64(0); seed < 20; seed++ {
 				want := mustRun(t, family(seed))
@@ -102,9 +111,6 @@ func TestCompiledRandomPortsMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Recycled() {
-		t.Error("RandomPorts scenarios cannot recycle processes")
-	}
 	for seed := int64(0); seed < 8; seed++ {
 		want := mustRun(t, family(seed))
 		got, err := cs.Run(seed, family(seed).Inputs)
@@ -116,54 +122,27 @@ func TestCompiledRandomPortsMatchesFresh(t *testing.T) {
 }
 
 // TestRunManyStreamRecycledMatchesSequential: the worker-pool batch —
-// whose workers now recycle engines across seeds — must deliver exactly
-// the results of a fresh sequential loop, for every worker count.
+// whose workers recycle engines and processes across seeds — must
+// deliver exactly the results of a fresh sequential loop, for every
+// worker count, on the crash and the Byzantine family.
 func TestRunManyStreamRecycledMatchesSequential(t *testing.T) {
 	seeds := anondyn.Seeds(24, 100)
-	var want []*anondyn.Result
-	for _, seed := range seeds {
-		want = append(want, mustRun(t, recycleFamily(seed)))
-	}
-	for _, workers := range []int{1, 3, 8} {
-		sink := anondyn.NewRetainSink(len(seeds))
-		err := anondyn.RunManyStream(seeds, recycleFamily, sink,
-			anondyn.BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+	for name, family := range map[string]func(int64) anondyn.Scenario{
+		"dac-er-crash":   recycleFamily,
+		"dbac-byzantine": byzFamily,
+	} {
+		var want []*anondyn.Result
+		for _, seed := range seeds {
+			want = append(want, mustRun(t, family(seed)))
 		}
-		got := sink.MultiResult().Results
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			assertEqualResults(t, want[i], got[i], fmt.Sprintf("workers=%d seed %d", workers, seeds[i]))
-		}
-	}
-}
-
-// TestRunManyCompiledMatchesStream: the fully recycled batch (engine +
-// processes once per worker) equals the per-seed-scenario batch across
-// worker counts.
-func TestRunManyCompiledMatchesStream(t *testing.T) {
-	seeds := anondyn.Seeds(24, 7)
-	inputs := func(seed int64) []float64 { return anondyn.RandomInputs(9, seed) }
-	family := func() anondyn.Scenario { return recycleFamily(0) }
-
-	want := anondyn.NewRetainSink(len(seeds))
-	if err := anondyn.RunManyStream(seeds, recycleFamily, want,
-		anondyn.BatchOptions{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		got := anondyn.NewRetainSink(len(seeds))
-		err := anondyn.RunManyCompiled(family, seeds, inputs, got,
-			anondyn.BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, res := range got.MultiResult().Results {
-			assertEqualResults(t, want.MultiResult().Results[i], res,
-				fmt.Sprintf("workers=%d seed %d", workers, seeds[i]))
+		for _, workers := range []int{1, 3, 8} {
+			got, err := collect(seeds, family, anondyn.BatchOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				assertEqualResults(t, want[i], got[i], fmt.Sprintf("%s workers=%d seed %d", name, workers, seeds[i]))
+			}
 		}
 	}
 }
@@ -175,9 +154,6 @@ func TestCompiledRunValidatesInputs(t *testing.T) {
 	cs, err := recycleFamily(0).Compile()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !cs.Recycled() {
-		t.Fatal("expected the recycling path")
 	}
 	bad := anondyn.SpreadInputs(9)
 	bad[4] = 5 // outside [0, 1]
@@ -194,19 +170,26 @@ func TestCompiledRunValidatesInputs(t *testing.T) {
 	}
 }
 
-// TestRunManyCompiledConfigError: template errors surface before any
-// worker spins up.
-func TestRunManyCompiledConfigError(t *testing.T) {
-	bad := func() anondyn.Scenario { return anondyn.Scenario{N: 3} }
-	err := anondyn.RunManyCompiled(bad, anondyn.Seeds(4, 0), nil, &anondyn.BatchStats{}, anondyn.BatchOptions{})
-	if err == nil {
-		t.Fatal("invalid template accepted")
+// TestCompileConfigError: an invalid template, and one whose processes
+// cannot be constructed, fail at Compile rather than on the first run.
+func TestCompileConfigError(t *testing.T) {
+	if _, err := (anondyn.Scenario{N: 3}).Compile(); err == nil {
+		t.Error("invalid template accepted")
+	}
+	for _, randomPorts := range []bool{false, true} {
+		s := recycleFamily(0)
+		s.RandomPorts = randomPorts
+		s.Inputs[2] = -1
+		if _, err := s.Compile(); err == nil {
+			t.Errorf("RandomPorts=%v: out-of-range template input accepted", randomPorts)
+		}
 	}
 }
 
 // TestRecycledWorkersRace drives the recycled batch paths with many
 // workers so `go test -race ./...` (the CI configuration) patrols the
-// per-worker engine and compiled-scenario state for sharing bugs.
+// per-worker engine boxes for sharing bugs; the two-cell grid makes
+// workers switch shapes mid-batch.
 func TestRecycledWorkersRace(t *testing.T) {
 	seeds := anondyn.Seeds(32, 0)
 	stats := &anondyn.BatchStats{Eps: 1e-3}
@@ -217,17 +200,196 @@ func TestRecycledWorkersRace(t *testing.T) {
 	if stats.Runs() != len(seeds) {
 		t.Fatalf("streamed %d runs", stats.Runs())
 	}
-	compiled := &anondyn.BatchStats{Eps: 1e-3}
-	err := anondyn.RunManyCompiled(
-		func() anondyn.Scenario { return recycleFamily(0) },
-		seeds,
-		func(seed int64) []float64 { return anondyn.RandomInputs(9, seed) },
-		compiled,
-		anondyn.BatchOptions{Workers: 8})
+	grid := anondyn.Grid{
+		Ns: []int{7, 9},
+		Fs: []int{2},
+		Adversaries: []anondyn.AdversaryFactory{{Name: "er", New: func(_ anondyn.Cell, seed int64) anondyn.Adversary {
+			return anondyn.Probabilistic(0.5, seed)
+		}}},
+		SeedsPerCell: 16,
+		MaxRounds:    5000,
+	}
+	rows, err := grid.Run(anondyn.BatchOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compiled.Runs() != len(seeds) {
-		t.Fatalf("compiled batch streamed %d runs", compiled.Runs())
+	for _, row := range rows {
+		if row.Runs != grid.SeedsPerCell {
+			t.Errorf("n=%d: %d runs, want %d", row.N, row.Runs, grid.SeedsPerCell)
+		}
+	}
+}
+
+// TestRecyclingAllocs pins process recycling by what it saves rather
+// than by a getter: a DAC process costs two allocations (struct and R
+// bitset), so a run that reinitializes all n in place allocates at
+// least 2n fewer objects than a fresh Scenario.Run of the same seed —
+// on a warmed CompiledScenario and in a steady one-worker batch alike —
+// while a RandomPorts run, whose self ports change per seed, must still
+// rebuild them.
+func TestRecyclingAllocs(t *testing.T) {
+	const seed = 5
+	saving := float64(2 * recycleFamily(seed).N)
+	run := func(cs *anondyn.CompiledScenario, s anondyn.Scenario) func() {
+		return func() {
+			if _, err := cs.Run(seed, s.Inputs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	fresh := testing.AllocsPerRun(20, func() { mustRun(t, recycleFamily(seed)) })
+	cs, err := recycleFamily(0).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recycled := testing.AllocsPerRun(20, run(cs, recycleFamily(seed)))
+	if recycled > fresh-saving {
+		t.Errorf("compiled run allocated %g objects, fresh run %g: want at least %g fewer", recycled, fresh, saving)
+	}
+
+	seeds := anondyn.Seeds(64, 0)
+	freshLoop := testing.AllocsPerRun(3, func() {
+		for _, s := range seeds {
+			mustRun(t, recycleFamily(s))
+		}
+	}) / float64(len(seeds))
+	batch := testing.AllocsPerRun(3, func() {
+		if err := anondyn.RunManyStream(seeds, recycleFamily, &anondyn.BatchStats{},
+			anondyn.BatchOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(len(seeds))
+	if batch > freshLoop-saving {
+		t.Errorf("one-worker batch allocated %g objects per run, fresh runs %g: want at least %g fewer", batch, freshLoop, saving)
+	}
+
+	randomPorts := recycleFamily(0)
+	randomPorts.RandomPorts = true
+	csRandom, err := randomPorts.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := testing.AllocsPerRun(20, run(csRandom, recycleFamily(seed)))
+	if rebuilt < recycled+saving {
+		t.Errorf("RandomPorts run allocated %g objects, recycled run %g: its processes must be rebuilt", rebuilt, recycled)
+	}
+	t.Logf("allocs/run: fresh %g, recycled %g, batch %g (fresh loop %g), RandomPorts %g",
+		fresh, recycled, batch, freshLoop, rebuilt)
+}
+
+// shape is one scenario of TestShapeTransitions' walk: the fields the
+// engine box keys process recycling on, plus the input vector.
+type shape struct {
+	algo                                 anondyn.Algo
+	n, f                                 int
+	eps                                  float64
+	piggybackWindow, megaT, pEnd, quorum int
+	unchecked, randomPorts, badInput     bool
+	byzantine                            []int
+}
+
+func (sh shape) scenario(seed int64) anondyn.Scenario {
+	s := anondyn.Scenario{
+		N: sh.n, F: sh.f, Eps: sh.eps,
+		Algorithm:        sh.algo,
+		PiggybackWindow:  sh.piggybackWindow,
+		MegaT:            sh.megaT,
+		PEndOverride:     sh.pEnd,
+		QuorumOverride:   sh.quorum,
+		Unchecked:        sh.unchecked,
+		RandomPorts:      sh.randomPorts,
+		Inputs:           anondyn.RandomInputs(sh.n, seed),
+		Adversary:        anondyn.Probabilistic(0.6, seed),
+		Seed:             seed,
+		MaxRounds:        3000,
+		AccountBandwidth: true,
+	}
+	if sh.badInput {
+		s.Inputs[1] = 1.5
+	}
+	if len(sh.byzantine) > 0 {
+		s.Byzantine = make(map[int]anondyn.Strategy, len(sh.byzantine))
+		for _, id := range sh.byzantine {
+			s.Byzantine[id] = anondyn.RandomNoise(seed)
+		}
+	}
+	return s
+}
+
+// TestShapeTransitions walks one engine box (a one-worker batch) through
+// scenarios that each differ from the previous one in exactly one thing
+// — every field process construction reads, the Byzantine set, the port
+// policy, a baseline without Reinit, an out-of-range input between two
+// valid runs — and requires every run to equal a fresh Scenario.Run:
+// the box must rebuild exactly when reusing its processes would be
+// observable, and reject exactly what a fresh run rejects.
+func TestShapeTransitions(t *testing.T) {
+	steps := []struct {
+		name string
+		edit func(*shape)
+	}{
+		{"DAC", func(*shape) {}},
+		{"same shape", func(*shape) {}},
+		{"Algorithm DACNoJump", func(s *shape) { s.algo = anondyn.AlgoDACNoJump }},
+		{"Algorithm DAC", func(s *shape) { s.algo = anondyn.AlgoDAC }},
+		{"Eps", func(s *shape) { s.eps = 1e-2 }},
+		{"PEndOverride on", func(s *shape) { s.pEnd = 4 }},
+		{"PEndOverride off", func(s *shape) { s.pEnd = 0 }},
+		{"QuorumOverride on", func(s *shape) { s.quorum = 3 }},
+		{"QuorumOverride off", func(s *shape) { s.quorum = 0 }},
+		{"N", func(s *shape) { s.n = 11 }},
+		{"Unchecked on", func(s *shape) { s.unchecked = true }},
+		{"Eps 1 (unchecked)", func(s *shape) { s.eps = 1 }},
+		{"Unchecked off (checked constructor rejects Eps 1)", func(s *shape) { s.unchecked = false }},
+		{"Eps back", func(s *shape) { s.eps = 1e-3 }},
+		{"RandomPorts on", func(s *shape) { s.randomPorts = true }},
+		{"RandomPorts off", func(s *shape) { s.randomPorts = false }},
+		{"PEndOverride for DBAC", func(s *shape) { s.pEnd = 6 }},
+		{"Algorithm DBAC", func(s *shape) { s.algo = anondyn.AlgoDBAC }},
+		{"Byzantine {4}", func(s *shape) { s.byzantine = []int{4} }},
+		{"Byzantine {5}", func(s *shape) { s.byzantine = []int{5} }},
+		{"F", func(s *shape) { s.f = 1 }},
+		{"Byzantine {}", func(s *shape) { s.byzantine = nil }},
+		{"Algorithm DBACPiggyback", func(s *shape) { s.algo = anondyn.AlgoDBACPiggyback }},
+		{"PiggybackWindow", func(s *shape) { s.piggybackWindow = 2 }},
+		{"Algorithm MegaRound", func(s *shape) { s.algo = anondyn.AlgoMegaRound }},
+		{"MegaT", func(s *shape) { s.megaT = 2 }},
+		{"Algorithm FullInfo (no Reinit)", func(s *shape) { s.algo = anondyn.AlgoFullInfo }},
+		{"same shape (FullInfo)", func(*shape) {}},
+		{"Algorithm DAC again", func(s *shape) { s.algo = anondyn.AlgoDAC }},
+		{"out-of-range input", func(s *shape) { s.badInput = true }},
+		{"valid input", func(s *shape) { s.badInput = false }},
+	}
+	shapes := make([]shape, len(steps))
+	cur := shape{algo: anondyn.AlgoDAC, n: 9, f: 2, eps: 1e-3}
+	for i, st := range steps {
+		st.edit(&cur)
+		shapes[i] = cur
+	}
+	mk := func(seed int64) anondyn.Scenario { return shapes[seed].scenario(seed) }
+
+	seeds := anondyn.Seeds(len(shapes), 0)
+	got, batchErr := collect(seeds, mk, anondyn.BatchOptions{Workers: 1})
+	rejected := 0
+	for i, seed := range seeds {
+		name := steps[i].name
+		want, err := mk(seed).Run()
+		switch {
+		case err != nil:
+			rejected++
+			if got[i] != nil {
+				t.Errorf("%s: batch ran a scenario a fresh run rejects (%v)", name, err)
+			} else if batchErr == nil || !strings.Contains(batchErr.Error(), err.Error()) {
+				t.Errorf("%s: batch error %v does not carry the fresh run's %q", name, batchErr, err)
+			}
+		case got[i] == nil:
+			t.Errorf("%s: batch rejected a scenario a fresh run completes", name)
+		default:
+			assertEqualResults(t, want, got[i], name)
+		}
+	}
+	if rejected != 2 {
+		t.Errorf("%d steps rejected by fresh runs, want 2 (the checked Eps 1 and the out-of-range input)", rejected)
 	}
 }

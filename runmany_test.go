@@ -7,7 +7,9 @@ import (
 )
 
 func TestRunMany(t *testing.T) {
-	mr, err := anondyn.RunMany(anondyn.Seeds(10, 100), func(seed int64) anondyn.Scenario {
+	var results []*anondyn.Result
+	var seeds []int64
+	err := anondyn.RunManyStream(anondyn.Seeds(10, 100), func(seed int64) anondyn.Scenario {
 		return anondyn.Scenario{
 			N: 7, F: 3, Eps: 1e-3,
 			Algorithm:   anondyn.AlgoDAC,
@@ -17,29 +19,35 @@ func TestRunMany(t *testing.T) {
 			Seed:        seed,
 			MaxRounds:   5000,
 		}
-	})
+	}, anondyn.SinkFunc(func(_ int, seed int64, res *anondyn.Result) error {
+		seeds = append(seeds, seed)
+		results = append(results, res)
+		return nil
+	}), anondyn.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mr.Results) != 10 || len(mr.Seeds) != 10 {
-		t.Fatalf("results/seeds = %d/%d", len(mr.Results), len(mr.Seeds))
+	if len(results) != 10 || len(seeds) != 10 {
+		t.Fatalf("results/seeds = %d/%d", len(results), len(seeds))
 	}
-	if !mr.DecidedAll() {
-		t.Errorf("only %d/10 decided", mr.DecidedCount())
-	}
-	if v := mr.Violations(1e-3); v != 0 {
-		t.Errorf("%d safety violations", v)
-	}
-	s := mr.Rounds()
-	if s.N != 10 || s.Min < 1 || s.Max < s.Min {
-		t.Errorf("rounds summary = %+v", s)
+	for i, res := range results {
+		if !res.Decided {
+			t.Errorf("seed %d undecided", seeds[i])
+			continue
+		}
+		if !res.Valid() || !res.EpsAgreement(1e-3) {
+			t.Errorf("seed %d: safety violation", seeds[i])
+		}
+		if res.Rounds < 1 {
+			t.Errorf("seed %d decided in %d rounds", seeds[i], res.Rounds)
+		}
 	}
 }
 
 func TestRunManyPropagatesErrors(t *testing.T) {
-	_, err := anondyn.RunMany(anondyn.Seeds(3, 0), func(seed int64) anondyn.Scenario {
+	err := anondyn.RunManyStream(anondyn.Seeds(3, 0), func(seed int64) anondyn.Scenario {
 		return anondyn.Scenario{} // invalid
-	})
+	}, &anondyn.BatchStats{}, anondyn.BatchOptions{})
 	if err == nil {
 		t.Error("invalid scenario accepted")
 	}

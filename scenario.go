@@ -7,7 +7,6 @@ import (
 
 	"anondyn/internal/baseline"
 	"anondyn/internal/core"
-	"anondyn/internal/fault"
 	"anondyn/internal/network"
 	"anondyn/internal/sim"
 )
@@ -112,39 +111,163 @@ type Scenario struct {
 
 // Run executes the scenario and returns its result.
 func (s Scenario) Run() (*Result, error) {
-	return s.runOn(&engineBox{})
+	return (&engineBox{}).run(s)
 }
 
-// engineBox carries a recyclable engine between runs. The batch harness
-// gives every worker one box, so a thousand-seed batch builds the
-// engine's views and scratch once per worker instead of once per seed.
+// engineBox carries a recyclable engine and the last run's processes
+// between runs. The batch harness gives every worker one box, so a
+// thousand-seed batch builds the engine's views and scratch — and, while
+// consecutive runs share a shape, the processes — once per worker
+// instead of once per seed.
 type engineBox struct {
 	eng *sim.Engine
+	// procs are the last run's processes, kept only when its ports were
+	// fixed and every process implements core.Reinitializer; key is the
+	// shape they were built for. Byzantine slots are nil.
+	procs []core.Process
+	key   procKey
 }
 
-// run executes cfg, recycling the box's engine when one is already
-// there (a Reset engine is indistinguishable from a fresh one — asserted
-// by the recycle tests).
-func (box *engineBox) run(cfg *sim.Config) (*Result, error) {
+// procKey is every Scenario field newProc reads besides the input: two
+// fixed-port runs with equal keys and the same Byzantine set build
+// processes that differ only in their inputs.
+type procKey struct {
+	n, f, piggybackWindow, megaT, pEndOverride, quorumOverride int
+	eps                                                        float64
+	algorithm                                                  Algo
+	unchecked                                                  bool
+}
+
+func (s Scenario) procKey() procKey {
+	return procKey{
+		n: s.N, f: s.F, piggybackWindow: s.PiggybackWindow, megaT: s.MegaT,
+		pEndOverride: s.PEndOverride, quorumOverride: s.QuorumOverride,
+		eps: s.Eps, algorithm: s.Algorithm, unchecked: s.Unchecked,
+	}
+}
+
+// run is the one execution path from a Scenario to a Result: it
+// validates s, resolves its processes and ports, and executes it on the
+// box's engine, recycling the engine when one is already there (a Reset
+// engine is indistinguishable from a fresh one — asserted by the
+// recycle tests).
+func (box *engineBox) run(s Scenario) (*Result, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	ports := s.ports()
+	procs, err := box.procsFor(s, ports)
+	if err != nil {
+		return nil, err
+	}
+	f := s.F
+	if f == 0 {
+		f = len(s.Byzantine) + len(s.Crashes) // pass validation for f-unset scenarios
+	}
+	cfg := sim.Config{
+		N:         s.N,
+		F:         f,
+		Procs:     procs,
+		Byzantine: s.Byzantine,
+		Crashes:   s.Crashes,
+		Adversary: s.Adversary,
+		Ports:     ports,
+		MaxRounds: s.MaxRounds,
+		Hooks: sim.Hooks{
+			Observer: s.observer(),
+			Recorder: s.Recorder,
+			Metrics:  s.Metrics,
+		},
+		KeepTrace:        s.KeepTrace,
+		AccountBandwidth: s.AccountBandwidth,
+		MaxMessageBytes:  s.MaxMessageBytes,
+		LinkBandwidth:    s.LinkBandwidth,
+		ShuffleDelivery:  s.ShuffleDelivery,
+		ShuffleSeed:      s.Seed,
+		RoundWorkers:     s.RoundWorkers,
+		ForceCSR:         s.ForceCSR,
+	}
 	if box.eng == nil {
-		eng, err := sim.NewEngine(*cfg)
-		if err != nil {
-			return nil, err
-		}
-		box.eng = eng
-	} else if err := box.eng.Reset(*cfg); err != nil {
+		box.eng, err = sim.NewEngine(cfg)
+	} else {
+		err = box.eng.Reset(cfg)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return box.eng.Run(), nil
 }
 
-// runOn builds the scenario's configuration and executes it on the box.
-func (s Scenario) runOn(box *engineBox) (*Result, error) {
-	cfg, err := s.build()
-	if err != nil {
-		return nil, err
+// procsFor returns the processes for one run of s: the box's own,
+// reinitialized in place with s.Inputs, when s has their shape (fixed
+// ports, same procKey, same Byzantine set); freshly built ones otherwise,
+// which the box keeps for the next run when they can be recycled.
+func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process, error) {
+	key := s.procKey()
+	if ports == nil && box.procs != nil && box.key == key && box.sameByzantine(s.Byzantine) {
+		for i, p := range box.procs {
+			if p == nil {
+				continue
+			}
+			// The constructors validate inputs; in-place recycling must
+			// reject exactly what a fresh build would.
+			if err := core.ValidateInput(s.Inputs[i]); err != nil {
+				return nil, fmt.Errorf("node %d: %w", i, err)
+			}
+			p.(core.Reinitializer).Reinit(s.Inputs[i])
+			if s.Tracker != nil {
+				s.Tracker.SetInput(i, s.Inputs[i])
+			}
+		}
+		return box.procs, nil
 	}
-	return box.run(cfg)
+	procs := make([]core.Process, s.N)
+	recyclable := ports == nil
+	for i := range procs {
+		if _, isByz := s.Byzantine[i]; isByz {
+			continue
+		}
+		selfPort := i
+		if ports != nil {
+			selfPort = ports[i].Port(i)
+		}
+		p, err := s.newProc(i, selfPort)
+		if err != nil {
+			return nil, fmt.Errorf("node %d: %w", i, err)
+		}
+		if _, ok := p.(core.Reinitializer); !ok {
+			recyclable = false
+		}
+		procs[i] = p
+		if s.Tracker != nil {
+			s.Tracker.SetInput(i, s.Inputs[i])
+		}
+	}
+	box.procs, box.key = nil, key
+	if recyclable {
+		box.procs = procs
+	}
+	return procs, nil
+}
+
+// sameByzantine reports whether byz names exactly the nil slots of the
+// box's processes, i.e. the Byzantine set they were built around.
+func (box *engineBox) sameByzantine(byz map[int]Strategy) bool {
+	nils := 0
+	for _, p := range box.procs {
+		if p == nil {
+			nils++
+		}
+	}
+	if nils != len(byz) {
+		return false
+	}
+	for i := range byz {
+		if i < 0 || i >= len(box.procs) || box.procs[i] != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // validate checks the scenario's static structure.
@@ -179,32 +302,14 @@ func (s Scenario) validate() error {
 	return nil
 }
 
-// portsFor resolves the port numberings for one run seed.
-func (s Scenario) portsFor(seed int64) network.Ports {
-	if s.RandomPorts {
-		return network.RandomPorts(s.N, rand.New(rand.NewSource(seed)))
+// ports resolves the run's port numberings: nil — the engine's identity
+// numbering, under which node i's self port is i — unless RandomPorts
+// draws an independent numbering per node from Seed.
+func (s Scenario) ports() network.Ports {
+	if !s.RandomPorts {
+		return nil
 	}
-	return network.IdentityPorts(s.N)
-}
-
-// buildProcs constructs the per-node processes for the given ports and
-// the scenario's current Inputs, seeding the optional tracker.
-func (s Scenario) buildProcs(ports network.Ports, byz map[int]fault.Strategy) ([]core.Process, error) {
-	procs := make([]core.Process, s.N)
-	for i := 0; i < s.N; i++ {
-		if _, isByz := byz[i]; isByz {
-			continue
-		}
-		p, err := s.newProc(i, ports[i].Port(i))
-		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, err)
-		}
-		procs[i] = p
-		if s.Tracker != nil {
-			s.Tracker.SetInput(i, s.Inputs[i])
-		}
-	}
-	return procs, nil
+	return network.RandomPorts(s.N, rand.New(rand.NewSource(s.Seed)))
 }
 
 // observer folds the optional collectors into one engine Observer.
@@ -224,69 +329,6 @@ func (s Scenario) observer() sim.Observer {
 	default:
 		return multiObserver(observers)
 	}
-}
-
-// config assembles the engine configuration from prepared parts.
-func (s Scenario) config(procs []core.Process, ports network.Ports, byz map[int]fault.Strategy, crashes fault.Schedule, seed int64) *sim.Config {
-	f := s.F
-	if f == 0 {
-		f = len(byz) + len(crashes) // pass validation for f-unset scenarios
-	}
-	return &sim.Config{
-		N:         s.N,
-		F:         f,
-		Procs:     procs,
-		Byzantine: byz,
-		Crashes:   crashes,
-		Adversary: s.Adversary,
-		Ports:     ports,
-		MaxRounds: s.MaxRounds,
-		Hooks: sim.Hooks{
-			Observer: s.observer(),
-			Recorder: s.Recorder,
-			Metrics:  s.Metrics,
-		},
-		KeepTrace:        s.KeepTrace,
-		AccountBandwidth: s.AccountBandwidth,
-		MaxMessageBytes:  s.MaxMessageBytes,
-		LinkBandwidth:    s.LinkBandwidth,
-		ShuffleDelivery:  s.ShuffleDelivery,
-		ShuffleSeed:      seed,
-		RoundWorkers:     s.RoundWorkers,
-		ForceCSR:         s.ForceCSR,
-	}
-}
-
-// byzStrategies copies the Byzantine assignment into the fault-layer map.
-func (s Scenario) byzStrategies() map[int]fault.Strategy {
-	byz := make(map[int]fault.Strategy, len(s.Byzantine))
-	for i, strat := range s.Byzantine {
-		byz[i] = strat
-	}
-	return byz
-}
-
-// crashSchedule copies the crash assignment into the fault-layer schedule.
-func (s Scenario) crashSchedule() fault.Schedule {
-	crashes := fault.Schedule{}
-	for node, c := range s.Crashes {
-		crashes[node] = c
-	}
-	return crashes
-}
-
-// build assembles the engine configuration.
-func (s Scenario) build() (*sim.Config, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	ports := s.portsFor(s.Seed)
-	byz := s.byzStrategies()
-	procs, err := s.buildProcs(ports, byz)
-	if err != nil {
-		return nil, err
-	}
-	return s.config(procs, ports, byz, s.crashSchedule(), s.Seed), nil
 }
 
 // newProc instantiates the selected algorithm for one node.
