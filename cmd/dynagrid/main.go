@@ -38,6 +38,10 @@
 //
 //	dynagrid -status 127.0.0.1:7200 -token s3cret
 //
+// -cpuprofile writes a CPU profile of the whole run, in any mode, to a
+// file (read it with go tool pprof); an uncreatable path fails before
+// anything runs.
+//
 // -report csv / -report json / -report html stream the rows to stdout
 // in that format; a path writes a file (.csv for CSV, .html for a
 // self-contained HTML report, anything else JSON with the same envelope
@@ -78,7 +82,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("dynagrid", flag.ContinueOnError)
 	var (
 		specFile   = fs.String("spec", "", "YAML/JSON scenario file to shard (this or -spec-dir is required)")
@@ -95,10 +99,21 @@ func run(args []string) error {
 		submitAddr = fs.String("submit", "", "submit -spec to the control plane at this address and wait for the merged rows")
 		statusAddr = fs.String("status", "", "query the control plane at this address and list queued/running sweeps")
 		token      = fs.String("token", "", "shared secret for the shard handshake (all parties must agree; empty disables auth)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := metrics.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := stopProfile(); err == nil {
+			err = cerr
+		}
+	}()
+
 	coll, closeMetrics, err := metrics.Start(*metricsOut, 0)
 	if err != nil {
 		return err

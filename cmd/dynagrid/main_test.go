@@ -1,7 +1,9 @@
 package main
 
 import (
+	"compress/gzip"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -355,5 +357,55 @@ func TestSplitAddrs(t *testing.T) {
 	want := []string{"a:1", "b:2", "c:3"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("splitAddrs = %v, want %v", got, want)
+	}
+}
+
+// TestCPUProfileFlag: -cpuprofile writes a complete profile on the
+// success path and on an early error return alike, and an uncreatable
+// file fails the command before anything runs.
+func TestCPUProfileFlag(t *testing.T) {
+	workers := startWorkers(t, 2)
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "grid.prof")
+	if err := run([]string{"-spec", specPath, "-workers", workers, "-seeds", "2", "-quiet",
+		"-report", filepath.Join(dir, "ok.json"), "-cpuprofile", prof}); err != nil {
+		t.Fatal(err)
+	}
+	assertPprof(t, prof)
+
+	early := filepath.Join(dir, "early.prof")
+	if err := run([]string{"-spec", specPath, "-cpuprofile", early}); err == nil {
+		t.Fatal("one-shot run without -workers accepted")
+	}
+	assertPprof(t, early)
+
+	out := filepath.Join(dir, "grid.json")
+	err := run([]string{"-spec", specPath, "-workers", workers, "-seeds", "2", "-quiet", "-report", out,
+		"-cpuprofile", filepath.Join(dir, "missing", "x.prof")})
+	if err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
+		t.Fatalf("uncreatable profile file: err = %v", err)
+	}
+	if _, statErr := os.Stat(out); statErr == nil {
+		t.Error("the sweep ran although the profile file could not be created")
+	}
+}
+
+// assertPprof checks that path holds a CPU profile: pprof files are
+// gzip-compressed protobuf, so a clean, non-empty inflate is the check
+// the standard library lets a test make.
+func assertPprof(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s is not a pprof file: %v", path, err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil || len(body) == 0 {
+		t.Fatalf("%s: profile inflates to %d bytes (err %v)", path, len(body), err)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"anondyn"
 	"anondyn/internal/metrics"
 	"anondyn/internal/network"
+	"anondyn/internal/rng"
 	"anondyn/internal/transport"
 )
 
@@ -73,7 +74,7 @@ func run(args []string) error {
 	adv := factory.New(cell, *seed)
 	var ports network.Ports
 	if *randPorts {
-		ports = network.RandomPorts(*n, rand.New(rand.NewSource(*seed)))
+		ports = network.RandomPorts(*n, rand.New(rng.New(*seed)))
 	}
 	cfg := transport.HubConfig{
 		N:         *n,

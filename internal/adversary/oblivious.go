@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"anondyn/internal/network"
+	"anondyn/internal/rng"
 )
 
 // Oblivious adversaries: E(t) depends only on the round number (and a
@@ -176,7 +177,7 @@ func NewRandomDegree(block, d int, extra float64, seed int64) (*RandomDegree, er
 	if extra < 0 || extra > 1 {
 		return nil, fmt.Errorf("adversary: extra probability %g outside [0,1]", extra)
 	}
-	return &RandomDegree{block: block, d: d, extra: extra, rng: rand.New(rand.NewSource(seed)), blockIdx: -1}, nil
+	return &RandomDegree{block: block, d: d, extra: extra, rng: rand.New(rng.New(seed)), blockIdx: -1}, nil
 }
 
 // Name implements Adversary.

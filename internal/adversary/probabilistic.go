@@ -2,9 +2,9 @@ package adversary
 
 import (
 	"fmt"
-	"math/rand"
 
 	"anondyn/internal/network"
+	"anondyn/internal/rng"
 )
 
 // Probabilistic is the §VII open-problem adversary: E(t) is an
@@ -15,7 +15,7 @@ import (
 // complexity is (experiment E10 measures it for DAC).
 type Probabilistic struct {
 	p   float64
-	rng *rand.Rand
+	src rng.Source // by value: the adversary is one allocation, Float64 a direct call
 }
 
 // NewProbabilistic builds the adversary; p ∈ [0, 1] is the per-link
@@ -24,7 +24,9 @@ func NewProbabilistic(p float64, seed int64) (*Probabilistic, error) {
 	if !(p >= 0 && p <= 1) { // rejects NaN too
 		return nil, fmt.Errorf("adversary: link probability %g outside [0,1]", p)
 	}
-	return &Probabilistic{p: p, rng: rand.New(rand.NewSource(seed))}, nil
+	a := &Probabilistic{p: p}
+	a.src.Seed(seed)
+	return a, nil
 }
 
 // Name implements Adversary. %g keeps sparse probabilities
@@ -54,7 +56,7 @@ func (a *Probabilistic) EdgesInto(t int, view View, dst *network.EdgeSet) {
 	dst.Reset()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
-			if u != v && a.rng.Float64() < a.p {
+			if u != v && a.src.Float64() < a.p {
 				dst.Add(u, v)
 			}
 		}
@@ -64,7 +66,7 @@ func (a *Probabilistic) EdgesInto(t int, view View, dst *network.EdgeSet) {
 // Reseed implements Reseeder: the next Edges call behaves exactly like
 // the first call of a fresh instance built with this seed.
 func (a *Probabilistic) Reseed(seed int64) {
-	a.rng.Seed(seed)
+	a.src.Seed(seed)
 }
 
 // Oblivious implements the state-independence seam: E(t) never reads

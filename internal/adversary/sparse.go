@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"anondyn/internal/network"
+	"anondyn/internal/rng"
 )
 
 // sparseBernoulliInto turns on each ordered pair (u, v), u ≠ v, of an
@@ -96,7 +97,7 @@ func NewSparseProbabilistic(p float64, seed int64) (*SparseProbabilistic, error)
 	if !(p >= 0 && p <= 1) { // rejects NaN too
 		return nil, fmt.Errorf("adversary: link probability %g outside [0,1]", p)
 	}
-	return &SparseProbabilistic{p: p, rng: rand.New(rand.NewSource(seed))}, nil
+	return &SparseProbabilistic{p: p, rng: rand.New(rng.New(seed))}, nil
 }
 
 // Name implements Adversary. %g keeps sparse probabilities

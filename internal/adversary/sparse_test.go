@@ -38,6 +38,68 @@ func TestProbabilisticDenseStreamPinned(t *testing.T) {
 	}
 }
 
+// sinkProbabilistic keeps the adversaries built under AllocsPerRun on
+// the heap, where a caller's would be.
+var sinkProbabilistic *Probabilistic
+
+// TestNewProbabilisticOneAllocation: the er adversary holds its
+// generator by value, so building one — which a sweep does once per run
+// — is a single object.
+func TestNewProbabilisticOneAllocation(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() { sinkProbabilistic = mustAdv(NewProbabilistic(0.3, 7)) })
+	if allocs != 1 {
+		t.Errorf("NewProbabilistic allocates %v objects, want 1", allocs)
+	}
+}
+
+// er2Reference draws one er2 round from a math/rand stream with the
+// textbook flat-index walk: skip ⌊E·(1/λ)⌋+1 cells of the n×n grid,
+// E ~ Exp(1) from ExpFloat64 and λ = −ln(1−p), and link every
+// off-diagonal cell landed on. Multiplying by 1/λ rather than dividing
+// by λ is part of the stream: the two can round apart.
+func er2Reference(ref *rand.Rand, n int, p float64) *network.EdgeSet {
+	e := network.NewEdgeSet(n)
+	invRate := -1 / math.Log1p(-p)
+	cells := float64(n) * float64(n)
+	for pos := -1.0; ; {
+		pos += math.Floor(ref.ExpFloat64()*invRate) + 1
+		if pos >= cells {
+			return e
+		}
+		if u, v := int(pos)/n, int(pos)%n; u != v {
+			e.Add(u, v)
+		}
+	}
+}
+
+// TestSparseProbabilisticStreamPinned pins the er2 stream against
+// er2Reference on rand.NewSource(seed): fresh instances and reseeded
+// ones, at sizes on both sides of a bitmap word and at dense and sparse
+// p, for enough rounds to wrap the generator's register many times.
+func TestSparseProbabilisticStreamPinned(t *testing.T) {
+	const rounds = 30
+	for _, n := range []int{40, 64, 130} {
+		for _, p := range []float64{0.05, 8 / float64(n)} {
+			for _, seed := range []int64{1, 99, -3} {
+				fresh := mustAdv(NewSparseProbabilistic(p, seed))
+				rewound := mustAdv(NewSparseProbabilistic(p, seed+1))
+				rewound.Edges(0, SizeView(n))
+				rewound.Reseed(seed)
+				ref := rand.New(rand.NewSource(seed))
+				for round := 0; round < rounds; round++ {
+					want := er2Reference(ref, n, p)
+					if got := fresh.Edges(round, SizeView(n)); !got.Equal(want) {
+						t.Fatalf("n=%d p=%g seed %d round %d: er2 stream diverged from the math/rand reference", n, p, seed, round)
+					}
+					if got := rewound.Edges(round, SizeView(n)); !got.Equal(want) {
+						t.Fatalf("n=%d p=%g seed %d round %d: reseeded er2 stream diverged from the math/rand reference", n, p, seed, round)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSparseProbabilisticDeterministicPerSeed: equal (p, seed) pairs
 // must render identical traces — the er2 stream is a versioned
 // reproducibility contract — and distinct seeds must not.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"anondyn/internal/core"
+	"anondyn/internal/rng"
 )
 
 // View is the read-only execution state a Byzantine strategy may consult
@@ -184,7 +185,7 @@ type RandomNoise struct {
 
 // NewRandomNoise builds the strategy with its own deterministic stream.
 func NewRandomNoise(seed int64) *RandomNoise {
-	return &RandomNoise{rng: rand.New(rand.NewSource(seed))}
+	return &RandomNoise{rng: rand.New(rng.New(seed))}
 }
 
 // Reseed rewinds the stream to the state of a fresh instance built with

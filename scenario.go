@@ -8,6 +8,7 @@ import (
 	"anondyn/internal/baseline"
 	"anondyn/internal/core"
 	"anondyn/internal/network"
+	"anondyn/internal/rng"
 	"anondyn/internal/sim"
 )
 
@@ -309,7 +310,7 @@ func (s Scenario) ports() network.Ports {
 	if !s.RandomPorts {
 		return nil
 	}
-	return network.RandomPorts(s.N, rand.New(rand.NewSource(s.Seed)))
+	return network.RandomPorts(s.N, rand.New(rng.New(s.Seed)))
 }
 
 // observer folds the optional collectors into one engine Observer.
@@ -452,12 +453,15 @@ func SplitInputs(n, k int) []float64 {
 	return in
 }
 
-// RandomInputs returns n inputs drawn uniformly from [0,1].
+// RandomInputs returns n inputs drawn uniformly from [0,1]: the first n
+// Float64 draws of math/rand's stream for seed. The generator lives on
+// the stack, so the slice is the only allocation.
 func RandomInputs(n int, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
+	var src rng.Source
+	src.Seed(seed)
 	in := make([]float64, n)
 	for i := range in {
-		in[i] = rng.Float64()
+		in[i] = src.Float64()
 	}
 	return in
 }
