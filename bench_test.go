@@ -438,9 +438,7 @@ func engineRoundCases() []struct {
 func BenchmarkEngineRound(b *testing.B) {
 	for _, c := range engineRoundCases() {
 		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			rounds, edges := 0, 0
-			for i := 0; i < b.N; i++ {
+			benchRuns(b, func() anondyn.Scenario {
 				s := anondyn.Scenario{
 					N: c.n, F: 0, Eps: 1e-3,
 					Algorithm:    anondyn.AlgoDAC,
@@ -456,16 +454,65 @@ func BenchmarkEngineRound(b *testing.B) {
 						s.Byzantine[id] = equivocators(id)
 					}
 				}
-				res, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds += res.Rounds
-				edges += res.MessagesDelivered
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/edge")
+				return s
+			})
 		})
+	}
+}
+
+// benchRuns runs one fresh scenario per iteration and reports the time
+// per executed round and per delivered edge.
+func benchRuns(b *testing.B, mk func() anondyn.Scenario) {
+	b.ReportAllocs()
+	rounds, edges := 0, 0
+	for i := 0; i < b.N; i++ {
+		res, err := mk().Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds += res.Rounds
+		edges += res.MessagesDelivered
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/edge")
+}
+
+// BenchmarkEngineRun prices the two-stage round pipeline on the n=16385
+// rows of BenchmarkEngineRound (DAC, 256 rounds, er2:8/n and
+// rotating:4): /pipelined is Scenario.Run as is, building each next
+// round's graph on an idle core while the current round delivers;
+// /gomaxprocs=1 is the same run with no idle core, which keeps it on one
+// goroutine — the sequential baseline, with no knob. Their ratio is the
+// overlap; on a one-core runner the rows coincide.
+func BenchmarkEngineRun(b *testing.B) {
+	const n = 16385
+	for _, c := range []struct {
+		name string
+		adv  func() anondyn.Adversary
+	}{
+		{"n=16385/p=8n", func() anondyn.Adversary { return anondyn.SparseProbabilistic(8.0/n, 1) }},
+		{"n=16385/d=4", func() anondyn.Adversary { return anondyn.Rotating(4) }},
+	} {
+		for _, procs := range []int{0, 1} {
+			name := c.name + "/pipelined"
+			if procs == 1 {
+				name = c.name + "/gomaxprocs=1"
+			}
+			b.Run(name, func(b *testing.B) {
+				if procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				}
+				benchRuns(b, func() anondyn.Scenario {
+					return anondyn.Scenario{
+						N: n, Eps: 1e-3,
+						Algorithm: anondyn.AlgoDAC,
+						Inputs:    anondyn.SpreadInputs(n),
+						Adversary: c.adv(),
+						MaxRounds: 256,
+					}
+				})
+			})
+		}
 	}
 }
 

@@ -39,8 +39,8 @@
 //	dynagrid -status 127.0.0.1:7200 -token s3cret
 //
 // -cpuprofile writes a CPU profile of the whole run, in any mode, to a
-// file (read it with go tool pprof); an uncreatable path fails before
-// anything runs.
+// file (read it with go tool pprof), -exectrace a runtime execution
+// trace (go tool trace); an uncreatable path fails before anything runs.
 //
 // -report csv / -report json / -report html stream the rows to stdout
 // in that format; a path writes a file (.csv for CSV, .html for a
@@ -100,6 +100,7 @@ func run(args []string) (err error) {
 		statusAddr = fs.String("status", "", "query the control plane at this address and list queued/running sweeps")
 		token      = fs.String("token", "", "shared secret for the shard handshake (all parties must agree; empty disables auth)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
+		execTrace  = fs.String("exectrace", "", "write a runtime execution trace of the whole run to this file (read it with go tool trace)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -110,6 +111,15 @@ func run(args []string) (err error) {
 	}
 	defer func() {
 		if cerr := stopProfile(); err == nil {
+			err = cerr
+		}
+	}()
+	stopTrace, err := metrics.StartExecTrace(*execTrace)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := stopTrace(); err == nil {
 			err = cerr
 		}
 	}()

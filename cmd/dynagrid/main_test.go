@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"io"
@@ -387,6 +388,49 @@ func TestCPUProfileFlag(t *testing.T) {
 	}
 	if _, statErr := os.Stat(out); statErr == nil {
 		t.Error("the sweep ran although the profile file could not be created")
+	}
+}
+
+// TestExecTraceFlag: -exectrace writes a complete runtime execution
+// trace on the success path and on an early error return alike, and an
+// uncreatable file fails the command before anything runs.
+func TestExecTraceFlag(t *testing.T) {
+	workers := startWorkers(t, 2)
+	dir := t.TempDir()
+	tr := filepath.Join(dir, "grid.trace")
+	if err := run([]string{"-spec", specPath, "-workers", workers, "-seeds", "2", "-quiet",
+		"-report", filepath.Join(dir, "ok.json"), "-exectrace", tr}); err != nil {
+		t.Fatal(err)
+	}
+	assertExecTrace(t, tr)
+
+	early := filepath.Join(dir, "early.trace")
+	if err := run([]string{"-spec", specPath, "-exectrace", early}); err == nil {
+		t.Fatal("one-shot run without -workers accepted")
+	}
+	assertExecTrace(t, early)
+
+	out := filepath.Join(dir, "grid.json")
+	err := run([]string{"-spec", specPath, "-workers", workers, "-seeds", "2", "-quiet", "-report", out,
+		"-exectrace", filepath.Join(dir, "missing", "x.trace")})
+	if err == nil || !strings.Contains(err.Error(), "-exectrace") {
+		t.Fatalf("uncreatable trace file: err = %v", err)
+	}
+	if _, statErr := os.Stat(out); statErr == nil {
+		t.Error("the sweep ran although the trace file could not be created")
+	}
+}
+
+// assertExecTrace checks that path holds a runtime execution trace: a
+// "go 1.N trace" header followed by event batches.
+func assertExecTrace(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte("go 1.")) || !bytes.Contains(data[:min(len(data), 16)], []byte(" trace")) || len(data) <= 16 {
+		t.Fatalf("%s is not an execution trace (%d bytes, starts %q)", path, len(data), data[:min(len(data), 16)])
 	}
 }
 

@@ -77,6 +77,7 @@ func run(args []string) (err error) {
 		specFile   = fs.String("spec", "", "run the sweep defined in this YAML/JSON scenario file instead of the flag scenario")
 		saveSpec   = fs.String("save-spec", "", "write the flag scenario as a declarative spec file before running")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
+		execTrace  = fs.String("exectrace", "", "write a runtime execution trace of the whole run to this file (read it with go tool trace)")
 		validate   = fs.Bool("validate", false, "with -spec: parse, validate and compile the spec, then exit without running")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -89,6 +90,15 @@ func run(args []string) (err error) {
 	}
 	defer func() {
 		if cerr := stopProfile(); err == nil {
+			err = cerr
+		}
+	}()
+	stopTrace, err := metrics.StartExecTrace(*execTrace)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := stopTrace(); err == nil {
 			err = cerr
 		}
 	}()

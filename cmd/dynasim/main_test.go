@@ -269,6 +269,46 @@ func TestCPUProfileFlag(t *testing.T) {
 	}
 }
 
+// TestExecTraceFlag: -exectrace writes a complete runtime execution
+// trace on the success path and on an early error return alike, and an
+// uncreatable file fails the command before anything runs.
+func TestExecTraceFlag(t *testing.T) {
+	dir := t.TempDir()
+	tr := filepath.Join(dir, "run.trace")
+	if err := run([]string{"-n", "9", "-adversary", "rotating:3", "-exectrace", tr}); err != nil {
+		t.Fatal(err)
+	}
+	assertExecTrace(t, tr)
+
+	early := filepath.Join(dir, "early.trace")
+	if err := run([]string{"-algo", "nope", "-exectrace", early}); err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+	assertExecTrace(t, early)
+
+	out := filepath.Join(dir, "batch.json")
+	err := run([]string{"-seeds", "3", "-report", out, "-exectrace", filepath.Join(dir, "missing", "x.trace")})
+	if err == nil || !strings.Contains(err.Error(), "-exectrace") {
+		t.Fatalf("uncreatable trace file: err = %v", err)
+	}
+	if _, statErr := os.Stat(out); statErr == nil {
+		t.Error("the batch ran although the trace file could not be created")
+	}
+}
+
+// assertExecTrace checks that path holds a runtime execution trace: a
+// "go 1.N trace" header followed by event batches.
+func assertExecTrace(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte("go 1.")) || !bytes.Contains(data[:min(len(data), 16)], []byte(" trace")) || len(data) <= 16 {
+		t.Fatalf("%s is not an execution trace (%d bytes, starts %q)", path, len(data), data[:min(len(data), 16)])
+	}
+}
+
 // assertPprof checks that path holds a CPU profile: pprof files are
 // gzip-compressed protobuf, so a clean, non-empty inflate is the check
 // the standard library lets a test make.

@@ -39,6 +39,15 @@ type Adversary interface {
 // (Static, Periodic, SplitGroups, the trace replay) intentionally do
 // not — they return prebuilt sets by pointer, which is cheaper than any
 // copy into scratch.
+//
+// When the adversary is also Oblivious, the engine may call EdgesInto on
+// a goroutine of its own, one round early: E(t+1) is built while round t
+// delivers. Calls still never overlap and still arrive once per round in
+// strictly increasing t, so a seeded stream draws exactly as in a
+// sequential run; but EdgesInto must not touch state that the round in
+// progress mutates (the processes, the view — which an oblivious
+// adversary does not read anyway — or anything a caller shares with
+// them).
 type InPlace interface {
 	Adversary
 	EdgesInto(t int, view View, dst *network.EdgeSet)
@@ -59,9 +68,10 @@ type Reseeder interface {
 // seed) only. The engines exploit the promise by skipping the per-round
 // state snapshot entirely when nothing else (a Byzantine strategy)
 // reads the view, which removes the last O(n)-per-round cost that does
-// not scale with the edge count. Obliviousness is a method rather than
-// a bare marker interface so wrappers like Compose can answer
-// per-instance.
+// not scale with the edge count — and, for in-place adversaries, by
+// rendering E(t+1) ahead on another goroutine while round t delivers
+// (see InPlace). Obliviousness is a method rather than a bare marker
+// interface so wrappers like Compose can answer per-instance.
 type Oblivious interface {
 	Adversary
 	// Oblivious reports whether this instance ignores view snapshots.

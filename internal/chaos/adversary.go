@@ -26,12 +26,21 @@ func (st *Storm) WrapAdversary(base anondyn.Adversary) anondyn.Adversary {
 // links and rebuilds the set — O(edges) per round in either
 // representation, with the walk order (and hence every starvation draw)
 // identical across the dense/CSR switch.
+//
+// The per-round scratch lives in the wrapper, so a steady round with
+// active windows allocates nothing (the engine may call EdgesInto from
+// its build-ahead goroutine, one round early — never from two
+// goroutines at once).
 type stormAdversary struct {
 	base    adversary.Adversary
 	inPlace adversary.InPlace // non-nil when the base has the fast path
 	cuts    []cutWindow
 	starves []starveWindow
-	keep    []uint64 // surviving-edge scratch, u<<32|v
+
+	keep  []uint64     // surviving-edge scratch, u<<32|v
+	live  []*cutWindow // this round's active cuts
+	rngs  []stream     // this round's starve streams, by value
+	rates []float64    // and their drop rates
 }
 
 // Name labels the wrapper in traces and logs.
@@ -63,34 +72,32 @@ func (a *stormAdversary) Oblivious() bool { return adversary.IsOblivious(a.base)
 // windows' per-round drop draws (sender-major order; see
 // StreamVersion). Rounds with no active window return untouched.
 func (a *stormAdversary) filter(t int, dst *network.EdgeSet) {
-	var cuts []cutWindow
-	for _, w := range a.cuts {
-		if t >= w.from && t < w.until {
-			cuts = append(cuts, w)
+	a.live, a.rngs, a.rates = a.live[:0], a.rngs[:0], a.rates[:0]
+	for i := range a.cuts {
+		if w := &a.cuts[i]; t >= w.from && t < w.until {
+			a.live = append(a.live, w)
 		}
 	}
-	var rngs []*stream
-	var rates []float64
 	for _, w := range a.starves {
 		if t >= w.from && t < w.until {
-			rngs = append(rngs, newStream(mix(int64(w.seed), uint64(t)*saltStarve)))
-			rates = append(rates, w.rate)
+			a.rngs = append(a.rngs, stream{z: mix(int64(w.seed), uint64(t)*saltStarve)})
+			a.rates = append(a.rates, w.rate)
 		}
 	}
-	if len(cuts) == 0 && len(rngs) == 0 {
+	if len(a.live) == 0 && len(a.rngs) == 0 {
 		return
 	}
 	a.keep = a.keep[:0]
 	dropped := false
 	dst.ForEachEdge(func(u, v int) bool {
-		for _, w := range cuts {
+		for _, w := range a.live {
 			if w.inCut[u] != w.inCut[v] {
 				dropped = true
 				return true
 			}
 		}
-		for i, rng := range rngs {
-			if rng.float64() < rates[i] {
+		for i := range a.rngs {
+			if a.rngs[i].float64() < a.rates[i] {
 				dropped = true
 				return true
 			}

@@ -26,6 +26,7 @@ import (
 	"net"
 	"os"
 	"runtime/pprof"
+	"runtime/trace"
 	"sort"
 	"strings"
 	"sync"
@@ -431,19 +432,34 @@ func Start(target string, interval time.Duration) (*Collector, func() error, err
 // returned stop ends the profile and closes the file; callers defer it
 // so every exit path flushes. An empty path profiles nothing.
 func StartCPUProfile(path string) (stop func() error, err error) {
+	return startRecorder("-cpuprofile", path, pprof.StartCPUProfile, pprof.StopCPUProfile)
+}
+
+// StartExecTrace is StartCPUProfile for an -exectrace flag: the
+// runtime's execution tracer (read the file with go tool trace). Where a
+// CPU profile says which code the time went to, the execution trace
+// says which goroutine ran when — the only view of a pipelined run's
+// graph building overlapping its delivery.
+func StartExecTrace(path string) (stop func() error, err error) {
+	return startRecorder("-exectrace", path, trace.Start, trace.Stop)
+}
+
+// startRecorder creates path and starts a whole-process recorder into
+// it; the returned stop ends the recording and closes the file.
+func startRecorder(flag, path string, start func(io.Writer) error, end func()) (stop func() error, err error) {
 	if path == "" {
 		return func() error { return nil }, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, fmt.Errorf("-cpuprofile: %w", err)
+		return nil, fmt.Errorf("%s: %w", flag, err)
 	}
-	if err := pprof.StartCPUProfile(f); err != nil {
+	if err := start(f); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("-cpuprofile: %w", err)
+		return nil, fmt.Errorf("%s: %w", flag, err)
 	}
 	return func() error {
-		pprof.StopCPUProfile()
+		end()
 		return f.Close()
 	}, nil
 }

@@ -3,7 +3,9 @@
 // Byzantine nodes emit per-receiver messages, and deliveries reach each
 // receiver tagged with its local port. One deterministic Engine executes
 // it; Config.RoundWorkers spreads a round's receivers over several
-// goroutines without changing a single result bit.
+// goroutines, and Run overlaps a round's delivery with building the next
+// round's graph when the adversary is oblivious and a core is idle —
+// neither changes a single result bit.
 package sim
 
 import (
@@ -203,6 +205,15 @@ type Config struct {
 	// ranges run concurrently with engine-owned per-worker scratch.
 	// Configurations with an Observer or Recorder run sequentially
 	// regardless (their callbacks are ordered streams).
+	//
+	// A sequential round can still use a second core: Run and RunRounds
+	// build E(t+1) on a helper goroutine while round t delivers whenever
+	// the adversary is oblivious and in-place, no node is Byzantine, the
+	// edge scratch is CSR (N ≥ network.SparseThreshold, or ForceCSR) and
+	// a core is idle (2 × such runs ≤ GOMAXPROCS, process-wide). The
+	// adversary sees the same calls in the same order either way. Setting
+	// RoundWorkers > 1 replaces that pipeline with the receiver-parallel
+	// round.
 	RoundWorkers int
 
 	// ForceCSR forces the engine-owned per-round edge scratch into the

@@ -69,6 +69,11 @@ type Engine struct {
 	pool      *roundPool // persistent pool; created on the first parallel round
 	wg        sync.WaitGroup
 
+	// two-stage pipeline state (see pipeline.go)
+	pipelines bool             // Run/RunRounds may build E(t+1) on a second goroutine
+	spare     *network.EdgeSet // the build stage's target; swapped with edges when consumed
+	pending   bool             // spare holds E(round), built ahead by the last pipelined round
+
 	// dense RoundObserver scratch, reused across rounds
 	rvValues  []float64
 	rvRunning []bool
@@ -145,6 +150,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.cfg = cfg
 	e.maxRounds = maxRounds
 	e.round = 0
+	e.pending = false
 
 	switch {
 	case cfg.Ports != nil:
@@ -196,6 +202,7 @@ func (e *Engine) Reset(cfg Config) error {
 		e.rvValues = make([]float64, n)
 		e.rvRunning = make([]bool, n)
 		e.edges = nil
+		e.spare = nil
 		e.view = nil
 	}
 	// Byzantine senders' state exists only in runs that have them; a
@@ -271,13 +278,14 @@ func (e *Engine) Reset(cfg Config) error {
 	// configurations keep the sequential loop regardless of the knob.
 	e.parRounds = workers > 1 && !e.trackPhases
 
+	wantSparse := cfg.ForceCSR || n >= network.SparseThreshold
 	if ip, ok := cfg.Adversary.(adversary.InPlace); ok {
 		e.inPlace = ip
 		// The engine-owned scratch follows the density regime: CSR past
 		// the size threshold (or when forced), the bit-matrix below it. A
 		// recycled scratch in the wrong representation — including one a
-		// FillComplete converted to dense mid-run — is rebuilt.
-		wantSparse := cfg.ForceCSR || n >= network.SparseThreshold
+		// FillComplete converted to dense mid-run — is rebuilt; the spare
+		// set is CSR-only and is dropped instead.
 		if e.edges == nil || e.edges.IsSparse() != wantSparse {
 			if wantSparse {
 				e.edges = network.NewEdgeSetSparse(n)
@@ -285,9 +293,18 @@ func (e *Engine) Reset(cfg Config) error {
 				e.edges = network.NewEdgeSet(n)
 			}
 		}
+		if e.spare != nil && !e.spare.IsSparse() {
+			e.spare = nil
+		}
 	} else {
 		e.inPlace = nil
 	}
+	// Run and RunRounds build E(t+1) ahead on a second goroutine when
+	// nothing the round does can influence it — an oblivious in-place
+	// adversary and no Byzantine strategy (viewSkip: nothing reads the
+	// view) — the round is CSR-sized, and the round itself runs on one
+	// goroutine (the receiver-parallel arm already uses the cores).
+	e.pipelines = e.inPlace != nil && e.viewSkip && wantSparse && !e.parRounds
 	e.roundObs, _ = e.hooks.Observer.(RoundObserver)
 	e.needSize = cfg.AccountBandwidth || cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
 	e.hasCap = cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
@@ -318,21 +335,24 @@ func (e *Engine) Reset(cfg Config) error {
 // round budget is exhausted, and returns the result. The Result is
 // detached from the engine: a later Reset or further rounds never
 // mutate it, so batch sinks may retain it while the engine is recycled.
+//
+// Where the configuration allows (see pipeline.go) and a core is idle,
+// Run generates each next round's graph on a second goroutine while the
+// current round delivers; the goroutine exits before Run returns. The
+// adversary may then have rendered one round past the decision round:
+// the engine keeps that graph for a later Step or RunRounds.
 func (e *Engine) Run() *Result {
-	for e.round < e.maxRounds && !e.allDecided() {
-		e.Step()
-	}
+	e.run(e.maxRounds, true)
 	return e.finish()
 }
 
 // RunRounds executes exactly k further rounds (regardless of decisions)
 // and returns the running result. Useful for convergence measurements
 // that outlive the first decision. Each call returns a fresh snapshot;
-// earlier snapshots are not updated by later rounds.
+// earlier snapshots are not updated by later rounds. It pipelines like
+// Run but never generates past its k-th round.
 func (e *Engine) RunRounds(k int) *Result {
-	for i := 0; i < k; i++ {
-		e.Step()
-	}
+	e.run(e.round+k, false)
 	return e.finish()
 }
 
@@ -366,13 +386,19 @@ func (e *Engine) Round() int { return e.round }
 func (e *Engine) Proc(i int) core.Process { return e.cfg.Procs[i] }
 
 // roundEdges resolves E(t): the engine-owned scratch set for InPlace
-// adversaries, the adversary's own allocation otherwise.
+// adversaries — the spare set swapped in when a pipelined round already
+// built E(t) there — and the adversary's own allocation otherwise.
 func (e *Engine) roundEdges(t int) *network.EdgeSet {
-	if e.inPlace != nil {
-		e.inPlace.EdgesInto(t, e.view, e.edges)
-		return e.edges
+	if e.inPlace == nil {
+		return e.cfg.Adversary.Edges(t, e.view)
 	}
-	return e.cfg.Adversary.Edges(t, e.view)
+	if e.pending {
+		e.edges, e.spare = e.spare, e.edges
+		e.pending = false
+	} else {
+		e.inPlace.EdgesInto(t, e.view, e.edges)
+	}
+	return e.edges
 }
 
 // refreshView brings the state window up to date for round t without
@@ -403,15 +429,22 @@ func (e *Engine) refreshView(t int) {
 	}
 }
 
-// Step executes one synchronous round: open it (E(t), broadcasts), run
-// the per-receiver core, close it (counters, observers). The core is
-// deliverRange, executed one of two ways: on contiguous receiver ranges
-// across the pool (RoundWorkers > 1, no Observer/Recorder), or over the
-// full range here.
+// Step executes one synchronous round on the calling goroutine: E(t) —
+// a graph a pipelined Run or RunRounds already built ahead, or one
+// generated here — then playRound. It never builds ahead itself.
 func (e *Engine) Step() {
 	t := e.round
 	e.refreshView(t)
-	edges := e.openRound(t)
+	e.playRound(t, e.roundEdges(t))
+}
+
+// playRound executes round t over E(t): open it (broadcasts), run the
+// per-receiver core, close it (counters, observers). The core is
+// deliverRange, executed one of two ways: on contiguous receiver ranges
+// across the pool (RoundWorkers > 1, no Observer/Recorder), or over the
+// full range here.
+func (e *Engine) playRound(t int, edges *network.EdgeSet) {
+	e.openRound(t, edges)
 
 	var delivered int
 	if e.parRounds {
@@ -436,15 +469,15 @@ func (e *Engine) Step() {
 	e.closeRound(t, delivered, lost)
 }
 
-// openRound is the first half of a round: the adversary chooses E(t)
-// (it may read start-of-round state through the view), then every live
-// node broadcasts. Crash-scheduled nodes still broadcast in their crash
-// round (possibly reaching only a subset); Byzantine nodes produce
-// per-receiver messages, overwriting last round's so nothing stale is
-// ever consulted — in-place strategies into the engine-owned storage
-// Reset carved for them (no allocation), the rest through Messages.
-func (e *Engine) openRound(t int) *network.EdgeSet {
-	edges := e.roundEdges(t)
+// openRound is the first half of a round, once the adversary has chosen
+// E(t) (reading start-of-round state through the view, if it adapts):
+// every live node broadcasts. Crash-scheduled nodes still broadcast in
+// their crash round (possibly reaching only a subset); Byzantine nodes
+// produce per-receiver messages, overwriting last round's so nothing
+// stale is ever consulted — in-place strategies into the engine-owned
+// storage Reset carved for them (no allocation), the rest through
+// Messages.
+func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 	rec := e.hooks.Recorder
 	if rec != nil {
 		rec.Record(trace.Event{Kind: trace.KindRound, Round: t, Edges: edges.Edges()})
@@ -481,7 +514,6 @@ func (e *Engine) openRound(t int) *network.EdgeSet {
 			}
 		}
 	}
-	return edges
 }
 
 // closeRound is the second half: fold the round's message counts into

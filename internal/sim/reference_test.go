@@ -8,16 +8,18 @@ import (
 
 // referenceStep executes one round of e the way §II-A states it, with
 // none of the production shortcuts: the view is captured eagerly for
-// every node, each receiver walks all n ports probing the edge set,
-// every delivery is one Deliver call, and the suppressed-message count
-// is always the word-wise fold. It reuses the engine's open/close round
-// halves — what the oracle pins is everything in between. Every
-// execution Step can select must match it bit for bit (Results and, when
-// a Recorder is attached, the event stream).
+// every node, E(t) is generated on the spot, each receiver walks all n
+// ports probing the edge set, every delivery is one Deliver call, and
+// the suppressed-message count is always the word-wise fold. It reuses
+// the engine's open/close round halves — what the oracle pins is
+// everything in between. Every execution Step, Run and RunRounds can
+// select must match it bit for bit (Results and, when a Recorder is
+// attached, the event stream).
 func referenceStep(e *Engine) {
 	t := e.round
 	e.view.refresh(t)
-	edges := e.openRound(t)
+	edges := e.roundEdges(t)
+	e.openRound(t, edges)
 
 	s := &e.scratch[0]
 	s.delivered, s.bytes, s.oversized = 0, 0, 0
