@@ -142,8 +142,8 @@ func steadyProcs(tb testing.TB, n int) []core.Process {
 	return procs
 }
 
-// steadyEngine builds a sequential engine that never decides; opts
-// tweak the Config (CSR scratch, parallel rounds) before construction.
+// steadyEngine builds an engine that never decides; opts tweak the
+// Config (CSR scratch, Byzantine nodes, metrics) before construction.
 func steadyEngine(tb testing.TB, n int, adv anondyn.Adversary, opts ...func(*sim.Config)) *sim.Engine {
 	tb.Helper()
 	cfg := sim.Config{
@@ -254,22 +254,6 @@ func TestSteadyRoundAllocBudget(t *testing.T) {
 			t.Errorf("steady-state auto-CSR round allocated %g times per round, want 0", avg)
 		}
 	})
-	// Receiver-parallel rounds reuse the persistent pool and per-worker
-	// scratch; the steady state stays allocation-free on both
-	// representations.
-	for _, sub := range []struct {
-		name string
-		csr  bool
-	}{{"par/n=1025", false}, {"par/n=1025/csr", true}} {
-		t.Run(sub.name, func(t *testing.T) {
-			eng := steadyEngine(t, 1025, anondyn.SparseProbabilistic(8.0/1025, 1),
-				func(cfg *sim.Config) { cfg.RoundWorkers = 2; cfg.ForceCSR = sub.csr })
-			defer eng.Close()
-			if avg := testing.AllocsPerRun(50, eng.Step); avg != 0 {
-				t.Errorf("steady-state parallel round allocated %g times per round, want 0", avg)
-			}
-		})
-	}
 	// The Byzantine round holds the same budget: in-place strategies fill
 	// storage the engine carved at Reset, the bounded extreme lists never
 	// regrow, and RandomDegree rebuilds its block schedule (every third
@@ -302,8 +286,7 @@ func TestSteadyRoundAllocBudget(t *testing.T) {
 // Collector attached: the engine's emitRound builds its RoundSample on
 // the stack and the Collector's hot path is all atomics, so enabling
 // metrics must not add a single amortized allocation to the steady
-// round — on the dense path, the forced-CSR path, and receiver-parallel
-// rounds alike.
+// round — on the dense path and the forced-CSR path alike.
 func TestSteadyRoundAllocBudgetMetrics(t *testing.T) {
 	attach := func(coll *metrics.Collector) func(*sim.Config) {
 		return func(cfg *sim.Config) { cfg.Hooks.Metrics = coll }
@@ -330,25 +313,17 @@ func TestSteadyRoundAllocBudgetMetrics(t *testing.T) {
 			t.Errorf("collector saw nothing: rounds=%d delivered=%d", snap.Rounds, snap.Delivered)
 		}
 	})
-	for _, sub := range []struct {
-		name    string
-		csr     bool
-		workers int
-	}{{"er2/n=1025/csr", true, 0}, {"er2/n=1025/par", false, 2}} {
-		t.Run(sub.name, func(t *testing.T) {
-			coll := metrics.NewCollector()
-			eng := steadyEngine(t, 1025, anondyn.SparseProbabilistic(8.0/1025, 1),
-				func(cfg *sim.Config) { cfg.ForceCSR = sub.csr; cfg.RoundWorkers = sub.workers },
-				attach(coll))
-			defer eng.Close()
-			if avg := testing.AllocsPerRun(50, eng.Step); avg != 0 {
-				t.Errorf("metrics-enabled round allocated %g times per round, want 0", avg)
-			}
-			if snap := coll.Snapshot(); snap.Rounds == 0 || snap.Delivered == 0 {
-				t.Errorf("collector saw nothing: rounds=%d delivered=%d", snap.Rounds, snap.Delivered)
-			}
-		})
-	}
+	t.Run("er2/n=1025/csr", func(t *testing.T) {
+		coll := metrics.NewCollector()
+		eng := steadyEngine(t, 1025, anondyn.SparseProbabilistic(8.0/1025, 1),
+			func(cfg *sim.Config) { cfg.ForceCSR = true }, attach(coll))
+		if avg := testing.AllocsPerRun(50, eng.Step); avg != 0 {
+			t.Errorf("metrics-enabled round allocated %g times per round, want 0", avg)
+		}
+		if snap := coll.Snapshot(); snap.Rounds == 0 || snap.Delivered == 0 {
+			t.Errorf("collector saw nothing: rounds=%d delivered=%d", snap.Rounds, snap.Delivered)
+		}
+	})
 }
 
 // BenchmarkEngineSteadyRound measures one steady-state round in
@@ -382,9 +357,7 @@ func BenchmarkEngineSteadyRound(b *testing.B) {
 // 64×). Rows above the convergence horizon cap their round budget — a
 // few hundred steady rounds measure the per-round cost; running DAC to
 // decision at n=65537 would add minutes without changing the metric.
-// The /par rows shard the receiver loop across GOMAXPROCS workers
-// (equal to the sequential rows on a single-core runner; their ratio
-// on multi-core CI is the parallel speedup). The dbac rows are the
+// The dbac rows are the
 // Byzantine sweep's largest cell — DBAC at n=51 with f=10 equivocators
 // placed `middle`, 40 phases — on the complete graph and on the
 // randomized (5, ⌊(n+3f)/2⌋)-dynaDegree one: they put allocs/op and
@@ -394,7 +367,6 @@ func engineRoundCases() []struct {
 	n         int
 	f         int // > 0: DBAC with f equivocators instead of fault-free DAC
 	maxRounds int // 0: run to decision
-	workers   int // Scenario.RoundWorkers
 	adv       func() anondyn.Adversary
 } {
 	complete := func() anondyn.Adversary { return anondyn.Complete() }
@@ -407,27 +379,24 @@ func engineRoundCases() []struct {
 		n         int
 		f         int
 		maxRounds int
-		workers   int
 		adv       func() anondyn.Adversary
 	}{
-		{"n=7", 7, 0, 0, 0, complete},
-		{"n=25", 25, 0, 0, 0, complete},
-		{"n=51", 51, 0, 0, 0, complete},
-		{"n=51/p=0.5", 51, 0, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.5, 1) }},
-		{"n=51/p=0.1", 51, 0, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.1, 1) }},
-		{"n=51/d=4", 51, 0, 0, 0, d4},
-		{"dbac/n=51/f=10/complete", 51, 10, 0, 0, complete},
-		{"dbac/n=51/f=10/byzdeg", 51, 10, 0, 0, func() anondyn.Adversary { return byzDegree(51, 10) }},
-		{"n=1025/p=8n", 1025, 0, 0, 0, er2(1025)},
-		{"n=1025/d=4", 1025, 0, 0, 0, d4},
-		{"n=4097/p=8n", 4097, 0, 0, 0, er2(4097)},
-		{"n=4097/d=4", 4097, 0, 0, 0, d4},
-		{"n=16385/p=8n", 16385, 0, 256, 0, er2(16385)},
-		{"n=16385/d=4", 16385, 0, 256, 0, d4},
-		{"n=16385/p=8n/par", 16385, 0, 256, -1, er2(16385)},
-		{"n=65537/p=8n", 65537, 0, 128, 0, er2(65537)},
-		{"n=65537/d=4", 65537, 0, 128, 0, d4},
-		{"n=65537/p=8n/par", 65537, 0, 128, -1, er2(65537)},
+		{"n=7", 7, 0, 0, complete},
+		{"n=25", 25, 0, 0, complete},
+		{"n=51", 51, 0, 0, complete},
+		{"n=51/p=0.5", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.5, 1) }},
+		{"n=51/p=0.1", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.1, 1) }},
+		{"n=51/d=4", 51, 0, 0, d4},
+		{"dbac/n=51/f=10/complete", 51, 10, 0, complete},
+		{"dbac/n=51/f=10/byzdeg", 51, 10, 0, func() anondyn.Adversary { return byzDegree(51, 10) }},
+		{"n=1025/p=8n", 1025, 0, 0, er2(1025)},
+		{"n=1025/d=4", 1025, 0, 0, d4},
+		{"n=4097/p=8n", 4097, 0, 0, er2(4097)},
+		{"n=4097/d=4", 4097, 0, 0, d4},
+		{"n=16385/p=8n", 16385, 0, 256, er2(16385)},
+		{"n=16385/d=4", 16385, 0, 256, d4},
+		{"n=65537/p=8n", 65537, 0, 128, er2(65537)},
+		{"n=65537/d=4", 65537, 0, 128, d4},
 	}
 }
 
@@ -441,11 +410,10 @@ func BenchmarkEngineRound(b *testing.B) {
 			benchRuns(b, func() anondyn.Scenario {
 				s := anondyn.Scenario{
 					N: c.n, F: 0, Eps: 1e-3,
-					Algorithm:    anondyn.AlgoDAC,
-					Inputs:       anondyn.SpreadInputs(c.n),
-					Adversary:    c.adv(),
-					MaxRounds:    c.maxRounds,
-					RoundWorkers: c.workers,
+					Algorithm: anondyn.AlgoDAC,
+					Inputs:    anondyn.SpreadInputs(c.n),
+					Adversary: c.adv(),
+					MaxRounds: c.maxRounds,
 				}
 				if c.f > 0 {
 					s.F, s.Algorithm, s.PEndOverride = c.f, anondyn.AlgoDBAC, 40

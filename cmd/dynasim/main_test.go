@@ -148,7 +148,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run([]string{"-algo", "nope"}); err == nil {
 		t.Error("bad algorithm accepted")
 	}
-	// RoundWorkers is the only multi-goroutine round; there is no engine switch.
+	// The engine has one execution of a round; there is no engine switch.
 	if err := run([]string{"-concurrent"}); err == nil {
 		t.Error("-concurrent still accepted")
 	}

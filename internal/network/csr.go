@@ -34,9 +34,10 @@ const SparseThreshold = 2048
 //   - sender-major (outStart/outList): OutCSR, OutList, OutNeighbors,
 //     OutDegree, OutMissing, Has, ForEachEdge (hence Equal and Edges).
 //
-// Any mutation invalidates both. A build writes the state, so views
-// shared across goroutines must be forced before the fan-out (see
-// sim.parallelRound).
+// Any mutation invalidates both. A build writes the state, so a view
+// read on another goroutine must be forced before the hand-off (the
+// sim pipeline's build stage forces the receiver-major view of the set
+// it hands to the round).
 type csrState struct {
 	pairs []uint64 // mutation log, u<<32 | v per link (duplicates allowed)
 	built uint8    // viewIn|viewOut: the views current with the log
@@ -212,17 +213,19 @@ func (c *csrState) compact(n int, start, list []int32, keyShift uint) ([]int32, 
 	return list, int(w)
 }
 
-// sparseReset clears the log, keeping storage. The log slice is resized
-// with 50% headroom over the all-time edge high-water mark, so a
-// steady-state engine round that later sees a record edge count still
-// appends without growing — the zero-alloc round budget depends on it.
+// sparseReset clears the log, keeping storage. Once the all-time edge
+// high-water mark has eaten into the log's headroom (less than 25 %
+// left), the log is regrown to 50 % over it, so a steady-state engine
+// round that later sees a record edge count still appends without
+// growing — the zero-alloc round budget depends on it — and a record
+// beaten by a few edges costs no reallocation.
 func (e *EdgeSet) sparseReset() {
 	c := e.csr
 	if len(c.pairs) > c.maxPairs {
 		c.maxPairs = len(c.pairs)
 	}
-	if want := c.maxPairs + c.maxPairs/2; cap(c.pairs) < want {
-		c.pairs = make([]uint64, 0, want)
+	if cap(c.pairs) < c.maxPairs+c.maxPairs/4 {
+		c.pairs = make([]uint64, 0, c.maxPairs+c.maxPairs/2)
 	} else {
 		c.pairs = c.pairs[:0]
 	}

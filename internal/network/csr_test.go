@@ -206,6 +206,28 @@ func TestSparseResetKeepsZeroAllocRounds(t *testing.T) {
 	}
 }
 
+// TestSparseResetRegrowsOnlyPastHeadroom: rounds that each beat the
+// edge-count record by one pair reallocate the log at most once — a new
+// record that still fits the headroom costs no regrowth.
+func TestSparseResetRegrowsOnlyPastHeadroom(t *testing.T) {
+	const n = 2048
+	s := NewEdgeSetSparse(n)
+	changes := 0
+	for pairs := 1000; pairs <= 1100; pairs++ {
+		for k := 0; k < pairs; k++ {
+			s.AddUnchecked(k%n, (k+1)%n)
+		}
+		before := cap(s.csr.pairs)
+		s.Reset()
+		if cap(s.csr.pairs) != before {
+			changes++
+		}
+	}
+	if changes > 1 {
+		t.Errorf("101 Resets after record logs changed the log capacity %d times, want at most 1", changes)
+	}
+}
+
 // TestFillCompleteConvertsSparse checks the representation change and
 // that the converted set behaves like Complete(n).
 func TestFillCompleteConvertsSparse(t *testing.T) {

@@ -288,7 +288,7 @@ type messagesOnly struct{ fault.Strategy }
 // storage through MessagesInto and allocating through Messages are the
 // same execution. Every built-in strategy at once (n=16, f=3 rotated
 // through them in pairs), DBAC and DBACPiggyback, dense and CSR scratch,
-// sequential and receiver-parallel rounds, on a recycled engine pair so
+// on a recycled engine pair so
 // the carved storage of one run serves the next: Results, recorded
 // traces and every node's end state must be identical.
 func TestInPlaceStrategiesMatchMessagesFallback(t *testing.T) {
@@ -339,40 +339,35 @@ func TestInPlaceStrategiesMatchMessagesFallback(t *testing.T) {
 	}
 	for _, piggyback := range []bool{false, true} {
 		for _, csr := range []bool{false, true} {
-			for _, workers := range []int{0, 2} {
-				var bare, hidden *Engine
-				for trial := 0; trial < 7; trial++ {
-					bareCfg, hiddenCfg := mkConfig(trial, piggyback, false), mkConfig(trial, piggyback, true)
-					bareCfg.ForceCSR, hiddenCfg.ForceCSR = csr, csr
-					bareCfg.RoundWorkers, hiddenCfg.RoundWorkers = workers, workers
-					if bare == nil {
-						var err error
-						if bare, err = NewEngine(bareCfg); err != nil {
-							t.Fatal(err)
-						}
-						if hidden, err = NewEngine(hiddenCfg); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						if err := bare.Reset(bareCfg); err != nil {
-							t.Fatal(err)
-						}
-						if err := hidden.Reset(hiddenCfg); err != nil {
-							t.Fatal(err)
-						}
+			var bare, hidden *Engine
+			for trial := 0; trial < 7; trial++ {
+				bareCfg, hiddenCfg := mkConfig(trial, piggyback, false), mkConfig(trial, piggyback, true)
+				bareCfg.ForceCSR, hiddenCfg.ForceCSR = csr, csr
+				if bare == nil {
+					var err error
+					if bare, err = NewEngine(bareCfg); err != nil {
+						t.Fatal(err)
 					}
-					for id := range bareCfg.Byzantine {
-						if bare.byz[id].inPlace == nil || hidden.byz[id].inPlace != nil {
-							t.Fatalf("node %d: seam probe got in-place %v / %v, want true / false",
-								id, bare.byz[id].inPlace != nil, hidden.byz[id].inPlace != nil)
-						}
+					if hidden, err = NewEngine(hiddenCfg); err != nil {
+						t.Fatal(err)
 					}
-					want, got := hidden.RunRounds(rounds), bare.RunRounds(rounds)
-					assertEqualResults(t, want, got, "pb=%v csr=%v workers=%d trial %d", piggyback, csr, workers, trial)
-					assertEqualStates(t, hidden, bare, "pb=%v csr=%v workers=%d trial %d", piggyback, csr, workers, trial)
+				} else {
+					if err := bare.Reset(bareCfg); err != nil {
+						t.Fatal(err)
+					}
+					if err := hidden.Reset(hiddenCfg); err != nil {
+						t.Fatal(err)
+					}
 				}
-				bare.Close()
-				hidden.Close()
+				for id := range bareCfg.Byzantine {
+					if bare.byz[id].inPlace == nil || hidden.byz[id].inPlace != nil {
+						t.Fatalf("node %d: seam probe got in-place %v / %v, want true / false",
+							id, bare.byz[id].inPlace != nil, hidden.byz[id].inPlace != nil)
+					}
+				}
+				want, got := hidden.RunRounds(rounds), bare.RunRounds(rounds)
+				assertEqualResults(t, want, got, "pb=%v csr=%v trial %d", piggyback, csr, trial)
+				assertEqualStates(t, hidden, bare, "pb=%v csr=%v trial %d", piggyback, csr, trial)
 			}
 		}
 	}

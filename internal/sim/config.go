@@ -2,10 +2,10 @@
 // round the message adversary picks E(t), every alive node broadcasts,
 // Byzantine nodes emit per-receiver messages, and deliveries reach each
 // receiver tagged with its local port. One deterministic Engine executes
-// it; Config.RoundWorkers spreads a round's receivers over several
-// goroutines, and Run overlaps a round's delivery with building the next
-// round's graph when the adversary is oblivious and a core is idle —
-// neither changes a single result bit.
+// it, one receiver after another on the calling goroutine; Run overlaps a
+// round's delivery with building the next round's graph when the
+// adversary is oblivious and a core is idle, which changes no result
+// bit.
 package sim
 
 import (
@@ -195,26 +195,6 @@ type Config struct {
 	// KeepTrace retains the per-round edge sets in the Result for
 	// offline dynaDegree verification.
 	KeepTrace bool
-
-	// RoundWorkers shards the engine's receiver loop across a
-	// persistent worker pool: 0 (or 1) keeps the loop sequential, -1
-	// resolves to GOMAXPROCS, any other positive count is honored as
-	// given (capped at N). Delivery order, observer semantics and every
-	// Result field are bit-for-bit identical to the sequential loop —
-	// receivers are independent within a round, so contiguous receiver
-	// ranges run concurrently with engine-owned per-worker scratch.
-	// Configurations with an Observer or Recorder run sequentially
-	// regardless (their callbacks are ordered streams).
-	//
-	// A sequential round can still use a second core: Run and RunRounds
-	// build E(t+1) on a helper goroutine while round t delivers whenever
-	// the adversary is oblivious and in-place, no node is Byzantine, the
-	// edge scratch is CSR (N ≥ network.SparseThreshold, or ForceCSR) and
-	// a core is idle (2 × such runs ≤ GOMAXPROCS, process-wide). The
-	// adversary sees the same calls in the same order either way. Setting
-	// RoundWorkers > 1 replaces that pipeline with the receiver-parallel
-	// round.
-	RoundWorkers int
 
 	// ForceCSR forces the engine-owned per-round edge scratch into the
 	// sparse CSR representation regardless of N (the default switches at

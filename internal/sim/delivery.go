@@ -30,8 +30,7 @@ func fillCrashState(rounds []int, info []fault.Crash, s fault.Schedule) {
 	}
 }
 
-// Pieces of the word-wise delivery core shared by every execution of
-// the round (sequential range, parallel ranges).
+// Pieces of the word-wise delivery core.
 
 // sortDeliveriesByPort restores the documented ascending-port delivery
 // order after a node-order in-neighbor gather. Ports within one

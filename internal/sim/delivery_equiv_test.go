@@ -44,9 +44,7 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		// Half the trials force the CSR scratch: the sparse gather paths
 		// (CSR-backed InNeighborsInto, the receiver-major sparse lost
 		// count) must match the reference byte-for-byte
-		// in the faulted/ported/shuffled regime too. The Recorder keeps
-		// these runs sequential, so the parallel loop is pinned by the
-		// bare pair below.
+		// in the faulted/ported/shuffled regime too.
 		wwCfg.ForceCSR = trial%2 == 0
 		wwEng, err := NewEngine(wwCfg)
 		if err != nil {
@@ -79,25 +77,21 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		}
 		bareWW := cfg()
 		bareWW.AccountBandwidth = false
-		// Random CSR/parallel knobs: in this shape the sequential range
-		// and the receiver-parallel ranges both arm, over either
-		// representation, and each must reproduce the reference delivery
-		// stream exactly.
+		// A random representation: the fast paths over either one must
+		// reproduce the reference delivery stream exactly.
 		bareWW.ForceCSR = rng.Intn(2) == 0
-		bareWW.RoundWorkers = []int{0, -1, 2, 3, 5}[rng.Intn(5)]
 		bareWWEng, err := NewEngine(bareWW)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		rr, ww := referenceRunRounds(bareRefEng, 25), bareWWEng.RunRounds(25)
-		assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d, csr=%v, workers=%d) bare pair",
-			trial, n, seed, bareWW.ForceCSR, bareWW.RoundWorkers)
-		assertEqualStates(t, bareRefEng, bareWWEng, "trial %d (n=%d, seed=%d, csr=%v, workers=%d) bare pair",
-			trial, n, seed, bareWW.ForceCSR, bareWW.RoundWorkers)
-		bareWWEng.Close()
+		assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d, csr=%v) bare pair",
+			trial, n, seed, bareWW.ForceCSR)
+		assertEqualStates(t, bareRefEng, bareWWEng, "trial %d (n=%d, seed=%d, csr=%v) bare pair",
+			trial, n, seed, bareWW.ForceCSR)
 
 		// Fourth run, on fault-free draws: strip what disarms the sparse
-		// direct gather (ports, caps, the dense scratch, workers) so
+		// direct gather (ports, caps, the dense scratch) so
 		// deliverRange's in-CSR fill — with whichever algorithm and
 		// shuffling was drawn, seam or per-edge — meets the oracle.
 		if len(bareRef.Byzantine)+len(bareRef.Crashes) > 0 {
@@ -372,11 +366,10 @@ func TestDeliveryEquivalenceAcrossReset(t *testing.T) {
 		n := []int{5, 9, 70}[rng.Intn(3)]
 		seed := rng.Int63()
 		refCfg, wwCfg := randomDeliveryConfig(t, n, seed), randomDeliveryConfig(t, n, seed)
-		// Flip representation and worker count across Resets on the SAME
-		// engine: a recycled scratch in the wrong representation must be
-		// rebuilt, a resized worker pool re-created, with no state leak.
+		// Flip the representation across Resets on the SAME engine: a
+		// recycled scratch in the wrong representation must be rebuilt,
+		// with no state leak.
 		wwCfg.ForceCSR = rng.Intn(2) == 0
-		wwCfg.RoundWorkers = []int{0, 2, 4}[rng.Intn(3)]
 		var err error
 		if refEng == nil {
 			if refEng, err = NewEngine(refCfg); err != nil {
@@ -394,10 +387,9 @@ func TestDeliveryEquivalenceAcrossReset(t *testing.T) {
 			}
 		}
 		ref, ww := referenceRunRounds(refEng, 20), wwEng.RunRounds(20)
-		assertEqualResults(t, ref, ww, "trial %d (n=%d, seed=%d, csr=%v, workers=%d) recycled pair",
-			trial, n, seed, wwCfg.ForceCSR, wwCfg.RoundWorkers)
-		assertEqualStates(t, refEng, wwEng, "trial %d (n=%d, seed=%d, csr=%v, workers=%d) recycled pair",
-			trial, n, seed, wwCfg.ForceCSR, wwCfg.RoundWorkers)
+		assertEqualResults(t, ref, ww, "trial %d (n=%d, seed=%d, csr=%v) recycled pair",
+			trial, n, seed, wwCfg.ForceCSR)
+		assertEqualStates(t, refEng, wwEng, "trial %d (n=%d, seed=%d, csr=%v) recycled pair",
+			trial, n, seed, wwCfg.ForceCSR)
 	}
-	wwEng.Close()
 }

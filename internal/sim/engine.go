@@ -2,8 +2,6 @@ package sim
 
 import (
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"anondyn/internal/adversary"
 	"anondyn/internal/core"
@@ -52,8 +50,8 @@ type Engine struct {
 	bcastSize   []int                // wire.Size per broadcast, computed once per round
 	byzStoreBuf []core.Message       // flat backing of every byzNode.store, grown in Reset, recycled across runs
 	byzOutBuf   []*core.Message      // flat backing of the in-place senders' byzNode.out
-	scratch     []recvScratch        // per-worker receiver scratch; scratch[0] serves the sequential loop
-	seq         [1]recvScratch       // fixed backing for the sequential scratch — no slice-header alloc per build
+	deliveries  []core.Delivery      // the receiver's gather buffer, n entries
+	inbuf       []int                // in-neighbor list behind gatherInNeighbors, capacity n
 	bulk        []core.BulkDeliverer // per-node DeliverAll seam, probed once per Reset (nil: plain Deliver)
 	recvMask    []uint64             // word-wise mask of round-t-eligible receivers
 	edges       *network.EdgeSet     // engine-owned E(t) for InPlace adversaries
@@ -62,12 +60,6 @@ type Engine struct {
 	roundObs    RoundObserver        // the effective Observer's optional round hook, cached
 	needSize    bool                 // any consumer of wire sizes configured
 	hasCap      bool                 // any per-link byte budget configured
-
-	// receiver-parallel round state (see parallel.go)
-	workers   int        // resolved Config.RoundWorkers for this run
-	parRounds bool       // shard the receiver loop across the pool
-	pool      *roundPool // persistent pool; created on the first parallel round
-	wg        sync.WaitGroup
 
 	// two-stage pipeline state (see pipeline.go)
 	pipelines bool             // Run/RunRounds may build E(t+1) on a second goroutine
@@ -189,13 +181,9 @@ func (e *Engine) Reset(cfg Config) error {
 		e.crashInfo = make([]fault.Crash, n)
 		// Max in-degree is n−1: buffers sized up front so a later
 		// record-degree round can never regrow them (steady rounds stay
-		// at 0 allocs). scratch[0] serves the sequential loop; ensurePool
-		// extends the slice for parallel rounds.
-		e.seq[0] = recvScratch{
-			deliveries: make([]core.Delivery, 0, n),
-			inbuf:      make([]int, 0, n),
-		}
-		e.scratch = e.seq[:]
+		// at 0 allocs).
+		e.deliveries = make([]core.Delivery, n)
+		e.inbuf = make([]int, 0, n)
 		e.bulk = make([]core.BulkDeliverer, n)
 		e.crashSched = nil
 		e.recvMask = make([]uint64, network.MaskWords(n))
@@ -266,18 +254,6 @@ func (e *Engine) Reset(cfg Config) error {
 			e.bulk[i] = nil
 		}
 	}
-	workers := cfg.RoundWorkers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	e.workers = workers
-	// Observer/Recorder callbacks are ordered streams; those
-	// configurations keep the sequential loop regardless of the knob.
-	e.parRounds = workers > 1 && !e.trackPhases
-
 	wantSparse := cfg.ForceCSR || n >= network.SparseThreshold
 	if ip, ok := cfg.Adversary.(adversary.InPlace); ok {
 		e.inPlace = ip
@@ -302,9 +278,8 @@ func (e *Engine) Reset(cfg Config) error {
 	// Run and RunRounds build E(t+1) ahead on a second goroutine when
 	// nothing the round does can influence it — an oblivious in-place
 	// adversary and no Byzantine strategy (viewSkip: nothing reads the
-	// view) — the round is CSR-sized, and the round itself runs on one
-	// goroutine (the receiver-parallel arm already uses the cores).
-	e.pipelines = e.inPlace != nil && e.viewSkip && wantSparse && !e.parRounds
+	// view) — and the round is CSR-sized.
+	e.pipelines = e.inPlace != nil && e.viewSkip && wantSparse
 	e.roundObs, _ = e.hooks.Observer.(RoundObserver)
 	e.needSize = cfg.AccountBandwidth || cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
 	e.hasCap = cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
@@ -336,11 +311,16 @@ func (e *Engine) Reset(cfg Config) error {
 // detached from the engine: a later Reset or further rounds never
 // mutate it, so batch sinks may retain it while the engine is recycled.
 //
-// Where the configuration allows (see pipeline.go) and a core is idle,
 // Run generates each next round's graph on a second goroutine while the
-// current round delivers; the goroutine exits before Run returns. The
-// adversary may then have rendered one round past the decision round:
-// the engine keeps that graph for a later Step or RunRounds.
+// current round delivers (see pipeline.go) whenever all of these hold:
+// the adversary is oblivious and implements adversary.InPlace, no node
+// is Byzantine, the edge scratch is CSR (N ≥ network.SparseThreshold,
+// or ForceCSR), and a core is idle (2 × such runs ≤ GOMAXPROCS,
+// process-wide). The adversary sees the same calls in the same order
+// either way, so no result changes. The goroutine exits before Run
+// returns. The adversary may then have rendered one round past the
+// decision round: the engine keeps that graph for a later Step or
+// RunRounds.
 func (e *Engine) Run() *Result {
 	e.run(e.maxRounds, true)
 	return e.finish()
@@ -439,21 +419,10 @@ func (e *Engine) Step() {
 }
 
 // playRound executes round t over E(t): open it (broadcasts), run the
-// per-receiver core, close it (counters, observers). The core is
-// deliverRange, executed one of two ways: on contiguous receiver ranges
-// across the pool (RoundWorkers > 1, no Observer/Recorder), or over the
-// full range here.
+// per-receiver core (deliverRange), close it (counters, observers).
 func (e *Engine) playRound(t int, edges *network.EdgeSet) {
 	e.openRound(t, edges)
-
-	var delivered int
-	if e.parRounds {
-		delivered = e.parallelRound(t, edges)
-	} else {
-		s := &e.scratch[0]
-		e.deliverRange(t, 0, e.cfg.N, edges, s)
-		delivered = e.foldScratch(s)
-	}
+	delivered := e.deliverRange(t, edges)
 
 	// Count adversary-suppressed messages: alive sender, receiver able
 	// to receive in round t, no link. With no Byzantine nodes, no crashes
@@ -528,14 +497,6 @@ func (e *Engine) closeRound(t, delivered, lost int) {
 	e.round++
 }
 
-// foldScratch adds one receiver range's byte and oversize counters to
-// the Result and returns its delivery count.
-func (e *Engine) foldScratch(s *recvScratch) int {
-	e.result.BytesDelivered += s.bytes
-	e.result.MessagesOversized += s.oversized
-	return s.delivered
-}
-
 // emitRound feeds the metrics sink one RoundSample: counters from the
 // round just executed plus an O(n) convergence scan (running nodes,
 // decided count, value range). The scan runs only when a sink is
@@ -574,17 +535,12 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 	e.hooks.Metrics.RoundDone(s)
 }
 
-// deliverRange is the per-receiver round core over receivers [lo, hi):
-// gather the in-edges in ascending port order, optionally shuffle, hand
-// them to the algorithm, end the round. It serves the sequential loop
-// (the full range) and the parallel round (contiguous sub-ranges on
-// pool workers): receivers are independent within a round — everything
-// cross-receiver it touches is either frozen for the round (edges,
-// broadcasts, Byzantine messages, crash state) or indexed by the receiver
-// (decided/outputs/decideRound, view snapshots) — so disjoint ranges
-// compose to exactly the sequential result, in the same per-receiver
-// delivery order. The range's counters land in its own scratch; the
-// caller folds them into the Result.
+// deliverRange is the per-receiver round core, run over the whole
+// receiver range in ascending node order: gather each receiver's
+// in-edges in ascending port order, optionally shuffle, hand them to
+// the algorithm, end the receiver's round. It returns the round's
+// delivery count; the byte and oversize counters go straight into the
+// Result.
 //
 // There is one body on purpose: variants that skip the delivery buffer
 // when nothing observes deliveries measure within ±3 % of it on every
@@ -597,50 +553,47 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 // same one afterwards, so a round never pays for the sender-major
 // build; only an adversary that walks its own output (ForEachEdge, Has)
 // forces that.
-func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScratch) {
-	s.bytes, s.oversized = 0, 0
-	delivered := 0
+func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered int) {
 	liveView := !e.viewSkip
 	// The fault-free sparse round gathers straight off the receiver-major
-	// CSR view. (On a pool worker InCSR is a plain read: parallelRound
-	// forced the build before the fan-out.)
+	// CSR view.
 	direct := e.fastGather && e.allIdentity && edges.IsSparse()
 	var inStarts, inIDs []int32
-	broadcasts := e.broadcasts
+	broadcasts, deliveries := e.broadcasts, e.deliveries
 	if direct {
 		inStarts, inIDs = edges.InCSR()
 	}
-	for v := lo; v < hi; v++ {
+	for v := 0; v < e.cfg.N; v++ {
 		// A node receives in round t only if it survives the whole
 		// round: its crash round delivers nothing to it.
 		if e.isByz[v] || t >= e.crashRound[v] {
 			continue
 		}
 		proc := e.cfg.Procs[v]
+		var ds []core.Delivery
 		if direct {
 			// Every in-neighbor delivers its broadcast at port == node
-			// ID, already ascending: fill the scratch by index off the
+			// ID, already ascending: fill the buffer by index off the
 			// CSR row. The row is a handful of entries, so the batch
 			// DeliverAll folds next is still in L1.
 			row := inIDs[inStarts[v]:inStarts[v+1]]
-			ds := s.deliveries[:len(row)]
+			ds = deliveries[:len(row)]
 			for i, u := range row {
 				d := &ds[i]
 				d.Port = int(u)
 				d.Msg = broadcasts[u]
 			}
-			s.deliveries = ds
 		} else {
-			e.gatherInNeighbors(t, v, edges, s)
+			ds = e.gatherInNeighbors(t, v, edges)
 		}
 		if e.cfg.ShuffleDelivery {
-			shuffleDeliveries(s.deliveries, e.cfg.ShuffleSeed, t, v)
+			shuffleDeliveries(ds, e.cfg.ShuffleSeed, t, v)
 		}
-		delivered += len(s.deliveries)
+		delivered += len(ds)
 		if e.trackPhases {
-			// Observer/Recorder configured: sequential-only (parRounds
-			// excludes it), per-delivery probes interleaved.
-			for _, d := range s.deliveries {
+			// Observer/Recorder configured: per-delivery probes
+			// interleaved.
+			for _, d := range ds {
 				if e.hooks.Recorder != nil {
 					e.hooks.Recorder.Record(trace.Event{
 						Kind: trace.KindDeliver, Round: t, Node: v, Port: d.Port,
@@ -656,9 +609,9 @@ func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScra
 		} else if b := e.bulk[v]; b != nil {
 			// The DeliverAll seam: the receiver's whole in-edge batch in
 			// ONE dynamic call — the fold inside dispatches statically.
-			b.DeliverAll(s.deliveries)
+			b.DeliverAll(ds)
 		} else {
-			for _, d := range s.deliveries {
+			for _, d := range ds {
 				proc.Deliver(d)
 			}
 		}
@@ -670,7 +623,7 @@ func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScra
 			e.view.snaps[v] = core.Snap(proc)
 		}
 	}
-	s.delivered = delivered
+	return delivered
 }
 
 // gatherInNeighbors is the gather half of the core: it iterates only
@@ -682,15 +635,16 @@ func (e *Engine) deliverRange(t, lo, hi int, edges *network.EdgeSet, s *recvScra
 // bijection. Under the default identity numbering ascending node order
 // already IS ascending port order and the sort is skipped entirely.
 //
-// Both branches store Port and Msg field-wise into s.deliveries[k] by
-// index, as deliverRange's direct gather does: appending a composite
-// Delivery literal builds the 48-byte value on the stack and copies it,
-// and DeliverAll's loads right behind stall on that copy's store
-// forwarding (21 % of the sweep-byz-dense profile before this). The
-// scratch holds n entries and a receiver has at most n−1 in-neighbors,
-// so the index never leaves it.
-func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet, s *recvScratch) {
-	ds := s.deliveries[:cap(s.deliveries)]
+// It fills e.deliveries and returns the filled prefix. Both branches
+// store Port and Msg field-wise into the buffer by index, as
+// deliverRange's direct gather does: appending a composite Delivery
+// literal builds the 48-byte value on the stack and copies it, and
+// DeliverAll's loads right behind stall on that copy's store forwarding
+// (21 % of the sweep-byz-dense profile before this). The buffer holds n
+// entries and a receiver has at most n−1 in-neighbors, so the index
+// never leaves it.
+func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet) []core.Delivery {
+	ds := e.deliveries
 	k := 0
 	if e.fastGather && e.allIdentity && !edges.IsSparse() {
 		// No Byzantine senders, no crashes, no caps, no bandwidth
@@ -710,19 +664,18 @@ func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet, s *recvScra
 			}
 			base += 64
 		}
-		s.deliveries = ds[:k]
-		return
+		return ds[:k]
 	}
 	numbering := e.ports[v]
-	s.inbuf = edges.InNeighborsInto(v, s.inbuf[:0])
-	for _, u := range s.inbuf {
+	e.inbuf = edges.InNeighborsInto(v, e.inbuf[:0])
+	for _, u := range e.inbuf {
 		m, size, ok := e.outgoing(t, u, v)
 		if !ok {
 			continue // sender silent towards v (crashed, partial, or Byzantine nil)
 		}
 		if e.hasCap {
 			if limit := e.cfg.linkCap(u, v); limit > 0 && size > limit {
-				s.oversized++
+				e.result.MessagesOversized++
 				continue // the link cannot carry a message this large
 			}
 		}
@@ -731,13 +684,14 @@ func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet, s *recvScra
 		d.Msg = *m
 		k++
 		if e.cfg.AccountBandwidth {
-			s.bytes += size
+			e.result.BytesDelivered += size
 		}
 	}
-	s.deliveries = ds[:k]
+	ds = ds[:k]
 	if !numbering.IsIdentity() {
-		sortDeliveriesByPort(s.deliveries)
+		sortDeliveriesByPort(ds)
 	}
+	return ds
 }
 
 // notifyRoundEnd feeds the optional RoundObserver extension through a

@@ -3,9 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"anondyn/internal/adversary"
 	"anondyn/internal/fault"
@@ -13,38 +11,43 @@ import (
 )
 
 // executions are the three ways one configuration is run: the engine's
-// own path selection, the test-only reference oracle, and the engine
-// with its receiver loop spread over three pool workers.
+// own path selection, the test-only reference oracle, and the engine on
+// the CSR scratch, where Run builds each next round on a second
+// goroutine whenever the configuration can pipeline.
 var executions = []struct {
-	name    string
-	workers int
-	run     func(*Engine) *Result
+	name     string
+	forceCSR bool
+	run      func(*Engine) *Result
 }{
-	{"engine", 0, (*Engine).Run},
-	{"reference", 0, referenceRun},
-	{"workers=3", 3, (*Engine).Run},
+	{"engine", false, (*Engine).Run},
+	{"reference", false, referenceRun},
+	{"csr", true, (*Engine).Run},
 }
 
 // runThreeWays builds the configuration afresh for every execution
 // (fresh Process instances, fresh adversaries from the same factory),
 // asserts byte-identical Results and identical observer logs, and
-// returns the engine's Result. mk may attach obs or ignore it: attached,
-// it keeps the workers=3 run on the sequential loop, which is then the
-// fallback being pinned.
-func runThreeWays(t *testing.T, mk func(obs Observer) Config) *Result {
+// returns the engine's Result and the CSR execution's engine, so a case
+// that can pipeline may check that the CSR run really built ahead. mk
+// may attach obs or ignore it.
+func runThreeWays(t *testing.T, mk func(obs Observer) Config) (*Result, *Engine) {
 	t.Helper()
+	atLeastTwoProcs(t)
 	var first *Result
 	var firstLog *observerLog
+	var csr *Engine
 	for _, ex := range executions {
 		log := newObserverLog()
 		cfg := mk(log)
-		cfg.RoundWorkers = ex.workers
+		cfg.ForceCSR = ex.forceCSR
 		eng, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", ex.name, err)
 		}
 		res := ex.run(eng)
-		eng.Close()
+		if ex.forceCSR {
+			csr = eng
+		}
 		if first == nil {
 			first, firstLog = res, log
 			continue
@@ -54,7 +57,16 @@ func runThreeWays(t *testing.T, mk func(obs Observer) Config) *Result {
 			t.Errorf("observer logs differ between %s and %s", executions[0].name, ex.name)
 		}
 	}
-	return first
+	return first, csr
+}
+
+// assertBuiltAhead fails unless the CSR execution's Run rendered a
+// round on the build stage.
+func assertBuiltAhead(t *testing.T, csr *Engine) {
+	t.Helper()
+	if csr.spare == nil {
+		t.Error("the CSR run never built a round ahead")
+	}
 }
 
 func TestEquivalenceDACRotating(t *testing.T) {
@@ -70,9 +82,11 @@ func TestEquivalenceDACRotating(t *testing.T) {
 			AccountBandwidth: true,
 		}
 	}
-	if res := runThreeWays(t, mk); !res.Decided {
+	res, csr := runThreeWays(t, mk)
+	if !res.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
+	assertBuiltAhead(t, csr)
 }
 
 func TestEquivalenceDACCrashesRandomPorts(t *testing.T) {
@@ -93,9 +107,11 @@ func TestEquivalenceDACCrashesRandomPorts(t *testing.T) {
 			Ports:     network.RandomPorts(7, newRand(17)),
 		}
 	}
-	if res := runThreeWays(t, mk); !res.Decided {
+	res, csr := runThreeWays(t, mk)
+	if !res.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
+	assertBuiltAhead(t, csr)
 }
 
 func TestEquivalenceDBACByzantine(t *testing.T) {
@@ -112,7 +128,7 @@ func TestEquivalenceDBACByzantine(t *testing.T) {
 			Adversary: adversary.NewComplete(),
 		}
 	}
-	if res := runThreeWays(t, mk); !res.Decided {
+	if res, _ := runThreeWays(t, mk); !res.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
 }
@@ -130,7 +146,7 @@ func TestEquivalenceAdaptiveClustered(t *testing.T) {
 			MaxRounds: 400,
 		}
 	}
-	if res := runThreeWays(t, mk); !res.Decided {
+	if res, _ := runThreeWays(t, mk); !res.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
 }
@@ -148,7 +164,7 @@ func TestEquivalenceUndecidedRun(t *testing.T) {
 			MaxRounds: 40,
 		}
 	}
-	if res := runThreeWays(t, mk); res.Decided {
+	if res, _ := runThreeWays(t, mk); res.Decided {
 		t.Error("split scenario should not decide")
 	}
 }
@@ -185,87 +201,24 @@ func TestEquivalenceObserverStreams(t *testing.T) {
 			Hooks:     Hooks{Observer: obs},
 		}
 	}
-	if res := runThreeWays(t, mk); !res.Decided {
+	res, csr := runThreeWays(t, mk)
+	if !res.Decided {
 		t.Error("scenario never decided — equivalence test vacuous")
 	}
+	assertBuiltAhead(t, csr)
 }
 
-// TestRoundPoolNoGoroutineLeak: engines that ran parallel rounds and
-// were Closed leave no pool worker behind.
-func TestRoundPoolNoGoroutineLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		eng, err := NewEngine(Config{
-			N:            7,
-			Procs:        dacProcs(t, 7, 5, spread(7)),
-			Adversary:    adversary.NewComplete(),
-			RoundWorkers: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := eng.Run(); !res.Decided {
-			t.Fatal("undecided")
-		}
-		if eng.pool == nil {
-			t.Fatal("RoundWorkers: 4 never started the pool — leak test vacuous")
-		}
-		eng.Close()
-	}
-	// Give exiting workers a moment, then compare.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines: %d before, %d after — workers leaked", before, runtime.NumGoroutine())
-}
-
-// TestEngineCloseIdempotent: Close may be called any number of times,
-// with or without a pool, and the engine stays usable afterwards — the
-// next parallel round re-creates the pool.
-func TestEngineCloseIdempotent(t *testing.T) {
-	mk := func() Config {
-		return Config{
-			N:            3,
-			Procs:        dacProcs(t, 3, 2, []float64{0, 0.5, 1}),
-			Adversary:    adversary.NewComplete(),
-			RoundWorkers: 2,
-		}
-	}
-	eng, err := NewEngine(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Close() // no pool yet
-	first := eng.Run()
-	if !first.Decided {
-		t.Error("undecided")
-	}
-	eng.Close()
-	eng.Close()
-	if err := eng.Reset(mk()); err != nil {
-		t.Fatal(err)
-	}
-	assertEqualResults(t, first, eng.Run(), "run after Close")
-	eng.Close()
-}
-
-func TestConcurrentMatchesTheoreticalContraction(t *testing.T) {
-	// Complete graph, receivers spread over pool workers: the same
-	// optimal-rate Theorem 3 behavior as the sequential loop.
+// TestCompleteGraphMatchesTheoreticalContraction: on the complete graph
+// DAC decides in exactly pEnd rounds at the optimal Theorem 3 rate.
+func TestCompleteGraphMatchesTheoreticalContraction(t *testing.T) {
 	eng, err := NewEngine(Config{
-		N:            9,
-		Procs:        dacProcs(t, 9, 10, spread(9)),
-		Adversary:    adversary.NewComplete(),
-		RoundWorkers: 3,
+		N:         9,
+		Procs:     dacProcs(t, 9, 10, spread(9)),
+		Adversary: adversary.NewComplete(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	res := eng.Run()
 	if !res.Decided || res.Rounds != 10 {
 		t.Fatalf("rounds = %d decided = %v, want 10, true", res.Rounds, res.Decided)

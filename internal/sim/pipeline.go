@@ -16,7 +16,7 @@ import (
 // adversary sees the same EdgesInto calls in the same order as a
 // sequential run — each round once, t strictly increasing, on one
 // goroutine at a time — so results are byte-identical; only which core
-// generates a round changes.
+// generates a round changes. Engine.Run lists when it engages.
 
 // pipelineRuns counts, process-wide, the runs currently inside Run or
 // RunRounds with a configuration that can pipeline. A run builds ahead

@@ -21,20 +21,18 @@ func referenceStep(e *Engine) {
 	edges := e.roundEdges(t)
 	e.openRound(t, edges)
 
-	s := &e.scratch[0]
-	s.delivered, s.bytes, s.oversized = 0, 0, 0
+	delivered := 0
 	for v := 0; v < e.cfg.N; v++ {
 		if e.isByz[v] || t >= e.crashRound[v] {
 			continue
 		}
 		proc := e.cfg.Procs[v]
-		s.deliveries = s.deliveries[:0]
-		gatherPortLoop(e, t, v, edges, s)
+		ds := gatherPortLoop(e, t, v, edges)
 		if e.cfg.ShuffleDelivery {
-			shuffleDeliveries(s.deliveries, e.cfg.ShuffleSeed, t, v)
+			shuffleDeliveries(ds, e.cfg.ShuffleSeed, t, v)
 		}
-		s.delivered += len(s.deliveries)
-		for _, d := range s.deliveries {
+		delivered += len(ds)
+		for _, d := range ds {
 			if e.hooks.Recorder != nil {
 				e.hooks.Recorder.Record(trace.Event{
 					Kind: trace.KindDeliver, Round: t, Node: v, Port: d.Port,
@@ -50,13 +48,15 @@ func referenceStep(e *Engine) {
 		proc.EndRound()
 		e.noteDecision(v, proc, t)
 	}
-	e.closeRound(t, e.foldScratch(s), countLost(t, e.cfg.N, e.isByz, e.crashRound, edges, e.recvMask))
+	e.closeRound(t, delivered, countLost(t, e.cfg.N, e.isByz, e.crashRound, edges, e.recvMask))
 }
 
 // gatherPortLoop is the reference gather: walk all n ports in ascending
 // order and probe the edge set per sender — O(n) per receiver, delivery
-// order by construction.
-func gatherPortLoop(e *Engine, t, v int, edges *network.EdgeSet, s *recvScratch) {
+// order by construction. It appends to the engine's gather buffer and
+// adds the byte and oversize counters to the Result.
+func gatherPortLoop(e *Engine, t, v int, edges *network.EdgeSet) []core.Delivery {
+	ds := e.deliveries[:0]
 	numbering := e.ports[v]
 	for port := 0; port < e.cfg.N; port++ {
 		u := numbering.Node(port)
@@ -68,14 +68,15 @@ func gatherPortLoop(e *Engine, t, v int, edges *network.EdgeSet, s *recvScratch)
 			continue
 		}
 		if limit := e.cfg.linkCap(u, v); limit > 0 && size > limit {
-			s.oversized++
+			e.result.MessagesOversized++
 			continue
 		}
-		s.deliveries = append(s.deliveries, core.Delivery{Port: port, Msg: *m})
+		ds = append(ds, core.Delivery{Port: port, Msg: *m})
 		if e.cfg.AccountBandwidth {
-			s.bytes += size
+			e.result.BytesDelivered += size
 		}
 	}
+	return ds
 }
 
 // referenceRun mirrors Engine.Run on the oracle.

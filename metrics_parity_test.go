@@ -5,8 +5,7 @@ package anondyn_test
 //   - Parity: attaching a metrics sink NEVER perturbs results. The
 //     engine keeps Metrics out of its code-path gates, so a
 //     metrics-enabled batch must reproduce the metrics-disabled batch
-//     byte-for-byte, across the engine representation axes
-//     (ForceCSR × RoundWorkers).
+//     byte-for-byte, on either edge-set representation (ForceCSR).
 //
 //   - Determinism: the samples themselves carry no wall-clock-derived
 //     values — two runs of the same seed emit identical series, and two
@@ -27,16 +26,15 @@ import (
 // parityFamily is the fixture scenario family: n=9 DAC under the
 // seeded ER adversary with random inputs, on the representation the
 // sub-test selects.
-func parityFamily(forceCSR bool, roundWorkers int) func(int64) anondyn.Scenario {
+func parityFamily(forceCSR bool) func(int64) anondyn.Scenario {
 	return func(seed int64) anondyn.Scenario {
 		return anondyn.Scenario{
 			N: 9, Eps: 1e-3,
-			Algorithm:    anondyn.AlgoDAC,
-			Inputs:       anondyn.RandomInputs(9, seed),
-			Adversary:    anondyn.Probabilistic(0.5, seed),
-			Seed:         seed,
-			ForceCSR:     forceCSR,
-			RoundWorkers: roundWorkers,
+			Algorithm: anondyn.AlgoDAC,
+			Inputs:    anondyn.RandomInputs(9, seed),
+			Adversary: anondyn.Probabilistic(0.5, seed),
+			Seed:      seed,
+			ForceCSR:  forceCSR,
 		}
 	}
 }
@@ -78,20 +76,17 @@ func runParityBatch(t *testing.T, mk func(int64) anondyn.Scenario, sink anondyn.
 }
 
 // TestMetricsParityProperty: metrics-on and metrics-off batches are
-// byte-identical on every representation combination.
+// byte-identical on either representation.
 func TestMetricsParityProperty(t *testing.T) {
 	for _, forceCSR := range []bool{false, true} {
-		for _, roundWorkers := range []int{0, 2} {
-			name := fmt.Sprintf("csr=%v/roundworkers=%d", forceCSR, roundWorkers)
-			t.Run(name, func(t *testing.T) {
-				mk := parityFamily(forceCSR, roundWorkers)
-				off := runParityBatch(t, mk, nil)
-				on := runParityBatch(t, mk, anondyn.NewMetricsCollector())
-				if !bytes.Equal(off, on) {
-					t.Errorf("metrics-enabled rows differ from disabled rows:\noff %s\non  %s", off, on)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("csr=%v", forceCSR), func(t *testing.T) {
+			mk := parityFamily(forceCSR)
+			off := runParityBatch(t, mk, nil)
+			on := runParityBatch(t, mk, anondyn.NewMetricsCollector())
+			if !bytes.Equal(off, on) {
+				t.Errorf("metrics-enabled rows differ from disabled rows:\noff %s\non  %s", off, on)
+			}
+		})
 	}
 }
 
@@ -102,7 +97,7 @@ func seriesRun(t *testing.T, seed int64) (*metrics.SeriesSink, metrics.Snapshot)
 	t.Helper()
 	ss := &metrics.SeriesSink{}
 	coll := metrics.NewCollector()
-	mk := parityFamily(false, 0)
+	mk := parityFamily(false)
 	opts := anondyn.BatchOptions{Workers: 1, Metrics: metrics.Tee(ss, coll)}
 	err := anondyn.RunManyStream([]int64{seed, seed + 1}, mk,
 		anondyn.SinkFunc(func(int, int64, *anondyn.Result) error { return nil }), opts)

@@ -73,11 +73,6 @@ type Scenario struct {
 	// port order. Correctness never depends on the choice.
 	ShuffleDelivery bool
 
-	// RoundWorkers shards the engine's receiver loop across
-	// a persistent worker pool (0/1: sequential, -1: GOMAXPROCS);
-	// results are bit-for-bit identical. See sim.Config.RoundWorkers.
-	RoundWorkers int
-
 	// ForceCSR forces the engine's per-round edge scratch into the
 	// sparse CSR representation below the automatic size threshold;
 	// results are bit-for-bit identical. See sim.Config.ForceCSR.
@@ -185,7 +180,6 @@ func (box *engineBox) run(s Scenario) (*Result, error) {
 		LinkBandwidth:    s.LinkBandwidth,
 		ShuffleDelivery:  s.ShuffleDelivery,
 		ShuffleSeed:      s.Seed,
-		RoundWorkers:     s.RoundWorkers,
 		ForceCSR:         s.ForceCSR,
 	}
 	if box.eng == nil {

@@ -2,7 +2,6 @@ package anondyn_test
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"anondyn"
@@ -100,28 +99,6 @@ func TestScenarioDBACByzantine(t *testing.T) {
 	}
 	if res.EpsAgreement(1e-2) != (res.OutputRange() <= 1e-2) {
 		t.Error("EpsAgreement inconsistent with OutputRange")
-	}
-}
-
-// TestScenarioConcurrentMatchesSequential: spreading a round's receivers
-// over pool workers (Scenario.RoundWorkers) changes no result byte.
-func TestScenarioConcurrentMatchesSequential(t *testing.T) {
-	mk := func(workers int) *anondyn.Result {
-		res, err := anondyn.Scenario{
-			N: 9, F: 4, Eps: 1e-3,
-			Algorithm:    anondyn.AlgoDAC,
-			Inputs:       anondyn.SpreadInputs(9),
-			Adversary:    anondyn.Rotating(4),
-			Crashes:      map[int]anondyn.Crash{1: anondyn.CrashAt(2)},
-			RoundWorkers: workers,
-		}.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if seq, par := mk(0), mk(3); !reflect.DeepEqual(seq, par) {
-		t.Errorf("Results differ:\nseq %+v\npar %+v", seq, par)
 	}
 }
 

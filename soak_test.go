@@ -81,7 +81,7 @@ func soakDAC(t *testing.T, iter int, seed int64) {
 		MaxRounds:   60000,
 	}
 	if iter%10 == 0 {
-		s.RoundWorkers = 3 // sprinkle receiver-parallel rounds in
+		s.ForceCSR = true // sprinkle CSR rounds in
 	}
 	res, err := s.Run()
 	if err != nil {
