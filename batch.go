@@ -28,10 +28,10 @@ type BatchOptions struct {
 	// number of completed runs and the batch size, from one goroutine.
 	OnProgress func(done, total int)
 	// MaxPending caps the reorder window: at most this many runs may be
-	// dispatched ahead of the next result the sink is waiting for, so
-	// skewed per-run costs cannot grow collector memory with the batch
-	// size. 0 = unbounded; values below the worker count are raised to
-	// it.
+	// started ahead of the next result the sink is waiting for, so
+	// skewed per-run costs cannot grow reorder memory with the batch
+	// size. 0 = a built-in bound proportional to the worker count;
+	// values below the worker count are raised to it.
 	MaxPending int
 	// Metrics, when non-nil, watches the whole batch live: it is
 	// attached to every run's engine (unless the scenario sets its own

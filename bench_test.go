@@ -90,7 +90,9 @@ func BenchmarkF1ConvergenceCurves(b *testing.B) {
 // (workers=1). Every worker recycles its engine and, the family's runs
 // sharing one shape, its DAC processes, so this is the fully recycled
 // batch path. The per-seed results are identical by construction; the
-// ratio of the two ns/op figures is the parallel speedup.
+// ratio of the two ns/op figures is the parallel speedup. The pool sizes
+// are fixed so the row names do not depend on the host's GOMAXPROCS;
+// run with -cpu 2 (or more) for workers=2 to have two cores.
 func BenchmarkRunManyParallel(b *testing.B) {
 	const batch = 1000
 	family := func(seed int64) anondyn.Scenario {
@@ -103,11 +105,7 @@ func BenchmarkRunManyParallel(b *testing.B) {
 			MaxRounds: 5000,
 		}
 	}
-	pools := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		pools = append(pools, n)
-	}
-	for _, workers := range pools {
+	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

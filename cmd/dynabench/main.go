@@ -22,6 +22,11 @@
 // gracefully — finish the shard in flight, announce the leave, exit.
 // -token carries the shared secret of the shard handshake.
 //
+// -cpuprofile writes a CPU profile of the whole run, in any mode
+// (workers included), to a file (read it with go tool pprof),
+// -exectrace a runtime execution trace (go tool trace); an uncreatable
+// path fails before anything runs.
+//
 // Usage:
 //
 //	dynabench                      # run every experiment
@@ -85,6 +90,7 @@ func run(args []string) (err error) {
 		specFile   = fs.String("spec", "", "run the sweep defined in this YAML/JSON scenario file")
 		specDir    = fs.String("spec-dir", "", "run every scenario file (*.yaml, *.yml, *.json) in this directory")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
+		execTrace  = fs.String("exectrace", "", "write a runtime execution trace of the whole run to this file (read it with go tool trace)")
 		validate   = fs.Bool("validate", false, "with -spec/-spec-dir: parse, validate and compile the spec(s), then exit without running")
 		saveSpec   = fs.String("save-spec", "", "with -sweep: additionally write the sweep as a spec file")
 		serveAddr  = fs.String("serve", "", "run as a distributed sweep worker on this address (shards arrive from dynagrid; -workers sizes the per-shard pool)")
@@ -103,6 +109,15 @@ func run(args []string) (err error) {
 	}
 	defer func() {
 		if cerr := stopProfile(); err == nil {
+			err = cerr
+		}
+	}()
+	stopTrace, err := metrics.StartExecTrace(*execTrace)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := stopTrace(); err == nil {
 			err = cerr
 		}
 	}()

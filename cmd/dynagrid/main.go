@@ -90,7 +90,7 @@ func run(args []string) (err error) {
 		workers    = fs.String("workers", "", "comma-separated worker addresses (dynabench -serve endpoints; required for one-shot runs, optional seed fleet with -serve-coordinator)")
 		shardsN    = fs.Int("shards", 0, "target shard count per sweep (0 = sized from the fleet)")
 		seedsN     = fs.Int("seeds", 0, "override the spec's seeds_per_cell (0 = use the file's)")
-		maxPending = fs.Int("maxpending", 0, "per-shard reorder window on the workers (0 = unbounded)")
+		maxPending = fs.Int("maxpending", 0, "per-shard reorder window on the workers (0 = the built-in bound, a multiple of each worker's pool size)")
 		timeout    = fs.Duration("timeout", shard.DefaultIOTimeout, "per-frame I/O bound (for a record stream: the gap between records)")
 		reportOut  = fs.String("report", "", `"csv"/"json"/"html" for stdout, or a path (.csv/.html → that format, else JSON); with -spec-dir, one file per spec plus an HTML index`)
 		metricsOut = fs.String("metrics", "", "stream live metrics snapshots (incl. per-shard worker telemetry) as NDJSON to this file or host:port address")

@@ -4,17 +4,19 @@
 // all funnel through Run or RunPooled.
 //
 // The contract is determinism first: tasks are independent and seeded,
-// workers execute them in whatever order scheduling allows, and the
-// collector re-orders completions so the sink observes results in
-// strict index order (0, 1, 2, …). The output of a batch is therefore
-// byte-identical regardless of worker count or completion order.
+// workers claim indices from a shared counter and execute them in
+// whatever order scheduling allows, and the calling goroutine re-orders
+// completions so the sink observes results in strict index order
+// (0, 1, 2, …). The output of a batch is therefore byte-identical
+// regardless of worker count or completion order.
 //
 // Aggregation is streaming: the sink consumes each result as soon as
-// its turn comes and the harness retains nothing afterwards, so memory
-// stays bounded by the in-flight window (worker count plus completion
-// skew, or the hard Options.MaxPending cap) rather than the batch
-// size. Retaining every result is an opt-in sink policy, not a harness
-// property.
+// its turn comes and the harness retains nothing afterwards. Workers
+// may run at most a fixed window of tasks ahead of the result the sink
+// is waiting for (Options.MaxPending, or a built-in multiple of the
+// worker count), so memory stays bounded by that window rather than
+// the batch size. Retaining every result is an opt-in sink policy, not
+// a harness property.
 package harness
 
 import (
@@ -22,11 +24,18 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // maxCollectedErrors bounds how many per-task errors a batch retains
 // verbatim; beyond it, only the count is reported.
 const maxCollectedErrors = 16
+
+// runAheadPerWorker sizes the window when Options.MaxPending is 0: each
+// worker may run this many tasks ahead of the sink on average. Small
+// enough to bound memory, large enough that a worker rarely waits for
+// the calling goroutine to consume a result.
+const runAheadPerWorker = 32
 
 // PoolObserver watches the lifecycle of one batch's worker pool — the
 // utilization half of the metrics layer. Implementations must be safe
@@ -54,13 +63,12 @@ type Options struct {
 	// and the batch size. Calls happen from one goroutine, in index
 	// order — a progress bar needs no locking.
 	OnProgress func(done, total int)
-	// MaxPending bounds the collector's reorder window: at most this
-	// many tasks may be dispatched beyond the next index the sink is
-	// waiting for, so one slow task can hold back at most MaxPending−1
-	// finished results instead of letting highly skewed per-task costs
-	// grow the window with the batch size. 0 means unbounded. Values
-	// below the worker count are raised to it, so bounding the window
-	// never idles the pool.
+	// MaxPending bounds the reorder window: at most this many tasks may
+	// be claimed beyond the next index the sink is waiting for, so one
+	// slow task can hold back at most MaxPending−1 finished results
+	// however skewed the per-task costs. 0 means a built-in bound that
+	// scales with the worker count. Values below the worker count are
+	// raised to it, so bounding the window never idles the pool.
 	MaxPending int
 	// Observer, when non-nil, receives pool-size and busy-worker
 	// telemetry. Purely observational: it never affects scheduling,
@@ -87,8 +95,9 @@ func (o Options) workers(n int) int {
 // opts.Retries times on error. A task that exhausts its retries has
 // its error collected — the batch keeps going — and its sink call is
 // skipped. A sink error aborts the batch: no further sink calls, no
-// new task dispatch; only already-dispatched tasks drain. Run returns
-// all collected errors joined, or nil.
+// new task claims; tasks already running finish and their results are
+// dropped. Run returns, once every worker has exited, all collected
+// errors joined, or nil.
 func Run[T any](n int, task func(i int) (T, error), sink func(i int, v T) error, opts Options) error {
 	return RunPooled(n,
 		func() (struct{}, error) { return struct{}{}, nil },
@@ -121,26 +130,26 @@ func RunPooled[S, T any](n int, newState func() (S, error), task func(state S, i
 		i   int
 		v   T
 		err error
+		ok  bool // set on delivery; distinguishes a filled ring slot
 	}
 	workers := opts.workers(n)
 	if opts.Observer != nil {
 		opts.Observer.PoolStart(workers)
 	}
-	indices := make(chan int)
-	done := make(chan item, workers)
-	stop := make(chan struct{}) // closed on sink error: halt dispatch
-
-	// The reorder window: dispatch acquires a slot per task, the
-	// collector frees it when the task's result is consumed in order,
-	// so dispatched-but-unconsumed tasks never exceed the window.
-	var window chan struct{}
-	if opts.MaxPending > 0 {
-		size := opts.MaxPending
-		if size < workers {
-			size = workers
-		}
-		window = make(chan struct{}, size)
+	size := opts.MaxPending
+	if size <= 0 {
+		size = runAheadPerWorker * workers
 	}
+	size = min(max(size, workers), n)
+
+	// The reorder window: a worker takes a slot before it claims an
+	// index and the calling goroutine frees it once that index's result
+	// is consumed in order, so claimed-but-unconsumed tasks never exceed
+	// size. done is as large as the window, so a delivery never blocks.
+	window := make(chan struct{}, size)
+	done := make(chan item, size)
+	stop := make(chan struct{}) // closed once the sink is done: no new claims
+	var claimed atomic.Int64
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -148,10 +157,18 @@ func RunPooled[S, T any](n int, newState func() (S, error), task func(state S, i
 		go func() {
 			defer wg.Done()
 			state, stateErr := newState()
-			for i := range indices {
+			for {
+				select {
+				case window <- struct{}{}:
+				case <-stop:
+					return
+				}
+				i := int(claimed.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				if stateErr != nil {
-					var zero T
-					done <- item{i: i, v: zero, err: fmt.Errorf("worker state: %w", stateErr)}
+					done <- item{i: i, err: fmt.Errorf("worker state: %w", stateErr), ok: true}
 					continue
 				}
 				if opts.Observer != nil {
@@ -161,70 +178,42 @@ func RunPooled[S, T any](n int, newState func() (S, error), task func(state S, i
 				if opts.Observer != nil {
 					opts.Observer.WorkerBusy(-1)
 				}
-				done <- item{i: i, v: v, err: err}
+				done <- item{i: i, v: v, err: err, ok: true}
 			}
 		}()
 	}
-	go func() {
-		defer func() {
-			close(indices)
-			wg.Wait()
-			close(done)
-		}()
-		for i := 0; i < n; i++ {
-			if window != nil {
-				select {
-				case window <- struct{}{}:
-				case <-stop:
-					return
-				}
-			}
-			select {
-			case indices <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
 
-	// Collector: re-order completions so the sink sees index order.
-	// The buffer holds only results that finished ahead of their turn,
-	// so it stays small when task costs are comparable.
-	pending := make(map[int]item)
+	// Re-order completions so the sink sees index order. Every pending
+	// index lies in [next, next+size), so a ring of size slots holds
+	// them all.
+	ring := make([]item, size)
 	next := 0
 	var taskErrs []error
 	dropped := 0
 	var sinkErr error
-	for it := range done {
-		pending[it.i] = it
-		for {
-			cur, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			switch {
-			case cur.err != nil:
+	for next < n && sinkErr == nil {
+		it := <-done
+		ring[it.i%size] = it
+		for cur := &ring[next%size]; cur.ok && sinkErr == nil; cur = &ring[next%size] {
+			if cur.err != nil {
 				if len(taskErrs) < maxCollectedErrors {
 					taskErrs = append(taskErrs, fmt.Errorf("task %d: %w", cur.i, cur.err))
 				} else {
 					dropped++
 				}
-			case sinkErr == nil:
-				if err := sink(cur.i, cur.v); err != nil {
-					sinkErr = fmt.Errorf("sink at task %d: %w", cur.i, err)
-					close(stop)
-				}
+			} else if err := sink(cur.i, cur.v); err != nil {
+				sinkErr = fmt.Errorf("sink at task %d: %w", cur.i, err)
 			}
+			*cur = item{}
 			next++
-			if window != nil {
-				<-window
-			}
+			<-window
 			if opts.OnProgress != nil {
 				opts.OnProgress(next, n)
 			}
 		}
 	}
+	close(stop)
+	wg.Wait()
 	if dropped > 0 {
 		taskErrs = append(taskErrs, fmt.Errorf("%d further task errors omitted", dropped))
 	}

@@ -140,8 +140,8 @@ func TestRunSinkErrorStopsDeliveries(t *testing.T) {
 	}
 }
 
-// TestRunSinkErrorHaltsDispatch: after a sink failure no new tasks are
-// handed to the pool — only the few already in flight drain.
+// TestRunSinkErrorHaltsDispatch: after a sink failure workers claim no
+// new tasks — only the few within the run-ahead window ran.
 func TestRunSinkErrorHaltsDispatch(t *testing.T) {
 	const n = 100
 	var mu sync.Mutex
@@ -298,14 +298,26 @@ func TestRunPooledOrderMatchesRun(t *testing.T) {
 }
 
 // TestRunMaxPendingBoundsWindow pins the bounded-reorder contract:
-// with task 0 stalled, dispatch may run at most MaxPending tasks ahead
+// with task 0 stalled, workers may claim at most MaxPending tasks ahead
 // of the sink, however large the batch.
 func TestRunMaxPendingBoundsWindow(t *testing.T) {
-	const (
-		n          = 128
-		workers    = 4
-		maxPending = 8
-	)
+	assertWindow(t, Options{Workers: 4, MaxPending: 8}, 8)
+}
+
+// TestRunDefaultWindowBoundsRunAhead: with MaxPending 0 the built-in
+// run-ahead bound caps how far workers get past a stalled task.
+func TestRunDefaultWindowBoundsRunAhead(t *testing.T) {
+	const workers = 4
+	assertWindow(t, Options{Workers: workers}, runAheadPerWorker*workers)
+}
+
+// assertWindow stalls task 0 of a batch four times the window and
+// checks that exactly window tasks start before the pool stops
+// claiming, then releases the stall and checks the full, ordered
+// delivery.
+func assertWindow(t *testing.T, opts Options, window int) {
+	t.Helper()
+	n := 4 * window
 	release := make(chan struct{})
 	started := make(chan int, n)
 	var got []int
@@ -320,25 +332,25 @@ func TestRunMaxPendingBoundsWindow(t *testing.T) {
 				return i, nil
 			},
 			func(i, v int) error { got = append(got, v); return nil },
-			Options{Workers: workers, MaxPending: maxPending})
+			opts)
 	}()
 
-	// Drain task starts until dispatch stalls on the full window. With
-	// index 0 never consumed, no slot frees, so at most maxPending
-	// tasks can ever start.
+	// Drain task starts until the pool stalls on the full window. With
+	// index 0 never consumed, no slot frees, so at most window tasks can
+	// ever start.
 	seen := 0
 	for timeout := time.After(5 * time.Second); ; {
 		select {
 		case <-started:
 			seen++
-			if seen > maxPending {
+			if seen > window {
 				close(release)
-				t.Fatalf("%d tasks started with MaxPending=%d", seen, maxPending)
+				t.Fatalf("%d tasks started with a window of %d", seen, window)
 			}
 		case <-timeout:
-			t.Fatalf("pool stalled before filling the window (%d started)", seen)
+			t.Fatalf("pool stalled before filling the window (%d of %d started)", seen, window)
 		case <-time.After(50 * time.Millisecond):
-			if seen == maxPending {
+			if seen == window {
 				close(release)
 				if err := <-errc; err != nil {
 					t.Fatal(err)
@@ -357,20 +369,65 @@ func TestRunMaxPendingBoundsWindow(t *testing.T) {
 	}
 }
 
+// TestRunPooledLeavesNoGoroutines: RunPooled returns only after every
+// goroutine it started has exited, on every exit path and whether the
+// window is the built-in one or MaxPending's.
+func TestRunPooledLeavesNoGoroutines(t *testing.T) {
+	// One P makes the count exact: the last worker's wg.Done readies the
+	// caller on that worker's P, which runs the caller only once the
+	// worker has exited. With more Ps an idle one may resume the caller
+	// while the worker is still tearing down.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.Gosched() // let goroutines that earlier tests left exiting finish
+	const n = 200
+	boom := errors.New("boom")
+	okState := func() (int, error) { return 0, nil }
+	okTask := func(_ int, i int) (int, error) { return i, nil }
+	sinkFailsAt := func(at int) func(i, v int) error {
+		return func(i, v int) error {
+			if i == at {
+				return boom
+			}
+			return nil
+		}
+	}
+	cases := []struct {
+		name     string
+		newState func() (int, error)
+		task     func(int, int) (int, error)
+		sink     func(i, v int) error
+		wantErr  bool
+	}{
+		{"success", okState, okTask, nil, false},
+		{"task errors", okState, func(_ int, i int) (int, error) {
+			if i%3 == 0 {
+				return 0, boom
+			}
+			return i, nil
+		}, nil, true},
+		{"sink error at task 0", okState, okTask, sinkFailsAt(0), true},
+		{"sink error mid-batch", okState, okTask, sinkFailsAt(n / 2), true},
+		{"newState error", func() (int, error) { return 0, boom }, okTask, nil, true},
+	}
+	for _, c := range cases {
+		for _, maxPending := range []int{0, 4} {
+			before := runtime.NumGoroutine()
+			err := RunPooled(n, c.newState, c.task, c.sink, Options{Workers: 4, MaxPending: maxPending})
+			after := runtime.NumGoroutine()
+			if (err != nil) != c.wantErr {
+				t.Errorf("%s, MaxPending=%d: err = %v", c.name, maxPending, err)
+			}
+			if after != before {
+				t.Errorf("%s, MaxPending=%d: %d goroutines before, %d after return", c.name, maxPending, before, after)
+			}
+		}
+	}
+}
+
 // TestRunMaxPendingBelowWorkers: a window smaller than the pool is
 // raised to the pool size rather than starving it.
 func TestRunMaxPendingBelowWorkers(t *testing.T) {
-	got := 0
-	err := Run(64,
-		func(i int) (int, error) { return i, nil },
-		func(i, v int) error { got++; return nil },
-		Options{Workers: 8, MaxPending: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 64 {
-		t.Fatalf("delivered %d results, want 64", got)
-	}
+	assertWindow(t, Options{Workers: 8, MaxPending: 1}, 8)
 }
 
 // TestRunMaxPendingSinkError: a bounded window must not deadlock the

@@ -26,7 +26,7 @@ type Options struct {
 	// both sides of the wire.
 	SeedsPerCell int
 	// MaxPending bounds each worker's per-shard reorder window
-	// (harness.Options.MaxPending; 0 = unbounded).
+	// (harness.Options.MaxPending; 0 = the harness's built-in bound).
 	MaxPending int
 	// Token is the shared secret presented in every worker handshake;
 	// empty disables auth (both sides must agree).

@@ -52,7 +52,7 @@ type ShardTask struct {
 	// with every task.
 	SeedsPerCell int
 	// MaxPending bounds the worker's reorder window for this shard
-	// (harness.Options.MaxPending; 0 = unbounded).
+	// (harness.Options.MaxPending; 0 = the harness's built-in bound).
 	MaxPending int
 	// MetricsEveryRuns, when > 0, asks the worker to interleave one
 	// telemetry frame into the record stream every that-many completed
