@@ -9,9 +9,10 @@
 // cell, optionally as JSON.
 //
 // Declarative sweeps: -spec runs a committed YAML/JSON scenario file,
-// -spec-dir runs a whole directory of them (the CI smoke job), and
-// -save-spec writes the -sweep flags back out as a spec file, so every
-// flag-driven sweep can become a reviewable artifact.
+// -spec-dir runs a whole directory of them (the CI smoke job). -sweep
+// compiles its axis flags into the same declarative sweep and runs
+// that; -save-spec writes it out as a spec file, so every flag-driven
+// sweep can become a reviewable artifact.
 //
 // -serve turns the process into a distributed sweep worker: it listens
 // for a dynagrid coordinator and executes the shards it is sent —
@@ -306,63 +307,68 @@ type sweepFlags struct {
 	saveSpec                  string
 }
 
-// runSweep builds the Grid from the axis flags, optionally saves it as
-// a spec file, runs it on the worker pool, prints one aggregate row
+// runSweep compiles the axis flags into a sweep, optionally saves it
+// as a spec file, runs it on the worker pool, prints one aggregate row
 // per cell, and optionally writes the report.
 func runSweep(sf sweepFlags, coll *metrics.Collector) error {
-	grid, err := sf.grid()
+	sw, err := sf.sweep()
 	if err != nil {
 		return err
 	}
+	grid, err := sw.Grid()
+	if err != nil {
+		return err
+	}
+	target := report.ParseTarget(sf.reportOut)
 	if sf.saveSpec != "" {
-		if err := writeGridSpec(grid, sf.saveSpec); err != nil {
+		if err := os.WriteFile(sf.saveSpec, sw.Encode(), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("(spec written to %s)\n", sf.saveSpec)
+		note := os.Stdout
+		if target.Stdout() {
+			note = os.Stderr // stdout carries the report document
+		}
+		fmt.Fprintf(note, "(spec written to %s)\n", sf.saveSpec)
 	}
 	title := fmt.Sprintf("sweep: %d cells × %d seeds", len(grid.Cells()), max(sf.seeds, 1))
-	return printSweep(grid, title, nil, sf.workers, report.ParseTarget(sf.reportOut), coll)
+	return printSweep(grid, title, nil, sf.workers, target, coll)
 }
 
-// grid assembles the sweep Grid from the axis flags.
-func (sf sweepFlags) grid() (anondyn.Grid, error) {
-	var grid anondyn.Grid
+// sweep compiles the axis flags into the declarative sweep that runs
+// and that -save-spec writes. The sweep passes through Encode and
+// Parse, so the flags meet the checks a spec file meets.
+func (sf sweepFlags) sweep() (*spec.Sweep, error) {
 	ns, err := parseInts(sf.ns)
 	if err != nil {
-		return grid, fmt.Errorf("-ns: %w", err)
+		return nil, fmt.Errorf("-ns: %w", err)
 	}
 	fbounds, err := parseInts(sf.fs)
 	if err != nil {
-		return grid, fmt.Errorf("-fs: %w", err)
+		return nil, fmt.Errorf("-fs: %w", err)
 	}
 	epss, err := parseFloats(sf.epss)
 	if err != nil {
-		return grid, fmt.Errorf("-epss: %w", err)
+		return nil, fmt.Errorf("-epss: %w", err)
 	}
-	var algos []anondyn.Algo
-	for _, name := range strings.Split(sf.algos, ",") {
-		a, err := anondyn.ParseAlgo(strings.TrimSpace(name))
-		if err != nil {
-			return grid, err
-		}
-		algos = append(algos, a)
-	}
-	var advs []anondyn.AdversaryFactory
-	for _, tok := range splitAdvSpecs(sf.advs) {
-		f, err := anondyn.ParseAdversaryFactory(tok)
-		if err != nil {
-			return grid, err
-		}
-		advs = append(advs, f)
-	}
-	return anondyn.Grid{
-		Ns: ns, Fs: fbounds, Epss: epss,
-		Algorithms:   algos,
-		Adversaries:  advs,
+	sw := &spec.Sweep{
+		Ns:           ns,
+		Epss:         epss,
+		Adversaries:  splitAdvSpecs(sf.advs),
 		SeedsPerCell: sf.seeds,
 		BaseSeed:     sf.baseSeed,
 		MaxRounds:    sf.maxRounds,
-	}, nil
+	}
+	for _, f := range fbounds {
+		sw.Fs = append(sw.Fs, spec.Bound{Lit: f})
+	}
+	for _, name := range strings.Split(sf.algos, ",") {
+		sw.Algorithms = append(sw.Algorithms, strings.ToLower(strings.TrimSpace(name)))
+	}
+	if sf.saveSpec != "" {
+		sw.Name = strings.TrimSuffix(filepath.Base(sf.saveSpec), filepath.Ext(sf.saveSpec))
+		sw.Description = "saved from dynabench -sweep flags"
+	}
+	return spec.Parse(sw.Encode())
 }
 
 // splitAdvSpecs splits the -advs list, letting the commas inside
@@ -390,17 +396,6 @@ func splitAdvSpecs(list string) []string {
 		specs = append(specs, tok)
 	}
 	return specs
-}
-
-// writeGridSpec captures a flag-built grid as a spec file.
-func writeGridSpec(grid anondyn.Grid, path string) error {
-	sw, err := spec.FromGrid(grid)
-	if err != nil {
-		return err
-	}
-	sw.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	sw.Description = "saved from dynabench -sweep flags"
-	return os.WriteFile(path, sw.Encode(), 0o644)
 }
 
 // printSweep runs one grid, prints the aggregate table (unless a

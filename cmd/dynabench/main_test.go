@@ -370,3 +370,37 @@ func assertPprof(t *testing.T, path string) {
 		t.Fatalf("%s: profile inflates to %d bytes (err %v)", path, len(body), err)
 	}
 }
+
+// TestStdoutReportWithSaveSpec: with a stdout report target, stdout
+// carries the report document and nothing else, even when -save-spec
+// writes a file alongside it.
+func TestStdoutReportWithSaveSpec(t *testing.T) {
+	dir := t.TempDir()
+	saved := filepath.Join(dir, "b.yaml")
+	tmp, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	stdout := os.Stdout
+	os.Stdout = tmp
+	err = run([]string{"-sweep", "-ns", "5", "-seeds", "2", "-save-spec", saved, "-report", "json"})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep report.Sweep
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("stdout is not the JSON report: %v\n%s", err, data)
+	}
+	if len(rep.Cells) != 1 || rep.Cells[0].Runs != 2 {
+		t.Errorf("report cells = %+v, want one cell of 2 runs", rep.Cells)
+	}
+	if _, err := os.Stat(saved); err != nil {
+		t.Errorf("spec not written: %v", err)
+	}
+}

@@ -8,9 +8,10 @@
 // for a self-contained HTML page, anything else JSON). -metrics streams
 // live telemetry snapshots as NDJSON to a file or TCP address.
 //
-// -save-spec writes the flag configuration out as a declarative sweep
-// file (a 1-cell matrix), and -spec runs such a file — the same format
-// dynabench sweeps and the committed examples/specs artifacts use.
+// The scenario flags compile to a declarative sweep (a 1-cell matrix)
+// in the format dynabench sweeps and the committed examples/specs
+// artifacts use, and dynasim runs exactly that sweep: -save-spec writes
+// it to a file, and -spec runs such a file.
 //
 // Examples:
 //
@@ -49,42 +50,72 @@ func main() {
 	}
 }
 
-func run(args []string) (err error) {
+// flags holds dynasim's command line.
+type flags struct {
+	algo, adversary, crash, byz, inputs   string
+	n, f, window, megaT, pEnd, rounds     int
+	eps                                   float64
+	seed                                  int64
+	randPorts, shuffle, series, validate  bool
+	maxBytes, seeds, workers              int
+	trace, report, metrics                string
+	spec, saveSpec, cpuProfile, execTrace string
+	seedsSet                              bool // -seeds given explicitly
+}
+
+// parseFlags reads the command line into flags.
+func parseFlags(args []string) (*flags, error) {
+	fl := &flags{}
 	fs := flag.NewFlagSet("dynasim", flag.ContinueOnError)
-	var (
-		algoName   = fs.String("algo", "dac", "algorithm: dac, dbac, dbac-pb, megaround, fullinfo, reliter, bacrel, floodmin")
-		n          = fs.Int("n", 7, "network size")
-		f          = fs.Int("f", 0, "fault bound")
-		eps        = fs.Float64("eps", 1e-3, "ε of ε-agreement")
-		advSpec    = fs.String("adversary", "complete", "complete | fig1 | halves | chasemin | isolate:<node> | er:<p> | rotating:<d> | clustered:<T> | random:<B>,<D> | starve:<d>")
-		crashSpec  = fs.String("crash", "", "crash schedule: node@round[,node@round...]")
-		byzSpec    = fs.String("byz", "", "byzantine nodes: node:strategy[:<arg>][,...]; strategies: silent, extremist:<v>, equivocate, noise, laggard:<v>, mimic:<t>")
-		window     = fs.Int("window", 0, "piggyback window K (dbac-pb)")
-		megaT      = fs.Int("megat", 2, "block length T (megaround)")
-		pEnd       = fs.Int("pend", 0, "explicit phase budget (overrides ε-derived p_end)")
-		maxRounds  = fs.Int("rounds", 0, "round budget (0 = engine default)")
-		seed       = fs.Int64("seed", 1, "seed for random ports / adversaries")
-		randPorts  = fs.Bool("randports", false, "use random per-node port numberings")
-		inputSpec  = fs.String("inputs", "spread", "spread | split:<k> | random")
-		traceOut   = fs.String("trace", "", "write the execution event log (JSONL) to this file")
-		showSeries = fs.Bool("series", false, "print the per-round convergence curve (log-scale sparkline)")
-		maxBytes   = fs.Int("maxbytes", 0, "per-link bandwidth budget in bytes (0 = unlimited)")
-		shuffle    = fs.Bool("shuffle", false, "randomize intra-round delivery order (seeded)")
-		seedsN     = fs.Int("seeds", 1, "number of seeded runs; > 1 switches to Monte-Carlo batch mode (with -spec: override the file's seeds_per_cell)")
-		workers    = fs.Int("workers", 0, "batch worker-pool size (0 = GOMAXPROCS)")
-		reportOut  = fs.String("report", "", `batch report (implies batch mode): "csv"/"json"/"html" for stdout, or a path (.csv/.html → that format, else JSON)`)
-		metricsOut = fs.String("metrics", "", "stream live metrics snapshots as NDJSON to this file or host:port address")
-		specFile   = fs.String("spec", "", "run the sweep defined in this YAML/JSON scenario file instead of the flag scenario")
-		saveSpec   = fs.String("save-spec", "", "write the flag scenario as a declarative spec file before running")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
-		execTrace  = fs.String("exectrace", "", "write a runtime execution trace of the whole run to this file (read it with go tool trace)")
-		validate   = fs.Bool("validate", false, "with -spec: parse, validate and compile the spec, then exit without running")
-	)
+	fs.StringVar(&fl.algo, "algo", "dac", "algorithm: dac, dbac, dbac-pb, megaround, fullinfo, reliter, bacrel, floodmin")
+	fs.IntVar(&fl.n, "n", 7, "network size")
+	fs.IntVar(&fl.f, "f", 0, "fault bound")
+	fs.Float64Var(&fl.eps, "eps", 1e-3, "ε of ε-agreement")
+	fs.StringVar(&fl.adversary, "adversary", "complete", "complete | fig1 | halves | chasemin | isolate:<node> | er:<p> | rotating:<d> | clustered:<T> | random:<B>,<D> | starve:<d>")
+	fs.StringVar(&fl.crash, "crash", "", "crash schedule: node@round[,node@round...]")
+	fs.StringVar(&fl.byz, "byz", "", "byzantine nodes: node:strategy[:<arg>][,...]; strategies: silent, extremist:<v>, equivocate, noise, laggard:<v>, mimic:<t>")
+	fs.IntVar(&fl.window, "window", 0, "piggyback window K (dbac-pb)")
+	fs.IntVar(&fl.megaT, "megat", 2, "block length T (megaround)")
+	fs.IntVar(&fl.pEnd, "pend", 0, "explicit phase budget (overrides ε-derived p_end)")
+	fs.IntVar(&fl.rounds, "rounds", 0, "round budget (0 = engine default)")
+	fs.Int64Var(&fl.seed, "seed", 1, "seed for random ports / adversaries")
+	fs.BoolVar(&fl.randPorts, "randports", false, "use random per-node port numberings")
+	fs.StringVar(&fl.inputs, "inputs", "spread", "spread | split:<k> | random")
+	fs.StringVar(&fl.trace, "trace", "", "write the execution event log (JSONL) to this file")
+	fs.BoolVar(&fl.series, "series", false, "print the per-round convergence curve (log-scale sparkline)")
+	fs.IntVar(&fl.maxBytes, "maxbytes", 0, "per-link bandwidth budget in bytes (0 = unlimited)")
+	fs.BoolVar(&fl.shuffle, "shuffle", false, "randomize intra-round delivery order (seeded)")
+	fs.IntVar(&fl.seeds, "seeds", 1, "number of seeded runs; > 1 switches to Monte-Carlo batch mode (with -spec: override the file's seeds_per_cell)")
+	fs.IntVar(&fl.workers, "workers", 0, "batch worker-pool size (0 = GOMAXPROCS)")
+	fs.StringVar(&fl.report, "report", "", `batch report (implies batch mode): "csv"/"json"/"html" for stdout, or a path (.csv/.html → that format, else JSON)`)
+	fs.StringVar(&fl.metrics, "metrics", "", "stream live metrics snapshots as NDJSON to this file or host:port address")
+	fs.StringVar(&fl.spec, "spec", "", "run the sweep defined in this YAML/JSON scenario file instead of the flag scenario")
+	fs.StringVar(&fl.saveSpec, "save-spec", "", "write the flag scenario as a declarative spec file before running")
+	fs.StringVar(&fl.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
+	fs.StringVar(&fl.execTrace, "exectrace", "", "write a runtime execution trace of the whole run to this file (read it with go tool trace)")
+	fs.BoolVar(&fl.validate, "validate", false, "with -spec: parse, validate and compile the spec, then exit without running")
 	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seeds" {
+			fl.seedsSet = true
+		}
+	})
+	return fl, nil
+}
+
+// batch reports whether the flags ask for a Monte-Carlo batch rather
+// than one observed run.
+func (fl *flags) batch() bool { return fl.seeds > 1 || fl.report != "" }
+
+func run(args []string) (err error) {
+	fl, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
 
-	stopProfile, err := metrics.StartCPUProfile(*cpuProfile)
+	stopProfile, err := metrics.StartCPUProfile(fl.cpuProfile)
 	if err != nil {
 		return err
 	}
@@ -93,7 +124,7 @@ func run(args []string) (err error) {
 			err = cerr
 		}
 	}()
-	stopTrace, err := metrics.StartExecTrace(*execTrace)
+	stopTrace, err := metrics.StartExecTrace(fl.execTrace)
 	if err != nil {
 		return err
 	}
@@ -103,150 +134,136 @@ func run(args []string) (err error) {
 		}
 	}()
 
-	coll, closeMetrics, err := metrics.Start(*metricsOut, 0)
+	coll, closeMetrics, err := metrics.Start(fl.metrics, 0)
 	if err != nil {
 		return err
 	}
 	defer closeMetrics() //nolint:errcheck // final snapshot write; fate shared with stdout
+	opts := anondyn.BatchOptions{Workers: fl.workers}
+	if coll != nil {
+		opts.Metrics = coll
+	}
 
-	if *specFile != "" {
-		if *traceOut != "" || *showSeries || *reportOut != "" {
+	if fl.spec != "" {
+		if fl.trace != "" || fl.series || fl.report != "" {
 			return fmt.Errorf("-spec runs a sweep; -trace, -series and -report do not apply")
 		}
-		if *saveSpec != "" {
+		if fl.saveSpec != "" {
 			return fmt.Errorf("-save-spec captures the scenario flags; it does not combine with -spec")
 		}
 		seedsOverride := 0
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "seeds" {
-				seedsOverride = *seedsN
-			}
-		})
-		if *validate {
-			sw, grid, err := spec.Load(*specFile, 0)
+		if fl.seedsSet {
+			seedsOverride = fl.seeds
+		}
+		if fl.validate {
+			sw, grid, err := spec.Load(fl.spec, 0)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%s: ok (%s)\n", *specFile, sw.RunTitle(*specFile, len(grid.Cells())))
+			fmt.Printf("%s: ok (%s)\n", fl.spec, sw.RunTitle(fl.spec, len(grid.Cells())))
 			return nil
 		}
-		return runSpec(*specFile, seedsOverride, *workers, coll)
+		return runSpec(fl.spec, seedsOverride, opts)
 	}
-	if *validate {
+	if fl.validate {
 		return fmt.Errorf("-validate wants -spec (it dry-runs spec files)")
 	}
-
-	adv, err := parseAdversary(*advSpec, *n, *f, *seed)
-	if err != nil {
-		return err
+	if fl.seeds < 1 {
+		return fmt.Errorf("-seeds wants a positive count (got %d)", fl.seeds)
 	}
-	crashes, err := parseCrashes(*crashSpec)
-	if err != nil {
-		return err
+	if fl.batch() && (fl.trace != "" || fl.series) {
+		return fmt.Errorf("-trace and -series are per-run views; they do not combine with batch mode (-seeds/-report)")
 	}
-	byz, err := parseByz(*byzSpec, *seed)
-	if err != nil {
-		return err
-	}
-	inputs, err := parseInputs(*inputSpec, *n, *seed)
-	if err != nil {
-		return err
-	}
-	algo, err := parseAlgo(*algoName)
-	if err != nil {
-		return err
+	if fl.saveSpec != "" && (fl.randPorts || fl.shuffle) {
+		return fmt.Errorf("-save-spec cannot capture -randports or -shuffle (not spec-expressible)")
 	}
 
-	if *saveSpec != "" {
-		if *randPorts || *shuffle {
-			return fmt.Errorf("-save-spec cannot capture -randports or -shuffle (not spec-expressible)")
-		}
-		sw, err := flagSweep(flagScenario{
-			algo: strings.ToLower(*algoName), n: *n, f: *f, eps: *eps,
-			adv: *advSpec, inputs: *inputSpec, crashes: crashes, byz: *byzSpec,
-			window: *window, megaT: *megaT, pEnd: *pEnd,
-			maxRounds: *maxRounds, maxBytes: *maxBytes,
-			seeds: *seedsN, baseSeed: *seed,
-			name: strings.TrimSuffix(filepath.Base(*saveSpec), filepath.Ext(*saveSpec)),
-		})
-		if err != nil {
+	sw, grid, err := fl.compile()
+	if err != nil {
+		return err
+	}
+	target := report.ParseTarget(fl.report)
+	if fl.saveSpec != "" {
+		if err := os.WriteFile(fl.saveSpec, sw.Encode(), 0o644); err != nil {
 			return err
 		}
-		if err := os.WriteFile(*saveSpec, sw.Encode(), 0o644); err != nil {
-			return err
+		note := os.Stdout
+		if target.Stdout() {
+			note = os.Stderr // stdout carries the report document
 		}
-		fmt.Printf("(spec written to %s)\n", *saveSpec)
+		fmt.Fprintf(note, "(spec written to %s)\n", fl.saveSpec)
 	}
+	if fl.batch() {
+		return runBatch(fl, grid, target, opts)
+	}
+	opts.Workers = 1
+	return runSingle(fl, grid, opts)
+}
 
-	if *seedsN < 1 {
-		return fmt.Errorf("-seeds wants a positive count (got %d)", *seedsN)
+// compile turns the flags into the sweep that runs and its grid. The
+// per-run knobs a spec does not express (-randports, -shuffle) ride on
+// the grid's compiled per-run hook.
+func (fl *flags) compile() (*spec.Sweep, anondyn.Grid, error) {
+	sw, err := fl.sweep()
+	if err != nil {
+		return nil, anondyn.Grid{}, err
 	}
-	if *seedsN > 1 || *reportOut != "" {
-		if *traceOut != "" || *showSeries {
-			return fmt.Errorf("-trace and -series are per-run views; they do not combine with batch mode (-seeds/-report)")
-		}
-		cfg := batchConfig{
-			algoName: *algoName, algo: algo,
-			n: *n, f: *f, eps: *eps,
-			advSpec: *advSpec, byzSpec: *byzSpec, inputSpec: *inputSpec,
-			crashes: crashes,
-			window:  *window, megaT: *megaT, pEnd: *pEnd,
-			maxRounds: *maxRounds, maxBytes: *maxBytes,
-			randPorts: *randPorts, shuffle: *shuffle,
-			seeds:   anondyn.Seeds(*seedsN, *seed),
-			workers: *workers,
-			target:  report.ParseTarget(*reportOut),
-			coll:    coll,
-		}
-		return runBatch(cfg)
+	grid, err := sw.Grid()
+	if err != nil {
+		return nil, anondyn.Grid{}, err
 	}
+	wrapMutate(&grid, func(s *anondyn.Scenario) {
+		s.RandomPorts = fl.randPorts
+		s.ShuffleDelivery = fl.shuffle
+	})
+	return sw, grid, nil
+}
 
+// wrapMutate appends extra to the grid's compiled per-run hook.
+func wrapMutate(g *anondyn.Grid, extra func(s *anondyn.Scenario)) {
+	base := g.Mutate
+	g.Mutate = func(s *anondyn.Scenario, c anondyn.Cell, seed int64) {
+		if base != nil {
+			base(s, c, seed)
+		}
+		extra(s)
+	}
+}
+
+// runSingle executes the grid's one run with the phase tracker, the
+// dynaDegree trace and the optional series and event recorder attached,
+// and prints what they observed.
+func runSingle(fl *flags, grid anondyn.Grid, opts anondyn.BatchOptions) error {
 	tracker := anondyn.NewPhaseTracker()
 	var series *anondyn.RangeSeries
-	if *showSeries {
+	if fl.series {
 		series = anondyn.NewRangeSeries()
 	}
 	var rec *anondyn.Recorder
-	if *traceOut != "" {
+	if fl.trace != "" {
 		rec = anondyn.NewRecorder()
 	}
-	var sink anondyn.MetricsSink
-	if coll != nil {
-		sink = coll
-	}
-	s := anondyn.Scenario{
-		Metrics: sink,
-		N:       *n, F: *f, Eps: *eps,
-		Algorithm:       algo,
-		PiggybackWindow: *window,
-		MegaT:           *megaT,
-		PEndOverride:    *pEnd,
-		Inputs:          inputs,
-		Adversary:       adv,
-		Crashes:         crashes,
-		Byzantine:       byz,
-		MaxRounds:       *maxRounds,
-		RandomPorts:     *randPorts,
-		Seed:            *seed,
-		Tracker:         tracker,
-		Series:          series,
-		Recorder:        rec,
-		KeepTrace:       true,
-		MaxMessageBytes: *maxBytes,
-		ShuffleDelivery: *shuffle,
-	}
-	res, err := s.Run()
+	var adversary string
+	wrapMutate(&grid, func(s *anondyn.Scenario) {
+		s.Tracker, s.Series, s.Recorder, s.KeepTrace = tracker, series, rec, true
+		adversary = s.Adversary.Name()
+	})
+	var res *anondyn.Result
+	err := grid.RunEach(opts, func(_ anondyn.Cell, _, _ int, _ int64, r *anondyn.Result) error {
+		res = r
+		return nil
+	})
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("%s  n=%d f=%d ε=%g  adversary=%s\n", algo, *n, *f, *eps, adv.Name())
+	fmt.Printf("%s  n=%d f=%d ε=%g  adversary=%s\n", grid.Cells()[0].Algorithm, fl.n, fl.f, fl.eps, adversary)
 	fmt.Printf("rounds: %d   all fault-free decided: %v\n", res.Rounds, res.Decided)
 	fmt.Printf("messages: %d delivered, %d suppressed by the adversary\n",
 		res.MessagesDelivered, res.MessagesLost)
 	if res.MessagesOversized > 0 {
 		fmt.Printf("bandwidth: %d messages exceeded the %d-byte link budget\n",
-			res.MessagesOversized, *maxBytes)
+			res.MessagesOversized, fl.maxBytes)
 	}
 
 	nodes := make([]int, 0, len(res.Outputs))
@@ -259,7 +276,7 @@ func run(args []string) (err error) {
 	}
 	if res.Decided {
 		fmt.Printf("output range: %.3g   ε-agreement: %v   validity: %v\n",
-			res.OutputRange(), res.EpsAgreement(*eps), res.Valid())
+			res.OutputRange(), res.EpsAgreement(fl.eps), res.Valid())
 	}
 
 	if len(res.Trace) > 0 {
@@ -280,11 +297,11 @@ func run(args []string) (err error) {
 	if series != nil && series.Len() > 0 {
 		fmt.Printf("\nconvergence curve (range per round, log scale ▁=≤1e-6 … █=1):\n  %s\n",
 			series.Sparkline(60, 1e-6))
-		fmt.Printf("  rounds to range ≤ ε: %d\n", series.RoundsToRange(*eps))
+		fmt.Printf("  rounds to range ≤ ε: %d\n", series.RoundsToRange(fl.eps))
 	}
 
 	if rec != nil {
-		out, err := os.Create(*traceOut)
+		out, err := os.Create(fl.trace)
 		if err != nil {
 			return err
 		}
@@ -295,62 +312,9 @@ func run(args []string) (err error) {
 		if err := out.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("event log (%d events) written to %s\n", rec.Len(), *traceOut)
+		fmt.Printf("event log (%d events) written to %s\n", rec.Len(), fl.trace)
 	}
 	return nil
-}
-
-// batchConfig carries one scenario family into Monte-Carlo batch mode:
-// the specs are re-instantiated per seed so seeded adversaries, inputs
-// and noise strategies vary across the batch.
-type batchConfig struct {
-	algoName  string
-	algo      anondyn.Algo
-	n, f      int
-	eps       float64
-	advSpec   string
-	byzSpec   string
-	inputSpec string
-	crashes   map[int]anondyn.Crash
-	window    int
-	megaT     int
-	pEnd      int
-	maxRounds int
-	maxBytes  int
-
-	randPorts bool
-	shuffle   bool
-
-	seeds   []int64
-	workers int
-	target  report.Target
-	coll    *metrics.Collector
-}
-
-// scenario builds one seeded run of the family. The specs were
-// validated before the batch started, so per-seed re-parsing cannot
-// fail.
-func (c batchConfig) scenario(seed int64) anondyn.Scenario {
-	adv, _ := parseAdversary(c.advSpec, c.n, c.f, seed)
-	byz, _ := parseByz(c.byzSpec, seed)
-	inputs, _ := parseInputs(c.inputSpec, c.n, seed)
-	return anondyn.Scenario{
-		N: c.n, F: c.f, Eps: c.eps,
-		Algorithm:        c.algo,
-		PiggybackWindow:  c.window,
-		MegaT:            c.megaT,
-		PEndOverride:     c.pEnd,
-		Inputs:           inputs,
-		Adversary:        adv,
-		Crashes:          c.crashes,
-		Byzantine:        byz,
-		MaxRounds:        c.maxRounds,
-		RandomPorts:      c.randPorts,
-		Seed:             seed,
-		MaxMessageBytes:  c.maxBytes,
-		ShuffleDelivery:  c.shuffle,
-		AccountBandwidth: true,
-	}
 }
 
 // seedRow is the compact per-run record of the JSON report. An
@@ -472,54 +436,47 @@ func (r *batchReport) WriteHTML(w io.Writer) error {
 	return report.WriteHTMLPage(w, title, sub, blocks...)
 }
 
-// runBatch executes the scenario family over the seed batch on the
-// worker pool, streaming every result through the aggregate and
-// per-run sinks, and prints (and optionally writes) the aggregates.
-func runBatch(cfg batchConfig) error {
-	stats := &anondyn.BatchStats{Eps: cfg.eps}
-	rows := make([]seedRow, 0, len(cfg.seeds))
-	rowSink := anondyn.SinkFunc(func(_ int, seed int64, res *anondyn.Result) error {
+// runBatch executes the grid's seed batch on the worker pool,
+// streaming every result through the aggregate and the per-run rows,
+// and prints (and optionally writes) the aggregates.
+func runBatch(fl *flags, grid anondyn.Grid, target report.Target, opts anondyn.BatchOptions) error {
+	stats := &anondyn.BatchStats{Eps: fl.eps}
+	rows := make([]seedRow, 0, fl.seeds)
+	err := grid.RunEach(opts, func(_ anondyn.Cell, _, run int, seed int64, res *anondyn.Result) error {
 		rows = append(rows, newSeedRow(seed, res))
-		return nil
+		return stats.Consume(run, seed, res)
 	})
-	opts := anondyn.BatchOptions{Workers: cfg.workers, Retries: 0}
-	if cfg.coll != nil {
-		opts.Metrics = cfg.coll
-	}
-	err := anondyn.RunManyStream(cfg.seeds, cfg.scenario, anondyn.Sinks(stats, rowSink), opts)
 	if err != nil {
 		return err
 	}
 
 	doc := &batchReport{
-		Algorithm: cfg.algoName,
-		N:         cfg.n, F: cfg.f, Eps: cfg.eps,
-		Adversary: cfg.advSpec,
-		Inputs:    cfg.inputSpec,
-		Workers:   cfg.workers,
-		BaseSeed:  cfg.seeds[0],
+		Algorithm: fl.algo,
+		N:         fl.n, F: fl.f, Eps: fl.eps,
+		Adversary: fl.adversary,
+		Inputs:    fl.inputs,
+		Workers:   fl.workers,
+		BaseSeed:  fl.seed,
 		Aggregate: stats.Report(),
 		Runs:      rows,
 	}
-	if cfg.target.Format == report.FormatHTML {
+	if target.Format == report.FormatHTML {
 		// One extra sequential run of the first seed records the
 		// convergence curve for the chart — noise beside the batch.
-		series := anondyn.NewRangeSeries()
-		s := cfg.scenario(cfg.seeds[0])
-		s.Series = series
-		if _, err := s.Run(); err != nil {
+		series, err := grid.SeriesPerCell()
+		if err != nil {
 			return err
 		}
-		doc.Series = series.Series()
+		doc.Series = series[0]
 	}
-	if cfg.target.Stdout() {
+	if target.Stdout() {
 		// Stdout report modes replace the human summary so the output
 		// stays machine-readable.
-		return cfg.target.Write(doc)
+		return target.Write(doc)
 	}
 
 	fmt.Printf("%s  n=%d f=%d ε=%g  adversary=%s  batch of %d seeds (base %d)\n",
-		cfg.algo, cfg.n, cfg.f, cfg.eps, cfg.advSpec, len(cfg.seeds), cfg.seeds[0])
+		grid.Cells()[0].Algorithm, fl.n, fl.f, fl.eps, fl.adversary, fl.seeds, fl.seed)
 	fmt.Printf("decided: %d/%d   safety violations: %d\n",
 		stats.Decided(), stats.Runs(), stats.Violations())
 	if r := stats.Rounds(); r.N > 0 {
@@ -533,46 +490,21 @@ func runBatch(cfg batchConfig) error {
 		fmt.Printf("bytes:   mean %.0f per run\n", b.Mean)
 	}
 
-	if err := cfg.target.Write(doc); err != nil {
+	if err := target.Write(doc); err != nil {
 		return err
 	}
-	if cfg.target.Enabled() {
-		fmt.Printf("report written to %s\n", cfg.target.Path)
+	if target.Enabled() {
+		fmt.Printf("report written to %s\n", target.Path)
 	}
 	return nil
 }
 
-func parseAlgo(s string) (anondyn.Algo, error) {
-	return anondyn.ParseAlgo(s)
-}
-
-// parseAdversary resolves the -adversary spec through the shared
-// factory registry (one grammar across dynasim, dynabench -advs and
-// spec files), checking it against the scenario's n and f.
-func parseAdversary(advSpec string, n, f int, seed int64) (anondyn.Adversary, error) {
-	factory, err := anondyn.ParseAdversaryFactory(advSpec)
-	if err != nil {
-		return nil, err
-	}
-	cell := anondyn.Cell{N: n, F: f}
-	if factory.Check != nil {
-		if err := factory.Check(cell); err != nil {
-			return nil, err
-		}
-	}
-	return factory.New(cell, seed), nil
-}
-
 // runSpec runs a declarative sweep file, printing one aggregate row
 // per cell — dynasim's window onto the same artifacts dynabench runs.
-func runSpec(path string, seedsOverride, workers int, coll *metrics.Collector) error {
+func runSpec(path string, seedsOverride int, opts anondyn.BatchOptions) error {
 	sw, grid, err := spec.Load(path, seedsOverride)
 	if err != nil {
 		return err
-	}
-	opts := anondyn.BatchOptions{Workers: workers}
-	if coll != nil {
-		opts.Metrics = coll
 	}
 	rows, err := grid.Run(opts)
 	if err != nil {
@@ -584,79 +516,82 @@ func runSpec(path string, seedsOverride, workers int, coll *metrics.Collector) e
 	return report.FprintVerdicts(os.Stdout, sw.Verdicts(rows))
 }
 
-// flagScenario carries the flag values -save-spec captures.
-type flagScenario struct {
-	algo      string
-	n, f      int
-	eps       float64
-	adv       string
-	inputs    string
-	crashes   map[int]anondyn.Crash
-	byz       string
-	window    int
-	megaT     int
-	pEnd      int
-	maxRounds int
-	maxBytes  int
-	seeds     int
-	baseSeed  int64
-	name      string
-}
-
-// flagSweep converts the flag scenario into a 1-cell declarative
-// sweep.
-func flagSweep(fc flagScenario) (*spec.Sweep, error) {
-	sw := &spec.Sweep{
-		Name:         fc.name,
-		Description:  "saved from dynasim flags",
-		Ns:           []int{fc.n},
-		Fs:           []spec.Bound{{Lit: fc.f}},
-		Epss:         []float64{fc.eps},
-		Algorithms:   []string{fc.algo},
-		Adversaries:  []string{fc.adv},
-		SeedsPerCell: fc.seeds,
-		BaseSeed:     fc.baseSeed,
-		MaxRounds:    fc.maxRounds,
-		Inputs:       fc.inputs,
-	}
-	sw.PEnd = fc.pEnd
-	sw.PiggybackWindow = fc.window
-	sw.MaxMessageBytes = fc.maxBytes
-	if fc.algo == "megaround" {
-		sw.MegaT = fc.megaT
-	}
-	if len(fc.crashes) > 0 {
-		nodes := make([]int, 0, len(fc.crashes))
-		for node := range fc.crashes {
-			nodes = append(nodes, node)
-		}
-		sort.Ints(nodes)
-		rounds := make([]int, len(nodes))
-		for i, node := range nodes {
-			rounds[i] = fc.crashes[node].Round
-		}
-		sw.Crashes = &spec.Crashes{NodeList: nodes, Rounds: rounds}
-	}
-	casts, err := specCasts(fc.byz)
+// sweep compiles the scenario flags into the 1-cell declarative sweep
+// dynasim runs and -save-spec writes. Batch mode accounts bandwidth,
+// so only a batch's sweep sets account_bandwidth. The sweep passes
+// through Encode and Parse, so the flags meet the checks a spec file
+// meets, with the same key-citing errors.
+func (fl *flags) sweep() (*spec.Sweep, error) {
+	crashes, err := parseCrashes(fl.crash)
 	if err != nil {
 		return nil, err
 	}
-	sw.Byzantine = casts
-	// Validate eagerly (via a re-parse of the encoding) so a bad
-	// capture fails before the file lands.
-	if _, err := spec.Parse(sw.Encode()); err != nil {
+	casts, err := parseCasts(fl.byz)
+	if err != nil {
 		return nil, err
 	}
-	return sw, nil
+	algo := strings.ToLower(fl.algo)
+	sw := &spec.Sweep{
+		Ns:               []int{fl.n},
+		Fs:               []spec.Bound{{Lit: fl.f}},
+		Epss:             []float64{fl.eps},
+		Algorithms:       []string{algo},
+		Adversaries:      []string{fl.adversary},
+		SeedsPerCell:     fl.seeds,
+		BaseSeed:         fl.seed,
+		MaxRounds:        fl.rounds,
+		AccountBandwidth: fl.batch(),
+		Inputs:           fl.inputs,
+		Crashes:          crashes,
+		Byzantine:        casts,
+	}
+	sw.PEnd = fl.pEnd
+	sw.PiggybackWindow = fl.window
+	sw.MaxMessageBytes = fl.maxBytes
+	if algo == "megaround" {
+		sw.MegaT = fl.megaT
+	}
+	if fl.saveSpec != "" {
+		sw.Name = strings.TrimSuffix(filepath.Base(fl.saveSpec), filepath.Ext(fl.saveSpec))
+		sw.Description = "saved from dynasim flags"
+	}
+	return spec.Parse(sw.Encode())
 }
 
-// specCasts converts the -byz grammar into declarative casts.
-func specCasts(byzSpec string) ([]spec.Cast, error) {
-	if byzSpec == "" {
+// parseCrashes reads the -crash grammar (node@round,…) into an explicit
+// crash schedule.
+func parseCrashes(list string) (*spec.Crashes, error) {
+	if list == "" {
+		return nil, nil
+	}
+	c := &spec.Crashes{}
+	for _, part := range strings.Split(list, ",") {
+		nodeStr, roundStr, ok := strings.Cut(part, "@")
+		if !ok {
+			return nil, fmt.Errorf("crash entry %q wants node@round", part)
+		}
+		node, err := strconv.Atoi(nodeStr)
+		if err != nil {
+			return nil, err
+		}
+		round, err := strconv.Atoi(roundStr)
+		if err != nil {
+			return nil, err
+		}
+		c.NodeList = append(c.NodeList, node)
+		c.Rounds = append(c.Rounds, round)
+	}
+	return c, nil
+}
+
+// parseCasts reads the -byz grammar (node:strategy[:arg],…) into one
+// declarative cast per node.
+func parseCasts(list string) ([]spec.Cast, error) {
+	if list == "" {
 		return nil, nil
 	}
 	var casts []spec.Cast
-	for _, part := range strings.Split(byzSpec, ",") {
+	for _, part := range strings.Split(list, ",") {
 		fields := strings.Split(part, ":")
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("byz entry %q wants node:strategy[:arg]", part)
@@ -682,88 +617,4 @@ func specCasts(byzSpec string) ([]spec.Cast, error) {
 		casts = append(casts, cast)
 	}
 	return casts, nil
-}
-
-func parseCrashes(spec string) (map[int]anondyn.Crash, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	crashes := make(map[int]anondyn.Crash)
-	for _, part := range strings.Split(spec, ",") {
-		nodeStr, roundStr, ok := strings.Cut(part, "@")
-		if !ok {
-			return nil, fmt.Errorf("crash entry %q wants node@round", part)
-		}
-		node, err := strconv.Atoi(nodeStr)
-		if err != nil {
-			return nil, err
-		}
-		round, err := strconv.Atoi(roundStr)
-		if err != nil {
-			return nil, err
-		}
-		crashes[node] = anondyn.CrashAt(round)
-	}
-	return crashes, nil
-}
-
-func parseByz(spec string, seed int64) (map[int]anondyn.Strategy, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	byz := make(map[int]anondyn.Strategy)
-	for _, part := range strings.Split(spec, ",") {
-		fields := strings.Split(part, ":")
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("byz entry %q wants node:strategy[:arg]", part)
-		}
-		node, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, err
-		}
-		arg := 0.0
-		if len(fields) >= 3 {
-			if arg, err = strconv.ParseFloat(fields[2], 64); err != nil {
-				return nil, err
-			}
-		}
-		switch fields[1] {
-		case "silent":
-			byz[node] = anondyn.Silent()
-		case "extremist":
-			byz[node] = anondyn.Extremist(arg)
-		case "equivocate":
-			byz[node] = anondyn.Equivocator(0, 1)
-		case "noise":
-			byz[node] = anondyn.RandomNoise(seed + int64(node))
-		case "laggard":
-			byz[node] = anondyn.Laggard(arg)
-		case "mimic":
-			byz[node] = anondyn.Mimic(int(arg))
-		default:
-			return nil, fmt.Errorf("unknown strategy %q", fields[1])
-		}
-	}
-	return byz, nil
-}
-
-func parseInputs(spec string, n int, seed int64) ([]float64, error) {
-	name, arg, _ := strings.Cut(spec, ":")
-	switch name {
-	case "spread":
-		return anondyn.SpreadInputs(n), nil
-	case "split":
-		k := n / 2
-		if arg != "" {
-			var err error
-			if k, err = strconv.Atoi(arg); err != nil {
-				return nil, err
-			}
-		}
-		return anondyn.SplitInputs(n, k), nil
-	case "random":
-		return anondyn.RandomInputs(n, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown inputs %q", spec)
-	}
 }

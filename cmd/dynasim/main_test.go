@@ -8,12 +8,42 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"anondyn"
+	"anondyn/internal/spec"
 )
 
+// flagScenario compiles args the way run does — flags → sweep → grid —
+// and returns the Scenario of the run they describe, as the grid
+// assembles it. The probe run that assembles it is cut to one round.
+func flagScenario(t *testing.T, args ...string) anondyn.Scenario {
+	t.Helper()
+	fl, err := parseFlags(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, grid, err := fl.compile()
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	var got anondyn.Scenario
+	wrapMutate(&grid, func(s *anondyn.Scenario) {
+		got = *s
+		s.MaxRounds = 1
+	})
+	err = grid.RunEach(anondyn.BatchOptions{Workers: 1},
+		func(anondyn.Cell, int, int, int64, *anondyn.Result) error { return nil })
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return got
+}
+
+// TestParseAlgo: every -algo spelling, in any case, reaches the run's
+// Scenario as its algorithm.
 func TestParseAlgo(t *testing.T) {
 	for name, want := range map[string]anondyn.Algo{
 		"dac": anondyn.AlgoDAC, "DBAC": anondyn.AlgoDBAC, "dbac-pb": anondyn.AlgoDBACPiggyback,
@@ -21,16 +51,18 @@ func TestParseAlgo(t *testing.T) {
 		"reliter": anondyn.AlgoReliableIterated, "bacrel": anondyn.AlgoBACReliable,
 		"floodmin": anondyn.AlgoFloodMin,
 	} {
-		got, err := parseAlgo(name)
-		if err != nil || got != want {
-			t.Errorf("parseAlgo(%q) = %v, %v", name, got, err)
+		// Binary inputs suit every algorithm (floodmin accepts no other).
+		if got := flagScenario(t, "-algo", name, "-inputs", "split").Algorithm; got != want {
+			t.Errorf("-algo %s runs %v, want %v", name, got, want)
 		}
 	}
-	if _, err := parseAlgo("paxos"); err == nil {
+	if err := run([]string{"-algo", "paxos"}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
 
+// TestParseAdversary: the -adversary grammar resolves through the
+// shared factory registry against the scenario's n and f.
 func TestParseAdversary(t *testing.T) {
 	cases := []struct {
 		spec string
@@ -48,27 +80,22 @@ func TestParseAdversary(t *testing.T) {
 		{"er2:0.30", "er2(p=0.3)"},
 	}
 	for _, tc := range cases {
-		a, err := parseAdversary(tc.spec, 7, 1, 1)
-		if err != nil {
-			t.Errorf("parseAdversary(%q): %v", tc.spec, err)
-			continue
-		}
-		if a.Name() != tc.want {
-			t.Errorf("parseAdversary(%q).Name() = %q, want %q", tc.spec, a.Name(), tc.want)
+		s := flagScenario(t, "-n", "7", "-f", "1", "-adversary", tc.spec)
+		if got := s.Adversary.Name(); got != tc.want {
+			t.Errorf("-adversary %s runs %q, want %q", tc.spec, got, tc.want)
 		}
 	}
-	if a, err := parseAdversary("fig1", 3, 0, 1); err != nil || !strings.Contains(a.Name(), "fig1") {
-		t.Errorf("fig1: %v", err)
+	if s := flagScenario(t, "-n", "3", "-adversary", "fig1"); !strings.Contains(s.Adversary.Name(), "fig1") {
+		t.Errorf("fig1 runs %q", s.Adversary.Name())
 	}
-	// Registry extensions reach dynasim too: symbolic degrees resolve
-	// against the scenario's n and f.
-	if a, err := parseAdversary("rotating:crashdeg", 9, 0, 1); err != nil || !strings.Contains(a.Name(), "d=4") {
-		t.Errorf("rotating:crashdeg at n=9: %v, %v", a, err)
+	// Symbolic degrees resolve against the scenario's n and f.
+	if s := flagScenario(t, "-n", "9", "-adversary", "rotating:crashdeg"); !strings.Contains(s.Adversary.Name(), "d=4") {
+		t.Errorf("rotating:crashdeg at n=9 runs %q, want d=4", s.Adversary.Name())
 	}
 	for _, bad := range []string{"fig1", "rotating:x", "random:3", "er:zz", "isolate:", "warp", "isolate:9"} {
-		n := 7 // fig1 invalid at n=7, as is victim 9
-		if _, err := parseAdversary(bad, n, 1, 1); err == nil {
-			t.Errorf("parseAdversary(%q) accepted", bad)
+		// fig1 is invalid at n=7, as is victim 9.
+		if err := run([]string{"-n", "7", "-f", "1", "-adversary", bad}); err == nil {
+			t.Errorf("-adversary %s accepted", bad)
 		}
 	}
 }
@@ -78,7 +105,7 @@ func TestParseCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(crashes) != 2 || crashes[1].Round != 3 || crashes[4].Round != 0 {
+	if !reflect.DeepEqual(crashes, &spec.Crashes{NodeList: []int{1, 4}, Rounds: []int{3, 0}}) {
 		t.Errorf("crashes = %+v", crashes)
 	}
 	if got, _ := parseCrashes(""); got != nil {
@@ -89,53 +116,64 @@ func TestParseCrashes(t *testing.T) {
 			t.Errorf("parseCrashes(%q) accepted", bad)
 		}
 	}
+	s := flagScenario(t, "-n", "7", "-f", "2", "-crash", "1@3,4@0")
+	if want := map[int]anondyn.Crash{1: anondyn.CrashAt(3), 4: anondyn.CrashAt(0)}; !reflect.DeepEqual(s.Crashes, want) {
+		t.Errorf("-crash 1@3,4@0 runs crashes %v, want %v", s.Crashes, want)
+	}
+	// A node crashes once: a repeated node is rejected, not overwritten.
+	err = run([]string{"-n", "7", "-f", "2", "-crash", "1@2,1@5"})
+	if err == nil || !strings.Contains(err.Error(), "crashes.nodes: duplicate node 1") {
+		t.Errorf("-crash 1@2,1@5: err = %v", err)
+	}
 }
 
+// TestParseByz: each -byz entry casts its node with its strategy.
 func TestParseByz(t *testing.T) {
-	byz, err := parseByz("2:silent,3:extremist:1,4:equivocate,5:noise,6:laggard:0.5,7:mimic:0", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(byz) != 6 {
-		t.Fatalf("parsed %d strategies, want 6", len(byz))
+	s := flagScenario(t, "-algo", "dbac", "-n", "31", "-f", "6", "-seed", "9",
+		"-byz", "2:silent,3:extremist:1,4:equivocate,5:noise,6:laggard:0.5,7:mimic:0")
+	if len(s.Byzantine) != 6 {
+		t.Fatalf("cast %d nodes, want 6", len(s.Byzantine))
 	}
 	for node, wantName := range map[int]string{
 		2: "silent", 3: "extremist(1)", 4: "equivocator(0|1)",
 		5: "randomNoise", 6: "laggard(0.5)", 7: "mimic(0)",
 	} {
-		if got := byz[node].Name(); got != wantName {
+		if got := s.Byzantine[node].Name(); got != wantName {
 			t.Errorf("node %d strategy = %q, want %q", node, got, wantName)
 		}
 	}
 	for _, bad := range []string{"2", "x:silent", "2:quantum", "2:extremist:x"} {
-		if _, err := parseByz(bad, 1); err == nil {
-			t.Errorf("parseByz(%q) accepted", bad)
+		if err := run([]string{"-algo", "dbac", "-n", "11", "-f", "2", "-byz", bad}); err == nil {
+			t.Errorf("-byz %s accepted", bad)
 		}
+	}
+	// A node has one strategy: a node cast twice is rejected.
+	err := run([]string{"-algo", "dbac", "-n", "11", "-f", "2", "-byz", "3:silent,3:noise"})
+	if err == nil || !strings.Contains(err.Error(), "byzantine[1].nodes: node 3 already cast") {
+		t.Errorf("-byz 3:silent,3:noise: err = %v", err)
 	}
 }
 
+// TestParseInputs: each -inputs generator reaches the run's input
+// vector.
 func TestParseInputs(t *testing.T) {
-	sp, err := parseInputs("spread", 5, 1)
-	if err != nil || len(sp) != 5 || sp[4] != 1 {
-		t.Errorf("spread: %v %v", sp, err)
+	if sp := flagScenario(t, "-n", "5", "-inputs", "spread").Inputs; len(sp) != 5 || sp[4] != 1 {
+		t.Errorf("spread: %v", sp)
 	}
-	si, err := parseInputs("split:2", 5, 1)
-	if err != nil || si[1] != 0 || si[2] != 1 {
-		t.Errorf("split: %v %v", si, err)
+	if si := flagScenario(t, "-n", "5", "-inputs", "split:2").Inputs; si[1] != 0 || si[2] != 1 {
+		t.Errorf("split:2: %v", si)
 	}
-	sd, err := parseInputs("split", 6, 1)
-	if err != nil || sd[2] != 0 || sd[3] != 1 {
-		t.Errorf("split default: %v %v", sd, err)
+	if sd := flagScenario(t, "-n", "6", "-inputs", "split").Inputs; sd[2] != 0 || sd[3] != 1 {
+		t.Errorf("split default: %v", sd)
 	}
-	ri, err := parseInputs("random", 5, 1)
-	if err != nil || len(ri) != 5 {
-		t.Errorf("random: %v %v", ri, err)
+	ri := flagScenario(t, "-n", "5", "-inputs", "random", "-seed", "3").Inputs
+	if !reflect.DeepEqual(ri, anondyn.RandomInputs(5, 3)) {
+		t.Errorf("random: %v, want the run seed's RandomInputs", ri)
 	}
-	if _, err := parseInputs("fibonacci", 5, 1); err == nil {
-		t.Error("unknown inputs accepted")
-	}
-	if _, err := parseInputs("split:x", 5, 1); err == nil {
-		t.Error("bad split arg accepted")
+	for _, bad := range []string{"fibonacci", "split:x"} {
+		if err := run([]string{"-n", "5", "-inputs", bad}); err == nil {
+			t.Errorf("-inputs %s accepted", bad)
+		}
 	}
 }
 
@@ -391,5 +429,104 @@ func TestBatchReportUndecidedRows(t *testing.T) {
 		if got := render(decided, "d."+ext); !bytes.Equal(got, want) {
 			t.Errorf("decided batch %s report changed:\n%s\nwant:\n%s", ext, got, want)
 		}
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected to a file and returns
+// what f wrote there.
+func captureStdout(t *testing.T, f func() error) []byte {
+	t.Helper()
+	tmp, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stdout
+	os.Stdout = tmp
+	err = f()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestStdoutReportWithSaveSpec: with a stdout report target, stdout
+// carries the report document and nothing else, even when -save-spec
+// writes a file alongside it.
+func TestStdoutReportWithSaveSpec(t *testing.T) {
+	saved := filepath.Join(t.TempDir(), "c.yaml")
+	out := captureStdout(t, func() error {
+		return run([]string{"-n", "5", "-report", "csv", "-save-spec", saved})
+	})
+	rows, err := csv.NewReader(bytes.NewReader(out)).ReadAll()
+	if err != nil {
+		t.Fatalf("stdout is not the CSV report: %v\n%s", err, out)
+	}
+	if len(rows) != 2 || !reflect.DeepEqual(rows[0], []string{"seed", "decided", "rounds", "output_range"}) {
+		t.Errorf("stdout CSV = %q, want the header and one run", rows)
+	}
+	if _, err := os.Stat(saved); err != nil {
+		t.Errorf("spec not written: %v", err)
+	}
+}
+
+// TestSavedSpecReproducesBatch is the flag ↔ saved-spec parity
+// contract: loading the spec a batch saved and running its grid yields
+// the aggregate the batch reported, bandwidth tally included.
+func TestSavedSpecReproducesBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"crashes", []string{"-n", "7", "-f", "2", "-adversary", "rotating:3", "-crash", "1@3,4@6"}},
+		// ε = 0.1 keeps the Byzantine rows to a few thousand rounds.
+		{"silent-noise-random", []string{"-algo", "dbac", "-n", "11", "-f", "2", "-eps", "0.1",
+			"-byz", "2:silent,5:noise", "-inputs", "random"}},
+		{"equivocate-extremist", []string{"-algo", "dbac", "-n", "11", "-f", "2", "-eps", "0.1",
+			"-byz", "4:equivocate,9:extremist:1"}},
+		{"laggard-mimic-split", []string{"-algo", "dbac", "-n", "11", "-f", "2", "-eps", "0.1",
+			"-byz", "2:laggard:0.5,5:mimic:0", "-inputs", "split:4"}},
+		{"megaround", []string{"-algo", "megaround", "-n", "7", "-megat", "3", "-adversary", "rotating:3"}},
+		{"piggyback-bandwidth", []string{"-algo", "dbac-pb", "-n", "11", "-f", "2", "-eps", "0.1",
+			"-byz", "3:extremist:5,7:laggard:0.2", "-window", "2", "-maxbytes", "2000", "-seed", "11"}},
+		{"pend", []string{"-n", "9", "-adversary", "er:0.3", "-pend", "5"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out, saved := filepath.Join(dir, "out.json"), filepath.Join(dir, "s.yaml")
+			if err := run(append(tc.args, "-seeds", "4", "-report", out, "-save-spec", saved)); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc batchReport
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatal(err)
+			}
+			_, grid, err := spec.Load(saved, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := grid.Run(anondyn.BatchOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 1 {
+				t.Fatalf("saved spec runs %d cells, want 1", len(rows))
+			}
+			if !reflect.DeepEqual(rows[0].BatchReport, doc.Aggregate) {
+				t.Errorf("saved spec reports\n%+v\nthe batch reported\n%+v", rows[0].BatchReport, doc.Aggregate)
+			}
+			if doc.Aggregate.Bytes.Mean == 0 {
+				t.Error("the batch accounted no bandwidth")
+			}
+		})
 	}
 }

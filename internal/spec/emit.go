@@ -4,69 +4,12 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"anondyn"
 )
 
-// The emitter is the write half of the round-trip: FromGrid captures a
-// declarative Grid as a Sweep, and Encode renders a Sweep as the YAML
-// the parser reads back, so flag-driven CLI runs can be saved as
-// reviewable spec files (dynabench/dynasim -save-spec).
-
-// FromGrid captures a Grid built from declarative parts. Grids
-// carrying hooks the file format cannot express — Skip, Mutate, a
-// custom Inputs generator, or a Variants axis — are rejected: those
-// come from spec files or code, which are already the artifact.
-func FromGrid(g anondyn.Grid) (*Sweep, error) {
-	switch {
-	case g.Skip != nil:
-		return nil, fmt.Errorf("spec: cannot serialize a Grid with a Skip hook")
-	case g.Mutate != nil:
-		return nil, fmt.Errorf("spec: cannot serialize a Grid with a Mutate hook")
-	case g.Inputs != nil:
-		return nil, fmt.Errorf("spec: cannot serialize a Grid with a custom Inputs generator")
-	case len(g.Variants) > 0:
-		return nil, fmt.Errorf("spec: cannot serialize a Grid with a Variants axis")
-	}
-	s := &Sweep{
-		Ns:               g.Ns,
-		Epss:             g.Epss,
-		SeedsPerCell:     g.SeedsPerCell,
-		BaseSeed:         g.BaseSeed,
-		MaxRounds:        g.MaxRounds,
-		AccountBandwidth: g.AccountBandwidth,
-	}
-	for _, f := range g.Fs {
-		s.Fs = append(s.Fs, Bound{Lit: f})
-	}
-	for _, a := range g.Algorithms {
-		name, err := algoSpecName(a)
-		if err != nil {
-			return nil, err
-		}
-		s.Algorithms = append(s.Algorithms, name)
-	}
-	for _, adv := range g.Adversaries {
-		if _, err := anondyn.ParseAdversaryFactory(adv.Name); err != nil {
-			return nil, fmt.Errorf("spec: adversary %q is not registry-resolvable: %w", adv.Name, err)
-		}
-		s.Adversaries = append(s.Adversaries, adv.Name)
-	}
-	return s, nil
-}
-
-// algoSpecName maps an algorithm back to its ParseAlgo spelling.
-func algoSpecName(a anondyn.Algo) (string, error) {
-	for _, name := range []string{
-		"dac", "dbac", "dbac-pb", "megaround", "fullinfo", "reliter",
-		"bacrel", "floodmin", "dac-nojump",
-	} {
-		if parsed, err := anondyn.ParseAlgo(name); err == nil && parsed == a {
-			return name, nil
-		}
-	}
-	return "", fmt.Errorf("spec: algorithm %v has no spec spelling", a)
-}
+// The emitter is the write half of the round-trip: Encode renders a
+// Sweep as the YAML the parser reads back, so the sweep a CLI compiles
+// from its flags can be saved as a reviewable spec file (dynabench and
+// dynasim -save-spec).
 
 // Encode renders the sweep as YAML in canonical key order. The output
 // parses back to an equal Sweep (asserted by the round-trip tests).

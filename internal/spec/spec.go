@@ -1,5 +1,5 @@
 // Package spec parses declarative sweep definitions — YAML or JSON
-// scenario matrices — into anondyn.Grid values and emits Grids back
+// scenario matrices — into anondyn.Grid values and emits Sweeps back
 // out as files. A spec names its axes (ns/fs/epss/algorithms/
 // adversaries, plus an optional variants axis of scenario overrides),
 // the Monte-Carlo width and seeding, the round and bandwidth
@@ -345,9 +345,20 @@ func (s *Sweep) validate() error {
 			return err
 		}
 	}
+	castBy := make(map[int]int) // node → index of the cast naming it
 	for i, c := range s.Byzantine {
-		if err := c.validate(fmt.Sprintf("byzantine[%d].", i)); err != nil {
+		path := fmt.Sprintf("byzantine[%d].", i)
+		if err := c.validate(path); err != nil {
 			return err
+		}
+		for _, node := range c.NodeList {
+			if j, ok := castBy[node]; ok {
+				if j == i {
+					return fmt.Errorf("%snodes: duplicate node %d", path, node)
+				}
+				return fmt.Errorf("%snodes: node %d already cast by byzantine[%d]", path, node, j)
+			}
+			castBy[node] = i
 		}
 	}
 	name, arg, hasArg := strings.Cut(s.Inputs, ":")
@@ -398,6 +409,13 @@ func (c *Crashes) validate() error {
 		}
 		if len(c.Rounds) > 0 && len(c.Rounds) != len(c.NodeList) {
 			return fmt.Errorf("crashes.rounds: %d rounds for %d nodes", len(c.Rounds), len(c.NodeList))
+		}
+		seen := make(map[int]bool, len(c.NodeList))
+		for _, node := range c.NodeList {
+			if seen[node] {
+				return fmt.Errorf("crashes.nodes: duplicate node %d", node)
+			}
+			seen[node] = true
 		}
 	} else {
 		switch c.Nodes {

@@ -97,6 +97,9 @@ func TestParseErrorsCiteKeys(t *testing.T) {
 		{"bad inputs", "ns: [5]\ninputs: zigzag", "inputs"},
 		{"bad crash selector", "ns: [5]\ncrashes:\n  nodes: sideways", "crashes.nodes"},
 		{"crash rounds without list", "ns: [5]\ncrashes:\n  nodes: odd\n  rounds: [1]", "crashes.rounds"},
+		{"duplicate crash node", "ns: [5]\ncrashes:\n  nodes: [1, 1]\n  rounds: [2, 5]", "crashes.nodes: duplicate node 1"},
+		{"duplicate node in a cast", "ns: [5]\nbyzantine:\n  - nodes: [3, 3]\n    strategy: silent", "byzantine[0].nodes: duplicate node 3"},
+		{"node in two casts", "ns: [5]\nbyzantine:\n  - nodes: [1, 3]\n    strategy: silent\n  - nodes: [3]\n    strategy: noise", "byzantine[1].nodes: node 3 already cast"},
 		{"bad strategy", "ns: [5]\nbyzantine:\n  - nodes: [1]\n    strategy: gossip", "byzantine[0].strategy"},
 		{"strategy arg count", "ns: [5]\nbyzantine:\n  - nodes: [1]\n    strategy: extremist", "byzantine[0].args"},
 		{"seed on unseeded strategy", "ns: [5]\nbyzantine:\n  - nodes: [1]\n    strategy: silent\n    seed: 3", "byzantine[0].seed"},
@@ -233,29 +236,19 @@ byzantine:
 	}
 }
 
-// TestGridRoundTrip is the Grid → spec → Grid contract: a declarative
-// grid survives serialization with identical sweep rows.
+// TestGridRoundTrip is the sweep → file → Grid contract: a sweep
+// survives encode/parse unchanged, and its compiled grid runs the rows
+// of the same matrix built by hand as a Grid.
 func TestGridRoundTrip(t *testing.T) {
-	g := anondyn.Grid{
+	sw := &Sweep{
 		Ns:           []int{5, 7},
-		Fs:           []int{0},
+		Fs:           []Bound{{Lit: 0}},
 		Epss:         []float64{1e-3, 1e-2},
-		Algorithms:   []anondyn.Algo{anondyn.AlgoDAC},
+		Algorithms:   []string{"dac"},
+		Adversaries:  []string{"complete", "er:0.6", "random:2,3"},
 		SeedsPerCell: 3,
 		BaseSeed:     42,
 		MaxRounds:    3000,
-	}
-	for _, name := range []string{"complete", "er:0.6", "random:2,3"} {
-		f, err := anondyn.ParseAdversaryFactory(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Adversaries = append(g.Adversaries, f)
-	}
-
-	sw, err := FromGrid(g)
-	if err != nil {
-		t.Fatal(err)
 	}
 	encoded := sw.Encode()
 	sw2, err := Parse(encoded)
@@ -265,43 +258,38 @@ func TestGridRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(sw, sw2) {
 		t.Fatalf("sweep changed across encode/parse:\n%+v\n%+v\n%s", sw, sw2, encoded)
 	}
-	g2, err := sw2.Grid()
+	g, err := sw2.Grid()
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	byHand := anondyn.Grid{
+		Ns:           []int{5, 7},
+		Fs:           []int{0},
+		Epss:         []float64{1e-3, 1e-2},
+		Algorithms:   []anondyn.Algo{anondyn.AlgoDAC},
+		SeedsPerCell: 3,
+		BaseSeed:     42,
+		MaxRounds:    3000,
+	}
+	for _, name := range sw.Adversaries {
+		f, err := anondyn.ParseAdversaryFactory(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byHand.Adversaries = append(byHand.Adversaries, f)
 	}
 
 	rows, err := g.Run(anondyn.BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := g2.Run(anondyn.BatchOptions{Workers: 2})
+	want, err := byHand.Run(anondyn.BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rows, rows2) {
-		t.Errorf("round-tripped grid rows differ:\n%+v\n%+v", rows, rows2)
-	}
-}
-
-// TestFromGridRejectsHooks: grids carrying funcs the format cannot
-// express are refused rather than silently truncated.
-func TestFromGridRejectsHooks(t *testing.T) {
-	base := anondyn.Grid{Ns: []int{5}}
-	for name, g := range map[string]anondyn.Grid{
-		"skip":     {Ns: base.Ns, Skip: func(anondyn.Cell) bool { return false }},
-		"mutate":   {Ns: base.Ns, Mutate: func(*anondyn.Scenario, anondyn.Cell, int64) {}},
-		"inputs":   {Ns: base.Ns, Inputs: anondyn.RandomInputs},
-		"variants": {Ns: base.Ns, Variants: []anondyn.Variant{{Name: "x"}}},
-	} {
-		if _, err := FromGrid(g); err == nil {
-			t.Errorf("%s: hook-carrying grid serialized", name)
-		}
-	}
-	custom := anondyn.Grid{Ns: []int{5}, Adversaries: []anondyn.AdversaryFactory{
-		{Name: "bespoke", New: func(anondyn.Cell, int64) anondyn.Adversary { return anondyn.Complete() }},
-	}}
-	if _, err := FromGrid(custom); err == nil {
-		t.Error("unregistered adversary factory serialized")
+	if len(rows) != 12 || !reflect.DeepEqual(rows, want) {
+		t.Errorf("compiled grid rows differ from the hand-built grid's:\n%+v\n%+v", rows, want)
 	}
 }
 
