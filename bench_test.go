@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"anondyn"
+	"anondyn/internal/chaos"
 	"anondyn/internal/core"
 	"anondyn/internal/experiments"
 	"anondyn/internal/metrics"
@@ -252,6 +253,58 @@ func TestSteadyRoundAllocBudget(t *testing.T) {
 			t.Errorf("steady-state auto-CSR round allocated %g times per round, want 0", avg)
 		}
 	})
+	// Crash rounds take the direct gather and count their lost messages
+	// in it, allocation-free: a clean and a partial crash inside the
+	// measured window on the dense set, and silent crashes in waves on
+	// the CSR one (every round after the first wave skips dead senders).
+	t.Run("crash/n=9", func(t *testing.T) {
+		eng := steadyEngine(t, 9, anondyn.Probabilistic(0.5, 1), func(cfg *sim.Config) {
+			cfg.F = 2
+			cfg.Crashes = map[int]anondyn.Crash{2: anondyn.CrashAt(60), 5: anondyn.CrashPartial(120, 0, 1)}
+		})
+		if avg := testing.AllocsPerRun(200, eng.Step); avg != 0 {
+			t.Errorf("crash round allocated %g times per round, want 0", avg)
+		}
+	})
+	t.Run("er2/n=1025/csr/crash", func(t *testing.T) {
+		eng := steadyEngine(t, 1025, anondyn.SparseProbabilistic(8.0/1025, 1), func(cfg *sim.Config) {
+			cfg.ForceCSR = true
+			cfg.Crashes = map[int]anondyn.Crash{}
+			for k := 0; k < 256; k++ {
+				cfg.Crashes[4*k] = anondyn.CrashSilent(40 + k%4*10)
+			}
+			cfg.F = len(cfg.Crashes)
+		})
+		if avg := testing.AllocsPerRun(50, eng.Step); avg != 0 {
+			t.Errorf("CSR crash round allocated %g times per round, want 0", avg)
+		}
+	})
+	// The storm filter edits the round's set in place through Retain: an
+	// er2 log (ascending) is filtered as it stands, a rotating one
+	// (receiver-major) through its sender-major view — neither allocates.
+	for name, base := range map[string]func() anondyn.Adversary{
+		"sorted":   func() anondyn.Adversary { return anondyn.SparseProbabilistic(8.0/1025, 1) },
+		"unsorted": func() anondyn.Adversary { return anondyn.Rotating(8) },
+	} {
+		t.Run("storm/n=1025/csr/"+name, func(t *testing.T) {
+			st := &chaos.Stress{
+				Fleet:  chaos.Fleet{TotalNodes: 1025, Groups: 4},
+				Rounds: 400,
+				Events: []chaos.Event{
+					{Kind: "partition", Round: 1, Duration: 300, Groups: []int{1}},
+					{Kind: "starve", Round: 1, Duration: 300, Rate: 0.2},
+				},
+			}
+			if err := st.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			eng := steadyEngine(t, 1025, st.CompileStorm(1).WrapAdversary(base()),
+				func(cfg *sim.Config) { cfg.ForceCSR = true })
+			if avg := testing.AllocsPerRun(50, eng.Step); avg != 0 {
+				t.Errorf("storm round allocated %g times per round, want 0", avg)
+			}
+		})
+	}
 	// The Byzantine round holds the same budget: in-place strategies fill
 	// storage the engine carved at Reset, the bounded extreme lists never
 	// regrow, and RandomDegree rebuilds its block schedule (every third
@@ -359,42 +412,61 @@ func BenchmarkEngineSteadyRound(b *testing.B) {
 // Byzantine sweep's largest cell — DBAC at n=51 with f=10 equivocators
 // placed `middle`, 40 phases — on the complete graph and on the
 // randomized (5, ⌊(n+3f)/2⌋)-dynaDegree one: they put allocs/op and
-// ns/edge of the faulted dense round under the gate.
+// ns/edge of the faulted dense round under the gate. The crash rows
+// price the crash round: DAC at n=51 on er:0.3 with a clean crash in
+// round 2 and a partial one in round 5, and DAC at n=16385 on er2:8/n
+// with a quarter of the nodes crashing silently in four waves — both on
+// the direct gather, which skips the dead senders and counts lost
+// messages as it goes.
 func engineRoundCases() []struct {
 	name      string
 	n         int
 	f         int // > 0: DBAC with f equivocators instead of fault-free DAC
 	maxRounds int // 0: run to decision
 	adv       func() anondyn.Adversary
+	crashes   func(n int) map[int]anondyn.Crash // nil: no crash
 } {
 	complete := func() anondyn.Adversary { return anondyn.Complete() }
 	er2 := func(n int) func() anondyn.Adversary {
 		return func() anondyn.Adversary { return anondyn.SparseProbabilistic(8.0/float64(n), 1) }
 	}
 	d4 := func() anondyn.Adversary { return anondyn.Rotating(4) }
+	twoCrashes := func(int) map[int]anondyn.Crash {
+		return map[int]anondyn.Crash{7: anondyn.CrashAt(2), 30: anondyn.CrashPartial(5, 0, 1, 2)}
+	}
+	waves := func(n int) map[int]anondyn.Crash {
+		c := make(map[int]anondyn.Crash, n/4)
+		for k := 0; k < n/4; k++ {
+			c[4*k] = anondyn.CrashSilent(8 + k%4*8)
+		}
+		return c
+	}
 	return []struct {
 		name      string
 		n         int
 		f         int
 		maxRounds int
 		adv       func() anondyn.Adversary
+		crashes   func(n int) map[int]anondyn.Crash
 	}{
-		{"n=7", 7, 0, 0, complete},
-		{"n=25", 25, 0, 0, complete},
-		{"n=51", 51, 0, 0, complete},
-		{"n=51/p=0.5", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.5, 1) }},
-		{"n=51/p=0.1", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.1, 1) }},
-		{"n=51/d=4", 51, 0, 0, d4},
-		{"dbac/n=51/f=10/complete", 51, 10, 0, complete},
-		{"dbac/n=51/f=10/byzdeg", 51, 10, 0, func() anondyn.Adversary { return byzDegree(51, 10) }},
-		{"n=1025/p=8n", 1025, 0, 0, er2(1025)},
-		{"n=1025/d=4", 1025, 0, 0, d4},
-		{"n=4097/p=8n", 4097, 0, 0, er2(4097)},
-		{"n=4097/d=4", 4097, 0, 0, d4},
-		{"n=16385/p=8n", 16385, 0, 256, er2(16385)},
-		{"n=16385/d=4", 16385, 0, 256, d4},
-		{"n=65537/p=8n", 65537, 0, 128, er2(65537)},
-		{"n=65537/d=4", 65537, 0, 128, d4},
+		{"n=7", 7, 0, 0, complete, nil},
+		{"n=25", 25, 0, 0, complete, nil},
+		{"n=51", 51, 0, 0, complete, nil},
+		{"n=51/p=0.5", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.5, 1) }, nil},
+		{"n=51/p=0.1", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.1, 1) }, nil},
+		{"n=51/d=4", 51, 0, 0, d4, nil},
+		{"n=51/p=0.3/crash", 51, 0, 0, func() anondyn.Adversary { return anondyn.Probabilistic(0.3, 1) }, twoCrashes},
+		{"dbac/n=51/f=10/complete", 51, 10, 0, complete, nil},
+		{"dbac/n=51/f=10/byzdeg", 51, 10, 0, func() anondyn.Adversary { return byzDegree(51, 10) }, nil},
+		{"n=1025/p=8n", 1025, 0, 0, er2(1025), nil},
+		{"n=1025/d=4", 1025, 0, 0, d4, nil},
+		{"n=4097/p=8n", 4097, 0, 0, er2(4097), nil},
+		{"n=4097/d=4", 4097, 0, 0, d4, nil},
+		{"n=16385/p=8n", 16385, 0, 256, er2(16385), nil},
+		{"n=16385/p=8n/crash", 16385, 0, 256, er2(16385), waves},
+		{"n=16385/d=4", 16385, 0, 256, d4, nil},
+		{"n=65537/p=8n", 65537, 0, 128, er2(65537), nil},
+		{"n=65537/d=4", 65537, 0, 128, d4, nil},
 	}
 }
 
@@ -412,6 +484,9 @@ func BenchmarkEngineRound(b *testing.B) {
 					Inputs:    anondyn.SpreadInputs(c.n),
 					Adversary: c.adv(),
 					MaxRounds: c.maxRounds,
+				}
+				if c.crashes != nil {
+					s.Crashes = c.crashes(c.n)
 				}
 				if c.f > 0 {
 					s.F, s.Algorithm, s.PEndOverride = c.f, anondyn.AlgoDBAC, 40

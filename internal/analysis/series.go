@@ -90,7 +90,7 @@ func (s *RangeSeries) Sparkline(width int, floor float64) string {
 	if floor <= 0 {
 		floor = 1e-9
 	}
-	logFloor := math.Log10(floor)
+	logFloor := float64(math.Log10(floor))
 	logTop := 0.0 // ranges start at ≤ 1
 	var b strings.Builder
 	bucket := float64(len(s.ranges)) / float64(width)
@@ -115,7 +115,7 @@ func (s *RangeSeries) Sparkline(width int, floor float64) string {
 		}
 		frac := 0.0
 		if worst > floor {
-			frac = (math.Log10(worst) - logFloor) / (logTop - logFloor)
+			frac = (float64(math.Log10(worst)) - logFloor) / (logTop - logFloor)
 		}
 		if frac < 0 {
 			frac = 0
@@ -123,7 +123,7 @@ func (s *RangeSeries) Sparkline(width int, floor float64) string {
 		if frac > 1 {
 			frac = 1
 		}
-		b.WriteRune(levels[int(frac*float64(len(levels)-1)+0.5)])
+		b.WriteRune(levels[int(float64(frac*float64(len(levels)-1))+0.5)])
 	}
 	return b.String()
 }

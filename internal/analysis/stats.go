@@ -33,7 +33,7 @@ func Summarize(sample []float64) Summary {
 	varsum := 0.0
 	for _, v := range s {
 		d := v - mean
-		varsum += d * d
+		varsum += float64(d * d)
 	}
 	return Summary{
 		N:      len(s),
@@ -61,13 +61,13 @@ func Percentile(sorted []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	frac := rank - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[len(sorted)-1]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // GeoMean returns the geometric mean of a positive sample, NaN-safe:

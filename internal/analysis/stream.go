@@ -30,7 +30,7 @@ func (a *Accumulator) Add(v float64) {
 	}
 	d := v - a.mean
 	a.mean += d / float64(a.n)
-	a.m2 += d * (v - a.mean)
+	a.m2 += float64(d * (v - a.mean))
 	a.samples = append(a.samples, v)
 }
 

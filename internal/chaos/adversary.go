@@ -22,10 +22,12 @@ func (st *Storm) WrapAdversary(base anondyn.Adversary) anondyn.Adversary {
 // stormAdversary filters a base adversary's per-round edge set through
 // the storm's active connectivity windows. It always implements the
 // InPlace fast path: the base fills the engine-owned scratch set (or is
-// copied into it), then one sender-major walk collects the surviving
-// links and rebuilds the set — O(edges) per round in either
-// representation, with the walk order (and hence every starvation draw)
-// identical across the dense/CSR switch.
+// copied into it), then one EdgeSet.Retain pass drops the suppressed
+// links in place — O(edges) per round in either representation, with
+// the visit order (sender-major, hence every starvation draw) identical
+// across the dense/CSR switch. Over an er2 base the log is already
+// sender-major, so the filter edits it directly and no CSR view is
+// built for it.
 //
 // The per-round scratch lives in the wrapper, so a steady round with
 // active windows allocates nothing (the engine may call EdgesInto from
@@ -37,7 +39,6 @@ type stormAdversary struct {
 	cuts    []cutWindow
 	starves []starveWindow
 
-	keep  []uint64     // surviving-edge scratch, u<<32|v
 	live  []*cutWindow // this round's active cuts
 	rngs  []stream     // this round's starve streams, by value
 	rates []float64    // and their drop rates
@@ -87,29 +88,17 @@ func (a *stormAdversary) filter(t int, dst *network.EdgeSet) {
 	if len(a.live) == 0 && len(a.rngs) == 0 {
 		return
 	}
-	a.keep = a.keep[:0]
-	dropped := false
-	dst.ForEachEdge(func(u, v int) bool {
+	dst.Retain(func(u, v int) bool {
 		for _, w := range a.live {
 			if w.inCut[u] != w.inCut[v] {
-				dropped = true
-				return true
+				return false
 			}
 		}
 		for i := range a.rngs {
 			if a.rngs[i].float64() < a.rates[i] {
-				dropped = true
-				return true
+				return false
 			}
 		}
-		a.keep = append(a.keep, uint64(u)<<32|uint64(uint32(v)))
 		return true
 	})
-	if !dropped {
-		return
-	}
-	dst.Reset()
-	for _, p := range a.keep {
-		dst.AddUnchecked(int(p>>32), int(uint32(p)))
-	}
 }

@@ -23,8 +23,7 @@ const SparseThreshold = 2048
 // still deliver once).
 //
 // The views are lazy and independent because their readers are: a
-// fault-free round reads only the receiver-major view (the gather), a
-// storm filter only the sender-major one (ForEachEdge), and building
+// round reads only the receiver-major view (the gather), and building
 // the view nobody reads was a sixth of the sparse round. Which reader
 // forces which:
 //
@@ -32,7 +31,12 @@ const SparseThreshold = 2048
 //     on them (InNeighborsInto, InDegree, InBitsInto), and Len when
 //     neither view exists yet;
 //   - sender-major (outStart/outList): OutCSR, OutList, OutNeighbors,
-//     OutDegree, OutMissing, Has, ForEachEdge (hence Equal and Edges).
+//     OutDegree, Has, ForEachEdge (hence Equal and Edges), and Retain
+//     on a log that is not strictly ascending.
+//
+// Retain on a strictly ascending log (what the er and er2 samplers
+// emit) forces neither: it filters the log in place, so a storm filter
+// over er2 never builds the sender-major view at all.
 //
 // Any mutation invalidates both. A build writes the state, so a view
 // read on another goroutine must be forced before the hand-off (the
@@ -168,20 +172,22 @@ func (e *EdgeSet) sparseLen() int {
 // and the number of distinct links. keyShift picks the direction: a
 // pair's row is uint32(p>>keyShift), its entry the other half — 32 for
 // sender-major rows of receivers, 0 for receiver-major rows of senders.
-// The scatter is stable, so a row holds its entries in log order; rows
-// arrive already ascending from every in-place generator (sender-major
-// emitters in lexicographic order, receiver-major ones per receiver
-// ascending, bar the rows that wrap around n), so the sort is normally
-// a verification scan. Cost O(n + log length).
+// A strictly ascending log takes compactAscending, any other log
+// compactGeneral. Cost O(n + log length).
 func (c *csrState) compact(n int, start, list []int32, keyShift uint) ([]int32, int) {
+	if ascendingPairs(c.pairs) {
+		return c.compactAscending(n, start, list, keyShift)
+	}
+	return c.compactGeneral(n, start, list, keyShift)
+}
+
+// compactGeneral is compact for any log (rotating emits receiver-major,
+// wrapping rows; layered adversaries may log a link twice): the scatter
+// is stable, so a row holds its entries in log order, then each row is
+// sorted if it is not already, and deduplicated.
+func (c *csrState) compactGeneral(n int, start, list []int32, keyShift uint) ([]int32, int) {
 	valShift := 32 - keyShift
-	clear(start)
-	for _, p := range c.pairs {
-		start[uint32(p>>keyShift)+1]++
-	}
-	for k := 0; k < n; k++ {
-		start[k+1] += start[k]
-	}
+	c.countRows(n, start, keyShift)
 	copy(c.cursor, start[:n])
 	list = growInt32(list, len(c.pairs))
 	for _, p := range c.pairs {
@@ -211,6 +217,91 @@ func (c *csrState) compact(n int, start, list []int32, keyShift uint) ([]int32, 
 	}
 	start[n] = w
 	return list, int(w)
+}
+
+// compactAscending is compact for a log that is strictly ascending as
+// packed u<<32|v — how the er and er2 samplers emit it. Such a log has
+// no duplicates and is already sender-major, so the sender-major list
+// is its low halves, copied without a scatter; and its stable
+// receiver-major scatter fills every row in ascending sender order, so
+// the per-row sort check and dedup pass are skipped.
+func (c *csrState) compactAscending(n int, start, list []int32, keyShift uint) ([]int32, int) {
+	c.countRows(n, start, keyShift)
+	list = growInt32(list, len(c.pairs))
+	if keyShift == 32 {
+		for i, p := range c.pairs {
+			list[i] = int32(uint32(p))
+		}
+		return list, len(c.pairs)
+	}
+	copy(c.cursor, start[:n])
+	for _, p := range c.pairs {
+		v := uint32(p)
+		list[c.cursor[v]] = int32(p >> 32)
+		c.cursor[v]++
+	}
+	return list, len(c.pairs)
+}
+
+// countRows fills start with the n+1 prefix offsets of the log's rows
+// in the direction keyShift picks.
+func (c *csrState) countRows(n int, start []int32, keyShift uint) {
+	clear(start)
+	for _, p := range c.pairs {
+		start[uint32(p>>keyShift)+1]++
+	}
+	for k := 0; k < n; k++ {
+		start[k+1] += start[k]
+	}
+}
+
+// sparseRetain is Retain on a sparse set. A strictly ascending log is
+// already in ForEachEdge order with each link once, so it is filtered in
+// place; any other log is walked through its sender-major view and
+// rewritten from it (sorted and deduplicated, so it fits the log's own
+// storage). Views survive when nothing was dropped: they depend only on
+// the link set.
+func (e *EdgeSet) sparseRetain(keep func(u, v int) bool) {
+	c := e.csr
+	w := 0
+	if ascendingPairs(c.pairs) {
+		for _, p := range c.pairs {
+			if keep(int(p>>32), int(uint32(p))) {
+				c.pairs[w] = p
+				w++
+			}
+		}
+		if w != len(c.pairs) {
+			c.pairs = c.pairs[:w]
+			c.built = 0
+		}
+		return
+	}
+	e.buildOut()
+	distinct := c.edges
+	e.forEachEdge(func(u, v int) bool {
+		if keep(u, v) {
+			c.pairs[w] = uint64(u)<<32 | uint64(uint32(v))
+			w++
+		}
+		return true
+	})
+	c.pairs = c.pairs[:w]
+	if w != distinct {
+		c.built = 0
+	}
+}
+
+// ascendingPairs reports whether a log is strictly ascending. It stops
+// at the first pair that is not — a few pairs into a receiver-major
+// log — so the general build pays almost nothing for asking.
+func ascendingPairs(pairs []uint64) bool {
+	for i := 1; i < len(pairs); i++ {
+		if pairs[i-1] >= pairs[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // sparseReset clears the log, keeping storage. Once the all-time edge

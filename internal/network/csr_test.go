@@ -99,13 +99,6 @@ func assertSame(t *testing.T, dense, sparse *EdgeSet, rng *rand.Rand) {
 		t.Error("Equal disagrees across representations")
 		return
 	}
-	mask := make([]uint64, MaskWords(n))
-	for w := range mask {
-		mask[w] = rng.Uint64()
-	}
-	if tail := n % 64; tail != 0 {
-		mask[len(mask)-1] &= (1 << uint(tail)) - 1
-	}
 	accD := make([]uint64, MaskWords(n))
 	accS := make([]uint64, MaskWords(n))
 	for v := 0; v < n; v++ {
@@ -122,9 +115,6 @@ func assertSame(t *testing.T, dense, sparse *EdgeSet, rng *rand.Rand) {
 		}
 		if !equalInts(dense.OutNeighbors(v), sparse.OutNeighbors(v)) {
 			t.Errorf("OutNeighbors(%d) differ", v)
-		}
-		if dm, sm := dense.OutMissing(v, mask), sparse.OutMissing(v, mask); dm != sm {
-			t.Errorf("OutMissing(%d): dense %d, sparse %d", v, dm, sm)
 		}
 		clear(accD)
 		clear(accS)
@@ -192,7 +182,9 @@ func TestSparseResetKeepsZeroAllocRounds(t *testing.T) {
 	fill := func(edges int) {
 		s.Reset()
 		for k := 0; k < edges; k++ {
-			u := (k * 2654435761) % n
+			// uint32 arithmetic: the multiplier overflows a 32-bit int, and
+			// 4096 divides 2³², so the residues match the 64-bit ones.
+			u := int(uint32(k) * 2654435761 % n)
 			v := (u + 1 + k%(n-1)) % n
 			s.AddUnchecked(u, v)
 		}

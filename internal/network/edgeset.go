@@ -48,7 +48,7 @@ func NewEdgeSet(n int) *EdgeSet {
 
 // MaskWords returns the number of 64-bit words a node bitmap over n
 // nodes occupies — the length callers must size mask arguments
-// (OutMissing) to.
+// (InBitsInto) to.
 func MaskWords(n int) int { return (n + wordBits - 1) / wordBits }
 
 // N returns the number of nodes.
@@ -191,40 +191,6 @@ func (e *EdgeSet) OutDegree(u int) int {
 	return d
 }
 
-// OutMissing counts the nodes in mask (a bitmap of MaskWords(n) words)
-// that u has NO link towards — the word-wise core of the engines'
-// suppressed-message accounting over dense sets. The caller is
-// responsible for masking out u itself when u is in mask: (u, u) is
-// never a link, so it always counts as missing here. In sparse mode a
-// call popcounts the whole mask, O(n/64 + out-degree) — fine for a
-// probe, quadratic as a per-sender loop, which is why sim.countLost
-// counts sparse rounds receiver-major instead.
-func (e *EdgeSet) OutMissing(u int, mask []uint64) int {
-	e.check(u)
-	if len(mask) != e.words {
-		panic(fmt.Sprintf("network: mask of %d words for %d-node set (want %d)", len(mask), e.n, e.words))
-	}
-	if e.csr != nil {
-		// Nodes in the mask minus the out-neighbors that are in the mask.
-		miss := 0
-		for _, w := range mask {
-			miss += popCount(w)
-		}
-		for _, v := range e.OutList(u) {
-			if mask[int(v)/wordBits]&(1<<(uint(v)%wordBits)) != 0 {
-				miss--
-			}
-		}
-		return miss
-	}
-	base := u * e.words
-	miss := 0
-	for w := 0; w < e.words; w++ {
-		miss += popCount(mask[w] &^ e.out[base+w])
-	}
-	return miss
-}
-
 // Len returns the total number of directed links.
 func (e *EdgeSet) Len() int {
 	if e.csr != nil {
@@ -243,6 +209,27 @@ func (e *EdgeSet) Len() int {
 // filters) stay bit-identical across the dense/CSR switch. fn returning
 // false stops the walk. The set must not be mutated during the walk.
 func (e *EdgeSet) ForEachEdge(fn func(u, v int) bool) { e.forEachEdge(fn) }
+
+// Retain keeps the links keep accepts and drops the rest, in place. keep
+// is called once per link, in ForEachEdge order (sender-major,
+// ascending receiver), so a filter that folds the walk into randomized
+// decisions stays bit-identical across representations. A dense set
+// clears the dropped bits; a sparse set edits its log (see
+// sparseRetain). keep must not touch the set.
+func (e *EdgeSet) Retain(keep func(u, v int) bool) {
+	if e.csr != nil {
+		e.sparseRetain(keep)
+		return
+	}
+	// The walk reads each bitmap word before visiting its links, so
+	// clearing a visited link's bits does not disturb it.
+	e.forEachEdge(func(u, v int) bool {
+		if !keep(u, v) {
+			e.Remove(u, v)
+		}
+		return true
+	})
+}
 
 // Clone returns a deep copy in the same representation.
 func (e *EdgeSet) Clone() *EdgeSet {

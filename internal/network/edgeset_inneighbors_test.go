@@ -101,44 +101,3 @@ func TestInNeighborsIntoReusesBuffer(t *testing.T) {
 		t.Error("sufficient buffer was not reused")
 	}
 }
-
-// TestOutMissing checks the word-wise suppressed-message core against a
-// brute-force count, including the caller-handled self-bit convention.
-func TestOutMissing(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{1, 5, 64, 65, 100} {
-		e := NewEdgeSet(n)
-		for i := 0; i < 3*n; i++ {
-			e.Add(rng.Intn(n), rng.Intn(n))
-		}
-		mask := make([]uint64, MaskWords(n))
-		inMask := make([]bool, n)
-		for v := 0; v < n; v++ {
-			if rng.Intn(2) == 0 {
-				mask[v/64] |= 1 << (uint(v) % 64)
-				inMask[v] = true
-			}
-		}
-		for u := 0; u < n; u++ {
-			want := 0
-			for v := 0; v < n; v++ {
-				if inMask[v] && !e.Has(u, v) {
-					want++
-				}
-			}
-			if got := e.OutMissing(u, mask); got != want {
-				t.Fatalf("n=%d: OutMissing(%d) = %d, want %d", n, u, got, want)
-			}
-		}
-	}
-}
-
-func TestOutMissingRejectsWrongMaskLength(t *testing.T) {
-	e := NewEdgeSet(65)
-	defer func() {
-		if recover() == nil {
-			t.Error("short mask must panic")
-		}
-	}()
-	e.OutMissing(0, make([]uint64, 1))
-}

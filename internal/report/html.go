@@ -181,14 +181,14 @@ func writeChart(b *strings.Builder, c HTMLChart) {
 		lo = chartFloor
 	}
 	hi = math.Pow(10, math.Ceil(math.Log10(hi)))
-	logLo, logHi := math.Log10(lo), math.Log10(hi)
+	logLo, logHi := float64(math.Log10(lo)), float64(math.Log10(hi))
 
 	y := func(v float64) float64 {
 		if v < lo {
 			v = lo
 		}
-		frac := (math.Log10(v) - logLo) / (logHi - logLo)
-		return (chartH - chartMB) * (1 - frac)
+		frac := (float64(math.Log10(v)) - logLo) / (logHi - logLo)
+		return float64((chartH - chartMB) * (1 - frac))
 	}
 	x := func(i int) float64 {
 		n := len(c.Series)

@@ -14,16 +14,17 @@ import (
 
 // TestDeliveryEquivalenceProperty is the round loop's oracle test:
 // across randomized sparse, dense and faulted scenarios, the fast paths
-// — word-wise in-neighbor gather, lazy/incremental view maintenance,
-// and the O(1) fault-free lost count — must together produce
+// — word-wise in-neighbor gather, the direct gathers (crash rounds
+// included), lazy/incremental view maintenance, and the lost count the
+// gathers fold as they go — must together produce
 // byte-identical Results (trace, MessagesLost/Delivered/Oversized,
 // BytesDelivered, outputs) AND an identical per-delivery event stream
 // (delivery order is visible through the recorder) compared to the
 // test-only reference oracle (referenceStep: port-loop gather, eager
-// per-round view refresh, per-edge Deliver, word-wise lost count).
+// per-round view refresh, per-edge Deliver, pairwise lost count).
 func TestDeliveryEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	direct := 0
+	direct, directCrash, bitsCrash := 0, 0, 0
 	// Sizes straddle the 64-bit word boundary on purpose: the word-wise
 	// path must be exact in the multi-word regime too.
 	for trial := 0; trial < 60; trial++ {
@@ -90,41 +91,106 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		assertEqualStates(t, bareRefEng, bareWWEng, "trial %d (n=%d, seed=%d, csr=%v) bare pair",
 			trial, n, seed, bareWW.ForceCSR)
 
-		// Fourth run, on fault-free draws: strip what disarms the sparse
-		// direct gather (ports, caps, the dense scratch) so
-		// deliverRange's in-CSR fill — with whichever algorithm and
-		// shuffling was drawn, seam or per-edge — meets the oracle.
-		if len(bareRef.Byzantine)+len(bareRef.Crashes) > 0 {
+		// Fourth run, on Byzantine-free draws (crash-only ones included):
+		// strip what disarms the direct gather (ports, caps, bandwidth
+		// accounting) so deliverRange's in-row fill — CSR rows or dense
+		// bitmap words, with whichever algorithm and shuffling was drawn,
+		// seam or per-edge, and with the gather's own lost count — meets
+		// the oracle on both representations.
+		if len(bareRef.Byzantine) > 0 {
 			continue
 		}
-		sparse := func() Config {
+		crashy := len(bareRef.Crashes) > 0
+		plain := func() Config {
 			c := cfg()
 			c.AccountBandwidth, c.MaxMessageBytes = false, 0
 			c.Ports = nil
 			return c
 		}
-		spRefEng, err := NewEngine(sparse())
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		for _, forceCSR := range []bool{true, false} {
+			spRefEng, err := NewEngine(plain())
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			spCfg := plain()
+			spCfg.ForceCSR = forceCSR
+			spEng, err := NewEngine(spCfg)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			if !spEng.fastGather || !spEng.allIdentity {
+				t.Fatalf("trial %d: a Byzantine-free, identity-port config missed the direct gather", trial)
+			}
+			rr, ww = referenceRunRounds(spRefEng, 25), spEng.RunRounds(25)
+			if rr.MessagesLost != ww.MessagesLost || rr.MessagesDelivered != ww.MessagesDelivered {
+				t.Fatalf("trial %d (n=%d, seed=%d, csr=%v) direct gather: lost/delivered %d/%d, oracle %d/%d",
+					trial, n, seed, forceCSR, ww.MessagesLost, ww.MessagesDelivered, rr.MessagesLost, rr.MessagesDelivered)
+			}
+			assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d, csr=%v) direct-gather pair", trial, n, seed, forceCSR)
+			assertEqualStates(t, spRefEng, spEng, "trial %d (n=%d, seed=%d, csr=%v) direct-gather pair", trial, n, seed, forceCSR)
+			// Complete graphs (FillComplete converts the scratch to dense) and
+			// adversaries that return their own dense set take the bitmap
+			// gather instead of the CSR one.
+			switch sparseRound := spEng.inPlace != nil && spEng.edges.IsSparse(); {
+			case sparseRound && !crashy:
+				direct++
+			case sparseRound:
+				directCrash++
+			case !forceCSR && crashy:
+				bitsCrash++
+			}
 		}
-		spCfg := sparse()
-		spCfg.ForceCSR = true
-		spEng, err := NewEngine(spCfg)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		rr, ww = referenceRunRounds(spRefEng, 25), spEng.RunRounds(25)
-		assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d) direct-gather pair", trial, n, seed)
-		assertEqualStates(t, spRefEng, spEng, "trial %d (n=%d, seed=%d) direct-gather pair", trial, n, seed)
-		// Complete graphs (FillComplete converts the scratch to dense) and
-		// adversaries that return their own dense set take the bitmap
-		// gather instead.
-		if spEng.fastGather && spEng.allIdentity && spEng.inPlace != nil && spEng.edges.IsSparse() {
-			direct++
-		}
+	}
+	if directCrash < 5 || bitsCrash < 5 {
+		t.Errorf("crash-only configs hit the CSR direct gather %d times and the bitmap one %d times — property nearly vacuous",
+			directCrash, bitsCrash)
 	}
 	if direct < 10 {
 		t.Errorf("only %d trials exercised the sparse direct gather — property nearly vacuous", direct)
+	}
+}
+
+// TestDirectGatherCrashKinds pins each crash kind on the direct gather,
+// in both representations: a clean crash (the final broadcast reaches
+// every out-neighbor), a silent one (it reaches none) and a partial one
+// (only the DeliverTo list), each in its crash round and in the rounds
+// after it, against the reference oracle's deliveries, lost count and
+// end states.
+func TestDirectGatherCrashKinds(t *testing.T) {
+	const n = 33
+	kinds := map[string]func(r int) fault.Crash{
+		"clean":   fault.CrashAt,
+		"silent":  fault.CrashSilent,
+		"partial": func(r int) fault.Crash { return fault.CrashPartial(r, 0, 2, 5, 31) },
+	}
+	advs := map[string]func() adversary.Adversary{
+		"er2": func() adversary.Adversary { return must(adversary.NewSparseProbabilistic(0.2, 3)) },
+		"er":  func() adversary.Adversary { return must(adversary.NewProbabilistic(0.4, 4)) },
+	}
+	for kind, crash := range kinds {
+		for advName, adv := range advs {
+			for _, forceCSR := range []bool{false, true} {
+				mk := func() Config {
+					return Config{
+						N: n, F: 4, Procs: dacProcs(t, n, 40, spread(n)), Adversary: adv(),
+						Crashes:   fault.Schedule{3: crash(1), 8: crash(2), 20: crash(2), 30: crash(5)},
+						MaxRounds: 1 << 20, KeepTrace: true, ForceCSR: forceCSR,
+					}
+				}
+				ref := must(NewEngine(mk()))
+				eng := must(NewEngine(mk()))
+				if !eng.fastGather || !eng.allIdentity || eng.edges.IsSparse() != forceCSR {
+					t.Fatalf("%s/%s/csr=%v: not on the direct gather", kind, advName, forceCSR)
+				}
+				rr, ww := referenceRunRounds(ref, 10), eng.RunRounds(10)
+				if rr.MessagesLost != ww.MessagesLost || rr.MessagesDelivered != ww.MessagesDelivered {
+					t.Fatalf("%s/%s/csr=%v: lost/delivered %d/%d, oracle %d/%d", kind, advName, forceCSR,
+						ww.MessagesLost, ww.MessagesDelivered, rr.MessagesLost, rr.MessagesDelivered)
+				}
+				assertEqualResults(t, rr, ww, "%s/%s/csr=%v", kind, advName, forceCSR)
+				assertEqualStates(t, ref, eng, "%s/%s/csr=%v", kind, advName, forceCSR)
+			}
+		}
 	}
 }
 

@@ -46,14 +46,13 @@ type Engine struct {
 
 	// scratch reused across rounds
 	broadcasts  []core.Message
-	hasBcast    []bool
+	sends       []bool               // node sends in round t: Byzantine, or alive at its start (t ≤ crash round)
 	bcastSize   []int                // wire.Size per broadcast, computed once per round
 	byzStoreBuf []core.Message       // flat backing of every byzNode.store, grown in Reset, recycled across runs
 	byzOutBuf   []*core.Message      // flat backing of the in-place senders' byzNode.out
 	deliveries  []core.Delivery      // the receiver's gather buffer, n entries
 	inbuf       []int                // in-neighbor list behind gatherInNeighbors, capacity n
 	bulk        []core.BulkDeliverer // per-node DeliverAll seam, probed once per Reset (nil: plain Deliver)
-	recvMask    []uint64             // word-wise mask of round-t-eligible receivers
 	edges       *network.EdgeSet     // engine-owned E(t) for InPlace adversaries
 	inPlace     adversary.InPlace    // non-nil when the adversary has the fast path
 	hooks       Hooks                // cfg.Hooks, cached
@@ -83,23 +82,24 @@ type Engine struct {
 	viewInit   bool
 	crashSched []int // nodes with a scheduled crash, for flag flips
 
-	// lostFast marks configurations where the suppressed-message count
-	// degenerates to n(n−1) − delivered: no Byzantine nodes, no crashes,
-	// no link caps — every sender broadcasts, every receiver is eligible,
-	// every present link delivers. O(1) instead of the word-wise mask
-	// fold, which at n=4097 is the difference between touching 64·n words
-	// and none.
-	lostFast bool
-
-	// fastGather additionally rules out bandwidth accounting: every
-	// in-neighbor then delivers its broadcast unconditionally. Combined
-	// with allIdentity (every numbering is the identity bijection,
-	// checked once per Reset) the gather scans the receiver's in-row
-	// (bitmap words or CSR row) straight into the delivery buffer,
-	// skipping the intermediate neighbor list, outgoing()'s fault checks
-	// and the cap/size branches per delivery.
+	// fastGather rules out Byzantine senders, link caps and bandwidth
+	// accounting: an in-neighbor then delivers its broadcast unless it
+	// has crashed, or crashes in this round with a DeliverTo list that
+	// leaves the receiver out. Combined with allIdentity (every numbering
+	// is the identity bijection, checked once per Reset) the gather scans
+	// the receiver's in-row (bitmap words or CSR row) straight into the
+	// delivery buffer, skipping the intermediate neighbor list,
+	// outgoing()'s Byzantine and size branches and the cap check per
+	// delivery.
 	fastGather  bool
 	allIdentity bool
+
+	// Per-round sender census, taken by openRound: how many nodes send
+	// (the lost count's "alive sender" side), and whether some sender
+	// crashes this round with a DeliverTo list (only then does a gather
+	// consult AllowsFinalDelivery).
+	senders int
+	partial bool
 
 	// trackPhases is false when neither an Observer nor a Recorder is
 	// configured: phase transitions then have no consumer, and the
@@ -162,7 +162,7 @@ func (e *Engine) Reset(cfg Config) error {
 			e.outputs[i] = 0
 			e.decideRound[i] = 0
 			e.inputs[i] = 0
-			e.hasBcast[i] = false
+			e.sends[i] = false
 			e.bcastSize[i] = 0
 		}
 		e.crashSched = e.crashSched[:0]
@@ -175,7 +175,7 @@ func (e *Engine) Reset(cfg Config) error {
 		e.decideRound = make([]int, n)
 		e.inputs = make([]float64, n)
 		e.broadcasts = make([]core.Message, n)
-		e.hasBcast = make([]bool, n)
+		e.sends = make([]bool, n)
 		e.bcastSize = make([]int, n)
 		e.crashRound = make([]int, n)
 		e.crashInfo = make([]fault.Crash, n)
@@ -186,7 +186,6 @@ func (e *Engine) Reset(cfg Config) error {
 		e.inbuf = make([]int, 0, n)
 		e.bulk = make([]core.BulkDeliverer, n)
 		e.crashSched = nil
-		e.recvMask = make([]uint64, network.MaskWords(n))
 		e.rvValues = make([]float64, n)
 		e.rvRunning = make([]bool, n)
 		e.edges = nil
@@ -228,9 +227,8 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	e.viewSkip = adversary.IsOblivious(cfg.Adversary) && len(cfg.Byzantine) == 0
 	e.viewInit = false
-	e.lostFast = len(cfg.Byzantine) == 0 && len(cfg.Crashes) == 0 &&
-		cfg.MaxMessageBytes == 0 && cfg.LinkBandwidth == nil
-	e.fastGather = e.lostFast && !cfg.AccountBandwidth
+	e.fastGather = len(cfg.Byzantine) == 0 && cfg.MaxMessageBytes == 0 &&
+		cfg.LinkBandwidth == nil && !cfg.AccountBandwidth
 	// The Metrics sink deliberately does not join this gate: metrics tap
 	// the round from outside and must never change path selection, so a
 	// metrics-enabled run takes bit-for-bit the same route as a disabled
@@ -419,22 +417,11 @@ func (e *Engine) Step() {
 }
 
 // playRound executes round t over E(t): open it (broadcasts), run the
-// per-receiver core (deliverRange), close it (counters, observers).
+// per-receiver core (deliverRange, which also counts the round's lost
+// messages), close it (counters, observers).
 func (e *Engine) playRound(t int, edges *network.EdgeSet) {
 	e.openRound(t, edges)
-	delivered := e.deliverRange(t, edges)
-
-	// Count adversary-suppressed messages: alive sender, receiver able
-	// to receive in round t, no link. With no Byzantine nodes, no crashes
-	// and no link caps, every one of the n(n−1) potential messages either
-	// delivered or was suppressed, so the count is a subtraction;
-	// otherwise countLost folds one word-wise mask of eligible receivers.
-	var lost int
-	if e.lostFast {
-		lost = e.cfg.N*(e.cfg.N-1) - delivered
-	} else {
-		lost = countLost(t, e.cfg.N, e.isByz, e.crashRound, edges, e.recvMask)
-	}
+	delivered, lost := e.deliverRange(t, edges)
 	e.closeRound(t, delivered, lost)
 }
 
@@ -445,7 +432,8 @@ func (e *Engine) playRound(t int, edges *network.EdgeSet) {
 // produce per-receiver messages, overwriting last round's so nothing
 // stale is ever consulted — in-place strategies into the engine-owned
 // storage Reset carved for them (no allocation), the rest through
-// Messages.
+// Messages. It also takes the round's sender census (senders, partial)
+// that the gather's lost count and fault checks read.
 func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 	rec := e.hooks.Recorder
 	if rec != nil {
@@ -454,22 +442,29 @@ func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 	if e.cfg.KeepTrace {
 		e.result.Trace = append(e.result.Trace, edges.Clone())
 	}
+	e.senders, e.partial = 0, false
 	for i := 0; i < e.cfg.N; i++ {
-		e.hasBcast[i] = false
 		if e.isByz[i] {
 			if b := &e.byz[i]; b.inPlace != nil {
 				b.inPlace.MessagesInto(t, i, e.view, b.store, b.out)
 			} else {
 				b.out = b.strat.Messages(t, i, e.view)
 			}
+			e.sends[i] = true
+			e.senders++
 			continue
 		}
 		if t > e.crashRound[i] {
+			e.sends[i] = false
 			continue
 		}
 		m := e.cfg.Procs[i].Broadcast()
 		e.broadcasts[i] = m
-		e.hasBcast[i] = true
+		e.sends[i] = true
+		e.senders++
+		if e.crashRound[i] == t && e.crashInfo[i].DeliverTo != nil {
+			e.partial = true
+		}
 		if e.needSize {
 			// One Size per broadcast per round; deliveries reuse it.
 			e.bcastSize[i] = wire.Size(m)
@@ -539,8 +534,15 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 // receiver range in ascending node order: gather each receiver's
 // in-edges in ascending port order, optionally shuffle, hand them to
 // the algorithm, end the receiver's round. It returns the round's
-// delivery count; the byte and oversize counters go straight into the
-// Result.
+// delivery count and its lost count; the byte and oversize counters go
+// straight into the Result.
+//
+// Lost messages are the (sending node, eligible receiver) pairs with no
+// link between them, where a receiver is eligible when it is not
+// Byzantine and survives the whole round. Every gather counts the
+// sending in-neighbors it meets (heard), so an eligible receiver v adds
+// senders − 1 − heard: v is itself a sender, and (v, v) is never a
+// link.
 //
 // There is one body on purpose: variants that skip the delivery buffer
 // when nothing observes deliveries measure within ±3 % of it on every
@@ -548,19 +550,21 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 // them, 0.61 → 0.53 ms/run), so they are not worth a second route.
 //
 // Of a sparse set's two lazily built CSR views the loop reads only the
-// receiver-major one — directly (the fault-free gather below) or
-// through InNeighborsInto (gatherInNeighbors) — and countLost reads the
-// same one afterwards, so a round never pays for the sender-major
-// build; only an adversary that walks its own output (ForEachEdge, Has)
-// forces that.
-func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered int) {
+// receiver-major one — directly (the direct gather below) or through
+// InNeighborsInto (gatherInNeighbors) — so a round never pays for the
+// sender-major build; only an adversary that walks its own output
+// (Has, or ForEachEdge on a log that is not sorted) forces that.
+func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost int) {
 	liveView := !e.viewSkip
-	// The fault-free sparse round gathers straight off the receiver-major
-	// CSR view.
-	direct := e.fastGather && e.allIdentity && edges.IsSparse()
+	// With fastGather and identity ports the gather reads the in-row
+	// straight into the buffer. A round in which every node sends and
+	// none crashes partially (clean) needs no per-sender check at all.
+	direct := e.fastGather && e.allIdentity
+	sparse := edges.IsSparse()
+	clean := e.senders == e.cfg.N && !e.partial
 	var inStarts, inIDs []int32
 	broadcasts, deliveries := e.broadcasts, e.deliveries
-	if direct {
+	if direct && sparse {
 		inStarts, inIDs = edges.InCSR()
 	}
 	for v := 0; v < e.cfg.N; v++ {
@@ -570,8 +574,12 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered int) {
 			continue
 		}
 		proc := e.cfg.Procs[v]
-		var ds []core.Delivery
-		if direct {
+		var (
+			ds    []core.Delivery
+			heard int
+		)
+		switch {
+		case direct && sparse && clean:
 			// Every in-neighbor delivers its broadcast at port == node
 			// ID, already ascending: fill the buffer by index off the
 			// CSR row. The row is a handful of entries, so the batch
@@ -583,9 +591,15 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered int) {
 				d.Port = int(u)
 				d.Msg = broadcasts[u]
 			}
-		} else {
-			ds = e.gatherInNeighbors(t, v, edges)
+			heard = len(row)
+		case direct && sparse:
+			ds, heard = e.gatherRow(t, v, inIDs[inStarts[v]:inStarts[v+1]])
+		case direct:
+			ds, heard = e.gatherBits(t, v, edges.InRow(v), clean)
+		default:
+			ds, heard = e.gatherInNeighbors(t, v, edges)
 		}
+		lost += e.senders - 1 - heard
 		if e.cfg.ShuffleDelivery {
 			shuffleDeliveries(ds, e.cfg.ShuffleSeed, t, v)
 		}
@@ -623,37 +637,42 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered int) {
 			e.view.snaps[v] = core.Snap(proc)
 		}
 	}
-	return delivered
+	return delivered, lost
 }
 
-// gatherInNeighbors is the gather half of the core: it iterates only
-// v's actual in-neighbors off the edge set's transposed structure — the
-// bitmap in-row dense, the CSR in-list sparse, both O(in-degree) — maps
-// each sender to v's local port in O(1), and restores the documented
-// ascending-port delivery order — bit-for-bit the order a walk over all
-// n ports produces (the test oracle's gather), because ports are a
-// bijection. Under the default identity numbering ascending node order
-// already IS ascending port order and the sort is skipped entirely.
-//
-// It fills e.deliveries and returns the filled prefix. Both branches
-// store Port and Msg field-wise into the buffer by index, as
-// deliverRange's direct gather does: appending a composite Delivery
-// literal builds the 48-byte value on the stack and copies it, and
-// DeliverAll's loads right behind stall on that copy's store forwarding
-// (21 % of the sweep-byz-dense profile before this). The buffer holds n
-// entries and a receiver has at most n−1 in-neighbors, so the index
-// never leaves it.
-func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet) []core.Delivery {
+// gatherRow is the direct gather over a CSR in-row in a round that is
+// not clean: in-neighbors that no longer send are skipped, and a sender
+// crashing in this round reaches v only if its DeliverTo list allows it
+// (checked only when openRound saw such a crash). It returns the filled
+// prefix of e.deliveries and the number of sending in-neighbors.
+func (e *Engine) gatherRow(t, v int, row []int32) ([]core.Delivery, int) {
 	ds := e.deliveries
-	k := 0
-	if e.fastGather && e.allIdentity && !edges.IsSparse() {
-		// No Byzantine senders, no crashes, no caps, no bandwidth
-		// accounting, identity ports: every in-neighbor delivers its
-		// broadcast at port == node ID, already in ascending order —
-		// outgoing()'s per-sender checks are all statically true. (The
-		// sparse counterpart is deliverRange's direct CSR gather.)
-		base := 0
-		for _, w := range edges.InRow(v) {
+	k, heard := 0, 0
+	for _, u := range row {
+		if !e.sends[u] {
+			continue
+		}
+		heard++
+		if e.partial && e.crashRound[u] == t && !e.crashInfo[u].AllowsFinalDelivery(v) {
+			continue
+		}
+		d := &ds[k]
+		d.Port = int(u)
+		d.Msg = e.broadcasts[u]
+		k++
+	}
+	return ds[:k], heard
+}
+
+// gatherBits is the direct gather over a dense in-row's bitmap words,
+// ascending. In a clean round it is the plain scan; otherwise it applies
+// gatherRow's checks per sender.
+func (e *Engine) gatherBits(t, v int, row []uint64, clean bool) ([]core.Delivery, int) {
+	ds := e.deliveries
+	k, heard := 0, 0
+	base := 0
+	if clean {
+		for _, w := range row {
 			for w != 0 {
 				u := base + bits.TrailingZeros64(w)
 				w &= w - 1
@@ -664,13 +683,62 @@ func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet) []core.Deli
 			}
 			base += 64
 		}
-		return ds[:k]
+		return ds[:k], k
 	}
+	for _, w := range row {
+		for w != 0 {
+			u := base + bits.TrailingZeros64(w)
+			w &= w - 1
+			if !e.sends[u] {
+				continue
+			}
+			heard++
+			if e.partial && e.crashRound[u] == t && !e.crashInfo[u].AllowsFinalDelivery(v) {
+				continue
+			}
+			d := &ds[k]
+			d.Port = u
+			d.Msg = e.broadcasts[u]
+			k++
+		}
+		base += 64
+	}
+	return ds[:k], heard
+}
+
+// gatherInNeighbors is the general gather: it iterates only v's actual
+// in-neighbors off the edge set's transposed structure — the bitmap
+// in-row dense, the CSR in-list sparse, both O(in-degree) — resolves
+// each sender's message through outgoing (Byzantine per-receiver choice,
+// crash partial delivery), applies the link cap, maps the sender to v's
+// local port in O(1), and restores the documented ascending-port
+// delivery order — bit-for-bit the order a walk over all n ports
+// produces (the test oracle's gather), because ports are a bijection.
+// Under the identity numbering ascending node order already IS
+// ascending port order and the sort is skipped entirely.
+//
+// It fills e.deliveries and returns the filled prefix and the number of
+// sending in-neighbors. Port and Msg are stored field-wise into the
+// buffer by index, as the direct gathers do: appending a composite
+// Delivery literal builds the 48-byte value on the stack and copies it,
+// and DeliverAll's loads right behind stall on that copy's store
+// forwarding (21 % of the sweep-byz-dense profile before this). The
+// buffer holds n entries and a receiver has at most n−1 in-neighbors,
+// so the index never leaves it.
+func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet) ([]core.Delivery, int) {
+	ds := e.deliveries
+	k := 0
 	numbering := e.ports[v]
 	e.inbuf = edges.InNeighborsInto(v, e.inbuf[:0])
+	// Every in-neighbor is heard unless it has stopped sending, which
+	// outgoing reports as silence: the count costs nothing on a delivery.
+	heard := len(e.inbuf)
 	for _, u := range e.inbuf {
 		m, size, ok := e.outgoing(t, u, v)
 		if !ok {
+			if !e.sends[u] {
+				heard--
+			}
 			continue // sender silent towards v (crashed, partial, or Byzantine nil)
 		}
 		if e.hasCap {
@@ -691,7 +759,7 @@ func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet) []core.Deli
 	if !numbering.IsIdentity() {
 		sortDeliveriesByPort(ds)
 	}
-	return ds
+	return ds, heard
 }
 
 // notifyRoundEnd feeds the optional RoundObserver extension through a
@@ -733,7 +801,7 @@ func (e *Engine) outgoing(t, u, v int) (m *core.Message, size int, ok bool) {
 		}
 		return mp, size, true
 	}
-	if !e.hasBcast[u] {
+	if !e.sends[u] {
 		return nil, 0, false
 	}
 	if e.crashRound[u] == t && !e.crashInfo[u].AllowsFinalDelivery(v) {

@@ -34,28 +34,20 @@ func must[A any](a A, err error) A {
 }
 
 // thinned gives an in-place base the chaos storm wrapper's shape: a
-// sender-major walk over the base's set (forcing the view a round never
-// reads) that keeps each link by a hash of (t, u, v), then a rebuild of
-// the set from the survivors — so the build stage runs a filter that
-// reads and rewrites its own set, as a storm round does.
+// Retain pass over the base's set that keeps each link by a hash of
+// (t, u, v) — so the build stage runs a filter that reads and rewrites
+// its own set, as a storm round does. Over an er2 base the log is
+// ascending and is filtered in place; over a rotating base Retain walks
+// the sender-major view and rewrites the log from it.
 type thinned struct {
 	adversary.InPlace
-	keep []uint64
 }
 
 func (a *thinned) EdgesInto(t int, view adversary.View, dst *network.EdgeSet) {
 	a.InPlace.EdgesInto(t, view, dst)
-	a.keep = a.keep[:0]
-	dst.ForEachEdge(func(u, v int) bool {
-		if (uint64(t)<<40^uint64(u)<<20^uint64(v))*0x9e3779b97f4a7c15>>62 != 0 { // keep ¾
-			a.keep = append(a.keep, uint64(u)<<32|uint64(v))
-		}
-		return true
+	dst.Retain(func(u, v int) bool {
+		return (uint64(t)<<40^uint64(u)<<20^uint64(v))*0x9e3779b97f4a7c15>>62 != 0 // keep ¾
 	})
-	dst.Reset()
-	for _, p := range a.keep {
-		dst.AddUnchecked(int(p>>32), int(uint32(p)))
-	}
 }
 
 func (a *thinned) Oblivious() bool { return adversary.IsOblivious(a.InPlace) }
@@ -91,6 +83,9 @@ func pipeCases() []pipeCase {
 		{"storm-shaped", true, func(t *testing.T) Config {
 			base := must(adversary.NewSparseProbabilistic(0.3, 8))
 			return dac(t, 48, 3, 400, &thinned{InPlace: base})
+		}},
+		{"storm-shaped/rotating", true, func(t *testing.T) Config {
+			return dac(t, 40, 3, 400, &thinned{InPlace: must(adversary.NewRotating(8))})
 		}},
 		{"complete-to-dense", true, func(t *testing.T) Config {
 			// FillComplete turns the CSR sets dense: the build stage must

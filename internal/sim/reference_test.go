@@ -10,7 +10,8 @@ import (
 // none of the production shortcuts: the view is captured eagerly for
 // every node, E(t) is generated on the spot, each receiver walks all n
 // ports probing the edge set, every delivery is one Deliver call, and
-// the suppressed-message count is always the word-wise fold. It reuses
+// the suppressed-message count is a pairwise Has probe (lostPairwise).
+// It reuses
 // the engine's open/close round halves — what the oracle pins is
 // everything in between. Every execution Step, Run and RunRounds can
 // select must match it bit for bit (Results and, when a Recorder is
@@ -48,7 +49,29 @@ func referenceStep(e *Engine) {
 		proc.EndRound()
 		e.noteDecision(v, proc, t)
 	}
-	e.closeRound(t, delivered, countLost(t, e.cfg.N, e.isByz, e.crashRound, edges, e.recvMask))
+	e.closeRound(t, delivered, lostPairwise(e, t, edges))
+}
+
+// lostPairwise is the reference suppressed-message count, straight from
+// its definition: every (sender, receiver) pair with u ≠ v and no link
+// u→v, where u sends in round t when it is Byzantine or still alive at
+// the round's start (its crash round still broadcasts), and v is
+// eligible when it is not Byzantine and survives the whole round. O(n²)
+// Has probes; it shares nothing with the production gathers' count.
+func lostPairwise(e *Engine, t int, edges *network.EdgeSet) int {
+	lost := 0
+	for v := 0; v < e.cfg.N; v++ {
+		if e.isByz[v] || t >= e.crashRound[v] {
+			continue
+		}
+		for u := 0; u < e.cfg.N; u++ {
+			sends := e.isByz[u] || t <= e.crashRound[u]
+			if u != v && sends && !edges.Has(u, v) {
+				lost++
+			}
+		}
+	}
+	return lost
 }
 
 // gatherPortLoop is the reference gather: walk all n ports in ascending
