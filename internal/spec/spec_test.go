@@ -108,6 +108,18 @@ func TestParseErrorsCiteKeys(t *testing.T) {
 		{"cells plus ns", "ns: [5]\ncells:\n  - n: 5\n    f: 1", "cells"},
 		{"byzsplit infeasible", "cells:\n  - n: 5\n    f: 2\nconstruction: byzsplit", "n=5 f=2"},
 		{"empty doc", "   ", "empty"},
+		{"crash nodes scalar", "ns: [5]\ncrashes:\n  nodes: 3", "crashes.nodes: expected a selector name or a node list, got an integer"},
+		{"crashes not a mapping", "ns: [5]\ncrashes: 3", "crashes: expected a mapping, got an integer"},
+		{"stress without fleet", "name: x\nstress:\n  rounds: 5", "stress.fleet: required"},
+		{"assertion not a name", "name: x\nstress:\n  fleet:\n    total_nodes: 10\n  rounds: 5\n  assertions: [3]", "stress.assertions[0]: expected an assertion name or a bound mapping, got an integer"},
+		{"unknown assertion bound", "name: x\nstress:\n  fleet:\n    total_nodes: 10\n  rounds: 5\n  assertions:\n    - wibble: 3", "stress.assertions[0]: expected max_rounds or survivors"},
+		{"float cast seed", "ns: [5]\nbyzantine:\n  - nodes: [1]\n    strategy: noise\n    seed: 1.5", "byzantine[0].seed: expected an integer, got a float"},
+		{"variant not a mapping", "ns: [5]\nvariants: [3]", "variants[0]: expected a mapping, got an integer"},
+		{"cell without n", "cells:\n  - f: 1", "cells[0].n: required"},
+		{"quorum sequence", "ns: [5]\nquorum: [1]", "quorum: expected an integer or a string, got a sequence"},
+		{"unchecked integer", "ns: [5]\nunchecked: 1", "unchecked: expected true/false, got an integer"},
+		{"fractional seeds", "ns: [5]\nseeds_per_cell: 1.5", "seeds_per_cell: expected an integer, got a float"},
+		{"template weight string", "name: x\nstress:\n  fleet:\n    total_nodes: 10\n    templates:\n      - name: a\n        weight: heavy\n  rounds: 5", "stress.fleet.templates[0].weight: expected an integer, got a string"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

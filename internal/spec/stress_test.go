@@ -82,6 +82,18 @@ func TestParseStress(t *testing.T) {
 	}
 }
 
+// TestTemplateWeightDefault: a template without a weight key draws
+// with weight 1.
+func TestTemplateWeightDefault(t *testing.T) {
+	sw, err := Parse([]byte("name: x\nstress:\n  fleet:\n    total_nodes: 10\n    templates:\n      - name: a\n      - name: b\n        weight: 3\n  rounds: 5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sw.Stress.Fleet.Templates; got[0].Weight != 1 || got[1].Weight != 3 {
+		t.Errorf("templates = %+v, want weights 1 and 3", got)
+	}
+}
+
 // TestStressCompile: the stress grid carries the fleet size, the round
 // budget and a Mutate that installs the storm; two compiles of the
 // same run assemble identical scenarios.
