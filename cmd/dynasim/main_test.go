@@ -125,6 +125,12 @@ func TestParseCrashes(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "crashes.nodes: duplicate node 1") {
 		t.Errorf("-crash 1@2,1@5: err = %v", err)
 	}
+	// A victim outside the network fails when the grid compiles, before
+	// any run (a run-time failure would cite the sweep task).
+	err = run([]string{"-n", "11", "-crash", "20@2"})
+	if err == nil || !strings.Contains(err.Error(), "crashes.nodes: cell n=11") || strings.Contains(err.Error(), "task") {
+		t.Errorf("-n 11 -crash 20@2: err = %v", err)
+	}
 }
 
 // TestParseByz: each -byz entry casts its node with its strategy.

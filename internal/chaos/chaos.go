@@ -28,19 +28,19 @@ import (
 // key-citing errors.
 type Stress struct {
 	// Fleet describes the generated node population.
-	Fleet Fleet
+	Fleet Fleet `spec:"fleet,required"`
 	// Seed seeds the chaos stream (combined with each run's seed; see
 	// StreamVersion for the draw-order contract).
-	Seed int64
+	Seed int64 `spec:"seed"`
 	// Rounds is the duration: every run executes at most this many
 	// rounds, ending earlier only at quiescence (all fault-free nodes
 	// decided).
-	Rounds int
+	Rounds int `spec:"rounds,always"`
 	// Events is the chaos schedule, applied in order.
-	Events []Event
+	Events []Event `spec:"events"`
 	// Assertions are the survival criteria evaluated into report
 	// verdicts after the runs.
-	Assertions []Assertion
+	Assertions []Assertion `spec:"assertions"`
 }
 
 // Fleet is the generated node population: a total size, an optional
@@ -49,26 +49,26 @@ type Stress struct {
 // Clustered-style partition the adversary layer uses).
 type Fleet struct {
 	// TotalNodes is the fleet size (the sweep's n).
-	TotalNodes int
+	TotalNodes int `spec:"total_nodes,always"`
 	// Groups partitions the fleet into this many contiguous correlation
 	// groups; 0 means ungrouped (group-outage and partition events are
 	// then invalid).
-	Groups int
+	Groups int `spec:"groups"`
 	// Templates is the weighted template mix; empty means one uniform
 	// template with random inputs.
-	Templates []Template
+	Templates []Template `spec:"templates"`
 }
 
 // Template is one weighted node archetype of the fleet.
 type Template struct {
 	// Name labels the template in errors and the timeline.
-	Name string
+	Name string `spec:"name"`
 	// Weight is the relative draw weight (> 0).
-	Weight int
+	Weight int `spec:"weight,always,default=1"`
 	// Input picks the template's input generator: "" or "random"
 	// (uniform [0,1) from the input stream), "spread" (node position
 	// i/(n−1)), "zero", "one", or "value:<v>".
-	Input string
+	Input string `spec:"input"`
 }
 
 // Event is one entry of the chaos schedule. Kind selects the failure
@@ -77,39 +77,39 @@ type Template struct {
 type Event struct {
 	// Kind is the failure mode: "crash", "crash-storm", "byzantine",
 	// "group-outage", "cascade", "partition" or "starve".
-	Kind string
+	Kind string `spec:"kind,always"`
 	// Round is when the event fires (windowed kinds start here). Rounds
 	// are 1-based like the engine's; byzantine casts hold for the whole
 	// run and must leave it 0.
-	Round int
+	Round int `spec:"round"`
 	// Duration is the window length in rounds (crash-storm, partition,
 	// starve).
-	Duration int
+	Duration int `spec:"duration"`
 	// Rate is the per-node-per-round crash probability (crash-storm) or
 	// the per-edge-per-round drop probability (starve), in (0, 1].
-	Rate float64
+	Rate float64 `spec:"rate"`
 	// Count sizes the victim set: nodes (crash, byzantine, cascade's
 	// first wave) or groups (group-outage, partition without explicit
 	// Groups).
-	Count int
+	Count int `spec:"count"`
 	// Groups lists explicit victim group IDs (group-outage, partition);
 	// empty means Count groups drawn from the storm stream.
-	Groups []int
+	Groups []int `spec:"groups"`
 	// Strategy is the Byzantine strategy name (byzantine): silent,
 	// extremist, equivocate, noise, laggard or mimic.
-	Strategy string
+	Strategy string `spec:"strategy"`
 	// Args are the strategy parameters (same arity rules as the spec's
 	// byzantine casts).
-	Args []float64
+	Args []float64 `spec:"args"`
 	// Mode is the crash mode for crashing kinds: "clean" (default) or
 	// "silent" (the final broadcast is suppressed).
-	Mode string
+	Mode string `spec:"mode"`
 	// Waves is the number of cascade waves (≥ 1).
-	Waves int
+	Waves int `spec:"waves"`
 	// Factor multiplies each cascade wave's size (> 0; default 2).
-	Factor float64
+	Factor float64 `spec:"factor"`
 	// Spread is the round gap between cascade waves (≥ 1 when Waves > 1).
-	Spread int
+	Spread int `spec:"spread"`
 }
 
 // Assertion is one declarative survival criterion. Exactly one form is

@@ -36,16 +36,60 @@ func (s *Sweep) Grid() (anondyn.Grid, error) {
 	if s.Stress != nil {
 		s.applyStress(&g)
 	}
-	if s.Construction == "byzsplit" {
-		// Surface an infeasible layout as a spec error, not a run-time
-		// panic: every cell must admit the Theorem 10 construction.
+	if s.Construction != "" || s.Crashes != nil || len(s.Byzantine) > 0 {
+		// Place every cell's faults once, so a bad placement is a spec
+		// error before the first run instead of a run-time failure (a
+		// panic for byzsplit) mid-sweep or on a remote worker.
+		placed := make(map[Pair]bool)
 		for _, c := range g.Cells() {
-			if _, err := anondyn.NewByzSplit(c.N, c.F); err != nil {
-				return anondyn.Grid{}, fmt.Errorf("construction: cell n=%d f=%d: %w", c.N, c.F, err)
+			if p := (Pair{N: c.N, F: c.F}); !placed[p] {
+				placed[p] = true
+				if err := s.checkPlacement(c); err != nil {
+					return anondyn.Grid{}, err
+				}
 			}
 		}
 	}
 	return g, nil
+}
+
+// checkPlacement resolves one cell's fault pattern as compileMutate
+// will: the byzsplit layout must exist, every crash victim and cast
+// node must be a node of the cell, no node may be cast twice, and a
+// cast node must not also be crash-scheduled.
+func (s *Sweep) checkPlacement(c anondyn.Cell) error {
+	cell := fmt.Sprintf("cell n=%d f=%d", c.N, c.F)
+	if s.Construction == "byzsplit" {
+		if _, err := anondyn.NewByzSplit(c.N, c.F); err != nil {
+			return fmt.Errorf("construction: %s: %w", cell, err)
+		}
+	}
+	crashed := make(map[int]bool)
+	if s.Crashes != nil {
+		for _, node := range s.Crashes.victims(c) {
+			if node < 0 || node >= c.N {
+				return fmt.Errorf("crashes.nodes: %s: node %d outside [0, %d)", cell, node, c.N)
+			}
+			crashed[node] = true
+		}
+	}
+	castBy := make(map[int]int) // node → index of the cast naming it
+	for i := range s.Byzantine {
+		for _, node := range s.Byzantine[i].nodes(c) {
+			key := fmt.Sprintf("byzantine[%d].nodes: %s: node %d", i, cell, node)
+			if j, ok := castBy[node]; ok {
+				return fmt.Errorf("%s already cast by byzantine[%d]", key, j)
+			}
+			switch {
+			case node < 0 || node >= c.N:
+				return fmt.Errorf("%s outside [0, %d)", key, c.N)
+			case crashed[node]:
+				return fmt.Errorf("%s is also crash-scheduled (crashes.nodes)", key)
+			}
+			castBy[node] = i
+		}
+	}
+	return nil
 }
 
 // compileAxes fills the n/f/ε/algorithm/adversary axes, expanding
@@ -154,16 +198,14 @@ func (s *Sweep) compileVariants(g *anondyn.Grid) error {
 
 // isZero reports whether no override is set.
 func (o Overrides) isZero() bool {
-	return !o.Unchecked && !o.hasUnchecked && o.Quorum == "" && o.PEnd == 0 &&
-		o.PiggybackWindow == 0 && o.MegaT == 0 && o.MaxMessageBytes == 0 && o.Algorithm == ""
+	return o == Overrides{}
 }
 
 // mergeOverrides layers a variant's overrides on the sweep-wide base.
 func mergeOverrides(base, v Overrides) Overrides {
 	out := base
-	if v.hasUnchecked {
+	if v.Unchecked != nil {
 		out.Unchecked = v.Unchecked
-		out.hasUnchecked = true
 	}
 	if v.Quorum != "" {
 		out.Quorum = v.Quorum
@@ -202,7 +244,7 @@ func compileOverrides(o Overrides) (func(*anondyn.Scenario), error) {
 		return nil, err
 	}
 	return func(s *anondyn.Scenario) {
-		if o.Unchecked {
+		if o.Unchecked != nil && *o.Unchecked {
 			s.Unchecked = true
 		}
 		if quorum != nil {
@@ -292,7 +334,7 @@ func (s *Sweep) compileMutate() func(*anondyn.Scenario, anondyn.Cell, int64) {
 		if s.Construction == "byzsplit" {
 			split, err := anondyn.NewByzSplit(c.N, c.F)
 			if err != nil {
-				// Grid() validated every cell before the run started.
+				// Grid() placed every cell before the run started.
 				panic(fmt.Sprintf("spec: byzsplit on validated cell n=%d f=%d: %v", c.N, c.F, err))
 			}
 			sc.Adversary = split.Adversary()
@@ -358,33 +400,39 @@ func (c *Crashes) victims(cell anondyn.Cell) []int {
 	return nodes
 }
 
-// compile adds one cast's strategies into the run's Byzantine map.
-func (c *Cast) compile(cell anondyn.Cell, seed int64, byz map[int]anondyn.Strategy) {
-	nodes := c.NodeList
-	if len(nodes) == 0 {
-		count := resolveCount(c.Count, cell)
-		switch c.Nodes {
-		case "middle":
-			for id := cell.N / 2; id < cell.N && len(nodes) < count; id++ {
-				nodes = append(nodes, id)
-			}
-		case "first":
-			for id := 0; id < cell.N && len(nodes) < count; id++ {
-				nodes = append(nodes, id)
-			}
-		case "top":
-			for id := cell.N - 1; id >= 0 && len(nodes) < count; id-- {
-				nodes = append(nodes, id)
-			}
+// nodes resolves the cast's node set for one cell.
+func (c *Cast) nodes(cell anondyn.Cell) []int {
+	if len(c.NodeList) > 0 {
+		return c.NodeList
+	}
+	count := resolveCount(c.Count, cell)
+	var nodes []int
+	switch c.Nodes {
+	case "middle":
+		for id := cell.N / 2; id < cell.N && len(nodes) < count; id++ {
+			nodes = append(nodes, id)
+		}
+	case "first":
+		for id := 0; id < cell.N && len(nodes) < count; id++ {
+			nodes = append(nodes, id)
+		}
+	case "top":
+		for id := cell.N - 1; id >= 0 && len(nodes) < count; id-- {
+			nodes = append(nodes, id)
 		}
 	}
+	return nodes
+}
+
+// compile adds one cast's strategies into the run's Byzantine map.
+func (c *Cast) compile(cell anondyn.Cell, seed int64, byz map[int]anondyn.Strategy) {
 	arg := func(i int) float64 {
 		if i < len(c.Args) {
 			return c.Args[i]
 		}
 		return 0
 	}
-	for _, node := range nodes {
+	for _, node := range c.nodes(cell) {
 		switch c.Strategy {
 		case "silent":
 			byz[node] = anondyn.Silent()

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -25,68 +26,68 @@ import (
 // field means "unset" and inherits the Grid default.
 type Sweep struct {
 	// Name labels the sweep in reports and errors.
-	Name string
+	Name string `spec:"name"`
 	// Description says what the sweep demonstrates.
-	Description string
+	Description string `spec:"description"`
 
 	// Ns are the network sizes. Either Ns (crossed with Fs) or Pairs
 	// must be set.
-	Ns []int
+	Ns []int `spec:"ns"`
+	// Pairs lists explicit {n, f} cells for matrices that are not a
+	// cross product (spec key "cells").
+	Pairs []Pair `spec:"cells"`
 	// Fs are the fault bounds: literals or the symbolic per-n bounds
 	// "(n-1)/2" (max crash f), "n/2" (the crash boundary), "(n-1)/5"
 	// (max Byzantine f). A symbolic entry pairs each n with its derived
 	// f instead of crossing the axes.
-	Fs []Bound
-	// Pairs lists explicit {n, f} cells for matrices that are not a
-	// cross product (spec key "cells").
-	Pairs []Pair
+	Fs []Bound `spec:"fs"`
 	// Epss are the ε values.
-	Epss []float64
+	Epss []float64 `spec:"epss"`
 	// Algorithms are algorithm names in ParseAlgo spelling.
-	Algorithms []string
+	Algorithms []string `spec:"algorithms"`
 	// Adversaries are factory specs in ParseAdversaryFactory grammar.
-	Adversaries []string
+	Adversaries []string `spec:"adversaries"`
 	// Variants is the optional scenario-override axis.
-	Variants []Variant
+	Variants []Variant `spec:"variants"`
 
 	// SeedsPerCell is the Monte-Carlo width per cell.
-	SeedsPerCell int
+	SeedsPerCell int `spec:"seeds_per_cell"`
 	// BaseSeed offsets the global seed sequence.
-	BaseSeed int64
+	BaseSeed int64 `spec:"base_seed"`
 	// MaxRounds caps each run.
-	MaxRounds int
+	MaxRounds int `spec:"max_rounds"`
 	// AccountBandwidth tallies wire bytes per run.
-	AccountBandwidth bool
+	AccountBandwidth bool `spec:"account_bandwidth"`
 	// Inputs picks the input generator: "" (random), "random",
 	// "spread", "split" and the parametric "split:<k>", "split:n/2",
 	// "split:(n+1)/2".
-	Inputs string
+	Inputs string `spec:"inputs"`
 	// Construction swaps in a packaged impossibility construction:
 	// "byzsplit" overrides each run's adversary, Byzantine cast and
 	// inputs with the Theorem 10 layout for the cell's n and f.
-	Construction string
+	Construction string `spec:"construction"`
 
 	// Overrides are the sweep-wide scenario overrides; a variant's own
 	// overrides take precedence per field.
 	Overrides
 
 	// Crashes schedules crash faults on every run.
-	Crashes *Crashes
+	Crashes *Crashes `spec:"crashes"`
 	// Byzantine assigns Byzantine casts on every run.
-	Byzantine []Cast
+	Byzantine []Cast `spec:"byzantine"`
 
 	// Stress is the optional chaos section: a generated fleet, a
 	// failure-storm schedule and survival assertions. It replaces the
 	// ns/fs matrix (the fleet defines the single network size) and is
 	// incompatible with the fault-pattern keys — the storm is the fault
 	// pattern.
-	Stress *chaos.Stress
+	Stress *chaos.Stress `spec:"stress"`
 }
 
 // Pair is one explicit {n, f} cell.
 type Pair struct {
-	N int
-	F int
+	N int `spec:"n,required"`
+	F int `spec:"f,always"`
 }
 
 // Bound is a fault-bound axis entry: a literal, or a symbolic per-n
@@ -117,30 +118,29 @@ const boundExprs = `"(n-1)/2", "n/2" or "(n-1)/5"`
 // Overrides are the declarative counterparts of the Scenario override
 // fields — the knobs the necessity and trade-off experiments turn.
 type Overrides struct {
-	// Unchecked skips the n-vs-f resilience validation.
-	Unchecked bool
+	// Algorithm, when set on a variant, replaces the cell's algorithm.
+	Algorithm string `spec:"algorithm"`
+	// Unchecked skips the n-vs-f resilience validation; nil = unset,
+	// so a variant's explicit false overrides a sweep-wide true.
+	Unchecked *bool `spec:"unchecked"`
 	// Quorum replaces the algorithm's quorum: an integer literal or
 	// the symbolic "crashdeg" (⌊n/2⌋), "byzdeg" (⌊(n+3f)/2⌋), "f".
 	// Empty = the paper quorum.
-	Quorum string
+	Quorum string `spec:"quorum,count"`
 	// PEnd, when > 0, replaces the ε-derived output phase.
-	PEnd int
+	PEnd int `spec:"p_end"`
 	// PiggybackWindow is K for dbac-pb.
-	PiggybackWindow int
+	PiggybackWindow int `spec:"piggyback_window"`
 	// MegaT is the block length for megaround.
-	MegaT int
+	MegaT int `spec:"mega_t"`
 	// MaxMessageBytes, when > 0, is the per-link byte budget.
-	MaxMessageBytes int
-	// Algorithm, when set on a variant, replaces the cell's algorithm.
-	Algorithm string
-
-	hasUnchecked bool // distinguishes explicit false for merging
+	MaxMessageBytes int `spec:"max_message_bytes"`
 }
 
 // Variant is one entry of the scenario-override axis.
 type Variant struct {
 	// Name labels the variant in cell results.
-	Name string
+	Name string `spec:"name"`
 	Overrides
 }
 
@@ -151,42 +151,42 @@ type Crashes struct {
 	// Count sizes the victim set for a named selector: an integer
 	// literal, "f" (the cell's fault bound) or "(n-1)/2". Defaults to
 	// "f".
-	Count string
+	Count string `spec:"count,count"`
 	// Nodes is a named victim selector: "odd" (IDs 1,3,5,…), "even",
 	// "first" (0,1,2,…) or "top" (n−1, n−2, …).
-	Nodes string
+	Nodes string `spec:"nodes"`
 	// NodeList gives explicit victim IDs instead of a selector.
-	NodeList []int
+	NodeList []int `spec:"nodes"`
 	// Mode is "clean" (default: crash at the end of the round) or
 	// "silent" (the final broadcast is suppressed).
-	Mode string
+	Mode string `spec:"mode"`
 	// Round is the crash round of the first victim.
-	Round int
+	Round int `spec:"round"`
 	// Stagger offsets each subsequent victim's crash round (0 = all
 	// crash at Round).
-	Stagger int
+	Stagger int `spec:"stagger"`
 	// Rounds gives explicit per-victim crash rounds matching NodeList.
-	Rounds []int
+	Rounds []int `spec:"rounds"`
 }
 
 // Cast assigns one Byzantine strategy to a set of nodes.
 type Cast struct {
 	// Count sizes the cast for a named selector (same grammar as
 	// Crashes.Count).
-	Count string
+	Count string `spec:"count,count"`
 	// Nodes is a named selector: "middle" (n/2, n/2+1, …), "first" or
 	// "top".
-	Nodes string
+	Nodes string `spec:"nodes"`
 	// NodeList gives explicit IDs instead of a selector.
-	NodeList []int
+	NodeList []int `spec:"nodes"`
 	// Strategy is the strategy name: silent, extremist, equivocate,
 	// noise, laggard or mimic.
-	Strategy string
+	Strategy string `spec:"strategy,always"`
 	// Args are the strategy parameters (extremist value, equivocate
 	// low/high, laggard value, mimic target).
-	Args []float64
+	Args []float64 `spec:"args"`
 	// Seed pins the noise strategy's seed; nil = run seed + node ID.
-	Seed *int64
+	Seed *int64 `spec:"seed"`
 }
 
 // Parse reads one sweep from YAML or JSON bytes (autodetected).
@@ -207,8 +207,8 @@ func Parse(data []byte) (*Sweep, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
 	}
-	sw, err := decodeSweep(doc)
-	if err != nil {
+	sw := &Sweep{}
+	if err := decodeValue(doc, reflect.ValueOf(sw).Elem(), "", false); err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
 	}
 	if err := sw.validate(); err != nil {

@@ -31,7 +31,7 @@ func TestParseYAMLSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw.Name != "e2-like" || !sw.Unchecked || sw.MaxRounds != 500 {
+	if sw.Name != "e2-like" || sw.Unchecked == nil || !*sw.Unchecked || sw.MaxRounds != 500 {
 		t.Errorf("decoded sweep = %+v", sw)
 	}
 	if len(sw.Variants) != 2 || sw.Variants[1].Quorum != "crashdeg" {
@@ -108,6 +108,11 @@ func TestParseErrorsCiteKeys(t *testing.T) {
 		{"cells plus ns", "ns: [5]\ncells:\n  - n: 5\n    f: 1", "cells"},
 		{"byzsplit infeasible", "cells:\n  - n: 5\n    f: 2\nconstruction: byzsplit", "n=5 f=2"},
 		{"empty doc", "   ", "empty"},
+		{"selector casts overlap", "ns: [11]\nfs: [2]\nbyzantine:\n  - nodes: first\n    strategy: silent\n  - nodes: first\n    strategy: noise", "byzantine[1].nodes: cell n=11 f=2: node 0 already cast by byzantine[0]"},
+		{"list and selector casts overlap", "ns: [11]\nfs: [2]\nbyzantine:\n  - nodes: [0]\n    strategy: silent\n  - nodes: first\n    strategy: noise", "byzantine[1].nodes: cell n=11 f=2: node 0 already cast by byzantine[0]"},
+		{"cast node outside the cell", "ns: [5, 9]\nfs: [1]\nbyzantine:\n  - nodes: [7]\n    strategy: silent", "byzantine[0].nodes: cell n=5 f=1: node 7 outside [0, 5)"},
+		{"crash victim outside the cell", "ns: [5]\nfs: [1]\ncrashes:\n  nodes: [9]\n  round: 2", "crashes.nodes: cell n=5 f=1: node 9 outside [0, 5)"},
+		{"cast node crash-scheduled", "ns: [11]\nfs: [2]\ncrashes:\n  nodes: odd\n  count: 1\nbyzantine:\n  - nodes: [1]\n    strategy: silent", "byzantine[0].nodes: cell n=11 f=2: node 1 is also crash-scheduled"},
 		{"crash nodes scalar", "ns: [5]\ncrashes:\n  nodes: 3", "crashes.nodes: expected a selector name or a node list, got an integer"},
 		{"crashes not a mapping", "ns: [5]\ncrashes: 3", "crashes: expected a mapping, got an integer"},
 		{"stress without fleet", "name: x\nstress:\n  rounds: 5", "stress.fleet: required"},
@@ -308,7 +313,7 @@ func TestGridRoundTrip(t *testing.T) {
 // TestEncodeParsesBackWithFaults: the writer's block forms (crashes,
 // byzantine, variants, cells) re-parse to the same sweep.
 func TestEncodeParsesBackWithFaults(t *testing.T) {
-	seed := int64(99)
+	seed, unchecked := int64(99), true
 	sw := &Sweep{
 		Name:         "full",
 		Description:  "writer coverage",
@@ -320,7 +325,7 @@ func TestEncodeParsesBackWithFaults(t *testing.T) {
 		SeedsPerCell: 1,
 		MaxRounds:    500,
 		Inputs:       "spread",
-		Overrides:    Overrides{PEnd: 14, Unchecked: true, hasUnchecked: true},
+		Overrides:    Overrides{PEnd: 14, Unchecked: &unchecked},
 		Crashes:      &Crashes{NodeList: []int{1, 4}, Rounds: []int{3, 9}},
 		Byzantine: []Cast{
 			{Count: "f", Nodes: "middle", Strategy: "equivocate", Args: []float64{0, 1}},

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"strings"
 
 	"anondyn"
 	"anondyn/internal/chaos"
@@ -84,291 +83,4 @@ func (s *Sweep) StormTimeline() []chaos.TimelineEntry {
 		return nil
 	}
 	return s.Stress.CompileStorm(s.BaseSeed).Timeline
-}
-
-// float reads one float-typed key (integers widen).
-func (o object) float(key string, dst *float64) error {
-	v, ok := o.take(key)
-	if !ok {
-		return nil
-	}
-	f, err := toFloat(v)
-	if err != nil {
-		return fmt.Errorf("%s%s: %w", o.path, key, err)
-	}
-	*dst = f
-	return nil
-}
-
-// decodeStress reads the optional stress section.
-func decodeStress(o object, dst **chaos.Stress) error {
-	v, ok := o.take("stress")
-	if !ok {
-		return nil
-	}
-	so, err := asObject(v, "stress.")
-	if err != nil {
-		return err
-	}
-	st := &chaos.Stress{}
-	if err := decodeFleet(so, &st.Fleet); err != nil {
-		return err
-	}
-	if err := so.int64("seed", &st.Seed); err != nil {
-		return err
-	}
-	if err := so.integer("rounds", &st.Rounds); err != nil {
-		return err
-	}
-	if err := decodeEvents(so, &st.Events); err != nil {
-		return err
-	}
-	if err := decodeAssertions(so, &st.Assertions); err != nil {
-		return err
-	}
-	if err := so.finish(); err != nil {
-		return err
-	}
-	*dst = st
-	return nil
-}
-
-// decodeFleet reads the fleet block.
-func decodeFleet(o object, dst *chaos.Fleet) error {
-	v, ok := o.take("fleet")
-	if !ok {
-		return fmt.Errorf("stress.fleet: required (the storm needs a fleet)")
-	}
-	fo, err := asObject(v, "stress.fleet.")
-	if err != nil {
-		return err
-	}
-	if err := fo.integer("total_nodes", &dst.TotalNodes); err != nil {
-		return err
-	}
-	if err := fo.integer("groups", &dst.Groups); err != nil {
-		return err
-	}
-	seq, ok, err := fo.seq("templates")
-	if err != nil {
-		return err
-	}
-	if ok {
-		dst.Templates = make([]chaos.Template, len(seq))
-		for i, item := range seq {
-			to, err := asObject(item, fmt.Sprintf("stress.fleet.templates[%d].", i))
-			if err != nil {
-				return err
-			}
-			t := &dst.Templates[i]
-			t.Weight = 1
-			if err := to.str("name", &t.Name); err != nil {
-				return err
-			}
-			if err := to.integer("weight", &t.Weight); err != nil {
-				return err
-			}
-			if err := to.str("input", &t.Input); err != nil {
-				return err
-			}
-			if err := to.finish(); err != nil {
-				return err
-			}
-		}
-	}
-	return fo.finish()
-}
-
-// decodeEvents reads the chaos schedule.
-func decodeEvents(o object, dst *[]chaos.Event) error {
-	seq, ok, err := o.seq("events")
-	if err != nil || !ok {
-		return err
-	}
-	out := make([]chaos.Event, len(seq))
-	for i, item := range seq {
-		eo, err := asObject(item, fmt.Sprintf("stress.events[%d].", i))
-		if err != nil {
-			return err
-		}
-		e := &out[i]
-		if err := eo.str("kind", &e.Kind); err != nil {
-			return err
-		}
-		if err := eo.integer("round", &e.Round); err != nil {
-			return err
-		}
-		if err := eo.integer("duration", &e.Duration); err != nil {
-			return err
-		}
-		if err := eo.float("rate", &e.Rate); err != nil {
-			return err
-		}
-		if err := eo.integer("count", &e.Count); err != nil {
-			return err
-		}
-		if err := eo.ints("groups", &e.Groups); err != nil {
-			return err
-		}
-		if err := eo.str("strategy", &e.Strategy); err != nil {
-			return err
-		}
-		if err := eo.floats("args", &e.Args); err != nil {
-			return err
-		}
-		if err := eo.str("mode", &e.Mode); err != nil {
-			return err
-		}
-		if err := eo.integer("waves", &e.Waves); err != nil {
-			return err
-		}
-		if err := eo.float("factor", &e.Factor); err != nil {
-			return err
-		}
-		if err := eo.integer("spread", &e.Spread); err != nil {
-			return err
-		}
-		if err := eo.finish(); err != nil {
-			return err
-		}
-	}
-	*dst = out
-	return nil
-}
-
-// decodeAssertions reads the assertion list: bare strings ("converged",
-// "agreement") or single-key mappings ("max_rounds: 400",
-// "survivors: \">= n/2\"").
-func decodeAssertions(o object, dst *[]chaos.Assertion) error {
-	seq, ok, err := o.seq("assertions")
-	if err != nil || !ok {
-		return err
-	}
-	out := make([]chaos.Assertion, len(seq))
-	for i, item := range seq {
-		key := fmt.Sprintf("stress.assertions[%d]", i)
-		switch v := item.(type) {
-		case string:
-			out[i] = chaos.Assertion{Kind: v}
-		case map[string]any:
-			ao := object{m: v, path: key + "."}
-			if bound, ok := ao.take("max_rounds"); ok {
-				b, err := toInt(bound)
-				if err != nil {
-					return fmt.Errorf("%s.max_rounds: %w", key, err)
-				}
-				out[i] = chaos.Assertion{Kind: "max_rounds", Bound: b}
-			} else if expr, ok := ao.take("survivors"); ok {
-				s, isStr := expr.(string)
-				if !isStr {
-					return fmt.Errorf("%s.survivors: expected an expression string, got %s", key, typeName(expr))
-				}
-				out[i] = chaos.Assertion{Kind: "survivors", Expr: s}
-			} else {
-				return fmt.Errorf("%s: expected max_rounds or survivors", key)
-			}
-			if err := ao.finish(); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("%s: expected an assertion name or a bound mapping, got %s", key, typeName(item))
-		}
-	}
-	*dst = out
-	return nil
-}
-
-// encodeStress renders the stress section in canonical key order (the
-// write half of the round-trip).
-func (s *Sweep) encodeStress(w func(format string, args ...any)) {
-	st := s.Stress
-	w("stress:")
-	w("  fleet:")
-	w("    total_nodes: %d", st.Fleet.TotalNodes)
-	if st.Fleet.Groups != 0 {
-		w("    groups: %d", st.Fleet.Groups)
-	}
-	if len(st.Fleet.Templates) > 0 {
-		w("    templates:")
-		for _, t := range st.Fleet.Templates {
-			prefix := "      - "
-			writeKV := func(key, val string) {
-				w("%s%s: %s", prefix, key, val)
-				prefix = "        "
-			}
-			if t.Name != "" {
-				writeKV("name", yamlString(t.Name))
-			}
-			writeKV("weight", fmt.Sprint(t.Weight))
-			if t.Input != "" {
-				writeKV("input", yamlString(t.Input))
-			}
-		}
-	}
-	if st.Seed != 0 {
-		w("  seed: %d", st.Seed)
-	}
-	w("  rounds: %d", st.Rounds)
-	if len(st.Events) > 0 {
-		w("  events:")
-		for i := range st.Events {
-			e := &st.Events[i]
-			prefix := "    - "
-			writeKV := func(key, val string) {
-				w("%s%s: %s", prefix, key, val)
-				prefix = "      "
-			}
-			writeKV("kind", yamlString(e.Kind))
-			if e.Round != 0 {
-				writeKV("round", fmt.Sprint(e.Round))
-			}
-			if e.Duration != 0 {
-				writeKV("duration", fmt.Sprint(e.Duration))
-			}
-			if e.Rate != 0 {
-				writeKV("rate", formatFloat(e.Rate))
-			}
-			if e.Count != 0 {
-				writeKV("count", fmt.Sprint(e.Count))
-			}
-			if len(e.Groups) > 0 {
-				writeKV("groups", flowInts(e.Groups))
-			}
-			if e.Strategy != "" {
-				writeKV("strategy", yamlString(e.Strategy))
-			}
-			if len(e.Args) > 0 {
-				items := make([]string, len(e.Args))
-				for j, a := range e.Args {
-					items[j] = formatFloat(a)
-				}
-				writeKV("args", "["+strings.Join(items, ", ")+"]")
-			}
-			if e.Mode != "" {
-				writeKV("mode", yamlString(e.Mode))
-			}
-			if e.Waves != 0 {
-				writeKV("waves", fmt.Sprint(e.Waves))
-			}
-			if e.Factor != 0 {
-				writeKV("factor", formatFloat(e.Factor))
-			}
-			if e.Spread != 0 {
-				writeKV("spread", fmt.Sprint(e.Spread))
-			}
-		}
-	}
-	if len(st.Assertions) > 0 {
-		w("  assertions:")
-		for _, a := range st.Assertions {
-			switch a.Kind {
-			case "max_rounds":
-				w("    - max_rounds: %d", a.Bound)
-			case "survivors":
-				w("    - survivors: %q", a.Expr)
-			default:
-				w("    - %s", a.Kind)
-			}
-		}
-	}
 }
