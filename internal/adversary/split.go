@@ -98,14 +98,23 @@ type ByzSplitLayout struct {
 	BReceivers []int
 }
 
-// NewByzSplitLayout computes the Theorem 10 layout. It requires n ≥ 3f+1
-// (below that the impossibility is classical, [5][30]) and f ≥ 1.
-func NewByzSplitLayout(n, f int) (*ByzSplitLayout, error) {
+// CheckByzSplit reports whether the Theorem 10 layout exists for n and
+// f, without building it: it requires n ≥ 3f+1 (below that the
+// impossibility is classical, [5][30]) and f ≥ 1.
+func CheckByzSplit(n, f int) error {
 	if f < 1 {
-		return nil, fmt.Errorf("adversary: byzantine split needs f ≥ 1, got %d", f)
+		return fmt.Errorf("adversary: byzantine split needs f ≥ 1, got %d", f)
 	}
 	if n < 3*f+1 {
-		return nil, fmt.Errorf("adversary: byzantine split needs n ≥ 3f+1, got n=%d f=%d", n, f)
+		return fmt.Errorf("adversary: byzantine split needs n ≥ 3f+1, got n=%d f=%d", n, f)
+	}
+	return nil
+}
+
+// NewByzSplitLayout computes the Theorem 10 layout (see CheckByzSplit).
+func NewByzSplitLayout(n, f int) (*ByzSplitLayout, error) {
+	if err := CheckByzSplit(n, f); err != nil {
+		return nil, err
 	}
 	groupSize := (n + 3*f) / 2
 	if groupSize > n {

@@ -267,20 +267,18 @@ func decodeValue(raw any, dst reflect.Value, key string, count bool) error {
 	}
 	switch dst.Kind() {
 	case reflect.String:
-		switch v := raw.(type) {
-		case string:
-			dst.SetString(v)
-		case int64:
-			if !count {
-				return fmt.Errorf("%s: expected a string, got %s", key, typeName(raw))
-			}
-			dst.SetString(strconv.FormatInt(v, 10))
-		default:
-			if count {
-				return fmt.Errorf("%s: expected an integer or a string, got %s", key, typeName(raw))
-			}
-			return fmt.Errorf("%s: expected a string, got %s", key, typeName(raw))
+		s, isStr := raw.(string)
+		if i, isInt := raw.(int64); isInt && count {
+			s, isStr = strconv.FormatInt(i, 10), true
 		}
+		if !isStr {
+			want := "a string"
+			if count {
+				want = "an integer or a string"
+			}
+			return fmt.Errorf("%s: expected %s, got %s", key, want, typeName(raw))
+		}
+		dst.SetString(s)
 	case reflect.Bool:
 		b, ok := raw.(bool)
 		if !ok {
@@ -369,10 +367,8 @@ func encodeStruct(b *strings.Builder, v reflect.Value, lead, indent string) stri
 		if fv.Kind() == reflect.Pointer {
 			fv = fv.Elem()
 		}
-		switch c, custom := scalarCodecs[fv.Type()]; {
-		case custom:
-			b.WriteString(" " + c.encode(fv.Interface()) + "\n")
-		case fv.Kind() == reflect.Struct:
+		switch _, custom := scalarCodecs[fv.Type()]; {
+		case fv.Kind() == reflect.Struct && !custom:
 			b.WriteString("\n")
 			encodeStruct(b, fv, indent+"  ", indent+"  ")
 		case fv.Kind() == reflect.Slice:
@@ -391,23 +387,19 @@ func encodeList(b *strings.Builder, v reflect.Value, indent string, count bool) 
 	if v.Type().Elem().Kind() != reflect.Struct || custom && !c.block {
 		items := make([]string, v.Len())
 		for i := range items {
-			if custom {
-				items[i] = c.encode(v.Index(i).Interface())
-			} else {
-				items[i] = scalar(v.Index(i), count)
-			}
+			items[i] = scalar(v.Index(i), count)
 		}
 		b.WriteString(" [" + strings.Join(items, ", ") + "]\n")
 		return
 	}
 	b.WriteString("\n")
 	for i := 0; i < v.Len(); i++ {
-		item := v.Index(i)
+		item, lead := v.Index(i), indent+"  - "
 		if custom {
-			b.WriteString(indent + "  - " + c.encode(item.Interface()) + "\n")
+			b.WriteString(lead + scalar(item, count) + "\n")
 			continue
 		}
-		if lead := indent + "  - "; encodeStruct(b, item, lead, indent+"    ") == lead {
+		if encodeStruct(b, item, lead, indent+"    ") == lead {
 			// An item with no set key still needs a line to exist.
 			f := fieldsOf(item.Type())[0]
 			b.WriteString(lead + f.key + ": " + scalar(item.Field(f.index), f.count) + "\n")
@@ -417,6 +409,9 @@ func encodeList(b *strings.Builder, v reflect.Value, indent string, count bool) 
 
 // scalar spells one scalar value.
 func scalar(v reflect.Value, count bool) string {
+	if c, ok := scalarCodecs[v.Type()]; ok {
+		return c.encode(v.Interface())
+	}
 	switch v.Kind() {
 	case reflect.String:
 		if count {

@@ -2,10 +2,16 @@ package spec
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
-
-	"anondyn/examples/specs"
 )
+
+// addCommittedSpecs seeds a fuzz corpus with every committed spec.
+func addCommittedSpecs(f *testing.F, args ...any) {
+	for _, data := range committedSpecs(f) {
+		f.Add(append([]any{data}, args...)...)
+	}
+}
 
 // FuzzParseEncode pins the parse → encode fixed point: every document
 // Parse accepts encodes to bytes Parse accepts, and encoding the
@@ -14,13 +20,7 @@ import (
 // decodes to an empty slice but is not written back, so it re-parses
 // as nil. The corpus is seeded with every committed spec.
 func FuzzParseEncode(f *testing.F) {
-	for _, name := range specs.Names() {
-		data, err := specs.Read(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
+	addCommittedSpecs(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sw, err := Parse(data)
 		if err != nil {
@@ -33,6 +33,31 @@ func FuzzParseEncode(f *testing.F) {
 		}
 		if reencoded := again.Encode(); !bytes.Equal(reencoded, encoded) {
 			t.Fatalf("encode(parse(encode(s))) != encode(s):\n--- first\n%s\n--- second\n%s", encoded, reencoded)
+		}
+	})
+}
+
+// maxFuzzFleet caps the fleets FuzzCompileStorm materializes, so one
+// exec stays in milliseconds.
+const maxFuzzFleet = 2048
+
+// FuzzCompileStorm: every accepted spec with a stress section compiles
+// to a grid, and its storm is a pure function of (spec, run seed) —
+// two compiles give equal crash schedules, survivor counts and
+// timelines.
+func FuzzCompileStorm(f *testing.F) {
+	addCommittedSpecs(f, int64(1))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		sw, err := Parse(data)
+		if err != nil || sw.Stress == nil || sw.Stress.Fleet.TotalNodes > maxFuzzFleet {
+			return
+		}
+		if _, err := sw.Grid(); err != nil {
+			t.Fatalf("accepted stress spec does not compile: %v\n%s", err, data)
+		}
+		a, b := sw.Stress.CompileStorm(seed), sw.Stress.CompileStorm(seed)
+		if !reflect.DeepEqual(a.Crashes, b.Crashes) || a.Survivors != b.Survivors || !reflect.DeepEqual(a.Timeline, b.Timeline) {
+			t.Fatalf("seed %d compiles two storms:\n%+v\n%+v\n%s", seed, a, b, data)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"anondyn"
+	"anondyn/internal/adversary"
 )
 
 // Grid compiles the sweep into a runnable anondyn.Grid: axes resolve
@@ -37,13 +38,20 @@ func (s *Sweep) Grid() (anondyn.Grid, error) {
 		s.applyStress(&g)
 	}
 	if s.Construction != "" || s.Crashes != nil || len(s.Byzantine) > 0 {
-		// Place every cell's faults once, so a bad placement is a spec
-		// error before the first run instead of a run-time failure (a
-		// panic for byzsplit) mid-sweep or on a remote worker.
-		placed := make(map[Pair]bool)
-		for _, c := range g.Cells() {
-			if p := (Pair{N: c.N, F: c.F}); !placed[p] {
-				placed[p] = true
+		// Place every (n, f) cell's faults once, so a bad placement is
+		// a spec error before the first run, not a run-time failure (a
+		// panic for byzsplit) mid-sweep or on a remote worker. The check
+		// builds no node set, so its cost does not grow with n.
+		fs := g.Fs
+		if len(fs) == 0 {
+			fs = []int{0} // the Grid default
+		}
+		for _, n := range g.Ns {
+			for _, f := range fs {
+				c := anondyn.Cell{N: n, F: f}
+				if g.Skip != nil && g.Skip(c) {
+					continue
+				}
 				if err := s.checkPlacement(c); err != nil {
 					return anondyn.Grid{}, err
 				}
@@ -54,39 +62,64 @@ func (s *Sweep) Grid() (anondyn.Grid, error) {
 }
 
 // checkPlacement resolves one cell's fault pattern as compileMutate
-// will: the byzsplit layout must exist, every crash victim and cast
-// node must be a node of the cell, no node may be cast twice, and a
-// cast node must not also be crash-scheduled.
+// will: the byzsplit layout must exist, every listed crash victim and
+// cast node must be a node of the cell, no node may be cast twice, and
+// a cast node must not also be crash-scheduled. Selector sets are
+// compared as progressions.
 func (s *Sweep) checkPlacement(c anondyn.Cell) error {
 	cell := fmt.Sprintf("cell n=%d f=%d", c.N, c.F)
 	if s.Construction == "byzsplit" {
-		if _, err := anondyn.NewByzSplit(c.N, c.F); err != nil {
+		if err := adversary.CheckByzSplit(c.N, c.F); err != nil {
 			return fmt.Errorf("construction: %s: %w", cell, err)
 		}
 	}
-	crashed := make(map[int]bool)
+	var keys []string // the crash schedule first, then each cast
+	var sets []nodeSet
 	if s.Crashes != nil {
-		for _, node := range s.Crashes.victims(c) {
-			if node < 0 || node >= c.N {
-				return fmt.Errorf("crashes.nodes: %s: node %d outside [0, %d)", cell, node, c.N)
-			}
-			crashed[node] = true
-		}
+		keys = append(keys, "crashes")
+		sets = append(sets, s.Crashes.set(c))
 	}
-	castBy := make(map[int]int) // node → index of the cast naming it
 	for i := range s.Byzantine {
-		for _, node := range s.Byzantine[i].nodes(c) {
-			key := fmt.Sprintf("byzantine[%d].nodes: %s: node %d", i, cell, node)
-			if j, ok := castBy[node]; ok {
-				return fmt.Errorf("%s already cast by byzantine[%d]", key, j)
+		keys = append(keys, fmt.Sprintf("byzantine[%d]", i))
+		sets = append(sets, s.Byzantine[i].set(c))
+	}
+	listed := make(map[int]int) // listed node → index of its set
+	for k, set := range sets {
+		clash := func(j, node int) error {
+			if keys[j] == "crashes" {
+				return fmt.Errorf("%s.nodes: %s: node %d is also crash-scheduled (crashes.nodes)", keys[k], cell, node)
 			}
-			switch {
-			case node < 0 || node >= c.N:
-				return fmt.Errorf("%s outside [0, %d)", key, c.N)
-			case crashed[node]:
-				return fmt.Errorf("%s is also crash-scheduled (crashes.nodes)", key)
+			return fmt.Errorf("%s.nodes: %s: node %d already cast by %s", keys[k], cell, node, keys[j])
+		}
+		for _, node := range set.list {
+			if node < 0 || node >= c.N {
+				return fmt.Errorf("%s.nodes: %s: node %d outside [0, %d)", keys[k], cell, node, c.N)
 			}
-			castBy[node] = i
+			if j, ok := listed[node]; ok {
+				return clash(j, node)
+			}
+			for j := range k {
+				if sets[j].list == nil && sets[j].sel.has(node) {
+					return clash(j, node)
+				}
+			}
+			listed[node] = k
+		}
+		if set.list != nil {
+			continue
+		}
+		for j := range k {
+			if sets[j].list == nil {
+				if node, ok := set.sel.meet(sets[j].sel); ok {
+					return clash(j, node)
+				}
+				continue
+			}
+			for _, node := range sets[j].list {
+				if set.sel.has(node) {
+					return clash(j, node)
+				}
+			}
 		}
 	}
 	return nil
@@ -356,7 +389,7 @@ func (s *Sweep) compileMutate() func(*anondyn.Scenario, anondyn.Cell, int64) {
 
 // compile materializes the crash schedule for one cell.
 func (c *Crashes) compile(cell anondyn.Cell) map[int]anondyn.Crash {
-	nodes := c.victims(cell)
+	nodes := c.set(cell).nodes()
 	crashes := make(map[int]anondyn.Crash, len(nodes))
 	for i, node := range nodes {
 		round := c.Round + i*c.Stagger
@@ -372,56 +405,81 @@ func (c *Crashes) compile(cell anondyn.Cell) map[int]anondyn.Crash {
 	return crashes
 }
 
-// victims resolves the victim set for one cell, clipped to valid IDs.
-func (c *Crashes) victims(cell anondyn.Cell) []int {
-	if len(c.NodeList) > 0 {
-		return c.NodeList
+// set resolves the victim set for one cell.
+func (c *Crashes) set(cell anondyn.Cell) nodeSet {
+	return resolveNodes(c.Nodes, c.NodeList, c.Count, cell)
+}
+
+// set resolves the cast's node set for one cell.
+func (c *Cast) set(cell anondyn.Cell) nodeSet {
+	return resolveNodes(c.Nodes, c.NodeList, c.Count, cell)
+}
+
+// nodeSet is the node set of a crash schedule or a cast: an explicit
+// list, or a named selector's progression.
+type nodeSet struct {
+	list []int
+	sel  span
+}
+
+// span is the progression first, first+step, … of len nodes.
+type span struct{ first, step, len int }
+
+// resolveNodes resolves a selector or an explicit list for one cell; a
+// selector is sized by count and clipped to the cell's IDs: "first"
+// (0, 1, …), "top" (n−1, n−2, …), "middle" (n/2, n/2+1, …), "odd"
+// (1, 3, …) or "even" (0, 2, …).
+func resolveNodes(sel string, list []int, count string, cell anondyn.Cell) nodeSet {
+	if len(list) > 0 {
+		return nodeSet{list: list}
 	}
-	count := resolveCount(c.Count, cell)
-	var nodes []int
-	switch c.Nodes {
-	case "odd":
-		for id := 1; id < cell.N && len(nodes) < count; id += 2 {
-			nodes = append(nodes, id)
-		}
-	case "even":
-		for id := 0; id < cell.N && len(nodes) < count; id += 2 {
-			nodes = append(nodes, id)
-		}
+	n := cell.N
+	first, step, avail := 0, 1, 0
+	switch sel {
 	case "first":
-		for id := 0; id < cell.N && len(nodes) < count; id++ {
-			nodes = append(nodes, id)
-		}
+		avail = n
 	case "top":
-		for id := cell.N - 1; id >= 0 && len(nodes) < count; id-- {
-			nodes = append(nodes, id)
-		}
+		first, step, avail = n-1, -1, n
+	case "middle":
+		first, avail = n/2, n-n/2
+	case "odd":
+		first, step, avail = 1, 2, n/2
+	case "even":
+		step, avail = 2, (n+1)/2
+	}
+	return nodeSet{sel: span{first, step, min(resolveCount(count, cell), avail)}}
+}
+
+// nodes lists the set in selector order.
+func (s nodeSet) nodes() []int {
+	if s.list != nil {
+		return s.list
+	}
+	var nodes []int
+	for k := 0; k < s.sel.len; k++ {
+		nodes = append(nodes, s.sel.first+k*s.sel.step)
 	}
 	return nodes
 }
 
-// nodes resolves the cast's node set for one cell.
-func (c *Cast) nodes(cell anondyn.Cell) []int {
-	if len(c.NodeList) > 0 {
-		return c.NodeList
-	}
-	count := resolveCount(c.Count, cell)
-	var nodes []int
-	switch c.Nodes {
-	case "middle":
-		for id := cell.N / 2; id < cell.N && len(nodes) < count; id++ {
-			nodes = append(nodes, id)
-		}
-	case "first":
-		for id := 0; id < cell.N && len(nodes) < count; id++ {
-			nodes = append(nodes, id)
-		}
-	case "top":
-		for id := cell.N - 1; id >= 0 && len(nodes) < count; id-- {
-			nodes = append(nodes, id)
+// has reports whether node x is in the span.
+func (p span) has(x int) bool {
+	d := x - p.first
+	q := d / p.step
+	return d == q*p.step && q >= 0 && q < p.len
+}
+
+// meet returns the smallest node in both spans. Steps are ±1 or 2, so
+// it is the larger of the two minima or the node after it.
+func (p span) meet(o span) (int, bool) {
+	low := func(s span) int { return min(s.first, s.first+(s.len-1)*s.step) }
+	x := max(low(p), low(o))
+	for _, y := range [2]int{x, x + 1} {
+		if p.has(y) && o.has(y) {
+			return y, true
 		}
 	}
-	return nodes
+	return 0, false
 }
 
 // compile adds one cast's strategies into the run's Byzantine map.
@@ -432,7 +490,7 @@ func (c *Cast) compile(cell anondyn.Cell, seed int64, byz map[int]anondyn.Strate
 		}
 		return 0
 	}
-	for _, node := range c.nodes(cell) {
+	for _, node := range c.set(cell).nodes() {
 		switch c.Strategy {
 		case "silent":
 			byz[node] = anondyn.Silent()

@@ -2,6 +2,8 @@ package spec
 
 import (
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -388,5 +390,34 @@ func TestEncodeEscapedStrings(t *testing.T) {
 	}
 	if got.Name != sw.Name || got.Description != sw.Description {
 		t.Errorf("round trip changed strings: %+v", got)
+	}
+}
+
+// TestSelectorSpansMeet: the placement check's closed-form overlap of
+// two selectors finds the smallest node the materialized sets share.
+func TestSelectorSpansMeet(t *testing.T) {
+	sels := []string{"first", "top", "middle", "odd", "even"}
+	for n := 1; n <= 9; n++ {
+		cell := anondyn.Cell{N: n}
+		for _, a := range sels {
+			for _, b := range sels {
+				for ca := 0; ca <= n+1; ca++ {
+					for cb := 0; cb <= n+1; cb++ {
+						pa := resolveNodes(a, nil, strconv.Itoa(ca), cell)
+						pb := resolveNodes(b, nil, strconv.Itoa(cb), cell)
+						want, found := -1, false
+						for _, x := range pa.nodes() {
+							if slices.Contains(pb.nodes(), x) && (!found || x < want) {
+								want, found = x, true
+							}
+						}
+						got, ok := pa.sel.meet(pb.sel)
+						if ok != found || ok && got != want {
+							t.Fatalf("n=%d %s:%d meets %s:%d at (%d, %v), want (%d, %v)", n, a, ca, b, cb, got, ok, want, found)
+						}
+					}
+				}
+			}
+		}
 	}
 }
