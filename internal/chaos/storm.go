@@ -174,7 +174,13 @@ func (s *Stress) CompileStorm(runSeed int64) *Storm {
 				}
 				st.note(round, e.Kind, len(victims), fmt.Sprintf("wave %d/%d", w+1, e.Waves))
 				round += e.Spread
-				size = int(math.Ceil(float64(size) * factor))
+				// A wave never needs more than n victims; saturating
+				// there keeps a long cascade's size from overflowing.
+				if next := math.Ceil(float64(size) * factor); next < float64(n) {
+					size = int(next)
+				} else {
+					size = n
+				}
 			}
 		case "partition":
 			groups := pickGroups(rng, s.Fleet.Groups, e)

@@ -74,6 +74,24 @@ func TestCascadeWaves(t *testing.T) {
 	}
 }
 
+// TestCascadeSaturates: a cascade that outgrows the fleet keeps taking
+// every survivor instead of overflowing its wave size (64 doublings
+// used to wrap to a negative count and panic).
+func TestCascadeSaturates(t *testing.T) {
+	s := &Stress{
+		Fleet:  Fleet{TotalNodes: 40},
+		Rounds: 5,
+		Events: []Event{{Kind: "cascade", Round: 1, Count: 1, Waves: 80, Spread: 1}},
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.CompileStorm(3)
+	if len(st.Timeline) != 80 || st.Survivors != 0 {
+		t.Errorf("%d waves, %d survivors; want 80 waves, 0 survivors", len(st.Timeline), st.Survivors)
+	}
+}
+
 // TestGroupOutageContiguity: an outage crashes exactly the members of
 // the drawn contiguous group blocks, nobody else.
 func TestGroupOutageContiguity(t *testing.T) {

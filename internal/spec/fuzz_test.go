@@ -47,6 +47,34 @@ const maxFuzzFleet = 2048
 // timelines.
 func FuzzCompileStorm(f *testing.F) {
 	addCommittedSpecs(f, int64(1))
+	// The committed storms are larger than the cap; a small fleet with
+	// every event kind gives the mutator something to start from.
+	f.Add([]byte(stressYAML), int64(1))
+	f.Add([]byte(`name: every-kind
+stress:
+  fleet:
+    total_nodes: 64
+    groups: 4
+  rounds: 40
+  events:
+    - kind: crash-storm
+      round: 2
+      duration: 3
+      rate: 0.05
+    - kind: byzantine
+      count: 2
+      strategy: extremist
+      args: [1]
+    - kind: group-outage
+      round: 4
+      count: 1
+    - kind: cascade
+      round: 6
+      count: 2
+      waves: 3
+      factor: 2.0
+      spread: 2
+`), int64(2))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		sw, err := Parse(data)
 		if err != nil || sw.Stress == nil || sw.Stress.Fleet.TotalNodes > maxFuzzFleet {
