@@ -234,6 +234,8 @@ func decodeStruct(o object, dst reflect.Value) error {
 		}
 		raw, ok := o.take(f.key)
 		if i+1 < len(fields) && fields[i+1].key == f.key {
+			// A shared key: a string fills the first field, a list the
+			// second.
 			i++
 			if _, isList := raw.([]any); isList {
 				f = fields[i]

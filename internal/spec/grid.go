@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -234,31 +235,16 @@ func (o Overrides) isZero() bool {
 	return o == Overrides{}
 }
 
-// mergeOverrides layers a variant's overrides on the sweep-wide base.
+// mergeOverrides layers a variant's overrides on the sweep-wide base:
+// every field the variant sets (non-zero; Unchecked non-nil) wins.
 func mergeOverrides(base, v Overrides) Overrides {
-	out := base
-	if v.Unchecked != nil {
-		out.Unchecked = v.Unchecked
+	out, set := reflect.ValueOf(&base).Elem(), reflect.ValueOf(v)
+	for i := range set.NumField() {
+		if !set.Field(i).IsZero() {
+			out.Field(i).Set(set.Field(i))
+		}
 	}
-	if v.Quorum != "" {
-		out.Quorum = v.Quorum
-	}
-	if v.PEnd != 0 {
-		out.PEnd = v.PEnd
-	}
-	if v.PiggybackWindow != 0 {
-		out.PiggybackWindow = v.PiggybackWindow
-	}
-	if v.MegaT != 0 {
-		out.MegaT = v.MegaT
-	}
-	if v.MaxMessageBytes != 0 {
-		out.MaxMessageBytes = v.MaxMessageBytes
-	}
-	if v.Algorithm != "" {
-		out.Algorithm = v.Algorithm
-	}
-	return out
+	return base
 }
 
 // compileOverrides turns one merged override block into a scenario

@@ -421,3 +421,29 @@ func TestSelectorSpansMeet(t *testing.T) {
 		}
 	}
 }
+
+// TestVariantOverridesMerge: a variant's set fields win over the
+// sweep-wide overrides, an explicit false included, and unset fields
+// inherit.
+func TestVariantOverridesMerge(t *testing.T) {
+	sw, err := Parse([]byte("ns: [5]\nunchecked: true\np_end: 9\nvariants:\n  - name: checked\n    unchecked: false\n  - name: inherits\n    quorum: 2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := sw.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []anondyn.Scenario
+	for _, v := range g.Variants {
+		var s anondyn.Scenario
+		v.Apply(&s)
+		got = append(got, s)
+	}
+	if got[0].Unchecked || got[0].PEndOverride != 9 || got[0].QuorumOverride != 0 {
+		t.Errorf("variant checked = %+v, want checked, p_end 9, paper quorum", got[0])
+	}
+	if !got[1].Unchecked || got[1].PEndOverride != 9 || got[1].QuorumOverride != 2 {
+		t.Errorf("variant inherits = %+v, want unchecked, p_end 9, quorum 2", got[1])
+	}
+}
