@@ -524,8 +524,23 @@ func benchRuns(b *testing.B, mk func() anondyn.Scenario) {
 // round's graph on an idle core while the current round delivers;
 // /gomaxprocs=1 is the same run with no idle core, which keeps it on one
 // goroutine — the sequential baseline, with no knob. Their ratio is the
-// overlap; on a one-core runner the rows coincide.
+// overlap; on a one-core runner the rows coincide. Those runs never leave
+// phase 0 (quorum 8193, at most 2048 distinct ports heard), so
+// n=2049/p=8n/decide prices the other regime: er2:8/n run to decision at
+// output phase 4, where every phase ends in a quorum and a population
+// node's port log fills and turns into the bitset every phase.
 func BenchmarkEngineRun(b *testing.B) {
+	b.Run("n=2049/p=8n/decide", func(b *testing.B) {
+		const n = 2049
+		benchRuns(b, func() anondyn.Scenario {
+			return anondyn.Scenario{
+				N: n, PEndOverride: 4,
+				Algorithm: anondyn.AlgoDAC,
+				Inputs:    anondyn.SpreadInputs(n),
+				Adversary: anondyn.SparseProbabilistic(8.0/n, 1),
+			}
+		})
+	})
 	const n = 16385
 	for _, c := range []struct {
 		name string

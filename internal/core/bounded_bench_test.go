@@ -116,7 +116,11 @@ func BenchmarkDBACDeliver(b *testing.B) {
 // Receiver v hears from ports v+1+i+j·n/8: consecutive receivers hit
 // the same 8 words of R, so a tile's 8 receivers share 8 lines in the
 // tiled row and touch 64 in the per-node one — the rotating-graph case
-// the tiling is for. DBAC at the dense Byzantine sweep's (n = 51, f = 10, every
+// the tiling is for. The population also logs its ports: the 8 ports
+// (not consecutive, so 8 entries a round) fill a node's n/16-entry log
+// in its first 128 rounds of a phase, which materializes then, and the
+// quorum (8193) ends the phase after 1024 rounds — so a long run of the
+// row prices ⅛ log and ⅞ bitset. DBAC at the dense Byzantine sweep's (n = 51, f = 10, every
 // other node delivering) — once on uniform random values, where most
 // deliveries still displace a held extreme early in a phase, and once
 // (DBACEquiv) with the f middle ports claiming the extremes 0 and 1

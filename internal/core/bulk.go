@@ -19,7 +19,7 @@ type BulkDeliverer interface {
 
 // DeliverAll implements BulkDeliverer, folding the slice in place: no
 // Delivery is copied. The same-phase case — what nearly every delivery
-// of a sparse round is — runs inline (bit test, count, STORE, quorum
+// of a sparse round is — runs inline (hear's body, then the quorum
 // rule); jumps, stale messages and the ablation go through deliver.
 // Skipping maybeDecide on the inline path is sound because decided ⇔
 // p ≥ pEnd holds between calls and only a phase change can flip it.
@@ -30,10 +30,21 @@ func (d *DAC) DeliverAll(ds []Delivery) {
 			d.deliver(dl.Port, dl.Msg.Value, dl.Msg.Phase)
 			continue
 		}
-		if w, bit := d.word(dl.Port), uint64(1)<<(uint(dl.Port)&63); *w&bit == 0 {
-			*w |= bit
+		if d.ne < d.logCap && d.nr+1 < d.quorum { // hear, inlined
+			if !d.extend(dl.Port) {
+				d.closeRun()
+				d.putPort(dl.Port)
+			}
 			d.nr++
 			d.store(dl.Msg.Value)
+		} else {
+			if d.logging {
+				d.materialize()
+			}
+			if d.mark(dl.Port) {
+				d.nr++
+				d.store(dl.Msg.Value)
+			}
 		}
 		if d.p < d.pEnd && d.nr >= d.quorum {
 			d.advance()

@@ -7,13 +7,25 @@ import (
 	"unsafe"
 )
 
-// rPorts is R as a set: the ports whose bit is set, ascending. Nodes
-// that hold the same R in different places (a lone node's plain bitset,
-// a column of a population's tiled matrix) have equal rPorts.
+// rPorts is R as a set, ascending: the ports whose bit is set or, while
+// the node logs, self and the logged ports. Nodes that hold the same R
+// in different places (a lone node's plain bitset, a column of a
+// population's tiled matrix, a port log) have equal rPorts.
 func rPorts(d *DAC) []int {
+	in := make([]bool, d.n)
+	if d.logging {
+		in[d.selfPort] = true
+		for _, port := range logged(d) {
+			in[port] = true
+		}
+	} else {
+		for port := range in {
+			in[port] = *d.word(port)&(1<<(uint(port)&63)) != 0
+		}
+	}
 	var ports []int
-	for port := 0; port < d.n; port++ {
-		if *d.word(port)&(1<<(uint(port)&63)) != 0 {
+	for port, ok := range in {
+		if ok {
 			ports = append(ports, port)
 		}
 	}

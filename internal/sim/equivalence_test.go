@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"anondyn/internal/adversary"
+	"anondyn/internal/core"
 	"anondyn/internal/fault"
 	"anondyn/internal/network"
 )
@@ -225,5 +226,68 @@ func TestCompleteGraphMatchesTheoreticalContraction(t *testing.T) {
 	}
 	if res.OutputRange() > math.Pow(0.5, 10) {
 		t.Errorf("range %g exceeds (1/2)^10", res.OutputRange())
+	}
+}
+
+// TestEquivalenceDACPopulationLog runs DAC at n = 513, where the nodes
+// of a population with no Byzantine slot log each phase's ports instead
+// of setting R's bits (core.NewDACPopulation): the engine and CSR
+// executions run such a population, the reference oracle lone
+// core.NewDACPhases nodes, which never log. er2 fills the log with
+// scattered ports and materializes it when full, with clean, silent and
+// partial crashes; rotating:4 and complete deliver runs and materialize
+// near the quorum. The population runs once on DeliverAll and once with
+// an observer, which delivers message by message.
+func TestEquivalenceDACPopulationLog(t *testing.T) {
+	const n, pEnd = 513, 3
+	er2 := func() adversary.Adversary { return must(adversary.NewSparseProbabilistic(0.03, 28)) }
+	crashes := func(crash func(r int) fault.Crash) fault.Schedule {
+		return fault.Schedule{3: crash(1), 100: crash(4), 256: crash(4), 512: crash(9)}
+	}
+	cases := []struct {
+		name    string
+		adv     func() adversary.Adversary
+		crashes fault.Schedule
+	}{
+		{"er2/clean", er2, crashes(fault.CrashAt)},
+		{"er2/silent", er2, crashes(fault.CrashSilent)},
+		{"er2/partial", er2, crashes(func(r int) fault.Crash { return fault.CrashPartial(r, 0, 2, 5, 300) })},
+		{"rotating:4", func() adversary.Adversary { return must(adversary.NewRotating(4)) }, nil},
+		{"complete", func() adversary.Adversary { return adversary.NewComplete() }, nil},
+	}
+	run := func(c int, procs []core.Process, forceCSR bool, obs *observerLog, exec func(*Engine) *Result) *Result {
+		cfg := Config{N: n, F: 4, Procs: procs, Adversary: cases[c].adv(), Crashes: cases[c].crashes, ForceCSR: forceCSR, MaxRounds: 2000}
+		if obs != nil {
+			cfg.Hooks.Observer = obs
+		}
+		return exec(must(NewEngine(cfg)))
+	}
+	for c := range cases {
+		refLog := newObserverLog()
+		ref := run(c, dacProcs(t, n, pEnd, spread(n)), false, refLog, referenceRun)
+		if !ref.Decided {
+			t.Fatalf("%s: never decided — equivalence test vacuous", cases[c].name)
+		}
+		for _, ex := range executions {
+			if ex.name == "reference" {
+				continue
+			}
+			for _, observe := range []bool{false, true} {
+				pop := must(core.NewDACPopulation(pEnd, core.CrashQuorum(n), false, func(i int) int { return i }, spread(n), nil))
+				procs := make([]core.Process, n)
+				for i := range procs {
+					procs[i] = &pop[i]
+				}
+				var log *observerLog
+				if observe {
+					log = newObserverLog()
+				}
+				res := run(c, procs, ex.forceCSR, log, ex.run)
+				assertEqualResults(t, ref, res, "%s: reference vs %s (observed %v)", cases[c].name, ex.name, observe)
+				if observe && !reflect.DeepEqual(refLog, log) {
+					t.Errorf("%s: observer logs differ between reference and %s", cases[c].name, ex.name)
+				}
+			}
+		}
 	}
 }
