@@ -91,7 +91,7 @@ func Seeds(n int, base int64) []int64 {
 // Each worker recycles one simulation engine across every seed it
 // executes, and reinitializes the previous seed's processes in place
 // whenever the next scenario has the same shape (fixed ports, same
-// algorithm parameters and Byzantine set, recyclable processes); only
+// algorithm parameters and Byzantine set); only
 // the adversary and strategies mk builds are fresh per seed. Recycling
 // never changes results — asserted by the recycle tests.
 func RunManyStream(seeds []int64, mk func(seed int64) Scenario, sink ResultSink, opts BatchOptions) error {

@@ -10,9 +10,8 @@ type reseeder interface {
 // CompiledScenario is a Scenario validated once, with its processes
 // built once, so that a hand-written loop of seeded runs can share it.
 // Runs go through the same engine box as every batch: the simulation
-// engine is recycled between runs and, when ports are fixed and the
-// algorithm supports in-place reinitialization (DAC, DBAC, the
-// piggyback extension, MegaRound), the process objects too.
+// engine is recycled between runs and, when ports are fixed, the
+// process objects too.
 //
 // Per-run semantics of Run(seed, inputs):
 //

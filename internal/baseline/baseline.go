@@ -31,7 +31,6 @@ import (
 // converge to different values in different components — the motivating
 // failure DAC fixes.
 type ReliableIterated struct {
-	n      int
 	rounds int // decide after this many rounds (log2(1/ε) on reliable graphs)
 
 	v     float64
@@ -53,13 +52,16 @@ func NewReliableIterated(n int, input, eps float64) (*ReliableIterated, error) {
 	if err := core.ValidateEpsilon(eps); err != nil {
 		return nil, err
 	}
-	return &ReliableIterated{
-		n:      n,
-		rounds: core.PEndDAC(eps),
-		v:      input,
-		min:    input,
-		max:    input,
-	}, nil
+	r := &ReliableIterated{rounds: core.PEndDAC(eps)}
+	r.Reinit(input)
+	return r, nil
+}
+
+// Reinit implements core.Process.
+func (r *ReliableIterated) Reinit(input float64) {
+	r.v, r.round = input, 0
+	r.min, r.max = input, input
+	r.decided, r.decision = false, 0
 }
 
 // Broadcast implements core.Process.
@@ -67,15 +69,18 @@ func (r *ReliableIterated) Broadcast() core.Message {
 	return core.Message{Value: r.v, Phase: r.round}
 }
 
-// Deliver implements core.Process: track the extremes of this round's
-// messages regardless of their phase tags (the algorithm trusts the
-// synchronous reliable network to keep everyone in lock-step).
-func (r *ReliableIterated) Deliver(d core.Delivery) {
-	if d.Msg.Value < r.min {
-		r.min = d.Msg.Value
-	}
-	if d.Msg.Value > r.max {
-		r.max = d.Msg.Value
+// DeliverAll implements core.Process: track the extremes of this
+// round's messages regardless of their phase tags (the algorithm trusts
+// the synchronous reliable network to keep everyone in lock-step).
+func (r *ReliableIterated) DeliverAll(ds []core.Delivery) {
+	for i := range ds {
+		v := ds[i].Msg.Value
+		if v < r.min {
+			r.min = v
+		}
+		if v > r.max {
+			r.max = v
+		}
 	}
 }
 
@@ -106,7 +111,7 @@ func (r *ReliableIterated) Value() float64 { return r.v }
 // message adversary (it cannot tell "value trimmed" from "message
 // dropped").
 type BACReliable struct {
-	n, f   int
+	f      int
 	rounds int
 
 	v     float64
@@ -130,7 +135,16 @@ func NewBACReliable(n, f int, input, eps float64) (*BACReliable, error) {
 	if err := core.ValidateEpsilon(eps); err != nil {
 		return nil, err
 	}
-	return &BACReliable{n: n, f: f, rounds: core.PEndDAC(eps), v: input}, nil
+	b := &BACReliable{f: f, rounds: core.PEndDAC(eps)}
+	b.Reinit(input)
+	return b, nil
+}
+
+// Reinit implements core.Process.
+func (b *BACReliable) Reinit(input float64) {
+	b.v, b.round = input, 0
+	b.recv = b.recv[:0]
+	b.decided, b.decision = false, 0
 }
 
 // Broadcast implements core.Process.
@@ -138,8 +152,12 @@ func (b *BACReliable) Broadcast() core.Message {
 	return core.Message{Value: b.v, Phase: b.round}
 }
 
-// Deliver implements core.Process.
-func (b *BACReliable) Deliver(d core.Delivery) { b.recv = append(b.recv, d.Msg.Value) }
+// DeliverAll implements core.Process.
+func (b *BACReliable) DeliverAll(ds []core.Delivery) {
+	for i := range ds {
+		b.recv = append(b.recv, ds[i].Msg.Value)
+	}
+}
 
 // EndRound implements core.Process: trimmed-midpoint update.
 func (b *BACReliable) EndRound() {
@@ -205,51 +223,38 @@ func NewMegaRound(n, t, selfPort int, input, eps float64) (*MegaRound, error) {
 	if err := core.ValidateEpsilon(eps); err != nil {
 		return nil, err
 	}
-	m := &MegaRound{
-		n: n, t: t,
-		pEnd:  core.PEndDAC(eps),
-		v:     input,
-		heard: make([]bool, n),
-		min:   input,
-		max:   input,
-	}
-	m.heard[selfPort] = true
-	m.nheard = 1
-	m.selfPort = selfPort
-	m.maybeDecide()
+	m := &MegaRound{n: n, t: t, selfPort: selfPort, pEnd: core.PEndDAC(eps), heard: make([]bool, n)}
+	m.Reinit(input)
 	return m, nil
 }
 
-// Reinit implements core.Reinitializer: return to the freshly-constructed
-// state with a new input, keeping n, T, pEnd and the self port. Mirrors
-// NewMegaRound's initialization exactly.
+// Reinit implements core.Process.
 func (m *MegaRound) Reinit(input float64) {
 	m.v, m.phase, m.round = input, 0, 0
-	clear(m.heard)
-	m.heard[m.selfPort] = true
-	m.nheard = 1
-	m.min, m.max = input, input
 	m.decided, m.decision = false, 0
-	m.maybeDecide()
+	m.openBlock()
 }
 
 // Broadcast implements core.Process.
 func (m *MegaRound) Broadcast() core.Message { return core.Message{Value: m.v, Phase: m.phase} }
 
-// Deliver implements core.Process: collect distinct-port values for the
-// current mega-round, accepting only current-phase messages (the
+// DeliverAll implements core.Process: collect distinct-port values for
+// the current mega-round, accepting only current-phase messages (the
 // algorithm has no jump rule).
-func (m *MegaRound) Deliver(d core.Delivery) {
-	if d.Msg.Phase != m.phase || m.heard[d.Port] {
-		return
-	}
-	m.heard[d.Port] = true
-	m.nheard++
-	if d.Msg.Value < m.min {
-		m.min = d.Msg.Value
-	}
-	if d.Msg.Value > m.max {
-		m.max = d.Msg.Value
+func (m *MegaRound) DeliverAll(ds []core.Delivery) {
+	for i := range ds {
+		d := &ds[i]
+		if d.Msg.Phase != m.phase || m.heard[d.Port] {
+			continue
+		}
+		m.heard[d.Port] = true
+		m.nheard++
+		if d.Msg.Value < m.min {
+			m.min = d.Msg.Value
+		}
+		if d.Msg.Value > m.max {
+			m.max = d.Msg.Value
+		}
 	}
 }
 
@@ -263,9 +268,12 @@ func (m *MegaRound) EndRound() {
 		m.v = (m.min + m.max) / 2
 		m.phase++
 	}
-	for i := range m.heard {
-		m.heard[i] = false
-	}
+	m.openBlock()
+}
+
+// openBlock starts a mega-round: only self heard, both extremes at v.
+func (m *MegaRound) openBlock() {
+	clear(m.heard)
 	m.heard[m.selfPort] = true
 	m.nheard = 1
 	m.min, m.max = m.v, m.v

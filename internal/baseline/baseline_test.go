@@ -162,15 +162,38 @@ func TestMegaRoundKnowsT(t *testing.T) {
 // and then Reinit with new inputs must replay a fresh build's execution
 // exactly.
 func TestMegaRoundReinitMatchesFresh(t *testing.T) {
-	n, eps := 5, 0.1
+	checkReinitMatchesFresh(t, func(i int, input float64) (core.Process, error) {
+		return NewMegaRound(5, 2, i, input, 0.1)
+	})
+}
+
+// TestReinitMatchesFresh is TestMegaRoundReinitMatchesFresh for the
+// other baselines.
+func TestReinitMatchesFresh(t *testing.T) {
+	for name, mk := range map[string]func(i int, input float64) (core.Process, error){
+		"ReliableIterated": func(_ int, input float64) (core.Process, error) { return NewReliableIterated(5, input, 0.1) },
+		"BACReliable":      func(_ int, input float64) (core.Process, error) { return NewBACReliable(5, 1, input, 0.1) },
+		"FullInfo":         func(i int, input float64) (core.Process, error) { return NewFullInfo(5, i, input, 0.1) },
+		"FloodMin":         func(_ int, input float64) (core.Process, error) { return NewFloodMin(3, math.Round(input)) },
+	} {
+		t.Run(name, func(t *testing.T) { checkReinitMatchesFresh(t, mk) })
+	}
+}
+
+// checkReinitMatchesFresh runs a 5-node fleet built by mk to the end on
+// rotating:2, reinitializes it with new inputs, and requires the rerun
+// to equal a fresh fleet's run bit for bit.
+func checkReinitMatchesFresh(t *testing.T, mk func(i int, input float64) (core.Process, error)) {
+	t.Helper()
+	const n = 5
 	build := func(inputs []float64) []core.Process {
 		procs := make([]core.Process, n)
 		for i := range procs {
-			m, err := NewMegaRound(n, 2, i, inputs[i], eps)
+			p, err := mk(i, inputs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			procs[i] = m
+			procs[i] = p
 		}
 		return procs
 	}
@@ -183,11 +206,11 @@ func TestMegaRoundReinitMatchesFresh(t *testing.T) {
 	}
 	recycled := build(spread(n))
 	run(recycled) // dirty every field
-	inputs := []float64{0.9, 0.1, 0.5, 0.3, 0.7}
+	fresh := build([]float64{0.9, 0.1, 0.5, 0.3, 0.7})
 	for i, p := range recycled {
-		p.(core.Reinitializer).Reinit(inputs[i])
+		p.Reinit(fresh[i].Value()) // a fresh node's value is its input
 	}
-	if got, want := run(recycled), run(build(inputs)); !reflect.DeepEqual(got, want) {
+	if got, want := run(recycled), run(fresh); !reflect.DeepEqual(got, want) {
 		t.Errorf("reinit run diverged:\ngot  %+v\nwant %+v", got, want)
 	}
 }
@@ -233,7 +256,7 @@ func TestFullInfoHistoryGrows(t *testing.T) {
 		t.Fatalf("initial history = %d entries, want 1 (phase 0)", len(m0.History))
 	}
 	// Advance one phase: history must now carry both phases.
-	fi.Deliver(core.Delivery{Port: 1, Msg: core.Message{Value: 0.5, Phase: 0}})
+	fi.DeliverAll([]core.Delivery{{Port: 1, Msg: core.Message{Value: 0.5, Phase: 0}}})
 	if fi.Phase() != 1 {
 		t.Fatal("setup: no advance")
 	}
@@ -251,23 +274,23 @@ func TestFullInfoIgnoresBehindSenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Jump-start to phase 1 via two deliveries.
-	fi.Deliver(core.Delivery{Port: 1, Msg: core.Message{Value: 0.3, Phase: 0}})
-	fi.Deliver(core.Delivery{Port: 2, Msg: core.Message{Value: 0.7, Phase: 0}})
+	fi.DeliverAll([]core.Delivery{{Port: 1, Msg: core.Message{Value: 0.3, Phase: 0}}})
+	fi.DeliverAll([]core.Delivery{{Port: 2, Msg: core.Message{Value: 0.7, Phase: 0}}})
 	if fi.Phase() != 1 {
 		t.Fatal("setup failed")
 	}
 	// A sender still at phase 0 with no phase-1 history: not countable.
-	fi.Deliver(core.Delivery{Port: 3, Msg: core.Message{Value: 0.1, Phase: 0}})
+	fi.DeliverAll([]core.Delivery{{Port: 3, Msg: core.Message{Value: 0.1, Phase: 0}}})
 	if fi.Phase() != 1 {
 		t.Error("behind sender advanced the phase")
 	}
 	// A sender whose history CONTAINS phase 1 counts even though its
 	// current phase is 3.
-	fi.Deliver(core.Delivery{Port: 4, Msg: core.Message{
+	fi.DeliverAll([]core.Delivery{{Port: 4, Msg: core.Message{
 		Value: 0.9, Phase: 3,
 		History: []core.HistEntry{{Value: 0.6, Phase: 1}, {Value: 0.4, Phase: 0}},
-	}})
-	fi.Deliver(core.Delivery{Port: 3, Msg: core.Message{Value: 0.6, Phase: 1}})
+	}}})
+	fi.DeliverAll([]core.Delivery{{Port: 3, Msg: core.Message{Value: 0.6, Phase: 1}}})
 	if fi.Phase() != 2 {
 		t.Errorf("phase = %d, want 2", fi.Phase())
 	}

@@ -32,10 +32,28 @@ func NewFloodMin(rounds int, input float64) (*FloodMin, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("baseline: floodmin needs ≥ 1 round, got %d", rounds)
 	}
-	if input != 0 && input != 1 {
-		return nil, fmt.Errorf("baseline: floodmin input must be binary, got %g", input)
+	if err := ValidateFloodMinInput(input); err != nil {
+		return nil, err
 	}
-	return &FloodMin{rounds: rounds, v: input}, nil
+	fm := &FloodMin{rounds: rounds}
+	fm.Reinit(input)
+	return fm, nil
+}
+
+// ValidateFloodMinInput rejects an input other than 0 or 1: the check
+// NewFloodMin makes, for callers that Reinit a node.
+func ValidateFloodMinInput(input float64) error {
+	if input != 0 && input != 1 {
+		return fmt.Errorf("baseline: floodmin input must be binary, got %g", input)
+	}
+	return nil
+}
+
+// Reinit implements core.Process; the input must pass
+// ValidateFloodMinInput.
+func (fm *FloodMin) Reinit(input float64) {
+	fm.v, fm.round = input, 0
+	fm.decided, fm.decision = false, 0
 }
 
 // Broadcast implements core.Process.
@@ -43,10 +61,12 @@ func (fm *FloodMin) Broadcast() core.Message {
 	return core.Message{Value: fm.v, Phase: fm.round}
 }
 
-// Deliver implements core.Process: adopt any smaller value.
-func (fm *FloodMin) Deliver(d core.Delivery) {
-	if d.Msg.Value < fm.v {
-		fm.v = d.Msg.Value
+// DeliverAll implements core.Process: adopt any smaller value.
+func (fm *FloodMin) DeliverAll(ds []core.Delivery) {
+	for i := range ds {
+		if ds[i].Msg.Value < fm.v {
+			fm.v = ds[i].Msg.Value
+		}
 	}
 }
 

@@ -45,20 +45,19 @@ func NewFullInfo(n, selfPort int, input, eps float64) (*FullInfo, error) {
 	if err := core.ValidateEpsilon(eps); err != nil {
 		return nil, err
 	}
-	f := &FullInfo{
-		n:        n,
-		pEnd:     core.PEndDAC(eps),
-		v:        input,
-		hist:     []core.HistEntry{{Value: input, Phase: 0}},
-		heard:    make([]bool, n),
-		min:      input,
-		max:      input,
-		selfPort: selfPort,
-	}
-	f.heard[selfPort] = true
-	f.nheard = 1
-	f.maybeDecide()
+	f := &FullInfo{n: n, pEnd: core.PEndDAC(eps), heard: make([]bool, n), selfPort: selfPort}
+	f.Reinit(input)
 	return f, nil
+}
+
+// Reinit implements core.Process. The history keeps its storage:
+// Broadcast copies it, so no message aliases it.
+func (f *FullInfo) Reinit(input float64) {
+	f.v, f.phase = input, 0
+	f.hist = append(f.hist[:0], core.HistEntry{Value: input, Phase: 0})
+	f.decided, f.decision = false, 0
+	f.openPhase()
+	f.maybeDecide()
 }
 
 // Broadcast implements core.Process: current state plus full history.
@@ -68,40 +67,46 @@ func (f *FullInfo) Broadcast() core.Message {
 	return core.Message{Value: f.v, Phase: f.phase, History: hist}
 }
 
-// Deliver implements core.Process: count the sender's phase-p value when
-// its history (or current state) contains one.
-func (f *FullInfo) Deliver(d core.Delivery) {
-	if f.heard[d.Port] {
-		return
-	}
-	val, ok := f.phaseValue(d.Msg)
-	if !ok {
-		return // sender has never reached our phase yet
-	}
-	f.heard[d.Port] = true
-	f.nheard++
-	if val < f.min {
-		f.min = val
-	}
-	if val > f.max {
-		f.max = val
-	}
-	if f.phase < f.pEnd && f.nheard >= core.CrashQuorum(f.n) {
-		f.v = (f.min + f.max) / 2
-		f.phase++
-		f.hist = append(f.hist, core.HistEntry{Value: f.v, Phase: f.phase})
-		for i := range f.heard {
-			f.heard[i] = false
+// DeliverAll implements core.Process: count each sender's phase-p value
+// when its history (or current state) contains one.
+func (f *FullInfo) DeliverAll(ds []core.Delivery) {
+	for i := range ds {
+		port := ds[i].Port
+		if f.heard[port] {
+			continue
 		}
-		f.heard[f.selfPort] = true
-		f.nheard = 1
-		f.min, f.max = f.v, f.v
+		val, ok := f.phaseValue(&ds[i].Msg)
+		if !ok {
+			continue // sender has never reached our phase yet
+		}
+		f.heard[port] = true
+		f.nheard++
+		if val < f.min {
+			f.min = val
+		}
+		if val > f.max {
+			f.max = val
+		}
+		if f.phase < f.pEnd && f.nheard >= core.CrashQuorum(f.n) {
+			f.v = (f.min + f.max) / 2
+			f.phase++
+			f.hist = append(f.hist, core.HistEntry{Value: f.v, Phase: f.phase})
+			f.openPhase()
+		}
+		f.maybeDecide()
 	}
-	f.maybeDecide()
+}
+
+// openPhase starts a phase: only self heard, both extremes at v.
+func (f *FullInfo) openPhase() {
+	clear(f.heard)
+	f.heard[f.selfPort] = true
+	f.nheard = 1
+	f.min, f.max = f.v, f.v
 }
 
 // phaseValue extracts the sender's phase-f.phase state from a message.
-func (f *FullInfo) phaseValue(m core.Message) (float64, bool) {
+func (f *FullInfo) phaseValue(m *core.Message) (float64, bool) {
 	if m.Phase == f.phase {
 		return m.Value, true
 	}

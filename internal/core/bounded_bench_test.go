@@ -128,11 +128,7 @@ func BenchmarkDBACDeliver(b *testing.B) {
 // extremes at once and nearly every honest value is a one-compare
 // reject, the case the remembered extreme index exists for.
 func BenchmarkDeliverAll(b *testing.B) {
-	type bulkProcess interface {
-		Process
-		BulkDeliverer
-	}
-	round := func(b *testing.B, n, deg int, fleet []bulkProcess, vals []float64) {
+	round := func(b *testing.B, n, deg int, fleet []Process, vals []float64) {
 		ds := make([]Delivery, deg)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -153,7 +149,7 @@ func BenchmarkDeliverAll(b *testing.B) {
 	}
 	const dacN, dacDeg = 16385, 8
 	b.Run("DAC", func(b *testing.B) {
-		fleet := make([]bulkProcess, dacN)
+		fleet := make([]Process, dacN)
 		for i := range fleet {
 			d, err := NewDACPhases(dacN, i, 1<<30, 0.5)
 			if err != nil {
@@ -169,7 +165,7 @@ func BenchmarkDeliverAll(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fleet := make([]bulkProcess, dacN)
+		fleet := make([]Process, dacN)
 		for i := range fleet {
 			fleet[i] = &pop[i]
 		}
@@ -178,7 +174,7 @@ func BenchmarkDeliverAll(b *testing.B) {
 	dbac := func(equivocated bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			const n, f, deg = 51, 10, 50
-			fleet := make([]bulkProcess, n)
+			fleet := make([]Process, n)
 			for i := range fleet {
 				d, err := NewDBACPhases(n, f, i, 1<<30, 0.5)
 				if err != nil {

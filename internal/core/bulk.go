@@ -1,23 +1,6 @@
 package core
 
-// BulkDeliverer is an optional Process extension: a receiver that can
-// consume one round's deliveries as a single slice. The engines probe
-// for it once per Reset and hand each receiver its whole in-edge batch
-// in ONE dynamic call per round instead of one per edge — at sparse
-// scale the per-edge interface dispatch is a measurable floor (~14 ns)
-// that this seam amortizes, because the fold inside dispatches
-// statically on the concrete type.
-//
-// The contract is fold equivalence: DeliverAll(ds) must leave the
-// process in exactly the state that calling Deliver(ds[0]),
-// Deliver(ds[1]), … in slice order would — asserted for every
-// implementation by the property tests. The slice is engine-owned
-// scratch; implementations must not retain it.
-type BulkDeliverer interface {
-	DeliverAll(ds []Delivery)
-}
-
-// DeliverAll implements BulkDeliverer, folding the slice in place: no
+// DeliverAll implements Process, folding the slice in place: no
 // Delivery is copied. The same-phase case — what nearly every delivery
 // of a sparse round is — runs inline (hear's body, then the quorum
 // rule); jumps, stale messages and the ablation go through deliver.
@@ -53,7 +36,7 @@ func (d *DAC) DeliverAll(ds []Delivery) {
 	}
 }
 
-// DeliverAll implements BulkDeliverer as the in-order, in-place fold of
+// DeliverAll implements Process as the in-order, in-place fold of
 // deliver.
 func (d *DBAC) DeliverAll(ds []Delivery) {
 	for i := range ds {
@@ -61,16 +44,10 @@ func (d *DBAC) DeliverAll(ds []Delivery) {
 	}
 }
 
-// DeliverAll implements BulkDeliverer as the in-order, in-place fold of
+// DeliverAll implements Process as the in-order, in-place fold of
 // deliver (and from there the inner *DBAC's).
 func (pb *DBACPiggyback) DeliverAll(ds []Delivery) {
 	for i := range ds {
 		pb.deliver(ds[i].Port, &ds[i].Msg)
 	}
 }
-
-var (
-	_ BulkDeliverer = (*DAC)(nil)
-	_ BulkDeliverer = (*DBAC)(nil)
-	_ BulkDeliverer = (*DBACPiggyback)(nil)
-)

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestDeliverAllFoldEquivalenceProperty is the BulkDeliverer contract:
+// TestDeliverAllFoldEquivalenceProperty is Process.DeliverAll's contract:
 // for random delivery streams chopped into random chunks, DeliverAll on
 // one instance must track Deliver-one-at-a-time on a twin instance
 // through every observable — and, the twins being the same type, every
@@ -19,37 +19,44 @@ import (
 // counted ones included), the no-jump ablation drops future phases.
 func TestDeliverAllFoldEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	// step is the per-message twin: DAC, DBAC and DBACPiggyback keep a
+	// concrete Deliver as the reference DeliverAll must fold like.
+	type stepper interface {
+		Process
+		Deliver(Delivery)
+	}
 	type pair struct {
-		name       string
-		bulk, step Process
+		name string
+		bulk Process
+		step stepper
 	}
 	mkPairs := func(n, f int, input float64) []pair {
-		mk := func(build func() (Process, error)) Process {
+		mk := func(build func() (stepper, error)) stepper {
 			p, err := build()
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p
 		}
-		dacA := mk(func() (Process, error) { return NewDACPhases(n, 0, 6, input) })
-		dacB := mk(func() (Process, error) { return NewDACPhases(n, 0, 6, input) })
-		dbacA := mk(func() (Process, error) { return NewDBACPhases(n, f, 0, 6, input) })
-		dbacB := mk(func() (Process, error) { return NewDBACPhases(n, f, 0, 6, input) })
-		pbA := mk(func() (Process, error) { return NewDBACPiggybackPhases(n, f, 0, 2, 6, input) })
-		pbB := mk(func() (Process, error) { return NewDBACPiggybackPhases(n, f, 0, 2, 6, input) })
-		q1A := mk(func() (Process, error) { return NewDACCustom(n, 0, 6, 1, input) })
-		q1B := mk(func() (Process, error) { return NewDACCustom(n, 0, 6, 1, input) })
-		q2A := mk(func() (Process, error) { return NewDACCustom(n, 0, 40, 2, input) })
-		q2B := mk(func() (Process, error) { return NewDACCustom(n, 0, 40, 2, input) })
-		njA := mk(func() (Process, error) { return NewDACNoJumpPhases(n, 0, 6, input) })
-		njB := mk(func() (Process, error) { return NewDACNoJumpPhases(n, 0, 6, input) })
+		dacA := mk(func() (stepper, error) { return NewDACPhases(n, 0, 6, input) })
+		dacB := mk(func() (stepper, error) { return NewDACPhases(n, 0, 6, input) })
+		dbacA := mk(func() (stepper, error) { return NewDBACPhases(n, f, 0, 6, input) })
+		dbacB := mk(func() (stepper, error) { return NewDBACPhases(n, f, 0, 6, input) })
+		pbA := mk(func() (stepper, error) { return NewDBACPiggybackPhases(n, f, 0, 2, 6, input) })
+		pbB := mk(func() (stepper, error) { return NewDBACPiggybackPhases(n, f, 0, 2, 6, input) })
+		q1A := mk(func() (stepper, error) { return NewDACCustom(n, 0, 6, 1, input) })
+		q1B := mk(func() (stepper, error) { return NewDACCustom(n, 0, 6, 1, input) })
+		q2A := mk(func() (stepper, error) { return NewDACCustom(n, 0, 40, 2, input) })
+		q2B := mk(func() (stepper, error) { return NewDACCustom(n, 0, 40, 2, input) })
+		njA := mk(func() (stepper, error) { return NewDACNoJumpPhases(n, 0, 6, input) })
+		njB := mk(func() (stepper, error) { return NewDACNoJumpPhases(n, 0, 6, input) })
 		// A middle node of a population (self port 0 for every node):
 		// its R is one column of a tiled matrix, its twin's a bitset.
 		pop, err := NewDACPopulation(6, CrashQuorum(n), false, func(int) int { return 0 }, slices.Repeat([]float64{input}, n), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tiledB := mk(func() (Process, error) { return NewDACPhases(n, 0, 6, input) })
+		tiledB := mk(func() (stepper, error) { return NewDACPhases(n, 0, 6, input) })
 		return []pair{
 			{"DAC", dacA, dacB},
 			{"DAC/tiled", &pop[n/2], tiledB},
@@ -65,10 +72,6 @@ func TestDeliverAllFoldEquivalenceProperty(t *testing.T) {
 		f := rng.Intn(1 + (n-1)/5)
 		input := rng.Float64()
 		for _, pr := range mkPairs(n, f, input) {
-			bulk, ok := pr.bulk.(BulkDeliverer)
-			if !ok {
-				t.Fatalf("%s does not implement BulkDeliverer", pr.name)
-			}
 			for round := 0; round < 30; round++ {
 				chunk := make([]Delivery, rng.Intn(n))
 				maxPhase := pr.step.Phase() + 3
@@ -86,7 +89,7 @@ func TestDeliverAllFoldEquivalenceProperty(t *testing.T) {
 						},
 					}
 				}
-				bulk.DeliverAll(chunk)
+				pr.bulk.DeliverAll(chunk)
 				for i := range chunk {
 					pr.step.Deliver(chunk[i])
 				}

@@ -200,7 +200,7 @@ func buildDACs(n, width, pEnd, quorum int, noJump bool, selfPort func(int) int, 
 // Broadcast implements Process (Algorithm 1 line 2).
 func (d *DAC) Broadcast() Message { return Message{Value: d.v, Phase: d.p} }
 
-// Deliver implements Process (Algorithm 1 lines 4–15).
+// Deliver is DeliverAll for one message (Algorithm 1 lines 4–15).
 func (d *DAC) Deliver(dl Delivery) { d.deliver(dl.Port, dl.Msg.Value, dl.Msg.Phase) }
 
 // deliver is the body of Deliver on the port and the two fields
@@ -323,7 +323,7 @@ func NewDACCustom(n, selfPort, pEnd, quorum int, input float64) (*DAC, error) {
 	return newDAC(n, selfPort, pEnd, quorum, false, input)
 }
 
-// Reinit implements Reinitializer: return to the freshly-constructed
+// Reinit implements Process: return to the freshly-constructed
 // state with a new input, keeping n, pEnd, quorum, the self port, the
 // ablation flag and R's place in its population's matrix.
 func (d *DAC) Reinit(input float64) {

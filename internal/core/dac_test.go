@@ -7,7 +7,7 @@ import (
 
 // deliver is a test helper for feeding a message from a port.
 func deliver(p Process, port int, value float64, phase int) {
-	p.Deliver(Delivery{Port: port, Msg: Message{Value: value, Phase: phase}})
+	p.DeliverAll([]Delivery{{Port: port, Msg: Message{Value: value, Phase: phase}}})
 }
 
 func TestNewDACValidation(t *testing.T) {

@@ -100,7 +100,7 @@ func newDBACWithPEnd(n, f, selfPort int, input float64, pEnd int) (*DBAC, error)
 // Broadcast implements Process (Algorithm 2 line 2).
 func (d *DBAC) Broadcast() Message { return Message{Value: d.v, Phase: d.p} }
 
-// Deliver implements Process (Algorithm 2 lines 4–11).
+// Deliver is DeliverAll for one message (Algorithm 2 lines 4–11).
 func (d *DBAC) Deliver(dl Delivery) { d.deliver(dl.Port, dl.Msg.Value, dl.Msg.Phase) }
 
 // deliver is the body of Deliver on the two fields Algorithm 2 reads,
@@ -173,7 +173,7 @@ func NewDBACCustom(n, f, selfPort, pEnd, quorum int, input float64) (*DBAC, erro
 	return d, nil
 }
 
-// Reinit implements Reinitializer: return to the freshly-constructed
+// Reinit implements Process: return to the freshly-constructed
 // state with a new input, keeping n, f, pEnd, quorum and the self port.
 // Mirrors newDBACWithPEnd's initialization exactly.
 func (d *DBAC) Reinit(input float64) {

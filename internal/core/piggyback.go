@@ -80,7 +80,7 @@ func newPB(inner *DBAC, k int) *DBACPiggyback {
 	return pb
 }
 
-// Reinit implements Reinitializer: return to the freshly-constructed
+// Reinit implements Process: return to the freshly-constructed
 // state with a new input, keeping the window and the inner DBAC's
 // parameters. Mirrors newPB's initialization exactly.
 func (pb *DBACPiggyback) Reinit(input float64) {
@@ -111,7 +111,8 @@ func (pb *DBACPiggyback) Broadcast() Message {
 	return m
 }
 
-// Deliver implements Process, preferring the same-phase piggybacked entry.
+// Deliver is DeliverAll for one message, preferring the same-phase
+// piggybacked entry.
 func (pb *DBACPiggyback) Deliver(dl Delivery) { pb.deliver(dl.Port, &dl.Msg) }
 
 // deliver is the body of Deliver; the message stays where the caller

@@ -6,11 +6,11 @@ package core
 //
 //  1. Broadcast() is called once at the top of each round; the returned
 //     message is handed to the message adversary for delivery.
-//  2. Deliver() is called once per message that the adversary's edge set
-//     E(t) actually delivers this round, tagged with the receiver-local
-//     port. Self-delivery is NOT routed through Deliver — the algorithms
-//     model the reliable self-channel internally (R[i]=1, own-value
-//     stores), exactly as Algorithm 1/2 initialize it.
+//  2. DeliverAll() receives the messages that the adversary's edge set
+//     E(t) actually delivers this round, each tagged with the
+//     receiver-local port. Self-delivery is NOT routed through it — the
+//     algorithms model the reliable self-channel internally (R[i]=1,
+//     own-value stores), exactly as Algorithm 1/2 initialize it.
 //  3. EndRound() is called after all deliveries of the round.
 //
 // Implementations must be deterministic functions of their input and the
@@ -20,9 +20,15 @@ type Process interface {
 	// round (Algorithm 1/2, line 2).
 	Broadcast() Message
 
-	// Deliver processes one received message (the body of the for-each
-	// loop, Algorithm 1 lines 4–15 / Algorithm 2 lines 4–11).
-	Deliver(d Delivery)
+	// DeliverAll processes received messages in slice order, each as the
+	// for-each body of Algorithm 1 lines 4–15 / Algorithm 2 lines 4–11.
+	// The engine hands a receiver its whole round in one call (one
+	// dynamic dispatch per receiver, not per edge) or, when an observer
+	// watches every delivery, one message per call. So a slice must fold
+	// exactly as its entries delivered one at a time would (asserted by
+	// TestDeliverAllFoldEquivalenceProperty). The slice is engine-owned
+	// scratch; implementations must not retain it.
+	DeliverAll(ds []Delivery)
 
 	// EndRound marks the end of the communication round. DAC/DBAC are
 	// edge-triggered and do nothing here, but baselines that gather a
@@ -41,16 +47,15 @@ type Process interface {
 
 	// Value exposes the node's current state value v_i (same purpose).
 	Value() float64
-}
 
-// Reinitializer is the optional recycling extension of Process: Reinit
-// returns the node to its freshly-constructed state with a new input,
-// keeping its structural parameters (n, pEnd, quorum, self port). It
-// lets the scenario run path reuse one set of processes across a whole
-// Monte-Carlo batch instead of reallocating them per seed; a Reinit
-// process must be indistinguishable from a newly constructed one (the
-// recycle tests assert byte-identical executions).
-type Reinitializer interface {
+	// Reinit returns the node to its freshly-constructed state with a new
+	// input, keeping its structural parameters (n, pEnd, quorum, self
+	// port). It lets the scenario run path reuse one set of processes
+	// across a whole Monte-Carlo batch instead of reallocating them per
+	// seed; a Reinit process must be indistinguishable from a newly
+	// constructed one (the recycle tests assert byte-identical
+	// executions). The caller validates the input first, as the
+	// constructor would.
 	Reinit(input float64)
 }
 

@@ -41,7 +41,7 @@ func checkStateMachineInvariants(t *testing.T, build func() (Process, int), seed
 			if val > hi {
 				hi = val
 			}
-			p.Deliver(Delivery{Port: port, Msg: Message{Value: val, Phase: phase}})
+			p.DeliverAll([]Delivery{{Port: port, Msg: Message{Value: val, Phase: phase}}})
 
 			if p.Phase() < lastPhase {
 				t.Logf("phase regressed %d → %d", lastPhase, p.Phase())

@@ -19,8 +19,8 @@ func driveSequence(p Process) []Snapshot {
 	var out []Snapshot
 	for round := 0; round < 4; round++ {
 		p.Broadcast()
-		for _, d := range msgs {
-			p.Deliver(d)
+		for i := range msgs {
+			p.DeliverAll(msgs[i : i+1])
 			out = append(out, Snap(p))
 		}
 		p.EndRound()

@@ -23,35 +23,32 @@ type View interface {
 type Strategy interface {
 	// Name identifies the strategy in traces and tables.
 	Name() string
-	// Messages returns the message for each receiver in [0, n); a nil
-	// entry means "send nothing to that receiver this round". Entries
-	// for receivers outside the adversary's edge set are dropped by the
-	// engine regardless.
-	Messages(round, self int, view View) []*core.Message
-}
-
-// InPlace is the optional allocation-free seam, mirroring
-// adversary.InPlace: the engine owns the round's message storage and the
-// strategy fills it. msgs and out both have length view.N(); the strategy
-// must set every out[i] — nil means "silent towards receiver i", a
-// non-nil entry points into msgs (entries may alias: several receivers
-// can share one message). Both slices are overwritten by the next round's
-// call, so nothing may be retained across rounds. The engine probes for
-// the seam once per Reset and falls back to Messages for strategies
-// without it; every strategy in this package implements it, and its
-// Messages is "allocate the two slices, call MessagesInto".
-type InPlace interface {
-	Strategy
+	// MessagesInto fills the round's messages into storage the engine
+	// owns, mirroring adversary.InPlace. msgs and out both have length
+	// view.N(); the strategy must set every out[i] — nil means "silent
+	// towards receiver i", a non-nil entry points into msgs (entries may
+	// alias: several receivers can share one message). Entries for
+	// receivers outside the adversary's edge set are dropped by the
+	// engine regardless. Both slices are overwritten by the next round's
+	// call, so nothing may be retained across rounds.
 	MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message)
+	// Messages is MessagesInto into freshly allocated storage: it returns
+	// the message for each receiver in [0, n), a nil entry meaning "send
+	// nothing to that receiver this round". The engine never calls it;
+	// every strategy in this package implements it as "allocate the two
+	// slices, call MessagesInto".
+	Messages(round, self int, view View) []*core.Message
 }
 
 // farFuture is a claimed phase that dominates every real one, so DBAC's
 // pj ≥ pi rule always counts the value.
 const farFuture = int(^uint(0) >> 2)
 
-// newRound allocates the storage Messages hands to MessagesInto.
-func newRound(n int) ([]core.Message, []*core.Message) {
-	return make([]core.Message, n), make([]*core.Message, n)
+// messages is every strategy's Messages: MessagesInto on fresh storage.
+func messages(s Strategy, round, self int, view View) []*core.Message {
+	msgs, out := make([]core.Message, view.N()), make([]*core.Message, view.N())
+	s.MessagesInto(round, self, view, msgs, out)
+	return out
 }
 
 // uniform sends one message to everyone: every receiver shares msgs[0].
@@ -74,12 +71,10 @@ func (Silent) Name() string { return "silent" }
 
 // Messages implements Strategy.
 func (s Silent) Messages(round, self int, view View) []*core.Message {
-	out := make([]*core.Message, view.N())
-	s.MessagesInto(round, self, view, nil, out)
-	return out
+	return messages(s, round, self, view)
 }
 
-// MessagesInto implements InPlace.
+// MessagesInto implements Strategy.
 func (Silent) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
 	clear(out)
 }
@@ -97,12 +92,10 @@ func (e Extremist) Name() string { return fmt.Sprintf("extremist(%g)", e.Value) 
 
 // Messages implements Strategy.
 func (e Extremist) Messages(round, self int, view View) []*core.Message {
-	msgs, out := newRound(view.N())
-	e.MessagesInto(round, self, view, msgs, out)
-	return out
+	return messages(e, round, self, view)
 }
 
-// MessagesInto implements InPlace.
+// MessagesInto implements Strategy.
 func (e Extremist) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
 	uniform(core.Message{Value: e.Value, Phase: farFuture}, msgs, out)
 }
@@ -119,12 +112,10 @@ func (e Equivocator) Name() string { return fmt.Sprintf("equivocator(%g|%g)", e.
 
 // Messages implements Strategy.
 func (e Equivocator) Messages(round, self int, view View) []*core.Message {
-	msgs, out := newRound(view.N())
-	e.MessagesInto(round, self, view, msgs, out)
-	return out
+	return messages(e, round, self, view)
 }
 
-// MessagesInto implements InPlace. Each half shares one message, stored
+// MessagesInto implements Strategy. Each half shares one message, stored
 // in the slot of the half's first receiver.
 func (e Equivocator) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
 	n := len(out)
@@ -159,12 +150,10 @@ func (s SplitBrain) Name() string { return fmt.Sprintf("splitBrain(%g|%g)", s.Va
 
 // Messages implements Strategy.
 func (s SplitBrain) Messages(round, self int, view View) []*core.Message {
-	msgs, out := newRound(view.N())
-	s.MessagesInto(round, self, view, msgs, out)
-	return out
+	return messages(s, round, self, view)
 }
 
-// MessagesInto implements InPlace.
+// MessagesInto implements Strategy.
 func (s SplitBrain) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
 	for i := range out {
 		v := s.ValueB
@@ -200,12 +189,10 @@ func (*RandomNoise) Name() string { return "randomNoise" }
 
 // Messages implements Strategy.
 func (r *RandomNoise) Messages(round, self int, view View) []*core.Message {
-	msgs, out := newRound(view.N())
-	r.MessagesInto(round, self, view, msgs, out)
-	return out
+	return messages(r, round, self, view)
 }
 
-// MessagesInto implements InPlace. The RNG draw order — value, then phase
+// MessagesInto implements Strategy. The RNG draw order — value, then phase
 // offset, per receiver in ID order — is the stream contract: seeds render
 // identical noise through either entry point.
 func (r *RandomNoise) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
@@ -231,12 +218,10 @@ func (l Laggard) Name() string { return fmt.Sprintf("laggard(%g)", l.Value) }
 
 // Messages implements Strategy.
 func (l Laggard) Messages(round, self int, view View) []*core.Message {
-	msgs, out := newRound(view.N())
-	l.MessagesInto(round, self, view, msgs, out)
-	return out
+	return messages(l, round, self, view)
 }
 
-// MessagesInto implements InPlace.
+// MessagesInto implements Strategy.
 func (l Laggard) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
 	uniform(core.Message{Value: l.Value, Phase: 0}, msgs, out)
 }
@@ -252,23 +237,21 @@ func (m Mimic) Name() string { return fmt.Sprintf("mimic(%d)", m.Target) }
 
 // Messages implements Strategy.
 func (m Mimic) Messages(round, self int, view View) []*core.Message {
-	msgs, out := newRound(view.N())
-	m.MessagesInto(round, self, view, msgs, out)
-	return out
+	return messages(m, round, self, view)
 }
 
-// MessagesInto implements InPlace.
+// MessagesInto implements Strategy.
 func (m Mimic) MessagesInto(round, self int, view View, msgs []core.Message, out []*core.Message) {
 	snap := view.Snapshot(m.Target)
 	uniform(core.Message{Value: snap.Value, Phase: snap.Phase}, msgs, out)
 }
 
 var (
-	_ InPlace = Silent{}
-	_ InPlace = Extremist{}
-	_ InPlace = Equivocator{}
-	_ InPlace = SplitBrain{}
-	_ InPlace = (*RandomNoise)(nil)
-	_ InPlace = Laggard{}
-	_ InPlace = Mimic{}
+	_ Strategy = Silent{}
+	_ Strategy = Extremist{}
+	_ Strategy = Equivocator{}
+	_ Strategy = SplitBrain{}
+	_ Strategy = (*RandomNoise)(nil)
+	_ Strategy = Laggard{}
+	_ Strategy = Mimic{}
 )

@@ -248,7 +248,7 @@ func TestMessagesIntoMatchesMessages(t *testing.T) {
 				out[i] = &stale
 			}
 			strat := c.mk()
-			strat.(InPlace).MessagesInto(round, self, view, msgs, out)
+			strat.MessagesInto(round, self, view, msgs, out)
 			if len(alloc) != n {
 				t.Fatalf("%s: Messages returned %d entries for n=%d", strat.Name(), len(alloc), n)
 			}

@@ -19,15 +19,21 @@ type perReceiverProbe struct {
 
 func (p *perReceiverProbe) Name() string { return "probe" }
 
-func (p *perReceiverProbe) Messages(round, self int, view fault.View) []*core.Message {
-	out := make([]*core.Message, view.N())
+func (p *perReceiverProbe) MessagesInto(round, self int, view fault.View, msgs []core.Message, out []*core.Message) {
+	msgs[0] = core.Message{Value: 0.5, Phase: 1 << 20}
 	for i := range out {
 		if i == self {
+			out[i] = nil
 			continue
 		}
-		out[i] = &core.Message{Value: 0.5, Phase: 1 << 20}
+		out[i] = &msgs[0]
 		p.offered[i]++
 	}
+}
+
+func (p *perReceiverProbe) Messages(round, self int, view fault.View) []*core.Message {
+	msgs, out := make([]core.Message, view.N()), make([]*core.Message, view.N())
+	p.MessagesInto(round, self, view, msgs, out)
 	return out
 }
 
@@ -41,14 +47,17 @@ type countingProc struct {
 func newCountingProc(n int) *countingProc { return &countingProc{n: n, perPort: make([]int, n)} }
 
 func (c *countingProc) Broadcast() core.Message { return core.Message{Value: 0.5} }
-func (c *countingProc) Deliver(d core.Delivery) {
-	c.perPort[d.Port]++
-	c.received++
+func (c *countingProc) DeliverAll(ds []core.Delivery) {
+	for _, d := range ds {
+		c.perPort[d.Port]++
+		c.received++
+	}
 }
 func (c *countingProc) EndRound()               {}
 func (c *countingProc) Output() (float64, bool) { return 0, false }
 func (c *countingProc) Phase() int              { return 0 }
 func (c *countingProc) Value() float64          { return 0.5 }
+func (c *countingProc) Reinit(float64)          { clear(c.perPort); c.received = 0 }
 
 func TestByzantineMessagesRespectEdgeSet(t *testing.T) {
 	// Byzantine node 0 offers messages to everyone, but the adversary's
@@ -279,19 +288,14 @@ func linkInto(n, to, from int) *network.EdgeSet {
 	return e
 }
 
-// messagesOnly hides every optional interface of the wrapped strategy —
-// in particular fault.InPlace — so the engine must take the Messages
-// fallback, as it does for third-party strategies.
-type messagesOnly struct{ fault.Strategy }
-
-// TestInPlaceStrategiesMatchMessagesFallback: filling engine-owned
-// storage through MessagesInto and allocating through Messages are the
-// same execution. Every built-in strategy at once (n=16, f=3 rotated
-// through them in pairs), DBAC and DBACPiggyback, dense and CSR scratch,
-// on a recycled engine pair so
-// the carved storage of one run serves the next: Results, recorded
-// traces and every node's end state must be identical.
-func TestInPlaceStrategiesMatchMessagesFallback(t *testing.T) {
+// TestByzantineStrategiesRecycledMatchFresh: every built-in strategy
+// fills the storage Reset carved from the engine's flat buffers, and a
+// recycled engine must run exactly as a fresh one. Every built-in
+// strategy at once (n=16, f=3 rotated through them in pairs), DBAC and
+// DBACPiggyback, dense and CSR scratch, with the storage of one run
+// serving the next: Results, recorded traces and every node's end state
+// must be identical.
+func TestByzantineStrategiesRecycledMatchFresh(t *testing.T) {
 	const n, f, rounds = 16, 3, 40
 	strategies := func(seed int64) []fault.Strategy {
 		return []fault.Strategy{
@@ -304,16 +308,12 @@ func TestInPlaceStrategiesMatchMessagesFallback(t *testing.T) {
 			fault.Mimic{Target: 0},
 		}
 	}
-	mkConfig := func(trial int, piggyback, hide bool) Config {
+	mkConfig := func(trial int, piggyback, csr bool) Config {
 		seed := int64(trial) + 1
 		all := strategies(seed)
 		byz := map[int]fault.Strategy{}
 		for k := 0; k < f; k++ {
-			strat := all[(trial+k)%len(all)]
-			if hide {
-				strat = messagesOnly{strat}
-			}
-			byz[n/2+k] = strat
+			byz[n/2+k] = all[(trial+k)%len(all)]
 		}
 		procs := dbacProcs(t, n, f, 1<<20, spread(n), byz)
 		if piggyback {
@@ -334,40 +334,28 @@ func TestInPlaceStrategiesMatchMessagesFallback(t *testing.T) {
 		}
 		return Config{
 			N: n, F: f, Procs: procs, Byzantine: byz, Adversary: adv,
-			MaxRounds: 1 << 20, KeepTrace: true, AccountBandwidth: trial%2 == 0,
+			MaxRounds: 1 << 20, KeepTrace: true, AccountBandwidth: trial%2 == 0, ForceCSR: csr,
 		}
 	}
 	for _, piggyback := range []bool{false, true} {
 		for _, csr := range []bool{false, true} {
-			var bare, hidden *Engine
+			var recycled *Engine
 			for trial := 0; trial < 7; trial++ {
-				bareCfg, hiddenCfg := mkConfig(trial, piggyback, false), mkConfig(trial, piggyback, true)
-				bareCfg.ForceCSR, hiddenCfg.ForceCSR = csr, csr
-				if bare == nil {
-					var err error
-					if bare, err = NewEngine(bareCfg); err != nil {
-						t.Fatal(err)
-					}
-					if hidden, err = NewEngine(hiddenCfg); err != nil {
-						t.Fatal(err)
-					}
+				fresh, err := NewEngine(mkConfig(trial, piggyback, csr))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if recycled == nil {
+					recycled, err = NewEngine(mkConfig(trial, piggyback, csr))
 				} else {
-					if err := bare.Reset(bareCfg); err != nil {
-						t.Fatal(err)
-					}
-					if err := hidden.Reset(hiddenCfg); err != nil {
-						t.Fatal(err)
-					}
+					err = recycled.Reset(mkConfig(trial, piggyback, csr))
 				}
-				for id := range bareCfg.Byzantine {
-					if bare.byz[id].inPlace == nil || hidden.byz[id].inPlace != nil {
-						t.Fatalf("node %d: seam probe got in-place %v / %v, want true / false",
-							id, bare.byz[id].inPlace != nil, hidden.byz[id].inPlace != nil)
-					}
+				if err != nil {
+					t.Fatal(err)
 				}
-				want, got := hidden.RunRounds(rounds), bare.RunRounds(rounds)
+				want, got := fresh.RunRounds(rounds), recycled.RunRounds(rounds)
 				assertEqualResults(t, want, got, "pb=%v csr=%v trial %d", piggyback, csr, trial)
-				assertEqualStates(t, hidden, bare, "pb=%v csr=%v trial %d", piggyback, csr, trial)
+				assertEqualStates(t, fresh, recycled, "pb=%v csr=%v trial %d", piggyback, csr, trial)
 			}
 		}
 	}

@@ -21,7 +21,8 @@ import (
 // BytesDelivered, outputs) AND an identical per-delivery event stream
 // (delivery order is visible through the recorder) compared to the
 // test-only reference oracle (referenceStep: port-loop gather, eager
-// per-round view refresh, per-edge Deliver, pairwise lost count).
+// per-round view refresh, one DeliverAll call per message, pairwise
+// lost count).
 func TestDeliveryEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	direct, directCrash, bitsCrash := 0, 0, 0
@@ -95,7 +96,7 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		// strip what disarms the direct gather (ports, caps, bandwidth
 		// accounting) so deliverRange's in-row fill — CSR rows or dense
 		// bitmap words, with whichever algorithm and shuffling was drawn,
-		// seam or per-edge, and with the gather's own lost count — meets
+		// and with the gather's own lost count — meets
 		// the oracle on both representations.
 		if len(bareRef.Byzantine) > 0 {
 			continue
@@ -241,9 +242,8 @@ func describeAt(events []trace.Event, i int) string {
 // distribution: sparse/dense adversaries, optional crashes (clean,
 // silent and partial), optional Byzantine senders, random port
 // numberings, delivery shuffling, bandwidth accounting, per-link caps,
-// and the algorithm — DAC, DBAC, or a DAC hidden behind a type without
-// DeliverAll, so the per-edge Deliver fallback of deliverRange sits
-// under the oracle too. Everything is a deterministic
+// and the algorithm — DBAC one time in three, DAC otherwise. Everything
+// is a deterministic
 // function of (n, seed) so both runs see identical configurations.
 func randomDeliveryConfig(t *testing.T, n int, seed int64) Config {
 	t.Helper()
@@ -332,16 +332,12 @@ func randomDeliveryConfig(t *testing.T, n int, seed int64) Config {
 		}
 		var p core.Process
 		var err error
-		switch algo {
-		case 0:
-			p, err = core.NewDACPhases(n, i, 1<<20, rng.Float64())
-		case 1:
+		if algo == 1 {
 			// The custom constructor skips the n ≥ 5f+1 resilience check:
 			// the property is about delivery streams, not correctness.
 			p, err = core.NewDBACCustom(n, len(byz), i, 1<<20, core.ByzQuorum(n, len(byz)), rng.Float64())
-		default:
+		} else {
 			p, err = core.NewDACPhases(n, i, 1<<20, rng.Float64())
-			p = perEdgeOnly{p}
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -372,11 +368,6 @@ func randomDeliveryConfig(t *testing.T, n int, seed int64) Config {
 	}
 	return cfg
 }
-
-// perEdgeOnly hides every optional interface of the wrapped Process —
-// in particular core.BulkDeliverer — so the engine must fall back to one
-// Deliver call per edge.
-type perEdgeOnly struct{ core.Process }
 
 // TestEnginePortsRecycledAcrossReset: the engine-owned identity
 // numberings — and with them the dense PortOf cache the delivery core

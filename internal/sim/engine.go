@@ -46,19 +46,18 @@ type Engine struct {
 
 	// scratch reused across rounds
 	broadcasts  []core.Message
-	sends       []bool               // node sends in round t: Byzantine, or alive at its start (t ≤ crash round)
-	bcastSize   []int                // wire.Size per broadcast, computed once per round
-	byzStoreBuf []core.Message       // flat backing of every byzNode.store, grown in Reset, recycled across runs
-	byzOutBuf   []*core.Message      // flat backing of the in-place senders' byzNode.out
-	deliveries  []core.Delivery      // the receiver's gather buffer, n entries
-	inbuf       []int                // in-neighbor list behind gatherInNeighbors, capacity n
-	bulk        []core.BulkDeliverer // per-node DeliverAll seam, probed once per Reset (nil: plain Deliver)
-	edges       *network.EdgeSet     // engine-owned E(t) for InPlace adversaries
-	inPlace     adversary.InPlace    // non-nil when the adversary has the fast path
-	hooks       Hooks                // cfg.Hooks, cached
-	roundObs    RoundObserver        // the effective Observer's optional round hook, cached
-	needSize    bool                 // any consumer of wire sizes configured
-	hasCap      bool                 // any per-link byte budget configured
+	sends       []bool            // node sends in round t: Byzantine, or alive at its start (t ≤ crash round)
+	bcastSize   []int             // wire.Size per broadcast, computed once per round
+	byzStoreBuf []core.Message    // flat backing of every byzNode.store, grown in Reset, recycled across runs
+	byzOutBuf   []*core.Message   // flat backing of every byzNode.out
+	deliveries  []core.Delivery   // the receiver's gather buffer, n entries
+	inbuf       []int             // in-neighbor list behind gatherInNeighbors, capacity n
+	edges       *network.EdgeSet  // engine-owned E(t) for InPlace adversaries
+	inPlace     adversary.InPlace // non-nil when the adversary has the fast path
+	hooks       Hooks             // cfg.Hooks, cached
+	roundObs    RoundObserver     // the effective Observer's optional round hook, cached
+	needSize    bool              // any consumer of wire sizes configured
+	hasCap      bool              // any per-link byte budget configured
 
 	// two-stage pipeline state (see pipeline.go)
 	pipelines bool             // Run/RunRounds may build E(t+1) on a second goroutine
@@ -112,10 +111,9 @@ type Engine struct {
 
 // byzNode is one Byzantine node's sending state.
 type byzNode struct {
-	strat   fault.Strategy
-	inPlace fault.InPlace   // strat's allocation-free seam, probed once per Reset (nil: Messages)
-	store   []core.Message  // engine-owned storage an in-place strategy fills
-	out     []*core.Message // this round's message per receiver (nil entry: silent)
+	strat fault.Strategy
+	store []core.Message  // engine-owned storage the strategy fills
+	out   []*core.Message // this round's message per receiver (nil entry: silent)
 }
 
 // NewEngine validates the configuration and prepares an execution.
@@ -184,7 +182,6 @@ func (e *Engine) Reset(cfg Config) error {
 		// at 0 allocs).
 		e.deliveries = make([]core.Delivery, n)
 		e.inbuf = make([]int, 0, n)
-		e.bulk = make([]core.BulkDeliverer, n)
 		e.crashSched = nil
 		e.rvValues = make([]float64, n)
 		e.rvRunning = make([]bool, n)
@@ -193,11 +190,11 @@ func (e *Engine) Reset(cfg Config) error {
 		e.view = nil
 	}
 	// Byzantine senders' state exists only in runs that have them; a
-	// fault-free engine carries none of it. In-place strategies fill
-	// engine-owned storage: one n-message block and one n-pointer block
-	// per Byzantine node, carved from two flat buffers that grow here and
-	// never in a round, and that a recycled engine keeps. The pointers
-	// start nil, as on a fresh engine.
+	// fault-free engine carries none of it. Strategies fill engine-owned
+	// storage: one n-message block and one n-pointer block per Byzantine
+	// node, carved from two flat buffers that grow here and never in a
+	// round, and that a recycled engine keeps. The pointers start nil, as
+	// on a fresh engine.
 	if len(cfg.Byzantine) > 0 && e.byz == nil {
 		e.byz = make([]byzNode, n)
 	}
@@ -212,12 +209,9 @@ func (e *Engine) Reset(cfg Config) error {
 		e.isByz[i] = true
 		b := &e.byz[i]
 		b.strat = strat
-		if ip, ok := strat.(fault.InPlace); ok {
-			b.inPlace = ip
-			b.store = e.byzStoreBuf[off : off+n : off+n]
-			b.out = e.byzOutBuf[off : off+n : off+n]
-			off += n
-		}
+		b.store = e.byzStoreBuf[off : off+n : off+n]
+		b.out = e.byzOutBuf[off : off+n : off+n]
+		off += n
 	}
 	fillCrashState(e.crashRound, e.crashInfo, cfg.Crashes)
 	for i := 0; i < n; i++ {
@@ -240,16 +234,6 @@ func (e *Engine) Reset(cfg Config) error {
 		if !numbering.IsIdentity() {
 			e.allIdentity = false
 			break
-		}
-	}
-	// Probe each Process for the DeliverAll seam once per run, never per
-	// round: the delivery loops hand a receiver its whole in-edge batch
-	// in one dynamic call when its algorithm supports it.
-	for i, p := range cfg.Procs {
-		if p != nil {
-			e.bulk[i], _ = p.(core.BulkDeliverer)
-		} else {
-			e.bulk[i] = nil
 		}
 	}
 	wantSparse := cfg.ForceCSR || n >= network.SparseThreshold
@@ -429,11 +413,10 @@ func (e *Engine) playRound(t int, edges *network.EdgeSet) {
 // E(t) (reading start-of-round state through the view, if it adapts):
 // every live node broadcasts. Crash-scheduled nodes still broadcast in
 // their crash round (possibly reaching only a subset); Byzantine nodes
-// produce per-receiver messages, overwriting last round's so nothing
-// stale is ever consulted — in-place strategies into the engine-owned
-// storage Reset carved for them (no allocation), the rest through
-// Messages. It also takes the round's sender census (senders, partial)
-// that the gather's lost count and fault checks read.
+// produce per-receiver messages into the engine-owned storage Reset
+// carved for them (no allocation), overwriting last round's so nothing
+// stale is ever consulted. It also takes the round's sender census
+// (senders, partial) that the gather's lost count and fault checks read.
 func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 	rec := e.hooks.Recorder
 	if rec != nil {
@@ -445,11 +428,8 @@ func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 	e.senders, e.partial = 0, false
 	for i := 0; i < e.cfg.N; i++ {
 		if e.isByz[i] {
-			if b := &e.byz[i]; b.inPlace != nil {
-				b.inPlace.MessagesInto(t, i, e.view, b.store, b.out)
-			} else {
-				b.out = b.strat.Messages(t, i, e.view)
-			}
+			b := &e.byz[i]
+			b.strat.MessagesInto(t, i, e.view, b.store, b.out)
 			e.sends[i] = true
 			e.senders++
 			continue
@@ -605,9 +585,11 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 		}
 		delivered += len(ds)
 		if e.trackPhases {
-			// Observer/Recorder configured: per-delivery probes
-			// interleaved.
-			for _, d := range ds {
+			// Observer/Recorder configured: one message per call, with
+			// the per-delivery probes interleaved — the same state as one
+			// call by fold equivalence.
+			for i := range ds {
+				d := &ds[i]
 				if e.hooks.Recorder != nil {
 					e.hooks.Recorder.Record(trace.Event{
 						Kind: trace.KindDeliver, Round: t, Node: v, Port: d.Port,
@@ -615,25 +597,21 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 					})
 				}
 				before := proc.Phase()
-				proc.Deliver(d)
+				proc.DeliverAll(ds[i : i+1])
 				if after := proc.Phase(); after != before {
 					e.notePhase(v, before, after, proc.Value(), t)
 				}
 			}
-		} else if b := e.bulk[v]; b != nil {
-			// The DeliverAll seam: the receiver's whole in-edge batch in
-			// ONE dynamic call — the fold inside dispatches statically.
-			b.DeliverAll(ds)
 		} else {
-			for _, d := range ds {
-				proc.Deliver(d)
-			}
+			// The receiver's whole in-edge batch in ONE dynamic call —
+			// the fold inside dispatches statically.
+			proc.DeliverAll(ds)
 		}
 		proc.EndRound()
 		e.noteDecision(v, proc, t)
 		if liveView {
 			// End-of-round state IS the start-of-next-round snapshot:
-			// nothing mutates the process until its next Deliver.
+			// nothing mutates the process until its next DeliverAll.
 			e.view.snaps[v] = core.Snap(proc)
 		}
 	}

@@ -9,7 +9,8 @@ import (
 // referenceStep executes one round of e the way §II-A states it, with
 // none of the production shortcuts: the view is captured eagerly for
 // every node, E(t) is generated on the spot, each receiver walks all n
-// ports probing the edge set, every delivery is one Deliver call, and
+// ports probing the edge set, every delivery is its own DeliverAll
+// call (exact by fold equivalence), and
 // the suppressed-message count is a pairwise Has probe (lostPairwise).
 // It reuses
 // the engine's open/close round halves — what the oracle pins is
@@ -33,7 +34,8 @@ func referenceStep(e *Engine) {
 			shuffleDeliveries(ds, e.cfg.ShuffleSeed, t, v)
 		}
 		delivered += len(ds)
-		for _, d := range ds {
+		for i := range ds {
+			d := &ds[i]
 			if e.hooks.Recorder != nil {
 				e.hooks.Recorder.Record(trace.Event{
 					Kind: trace.KindDeliver, Round: t, Node: v, Port: d.Port,
@@ -41,7 +43,7 @@ func referenceStep(e *Engine) {
 				})
 			}
 			before := proc.Phase()
-			proc.Deliver(d)
+			proc.DeliverAll(ds[i : i+1])
 			if after := proc.Phase(); after != before {
 				e.notePhase(v, before, after, proc.Value(), t)
 			}

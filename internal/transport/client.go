@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -40,6 +41,11 @@ func RunClient(addr string, cfg ClientConfig) (*ClientResult, error) {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	defer raw.Close()
+	return runClient(raw, cfg)
+}
+
+// runClient is RunClient on an open connection to the hub.
+func runClient(raw net.Conn, cfg ClientConfig) (*ClientResult, error) {
 	deadline := func() {
 		if cfg.IOTimeout > 0 {
 			raw.SetDeadline(time.Now().Add(cfg.IOTimeout)) //nolint:errcheck
@@ -77,12 +83,16 @@ func RunClient(addr string, cfg ClientConfig) (*ClientResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	if nU == 0 || nU > math.MaxInt32 || selfPortU >= nU {
+		return nil, fmt.Errorf("%w: self port %d of n=%d", ErrBadFrame, selfPortU, nU)
+	}
 	n, selfPort := int(nU), int(selfPortU)
 
 	proc, err := cfg.NewProcess(n, selfPort)
 	if err != nil {
 		return nil, fmt.Errorf("transport: build process: %w", err)
 	}
+	ds := make([]core.Delivery, 0, n) // a round delivers at most n: never regrows
 
 	res := &ClientResult{N: n, SelfPort: selfPort}
 	for {
@@ -114,6 +124,7 @@ func RunClient(addr string, cfg ClientConfig) (*ClientResult, error) {
 			if count > uint64(n) {
 				return nil, fmt.Errorf("%w: %d deliveries for n=%d", ErrBadFrame, count, n)
 			}
+			ds = ds[:0]
 			for i := uint64(0); i < count; i++ {
 				portU, err := c.readUvarint()
 				if err != nil {
@@ -126,8 +137,9 @@ func RunClient(addr string, cfg ClientConfig) (*ClientResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				proc.Deliver(core.Delivery{Port: int(portU), Msg: m})
+				ds = append(ds, core.Delivery{Port: int(portU), Msg: m})
 			}
+			proc.DeliverAll(ds)
 			proc.EndRound()
 			res.Rounds++
 			out, decided := proc.Output()

@@ -2,6 +2,7 @@ package anondyn_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,6 +38,22 @@ func byzFamily(seed int64) anondyn.Scenario {
 		Byzantine: map[int]anondyn.Strategy{4: anondyn.RandomNoise(seed)},
 		Seed:      seed,
 		MaxRounds: 5000,
+	}
+}
+
+// baselineFamily is recycleFamily's shape for a baseline algorithm:
+// crash and er from the seed, MegaRound at T = 2, and binary inputs for
+// FloodMin.
+func baselineFamily(algo anondyn.Algo) func(int64) anondyn.Scenario {
+	return func(seed int64) anondyn.Scenario {
+		s := recycleFamily(seed)
+		s.Algorithm, s.Eps, s.MegaT, s.MaxRounds = algo, 1e-2, 2, 500
+		if algo == anondyn.AlgoFloodMin {
+			for i, in := range s.Inputs {
+				s.Inputs[i] = math.Round(in)
+			}
+		}
+		return s
 	}
 }
 
@@ -125,12 +142,18 @@ func TestCompiledRandomPortsMatchesFresh(t *testing.T) {
 // TestRunManyStreamRecycledMatchesSequential: the worker-pool batch —
 // whose workers recycle engines and processes across seeds — must
 // deliver exactly the results of a fresh sequential loop, for every
-// worker count, on the crash and the Byzantine family.
+// worker count, on the crash and the Byzantine family and on every
+// baseline.
 func TestRunManyStreamRecycledMatchesSequential(t *testing.T) {
 	seeds := anondyn.Seeds(24, 100)
 	for name, family := range map[string]func(int64) anondyn.Scenario{
-		"dac-er-crash":   recycleFamily,
-		"dbac-byzantine": byzFamily,
+		"dac-er-crash":      recycleFamily,
+		"dbac-byzantine":    byzFamily,
+		"megaround":         baselineFamily(anondyn.AlgoMegaRound),
+		"fullinfo":          baselineFamily(anondyn.AlgoFullInfo),
+		"reliable-iterated": baselineFamily(anondyn.AlgoReliableIterated),
+		"bac-reliable":      baselineFamily(anondyn.AlgoBACReliable),
+		"floodmin":          baselineFamily(anondyn.AlgoFloodMin),
 	} {
 		var want []*anondyn.Result
 		for _, seed := range seeds {
@@ -168,6 +191,40 @@ func TestCompiledRunValidatesInputs(t *testing.T) {
 	// And the scenario must remain usable after a rejected run.
 	if _, err := cs.Run(1, anondyn.SpreadInputs(9)); err != nil {
 		t.Errorf("compiled scenario unusable after rejected inputs: %v", err)
+	}
+}
+
+// TestRecycledFloodMinValidatesInputs: a worker that recycles FloodMin
+// nodes must reject a non-binary input as a fresh construction does —
+// core.ValidateInput alone admits 0.5.
+func TestRecycledFloodMinValidatesInputs(t *testing.T) {
+	mk := func(seed int64) anondyn.Scenario {
+		inputs := []float64{0, 1, 0, 1, 1}
+		if seed == 2 {
+			inputs[3] = 0.5
+		}
+		return anondyn.Scenario{
+			N: 5, Algorithm: anondyn.AlgoFloodMin, Inputs: inputs,
+			Adversary: anondyn.Complete(), Seed: seed,
+		}
+	}
+	const want = "floodmin input must be binary, got 0.5"
+	if _, err := mk(2).Run(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("fresh run: err %v, want %q", err, want)
+	}
+	got, err := collect([]int64{1, 2}, mk, anondyn.BatchOptions{Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("batch: err %v, want %q", err, want)
+	}
+	if got[0] == nil || got[1] != nil {
+		t.Errorf("batch ran seed 1: %v, seed 2: %v; want only seed 1", got[0] != nil, got[1] != nil)
+	}
+	cs, err := mk(1).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.Run(2, mk(2).Inputs); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("compiled run: err %v, want %q", err, want)
 	}
 }
 
@@ -317,6 +374,7 @@ type shape struct {
 	eps                                  float64
 	piggybackWindow, megaT, pEnd, quorum int
 	unchecked, randomPorts, badInput     bool
+	binary                               bool // inputs rounded to 0 or 1, as FloodMin requires
 	byzantine                            []int
 }
 
@@ -336,6 +394,11 @@ func (sh shape) scenario(seed int64) anondyn.Scenario {
 		MaxRounds:        3000,
 		AccountBandwidth: true,
 	}
+	if sh.binary {
+		for i, in := range s.Inputs {
+			s.Inputs[i] = math.Round(in)
+		}
+	}
 	if sh.badInput {
 		s.Inputs[1] = 1.5
 	}
@@ -351,8 +414,8 @@ func (sh shape) scenario(seed int64) anondyn.Scenario {
 // TestShapeTransitions walks one engine box (a one-worker batch) through
 // scenarios that each differ from the previous one in exactly one thing
 // — every field process construction reads, the Byzantine set, the port
-// policy, a baseline without Reinit, an out-of-range input between two
-// valid runs — and requires every run to equal a fresh Scenario.Run:
+// policy, every baseline, an out-of-range input between two valid runs —
+// and requires every run to equal a fresh Scenario.Run:
 // the box must rebuild exactly when reusing its processes would be
 // observable, and reject exactly what a fresh run rejects.
 func TestShapeTransitions(t *testing.T) {
@@ -386,9 +449,12 @@ func TestShapeTransitions(t *testing.T) {
 		{"PiggybackWindow", func(s *shape) { s.piggybackWindow = 2 }},
 		{"Algorithm MegaRound", func(s *shape) { s.algo = anondyn.AlgoMegaRound }},
 		{"MegaT", func(s *shape) { s.megaT = 2 }},
-		{"Algorithm FullInfo (no Reinit)", func(s *shape) { s.algo = anondyn.AlgoFullInfo }},
+		{"Algorithm FullInfo", func(s *shape) { s.algo = anondyn.AlgoFullInfo }},
 		{"same shape (FullInfo)", func(*shape) {}},
-		{"Algorithm DAC again", func(s *shape) { s.algo = anondyn.AlgoDAC }},
+		{"Algorithm ReliableIterated", func(s *shape) { s.algo = anondyn.AlgoReliableIterated }},
+		{"Algorithm BACReliable", func(s *shape) { s.algo = anondyn.AlgoBACReliable }},
+		{"Algorithm FloodMin", func(s *shape) { s.algo, s.binary = anondyn.AlgoFloodMin, true }},
+		{"Algorithm DAC again", func(s *shape) { s.algo, s.binary = anondyn.AlgoDAC, false }},
 		{"Byzantine {4} (DAC)", func(s *shape) { s.byzantine = []int{4} }},
 		{"Byzantine {} (DAC)", func(s *shape) { s.byzantine = nil }},
 		{"out-of-range input", func(s *shape) { s.badInput = true }},

@@ -118,8 +118,8 @@ func (s Scenario) Run() (*Result, error) {
 type engineBox struct {
 	eng *sim.Engine
 	// procs are the last run's processes, kept only when its ports were
-	// fixed and every process implements core.Reinitializer; key is the
-	// shape they were built for. Byzantine slots are nil.
+	// fixed; key is the shape they were built for. Byzantine slots are
+	// nil.
 	procs []core.Process
 	key   procKey
 }
@@ -196,7 +196,7 @@ func (box *engineBox) run(s Scenario) (*Result, error) {
 // procsFor returns the processes for one run of s: the box's own,
 // reinitialized in place with s.Inputs, when s has their shape (fixed
 // ports, same procKey, same Byzantine set); freshly built ones otherwise,
-// which the box keeps for the next run when they can be recycled.
+// which the box keeps for the next run when their ports are fixed.
 func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process, error) {
 	key := s.procKey()
 	if ports == nil && box.procs != nil && box.key == key && box.sameByzantine(s.Byzantine) {
@@ -204,12 +204,7 @@ func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process,
 			if p == nil {
 				continue
 			}
-			// The constructors validate inputs; in-place recycling must
-			// reject exactly what a fresh build would.
-			if err := core.ValidateInput(s.Inputs[i]); err != nil {
-				return nil, fmt.Errorf("node %d: %w", i, err)
-			}
-			p.(core.Reinitializer).Reinit(s.Inputs[i])
+			p.Reinit(s.Inputs[i]) // validate checked the input
 			if s.Tracker != nil {
 				s.Tracker.SetInput(i, s.Inputs[i])
 			}
@@ -221,7 +216,6 @@ func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process,
 		selfPort = func(i int) int { return ports[i].Port(i) }
 	}
 	procs := make([]core.Process, s.N)
-	recyclable := ports == nil
 	if s.Algorithm == AlgoDAC || s.Algorithm == AlgoDACNoJump {
 		dacs, err := s.newDACs(selfPort)
 		if err != nil {
@@ -241,9 +235,6 @@ func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process,
 			if err != nil {
 				return nil, fmt.Errorf("node %d: %w", i, err)
 			}
-			if _, ok := p.(core.Reinitializer); !ok {
-				recyclable = false
-			}
 			procs[i] = p
 		}
 	}
@@ -255,7 +246,7 @@ func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process,
 		}
 	}
 	box.procs, box.key = nil, key
-	if recyclable {
+	if ports == nil {
 		box.procs = procs
 	}
 	return procs, nil
@@ -297,6 +288,20 @@ func (s Scenario) validate() error {
 	}
 	if s.Eps == 0 && s.PEndOverride <= 0 && s.Algorithm != AlgoFloodMin {
 		return fmt.Errorf("%w: neither Eps nor PEndOverride set", ErrScenario)
+	}
+	// The constructors check inputs too; checking here first means a
+	// recycled process's Reinit rejects exactly what a fresh build would.
+	for i, in := range s.Inputs {
+		if _, isByz := s.Byzantine[i]; isByz {
+			continue
+		}
+		err := core.ValidateInput(in)
+		if err == nil && s.Algorithm == AlgoFloodMin {
+			err = baseline.ValidateFloodMinInput(in)
+		}
+		if err != nil {
+			return fmt.Errorf("node %d: %w", i, err)
+		}
 	}
 	if !s.Unchecked && s.QuorumOverride == 0 {
 		switch s.Algorithm {

@@ -253,7 +253,7 @@ func (g Grid) RunSlice(lo, hi int, opts BatchOptions, each func(c Cell, cell, ru
 // curve (range after each round), in Cells() order — the data behind
 // the HTML report's per-cell charts. It is a separate sequential pass
 // so the sweep's own Monte-Carlo runs stay observer-free: an Observer
-// forces per-delivery Deliver calls with phase probes, where
+// forces one DeliverAll call per message with phase probes, where
 // observer-free runs keep the one-call DeliverAll fold. One extra run
 // per cell is cheap next to SeedsPerCell runs. Any Series a Mutate hook installs is replaced for
 // this pass.
