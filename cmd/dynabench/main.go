@@ -1,9 +1,10 @@
-// Command dynabench regenerates the experiment tables E1–E8 recorded in
-// EXPERIMENTS.md: the reproduction of every quantitative claim of the
-// paper (convergence rates, resilience and dynaDegree thresholds,
-// worst-case round counts, the §VII bandwidth trade-off). Experiments
-// run concurrently on a worker pool; tables always print in registry
-// order. -sweep switches to the declarative scenario-matrix engine:
+// Command dynabench regenerates the experiment tables of its registry
+// (dynabench -list): E1–E13 and the F1 convergence figure, which
+// reproduce the paper's quantitative claims (convergence rates,
+// resilience and dynaDegree thresholds, worst-case round counts, the
+// §VII bandwidth trade-off) and probe its open problems and ablations.
+// Experiments run concurrently on a worker pool; tables always print in
+// registry order. -sweep switches to the declarative scenario-matrix engine:
 // every combination of -ns, -fs, -epss, -algos and -advs is measured
 // over -seeds Monte-Carlo runs and reported as one aggregate row per
 // cell, optionally as JSON.
@@ -48,7 +49,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -104,30 +104,20 @@ func run(args []string) (err error) {
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	stopProfile, err := metrics.StartCPUProfile(*cpuProfile)
+	coll, stop, err := metrics.StartProcess(*cpuProfile, *execTrace, *metricsOut)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if cerr := stopProfile(); err == nil {
-			err = cerr
+		if serr := stop(); err == nil {
+			err = serr
 		}
 	}()
-	stopTrace, err := metrics.StartExecTrace(*execTrace)
-	if err != nil {
-		return err
+	opts := anondyn.BatchOptions{Workers: *workers}
+	if coll != nil {
+		opts.Metrics = coll
 	}
-	defer func() {
-		if cerr := stopTrace(); err == nil {
-			err = cerr
-		}
-	}()
-
-	coll, closeMetrics, err := metrics.Start(*metricsOut, 0)
-	if err != nil {
-		return err
-	}
-	defer closeMetrics() //nolint:errcheck // final snapshot write; fate shared with stdout
+	target := report.ParseTarget(*reportOut)
 
 	if *serveAddr != "" || *joinAddr != "" {
 		if *sweep || *specFile != "" || *specDir != "" {
@@ -168,28 +158,53 @@ func run(args []string) (err error) {
 		if *specDir != "" && *specFile != "" {
 			return fmt.Errorf("-spec and -spec-dir are mutually exclusive")
 		}
-		if *validate {
-			if *specDir != "" {
-				return validateSpecDir(*specDir)
-			}
-			return validateSpecFile(*specFile)
-		}
-		target := report.ParseTarget(*reportOut)
+		files := []string{*specFile}
 		if *specDir != "" {
-			return runSpecDir(*specDir, seedsOverride, *workers, target, coll)
+			if files, err = spec.DirFiles(*specDir); err != nil {
+				return err
+			}
 		}
-		return runSpecFile(*specFile, seedsOverride, *workers, target, coll)
+		for i, path := range files {
+			switch {
+			case *validate:
+				err = spec.Validate(os.Stdout, path)
+			case *specDir == "":
+				err = runSpecFile(path, seedsOverride, opts, target)
+			default:
+				// A file target fans out to one derived file per spec.
+				if i > 0 && !target.Stdout() {
+					fmt.Println()
+				}
+				err = runSpecFile(path, seedsOverride, opts, target.ForSpec(path))
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	if *validate {
 		return fmt.Errorf("-validate wants -spec or -spec-dir (it dry-runs spec files)")
 	}
 
 	if *sweep {
-		return runSweep(sweepFlags{
+		sw, err := sweepFlags{
 			ns: *nsSpec, fs: *fsSpec, epss: *epsSpec, algos: *algoSpec, advs: *advSpec,
 			seeds: *seedsN, baseSeed: *baseSeed, maxRounds: *maxRounds,
-			workers: *workers, reportOut: *reportOut, saveSpec: *saveSpec,
-		}, coll)
+		}.sweep()
+		if err != nil {
+			return err
+		}
+		grid, err := sw.Grid()
+		if err != nil {
+			return err
+		}
+		if *saveSpec != "" {
+			if err := report.SaveSpec(*saveSpec, "saved from dynabench -sweep flags", sw, target); err != nil {
+				return err
+			}
+		}
+		return report.RunLocal(sw, grid, "sweep", opts, target)
 	}
 	if *saveSpec != "" {
 		return fmt.Errorf("-save-spec wants -sweep (it captures the sweep flags)")
@@ -302,36 +317,6 @@ type sweepFlags struct {
 	seeds                     int
 	baseSeed                  int64
 	maxRounds                 int
-	workers                   int
-	reportOut                 string
-	saveSpec                  string
-}
-
-// runSweep compiles the axis flags into a sweep, optionally saves it
-// as a spec file, runs it on the worker pool, prints one aggregate row
-// per cell, and optionally writes the report.
-func runSweep(sf sweepFlags, coll *metrics.Collector) error {
-	sw, err := sf.sweep()
-	if err != nil {
-		return err
-	}
-	grid, err := sw.Grid()
-	if err != nil {
-		return err
-	}
-	target := report.ParseTarget(sf.reportOut)
-	if sf.saveSpec != "" {
-		if err := os.WriteFile(sf.saveSpec, sw.Encode(), 0o644); err != nil {
-			return err
-		}
-		note := os.Stdout
-		if target.Stdout() {
-			note = os.Stderr // stdout carries the report document
-		}
-		fmt.Fprintf(note, "(spec written to %s)\n", sf.saveSpec)
-	}
-	title := fmt.Sprintf("sweep: %d cells × %d seeds", len(grid.Cells()), max(sf.seeds, 1))
-	return printSweep(grid, title, nil, sf.workers, target, coll)
 }
 
 // sweep compiles the axis flags into the declarative sweep that runs
@@ -364,10 +349,6 @@ func (sf sweepFlags) sweep() (*spec.Sweep, error) {
 	for _, name := range strings.Split(sf.algos, ",") {
 		sw.Algorithms = append(sw.Algorithms, strings.ToLower(strings.TrimSpace(name)))
 	}
-	if sf.saveSpec != "" {
-		sw.Name = strings.TrimSuffix(filepath.Base(sf.saveSpec), filepath.Ext(sf.saveSpec))
-		sw.Description = "saved from dynabench -sweep flags"
-	}
 	return spec.Parse(sw.Encode())
 }
 
@@ -398,138 +379,15 @@ func splitAdvSpecs(list string) []string {
 	return specs
 }
 
-// printSweep runs one grid, prints the aggregate table (unless a
-// stdout report mode replaces it), and writes the requested report.
-// The HTML format additionally runs one extra seed per cell to chart
-// its convergence curve. A sweep with a stress section (sw non-nil)
-// additionally evaluates and prints its storm verdicts.
-func printSweep(grid anondyn.Grid, title string, sw *spec.Sweep, workers int, target report.Target, coll *metrics.Collector) error {
-	opts := anondyn.BatchOptions{Workers: workers}
-	if coll != nil {
-		opts.Metrics = coll
-	}
-	rows, err := grid.Run(opts)
-	if err != nil {
-		return err
-	}
-	doc := &report.Sweep{
-		SeedsPerCell: max(grid.SeedsPerCell, 1),
-		BaseSeed:     grid.BaseSeed,
-		Workers:      workers,
-		Cells:        rows,
-		Title:        title,
-	}
-	if sw != nil {
-		doc.Spec = sw.Name
-		doc.Verdicts = sw.Verdicts(rows)
-		doc.Storm = sw.StormTimeline()
-	}
-	if target.Format == report.FormatHTML {
-		if doc.Series, err = grid.SeriesPerCell(); err != nil {
-			return err
-		}
-	}
-	if target.Stdout() {
-		// Machine output replaces the human table.
-		return target.Write(doc)
-	}
-	if err := spec.Table(title, rows).Fprint(os.Stdout); err != nil {
-		return err
-	}
-	if err := report.FprintVerdicts(os.Stdout, doc.Verdicts); err != nil {
-		return err
-	}
-	if err := target.Write(doc); err != nil {
-		return err
-	}
-	if target.Enabled() {
-		fmt.Printf("(report written to %s)\n", target.Path)
-	}
-	return nil
-}
-
-// validateSpecFile dry-runs one spec file: parse, validate, compile —
-// every check a real run performs before its first scenario — then
-// report and exit. Unknown keys, bad values and uncompilable grids all
-// surface with their key-citing errors and a non-zero exit.
-func validateSpecFile(path string) error {
-	sw, grid, err := spec.Load(path, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: ok (%s)\n", path, sw.RunTitle(path, len(grid.Cells())))
-	return nil
-}
-
-// validateSpecDir dry-runs every scenario file in one directory (the
-// same file set runSpecDir would execute).
-func validateSpecDir(dir string) error {
-	files, err := specDirFiles(dir)
-	if err != nil {
-		return err
-	}
-	for _, path := range files {
-		if err := validateSpecFile(path); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runSpecFile runs one declarative sweep file. seedsOverride > 0
-// replaces the file's seeds_per_cell (the CI one-seed smoke). The
-// description banner is human output: a stdout report target replaces
-// it along with the table, so stdout stays a parseable document.
-func runSpecFile(path string, seedsOverride, workers int, target report.Target, coll *metrics.Collector) error {
+// runSpecFile runs one declarative sweep file on the local pool.
+// seedsOverride > 0 replaces the file's seeds_per_cell (the CI one-seed
+// smoke).
+func runSpecFile(path string, seedsOverride int, opts anondyn.BatchOptions, target report.Target) error {
 	sw, grid, err := spec.Load(path, seedsOverride)
 	if err != nil {
 		return err
 	}
-	if !target.Stdout() && sw.Description != "" {
-		fmt.Printf("# %s\n", sw.Description)
-	}
-	return printSweep(grid, sw.RunTitle(path, len(grid.Cells())), sw, workers, target, coll)
-}
-
-// runSpecDir runs every scenario file in a directory, sorted by name.
-// A file report target fans out to one derived file per spec.
-func runSpecDir(dir string, seedsOverride, workers int, target report.Target, coll *metrics.Collector) error {
-	files, err := specDirFiles(dir)
-	if err != nil {
-		return err
-	}
-	for i, path := range files {
-		if i > 0 && !target.Stdout() {
-			fmt.Println()
-		}
-		if err := runSpecFile(path, seedsOverride, workers, target.ForSpec(path), coll); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// specDirFiles lists a directory's scenario files, sorted by name.
-func specDirFiles(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch filepath.Ext(e.Name()) {
-		case ".yaml", ".yml", ".json":
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("%s: no scenario files (*.yaml, *.yml, *.json)", dir)
-	}
-	sort.Strings(files)
-	return files, nil
+	return report.RunLocal(sw, grid, path, opts, target)
 }
 
 func parseInts(spec string) ([]int, error) {

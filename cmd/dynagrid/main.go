@@ -15,10 +15,11 @@
 //	         -workers 127.0.0.1:7101,127.0.0.1:7102 -seeds 200 -report csv
 //	dynagrid -spec-dir examples/specs -workers 127.0.0.1:7101 -seeds 1
 //
-// -spec-dir submits every scenario file in the directory to one
-// in-process control plane, so the sweeps run concurrently over the
-// shared fleet under fair round-robin scheduling; results print in
-// name order either way.
+// -spec and -spec-dir run through one in-process control plane; -spec
+// is a one-file list. -spec-dir submits every scenario file in the
+// directory up front, so the sweeps run concurrently over the shared
+// fleet under fair round-robin scheduling; results print in name order
+// either way.
 //
 // Service mode (a resident control plane; workers and sweeps come and
 // go):
@@ -62,7 +63,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -105,31 +105,26 @@ func run(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProfile, err := metrics.StartCPUProfile(*cpuProfile)
+	coll, stop, err := metrics.StartProcess(*cpuProfile, *execTrace, *metricsOut)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if cerr := stopProfile(); err == nil {
-			err = cerr
+		if serr := stop(); err == nil {
+			err = serr
 		}
 	}()
-	stopTrace, err := metrics.StartExecTrace(*execTrace)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := stopTrace(); err == nil {
-			err = cerr
-		}
-	}()
-
-	coll, closeMetrics, err := metrics.Start(*metricsOut, 0)
-	if err != nil {
-		return err
-	}
-	defer closeMetrics() //nolint:errcheck // final snapshot write; fate shared with stdout
 	addrs := splitAddrs(*workers)
+	target := report.ParseTarget(*reportOut)
+	popts := shard.PlaneOptions{
+		Token:      *token,
+		IOTimeout:  *timeout,
+		MaxPending: *maxPending,
+		Metrics:    coll,
+	}
+	if !*quiet {
+		popts.Log = func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
+	}
 
 	if *statusAddr != "" {
 		if *specFile != "" || *specDir != "" || *submitAddr != "" || *serveCoord != "" {
@@ -141,12 +136,8 @@ func run(args []string) (err error) {
 		if *specFile != "" || *specDir != "" || *submitAddr != "" {
 			return fmt.Errorf("-serve-coordinator is a service mode; sweeps arrive via dynagrid -submit (or workers via dynabench -join)")
 		}
-		return serveCoordinator(*serveCoord, addrs, shard.PlaneOptions{
-			Token:      *token,
-			IOTimeout:  *timeout,
-			MaxPending: *maxPending,
-			Metrics:    coll,
-		}, *quiet)
+		popts.Addr = *serveCoord
+		return serveCoordinator(addrs, popts)
 	}
 	if *submitAddr != "" {
 		if *specFile == "" {
@@ -155,8 +146,7 @@ func run(args []string) (err error) {
 		if *specDir != "" || len(addrs) > 0 {
 			return fmt.Errorf("-submit sends one -spec to a control plane; -spec-dir and -workers are one-shot flags")
 		}
-		return runSubmit(*submitAddr, *specFile, *seedsN, *shardsN, *token, *timeout,
-			report.ParseTarget(*reportOut), *quiet)
+		return runSubmit(*submitAddr, *specFile, *seedsN, *shardsN, *token, *timeout, target, *quiet)
 	}
 
 	if *specFile == "" && *specDir == "" {
@@ -168,25 +158,14 @@ func run(args []string) (err error) {
 	if len(addrs) == 0 {
 		return fmt.Errorf("-workers is required (comma-separated dynabench -serve addresses)")
 	}
-	opts := shard.Options{
-		Workers:      addrs,
-		Shards:       *shardsN,
-		SeedsPerCell: *seedsN,
-		MaxPending:   *maxPending,
-		Token:        *token,
-		IOTimeout:    *timeout,
-		Log:          func(string, ...any) {},
-	}
-	if !*quiet {
-		opts.Log = func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
-	}
-	opts.Metrics = coll
-
-	target := report.ParseTarget(*reportOut)
+	files := []string{*specFile}
 	if *specDir != "" {
-		return runSpecDir(*specDir, opts, target, *quiet)
+		if files, err = spec.DirFiles(*specDir); err != nil {
+			return err
+		}
 	}
-	return runSpecFile(*specFile, opts, target, *quiet)
+	popts.AbortWhenEmpty = true // a fixed fleet that is gone is gone
+	return runSweeps(files, *specDir, popts, addrs, *shardsN, *seedsN, target, *quiet)
 }
 
 // runStatus asks a resident control plane for its live census and
@@ -211,11 +190,7 @@ func runStatus(addr, token string, timeout time.Duration) error {
 // serveCoordinator runs the resident control plane until a signal,
 // then drains: queued sweeps finish, members get stop frames, exit. A
 // second interrupt forces an immediate close.
-func serveCoordinator(addr string, seedWorkers []string, popts shard.PlaneOptions, quiet bool) error {
-	popts.Addr = addr
-	if !quiet {
-		popts.Log = func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
-	}
+func serveCoordinator(seedWorkers []string, popts shard.PlaneOptions) error {
 	cp, err := shard.NewControlPlane(popts)
 	if err != nil {
 		return err
@@ -281,40 +256,7 @@ func runSubmit(cpAddr, path string, seeds, shardsN int, token string, timeout ti
 	if err := json.Unmarshal(rowsJSON, &rows); err != nil {
 		return fmt.Errorf("rows from control plane: %w", err)
 	}
-	doc := &report.Sweep{
-		Spec:         sw.Name,
-		SeedsPerCell: max(sw.SeedsPerCell, 1),
-		BaseSeed:     sw.BaseSeed,
-		Workers:      fleet,
-		Cells:        rows,
-		Title:        sw.RunTitle(path, len(rows)),
-		Verdicts:     sw.Verdicts(rows),
-		Storm:        sw.StormTimeline(),
-	}
-	if target.Format == report.FormatHTML {
-		if doc.Series, err = grid.SeriesPerCell(); err != nil {
-			return err
-		}
-	}
-	if target.Stdout() {
-		return target.Write(doc)
-	}
-	if !quiet && sw.Description != "" {
-		fmt.Printf("# %s\n", sw.Description)
-	}
-	if err := spec.Table(doc.Title, rows).Fprint(os.Stdout); err != nil {
-		return err
-	}
-	if err := report.FprintVerdicts(os.Stdout, doc.Verdicts); err != nil {
-		return err
-	}
-	if err := target.Write(doc); err != nil {
-		return err
-	}
-	if target.Enabled() && !quiet {
-		fmt.Printf("(report written to %s)\n", target.Path)
-	}
-	return nil
+	return report.Emit(report.NewSweep(sw, path, fleet, rows), grid, target, sw.Description, "", quiet, false)
 }
 
 // rowStream wires a CSV report target into the control plane's
@@ -348,7 +290,7 @@ func newRowStream(target report.Target, cells []anondyn.Cell) (*rowStream, error
 	return &rowStream{stream: stream, f: f}, nil
 }
 
-// onRow is the shard.Options.OnRow callback (runs under the plane's
+// onRow is the shard.SubmitOptions.OnRow callback (runs under the plane's
 // scheduling lock; the write is buffered and small).
 func (rs *rowStream) onRow(_ int, row anondyn.CellResult) {
 	if rs.err == nil {
@@ -356,205 +298,118 @@ func (rs *rowStream) onRow(_ int, row anondyn.CellResult) {
 	}
 }
 
+// close closes the target file and reports the stream's first error.
+// It is idempotent and accepts a nil stream, so one cleanup can close
+// every stream a run opened.
 func (rs *rowStream) close() error {
+	if rs == nil {
+		return nil
+	}
 	if rs.f != nil {
 		if err := rs.f.Close(); rs.err == nil {
 			rs.err = err
 		}
+		rs.f = nil
 	}
 	return rs.err
 }
 
-// runSpecFile shards one scenario file across the workers and reports.
-func runSpecFile(path string, opts shard.Options, target report.Target, quiet bool) error {
-	data, err := os.ReadFile(path)
+// runSweeps shards spec files over the -workers fleet through one
+// in-process control plane. Every file is submitted up front, so the
+// sweeps run concurrently under fair round-robin scheduling, and the
+// results print in file order. dir is the -spec-dir ("" for one -spec):
+// there a file target fans out to one derived file per spec, an HTML
+// target gains a combined index page, and only file CSV targets stream
+// (concurrent sweeps on stdout would interleave their rows). One -spec
+// keeps the plain target, streams CSV to stdout too, and lists every
+// worker's run count.
+func runSweeps(files []string, dir string, popts shard.PlaneOptions, addrs []string, shards, seeds int, target report.Target, quiet bool) error {
+	cp, err := shard.NewControlPlane(popts)
 	if err != nil {
 		return err
 	}
-	var rs *rowStream
-	if target.Format == report.FormatCSV {
-		_, grid, err := spec.Compile(data, opts.SeedsPerCell)
-		if err != nil {
-			return err
-		}
-		if rs, err = newRowStream(target, grid.Cells()); err != nil {
-			return err
-		}
-		opts.OnRow = rs.onRow
+	if shards < 1 {
+		shards = 2 * len(addrs)
 	}
-	res, err := shard.Run(data, opts)
-	if err != nil {
-		if rs != nil {
-			rs.close() //nolint:errcheck // the run error wins
-		}
-		return err
-	}
-	if rs != nil {
-		if err := rs.close(); err != nil {
-			return err
-		}
-	}
-	doc := envelope(res, path, len(opts.Workers))
-	if target.Format == report.FormatHTML {
-		// The charts come from a local sequential pass: one extra run per
-		// cell, next to nothing beside the distributed Monte-Carlo.
-		_, grid, err := spec.Compile(data, opts.SeedsPerCell)
-		if err != nil {
-			return err
-		}
-		if doc.Series, err = grid.SeriesPerCell(); err != nil {
-			return err
-		}
-	}
-
-	if target.Stdout() {
-		// Stdout report modes replace the human table so the output
-		// stays machine-readable; the CSV rows already streamed.
-		if rs != nil {
-			return nil
-		}
-		return target.Write(doc)
-	}
-
-	if !quiet && res.Sweep.Description != "" {
-		fmt.Printf("# %s\n", res.Sweep.Description)
-	}
-	if err := spec.Table(title(res, path), res.Rows).Fprint(os.Stdout); err != nil {
-		return err
-	}
-	if err := report.FprintVerdicts(os.Stdout, res.Sweep.Verdicts(res.Rows)); err != nil {
-		return err
-	}
-	if !quiet {
-		fmt.Printf("(%d shards over %d workers, %d requeued)\n", len(res.Shards), len(opts.Workers), res.Requeues)
-		for _, addr := range opts.Workers {
-			fmt.Printf("  %s: %d runs\n", addr, res.RunsByWorker[addr])
-		}
-	}
-	if rs == nil {
-		if err := target.Write(doc); err != nil {
-			return err
-		}
-	}
-	if target.Enabled() && !quiet {
-		fmt.Printf("(report written to %s)\n", target.Path)
-	}
-	return nil
-}
-
-// runSpecDir submits every scenario file in the directory to one
-// in-process control plane over one worker fleet, so the sweeps run
-// concurrently under fair round-robin scheduling. Results print in
-// name order regardless of completion order; a file report target
-// fans out per spec, and an HTML target gains a combined index page.
-func runSpecDir(dir string, opts shard.Options, target report.Target, quiet bool) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	var files []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch filepath.Ext(e.Name()) {
-		case ".yaml", ".yml", ".json":
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return fmt.Errorf("%s: no scenario files (*.yaml, *.yml, *.json)", dir)
-	}
-	sort.Strings(files)
-
-	cp, err := shard.NewControlPlane(shard.PlaneOptions{
-		Token:            opts.Token,
-		IOTimeout:        opts.IOTimeout,
-		DialRetries:      opts.DialRetries,
-		RetryDelay:       opts.RetryDelay,
-		MaxPending:       opts.MaxPending,
-		Log:              opts.Log,
-		Metrics:          opts.Metrics,
-		MetricsEveryRuns: opts.MetricsEveryRuns,
-		AbortWhenEmpty:   true, // a fixed fleet that is gone is gone
-	})
-	if err != nil {
-		return err
-	}
-	defer cp.Close()
-	shardsN := opts.Shards
-	if shardsN < 1 {
-		shardsN = 2 * len(opts.Workers)
-	}
-
 	type job struct {
 		path   string
-		data   []byte
+		grid   anondyn.Grid
 		target report.Target
 		rs     *rowStream
 		h      *shard.SweepHandle
 	}
-	jobs := make([]*job, 0, len(files))
+	var jobs []*job
+	defer func() {
+		cp.Close() // no row callback runs after this
+		for _, j := range jobs {
+			j.rs.close() //nolint:errcheck // an earlier error wins
+		}
+	}()
 	for _, path := range files {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		j := &job{path: path, data: data, target: target.ForSpec(path)}
+		_, grid, err := spec.Compile(data, seeds)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		j := &job{path: path, grid: grid, target: target}
+		jobs = append(jobs, j)
+		if dir != "" {
+			j.target = target.ForSpec(path)
+		}
 		var onRow func(int, anondyn.CellResult)
-		if j.target.Format == report.FormatCSV && j.target.Path != "" {
-			// Per-spec CSV files fill as their sweep's cells commit.
-			// Stdout CSV stays buffered: concurrent sweeps would
-			// interleave their rows.
-			_, grid, err := spec.Compile(data, opts.SeedsPerCell)
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
+		if j.target.Format == report.FormatCSV && (dir == "" || j.target.Path != "") {
 			if j.rs, err = newRowStream(j.target, grid.Cells()); err != nil {
 				return err
 			}
 			onRow = j.rs.onRow
 		}
-		h, err := cp.Submit(data, shard.SubmitOptions{
-			SeedsPerCell: opts.SeedsPerCell,
-			Shards:       shardsN,
+		j.h, err = cp.Submit(data, shard.SubmitOptions{
+			SeedsPerCell: seeds,
+			Shards:       shards,
 			Name:         filepath.Base(path),
 			OnRow:        onRow,
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		j.h = h
-		jobs = append(jobs, j)
 	}
-	for _, addr := range opts.Workers {
+	for _, addr := range addrs {
 		cp.AddWorker(addr)
 	}
 
 	var index []report.IndexEntry
 	for i, j := range jobs {
 		res, err := j.h.Wait()
+		if err == nil {
+			err = j.rs.close()
+		}
 		if err != nil {
-			if j.rs != nil {
-				j.rs.close() //nolint:errcheck // the sweep error wins
-			}
 			return fmt.Errorf("%s: %w", j.path, err)
 		}
 		if i > 0 {
 			fmt.Println()
 		}
-		if err := emitJob(j.path, j.data, j.rs, res, opts, j.target, quiet); err != nil {
+		footer := ""
+		if !quiet {
+			footer = fmt.Sprintf("(%d shards over %d workers, %d requeued)\n", len(res.Shards), len(addrs), res.Requeues)
+			if dir == "" {
+				for _, addr := range addrs {
+					footer += fmt.Sprintf("  %s: %d runs\n", addr, res.RunsByWorker[addr])
+				}
+			}
+		}
+		doc := report.NewSweep(res.Sweep, j.path, len(addrs), res.Rows)
+		if err := report.Emit(doc, j.grid, j.target, res.Sweep.Description, footer, quiet, j.rs != nil); err != nil {
 			return fmt.Errorf("%s: %w", j.path, err)
 		}
-		index = append(index, report.IndexEntry{
-			Title: title(res, j.path),
-			Path:  j.target.Path,
-			Cells: res.Rows,
-		})
+		index = append(index, report.IndexEntry{Title: doc.Title, Path: j.target.Path, Cells: res.Rows})
 	}
 	cp.Shutdown()
 
-	if target.Format == report.FormatHTML && target.Path != "" {
+	if dir != "" && target.Format == report.FormatHTML && target.Path != "" {
 		if err := report.WriteIndexFile(target.Path, "sweep reports: "+dir, index); err != nil {
 			return err
 		}
@@ -563,79 +418,6 @@ func runSpecDir(dir string, opts shard.Options, target report.Target, quiet bool
 		}
 	}
 	return nil
-}
-
-// emitJob renders one finished directory-batch sweep: human table,
-// dispatch summary, and the per-spec report artifact (unless its CSV
-// already streamed).
-func emitJob(path string, data []byte, rs *rowStream, res *shard.Result, opts shard.Options, target report.Target, quiet bool) error {
-	if rs != nil {
-		if err := rs.close(); err != nil {
-			return err
-		}
-	}
-	doc := envelope(res, path, len(opts.Workers))
-	if target.Format == report.FormatHTML {
-		_, grid, err := spec.Compile(data, opts.SeedsPerCell)
-		if err != nil {
-			return err
-		}
-		if doc.Series, err = grid.SeriesPerCell(); err != nil {
-			return err
-		}
-	}
-	if target.Stdout() {
-		return target.Write(doc)
-	}
-	if !quiet && res.Sweep.Description != "" {
-		fmt.Printf("# %s\n", res.Sweep.Description)
-	}
-	if err := spec.Table(title(res, path), res.Rows).Fprint(os.Stdout); err != nil {
-		return err
-	}
-	if err := report.FprintVerdicts(os.Stdout, res.Sweep.Verdicts(res.Rows)); err != nil {
-		return err
-	}
-	if !quiet {
-		fmt.Printf("(%d shards over %d workers, %d requeued)\n", len(res.Shards), len(opts.Workers), res.Requeues)
-	}
-	if rs == nil {
-		if err := target.Write(doc); err != nil {
-			return err
-		}
-	}
-	if target.Enabled() && !quiet {
-		fmt.Printf("(report written to %s)\n", target.Path)
-	}
-	return nil
-}
-
-func title(res *shard.Result, path string) string {
-	return res.Sweep.RunTitle(path, len(res.Rows))
-}
-
-// envelope builds the shared report.Sweep document. The cells array is
-// the determinism contract — byte-identical to the local run's — while
-// the envelope records run metadata ("workers" here counts worker
-// processes; dynabench records its pool size), so parity checks compare
-// .cells, as the CI distributed-smoke job does.
-func envelope(res *shard.Result, path string, workers int) *report.Sweep {
-	per := res.Sweep.SeedsPerCell
-	if per < 1 {
-		per = 1
-	}
-	return &report.Sweep{
-		Spec:         res.Sweep.Name,
-		SeedsPerCell: per,
-		BaseSeed:     res.Sweep.BaseSeed,
-		Workers:      workers,
-		Cells:        res.Rows,
-		Title:        title(res, path),
-		// Verdicts derive from (spec, rows) alone, so the sharded
-		// report carries the same verdict block as a local run.
-		Verdicts: res.Sweep.Verdicts(res.Rows),
-		Storm:    res.Sweep.StormTimeline(),
-	}
 }
 
 func splitAddrs(list string) []string {

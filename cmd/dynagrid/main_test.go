@@ -353,6 +353,55 @@ func TestRunCSVReportStreamsRows(t *testing.T) {
 	}
 }
 
+// TestSpecDirErrorClosesRowStreams: a -spec-dir run that fails after
+// opening per-spec CSV streams — at a later spec's compile, or at a
+// later stream's create — leaves none of their files open.
+func TestSpecDirErrorClosesRowStreams(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to list open files")
+	}
+	data, err := os.ReadFile(specPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		second []byte // b-second.yaml
+		block  bool   // a directory sits at b-second's CSV path
+	}{
+		{"bad-spec", []byte("ns: [5]\nno_such_key: 1\n"), false},
+		{"uncreatable-csv", data, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, outDir := t.TempDir(), t.TempDir()
+			for name, body := range map[string][]byte{"a-first.yaml": data, "b-second.yaml": tc.second} {
+				if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.block {
+				if err := os.Mkdir(filepath.Join(outDir, "out-b-second.csv"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err := run([]string{"-spec-dir", dir, "-workers", "127.0.0.1:1", "-quiet",
+				"-report", filepath.Join(outDir, "out.csv")})
+			if err == nil {
+				t.Fatal("run succeeded")
+			}
+			if _, statErr := os.Stat(filepath.Join(outDir, "out-a-first.csv")); statErr != nil {
+				t.Fatalf("the first spec's stream was never opened: %v", statErr)
+			}
+			fds, _ := os.ReadDir("/proc/self/fd")
+			for _, fd := range fds {
+				if target, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); strings.HasPrefix(target, outDir) {
+					t.Errorf("fd %s still open on %s after the run failed (%v)", fd.Name(), target, err)
+				}
+			}
+		})
+	}
+}
+
 func TestSplitAddrs(t *testing.T) {
 	got := splitAddrs(" a:1, b:2 ,,c:3 ")
 	want := []string{"a:1", "b:2", "c:3"}

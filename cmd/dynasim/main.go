@@ -11,7 +11,9 @@
 // The scenario flags compile to a declarative sweep (a 1-cell matrix)
 // in the format dynabench sweeps and the committed examples/specs
 // artifacts use, and dynasim runs exactly that sweep: -save-spec writes
-// it to a file, and -spec runs such a file.
+// it to a file, and -spec runs such a file through the same local path
+// as dynabench -spec (description banner, aggregate table, verdicts,
+// and the sweep envelope for -report).
 //
 // Examples:
 //
@@ -31,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,7 +88,7 @@ func parseFlags(args []string) (*flags, error) {
 	fs.BoolVar(&fl.shuffle, "shuffle", false, "randomize intra-round delivery order (seeded)")
 	fs.IntVar(&fl.seeds, "seeds", 1, "number of seeded runs; > 1 switches to Monte-Carlo batch mode (with -spec: override the file's seeds_per_cell)")
 	fs.IntVar(&fl.workers, "workers", 0, "batch worker-pool size (0 = GOMAXPROCS)")
-	fs.StringVar(&fl.report, "report", "", `batch report (implies batch mode): "csv"/"json"/"html" for stdout, or a path (.csv/.html → that format, else JSON)`)
+	fs.StringVar(&fl.report, "report", "", `batch report (implies batch mode; with -spec, the sweep report): "csv"/"json"/"html" for stdout, or a path (.csv/.html → that format, else JSON)`)
 	fs.StringVar(&fl.metrics, "metrics", "", "stream live metrics snapshots as NDJSON to this file or host:port address")
 	fs.StringVar(&fl.spec, "spec", "", "run the sweep defined in this YAML/JSON scenario file instead of the flag scenario")
 	fs.StringVar(&fl.saveSpec, "save-spec", "", "write the flag scenario as a declarative spec file before running")
@@ -115,38 +116,24 @@ func run(args []string) (err error) {
 		return err
 	}
 
-	stopProfile, err := metrics.StartCPUProfile(fl.cpuProfile)
+	coll, stop, err := metrics.StartProcess(fl.cpuProfile, fl.execTrace, fl.metrics)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if cerr := stopProfile(); err == nil {
-			err = cerr
+		if serr := stop(); err == nil {
+			err = serr
 		}
 	}()
-	stopTrace, err := metrics.StartExecTrace(fl.execTrace)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := stopTrace(); err == nil {
-			err = cerr
-		}
-	}()
-
-	coll, closeMetrics, err := metrics.Start(fl.metrics, 0)
-	if err != nil {
-		return err
-	}
-	defer closeMetrics() //nolint:errcheck // final snapshot write; fate shared with stdout
 	opts := anondyn.BatchOptions{Workers: fl.workers}
 	if coll != nil {
 		opts.Metrics = coll
 	}
+	target := report.ParseTarget(fl.report)
 
 	if fl.spec != "" {
-		if fl.trace != "" || fl.series || fl.report != "" {
-			return fmt.Errorf("-spec runs a sweep; -trace, -series and -report do not apply")
+		if fl.trace != "" || fl.series {
+			return fmt.Errorf("-spec runs a sweep; -trace and -series do not apply")
 		}
 		if fl.saveSpec != "" {
 			return fmt.Errorf("-save-spec captures the scenario flags; it does not combine with -spec")
@@ -156,14 +143,13 @@ func run(args []string) (err error) {
 			seedsOverride = fl.seeds
 		}
 		if fl.validate {
-			sw, grid, err := spec.Load(fl.spec, 0)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%s: ok (%s)\n", fl.spec, sw.RunTitle(fl.spec, len(grid.Cells())))
-			return nil
+			return spec.Validate(os.Stdout, fl.spec)
 		}
-		return runSpec(fl.spec, seedsOverride, opts)
+		sw, grid, err := spec.Load(fl.spec, seedsOverride)
+		if err != nil {
+			return err
+		}
+		return report.RunLocal(sw, grid, fl.spec, opts, target)
 	}
 	if fl.validate {
 		return fmt.Errorf("-validate wants -spec (it dry-runs spec files)")
@@ -182,16 +168,10 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	target := report.ParseTarget(fl.report)
 	if fl.saveSpec != "" {
-		if err := os.WriteFile(fl.saveSpec, sw.Encode(), 0o644); err != nil {
+		if err := report.SaveSpec(fl.saveSpec, "saved from dynasim flags", sw, target); err != nil {
 			return err
 		}
-		note := os.Stdout
-		if target.Stdout() {
-			note = os.Stderr // stdout carries the report document
-		}
-		fmt.Fprintf(note, "(spec written to %s)\n", fl.saveSpec)
 	}
 	if fl.batch() {
 		return runBatch(fl, grid, target, opts)
@@ -499,23 +479,6 @@ func runBatch(fl *flags, grid anondyn.Grid, target report.Target, opts anondyn.B
 	return nil
 }
 
-// runSpec runs a declarative sweep file, printing one aggregate row
-// per cell — dynasim's window onto the same artifacts dynabench runs.
-func runSpec(path string, seedsOverride int, opts anondyn.BatchOptions) error {
-	sw, grid, err := spec.Load(path, seedsOverride)
-	if err != nil {
-		return err
-	}
-	rows, err := grid.Run(opts)
-	if err != nil {
-		return err
-	}
-	if err := spec.Table(sw.RunTitle(path, len(rows)), rows).Fprint(os.Stdout); err != nil {
-		return err
-	}
-	return report.FprintVerdicts(os.Stdout, sw.Verdicts(rows))
-}
-
 // sweep compiles the scenario flags into the 1-cell declarative sweep
 // dynasim runs and -save-spec writes. Batch mode accounts bandwidth,
 // so only a batch's sweep sets account_bandwidth. The sweep passes
@@ -550,10 +513,6 @@ func (fl *flags) sweep() (*spec.Sweep, error) {
 	sw.MaxMessageBytes = fl.maxBytes
 	if algo == "megaround" {
 		sw.MegaT = fl.megaT
-	}
-	if fl.saveSpec != "" {
-		sw.Name = strings.TrimSuffix(filepath.Base(fl.saveSpec), filepath.Ext(fl.saveSpec))
-		sw.Description = "saved from dynasim flags"
 	}
 	return spec.Parse(sw.Encode())
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"anondyn"
+	"anondyn/internal/report"
 	"anondyn/internal/spec"
 )
 
@@ -478,6 +479,43 @@ func TestStdoutReportWithSaveSpec(t *testing.T) {
 	}
 	if _, err := os.Stat(saved); err != nil {
 		t.Errorf("spec not written: %v", err)
+	}
+}
+
+// TestSpecStdoutReportIsParseable: -spec runs the local sweep path, so
+// with -report json stdout is exactly one report.Sweep document — no
+// description banner ahead of it, no table after it — and its cells
+// equal a direct Load and Grid.Run of the same file and seeds.
+func TestSpecStdoutReportIsParseable(t *testing.T) {
+	const specPath = "../../examples/specs/er-crash-sweep.yaml"
+	out := captureStdout(t, func() error {
+		return run([]string{"-spec", specPath, "-seeds", "2", "-report", "json"})
+	})
+	var rep report.Sweep
+	if err := json.Unmarshal(out, &rep); err != nil {
+		t.Fatalf("-report json stdout is not one JSON document: %v\n%s", err, out)
+	}
+	sw, grid, err := spec.Load(specPath, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := grid.Run(anondyn.BatchOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Spec != sw.Name || rep.SeedsPerCell != 2 {
+		t.Errorf("envelope = {spec: %q, seeds: %d}, want {%q, 2}", rep.Spec, rep.SeedsPerCell, sw.Name)
+	}
+	if !reflect.DeepEqual(rep.Cells, rows) {
+		t.Errorf("report cells differ from a direct run:\nreport %+v\ndirect %+v", rep.Cells, rows)
+	}
+
+	// The human mode keeps the banner dynabench -spec prints.
+	out = captureStdout(t, func() error {
+		return run([]string{"-spec", specPath, "-seeds", "1"})
+	})
+	if want := "# " + sw.Description + "\n"; !strings.HasPrefix(string(out), want) {
+		t.Errorf("table mode does not start with the description banner %q:\n%s", want, out)
 	}
 }
 

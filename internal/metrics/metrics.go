@@ -426,22 +426,41 @@ func Start(target string, interval time.Duration) (*Collector, func() error, err
 	return c, s.Close, nil
 }
 
-// StartCPUProfile is the CLI-facing assembly of a -cpuprofile flag: it
-// creates the file and starts the runtime's CPU profiler before any
-// work runs, so an unwritable path fails the command up front. The
-// returned stop ends the profile and closes the file; callers defer it
-// so every exit path flushes. An empty path profiles nothing.
-func StartCPUProfile(path string) (stop func() error, err error) {
-	return startRecorder("-cpuprofile", path, pprof.StartCPUProfile, pprof.StopCPUProfile)
-}
-
-// StartExecTrace is StartCPUProfile for an -exectrace flag: the
-// runtime's execution tracer (read the file with go tool trace). Where a
-// CPU profile says which code the time went to, the execution trace
-// says which goroutine ran when — the only view of a pipelined run's
-// graph building overlapping its delivery.
-func StartExecTrace(path string) (stop func() error, err error) {
-	return startRecorder("-exectrace", path, trace.Start, trace.Stop)
+// StartProcess is the prologue every CLI runs before any work: it
+// starts a CPU profile (-cpuprofile), a runtime execution trace
+// (-exectrace, read with go tool trace: where a CPU profile says which
+// code the time went to, the trace says which goroutine ran when — the
+// only view of a pipelined run's graph building overlapping its
+// delivery) and the -metrics stream (Start), in that order. An empty
+// argument starts nothing, and an uncreatable path fails the command up
+// front. The returned stop ends all three; callers defer it so every
+// exit path flushes. It reports the trace's error ahead of the
+// profile's, and drops the metrics stream's: its final snapshot write
+// shares its fate with stdout.
+func StartProcess(cpuProfile, execTrace, metricsTarget string) (*Collector, func() error, error) {
+	stopProfile, err := startRecorder("-cpuprofile", cpuProfile, pprof.StartCPUProfile, pprof.StopCPUProfile)
+	if err != nil {
+		return nil, nil, err
+	}
+	stopTrace, err := startRecorder("-exectrace", execTrace, trace.Start, trace.Stop)
+	if err != nil {
+		stopProfile() //nolint:errcheck // the start error wins
+		return nil, nil, err
+	}
+	coll, closeMetrics, err := Start(metricsTarget, 0)
+	if err != nil {
+		stopTrace()   //nolint:errcheck // the start error wins
+		stopProfile() //nolint:errcheck // the start error wins
+		return nil, nil, err
+	}
+	return coll, func() error {
+		closeMetrics() //nolint:errcheck // final snapshot write; fate shared with stdout
+		err := stopTrace()
+		if perr := stopProfile(); err == nil {
+			err = perr
+		}
+		return err
+	}, nil
 }
 
 // startRecorder creates path and starts a whole-process recorder into

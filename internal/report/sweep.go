@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 
 	"anondyn"
 	"anondyn/internal/analysis"
@@ -40,6 +43,99 @@ type Sweep struct {
 	Eps float64 `json:"-"`
 }
 
+// NewSweep is the envelope of sw's finished rows. The cells array is
+// the determinism contract, byte-identical locally or sharded; the rest
+// records the run. workers is a local run's pool size or a sharded
+// run's worker-process count, so parity checks compare .cells. The
+// verdicts derive from (spec, rows) alone, so a sharded report carries
+// the local run's verdict block. path names an unnamed sweep's title.
+func NewSweep(sw *spec.Sweep, path string, workers int, rows []anondyn.CellResult) *Sweep {
+	return &Sweep{
+		Spec:         sw.Name,
+		SeedsPerCell: max(sw.SeedsPerCell, 1),
+		BaseSeed:     sw.BaseSeed,
+		Workers:      workers,
+		Cells:        rows,
+		Title:        sw.RunTitle(path, len(rows)),
+		Verdicts:     sw.Verdicts(rows),
+		Storm:        sw.StormTimeline(),
+	}
+}
+
+// RunLocal runs a compiled sweep on this process's batch pool and
+// emits it — the one local sweep path (dynabench -spec, -spec-dir and
+// -sweep; dynasim -spec). path is the spec file the sweep came from.
+func RunLocal(sw *spec.Sweep, grid anondyn.Grid, path string, opts anondyn.BatchOptions, target Target) error {
+	rows, err := grid.Run(opts)
+	if err != nil {
+		return err
+	}
+	return Emit(NewSweep(sw, path, opts.Workers, rows), grid, target, sw.Description, "", false, false)
+}
+
+// Emit is the one output path of a finished sweep. A stdout target's
+// document is all of stdout, so the output parses. Otherwise stdout
+// carries the description banner, the aggregate table, the verdict
+// lines and the caller's footer, and the document goes to the target's
+// file, noted by name. quiet drops the banner and the note; streamed
+// says a RowStream already wrote the target, so the document is not
+// written again. An HTML target charts each cell's convergence from one
+// extra sequential run of grid per cell.
+func Emit(doc *Sweep, grid anondyn.Grid, target Target, description, footer string, quiet, streamed bool) error {
+	if target.Format == FormatHTML {
+		var err error
+		if doc.Series, err = grid.SeriesPerCell(); err != nil {
+			return err
+		}
+	}
+	if target.Stdout() {
+		if streamed {
+			return nil
+		}
+		return target.Write(doc)
+	}
+	if description != "" && !quiet {
+		fmt.Printf("# %s\n", description)
+	}
+	if err := doc.table().Fprint(os.Stdout); err != nil {
+		return err
+	}
+	if err := FprintVerdicts(os.Stdout, doc.Verdicts); err != nil {
+		return err
+	}
+	fmt.Print(footer)
+	if !streamed {
+		if err := target.Write(doc); err != nil {
+			return err
+		}
+	}
+	if target.Enabled() && !quiet {
+		fmt.Printf("(report written to %s)\n", target.Path)
+	}
+	return nil
+}
+
+// SaveSpec writes sw to path as a spec file named after the file, with
+// the given description, and notes it on stdout — on stderr when the
+// target's document owns stdout.
+func SaveSpec(path, description string, sw *spec.Sweep, target Target) error {
+	named := *sw
+	named.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	named.Description = description
+	if err := os.WriteFile(path, named.Encode(), 0o644); err != nil {
+		return err
+	}
+	note := os.Stdout
+	if target.Stdout() {
+		note = os.Stderr
+	}
+	_, err := fmt.Fprintf(note, "(spec written to %s)\n", path)
+	return err
+}
+
+// table is the sweep's aggregate table in the standard CLI layout.
+func (s *Sweep) table() *analysis.Table { return spec.Table(s.Title, s.Cells) }
+
 // WriteJSON implements Document with the historical envelope bytes:
 // two-space indent, trailing newline.
 func (s *Sweep) WriteJSON(w io.Writer) error {
@@ -54,7 +150,7 @@ func (s *Sweep) WriteJSON(w io.Writer) error {
 // WriteCSV implements Document via the standard sweep table layout,
 // followed by a verdict section for stress sweeps.
 func (s *Sweep) WriteCSV(w io.Writer) error {
-	if err := spec.Table(s.Title, s.Cells).WriteCSV(w); err != nil {
+	if err := s.table().WriteCSV(w); err != nil {
 		return err
 	}
 	if len(s.Verdicts) == 0 {

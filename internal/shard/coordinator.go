@@ -25,12 +25,6 @@ type Options struct {
 	// SeedsPerCell, when > 0, overrides the spec's seeds_per_cell on
 	// both sides of the wire.
 	SeedsPerCell int
-	// MaxPending bounds each worker's per-shard reorder window
-	// (harness.Options.MaxPending; 0 = the harness's built-in bound).
-	MaxPending int
-	// Token is the shared secret presented in every worker handshake;
-	// empty disables auth (both sides must agree).
-	Token string
 	// IOTimeout bounds each frame exchange (for a record stream: the
 	// gap between consecutive records). 0 means DefaultIOTimeout.
 	IOTimeout time.Duration
@@ -53,11 +47,6 @@ type Options struct {
 	// (one frame per that many completed runs); < 1 with Metrics set
 	// defaults to 16. Ignored when Metrics is nil.
 	MetricsEveryRuns int
-	// OnRow, when non-nil, streams each cell's finished row as its last
-	// run commits (in cell order) — report output can render while the
-	// sweep runs. Runs under the control plane's scheduling lock; keep
-	// it fast.
-	OnRow func(cell int, row anondyn.CellResult)
 }
 
 func (o *Options) fill() error {
@@ -106,11 +95,9 @@ func Run(specData []byte, opts Options) (*Result, error) {
 		return nil, err
 	}
 	cp, err := NewControlPlane(PlaneOptions{
-		Token:            opts.Token,
 		IOTimeout:        opts.IOTimeout,
 		DialRetries:      opts.DialRetries,
 		RetryDelay:       opts.RetryDelay,
-		MaxPending:       opts.MaxPending,
 		Log:              opts.Log,
 		Metrics:          opts.Metrics,
 		MetricsEveryRuns: opts.MetricsEveryRuns,
@@ -128,7 +115,6 @@ func Run(specData []byte, opts Options) (*Result, error) {
 		SeedsPerCell: opts.SeedsPerCell,
 		Shards:       shards,
 		Name:         "one-shot",
-		OnRow:        opts.OnRow,
 	})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,8 @@ package spec
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 
 	"anondyn"
@@ -60,6 +62,42 @@ func (s *Sweep) RunTitle(path string, cells int) string {
 		per = 1
 	}
 	return fmt.Sprintf("%s: %d cells × %d seeds", name, cells, per)
+}
+
+// Validate dry-runs one spec file — parse, validate, compile: every
+// check a run makes before its first scenario — and prints the CLIs'
+// "<path>: ok (<title>)" line to w. Errors cite the offending key.
+func Validate(w io.Writer, path string) error {
+	sw, grid, err := Load(path, 0)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "%s: ok (%s)\n", path, sw.RunTitle(path, len(grid.Cells())))
+	return err
+}
+
+// DirFiles lists a directory's scenario files (*.yaml, *.yml, *.json)
+// in name order (os.ReadDir sorts) — the file set of every -spec-dir
+// mode. A directory without one is an error.
+func DirFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		switch filepath.Ext(e.Name()) {
+		case ".yaml", ".yml", ".json":
+			files = append(files, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("%s: no scenario files (*.yaml, *.yml, *.json)", dir)
+	}
+	return files, nil
 }
 
 // Columns returns the standard sweep table column set; the variant
