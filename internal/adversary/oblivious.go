@@ -157,6 +157,7 @@ type RandomDegree struct {
 	block int
 	d     int
 	extra float64
+	src   *rng.Source // the stream: Intn straight off it, ExpFloat64 through rng
 	rng   *rand.Rand
 
 	blockIdx int
@@ -177,7 +178,8 @@ func NewRandomDegree(block, d int, extra float64, seed int64) (*RandomDegree, er
 	if extra < 0 || extra > 1 {
 		return nil, fmt.Errorf("adversary: extra probability %g outside [0,1]", extra)
 	}
-	return &RandomDegree{block: block, d: d, extra: extra, rng: rand.New(rng.New(seed)), blockIdx: -1}, nil
+	src := rng.New(seed)
+	return &RandomDegree{block: block, d: d, extra: extra, src: src, rng: rand.New(src), blockIdx: -1}, nil
 }
 
 // Name implements Adversary.
@@ -252,8 +254,10 @@ func (r *RandomDegree) buildBlock(b, n, d int) {
 		// (including its i = 0 draw, which swaps nothing but advances the
 		// stream), into a reused buffer: every slot is written before it
 		// is read, so the previous receiver's contents never show.
+		// Source.Intn is rand.Rand.Intn draw for draw, without the
+		// interface call per draw.
 		for i := range perm {
-			j := r.rng.Intn(i + 1)
+			j := r.src.Intn(i + 1)
 			perm[i] = perm[j]
 			perm[j] = i
 		}
@@ -262,7 +266,7 @@ func (r *RandomDegree) buildBlock(b, n, d int) {
 			if u == v {
 				continue
 			}
-			r.schedule[r.rng.Intn(r.block)].Add(u, v)
+			r.schedule[r.src.Intn(r.block)].Add(u, v)
 			picked++
 			if picked == d {
 				break

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// The DESIGN.md ablation: R_low/R_high as bounded flat slices (what
+// The STORE ablation: R_low/R_high as bounded sorted slices (what
 // Algorithm 2's STORE implements) versus the naive "keep everything,
 // sort, index" alternative. The bounded variant is what limited
 // bandwidth forces on the algorithm; these benchmarks quantify what it
@@ -28,13 +28,13 @@ func BenchmarkBoundedStore(b *testing.B) {
 		b.Run(quorumName(f), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				lo := newBoundedLow(f + 1)
-				hi := newBoundedHigh(f + 1)
+				lo := newBounded(f + 1)
+				hi := newBounded(f + 1)
 				for _, v := range vals {
 					lo.add(v)
-					hi.add(v)
+					hi.add(-v)
 				}
-				if lo.max() < 0 || hi.min() > 1 {
+				if lo.max() < 0 || -hi.max() > 1 {
 					b.Fatal("impossible extremes")
 				}
 			}
@@ -126,7 +126,7 @@ func BenchmarkDBACDeliver(b *testing.B) {
 // (DBACEquiv) with the f middle ports claiming the extremes 0 and 1
 // alternately, as equivocators do: R_low and R_high then fill with
 // extremes at once and nearly every honest value is a one-compare
-// reject, the case the remembered extreme index exists for.
+// reject against the top slot.
 func BenchmarkDeliverAll(b *testing.B) {
 	round := func(b *testing.B, n, deg int, fleet []Process, vals []float64) {
 		ds := make([]Delivery, deg)

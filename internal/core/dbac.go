@@ -24,8 +24,8 @@ type DBAC struct {
 
 	r    []bool // r[port] — port already counted for the current phase
 	nr   int
-	low  boundedLow  // f+1 smallest received values this phase
-	high boundedHigh // f+1 largest received values this phase
+	low  bounded // f+1 smallest received values this phase
+	high bounded // f+1 largest received values this phase, negated
 
 	selfPort int
 
@@ -82,17 +82,19 @@ func newDBACWithPEnd(n, f, selfPort int, input float64, pEnd int) (*DBAC, error)
 		quorum:   ByzQuorum(n, f),
 		v:        input,
 		r:        make([]bool, n),
-		low:      newBoundedLow(f + 1),
-		high:     newBoundedHigh(f + 1),
+		low:      newBounded(f + 1),
+		high:     newBounded(f + 1),
 		selfPort: selfPort,
 	}
 	// Reliable self-delivery: the node's own state is always among the
-	// values it counts (R[i]=1) and collects (see DESIGN.md §2 on the
-	// pseudo-code clarification).
+	// values it counts (R[i]=1) and among those it stores in R_low and
+	// R_high. The pseudo-code leaves this implicit: a node never receives
+	// its own message over a link, yet the quorum of ⌊(n+3f)/2⌋+1 counts
+	// it, so its value must sit in the multiset the update trims.
 	d.r[selfPort] = true
 	d.nr = 1
 	d.low.add(input)
-	d.high.add(input)
+	d.high.add(-input)
 	d.maybeDecide()
 	return d, nil
 }
@@ -111,10 +113,11 @@ func (d *DBAC) deliver(port int, value float64, phase int) {
 		d.r[port] = true
 		d.nr++
 		d.low.add(value)
-		d.high.add(value)
+		d.high.add(-value)
 	}
 	if d.p < d.pEnd && d.nr >= d.quorum {
-		d.v = (d.low.max() + d.high.min()) / 2
+		lo, hi := d.low.max(), -d.high.max() // max(R_low), min(R_high)
+		d.v = (lo + hi) / 2
 		d.p++
 		d.quorums++
 		d.reset()
@@ -187,7 +190,7 @@ func (d *DBAC) Reinit(input float64) {
 	d.low.clear()
 	d.high.clear()
 	d.low.add(input)
-	d.high.add(input)
+	d.high.add(-input)
 	d.decided = false
 	d.decision = 0
 	d.quorums = 0
@@ -204,7 +207,7 @@ func (d *DBAC) reset() {
 	d.low.clear()
 	d.high.clear()
 	d.low.add(d.v)
-	d.high.add(d.v)
+	d.high.add(-d.v)
 }
 
 func (d *DBAC) maybeDecide() {

@@ -135,9 +135,10 @@ func TestDBACRejectsStaleAndDuplicates(t *testing.T) {
 
 func TestDBACSelfValueInMultiset(t *testing.T) {
 	// After a phase advance, the node's own new value must seed
-	// Rlow/Rhigh (DESIGN.md clarification): with quorum 5 and only 4
-	// foreign low values, the self value is what max(Rlow)/min(Rhigh)
-	// computations see as the fifth.
+	// Rlow/Rhigh — reliable self-delivery: the node counts itself
+	// (R[i]=1) and stores its own value, although no link carries it.
+	// With quorum 5 and only 4 foreign low values, the self value is
+	// what max(Rlow)/min(Rhigh) computations see as the fifth.
 	d, err := NewDBACPhases(6, 1, 0, 10, 1.0)
 	if err != nil {
 		t.Fatal(err)

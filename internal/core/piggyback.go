@@ -14,7 +14,7 @@ type HistEntry struct {
 //
 // The paper leaves the construction open ("DBAC can improve the
 // convergence rate by piggybacking a limited set of old messages"); the
-// design implemented here (documented in DESIGN.md) is:
+// design implemented here is:
 //
 //   - a sender remembers the state value it held in each of its last K
 //     phases and piggybacks those ⟨v, q⟩ pairs;

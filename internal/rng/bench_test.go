@@ -8,12 +8,15 @@ import (
 // sinkF and sinkS keep the benchmarked results alive.
 var (
 	sinkF float64
+	sinkI int
 	sinkS rand.Source
 )
 
-// BenchmarkSource prices the two operations a Monte-Carlo run pays per
-// seeded stream: Seed (once per run per stream) and Float64 (once per
-// ordered pair per round under the dense er adversary). The /mathrand
+// BenchmarkSource prices the operations a Monte-Carlo run pays per
+// seeded stream: Seed (once per run per stream), Float64 (once per
+// ordered pair per round under the dense er adversary) and Intn (once
+// per receiver and port per block under the random: adversary, on the
+// bounds that draws: 1…n). The /mathrand
 // rows are the same operations on rand.NewSource, the stream Source
 // reproduces. The loops run to b.N rather than b.Loop, whose per-call
 // cost would be a third of a Float64.
@@ -55,5 +58,25 @@ func BenchmarkSource(b *testing.B) {
 			f = r.Float64()
 		}
 		sinkF = f
+	})
+	b.Run("intn", func(b *testing.B) {
+		src := New(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		x := 0
+		for i := range b.N {
+			x += src.Intn(1 + i&63)
+		}
+		sinkI = x
+	})
+	b.Run("intn/mathrand", func(b *testing.B) {
+		r := rand.New(rand.NewSource(1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		x := 0
+		for i := range b.N {
+			x += r.Intn(1 + i&63)
+		}
+		sinkI = x
 	})
 }

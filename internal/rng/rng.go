@@ -10,8 +10,9 @@
 // every run of a sweep.
 //
 // Wrap a Source as rand.New(rng.New(seed)) where *rand.Rand methods
-// (Intn, Perm, ExpFloat64) are needed; Float64 is also provided directly,
-// with math/rand's exact algorithm, for the dense per-pair loops.
+// (Perm, ExpFloat64) are needed; Float64 and Intn are also provided
+// directly, with math/rand's exact algorithms, for the per-pair and
+// per-receiver loops.
 package rng
 
 import "math/rand"
@@ -156,6 +157,27 @@ func (s *Source) Float64() float64 {
 	for {
 		if f := float64(s.Int63()) / (1 << 63); f < 1 {
 			return f
+		}
+	}
+}
+
+// Intn is rand.New(s).Intn(n) for 0 < n < 2³¹, draw for draw, without
+// the interface call. math/rand draws v = Int63>>32 and rejects it when
+// v > 2³¹−1 − 2³¹ mod n, masking instead of dividing when n is a power
+// of two. That rejection is v − v mod n + n > 2³¹ (the multiple of n at
+// or below v is the last whole one below 2³¹), and for a power of two v
+// mod n is the mask, so one division per draw serves every n. It panics
+// for n outside (0, 2³¹), where math/rand's Intn takes another path.
+func (s *Source) Intn(n int) int {
+	if n <= 0 || n > 1<<31-1 {
+		panic("rng: Intn argument out of range")
+	}
+	m := uint32(n)
+	for {
+		v := uint32(s.Int63() >> 32)
+		r := v % m
+		if uint64(v-r)+uint64(m) <= 1<<31 {
+			return int(r)
 		}
 	}
 }

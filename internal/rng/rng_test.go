@@ -119,3 +119,67 @@ func TestFloat64RedrawsOne(t *testing.T) {
 		t.Fatalf("Float64 after a 1.0 draw = %v, want the next draw %v (math/rand: %v)", g, w, want)
 	}
 }
+
+// TestSourceIntnMatchesMathRand: Source.Intn draws what rand.Rand.Intn
+// draws on the same stream, for a million draws per seed. The bounds
+// cover n = 1, powers of two (math/rand masks there), small odd n,
+// 2³⁰+1 (almost half of all draws rejected), 2³¹−1 (the largest n on
+// this path) and n drawn log-uniformly up to 2³¹−1. Float64 and
+// ExpFloat64 draws, the latter through a rand.Rand over the same
+// Source, are interleaved so the indices sit anywhere in the register
+// when Intn starts, and so a draw Intn took or skipped wrongly shows in
+// every later one.
+func TestSourceIntnMatchesMathRand(t *testing.T) {
+	fixed := []int{1, 2, 3, 5, 7, 64, 1000, 1 << 30, 1<<30 + 1, 1<<31 - 1}
+	gen := rand.New(rand.NewSource(31))
+	for _, seed := range []int64{1, 0, -7, 20261017} {
+		src := New(seed)
+		r := rand.New(src)
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < 1_000_000; i++ {
+			var n int
+			switch i % 4 {
+			case 0:
+				n = fixed[(i/4)%len(fixed)]
+			case 1:
+				n = 1 + int(gen.Int63n(1<<(1+gen.Intn(31))-1))
+			case 2:
+				if g, w := src.Float64(), want.Float64(); g != w {
+					t.Fatalf("seed %d draw %d: Float64 %v, math/rand %v", seed, i, g, w)
+				}
+				continue
+			default:
+				if i%8 == 3 {
+					if g, w := r.ExpFloat64(), want.ExpFloat64(); g != w {
+						t.Fatalf("seed %d draw %d: ExpFloat64 %v, math/rand %v", seed, i, g, w)
+					}
+					continue
+				}
+				n = 1 + i%97
+			}
+			if g, w := src.Intn(n), want.Intn(n); g != w {
+				t.Fatalf("seed %d draw %d: Intn(%d) %d, math/rand %d", seed, i, n, g, w)
+			}
+		}
+	}
+}
+
+// TestSourceIntnPanicsOutOfRange: n ≤ 0, and n ≥ 2³¹ where int holds
+// it, panic rather than leave math/rand's stream.
+func TestSourceIntnPanicsOutOfRange(t *testing.T) {
+	bad := []int{0, -1}
+	if big := int64(1) << 31; int64(int(big)) == big {
+		bad = append(bad, int(big))
+	}
+	src := New(1)
+	for _, n := range bad {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Intn(%d) did not panic", n)
+				}
+			}()
+			src.Intn(n)
+		}()
+	}
+}

@@ -14,8 +14,8 @@ import (
 
 // TestDeliveryEquivalenceProperty is the round loop's oracle test:
 // across randomized sparse, dense and faulted scenarios, the fast paths
-// — word-wise in-neighbor gather, the direct gathers (crash rounds
-// included), lazy/incremental view maintenance, and the lost count the
+// — word-wise in-neighbor gather, the direct gathers (crash rounds and
+// Byzantine senders included), lazy/incremental view maintenance, and the lost count the
 // gathers fold as they go — must together produce
 // byte-identical Results (trace, MessagesLost/Delivered/Oversized,
 // BytesDelivered, outputs) AND an identical per-delivery event stream
@@ -25,7 +25,7 @@ import (
 // lost count).
 func TestDeliveryEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	direct, directCrash, bitsCrash := 0, 0, 0
+	direct, directCrash, bitsCrash, directByz, bitsByz := 0, 0, 0, 0, 0
 	// Sizes straddle the 64-bit word boundary on purpose: the word-wise
 	// path must be exact in the multi-word regime too.
 	for trial := 0; trial < 60; trial++ {
@@ -67,8 +67,9 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		}
 
 		// Third run: no Recorder, no bandwidth accounting. This is the
-		// only shape that arms fastGather and DeliverAll (they fire
-		// exactly when nothing observes deliveries), so it must be pinned
+		// shape that hands DeliverAll whole batches (it does exactly when
+		// nothing observes deliveries) and, on draws with identity ports
+		// and no caps, takes the direct gather, so it must be pinned
 		// against the reference too — through Results, since there is no
 		// event stream to compare.
 		bareRef := cfg()
@@ -92,16 +93,14 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		assertEqualStates(t, bareRefEng, bareWWEng, "trial %d (n=%d, seed=%d, csr=%v) bare pair",
 			trial, n, seed, bareWW.ForceCSR)
 
-		// Fourth run, on Byzantine-free draws (crash-only ones included):
-		// strip what disarms the direct gather (ports, caps, bandwidth
-		// accounting) so deliverRange's in-row fill — CSR rows or dense
-		// bitmap words, with whichever algorithm and shuffling was drawn,
-		// and with the gather's own lost count — meets
-		// the oracle on both representations.
-		if len(bareRef.Byzantine) > 0 {
-			continue
-		}
+		// Fourth run, on every draw (crash-only, Byzantine and mixed ones
+		// included): strip what disarms the direct gather (ports, caps,
+		// bandwidth accounting) so deliverRange's in-row fill — CSR rows
+		// or dense bitmap words, with whichever algorithm, strategies and
+		// shuffling were drawn, and with the gather's own lost count —
+		// meets the oracle on both representations.
 		crashy := len(bareRef.Crashes) > 0
+		byzy := len(bareRef.Byzantine) > 0
 		plain := func() Config {
 			c := cfg()
 			c.AccountBandwidth, c.MaxMessageBytes = false, 0
@@ -119,8 +118,8 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			if !spEng.fastGather || !spEng.allIdentity {
-				t.Fatalf("trial %d: a Byzantine-free, identity-port config missed the direct gather", trial)
+			if spEng.needSize || !spEng.allIdentity {
+				t.Fatalf("trial %d: an identity-port config with no caps or accounting missed the direct gather", trial)
 			}
 			rr, ww = referenceRunRounds(spRefEng, 25), spEng.RunRounds(25)
 			if rr.MessagesLost != ww.MessagesLost || rr.MessagesDelivered != ww.MessagesDelivered {
@@ -133,14 +132,22 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 			// adversaries that return their own dense set take the bitmap
 			// gather instead of the CSR one.
 			switch sparseRound := spEng.inPlace != nil && spEng.edges.IsSparse(); {
+			case sparseRound && byzy:
+				directByz++
 			case sparseRound && !crashy:
 				direct++
 			case sparseRound:
 				directCrash++
+			case !forceCSR && byzy:
+				bitsByz++
 			case !forceCSR && crashy:
 				bitsCrash++
 			}
 		}
+	}
+	if directByz < 5 || bitsByz < 5 {
+		t.Errorf("Byzantine configs hit the CSR direct gather %d times and the bitmap one %d times — property nearly vacuous",
+			directByz, bitsByz)
 	}
 	if directCrash < 5 || bitsCrash < 5 {
 		t.Errorf("crash-only configs hit the CSR direct gather %d times and the bitmap one %d times — property nearly vacuous",
@@ -180,7 +187,7 @@ func TestDirectGatherCrashKinds(t *testing.T) {
 				}
 				ref := must(NewEngine(mk()))
 				eng := must(NewEngine(mk()))
-				if !eng.fastGather || !eng.allIdentity || eng.edges.IsSparse() != forceCSR {
+				if eng.needSize || !eng.allIdentity || eng.edges.IsSparse() != forceCSR {
 					t.Fatalf("%s/%s/csr=%v: not on the direct gather", kind, advName, forceCSR)
 				}
 				rr, ww := referenceRunRounds(ref, 10), eng.RunRounds(10)

@@ -81,17 +81,18 @@ type Engine struct {
 	viewInit   bool
 	crashSched []int // nodes with a scheduled crash, for flag flips
 
-	// fastGather rules out Byzantine senders, link caps and bandwidth
-	// accounting: an in-neighbor then delivers its broadcast unless it
-	// has crashed, or crashes in this round with a DeliverTo list that
-	// leaves the receiver out. Combined with allIdentity (every numbering
-	// is the identity bijection, checked once per Reset) the gather scans
-	// the receiver's in-row (bitmap words or CSR row) straight into the
-	// delivery buffer, skipping the intermediate neighbor list,
-	// outgoing()'s Byzantine and size branches and the cap check per
-	// delivery.
-	fastGather  bool
+	// allIdentity (every numbering is the identity bijection, checked
+	// once per Reset) with no wire-size consumer (needSize: no link caps,
+	// no bandwidth accounting) arms the direct gather: it scans the
+	// receiver's in-row (bitmap words or CSR row) straight into the
+	// delivery buffer, skipping the intermediate neighbor list, the port
+	// map and outgoing()'s size and cap work. An in-neighbor delivers its
+	// broadcast unless it has crashed, or crashes in this round with a
+	// DeliverTo list that leaves the receiver out; a Byzantine one
+	// (hasByz: the run has some) delivers its message for the receiver,
+	// if any.
 	allIdentity bool
+	hasByz      bool
 
 	// Per-round sender census, taken by openRound: how many nodes send
 	// (the lost count's "alive sender" side), and whether some sender
@@ -221,8 +222,7 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	e.viewSkip = adversary.IsOblivious(cfg.Adversary) && len(cfg.Byzantine) == 0
 	e.viewInit = false
-	e.fastGather = len(cfg.Byzantine) == 0 && cfg.MaxMessageBytes == 0 &&
-		cfg.LinkBandwidth == nil && !cfg.AccountBandwidth
+	e.hasByz = len(cfg.Byzantine) > 0
 	// The Metrics sink deliberately does not join this gate: metrics tap
 	// the round from outside and must never change path selection, so a
 	// metrics-enabled run takes bit-for-bit the same route as a disabled
@@ -299,10 +299,10 @@ func (e *Engine) Reset(cfg Config) error {
 // is Byzantine, the edge scratch is CSR (N ≥ network.SparseThreshold,
 // or ForceCSR), and a core is idle (2 × such runs ≤ GOMAXPROCS,
 // process-wide). The adversary sees the same calls in the same order
-// either way, so no result changes. The goroutine exits before Run
-// returns. The adversary may then have rendered one round past the
-// decision round: the engine keeps that graph for a later Step or
-// RunRounds.
+// either way, so no result changes. The goroutine has done its last
+// work when Run returns and exits right after. The adversary may then
+// have rendered one round past the decision round: the engine keeps that
+// graph for a later Step or RunRounds.
 func (e *Engine) Run() *Result {
 	e.run(e.maxRounds, true)
 	return e.finish()
@@ -536,12 +536,13 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 // (Has, or ForEachEdge on a log that is not sorted) forces that.
 func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost int) {
 	liveView := !e.viewSkip
-	// With fastGather and identity ports the gather reads the in-row
-	// straight into the buffer. A round in which every node sends and
-	// none crashes partially (clean) needs no per-sender check at all.
-	direct := e.fastGather && e.allIdentity
+	// With identity ports and no wire sizes to price, the gather reads
+	// the in-row straight into the buffer. A round in which every node sends
+	// its broadcast to all and none crashes partially (clean) needs no
+	// per-sender check at all.
+	direct := !e.needSize && e.allIdentity
 	sparse := edges.IsSparse()
-	clean := e.senders == e.cfg.N && !e.partial
+	clean := e.senders == e.cfg.N && !e.partial && !e.hasByz
 	var inStarts, inIDs []int32
 	broadcasts, deliveries := e.broadcasts, e.deliveries
 	if direct && sparse {
@@ -619,27 +620,45 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 }
 
 // gatherRow is the direct gather over a CSR in-row in a round that is
-// not clean: in-neighbors that no longer send are skipped, and a sender
-// crashing in this round reaches v only if its DeliverTo list allows it
-// (checked only when openRound saw such a crash). It returns the filled
-// prefix of e.deliveries and the number of sending in-neighbors.
+// not clean: in-neighbors that no longer send are skipped, and the
+// others deliver what sent resolves. It returns the filled prefix of
+// e.deliveries and the number of sending in-neighbors.
 func (e *Engine) gatherRow(t, v int, row []int32) ([]core.Delivery, int) {
 	ds := e.deliveries
+	byz := e.hasByz
 	k, heard := 0, 0
 	for _, u := range row {
 		if !e.sends[u] {
 			continue
 		}
 		heard++
-		if e.partial && e.crashRound[u] == t && !e.crashInfo[u].AllowsFinalDelivery(v) {
+		m := e.sent(t, int(u), v, byz)
+		if m == nil {
 			continue
 		}
 		d := &ds[k]
 		d.Port = int(u)
-		d.Msg = e.broadcasts[u]
+		d.Msg = *m
 		k++
 	}
 	return ds[:k], heard
+}
+
+// sent is the message sending node u delivers to receiver v in round t
+// on the direct gather, nil for none: a Byzantine sender's message for
+// v (a nil entry is silence, though v still hears from u), and
+// otherwise u's broadcast unless u crashes in this round with a
+// DeliverTo list that leaves v out (checked only when openRound saw
+// such a crash). byz is e.hasByz, hoisted by the caller, so a round of
+// a run without Byzantine nodes never loads isByz.
+func (e *Engine) sent(t, u, v int, byz bool) *core.Message {
+	if byz && e.isByz[u] {
+		return e.byz[u].out[v]
+	}
+	if e.partial && e.crashRound[u] == t && !e.crashInfo[u].AllowsFinalDelivery(v) {
+		return nil
+	}
+	return &e.broadcasts[u]
 }
 
 // gatherBits is the direct gather over a dense in-row's bitmap words,
@@ -663,6 +682,7 @@ func (e *Engine) gatherBits(t, v int, row []uint64, clean bool) ([]core.Delivery
 		}
 		return ds[:k], k
 	}
+	byz := e.hasByz
 	for _, w := range row {
 		for w != 0 {
 			u := base + bits.TrailingZeros64(w)
@@ -671,12 +691,13 @@ func (e *Engine) gatherBits(t, v int, row []uint64, clean bool) ([]core.Delivery
 				continue
 			}
 			heard++
-			if e.partial && e.crashRound[u] == t && !e.crashInfo[u].AllowsFinalDelivery(v) {
+			m := e.sent(t, u, v, byz)
+			if m == nil {
 				continue
 			}
 			d := &ds[k]
 			d.Port = u
-			d.Msg = e.broadcasts[u]
+			d.Msg = *m
 			k++
 		}
 		base += 64
@@ -684,16 +705,18 @@ func (e *Engine) gatherBits(t, v int, row []uint64, clean bool) ([]core.Delivery
 	return ds[:k], heard
 }
 
-// gatherInNeighbors is the general gather: it iterates only v's actual
-// in-neighbors off the edge set's transposed structure — the bitmap
-// in-row dense, the CSR in-list sparse, both O(in-degree) — resolves
-// each sender's message through outgoing (Byzantine per-receiver choice,
-// crash partial delivery), applies the link cap, maps the sender to v's
-// local port in O(1), and restores the documented ascending-port
-// delivery order — bit-for-bit the order a walk over all n ports
-// produces (the test oracle's gather), because ports are a bijection.
-// Under the identity numbering ascending node order already IS
-// ascending port order and the sort is skipped entirely.
+// gatherInNeighbors is the general gather, for rounds the direct one
+// cannot serve (non-identity ports, link caps, bandwidth accounting): it
+// iterates only v's actual in-neighbors off the edge set's transposed
+// structure — the bitmap in-row dense, the CSR in-list sparse, both
+// O(in-degree) — resolves each sender's message through outgoing
+// (Byzantine per-receiver choice, crash partial delivery), applies the
+// link cap, maps the sender to v's local port in O(1), and restores the
+// documented ascending-port delivery order — bit-for-bit the order a
+// walk over all n ports produces (the test oracle's gather), because
+// ports are a bijection. Under the identity numbering ascending node
+// order already IS ascending port order and the sort is skipped
+// entirely.
 //
 // It fills e.deliveries and returns the filled prefix and the number of
 // sending in-neighbors. Port and Msg are stored field-wise into the

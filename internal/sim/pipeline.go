@@ -62,11 +62,12 @@ func build(adv adversary.InPlace, view adversary.View, r buildReq) (panicked any
 	return nil
 }
 
-// stop ends the stage and waits for its goroutine to exit. A run stops
-// its stage on every way out, a panic from the round included — it then
-// waits out the build in flight — so no build ever runs while the
-// engine is between runs (Reset, Step and a later run touch the spare
-// set and the adversary freely).
+// stop ends the stage and waits until its goroutine has closed done,
+// its last act before it returns. A run stops its stage on every way
+// out, a panic from the round included — it then waits out the build in
+// flight — so no build ever runs while the engine is between runs
+// (Reset, Step and a later run touch the spare set and the adversary
+// freely).
 func (s *buildStage) stop() {
 	close(s.req)
 	for range s.done {

@@ -284,22 +284,36 @@ func TestPipelineIdleCoreBudget(t *testing.T) {
 	})
 }
 
-// TestPipelineNoGoroutineSurvivesRun: the build goroutine exits before
-// Run (or RunRounds) returns.
+// TestPipelineNoGoroutineSurvivesRun: the build goroutine does not
+// outlive Run (or RunRounds). Run returns once serve's deferred
+// close(done) has run, when the goroutine has only to return, so it may
+// still be counted for a moment: the count is polled until it is back
+// to what it was, and a goroutine that never exits fails at the
+// deadline.
 func TestPipelineNoGoroutineSurvivesRun(t *testing.T) {
 	atLeastTwoProcs(t)
 	before := runtime.NumGoroutine()
+	settled := func() int {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			now := runtime.NumGoroutine()
+			if now <= before || time.Now().After(deadline) {
+				return now
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	for _, tc := range pipeCases() {
 		eng := must(NewEngine(tc.mk(t)))
 		eng.Run()
 		if eng.spare == nil {
 			t.Fatalf("%s: Run never built ahead — the check is vacuous", tc.name)
 		}
-		if now := runtime.NumGoroutine(); now > before {
+		if now := settled(); now > before {
 			t.Fatalf("%s: %d goroutines after Run, %d before", tc.name, now, before)
 		}
 		eng.RunRounds(4)
-		if now := runtime.NumGoroutine(); now > before {
+		if now := settled(); now > before {
 			t.Fatalf("%s: %d goroutines after RunRounds, %d before", tc.name, now, before)
 		}
 	}
