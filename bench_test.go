@@ -1,7 +1,8 @@
 package anondyn_test
 
-// The benchmark harness: one BenchmarkE<k> per experiment table in
-// EXPERIMENTS.md (run them with `go test -bench=E -benchmem`), plus
+// The benchmark harness: one BenchmarkE<k> per experiment table that
+// dyna tables -exp E<k> prints and internal/experiments' TestE<k>Shape
+// pins (run them with `go test -bench=E -benchmem`), plus
 // micro-benchmarks of the substrate (engine round throughput, wire
 // codec, dynaDegree checking). Each experiment bench regenerates the
 // full table per iteration, so ns/op is the cost of reproducing that

@@ -1,6 +1,8 @@
-// Command benchgate is the CI bench-regression gate: it compares two
-// Go benchmark output files (the checked-in bench/baseline.txt against
-// a fresh run) and fails when a benchmark regressed beyond the
+package main
+
+// dyna gate is the CI bench-regression gate: it compares two Go
+// benchmark output files (the checked-in bench/baseline.txt against a
+// fresh run) and fails when a benchmark regressed beyond the
 // configured thresholds.
 //
 // allocs/op is the load-bearing signal — allocation counts are
@@ -16,7 +18,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench EngineRound -benchmem -count=5 . > new.txt
-//	benchgate -baseline bench/baseline.txt -new new.txt
+//	dyna gate -baseline bench/baseline.txt -new new.txt
 //
 // With -append (and a mandatory -label), a run that passes the gate is
 // also recorded: the gated benchmarks' ns/op, allocs/op, and (where
@@ -27,33 +29,25 @@
 // previous ledger entry, so the recorded trajectory is visible in the
 // CI log:
 //
-//	benchgate -baseline bench/baseline.txt -new new.txt \
+//	dyna gate -baseline bench/baseline.txt -new new.txt \
 //	    -append bench/BENCH_engine.json -label pr7
-package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out *os.File) error {
-	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+func runGate(args []string) error {
+	out := os.Stdout
+	fs := newFlagSet("gate", "")
 	var (
 		baselinePath = fs.String("baseline", "bench/baseline.txt", "checked-in baseline benchmark output")
 		newPath      = fs.String("new", "", "freshly recorded benchmark output to gate")
@@ -64,7 +58,7 @@ func run(args []string, out *os.File) error {
 		appendPath   = fs.String("append", "", "JSON history file to append the gated medians of a passing run to (requires -label)")
 		label        = fs.String("label", "", "entry label for -append, e.g. a PR number or commit; duplicate labels are rejected")
 	)
-	if err := fs.Parse(args); err != nil {
+	if _, err := parse(fs, args, 0, 0); err != nil {
 		return err
 	}
 	if *newPath == "" {
@@ -133,7 +127,7 @@ func appendHistory(path, label string, fresh samples, names []string, out *os.Fi
 	var history []historyEntry
 	data, err := os.ReadFile(path)
 	switch {
-	case errors.Is(err, fs.ErrNotExist):
+	case errors.Is(err, os.ErrNotExist):
 		// first entry: start a fresh history
 	case err != nil:
 		return err
@@ -315,40 +309,19 @@ func compare(base, fresh []float64, threshold float64) string {
 	if mf <= mb*(1+threshold) {
 		return "ok"
 	}
-	if minOf(fresh) <= maxOf(base) {
+	if slices.Min(fresh) <= slices.Max(base) {
 		return "ok (within noise)"
 	}
 	return "REGRESSED"
 }
 
 func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	s := slices.Sorted(slices.Values(xs))
 	n := len(s)
 	if n%2 == 1 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-func minOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // parseBenchFile reads Go benchmark output.

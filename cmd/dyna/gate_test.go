@@ -32,7 +32,7 @@ func TestGatePassesOnEqualRuns(t *testing.T) {
 	base := write(t, dir, "base.txt", baselineText)
 	// Same numbers, different GOMAXPROCS suffix: must still line up.
 	fresh := write(t, dir, "new.txt", strings.ReplaceAll(baselineText, "-4", "-16"))
-	if err := run([]string{"-baseline", base, "-new", fresh}, os.Stdout); err != nil {
+	if err := runGate([]string{"-baseline", base, "-new", fresh}); err != nil {
 		t.Fatalf("identical runs gated: %v", err)
 	}
 }
@@ -41,7 +41,7 @@ func TestGateFailsOnAllocRegression(t *testing.T) {
 	dir := t.TempDir()
 	base := write(t, dir, "base.txt", baselineText)
 	fresh := write(t, dir, "new.txt", strings.ReplaceAll(baselineText, "98 allocs/op", "140 allocs/op"))
-	if err := run([]string{"-baseline", base, "-new", fresh}, os.Stdout); err == nil {
+	if err := runGate([]string{"-baseline", base, "-new", fresh}); err == nil {
 		t.Fatal("alloc regression passed the gate")
 	}
 }
@@ -54,7 +54,7 @@ func TestGateFailsOnSeparatedNsRegression(t *testing.T) {
 		"26011 ns/op", "299011 ns/op",
 		"25790 ns/op", "297790 ns/op",
 	).Replace(baselineText))
-	if err := run([]string{"-baseline", base, "-new", fresh}, os.Stdout); err == nil {
+	if err := runGate([]string{"-baseline", base, "-new", fresh}); err == nil {
 		t.Fatal("11x ns/op regression passed the gate")
 	}
 }
@@ -71,7 +71,7 @@ func TestGateToleratesMachineDelta(t *testing.T) {
 		"20110 ns/op", "60330 ns/op",
 		"20350 ns/op", "61050 ns/op",
 	).Replace(baselineText))
-	if err := run([]string{"-baseline", base, "-new", fresh}, os.Stdout); err != nil {
+	if err := runGate([]string{"-baseline", base, "-new", fresh}); err != nil {
 		t.Fatalf("3x machine delta gated: %v", err)
 	}
 }
@@ -86,7 +86,7 @@ func TestGateToleratesOverlappingNoise(t *testing.T) {
 		"26011 ns/op", "956011 ns/op",
 		"25790 ns/op", "25800 ns/op",
 	).Replace(baselineText))
-	if err := run([]string{"-baseline", base, "-new", fresh}, os.Stdout); err != nil {
+	if err := runGate([]string{"-baseline", base, "-new", fresh}); err != nil {
 		t.Fatalf("overlapping samples gated: %v", err)
 	}
 }
@@ -95,7 +95,7 @@ func TestGateRejectsVacuousComparison(t *testing.T) {
 	dir := t.TempDir()
 	base := write(t, dir, "base.txt", baselineText)
 	fresh := write(t, dir, "new.txt", "BenchmarkSomethingElse-4 10 5 ns/op 0 allocs/op\n")
-	if err := run([]string{"-baseline", base, "-new", fresh}, os.Stdout); err == nil {
+	if err := runGate([]string{"-baseline", base, "-new", fresh}); err == nil {
 		t.Fatal("gate with no common benchmarks passed")
 	}
 }
@@ -106,10 +106,10 @@ func TestGateBenchFilter(t *testing.T) {
 	// Regress only the compiled benchmark, then gate only EngineRound/:
 	// the filter must keep the job green.
 	fresh := write(t, dir, "new.txt", strings.ReplaceAll(baselineText, "20 allocs/op", "80 allocs/op"))
-	if err := run([]string{"-baseline", base, "-new", fresh, "-bench", "EngineRound/"}, os.Stdout); err != nil {
+	if err := runGate([]string{"-baseline", base, "-new", fresh, "-bench", "EngineRound/"}); err != nil {
 		t.Fatalf("filtered gate failed: %v", err)
 	}
-	if err := run([]string{"-baseline", base, "-new", fresh}, os.Stdout); err == nil {
+	if err := runGate([]string{"-baseline", base, "-new", fresh}); err == nil {
 		t.Fatal("unfiltered gate missed the compiled regression")
 	}
 }
@@ -127,8 +127,8 @@ func TestGateRequireSatisfied(t *testing.T) {
 	dir := t.TempDir()
 	base := write(t, dir, "base.txt", densityText)
 	fresh := write(t, dir, "new.txt", densityText)
-	err := run([]string{"-baseline", base, "-new", fresh,
-		"-require", `EngineRound/n=51/p=0\.1, EngineRound/n=51/d=4`}, os.Stdout)
+	err := runGate([]string{"-baseline", base, "-new", fresh,
+		"-require", `EngineRound/n=51/p=0\.1, EngineRound/n=51/d=4`})
 	if err != nil {
 		t.Fatalf("satisfied -require rejected: %v", err)
 	}
@@ -139,8 +139,8 @@ func TestGateRequireMissingBenchmark(t *testing.T) {
 	base := write(t, dir, "base.txt", densityText)
 	// The density axis vanished from the fresh run: coverage error.
 	fresh := write(t, dir, "new.txt", strings.ReplaceAll(densityText, "/p=0.1", ""))
-	err := run([]string{"-baseline", base, "-new", fresh,
-		"-require", `EngineRound/n=51/p=0\.1`}, os.Stdout)
+	err := runGate([]string{"-baseline", base, "-new", fresh,
+		"-require", `EngineRound/n=51/p=0\.1`})
 	if err == nil || !strings.Contains(err.Error(), "-require") {
 		t.Fatalf("missing required benchmark not surfaced: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestGateRequireBadPattern(t *testing.T) {
 	dir := t.TempDir()
 	base := write(t, dir, "base.txt", densityText)
 	fresh := write(t, dir, "new.txt", densityText)
-	err := run([]string{"-baseline", base, "-new", fresh, "-require", "("}, os.Stdout)
+	err := runGate([]string{"-baseline", base, "-new", fresh, "-require", "("})
 	if err == nil || !strings.Contains(err.Error(), "-require") {
 		t.Fatalf("invalid -require pattern not surfaced: %v", err)
 	}
@@ -165,12 +165,12 @@ func TestAppendHistoryRoundTrip(t *testing.T) {
 	fresh := write(t, dir, "new.txt", baselineText)
 	hist := filepath.Join(dir, "BENCH_engine.json")
 
-	if err := run([]string{"-baseline", base, "-new", fresh,
-		"-append", hist, "-label", "pr6"}, os.Stdout); err != nil {
+	if err := runGate([]string{"-baseline", base, "-new", fresh,
+		"-append", hist, "-label", "pr6"}); err != nil {
 		t.Fatalf("first append: %v", err)
 	}
-	if err := run([]string{"-baseline", base, "-new", fresh,
-		"-append", hist, "-label", "pr7"}, os.Stdout); err != nil {
+	if err := runGate([]string{"-baseline", base, "-new", fresh,
+		"-append", hist, "-label", "pr7"}); err != nil {
 		t.Fatalf("second append: %v", err)
 	}
 
@@ -216,21 +216,8 @@ func TestAppendRecordsNsEdge(t *testing.T) {
 		"50.70 ns/edge", "46.80 ns/edge",
 	).Replace(edgeText))
 	hist := filepath.Join(dir, "hist.json")
-	logPath := filepath.Join(dir, "log.txt")
-	logFile, err := os.Create(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer logFile.Close()
-
-	if err := run([]string{"-baseline", base, "-new", fresh,
-		"-append", hist, "-label", "pr6"}, logFile); err != nil {
-		t.Fatalf("first append: %v", err)
-	}
-	if err := run([]string{"-baseline", base, "-new", faster,
-		"-append", hist, "-label", "pr7"}, logFile); err != nil {
-		t.Fatalf("second append: %v", err)
-	}
+	stdoutOf(t, "gate", "-baseline", base, "-new", fresh, "-append", hist, "-label", "pr6")
+	log := stdoutOf(t, "gate", "-baseline", base, "-new", faster, "-append", hist, "-label", "pr7")
 
 	data, err := os.ReadFile(hist)
 	if err != nil {
@@ -243,10 +230,6 @@ func TestAppendRecordsNsEdge(t *testing.T) {
 	m := history[0].Benchmarks["BenchmarkEngineRound/n=1025/p=8n"]
 	if m.NsEdge < 50.59 || m.NsEdge > 50.61 {
 		t.Errorf("recorded ns_edge = %v, want the median ≈50.6", m.NsEdge)
-	}
-	log, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, want := range []string{`since "pr6"`, "ns/op", "allocs/op", "ns/edge", "%)"} {
 		if !strings.Contains(string(log), want) {
@@ -263,10 +246,10 @@ func TestAppendRejectsDuplicateLabel(t *testing.T) {
 	fresh := write(t, dir, "new.txt", baselineText)
 	hist := filepath.Join(dir, "hist.json")
 	args := []string{"-baseline", base, "-new", fresh, "-append", hist, "-label", "pr6"}
-	if err := run(args, os.Stdout); err != nil {
+	if err := runGate(args); err != nil {
 		t.Fatalf("first append: %v", err)
 	}
-	if err := run(args, os.Stdout); err == nil || !strings.Contains(err.Error(), "already recorded") {
+	if err := runGate(args); err == nil || !strings.Contains(err.Error(), "already recorded") {
 		t.Fatalf("duplicate label not rejected: %v", err)
 	}
 }
@@ -278,12 +261,12 @@ func TestAppendGuards(t *testing.T) {
 	base := write(t, dir, "base.txt", baselineText)
 	fresh := write(t, dir, "new.txt", baselineText)
 	hist := filepath.Join(dir, "hist.json")
-	if err := run([]string{"-baseline", base, "-new", fresh, "-append", hist}, os.Stdout); err == nil {
+	if err := runGate([]string{"-baseline", base, "-new", fresh, "-append", hist}); err == nil {
 		t.Fatal("-append without -label accepted")
 	}
 	regressed := write(t, dir, "bad.txt", strings.ReplaceAll(baselineText, "98 allocs/op", "140 allocs/op"))
-	if err := run([]string{"-baseline", base, "-new", regressed,
-		"-append", hist, "-label", "pr6"}, os.Stdout); err == nil {
+	if err := runGate([]string{"-baseline", base, "-new", regressed,
+		"-append", hist, "-label", "pr6"}); err == nil {
 		t.Fatal("regressed run passed")
 	}
 	if _, err := os.Stat(hist); !os.IsNotExist(err) {
@@ -312,7 +295,7 @@ func TestGateVacuousErrorMessage(t *testing.T) {
 	dir := t.TempDir()
 	base := write(t, dir, "base.txt", baselineText)
 	fresh := write(t, dir, "new.txt", "BenchmarkSomethingElse-4 10 5 ns/op 0 allocs/op\n")
-	err := run([]string{"-baseline", base, "-new", fresh}, os.Stdout)
+	err := runGate([]string{"-baseline", base, "-new", fresh})
 	if err == nil || !strings.Contains(err.Error(), "no common benchmarks") {
 		t.Fatalf("vacuous gate error = %v, want a configuration error", err)
 	}

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -18,57 +16,31 @@ import (
 	"anondyn/internal/spec"
 )
 
-const specPath = "../../examples/specs/er-crash-sweep.yaml"
-
-func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-workers", "h:1"}); err == nil || !strings.Contains(err.Error(), "-spec") {
+func TestFleetRejectsBadFlags(t *testing.T) {
+	if err := run([]string{"sweep", "-fleet", "h:1"}); err == nil || !strings.Contains(err.Error(), "-spec") {
 		t.Errorf("missing -spec: %v", err)
 	}
-	if err := run([]string{"-spec", specPath}); err == nil || !strings.Contains(err.Error(), "-workers") {
-		t.Errorf("missing -workers: %v", err)
-	}
-	if err := run([]string{"-badflag"}); err == nil {
+	if err := run([]string{"sweep", "-fleet", "h:1", "-badflag"}); err == nil {
 		t.Error("bad flag accepted")
 	}
-	if err := run([]string{"-spec", "no-such-file.yaml", "-workers", "h:1"}); err == nil {
+	if err := run([]string{"sweep", "-spec", "no-such-file.yaml", "-fleet", "h:1"}); err == nil {
 		t.Error("missing spec file accepted")
 	}
-	if err := run([]string{"-spec", specPath, "-spec-dir", ".", "-workers", "h:1"}); err == nil ||
+	if err := run([]string{"sweep", "-spec", specPath, "-spec-dir", ".", "-fleet", "h:1"}); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("-spec with -spec-dir: %v", err)
 	}
-	if err := run([]string{"-spec-dir", t.TempDir(), "-workers", "h:1"}); err == nil ||
+	if err := run([]string{"sweep", "-spec-dir", t.TempDir(), "-fleet", "h:1"}); err == nil ||
 		!strings.Contains(err.Error(), "no scenario files") {
 		t.Errorf("empty -spec-dir: %v", err)
 	}
 }
 
-// startWorkers spins n in-process sweep workers and returns their
-// address list.
-func startWorkers(t *testing.T, n int) string {
-	t.Helper()
-	var addrs []string
-	for i := 0; i < n; i++ {
-		w, err := shard.NewWorker("127.0.0.1:0", shard.WorkerOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs = append(addrs, w.Addr())
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			w.Serve() //nolint:errcheck
-		}()
-		t.Cleanup(func() { w.Close(); <-done })
-	}
-	return strings.Join(addrs, ",")
-}
-
-func TestRunEndToEndJSONReport(t *testing.T) {
-	workers := startWorkers(t, 2)
+func TestFleetJSONReport(t *testing.T) {
+	fleet := startWorkers(t, 2)
 	out := filepath.Join(t.TempDir(), "dist.json")
 	err := run([]string{
-		"-spec", specPath, "-workers", workers, "-seeds", "3",
+		"sweep", "-spec", specPath, "-fleet", fleet, "-seeds", "3",
 		"-timeout", (10 * time.Second).String(), "-quiet", "-report", out,
 	})
 	if err != nil {
@@ -100,11 +72,11 @@ func TestRunEndToEndJSONReport(t *testing.T) {
 	}
 }
 
-func TestRunEndToEndCSVReport(t *testing.T) {
-	workers := startWorkers(t, 1)
+func TestFleetCSVReport(t *testing.T) {
+	fleet := startWorkers(t, 1)
 	out := filepath.Join(t.TempDir(), "dist.csv")
 	err := run([]string{
-		"-spec", specPath, "-workers", workers, "-seeds", "1",
+		"sweep", "-spec", specPath, "-fleet", fleet, "-seeds", "1",
 		"-quiet", "-report", out,
 	})
 	if err != nil {
@@ -124,11 +96,11 @@ func TestRunEndToEndCSVReport(t *testing.T) {
 	}
 }
 
-// TestRunSpecDirBatch: the batch mode must run every spec in the
+// TestFleetSpecDirBatch: the batch mode must run every spec in the
 // directory through the coordinator over ONE worker fleet (the workers
 // are never restarted between sweeps), producing per-spec rows
 // identical to single-spec runs.
-func TestRunSpecDirBatch(t *testing.T) {
+func TestFleetSpecDirBatch(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"a-first.yaml", "b-second.yaml"} {
 		data, err := os.ReadFile(specPath)
@@ -143,12 +115,12 @@ func TestRunSpecDirBatch(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("not a spec"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	workers := startWorkers(t, 2)
+	fleet := startWorkers(t, 2)
 	// A file report target fans out to one derived file per spec
 	// (out.json → out-a-first.json, out-b-second.json).
 	repBase := filepath.Join(t.TempDir(), "out.json")
 	err := run([]string{
-		"-spec-dir", dir, "-workers", workers, "-seeds", "2",
+		"sweep", "-spec-dir", dir, "-fleet", fleet, "-seeds", "2",
 		"-timeout", (10 * time.Second).String(), "-quiet", "-report", repBase,
 	})
 	if err != nil {
@@ -172,32 +144,15 @@ func TestRunSpecDirBatch(t *testing.T) {
 	// processes survive the whole batch.
 	out := filepath.Join(t.TempDir(), "after.json")
 	if err := run([]string{
-		"-spec", specPath, "-workers", workers, "-seeds", "2", "-quiet", "-report", out,
+		"sweep", "-spec", specPath, "-fleet", fleet, "-seeds", "2", "-quiet", "-report", out,
 	}); err != nil {
 		t.Fatalf("fleet unusable after batch: %v", err)
 	}
 }
 
-// TestServiceModeFlagValidation: the service flags are modes of their
-// own and reject the one-shot flag set.
-func TestServiceModeFlagValidation(t *testing.T) {
-	if err := run([]string{"-serve-coordinator", ":0", "-spec", specPath}); err == nil ||
-		!strings.Contains(err.Error(), "-submit") {
-		t.Errorf("-serve-coordinator with -spec: %v", err)
-	}
-	if err := run([]string{"-submit", "127.0.0.1:1"}); err == nil ||
-		!strings.Contains(err.Error(), "-spec") {
-		t.Errorf("-submit without -spec: %v", err)
-	}
-	if err := run([]string{"-submit", "127.0.0.1:1", "-spec", specPath, "-workers", "h:1"}); err == nil ||
-		!strings.Contains(err.Error(), "one-shot") {
-		t.Errorf("-submit with -workers: %v", err)
-	}
-}
-
 // startPlaneWithWorker runs a resident control plane with one joined
-// worker — the topology behind `dynagrid -serve-coordinator` plus
-// `dynabench -join` — and returns the plane's address.
+// worker — the topology behind dyna serve plus dyna join — and returns
+// the plane's address.
 func startPlaneWithWorker(t *testing.T, token string) string {
 	t.Helper()
 	cp, err := shard.NewControlPlane(shard.PlaneOptions{
@@ -233,13 +188,13 @@ func startPlaneWithWorker(t *testing.T, token string) string {
 	return cp.Addr()
 }
 
-// TestSubmitAgainstControlPlane: `dynagrid -submit` against a resident
-// plane yields the same report envelope and rows as a local run.
+// TestSubmitAgainstControlPlane: dyna submit against a resident plane
+// yields the same report envelope and rows as a local run.
 func TestSubmitAgainstControlPlane(t *testing.T) {
 	addr := startPlaneWithWorker(t, "s3cret")
 	out := filepath.Join(t.TempDir(), "submitted.json")
 	err := run([]string{
-		"-submit", addr, "-spec", specPath, "-seeds", "2", "-token", "s3cret",
+		"submit", addr, "-spec", specPath, "-seeds", "2", "-token", "s3cret",
 		"-timeout", (10 * time.Second).String(), "-quiet", "-report", out,
 	})
 	if err != nil {
@@ -269,10 +224,48 @@ func TestSubmitAgainstControlPlane(t *testing.T) {
 	}
 	// Wrong token: the plane refuses the submission.
 	if err := run([]string{
-		"-submit", addr, "-spec", specPath, "-seeds", "1", "-token", "nope",
+		"submit", addr, "-spec", specPath, "-seeds", "1", "-token", "nope",
 		"-timeout", (5 * time.Second).String(), "-quiet",
 	}); err == nil {
 		t.Error("submit with wrong token succeeded")
+	}
+}
+
+// TestServeJoinDrain drives the service subcommands end to end: a
+// joined worker serves a submitted sweep, status answers, and one
+// SIGINT drains both the plane and the worker, which then return nil.
+func TestServeJoinDrain(t *testing.T) {
+	const addr = "127.0.0.1:17312"
+	done := make(chan error, 2)
+	go func() { done <- run([]string{"serve", addr, "-quiet"}) }()
+	go func() { done <- run([]string{"join", addr, "-workers", "1"}) }()
+	out := filepath.Join(t.TempDir(), "s.json")
+	var err error
+	for i := 0; i < 100; i++ { // until the plane listens
+		if err = run([]string{"submit", addr, "-spec", specPath, "-seeds", "1", "-quiet", "-report", out}); err == nil {
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	// stdout stays put: serve and join write to it concurrently.
+	if err := run([]string{"status", addr}); err != nil {
+		t.Errorf("status: %v", err)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("after the drain: %v", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("serve and join did not drain")
+		}
 	}
 }
 
@@ -289,11 +282,11 @@ func TestSpecDirHTMLIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	workers := startWorkers(t, 2)
+	fleet := startWorkers(t, 2)
 	outDir := t.TempDir()
 	index := filepath.Join(outDir, "out.html")
 	err := run([]string{
-		"-spec-dir", dir, "-workers", workers, "-seeds", "1",
+		"sweep", "-spec-dir", dir, "-fleet", fleet, "-seeds", "1",
 		"-timeout", (10 * time.Second).String(), "-quiet", "-report", index,
 	})
 	if err != nil {
@@ -319,14 +312,14 @@ func TestSpecDirHTMLIndex(t *testing.T) {
 	}
 }
 
-// TestRunCSVReportStreamsRows: a file CSV target is written row by row
+// TestFleetCSVReportStreamsRows: a file CSV target is written row by row
 // during the sweep, yet ends up byte-identical to the buffered table of
 // a local run — the diffable-artifact contract.
-func TestRunCSVReportStreamsRows(t *testing.T) {
-	workers := startWorkers(t, 2)
+func TestFleetCSVReportStreamsRows(t *testing.T) {
+	fleet := startWorkers(t, 2)
 	out := filepath.Join(t.TempDir(), "dist.csv")
 	err := run([]string{
-		"-spec", specPath, "-workers", workers, "-seeds", "2",
+		"sweep", "-spec", specPath, "-fleet", fleet, "-seeds", "2",
 		"-timeout", (10 * time.Second).String(), "-quiet", "-report", out,
 	})
 	if err != nil {
@@ -384,7 +377,7 @@ func TestSpecDirErrorClosesRowStreams(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			err := run([]string{"-spec-dir", dir, "-workers", "127.0.0.1:1", "-quiet",
+			err := run([]string{"sweep", "-spec-dir", dir, "-fleet", "127.0.0.1:1", "-quiet",
 				"-report", filepath.Join(outDir, "out.csv")})
 			if err == nil {
 				t.Fatal("run succeeded")
@@ -407,98 +400,5 @@ func TestSplitAddrs(t *testing.T) {
 	want := []string{"a:1", "b:2", "c:3"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("splitAddrs = %v, want %v", got, want)
-	}
-}
-
-// TestCPUProfileFlag: -cpuprofile writes a complete profile on the
-// success path and on an early error return alike, and an uncreatable
-// file fails the command before anything runs.
-func TestCPUProfileFlag(t *testing.T) {
-	workers := startWorkers(t, 2)
-	dir := t.TempDir()
-	prof := filepath.Join(dir, "grid.prof")
-	if err := run([]string{"-spec", specPath, "-workers", workers, "-seeds", "2", "-quiet",
-		"-report", filepath.Join(dir, "ok.json"), "-cpuprofile", prof}); err != nil {
-		t.Fatal(err)
-	}
-	assertPprof(t, prof)
-
-	early := filepath.Join(dir, "early.prof")
-	if err := run([]string{"-spec", specPath, "-cpuprofile", early}); err == nil {
-		t.Fatal("one-shot run without -workers accepted")
-	}
-	assertPprof(t, early)
-
-	out := filepath.Join(dir, "grid.json")
-	err := run([]string{"-spec", specPath, "-workers", workers, "-seeds", "2", "-quiet", "-report", out,
-		"-cpuprofile", filepath.Join(dir, "missing", "x.prof")})
-	if err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
-		t.Fatalf("uncreatable profile file: err = %v", err)
-	}
-	if _, statErr := os.Stat(out); statErr == nil {
-		t.Error("the sweep ran although the profile file could not be created")
-	}
-}
-
-// TestExecTraceFlag: -exectrace writes a complete runtime execution
-// trace on the success path and on an early error return alike, and an
-// uncreatable file fails the command before anything runs.
-func TestExecTraceFlag(t *testing.T) {
-	workers := startWorkers(t, 2)
-	dir := t.TempDir()
-	tr := filepath.Join(dir, "grid.trace")
-	if err := run([]string{"-spec", specPath, "-workers", workers, "-seeds", "2", "-quiet",
-		"-report", filepath.Join(dir, "ok.json"), "-exectrace", tr}); err != nil {
-		t.Fatal(err)
-	}
-	assertExecTrace(t, tr)
-
-	early := filepath.Join(dir, "early.trace")
-	if err := run([]string{"-spec", specPath, "-exectrace", early}); err == nil {
-		t.Fatal("one-shot run without -workers accepted")
-	}
-	assertExecTrace(t, early)
-
-	out := filepath.Join(dir, "grid.json")
-	err := run([]string{"-spec", specPath, "-workers", workers, "-seeds", "2", "-quiet", "-report", out,
-		"-exectrace", filepath.Join(dir, "missing", "x.trace")})
-	if err == nil || !strings.Contains(err.Error(), "-exectrace") {
-		t.Fatalf("uncreatable trace file: err = %v", err)
-	}
-	if _, statErr := os.Stat(out); statErr == nil {
-		t.Error("the sweep ran although the trace file could not be created")
-	}
-}
-
-// assertExecTrace checks that path holds a runtime execution trace: a
-// "go 1.N trace" header followed by event batches.
-func assertExecTrace(t *testing.T, path string) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte("go 1.")) || !bytes.Contains(data[:min(len(data), 16)], []byte(" trace")) || len(data) <= 16 {
-		t.Fatalf("%s is not an execution trace (%d bytes, starts %q)", path, len(data), data[:min(len(data), 16)])
-	}
-}
-
-// assertPprof checks that path holds a CPU profile: pprof files are
-// gzip-compressed protobuf, so a clean, non-empty inflate is the check
-// the standard library lets a test make.
-func assertPprof(t *testing.T, path string) {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatalf("%s is not a pprof file: %v", path, err)
-	}
-	body, err := io.ReadAll(zr)
-	if err != nil || len(body) == 0 {
-		t.Fatalf("%s: profile inflates to %d bytes (err %v)", path, len(body), err)
 	}
 }

@@ -1,35 +1,31 @@
-// Command dynasim runs one consensus scenario on the simulated
-// anonymous dynamic network and reports outputs, rounds, the property
-// checks of Definition 3, and the dynaDegree the adversary actually
-// provided. With -seeds > 1 it runs a seeded Monte-Carlo batch of the
-// same scenario on a worker pool and reports streaming aggregates
-// instead; -report writes the batch report ("csv"/"json"/"html" stream
-// to stdout, a path picks the format from its extension — .csv, .html
-// for a self-contained HTML page, anything else JSON). -metrics streams
+package main
+
+// dyna run runs one consensus scenario on the simulated anonymous
+// dynamic network and reports outputs, rounds, the property checks of
+// Definition 3, and the dynaDegree the adversary actually provided.
+// With -seeds > 1 it runs a seeded Monte-Carlo batch of the same
+// scenario on a worker pool and reports streaming aggregates instead;
+// -report writes the batch report ("csv"/"json"/"html" stream to
+// stdout, a path picks the format from its extension — .csv, .html for
+// a self-contained HTML page, anything else JSON). -metrics streams
 // live telemetry snapshots as NDJSON to a file or TCP address.
 //
 // The scenario flags compile to a declarative sweep (a 1-cell matrix)
-// in the format dynabench sweeps and the committed examples/specs
-// artifacts use, and dynasim runs exactly that sweep: -save-spec writes
-// it to a file, and -spec runs such a file through the same local path
-// as dynabench -spec (description banner, aggregate table, verdicts,
-// and the sweep envelope for -report).
+// in the format of dyna sweep and the committed examples/specs
+// artifacts, and run runs exactly that sweep: -save-spec writes it to a
+// file, which dyna sweep -spec runs.
 //
-// Examples:
-//
-//	dynasim -algo dac  -n 7  -f 2 -adversary rotating:3 -crash 1@3,4@6
-//	dynasim -algo dbac -n 11 -f 2 -adversary complete -byz 4:equivocate,9:extremist:1
-//	dynasim -algo dac  -n 3  -adversary fig1 -eps 0.01 -trace run.jsonl
-//	dynasim -algo dac  -n 6  -adversary halves -rounds 100   # stalls: below threshold
-//	dynasim -algo dac  -n 9  -adversary er:0.3 -inputs random -seeds 200 -workers 8 -report batch.json
-//	dynasim -algo dac  -n 9  -adversary er:0.3 -save-spec er.yaml   # flags → artifact
-//	dynasim -spec er.yaml -seeds 50                                 # artifact → sweep
-package main
+//	dyna run -algo dac  -n 7  -f 2 -adversary rotating:3 -crash 1@3,4@6
+//	dyna run -algo dbac -n 11 -f 2 -adversary complete -byz 4:equivocate,9:extremist:1
+//	dyna run -algo dac  -n 3  -adversary fig1 -eps 0.01 -trace run.jsonl
+//	dyna run -algo dac  -n 6  -adversary halves -rounds 100   # stalls: below threshold
+//	dyna run -algo dac  -n 9  -adversary er:0.3 -inputs random -seeds 200 -workers 8 -report batch.json
+//	dyna run -algo dac  -n 9  -adversary er:0.3 -save-spec er.yaml   # flags → artifact
+//	dyna sweep -spec er.yaml -seeds 50                               # artifact → sweep
 
 import (
 	"encoding/csv"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -44,30 +40,23 @@ import (
 	"anondyn/internal/trace"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "dynasim:", err)
-		os.Exit(1)
-	}
+// scenarioFlags holds dyna run's command line.
+type scenarioFlags struct {
+	algo, adversary, crash, byz, inputs string
+	n, f, window, megaT, pEnd, rounds   int
+	eps                                 float64
+	seed                                int64
+	randPorts, shuffle, series          bool
+	maxBytes, seeds, workers            int
+	trace, saveSpec                     string
+	report                              *report.Target
+	proc                                process
 }
 
-// flags holds dynasim's command line.
-type flags struct {
-	algo, adversary, crash, byz, inputs   string
-	n, f, window, megaT, pEnd, rounds     int
-	eps                                   float64
-	seed                                  int64
-	randPorts, shuffle, series, validate  bool
-	maxBytes, seeds, workers              int
-	trace, report, metrics                string
-	spec, saveSpec, cpuProfile, execTrace string
-	seedsSet                              bool // -seeds given explicitly
-}
-
-// parseFlags reads the command line into flags.
-func parseFlags(args []string) (*flags, error) {
-	fl := &flags{}
-	fs := flag.NewFlagSet("dynasim", flag.ContinueOnError)
+// parseFlags reads the command line into scenarioFlags.
+func parseFlags(args []string) (*scenarioFlags, error) {
+	fl := &scenarioFlags{}
+	fs := newFlagSet("run", "")
 	fs.StringVar(&fl.algo, "algo", "dac", "algorithm: dac, dbac, dbac-pb, megaround, fullinfo, reliter, bacrel, floodmin")
 	fs.IntVar(&fl.n, "n", 7, "network size")
 	fs.IntVar(&fl.f, "f", 0, "fault bound")
@@ -86,104 +75,62 @@ func parseFlags(args []string) (*flags, error) {
 	fs.BoolVar(&fl.series, "series", false, "print the per-round convergence curve (log-scale sparkline)")
 	fs.IntVar(&fl.maxBytes, "maxbytes", 0, "per-link bandwidth budget in bytes (0 = unlimited)")
 	fs.BoolVar(&fl.shuffle, "shuffle", false, "randomize intra-round delivery order (seeded)")
-	fs.IntVar(&fl.seeds, "seeds", 1, "number of seeded runs; > 1 switches to Monte-Carlo batch mode (with -spec: override the file's seeds_per_cell)")
+	fs.IntVar(&fl.seeds, "seeds", 1, "number of seeded runs; > 1 switches to Monte-Carlo batch mode")
 	fs.IntVar(&fl.workers, "workers", 0, "batch worker-pool size (0 = GOMAXPROCS)")
-	fs.StringVar(&fl.report, "report", "", `batch report (implies batch mode; with -spec, the sweep report): "csv"/"json"/"html" for stdout, or a path (.csv/.html → that format, else JSON)`)
-	fs.StringVar(&fl.metrics, "metrics", "", "stream live metrics snapshots as NDJSON to this file or host:port address")
-	fs.StringVar(&fl.spec, "spec", "", "run the sweep defined in this YAML/JSON scenario file instead of the flag scenario")
+	fl.report = addReport(fs, "; implies batch mode")
 	fs.StringVar(&fl.saveSpec, "save-spec", "", "write the flag scenario as a declarative spec file before running")
-	fs.StringVar(&fl.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof)")
-	fs.StringVar(&fl.execTrace, "exectrace", "", "write a runtime execution trace of the whole run to this file (read it with go tool trace)")
-	fs.BoolVar(&fl.validate, "validate", false, "with -spec: parse, validate and compile the spec, then exit without running")
-	if err := fs.Parse(args); err != nil {
+	fl.proc = addProcess(fs)
+	if _, err := parse(fs, args, 0, 0); err != nil {
 		return nil, err
 	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seeds" {
-			fl.seedsSet = true
-		}
-	})
 	return fl, nil
 }
 
 // batch reports whether the flags ask for a Monte-Carlo batch rather
 // than one observed run.
-func (fl *flags) batch() bool { return fl.seeds > 1 || fl.report != "" }
+func (fl *scenarioFlags) batch() bool { return fl.seeds > 1 || fl.report.Enabled() }
 
-func run(args []string) (err error) {
+func runScenario(args []string) error {
 	fl, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
+	return fl.proc(func(coll *metrics.Collector) error {
+		opts := anondyn.BatchOptions{Workers: fl.workers}
+		if coll != nil {
+			opts.Metrics = coll
+		}
+		if fl.seeds < 1 {
+			return fmt.Errorf("-seeds wants a positive count (got %d)", fl.seeds)
+		}
+		if fl.batch() && (fl.trace != "" || fl.series) {
+			return fmt.Errorf("-trace and -series are per-run views; they do not combine with batch mode (-seeds/-report)")
+		}
+		if fl.saveSpec != "" && (fl.randPorts || fl.shuffle) {
+			return fmt.Errorf("-save-spec cannot capture -randports or -shuffle (not spec-expressible)")
+		}
 
-	coll, stop, err := metrics.StartProcess(fl.cpuProfile, fl.execTrace, fl.metrics)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if serr := stop(); err == nil {
-			err = serr
-		}
-	}()
-	opts := anondyn.BatchOptions{Workers: fl.workers}
-	if coll != nil {
-		opts.Metrics = coll
-	}
-	target := report.ParseTarget(fl.report)
-
-	if fl.spec != "" {
-		if fl.trace != "" || fl.series {
-			return fmt.Errorf("-spec runs a sweep; -trace and -series do not apply")
-		}
-		if fl.saveSpec != "" {
-			return fmt.Errorf("-save-spec captures the scenario flags; it does not combine with -spec")
-		}
-		seedsOverride := 0
-		if fl.seedsSet {
-			seedsOverride = fl.seeds
-		}
-		if fl.validate {
-			return spec.Validate(os.Stdout, fl.spec)
-		}
-		sw, grid, err := spec.Load(fl.spec, seedsOverride)
+		sw, grid, err := fl.compile()
 		if err != nil {
 			return err
 		}
-		return report.RunLocal(sw, grid, fl.spec, opts, target)
-	}
-	if fl.validate {
-		return fmt.Errorf("-validate wants -spec (it dry-runs spec files)")
-	}
-	if fl.seeds < 1 {
-		return fmt.Errorf("-seeds wants a positive count (got %d)", fl.seeds)
-	}
-	if fl.batch() && (fl.trace != "" || fl.series) {
-		return fmt.Errorf("-trace and -series are per-run views; they do not combine with batch mode (-seeds/-report)")
-	}
-	if fl.saveSpec != "" && (fl.randPorts || fl.shuffle) {
-		return fmt.Errorf("-save-spec cannot capture -randports or -shuffle (not spec-expressible)")
-	}
-
-	sw, grid, err := fl.compile()
-	if err != nil {
-		return err
-	}
-	if fl.saveSpec != "" {
-		if err := report.SaveSpec(fl.saveSpec, "saved from dynasim flags", sw, target); err != nil {
-			return err
+		if fl.saveSpec != "" {
+			if err := report.SaveSpec(fl.saveSpec, "saved from dyna run flags", sw, *fl.report); err != nil {
+				return err
+			}
 		}
-	}
-	if fl.batch() {
-		return runBatch(fl, grid, target, opts)
-	}
-	opts.Workers = 1
-	return runSingle(fl, grid, opts)
+		if fl.batch() {
+			return runBatch(fl, grid, *fl.report, opts)
+		}
+		opts.Workers = 1
+		return runSingle(fl, grid, opts)
+	})
 }
 
 // compile turns the flags into the sweep that runs and its grid. The
 // per-run knobs a spec does not express (-randports, -shuffle) ride on
 // the grid's compiled per-run hook.
-func (fl *flags) compile() (*spec.Sweep, anondyn.Grid, error) {
+func (fl *scenarioFlags) compile() (*spec.Sweep, anondyn.Grid, error) {
 	sw, err := fl.sweep()
 	if err != nil {
 		return nil, anondyn.Grid{}, err
@@ -213,7 +160,7 @@ func wrapMutate(g *anondyn.Grid, extra func(s *anondyn.Scenario)) {
 // runSingle executes the grid's one run with the phase tracker, the
 // dynaDegree trace and the optional series and event recorder attached,
 // and prints what they observed.
-func runSingle(fl *flags, grid anondyn.Grid, opts anondyn.BatchOptions) error {
+func runSingle(fl *scenarioFlags, grid anondyn.Grid, opts anondyn.BatchOptions) error {
 	tracker := anondyn.NewPhaseTracker()
 	var series *anondyn.RangeSeries
 	if fl.series {
@@ -419,7 +366,7 @@ func (r *batchReport) WriteHTML(w io.Writer) error {
 // runBatch executes the grid's seed batch on the worker pool,
 // streaming every result through the aggregate and the per-run rows,
 // and prints (and optionally writes) the aggregates.
-func runBatch(fl *flags, grid anondyn.Grid, target report.Target, opts anondyn.BatchOptions) error {
+func runBatch(fl *scenarioFlags, grid anondyn.Grid, target report.Target, opts anondyn.BatchOptions) error {
 	stats := &anondyn.BatchStats{Eps: fl.eps}
 	rows := make([]seedRow, 0, fl.seeds)
 	err := grid.RunEach(opts, func(_ anondyn.Cell, _, run int, seed int64, res *anondyn.Result) error {
@@ -480,11 +427,11 @@ func runBatch(fl *flags, grid anondyn.Grid, target report.Target, opts anondyn.B
 }
 
 // sweep compiles the scenario flags into the 1-cell declarative sweep
-// dynasim runs and -save-spec writes. Batch mode accounts bandwidth,
+// run runs and -save-spec writes. Batch mode accounts bandwidth,
 // so only a batch's sweep sets account_bandwidth. The sweep passes
 // through Encode and Parse, so the flags meet the checks a spec file
 // meets, with the same key-citing errors.
-func (fl *flags) sweep() (*spec.Sweep, error) {
+func (fl *scenarioFlags) sweep() (*spec.Sweep, error) {
 	crashes, err := parseCrashes(fl.crash)
 	if err != nil {
 		return nil, err

@@ -2,10 +2,8 @@ package main
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/csv"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,11 +11,10 @@ import (
 	"testing"
 
 	"anondyn"
-	"anondyn/internal/report"
 	"anondyn/internal/spec"
 )
 
-// flagScenario compiles args the way run does — flags → sweep → grid —
+// flagScenario compiles args the way dyna run does — flags → sweep → grid —
 // and returns the Scenario of the run they describe, as the grid
 // assembles it. The probe run that assembles it is cut to one round.
 func flagScenario(t *testing.T, args ...string) anondyn.Scenario {
@@ -57,7 +54,7 @@ func TestParseAlgo(t *testing.T) {
 			t.Errorf("-algo %s runs %v, want %v", name, got, want)
 		}
 	}
-	if err := run([]string{"-algo", "paxos"}); err == nil {
+	if err := runScenario([]string{"-algo", "paxos"}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -95,7 +92,7 @@ func TestParseAdversary(t *testing.T) {
 	}
 	for _, bad := range []string{"fig1", "rotating:x", "random:3", "er:zz", "isolate:", "warp", "isolate:9"} {
 		// fig1 is invalid at n=7, as is victim 9.
-		if err := run([]string{"-n", "7", "-f", "1", "-adversary", bad}); err == nil {
+		if err := runScenario([]string{"-n", "7", "-f", "1", "-adversary", bad}); err == nil {
 			t.Errorf("-adversary %s accepted", bad)
 		}
 	}
@@ -122,13 +119,13 @@ func TestParseCrashes(t *testing.T) {
 		t.Errorf("-crash 1@3,4@0 runs crashes %v, want %v", s.Crashes, want)
 	}
 	// A node crashes once: a repeated node is rejected, not overwritten.
-	err = run([]string{"-n", "7", "-f", "2", "-crash", "1@2,1@5"})
+	err = runScenario([]string{"-n", "7", "-f", "2", "-crash", "1@2,1@5"})
 	if err == nil || !strings.Contains(err.Error(), "crashes.nodes: duplicate node 1") {
 		t.Errorf("-crash 1@2,1@5: err = %v", err)
 	}
 	// A victim outside the network fails when the grid compiles, before
 	// any run (a run-time failure would cite the sweep task).
-	err = run([]string{"-n", "11", "-crash", "20@2"})
+	err = runScenario([]string{"-n", "11", "-crash", "20@2"})
 	if err == nil || !strings.Contains(err.Error(), "crashes.nodes: cell n=11") || strings.Contains(err.Error(), "task") {
 		t.Errorf("-n 11 -crash 20@2: err = %v", err)
 	}
@@ -150,12 +147,12 @@ func TestParseByz(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"2", "x:silent", "2:quantum", "2:extremist:x"} {
-		if err := run([]string{"-algo", "dbac", "-n", "11", "-f", "2", "-byz", bad}); err == nil {
+		if err := runScenario([]string{"-algo", "dbac", "-n", "11", "-f", "2", "-byz", bad}); err == nil {
 			t.Errorf("-byz %s accepted", bad)
 		}
 	}
 	// A node has one strategy: a node cast twice is rejected.
-	err := run([]string{"-algo", "dbac", "-n", "11", "-f", "2", "-byz", "3:silent,3:noise"})
+	err := runScenario([]string{"-algo", "dbac", "-n", "11", "-f", "2", "-byz", "3:silent,3:noise"})
 	if err == nil || !strings.Contains(err.Error(), "byzantine[1].nodes: node 3 already cast") {
 		t.Errorf("-byz 3:silent,3:noise: err = %v", err)
 	}
@@ -178,7 +175,7 @@ func TestParseInputs(t *testing.T) {
 		t.Errorf("random: %v, want the run seed's RandomInputs", ri)
 	}
 	for _, bad := range []string{"fibonacci", "split:x"} {
-		if err := run([]string{"-n", "5", "-inputs", bad}); err == nil {
+		if err := runScenario([]string{"-n", "5", "-inputs", bad}); err == nil {
 			t.Errorf("-inputs %s accepted", bad)
 		}
 	}
@@ -186,16 +183,19 @@ func TestParseInputs(t *testing.T) {
 
 // TestRunEndToEnd drives the whole CLI path once.
 func TestRunEndToEnd(t *testing.T) {
-	if err := run([]string{"-algo", "dac", "-n", "5", "-f", "1",
+	if err := runScenario([]string{"-algo", "dac", "-n", "5", "-f", "1",
 		"-adversary", "rotating:2", "-crash", "1@2", "-eps", "0.01"}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if err := run([]string{"-algo", "nope"}); err == nil {
+	if err := runScenario([]string{"-algo", "nope"}); err == nil {
 		t.Error("bad algorithm accepted")
 	}
 	// The engine has one execution of a round; there is no engine switch.
-	if err := run([]string{"-concurrent"}); err == nil {
+	if err := runScenario([]string{"-concurrent"}); err == nil {
 		t.Error("-concurrent still accepted")
+	}
+	if err := runScenario([]string{"-adversary", "complete", "-randports", "-save-spec", "x.yaml"}); err == nil {
+		t.Error("-save-spec with -randports accepted")
 	}
 }
 
@@ -203,7 +203,7 @@ func TestRunEndToEnd(t *testing.T) {
 // report.
 func TestRunBatchMode(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "batch.json")
-	if err := run([]string{"-algo", "dac", "-n", "7", "-f", "2",
+	if err := runScenario([]string{"-algo", "dac", "-n", "7", "-f", "2",
 		"-adversary", "er:0.5", "-inputs", "random",
 		"-seeds", "12", "-workers", "3", "-report", out}); err != nil {
 		t.Fatalf("batch run: %v", err)
@@ -226,7 +226,7 @@ func TestRunBatchMode(t *testing.T) {
 		t.Errorf("first run row = %+v", report.Runs[0])
 	}
 
-	if err := run([]string{"-seeds", "0", "-report", out}); err == nil {
+	if err := runScenario([]string{"-seeds", "0", "-report", out}); err == nil {
 		t.Error("-seeds 0 accepted")
 	}
 }
@@ -235,7 +235,7 @@ func TestRunBatchMode(t *testing.T) {
 func TestSaveSpecThenRunSpec(t *testing.T) {
 	dir := t.TempDir()
 	saved := filepath.Join(dir, "er.yaml")
-	if err := run([]string{"-algo", "dac", "-n", "7", "-f", "1",
+	if err := runScenario([]string{"-algo", "dac", "-n", "7", "-f", "1",
 		"-adversary", "er:0.5", "-inputs", "random",
 		"-crash", "1@3", "-byz", "", "-seeds", "1",
 		"-save-spec", saved}); err != nil {
@@ -250,7 +250,7 @@ func TestSaveSpecThenRunSpec(t *testing.T) {
 			t.Errorf("saved spec missing %q:\n%s", want, data)
 		}
 	}
-	if err := run([]string{"-spec", saved, "-seeds", "5"}); err != nil {
+	if err := run([]string{"sweep", "-spec", saved, "-seeds", "5"}); err != nil {
 		t.Fatalf("running saved spec: %v", err)
 	}
 }
@@ -260,7 +260,7 @@ func TestSaveSpecThenRunSpec(t *testing.T) {
 func TestSaveSpecCapturesByzantine(t *testing.T) {
 	dir := t.TempDir()
 	saved := filepath.Join(dir, "byz.yaml")
-	if err := run([]string{"-algo", "dbac", "-n", "11", "-f", "2",
+	if err := runScenario([]string{"-algo", "dbac", "-n", "11", "-f", "2",
 		"-byz", "4:equivocate,9:extremist:1", "-save-spec", saved}); err != nil {
 		t.Fatalf("save-spec run: %v", err)
 	}
@@ -272,105 +272,6 @@ func TestSaveSpecCapturesByzantine(t *testing.T) {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("saved spec missing %q:\n%s", want, data)
 		}
-	}
-}
-
-func TestSpecModeRejectsPerRunViews(t *testing.T) {
-	if err := run([]string{"-spec", "x.yaml", "-series"}); err == nil {
-		t.Error("-spec with -series accepted")
-	}
-	if err := run([]string{"-spec", "does-not-exist.yaml"}); err == nil {
-		t.Error("missing spec file accepted")
-	}
-	if err := run([]string{"-adversary", "complete", "-randports", "-save-spec", "x.yaml"}); err == nil {
-		t.Error("-save-spec with -randports accepted")
-	}
-}
-
-// TestCPUProfileFlag: -cpuprofile writes a complete profile on the
-// success path and on an early error return alike, and an uncreatable
-// file fails the command before anything runs.
-func TestCPUProfileFlag(t *testing.T) {
-	dir := t.TempDir()
-	prof := filepath.Join(dir, "run.prof")
-	if err := run([]string{"-n", "9", "-adversary", "rotating:3", "-cpuprofile", prof}); err != nil {
-		t.Fatal(err)
-	}
-	assertPprof(t, prof)
-
-	early := filepath.Join(dir, "early.prof")
-	if err := run([]string{"-algo", "nope", "-cpuprofile", early}); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	assertPprof(t, early)
-
-	out := filepath.Join(dir, "batch.json")
-	err := run([]string{"-seeds", "3", "-report", out, "-cpuprofile", filepath.Join(dir, "missing", "x.prof")})
-	if err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
-		t.Fatalf("uncreatable profile file: err = %v", err)
-	}
-	if _, statErr := os.Stat(out); statErr == nil {
-		t.Error("the batch ran although the profile file could not be created")
-	}
-}
-
-// TestExecTraceFlag: -exectrace writes a complete runtime execution
-// trace on the success path and on an early error return alike, and an
-// uncreatable file fails the command before anything runs.
-func TestExecTraceFlag(t *testing.T) {
-	dir := t.TempDir()
-	tr := filepath.Join(dir, "run.trace")
-	if err := run([]string{"-n", "9", "-adversary", "rotating:3", "-exectrace", tr}); err != nil {
-		t.Fatal(err)
-	}
-	assertExecTrace(t, tr)
-
-	early := filepath.Join(dir, "early.trace")
-	if err := run([]string{"-algo", "nope", "-exectrace", early}); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	assertExecTrace(t, early)
-
-	out := filepath.Join(dir, "batch.json")
-	err := run([]string{"-seeds", "3", "-report", out, "-exectrace", filepath.Join(dir, "missing", "x.trace")})
-	if err == nil || !strings.Contains(err.Error(), "-exectrace") {
-		t.Fatalf("uncreatable trace file: err = %v", err)
-	}
-	if _, statErr := os.Stat(out); statErr == nil {
-		t.Error("the batch ran although the trace file could not be created")
-	}
-}
-
-// assertExecTrace checks that path holds a runtime execution trace: a
-// "go 1.N trace" header followed by event batches.
-func assertExecTrace(t *testing.T, path string) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte("go 1.")) || !bytes.Contains(data[:min(len(data), 16)], []byte(" trace")) || len(data) <= 16 {
-		t.Fatalf("%s is not an execution trace (%d bytes, starts %q)", path, len(data), data[:min(len(data), 16)])
-	}
-}
-
-// assertPprof checks that path holds a CPU profile: pprof files are
-// gzip-compressed protobuf, so a clean, non-empty inflate is the check
-// the standard library lets a test make.
-func assertPprof(t *testing.T, path string) {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatalf("%s is not a pprof file: %v", path, err)
-	}
-	body, err := io.ReadAll(zr)
-	if err != nil || len(body) == 0 {
-		t.Fatalf("%s: profile inflates to %d bytes (err %v)", path, len(body), err)
 	}
 }
 
@@ -388,7 +289,7 @@ func TestBatchReportUndecidedRows(t *testing.T) {
 	render := func(args []string, name string) []byte {
 		t.Helper()
 		path := filepath.Join(dir, name)
-		if err := run(append(args[:len(args):len(args)], "-report", path)); err != nil {
+		if err := runScenario(append(args[:len(args):len(args)], "-report", path)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		data, err := os.ReadFile(path)
@@ -439,86 +340,6 @@ func TestBatchReportUndecidedRows(t *testing.T) {
 	}
 }
 
-// captureStdout runs f with os.Stdout redirected to a file and returns
-// what f wrote there.
-func captureStdout(t *testing.T, f func() error) []byte {
-	t.Helper()
-	tmp, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tmp.Close()
-	saved := os.Stdout
-	os.Stdout = tmp
-	err = f()
-	os.Stdout = saved
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(tmp.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestStdoutReportWithSaveSpec: with a stdout report target, stdout
-// carries the report document and nothing else, even when -save-spec
-// writes a file alongside it.
-func TestStdoutReportWithSaveSpec(t *testing.T) {
-	saved := filepath.Join(t.TempDir(), "c.yaml")
-	out := captureStdout(t, func() error {
-		return run([]string{"-n", "5", "-report", "csv", "-save-spec", saved})
-	})
-	rows, err := csv.NewReader(bytes.NewReader(out)).ReadAll()
-	if err != nil {
-		t.Fatalf("stdout is not the CSV report: %v\n%s", err, out)
-	}
-	if len(rows) != 2 || !reflect.DeepEqual(rows[0], []string{"seed", "decided", "rounds", "output_range"}) {
-		t.Errorf("stdout CSV = %q, want the header and one run", rows)
-	}
-	if _, err := os.Stat(saved); err != nil {
-		t.Errorf("spec not written: %v", err)
-	}
-}
-
-// TestSpecStdoutReportIsParseable: -spec runs the local sweep path, so
-// with -report json stdout is exactly one report.Sweep document — no
-// description banner ahead of it, no table after it — and its cells
-// equal a direct Load and Grid.Run of the same file and seeds.
-func TestSpecStdoutReportIsParseable(t *testing.T) {
-	const specPath = "../../examples/specs/er-crash-sweep.yaml"
-	out := captureStdout(t, func() error {
-		return run([]string{"-spec", specPath, "-seeds", "2", "-report", "json"})
-	})
-	var rep report.Sweep
-	if err := json.Unmarshal(out, &rep); err != nil {
-		t.Fatalf("-report json stdout is not one JSON document: %v\n%s", err, out)
-	}
-	sw, grid, err := spec.Load(specPath, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := grid.Run(anondyn.BatchOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Spec != sw.Name || rep.SeedsPerCell != 2 {
-		t.Errorf("envelope = {spec: %q, seeds: %d}, want {%q, 2}", rep.Spec, rep.SeedsPerCell, sw.Name)
-	}
-	if !reflect.DeepEqual(rep.Cells, rows) {
-		t.Errorf("report cells differ from a direct run:\nreport %+v\ndirect %+v", rep.Cells, rows)
-	}
-
-	// The human mode keeps the banner dynabench -spec prints.
-	out = captureStdout(t, func() error {
-		return run([]string{"-spec", specPath, "-seeds", "1"})
-	})
-	if want := "# " + sw.Description + "\n"; !strings.HasPrefix(string(out), want) {
-		t.Errorf("table mode does not start with the description banner %q:\n%s", want, out)
-	}
-}
-
 // TestSavedSpecReproducesBatch is the flag ↔ saved-spec parity
 // contract: loading the spec a batch saved and running its grid yields
 // the aggregate the batch reported, bandwidth tally included.
@@ -543,7 +364,7 @@ func TestSavedSpecReproducesBatch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			out, saved := filepath.Join(dir, "out.json"), filepath.Join(dir, "s.yaml")
-			if err := run(append(tc.args, "-seeds", "4", "-report", out, "-save-spec", saved)); err != nil {
+			if err := runScenario(append(tc.args, "-seeds", "4", "-report", out, "-save-spec", saved)); err != nil {
 				t.Fatal(err)
 			}
 			data, err := os.ReadFile(out)

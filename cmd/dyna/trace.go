@@ -1,16 +1,16 @@
-// Command dynatrace inspects a recorded execution log (the JSONL files
-// dynasim -trace writes): it summarizes the run, reconstructs the
+package main
+
+// dyna trace inspects a recorded execution log (the JSONL files
+// dyna run -trace writes): it summarizes the run, reconstructs the
 // dynamic graph, reports which (T, D)-dynaDegree the adversary actually
 // provided, and checks the prior stability properties of §II-B for
 // comparison.
 //
-//	dynasim   -algo dac -n 7 -adversary rotating:3 -trace run.jsonl
-//	dynatrace -n 7 run.jsonl
-//	dynatrace -n 7 -events run.jsonl     # dump the event log
-package main
+//	dyna run   -algo dac -n 7 -adversary rotating:3 -trace run.jsonl
+//	dyna trace -n 7 run.jsonl
+//	dyna trace -n 7 -events run.jsonl     # dump the event log
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
@@ -18,30 +18,22 @@ import (
 	"anondyn/internal/trace"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "dynatrace:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out *os.File) error {
-	fs := flag.NewFlagSet("dynatrace", flag.ContinueOnError)
+func runTrace(args []string) error {
+	out := os.Stdout
+	fs := newFlagSet("trace", " <trace.jsonl>")
 	var (
 		n          = fs.Int("n", 0, "network size (required)")
 		dumpEvents = fs.Bool("events", false, "dump every event in human-readable form")
 		maxT       = fs.Int("maxt", 8, "largest window T to analyze")
 	)
-	if err := fs.Parse(args); err != nil {
+	operands, err := parse(fs, args, 1, 1)
+	if err != nil {
 		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: dynatrace -n <size> [flags] <trace.jsonl>")
 	}
 	if *n < 1 {
 		return fmt.Errorf("-n is required and must be ≥ 1")
 	}
-	f, err := os.Open(fs.Arg(0))
+	f, err := os.Open(operands[0])
 	if err != nil {
 		return err
 	}

@@ -38,41 +38,36 @@ func writeTestTrace(t *testing.T) string {
 	return path
 }
 
-func TestRunSummary(t *testing.T) {
+func TestTraceSummary(t *testing.T) {
 	path := writeTestTrace(t)
-	if err := run([]string{"-n", "5", path}, os.Stdout); err != nil {
+	if err := runTrace([]string{"-n", "5", path}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
 
-func TestRunEventDump(t *testing.T) {
+func TestTraceEventDump(t *testing.T) {
 	path := writeTestTrace(t)
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	if err := run([]string{"-n", "5", "-events", path}, devnull); err != nil {
-		t.Fatalf("run -events: %v", err)
+	if out := stdoutOf(t, "trace", "-n", "5", "-events", path); len(out) == 0 {
+		t.Error("-events printed nothing")
 	}
 }
 
-func TestRunValidation(t *testing.T) {
+func TestTraceValidation(t *testing.T) {
 	path := writeTestTrace(t)
-	if err := run([]string{path}, os.Stdout); err == nil {
+	if err := runTrace([]string{path}); err == nil {
 		t.Error("missing -n accepted")
 	}
-	if err := run([]string{"-n", "5"}, os.Stdout); err == nil {
+	if err := runTrace([]string{"-n", "5"}); err == nil {
 		t.Error("missing file accepted")
 	}
-	if err := run([]string{"-n", "5", "/does/not/exist.jsonl"}, os.Stdout); err == nil {
+	if err := runTrace([]string{"-n", "5", "/does/not/exist.jsonl"}); err == nil {
 		t.Error("missing file path accepted")
 	}
 	empty := filepath.Join(t.TempDir(), "empty.jsonl")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-n", "5", empty}, os.Stdout); err == nil {
+	if err := runTrace([]string{"-n", "5", empty}); err == nil {
 		t.Error("empty trace accepted")
 	}
 }

@@ -36,7 +36,7 @@ func run() error {
 	res, err := anondyn.Scenario{
 		N: n, F: f, Eps: eps,
 		Algorithm:    anondyn.AlgoDBAC,
-		PEndOverride: 14, // ≈ log2(1/ε) + slack; Equation 6's bound is loose (see EXPERIMENTS.md E5)
+		PEndOverride: 14, // ≈ log2(1/ε) + slack; Equation 6's bound is loose (see dyna tables -exp E5, pinned by TestE5Shape)
 		Inputs:       anondyn.RandomInputs(n, 99),
 		Adversary:    anondyn.Rotating(anondyn.ByzDegree(n, f)),
 		Byzantine:    byz,

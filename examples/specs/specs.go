@@ -2,7 +2,7 @@
 // Every experiment matrix in internal/experiments is backed by one of
 // these files — the YAML is the source of truth for the cells an
 // experiment runs — and the CI specs job smoke-runs each file on every
-// commit (dynabench -spec-dir examples/specs -seeds 1), so a committed
+// commit (dyna sweep -spec-dir examples/specs -seeds 1), so a committed
 // scenario can never rot.
 package specs
 

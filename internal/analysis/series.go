@@ -129,7 +129,8 @@ func (s *RangeSeries) Sparkline(width int, floor float64) string {
 }
 
 // FormatSampled renders the series as "round:range" pairs at the given
-// round stride, for the figure tables in EXPERIMENTS.md.
+// round stride, for the figure tables (dyna tables -exp F1, pinned by
+// TestF1Shape).
 func (s *RangeSeries) FormatSampled(stride int) string {
 	if stride < 1 {
 		stride = 1

@@ -8,7 +8,8 @@ import (
 )
 
 // Table is a small text/CSV table renderer for experiment outputs, so
-// the benchmark harness prints the same rows EXPERIMENTS.md records.
+// the benchmark harness prints the same rows dyna tables prints and the
+// TestEkShape tests pin.
 type Table struct {
 	Title   string
 	Columns []string

@@ -13,7 +13,7 @@
 // Every draw comes from the dedicated chaos stream (see StreamVersion):
 // a storm is a pure function of (spec, run seed), so the same committed
 // spec at the same seed reproduces byte-identical reports — locally and
-// sharded over a dynagrid fleet — exactly like any other sweep.
+// sharded over a dyna sweep -fleet — exactly like any other sweep.
 package chaos
 
 import (

@@ -18,7 +18,7 @@ type Verdict struct {
 // sweep's aggregate rows. rows[i] aggregates per runs of cell i, run j
 // of cell i seeded baseSeed + i·per + j — the Grid seed flattening —
 // so survivor floors recompile each run's storm from the spec alone:
-// verdicts derive from (spec, rows), which a dynagrid submit client
+// verdicts derive from (spec, rows), which a dyna submit client
 // holds just like a local run, and the two render byte-identically.
 func Eval(s *Stress, baseSeed int64, per int, rows []anondyn.CellResult) []Verdict {
 	if per < 1 {

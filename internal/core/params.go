@@ -49,7 +49,7 @@ func PEndDAC(eps float64) int {
 // rounded up (Equation 6). The bound is loose (the proof contracts by
 // only 1−2⁻ⁿ per phase); for n beyond ~25 it overflows any practical
 // round budget, which is why RunConfig allows an explicit phase override
-// for measurement runs (EXPERIMENTS.md, E5).
+// for measurement runs (dyna tables -exp E5, pinned by TestE5Shape).
 func PEndDBAC(eps float64, n int) int {
 	if eps >= 1 {
 		return 0

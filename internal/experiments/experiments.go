@@ -1,7 +1,8 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in DESIGN.md §4 (E1–E8), each regenerating the table
-// recorded in EXPERIMENTS.md. The functions are deterministic (fixed
-// seeds) and are shared by cmd/dynabench and the root benchmark suite.
+// per experiment (E1–E13 and F1), each regenerating the table dyna
+// tables -exp Ek prints and the package's TestEkShape test pins. The
+// functions are deterministic (fixed seeds) and are shared by dyna
+// tables and the root benchmark suite.
 //
 // The paper is a theory paper — each experiment operationalizes one of
 // its quantitative claims (convergence rates, resilience and dynaDegree

@@ -9,7 +9,7 @@ import (
 
 // Workers bounds every pool the experiments spawn — the case pools of
 // runCases and the Monte-Carlo batches inside E10/E13; 0 means
-// GOMAXPROCS. cmd/dynabench sets it from -workers so one flag governs
+// GOMAXPROCS. dyna tables sets it from -workers so one flag governs
 // the whole tree of pools.
 var Workers int
 

@@ -15,7 +15,7 @@ func TestE13Shape(t *testing.T) {
 		}
 		// The empirical core finding: no attack family pushes past 0.55.
 		if worst > 0.55 {
-			t.Errorf("row %d: worst ρ %g unexpectedly above ≈1/2 — update EXPERIMENTS.md if genuine", r, worst)
+			t.Errorf("row %d: worst ρ %g unexpectedly above ≈1/2 — update this check and the E13 note (dyna tables -exp E13) if genuine", r, worst)
 		}
 		if !cellBool(t, tb, r, 4) {
 			t.Errorf("row %d: validity violated", r)

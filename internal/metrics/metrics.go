@@ -80,7 +80,7 @@ type Sink interface {
 }
 
 // ShardStat is one shard's live progress as aggregated by a sweep
-// coordinator (local pool shards or remote dynagrid workers). Sweep
+// coordinator (local pool shards or remote dyna join workers). Sweep
 // segregates concurrent sweeps sharing one collector — a control plane
 // running several sweeps folds all their telemetry into its global
 // collector, and shard indices restart at 0 per sweep.

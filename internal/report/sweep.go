@@ -15,7 +15,7 @@ import (
 )
 
 // Sweep is the JSON envelope of one completed sweep — the exact shape
-// dynabench and dynagrid used to assemble by hand, so existing
+// the sweep CLIs used to assemble by hand, so existing
 // consumers (notably the CI distributed-smoke job's `.cells` diff) keep
 // working. Series is the one addition: per-cell convergence curves for
 // the HTML report, omitted from JSON when absent.
@@ -63,8 +63,8 @@ func NewSweep(sw *spec.Sweep, path string, workers int, rows []anondyn.CellResul
 }
 
 // RunLocal runs a compiled sweep on this process's batch pool and
-// emits it — the one local sweep path (dynabench -spec, -spec-dir and
-// -sweep; dynasim -spec). path is the spec file the sweep came from.
+// emits it — the one local sweep path (dyna sweep with -spec, -spec-dir
+// or axis flags). path is the spec file the sweep came from.
 func RunLocal(sw *spec.Sweep, grid anondyn.Grid, path string, opts anondyn.BatchOptions, target Target) error {
 	rows, err := grid.Run(opts)
 	if err != nil {

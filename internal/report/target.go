@@ -1,7 +1,7 @@
 // Package report is the shared -report grammar and rendering layer of
 // the CLIs: one Target parser (stdout keywords and extension-dispatched
 // paths), one JSON envelope for sweep results (byte-compatible with the
-// envelopes dynabench and dynagrid used to write by hand), and a
+// envelopes the sweep CLIs used to write by hand), and a
 // self-contained single-file HTML renderer — inline CSS, inline SVG, no
 // external fetches — so a report artifact can be mailed, archived, or
 // attached to CI without a web server.
@@ -101,7 +101,7 @@ func (t Target) ForSpec(specPath string) Target {
 }
 
 // Document is anything renderable to every report format. The sweep
-// envelope below implements it; dynasim's batch report implements it
+// envelope below implements it; dyna run's batch report implements it
 // with its own JSON shape.
 type Document interface {
 	WriteJSON(w io.Writer) error

@@ -238,8 +238,8 @@ func (cp *ControlPlane) handleConn(raw net.Conn) {
 }
 
 // Snapshot reports the live worker census and every active (queued or
-// running) sweep in submission order — the payload behind dynagrid
-// -status. Finished sweeps are not retained.
+// running) sweep in submission order — the payload behind dyna
+// status. Finished sweeps are not retained.
 func (cp *ControlPlane) Snapshot() transport.PlaneStatus {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()

@@ -34,7 +34,7 @@ type WorkerOptions struct {
 	Log func(format string, args ...any)
 	// Metrics, when non-nil, observes every shard this worker executes
 	// (teed with the per-task telemetry collector) — the hook behind
-	// `dynabench -serve -metrics`. Purely observational.
+	// `dyna join -metrics`. Purely observational.
 	Metrics metrics.Sink
 }
 

@@ -341,7 +341,7 @@ func decodeValue(raw any, dst reflect.Value, key string, count bool) error {
 
 // Encode renders the sweep as YAML in canonical key order — the write
 // half of the round-trip, so the sweep a CLI compiles from its flags
-// can be saved as a reviewable spec file (dynabench and dynasim
+// can be saved as a reviewable spec file (dyna sweep and dyna run
 // -save-spec). The output parses back to an equal Sweep (asserted by
 // the round-trip tests and FuzzParseEncode).
 func (s *Sweep) Encode() []byte {

@@ -62,7 +62,7 @@ func (s *Sweep) applyStress(g *anondyn.Grid) {
 
 // Verdicts evaluates the stress assertions against a completed sweep's
 // aggregate rows. The rows (plus the spec itself) are all the evidence
-// needed, so a dynagrid submit client computes the same verdicts as a
+// needed, so a dyna submit client computes the same verdicts as a
 // local run — the merged report is byte-identical either way. Nil for
 // sweeps without a stress section.
 func (s *Sweep) Verdicts(rows []anondyn.CellResult) []chaos.Verdict {

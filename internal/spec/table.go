@@ -150,7 +150,7 @@ func CellsDeclareVariants(cells []anondyn.Cell) bool {
 
 // Table renders sweep rows in the standard CLI layout — one aggregate
 // row per cell, with a variant column only when the sweep declares a
-// variants axis — so dynabench and dynasim print identical tables for
+// variants axis — so every dyna sweep path prints identical tables for
 // identical sweeps.
 func Table(title string, rows []anondyn.CellResult) *analysis.Table {
 	withVariants := HasVariants(rows)

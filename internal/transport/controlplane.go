@@ -7,7 +7,7 @@ import (
 )
 
 // The control-plane half of the v4 shard protocol. A resident
-// coordinator (dynagrid -serve-coordinator) listens on one port and
+// coordinator (dyna serve) listens on one port and
 // demultiplexes inbound connections by their first frame:
 //
 //   - join: an elastic worker registering itself (capacity + token).
@@ -144,7 +144,7 @@ type Accepted struct {
 	// Submit is set for a sweep submission; the request is already
 	// parsed and authenticated.
 	Submit *SubmitSession
-	// Status is set for a read-only status query (dynagrid -status);
+	// Status is set for a read-only status query (dyna status);
 	// already authenticated. The handler answers once and closes.
 	Status *StatusSession
 }
@@ -321,7 +321,7 @@ func (s *StatusSession) Send(st PlaneStatus) error {
 func (s *StatusSession) Close() { s.raw.Close() }
 
 // QueryPlaneStatus dials a control plane and fetches one status
-// snapshot — the read-only introspection behind dynagrid -status.
+// snapshot — the read-only introspection behind dyna status.
 func QueryPlaneStatus(addr, token string, timeout time.Duration) (*PlaneStatus, error) {
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {

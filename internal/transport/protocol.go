@@ -71,7 +71,7 @@ const (
 	frameSweepRows    byte = 0x15 // control plane → client: id, rows (JSON)
 	frameSweepFail    byte = 0x16 // control plane → client: id, message
 
-	// Read-only control-plane introspection (dynagrid -status): one
+	// Read-only control-plane introspection (dyna status): one
 	// request, one info frame, connection closed.
 	frameStatusReq  byte = 0x17 // client → control plane: version, token
 	frameStatusInfo byte = 0x18 // control plane → client: workers, count, then per sweep: id, state, done, total, requeues, name
@@ -248,7 +248,8 @@ func quant(v float64) uint64 {
 	if v >= 1 {
 		return 1 << 30
 	}
-	return uint64(v*(1<<30) + 0.5)
+	// float64(…) rounds the product, so no target fuses a multiply-add.
+	return uint64(float64(v*(1<<30)) + 0.5)
 }
 
 func dequant(q uint64) float64 {

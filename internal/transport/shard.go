@@ -8,8 +8,8 @@ import (
 )
 
 // The shard protocol is the second client of this package's framing: a
-// sweep coordinator (cmd/dynagrid) dials long-lived worker processes
-// (dynabench -serve) and ships them shards — (spec, run-range) slices
+// sweep coordinator (dyna sweep -fleet) dials long-lived worker processes
+// (dyna join -listen) and ships them shards — (spec, run-range) slices
 // of a declarative sweep — to execute on their local harness pools.
 // Workers stream one fixed-size record per run back in strict run
 // order (the ordered-sink contract travels over the wire unchanged),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -286,6 +287,11 @@ func TestRecycledWorkersRace(t *testing.T) {
 // run builds its nodes as one population, so that cost is a constant:
 // the same at n=9 as at n=4097.
 func TestRecyclingAllocs(t *testing.T) {
+	// A GC cycle inside the n=4097 build lets the runtime clean up its
+	// unique-handle map on a background goroutine, whose allocation
+	// AllocsPerRun counts as the build's under -race; measure with the
+	// collector off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const seed = 5
 	build := func(n int) float64 {
 		s := recycleFamily(seed)
