@@ -125,86 +125,113 @@ func TestDispatch(t *testing.T) {
 // TestUsageErrors: a subcommand rejects another subcommand's flags —
 // the modes are separate flag sets, so a mix fails at parse time — and
 // a command without its required operand or input fails before it
-// runs.
+// runs. The cases are grouped by surface: a worker (join), the
+// resident control plane and its clients (plane), and the in-process
+// commands (local).
 func TestUsageErrors(t *testing.T) {
 	const foreign = "flag provided but not defined"
-	for _, tc := range []struct {
+	type usageCase struct {
 		args []string
 		want string
+	}
+	for _, group := range []struct {
+		name  string
+		cases []usageCase
 	}{
-		{[]string{"join", "127.0.0.1:1", "-spec", "x.yaml"}, foreign},
-		{[]string{"join", "-listen", "127.0.0.1:0", "-spec-dir", "dir"}, foreign},
-		{[]string{"serve", ":0", "-spec", specPath}, foreign},
-		{[]string{"submit", "127.0.0.1:1", "-spec", specPath, "-fleet", "h:1"}, foreign},
-		{[]string{"submit", "127.0.0.1:1", "-spec-dir", "dir"}, foreign},
-		{[]string{"status", "127.0.0.1:1", "-spec", specPath}, foreign},
-		{[]string{"sweep", "-spec", "x.yaml", "-series"}, foreign},
-		{[]string{"sweep", "-spec", "x.yaml", "-trace", "run.jsonl"}, foreign},
-		{[]string{"run", "-spec", "x.yaml"}, foreign},
-		{[]string{"run", "-validate"}, foreign},
-		{[]string{"tables", "-sweep"}, foreign},
-		{[]string{"validate", "-spec", specPath, "-seeds", "2"}, foreign},
-		{[]string{"status"}, "want 1 to 1 arguments"},
-		{[]string{"serve"}, "want 1 to 1 arguments"},
-		{[]string{"sweep", "stray"}, "want 0 to 0 arguments"},
-		{[]string{"join"}, "control-plane address"},
-		{[]string{"submit", "127.0.0.1:1"}, "-spec"},
-		{[]string{"validate"}, "-spec"},
-		// A bad listen address surfaces as an error rather than a hang.
-		{[]string{"join", "-listen", "256.256.256.256:99999"}, "listen"},
+		{"join", []usageCase{
+			{[]string{"join", "127.0.0.1:1", "-spec", "x.yaml"}, foreign},
+			{[]string{"join", "-listen", "127.0.0.1:0", "-spec-dir", "dir"}, foreign},
+			{[]string{"join"}, "control-plane address"},
+			// A bad listen address surfaces as an error rather than a hang.
+			{[]string{"join", "-listen", "256.256.256.256:99999"}, "listen"},
+		}},
+		{"plane", []usageCase{
+			{[]string{"serve", ":0", "-spec", specPath}, foreign},
+			{[]string{"submit", "127.0.0.1:1", "-spec", specPath, "-fleet", "h:1"}, foreign},
+			{[]string{"submit", "127.0.0.1:1", "-spec-dir", "dir"}, foreign},
+			{[]string{"status", "127.0.0.1:1", "-spec", specPath}, foreign},
+			{[]string{"status"}, "want 1 to 1 arguments"},
+			{[]string{"serve"}, "want 1 to 1 arguments"},
+			{[]string{"submit", "127.0.0.1:1"}, "-spec"},
+		}},
+		{"local", []usageCase{
+			{[]string{"sweep", "-spec", "x.yaml", "-series"}, foreign},
+			{[]string{"sweep", "-spec", "x.yaml", "-trace", "run.jsonl"}, foreign},
+			{[]string{"sweep", "-spec", "does-not-exist.yaml"}, "does-not-exist.yaml"},
+			{[]string{"run", "-spec", "x.yaml"}, foreign},
+			{[]string{"run", "-validate"}, foreign},
+			{[]string{"run", "-adversary", "complete", "-randports", "-save-spec", "x.yaml"}, "-randports"},
+			{[]string{"tables", "-sweep"}, foreign},
+			{[]string{"validate", "-spec", specPath, "-seeds", "2"}, foreign},
+			{[]string{"sweep", "stray"}, "want 0 to 0 arguments"},
+			{[]string{"validate"}, "-spec"},
+		}},
 	} {
-		_, _, err := capture(t, func() error { return run(tc.args) })
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%q: err = %v, want %q", tc.args, err, tc.want)
-		}
+		t.Run(group.name, func(t *testing.T) {
+			for _, tc := range group.cases {
+				_, _, err := capture(t, func() error { return run(tc.args) })
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%q: err = %v, want %q", tc.args, err, tc.want)
+				}
+			}
+		})
 	}
 }
 
 // TestProfileFlags: -cpuprofile and -exectrace write a complete
-// recording whether the command succeeds or fails early — locally, over
-// a fleet, for a single run — and an uncreatable file fails the command
-// before it runs.
+// recording whether the command succeeds or fails early, and an
+// uncreatable file fails the command before it runs — for the local
+// commands (sweep, tables), a sweep over a fleet, and a scenario run.
 func TestProfileFlags(t *testing.T) {
 	fleet := startWorkers(t, 2)
-	recorded := []struct {
+	type recorded struct {
 		args  []string
 		fails bool
-	}{
-		{[]string{"sweep", "-ns", "5", "-seeds", "3"}, false},
-		{[]string{"tables", "-exp", "E99"}, true},
-		{[]string{"sweep", "-spec", specPath, "-fleet", fleet, "-seeds", "2", "-quiet"}, false},
-		{[]string{"sweep", "-spec", "no-such-file.yaml", "-fleet", fleet}, true},
-		{[]string{"run", "-n", "9", "-adversary", "rotating:3"}, false},
-		{[]string{"run", "-algo", "nope"}, true},
 	}
-	reporting := [][]string{
-		{"sweep", "-ns", "5", "-seeds", "3"},
-		{"sweep", "-spec", specPath, "-fleet", fleet, "-seeds", "2", "-quiet"},
-		{"run", "-seeds", "3"},
+	surfaces := []struct {
+		name      string
+		recorded  []recorded
+		reporting []string
+	}{
+		{"local", []recorded{
+			{[]string{"sweep", "-ns", "5", "-seeds", "3"}, false},
+			{[]string{"tables", "-exp", "E99"}, true},
+		}, []string{"sweep", "-ns", "5", "-seeds", "3"}},
+		{"fleet", []recorded{
+			{[]string{"sweep", "-spec", specPath, "-fleet", fleet, "-seeds", "2", "-quiet"}, false},
+			{[]string{"sweep", "-spec", "no-such-file.yaml", "-fleet", fleet}, true},
+		}, []string{"sweep", "-spec", specPath, "-fleet", fleet, "-seeds", "2", "-quiet"}},
+		{"run", []recorded{
+			{[]string{"run", "-n", "9", "-adversary", "rotating:3"}, false},
+			{[]string{"run", "-algo", "nope"}, true},
+		}, []string{"run", "-seeds", "3"}},
 	}
 	for _, rec := range []struct {
 		flag  string
 		check func(*testing.T, string)
 	}{{"-cpuprofile", assertPprof}, {"-exectrace", assertExecTrace}} {
 		t.Run(rec.flag[1:], func(t *testing.T) {
-			dir := t.TempDir()
-			for i, c := range recorded {
-				path := filepath.Join(dir, fmt.Sprint(i))
-				args := append(c.args, rec.flag, path)
-				if _, _, err := capture(t, func() error { return run(args) }); (err != nil) != c.fails {
-					t.Fatalf("%q: err = %v", args, err)
-				}
-				rec.check(t, path)
-			}
-			for _, args := range reporting {
-				out := filepath.Join(dir, "out.json")
-				args = append(args, "-report", out, rec.flag, filepath.Join(dir, "missing", "x"))
-				if err := run(args); err == nil || !strings.Contains(err.Error(), rec.flag) {
-					t.Fatalf("%q: err = %v", args, err)
-				}
-				if _, statErr := os.Stat(out); statErr == nil {
-					t.Errorf("%q ran although the recording file could not be created", args)
-				}
+			for _, s := range surfaces {
+				t.Run(s.name, func(t *testing.T) {
+					dir := t.TempDir()
+					for i, c := range s.recorded {
+						path := filepath.Join(dir, fmt.Sprint(i))
+						args := append(c.args[:len(c.args):len(c.args)], rec.flag, path)
+						if _, _, err := capture(t, func() error { return run(args) }); (err != nil) != c.fails {
+							t.Fatalf("%q: err = %v", args, err)
+						}
+						rec.check(t, path)
+					}
+					out := filepath.Join(dir, "out.json")
+					args := append(s.reporting[:len(s.reporting):len(s.reporting)],
+						"-report", out, rec.flag, filepath.Join(dir, "missing", "x"))
+					if err := run(args); err == nil || !strings.Contains(err.Error(), rec.flag) {
+						t.Fatalf("%q: err = %v", args, err)
+					}
+					if _, statErr := os.Stat(out); statErr == nil {
+						t.Errorf("%q ran although the recording file could not be created", args)
+					}
+				})
 			}
 		})
 	}

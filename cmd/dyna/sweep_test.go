@@ -274,29 +274,32 @@ func TestSpecStdoutReportIsParseable(t *testing.T) {
 // carries the report document and nothing else, even when -save-spec
 // writes a file alongside it — for an axis sweep and a scenario run.
 func TestStdoutReportWithSaveSpec(t *testing.T) {
-	dir := t.TempDir()
-	saved := filepath.Join(dir, "b.yaml")
-	var rep report.Sweep
-	out := stdoutOf(t, "sweep", "-ns", "5", "-seeds", "2", "-save-spec", saved, "-report", "json")
-	if err := json.Unmarshal(out, &rep); err != nil {
-		t.Fatalf("stdout is not the JSON report: %v\n%s", err, out)
-	}
-	if len(rep.Cells) != 1 || rep.Cells[0].Runs != 2 {
-		t.Errorf("report cells = %+v, want one cell of 2 runs", rep.Cells)
-	}
-
-	saved2 := filepath.Join(dir, "c.yaml")
-	out = stdoutOf(t, "run", "-n", "5", "-report", "csv", "-save-spec", saved2)
-	rows, err := csv.NewReader(bytes.NewReader(out)).ReadAll()
-	if err != nil {
-		t.Fatalf("stdout is not the CSV report: %v\n%s", err, out)
-	}
-	if len(rows) != 2 || !reflect.DeepEqual(rows[0], []string{"seed", "decided", "rounds", "output_range"}) {
-		t.Errorf("stdout CSV = %q, want the header and one run", rows)
-	}
-	for _, path := range []string{saved, saved2} {
-		if _, err := os.Stat(path); err != nil {
+	t.Run("sweep", func(t *testing.T) {
+		saved := filepath.Join(t.TempDir(), "b.yaml")
+		out := stdoutOf(t, "sweep", "-ns", "5", "-seeds", "2", "-save-spec", saved, "-report", "json")
+		var rep report.Sweep
+		if err := json.Unmarshal(out, &rep); err != nil {
+			t.Fatalf("stdout is not the JSON report: %v\n%s", err, out)
+		}
+		if len(rep.Cells) != 1 || rep.Cells[0].Runs != 2 {
+			t.Errorf("report cells = %+v, want one cell of 2 runs", rep.Cells)
+		}
+		if _, err := os.Stat(saved); err != nil {
 			t.Errorf("spec not written: %v", err)
 		}
-	}
+	})
+	t.Run("run", func(t *testing.T) {
+		saved := filepath.Join(t.TempDir(), "c.yaml")
+		out := stdoutOf(t, "run", "-n", "5", "-report", "csv", "-save-spec", saved)
+		rows, err := csv.NewReader(bytes.NewReader(out)).ReadAll()
+		if err != nil {
+			t.Fatalf("stdout is not the CSV report: %v\n%s", err, out)
+		}
+		if len(rows) != 2 || !reflect.DeepEqual(rows[0], []string{"seed", "decided", "rounds", "output_range"}) {
+			t.Errorf("stdout CSV = %q, want the header and one run", rows)
+		}
+		if _, err := os.Stat(saved); err != nil {
+			t.Errorf("spec not written: %v", err)
+		}
+	})
 }
