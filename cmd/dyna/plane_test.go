@@ -168,9 +168,7 @@ func startPlaneWithWorker(t *testing.T, token string) string {
 		defer close(cpDone)
 		cp.Serve() //nolint:errcheck
 	}()
-	w, err := shard.NewWorker("", shard.WorkerOptions{
-		Workers: 2, Token: token, RejoinDelay: 20 * time.Millisecond,
-	})
+	w, err := shard.NewWorker("", shard.WorkerOptions{Workers: 2, Token: token})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,12 +210,13 @@ func runSweep(args []string) error {
 			return errors.New("-spec-dir prints one report per spec: use a path target (one file per spec) or -report json (each document names its spec)")
 		}
 		if *fleet != "" {
+			// No listener: a fixed fleet that is gone is gone, so the
+			// plane fails the sweep when its last worker is lost.
 			popts := shard.PlaneOptions{
-				Token:          *token,
-				IOTimeout:      *timeout,
-				MaxPending:     *maxPending,
-				Metrics:        coll,
-				AbortWhenEmpty: true, // a fixed fleet that is gone is gone
+				Token:      *token,
+				IOTimeout:  *timeout,
+				MaxPending: *maxPending,
+				Metrics:    coll,
 			}
 			if !*quiet {
 				popts.Log = stderrLog

@@ -34,7 +34,7 @@ type Stress struct {
 	Seed int64 `spec:"seed"`
 	// Rounds is the duration: every run executes at most this many
 	// rounds, ending earlier only at quiescence (all fault-free nodes
-	// decided).
+	// decided). Every event must end within it (CheckDuration).
 	Rounds int `spec:"rounds,always"`
 	// Events is the chaos schedule, applied in order.
 	Events []Event `spec:"events"`
@@ -165,6 +165,27 @@ func (s *Stress) Validate() error {
 	for i, a := range s.Assertions {
 		if err := a.validate(fmt.Sprintf("stress.assertions[%d]", i)); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// CheckDuration rejects an event whose last active round — its firing
+// round, a window's last round, a cascade's last wave — falls past
+// Rounds: no run would ever reach it, yet CompileStorm would still pay
+// for it on every run. Errors cite the key that overshoots.
+func (s *Stress) CheckDuration() error {
+	for i, e := range s.Events {
+		path := fmt.Sprintf("stress.events[%d].", i)
+		switch {
+		case e.Round > s.Rounds:
+			return fmt.Errorf("%sround: %s at round %d is past stress.rounds (%d)", path, e.Kind, e.Round, s.Rounds)
+		case e.Kind == "cascade" && e.Waves > 1 && e.Spread > 0 && e.Waves-1 > (s.Rounds-e.Round)/e.Spread:
+			return fmt.Errorf("%swaves: the last of %d waves %d rounds apart from round %d is past stress.rounds (%d)",
+				path, e.Waves, e.Spread, e.Round, s.Rounds)
+		case e.Duration-1 > s.Rounds-e.Round:
+			return fmt.Errorf("%sduration: a %d-round %s window from round %d is past stress.rounds (%d)",
+				path, e.Duration, e.Kind, e.Round, s.Rounds)
 		}
 	}
 	return nil

@@ -3,7 +3,6 @@ package shard
 import (
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -79,9 +78,10 @@ func startPlane(t *testing.T, opts PlaneOptions) *ControlPlane {
 	return cp
 }
 
-// joinWorker starts a listener-less worker joined to the plane, with a
-// fast rejoin loop.
-func joinWorker(t *testing.T, cp *ControlPlane, opts WorkerOptions) *Worker {
+// joinWorker starts a listener-less worker that joins the control
+// plane at addr through JoinLoop once start is closed (nil: at once);
+// the worker closes with the test.
+func joinWorker(t *testing.T, addr string, opts WorkerOptions, start <-chan struct{}) *Worker {
 	t.Helper()
 	if opts.Workers == 0 {
 		opts.Workers = 2
@@ -89,7 +89,6 @@ func joinWorker(t *testing.T, cp *ControlPlane, opts WorkerOptions) *Worker {
 	if opts.Log == nil {
 		opts.Log = t.Logf
 	}
-	opts.RejoinDelay = 20 * time.Millisecond
 	w, err := NewWorker("", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -97,10 +96,60 @@ func joinWorker(t *testing.T, cp *ControlPlane, opts WorkerOptions) *Worker {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		w.JoinLoop(cp.Addr())
+		if start != nil {
+			select {
+			case <-start:
+			case <-w.stop:
+				return
+			}
+		}
+		w.JoinLoop(addr)
 	}()
 	t.Cleanup(func() { w.Close(); <-done })
 	return w
+}
+
+// dialInPass sweeps data over a listening control plane that one
+// worker joins through a proxy injecting f. With backup set, a second
+// worker joins directly the moment the fault fires, so the sweep need
+// not wait out the faulted worker's rejoin delay; without it, the one
+// worker's JoinLoop must come back to finish.
+func dialInPass(t *testing.T, data []byte, seeds int, f fault, backup bool, ioTimeout time.Duration) (*Result, *proxy) {
+	t.Helper()
+	cp := startPlane(t, PlaneOptions{IOTimeout: ioTimeout})
+	p := newProxy(t, cp.Addr(), false, f)
+	joinWorker(t, p.addr(), WorkerOptions{}, nil)
+	if backup {
+		joinWorker(t, cp.Addr(), WorkerOptions{}, p.fired)
+	}
+	h, err := cp.Submit(data, SubmitOptions{SeedsPerCell: seeds, Shards: 4, Name: "dial-in"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.kind != faultNone && !p.hasFired() {
+		t.Fatalf("the %v at byte %d never fired", f.kind, f.at)
+	}
+	return res, p
+}
+
+// dialInKill measures a clean dial-in pass (one worker, so the plane
+// dispatches the shards in plan order and the worker's stream is the
+// same on every pass), then resets the joined worker's connection
+// halfway through its first shard's exchange and lets its JoinLoop
+// bring it back. It returns the faulted pass's result.
+func dialInKill(t *testing.T, data []byte, seeds int) *Result {
+	t.Helper()
+	_, clean := dialInPass(t, data, seeds, fault{}, false, 10*time.Second)
+	ex := clean.exchanges()
+	if len(ex) != 5 {
+		t.Fatalf("clean pass: exchange boundaries %v, want the handshake and 4 tasks", ex)
+	}
+	res, _ := dialInPass(t, data, seeds, fault{kind: faultReset, at: (ex[0] + ex[1]) / 2}, false, 10*time.Second)
+	return res
 }
 
 // TestWorkerJoinsMidSweep: a sweep submitted to an empty plane sits
@@ -121,12 +170,9 @@ func TestWorkerJoinsMidSweep(t *testing.T) {
 		t.Fatalf("sweep progressed with no workers: %+v", st)
 	}
 
-	joinWorker(t, cp, WorkerOptions{})
-	go func() {
-		// Second worker joins mid-run.
-		time.Sleep(10 * time.Millisecond)
-		joinWorker(t, cp, WorkerOptions{})
-	}()
+	joinWorker(t, cp.Addr(), WorkerOptions{}, nil)
+	// Second worker joins mid-run.
+	joinWorker(t, cp.Addr(), WorkerOptions{}, afterDelay(10*time.Millisecond))
 
 	res, err := h.Wait()
 	if err != nil {
@@ -149,19 +195,7 @@ func TestWorkerJoinsMidSweep(t *testing.T) {
 // stream.
 func TestJoinedWorkerKilledMidShard(t *testing.T) {
 	data, _, local := localReference(t, 6)
-	cp := startPlane(t, PlaneOptions{})
-
-	w := joinWorker(t, cp, WorkerOptions{})
-	w.failAfterRecords(2)
-
-	h, err := cp.Submit(data, SubmitOptions{SeedsPerCell: 6, Shards: 4, Name: "churn-kill"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := dialInKill(t, data, 6)
 	if res.Requeues < 1 {
 		t.Errorf("requeues = %d, want ≥ 1 after mid-shard kill", res.Requeues)
 	}
@@ -175,8 +209,8 @@ func TestGracefulLeaveMidSweep(t *testing.T) {
 	data, _, local := localReference(t, 8)
 	cp := startPlane(t, PlaneOptions{})
 
-	leaver := joinWorker(t, cp, WorkerOptions{})
-	joinWorker(t, cp, WorkerOptions{})
+	leaver := joinWorker(t, cp.Addr(), WorkerOptions{}, nil)
+	joinWorker(t, cp.Addr(), WorkerOptions{}, nil)
 
 	h, err := cp.Submit(data, SubmitOptions{SeedsPerCell: 8, Shards: 8, Name: "churn-leave"})
 	if err != nil {
@@ -201,33 +235,7 @@ func TestConcurrentSweepsIsolated(t *testing.T) {
 	dataB, gridB, localB := localReference(t, 3)
 
 	// Real listening workers, dial-out fleet: the one-shot topology.
-	workers := make([]*Worker, 2)
-	addrs := make([]string, 2)
-	var wg sync.WaitGroup
-	for i := range workers {
-		w, err := NewWorker("127.0.0.1:0", WorkerOptions{Workers: 2, Log: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i], addrs[i] = w, w.Addr()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.Serve() //nolint:errcheck
-		}()
-	}
-	defer wg.Wait()
-	defer func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	}()
-
-	cp, err := NewControlPlane(PlaneOptions{
-		IOTimeout:      10 * time.Second,
-		Log:            t.Logf,
-		AbortWhenEmpty: true,
-	})
+	cp, err := NewControlPlane(PlaneOptions{IOTimeout: 10 * time.Second, Log: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +252,7 @@ func TestConcurrentSweepsIsolated(t *testing.T) {
 	if hA.ID() == hB.ID() {
 		t.Fatal("sweeps share an id")
 	}
-	for _, a := range addrs {
+	for _, a := range startWorkers(t, 2) {
 		cp.AddWorker(a)
 	}
 
@@ -308,7 +316,7 @@ func TestJoinBadTokenRejected(t *testing.T) {
 		t.Fatalf("rejected worker occupies a slot: %d live members", n)
 	}
 
-	joinWorker(t, cp, WorkerOptions{Token: "s3cret"})
+	joinWorker(t, cp.Addr(), WorkerOptions{Token: "s3cret"}, nil)
 	h, err := cp.Submit(data, SubmitOptions{SeedsPerCell: 3, Shards: 2, Name: "churn-token"})
 	if err != nil {
 		t.Fatal(err)
@@ -318,4 +326,11 @@ func TestJoinBadTokenRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertParity(t, res.Rows, local)
+}
+
+// afterDelay returns a channel that closes after d.
+func afterDelay(d time.Duration) <-chan struct{} {
+	c := make(chan struct{})
+	time.AfterFunc(d, func() { close(c) })
+	return c
 }

@@ -21,7 +21,10 @@ type PlaneOptions struct {
 	// submissions ("host:port"; ":0" picks a port). Empty runs the
 	// control plane without a listener — membership then comes from
 	// AddWorker and sweeps from in-process Submit calls, which is how
-	// the one-shot Run wrapper uses it.
+	// the one-shot Run wrapper uses it. Such a plane can never gain a
+	// worker it was not handed, so it fails its active sweeps when the
+	// last one is lost; a listening plane holds them queued for the
+	// next join.
 	Addr string
 	// Token is the shared secret every join and submit handshake must
 	// present (constant-time compare); empty disables auth.
@@ -29,10 +32,6 @@ type PlaneOptions struct {
 	// IOTimeout bounds each frame exchange (for a record stream: the
 	// gap between consecutive records). 0 means DefaultIOTimeout.
 	IOTimeout time.Duration
-	// DialRetries and RetryDelay govern reconnects to dial-out workers
-	// added with AddWorker (joined workers own their reconnect loop).
-	DialRetries int
-	RetryDelay  time.Duration
 	// MaxPending bounds each worker's per-shard reorder window.
 	MaxPending int
 	// Log, when non-nil, receives progress lines (Printf-style).
@@ -41,31 +40,30 @@ type PlaneOptions struct {
 	// into one collector (per-shard rows keyed by sweep). Each sweep
 	// additionally gets its own collector regardless.
 	Metrics *metrics.Collector
-	// MetricsEveryRuns is the telemetry cadence asked of each worker;
-	// < 1 defaults to 16.
-	MetricsEveryRuns int
-	// AbortWhenEmpty fails active sweeps when the last worker is lost,
-	// instead of holding them queued for the next join. One-shot runs
-	// set it (a fixed fleet that is gone is gone); a resident service
-	// leaves it unset and waits for workers to come back.
-	AbortWhenEmpty bool
 }
+
+// The fixed reconnect and telemetry policy.
+const (
+	// dialRetries is how many extra connect attempts a dial-out worker
+	// added with AddWorker gets, retryDelay apart, before the plane
+	// gives up on it (joined workers own their reconnect loop).
+	dialRetries = 3
+	retryDelay  = 200 * time.Millisecond
+	// maxConsecutiveFailures is how many transport failures in a row a
+	// dial-out member may accumulate (with successful reconnects in
+	// between) before the plane abandons it.
+	maxConsecutiveFailures = 3
+	// metricsEveryRuns is the telemetry cadence asked of each worker:
+	// one progress frame per that many completed runs.
+	metricsEveryRuns = 16
+)
 
 func (o *PlaneOptions) fill() {
 	if o.IOTimeout <= 0 {
 		o.IOTimeout = DefaultIOTimeout
 	}
-	if o.DialRetries < 1 {
-		o.DialRetries = 3
-	}
-	if o.RetryDelay <= 0 {
-		o.RetryDelay = 200 * time.Millisecond
-	}
 	if o.Log == nil {
 		o.Log = func(string, ...any) {}
-	}
-	if o.MetricsEveryRuns < 1 {
-		o.MetricsEveryRuns = 16
 	}
 }
 
@@ -290,7 +288,7 @@ func (cp *ControlPlane) AddWorker(addr string) {
 }
 
 // unregister removes a member; losing the last one fails active sweeps
-// when AbortWhenEmpty is set.
+// when the plane has no listener to bring another.
 func (cp *ControlPlane) unregister(m *member) {
 	if m.cl != nil {
 		m.cl.Close()
@@ -299,7 +297,7 @@ func (cp *ControlPlane) unregister(m *member) {
 	defer cp.mu.Unlock()
 	delete(cp.members, m.id)
 	cp.live--
-	if cp.live == 0 && cp.opts.AbortWhenEmpty {
+	if cp.live == 0 && cp.ln == nil {
 		for _, sw := range append([]*sweep(nil), cp.order...) {
 			cp.failLocked(sw, fmt.Errorf("shard: all workers lost with %d shards unfinished (last: %s)",
 				sw.merge.remaining(), m.addr))
@@ -420,11 +418,6 @@ func (cp *ControlPlane) nextTask() (sw *sweep, idx int, ok bool) {
 	}
 }
 
-// maxConsecutiveFailures is how many transport failures in a row a
-// dial-out member may accumulate (with successful reconnects in
-// between) before the plane abandons it.
-const maxConsecutiveFailures = 3
-
 // memberLoop drives one member: pull a shard, stream it, commit or
 // requeue. For dial-out members a transport failure closes and redials
 // with the retry budget; for joined members the connection is the
@@ -463,7 +456,7 @@ func (cp *ControlPlane) memberLoop(m *member) {
 			Hi:               sh.Hi,
 			SeedsPerCell:     sw.seedsPer,
 			MaxPending:       cp.opts.MaxPending,
-			MetricsEveryRuns: cp.opts.MetricsEveryRuns,
+			MetricsEveryRuns: metricsEveryRuns,
 			Spec:             sw.specData,
 		}
 		count := 0
@@ -535,9 +528,9 @@ func (cp *ControlPlane) memberLoop(m *member) {
 // dial connects to a dial-out worker with the retry budget.
 func (cp *ControlPlane) dial(addr string) (*transport.ShardClient, error) {
 	var lastErr error
-	for attempt := 0; attempt <= cp.opts.DialRetries; attempt++ {
+	for attempt := 0; attempt <= dialRetries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(cp.opts.RetryDelay)
+			time.Sleep(retryDelay)
 		}
 		cl, err := transport.DialShard(addr, cp.opts.Token, cp.opts.IOTimeout)
 		if err == nil {

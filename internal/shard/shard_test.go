@@ -1,17 +1,15 @@
 package shard
 
 import (
-	"encoding/json"
+	"bytes"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"anondyn"
 	"anondyn/examples/specs"
 	"anondyn/internal/metrics"
-	"anondyn/internal/spec"
+	"anondyn/internal/transport"
 )
 
 func TestPlanCoversRunSpace(t *testing.T) {
@@ -67,86 +65,59 @@ func TestPlanCoversRunSpace(t *testing.T) {
 	}
 }
 
-// parityCase spins up in-process workers, runs the committed spec
-// through the coordinator, and compares against a local Grid.Run.
-func parityCase(t *testing.T, seeds, nWorkers, nShards int, arm func([]*Worker)) *Result {
+// startWorkers starts n listening workers (pool size 2) and returns
+// their addresses; the workers close with the test.
+func startWorkers(t *testing.T, n int) []string {
 	t.Helper()
-	data, err := specs.Read("er-crash-sweep.yaml")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Local reference: same spec, same seeds override, same fold.
-	sw, err := spec.Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.SeedsPerCell = seeds
-	grid, err := sw.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	localRows, err := grid.Run(anondyn.BatchOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	workers := make([]*Worker, nWorkers)
-	addrs := make([]string, nWorkers)
-	var wg sync.WaitGroup
-	for i := range workers {
+	addrs := make([]string, n)
+	for i := range addrs {
 		w, err := NewWorker("127.0.0.1:0", WorkerOptions{Workers: 2, Log: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
-		workers[i] = w
 		addrs[i] = w.Addr()
-		wg.Add(1)
+		done := make(chan struct{})
 		go func() {
-			defer wg.Done()
+			defer close(done)
 			if err := w.Serve(); err != nil {
 				t.Errorf("worker serve: %v", err)
 			}
 		}()
+		t.Cleanup(func() { w.Close(); <-done })
 	}
-	defer wg.Wait()
-	defer func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	}()
-	if arm != nil {
-		arm(workers)
-	}
+	return addrs
+}
 
-	res, err := Run(data, Options{
-		Workers:      addrs,
-		Shards:       nShards,
-		SeedsPerCell: seeds,
-		IOTimeout:    10 * time.Second,
-		RetryDelay:   20 * time.Millisecond,
-		Log:          t.Logf,
-	})
+// parityCase runs the committed spec over dial-out workers at addrs
+// through a listener-less control plane and checks the merged rows
+// against a local Grid.Run of the same spec and seeds.
+func parityCase(t *testing.T, seeds, nShards int, addrs []string, opts PlaneOptions) *Result {
+	t.Helper()
+	data, grid, local := localReference(t, seeds)
+	if opts.IOTimeout == 0 {
+		opts.IOTimeout = 10 * time.Second
+	}
+	opts.Log = t.Logf
+	cp, err := NewControlPlane(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if !reflect.DeepEqual(res.Rows, localRows) {
-		t.Errorf("distributed rows differ from local rows:\ndist  %+v\nlocal %+v", res.Rows, localRows)
-	}
-	// The contract is byte-identical report rows, so compare the
-	// serialized form too.
-	distJSON, err := json.Marshal(res.Rows)
+	defer cp.Close()
+	h, err := cp.Submit(data, SubmitOptions{SeedsPerCell: seeds, Shards: nShards, Name: "parity"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	localJSON, err := json.Marshal(localRows)
+	for _, a := range addrs {
+		cp.AddWorker(a)
+	}
+	res, err := h.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(distJSON) != string(localJSON) {
-		t.Errorf("serialized rows differ:\ndist  %s\nlocal %s", distJSON, localJSON)
+	if !reflect.DeepEqual(res.Rows, local) {
+		t.Errorf("distributed rows differ from local rows:\ndist  %+v\nlocal %+v", res.Rows, local)
 	}
+	assertParity(t, res.Rows, local)
 	total := 0
 	for _, n := range res.RunsByWorker {
 		total += n
@@ -154,11 +125,20 @@ func parityCase(t *testing.T, seeds, nWorkers, nShards int, arm func([]*Worker))
 	if want := grid.Runs(); total != want {
 		t.Errorf("runs across workers = %d, want %d", total, want)
 	}
+	cp.Shutdown()
 	return res
 }
 
+// TestDistributedParityTwoWorkers: shard.Run, the one-shot path, over
+// two listening workers merges to the local rows with two shards per
+// worker and no requeue.
 func TestDistributedParityTwoWorkers(t *testing.T) {
-	res := parityCase(t, 6, 2, 4, nil)
+	data, _, local := localReference(t, 6)
+	res, err := Run(data, Options{Workers: startWorkers(t, 2), SeedsPerCell: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertParity(t, res.Rows, local)
 	if res.Requeues != 0 {
 		t.Errorf("unexpected requeues: %d", res.Requeues)
 	}
@@ -169,16 +149,36 @@ func TestDistributedParityTwoWorkers(t *testing.T) {
 
 func TestDistributedParityManyShards(t *testing.T) {
 	// More shards than cells forces single-cell seed-range shards.
-	parityCase(t, 6, 2, 9, nil)
+	parityCase(t, 6, 9, startWorkers(t, 2), PlaneOptions{})
+}
+
+// dialOutCut measures a clean dial-out pass through a proxy to the
+// listening worker at addr — one worker, so the plane dispatches the
+// shards in plan order and the worker's stream is the same on every
+// pass — then reruns the sweep on a plane with opts and the fault that
+// place returns for the clean pass's exchange boundaries. Both passes
+// must match the local rows.
+func dialOutCut(t *testing.T, addr string, kind faultKind, place func(ex []int) int, opts PlaneOptions) (res *Result, clean, cut *proxy) {
+	t.Helper()
+	clean = newProxy(t, addr, true, fault{})
+	parityCase(t, 6, 4, []string{clean.addr()}, PlaneOptions{})
+	ex := clean.exchanges()
+	if len(ex) != 5 {
+		t.Fatalf("clean pass: exchange boundaries %v, want the handshake and 4 tasks", ex)
+	}
+	cut = newProxy(t, addr, true, fault{kind: kind, at: place(ex)})
+	res = parityCase(t, 6, 4, []string{cut.addr()}, opts)
+	if !cut.hasFired() {
+		t.Fatalf("the %v at byte %d never fired", kind, cut.fault.at)
+	}
+	return res, clean, cut
 }
 
 func TestDistributedParityUnderWorkerRestart(t *testing.T) {
-	res := parityCase(t, 6, 2, 4, func(ws []*Worker) {
-		// Sever whichever connection is serving worker 0's current
-		// task after 2 records: the shard must requeue and rerun
-		// without a trace in the merged rows.
-		ws[0].failAfterRecords(2)
-	})
+	// Reset the worker's connection halfway through its first shard's
+	// exchange: the shard must requeue and rerun on the redialed worker
+	// without a trace in the merged rows.
+	res, _, _ := dialOutCut(t, startWorkers(t, 1)[0], faultReset, func(ex []int) int { return (ex[0] + ex[1]) / 2 }, PlaneOptions{})
 	if res.Requeues < 1 {
 		t.Errorf("requeues = %d, want ≥ 1 after induced worker drop", res.Requeues)
 	}
@@ -189,70 +189,55 @@ func TestDistributedParityUnderWorkerRestart(t *testing.T) {
 // connection dies before the done frame arrives. The coordinator must
 // treat the shard as incomplete and requeue it — never fold a
 // done-less stream into the results — and parityCase's row comparison
-// proves the rerun leaves no trace.
+// proves the rerun leaves no trace. The cut withholds the last byte of
+// the first shard's exchange, so it falls inside the done frame, after
+// the last record, whatever the frames' encoded lengths.
 func TestDropBeforeDoneRequeues(t *testing.T) {
-	res := parityCase(t, 6, 2, 4, func(ws []*Worker) {
-		ws[0].failBeforeDone()
-	})
+	addr := startWorkers(t, 1)[0]
+	coll := metrics.NewCollector()
+	res, clean, cut := dialOutCut(t, addr, faultTruncate, func(ex []int) int { return ex[1] - 1 }, PlaneOptions{Metrics: coll})
 	if res.Requeues < 1 {
 		t.Errorf("requeues = %d, want ≥ 1 after drop between records and done", res.Requeues)
 	}
+	// The plane counts every record it reads: all 24 runs, plus the cut
+	// shard's 6 read once before the cut and once more on its rerun.
+	if got := coll.Snapshot().Runs; got != 24+6 {
+		t.Errorf("the plane read %d records, want 30: the done-less shard must run again", got)
+	}
+	// The offset was measured on one pass and applied to another, which
+	// holds only if the stream is byte-deterministic: a second clean
+	// pass must reproduce it, and the faulted pass must have sent the
+	// same bytes up to the cut (so every record of the shard arrived).
+	again := newProxy(t, addr, true, fault{})
+	parityCase(t, 6, 4, []string{again.addr()}, PlaneOptions{})
+	want := clean.workerStream()
+	if got := again.workerStream(); !bytes.Equal(got, want) {
+		t.Fatalf("two clean passes streamed different bytes:\n%x\n%x", got, want)
+	}
+	if got := cut.workerStream(); !bytes.Equal(got, want[:cut.fault.at]) {
+		t.Errorf("the faulted pass diverged from the clean one before the cut:\n%x\n%x", got, want[:cut.fault.at])
+	}
 }
 
-// TestCoordinatorLiveTelemetry: with Metrics set, the coordinator folds
-// worker-side telemetry frames into the collector while the sweep runs,
-// and the final per-shard Runs cover the whole run space.
+// TestCoordinatorLiveTelemetry: with Metrics set, the control plane
+// folds worker-side telemetry frames into the collector while the sweep
+// runs, and the final per-shard Runs cover the whole run space.
 func TestCoordinatorLiveTelemetry(t *testing.T) {
-	data, err := specs.Read("er-crash-sweep.yaml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := spec.Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.SeedsPerCell = 6
-	grid, err := sw.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	workers := make([]*Worker, 2)
-	addrs := make([]string, len(workers))
-	var wg sync.WaitGroup
-	for i := range workers {
-		w, err := NewWorker("127.0.0.1:0", WorkerOptions{Workers: 2, Log: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
-		addrs[i] = w.Addr()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Serve(); err != nil {
-				t.Errorf("worker serve: %v", err)
-			}
-		}()
-	}
-	defer wg.Wait()
-	defer func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	}()
-
+	data, grid, _ := localReference(t, 6)
 	coll := metrics.NewCollector()
-	res, err := Run(data, Options{
-		Workers:          addrs,
-		Shards:           4,
-		SeedsPerCell:     6,
-		IOTimeout:        10 * time.Second,
-		RetryDelay:       20 * time.Millisecond,
-		Metrics:          coll,
-		MetricsEveryRuns: 2,
-		Log:              t.Logf,
-	})
+	cp, err := NewControlPlane(PlaneOptions{IOTimeout: 10 * time.Second, Log: t.Logf, Metrics: coll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	h, err := cp.Submit(data, SubmitOptions{SeedsPerCell: 6, Shards: 4, Name: "telemetry"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range startWorkers(t, 2) {
+		cp.AddWorker(a)
+	}
+	res, err := h.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,25 +268,54 @@ func TestCoordinatorLiveTelemetry(t *testing.T) {
 	}
 }
 
+// TestWorkerMidStreamTelemetry drives a listening worker directly with
+// a telemetry cadence below the shard size (the control plane's fixed
+// cadence of 16 is never reached by these small shards): the worker
+// interleaves a frame after every second record and a final one before
+// done, and each frame counts exactly the records already shipped.
+func TestWorkerMidStreamTelemetry(t *testing.T) {
+	data, _, _ := localReference(t, 6)
+	cl, err := transport.DialShard(startWorkers(t, 1)[0], "", 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	task := transport.ShardTask{Shard: 0, Lo: 0, Hi: 6, SeedsPerCell: 6, MetricsEveryRuns: 2, Spec: data}
+	records := 0
+	var frames []uint64
+	err = cl.RunShard(task, func(transport.ShardRecord) error {
+		records++
+		return nil
+	}, func(m transport.ShardMetrics) {
+		if m.Runs != uint64(records) {
+			t.Errorf("telemetry frame counts %d runs after %d records", m.Runs, records)
+		}
+		frames = append(frames, m.Runs)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{2, 4, 6}; !reflect.DeepEqual(frames, want) {
+		t.Errorf("telemetry frames at runs %v, want %v", frames, want)
+	}
+}
+
+// TestAllWorkersLostAborts: shard.Run's plane has no listener, so once
+// its only worker is unreachable (the dial retries spent) the sweep
+// fails instead of waiting for a worker that cannot arrive.
 func TestAllWorkersLostAborts(t *testing.T) {
 	data, err := specs.Read("er-crash-sweep.yaml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Grab two ports that are closed by the time the coordinator dials.
+	// Grab a port that is closed by the time the coordinator dials.
 	w, err := NewWorker("127.0.0.1:0", WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := w.Addr()
 	w.Close()
-	_, err = Run(data, Options{
-		Workers:      []string{addr},
-		SeedsPerCell: 1,
-		DialRetries:  1,
-		RetryDelay:   10 * time.Millisecond,
-		IOTimeout:    time.Second,
-	})
+	_, err = Run(data, Options{Workers: []string{addr}, SeedsPerCell: 1})
 	if err == nil || !strings.Contains(err.Error(), "workers") {
 		t.Fatalf("err = %v, want all-workers-lost abort", err)
 	}

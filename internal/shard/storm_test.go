@@ -57,8 +57,8 @@ func TestStormDoubleRunIdentical(t *testing.T) {
 func TestStormShardedParity(t *testing.T) {
 	data, swLocal, local := stormReference(t, 6)
 	cp := startPlane(t, PlaneOptions{})
-	joinWorker(t, cp, WorkerOptions{})
-	joinWorker(t, cp, WorkerOptions{})
+	joinWorker(t, cp.Addr(), WorkerOptions{}, nil)
+	joinWorker(t, cp.Addr(), WorkerOptions{}, nil)
 
 	h, err := cp.Submit(data, SubmitOptions{SeedsPerCell: 6, Shards: 4, Name: "storm-parity"})
 	if err != nil {
@@ -85,19 +85,7 @@ func TestStormShardedParity(t *testing.T) {
 // the finished rows still match the local reference byte for byte.
 func TestStormWorkerKilledMidSweep(t *testing.T) {
 	data, _, local := stormReference(t, 6)
-	cp := startPlane(t, PlaneOptions{})
-
-	w := joinWorker(t, cp, WorkerOptions{})
-	w.failAfterRecords(2)
-
-	h, err := cp.Submit(data, SubmitOptions{SeedsPerCell: 6, Shards: 4, Name: "storm-kill"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := dialInKill(t, data, 6)
 	if res.Requeues < 1 {
 		t.Errorf("requeues = %d, want ≥ 1 after mid-storm kill", res.Requeues)
 	}
@@ -135,7 +123,7 @@ func TestPlaneStatusQuery(t *testing.T) {
 		t.Error("status query with a bad token succeeded")
 	}
 
-	joinWorker(t, cp, WorkerOptions{Token: "s3cret"})
+	joinWorker(t, cp.Addr(), WorkerOptions{Token: "s3cret"}, nil)
 	if _, err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}

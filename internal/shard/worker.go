@@ -27,9 +27,6 @@ type WorkerOptions struct {
 	// exchange; waiting for the next task is always unbounded. 0 means
 	// DefaultIOTimeout.
 	IOTimeout time.Duration
-	// RejoinDelay is the pause between control-plane reconnect attempts
-	// in JoinLoop; default 1s.
-	RejoinDelay time.Duration
 	// Log, when non-nil, receives progress lines (Printf-style).
 	Log func(format string, args ...any)
 	// Metrics, when non-nil, observes every shard this worker executes
@@ -41,6 +38,9 @@ type WorkerOptions struct {
 // DefaultIOTimeout is the per-frame bound both ends of the shard
 // protocol fall back to.
 const DefaultIOTimeout = 2 * time.Minute
+
+// rejoinDelay is JoinLoop's pause between control-plane sessions.
+const rejoinDelay = time.Second
 
 // Worker executes shards for any coordinator it is connected to —
 // whether the coordinator dialed in (the listener) or the worker
@@ -57,17 +57,6 @@ type Worker struct {
 	stop     chan struct{} // closed on Close/Drain: ends JoinLoop retries
 	conns    map[net.Conn]struct{}
 	joins    map[*joinState]struct{}
-
-	// dropAfter is a test knob: when > 0, the connection serving the
-	// current task is severed after that many further records — the
-	// "worker restart mid-shard" the requeue path must survive. It
-	// disarms after firing.
-	dropAfter int
-	// dropBeforeDone is a test knob: the connection serving the current
-	// task is severed after its record stream completes but before the
-	// done frame — the ambiguous ordering a coordinator must requeue,
-	// never treat as a clean finish. It disarms after firing.
-	dropBeforeDone bool
 }
 
 // NewWorker starts listening on addr (e.g. "127.0.0.1:0"); call Serve
@@ -76,9 +65,6 @@ type Worker struct {
 func NewWorker(addr string, opts WorkerOptions) (*Worker, error) {
 	if opts.IOTimeout <= 0 {
 		opts.IOTimeout = DefaultIOTimeout
-	}
-	if opts.RejoinDelay <= 0 {
-		opts.RejoinDelay = time.Second
 	}
 	if opts.Log == nil {
 		opts.Log = func(string, ...any) {}
@@ -251,10 +237,10 @@ func (w *Worker) Join(cpAddr string) error {
 	return nil
 }
 
-// JoinLoop runs Join against cpAddr, reconnecting with RejoinDelay
-// backoff whenever the session ends, until Close or Drain. Connection
-// failures are logged and retried — a control plane that is not up yet
-// (or restarting) is an expected state, not an error.
+// JoinLoop runs Join against cpAddr, reconnecting one second after
+// each session ends, until Close or Drain. Connection failures are
+// logged and retried — a control plane that is not up yet (or
+// restarting) is an expected state, not an error.
 func (w *Worker) JoinLoop(cpAddr string) {
 	for {
 		select {
@@ -263,12 +249,12 @@ func (w *Worker) JoinLoop(cpAddr string) {
 		default:
 		}
 		if err := w.Join(cpAddr); err != nil {
-			w.opts.Log("shard worker: control plane %s: %v (retrying in %v)", cpAddr, err, w.opts.RejoinDelay)
+			w.opts.Log("shard worker: control plane %s: %v (retrying in %v)", cpAddr, err, rejoinDelay)
 		}
 		select {
 		case <-w.stop:
 			return
-		case <-time.After(w.opts.RejoinDelay):
+		case <-time.After(rejoinDelay):
 		}
 	}
 }
@@ -297,7 +283,7 @@ func (w *Worker) session(raw net.Conn, srv *transport.ShardServer, js *joinState
 			return
 		}
 		w.opts.Log("shard worker: shard %d (runs [%d,%d)) from %s", task.Shard, task.Lo, task.Hi, raw.RemoteAddr())
-		if err := w.runTask(raw, srv, task); err != nil {
+		if err := w.runTask(srv, task); err != nil {
 			w.opts.Log("shard worker: shard %d: %v", task.Shard, err)
 			return // the connection is no longer trustworthy
 		}
@@ -397,7 +383,7 @@ func lingerClose(raw net.Conn) {
 // malformed stream — a transport-looking failure that requeues a
 // deterministic error forever. Detecting the gap here turns it into a
 // fail frame carrying the run's actual error.
-func (w *Worker) runTask(raw net.Conn, srv *transport.ShardServer, task transport.ShardTask) error {
+func (w *Worker) runTask(srv *transport.ShardServer, task transport.ShardTask) error {
 	_, grid, err := spec.Compile(task.Spec, task.SeedsPerCell)
 	if err != nil {
 		return srv.Fail(task.Shard, err.Error())
@@ -441,7 +427,6 @@ func (w *Worker) runTask(raw net.Conn, srv *transport.ShardServer, task transpor
 				return fmt.Errorf("record stream gap at run %d (want %d): an earlier run failed", run, next)
 			}
 			next++
-			w.maybeDrop(raw)
 			rec := anondyn.Record(res, c.Eps)
 			if err := srv.WriteRecord(transport.ShardRecord{
 				Run:          run,
@@ -475,47 +460,5 @@ func (w *Worker) runTask(raw net.Conn, srv *transport.ShardServer, task transpor
 			return err
 		}
 	}
-	if w.takeDropBeforeDone() {
-		raw.Close()
-		return errors.New("shard: dropped before done frame (test knob)")
-	}
 	return srv.Done(task.Shard, count)
-}
-
-// failAfterRecords arms the test knob: the connection serving the
-// current task is severed after n further records.
-func (w *Worker) failAfterRecords(n int) {
-	w.mu.Lock()
-	w.dropAfter = n
-	w.mu.Unlock()
-}
-
-// failBeforeDone arms the test knob: the connection serving the current
-// task is severed between its last record and the done frame.
-func (w *Worker) failBeforeDone() {
-	w.mu.Lock()
-	w.dropBeforeDone = true
-	w.mu.Unlock()
-}
-
-func (w *Worker) takeDropBeforeDone() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	fire := w.dropBeforeDone
-	w.dropBeforeDone = false
-	return fire
-}
-
-func (w *Worker) maybeDrop(raw net.Conn) {
-	w.mu.Lock()
-	if w.dropAfter <= 0 {
-		w.mu.Unlock()
-		return
-	}
-	w.dropAfter--
-	fire := w.dropAfter == 0
-	w.mu.Unlock()
-	if fire {
-		raw.Close()
-	}
 }

@@ -75,9 +75,26 @@ stress:
       factor: 2.0
       spread: 2
 `), int64(2))
+	// Large integers, which the mutator rarely writes by itself: event
+	// ends far past the budget, and huge wave sizes and growth inside it.
+	for _, event := range []string{
+		"kind: cascade\nround: 1\ncount: 1\nwaves: 3000000\nspread: 1",
+		"kind: crash-storm\nround: 1\nduration: 3000000\nrate: 0.01",
+		"kind: starve\nround: 9223372036854775807\nduration: 9223372036854775807\nrate: 1",
+		"kind: cascade\nround: 1\ncount: 2147483647\nwaves: 5\nfactor: 1e300\nspread: 1",
+		"kind: crash\nround: 5\ncount: 9223372036854775807",
+	} {
+		f.Add(stormSpec(event), int64(-1)<<63)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		sw, err := Parse(data)
 		if err != nil || sw.Stress == nil || sw.Stress.Fleet.TotalNodes > maxFuzzFleet {
+			return
+		}
+		if derr := sw.Stress.CheckDuration(); derr != nil {
+			if _, err := sw.Grid(); err == nil || err.Error() != derr.Error() {
+				t.Fatalf("Grid() = %v for a storm past its duration, want %v\n%s", err, derr, data)
+			}
 			return
 		}
 		if _, err := sw.Grid(); err != nil {

@@ -36,6 +36,9 @@ func (s *Sweep) Grid() (anondyn.Grid, error) {
 	g.Inputs = inputs
 	g.Mutate = s.compileMutate()
 	if s.Stress != nil {
+		if err := s.Stress.CheckDuration(); err != nil {
+			return anondyn.Grid{}, err
+		}
 		s.applyStress(&g)
 	}
 	if s.Construction != "" || s.Crashes != nil || len(s.Byzantine) > 0 {

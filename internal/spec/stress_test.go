@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"anondyn"
 )
@@ -244,5 +245,66 @@ func TestStressRunEndToEnd(t *testing.T) {
 	}
 	if len(verdictsA) == 0 {
 		t.Error("storm run produced no verdicts")
+	}
+}
+
+// stormSpec is a 100-node storm with a 5-round budget around one event.
+func stormSpec(event string) []byte {
+	return []byte(`name: storm-duration
+epss: [1e-3]
+algorithms: [dac]
+adversaries: [complete]
+seeds_per_cell: 1
+unchecked: true
+stress:
+  fleet:
+    total_nodes: 100
+  rounds: 5
+  events:
+    - ` + strings.ReplaceAll(strings.TrimSpace(event), "\n", "\n      ") + "\n")
+}
+
+// TestStormEventsEndWithinDuration: an event whose last active round
+// falls past stress.rounds is a Grid error that names the overshooting
+// key, raised before any storm compiles. The 3 000 000-wave cascade
+// once cost seconds and gigabytes on every run of every worker it was
+// submitted to; it must now be rejected in well under 100 ms. Events
+// that end exactly at the budget still compile, and so does every
+// committed spec.
+func TestStormEventsEndWithinDuration(t *testing.T) {
+	for _, tc := range []struct{ event, key string }{
+		{"kind: cascade\nround: 1\ncount: 1\nwaves: 3000000\nspread: 1", "stress.events[0].waves"},
+		{"kind: cascade\nround: 2\ncount: 1\nwaves: 3\nspread: 2", "stress.events[0].waves"},
+		{"kind: crash-storm\nround: 1\nduration: 3000000\nrate: 0.01", "stress.events[0].duration"},
+		{"kind: starve\nround: 3\nduration: 4\nrate: 0.1", "stress.events[0].duration"},
+		{"kind: crash\nround: 6\ncount: 1", "stress.events[0].round"},
+	} {
+		data := stormSpec(tc.event)
+		if _, err := Parse(data); err != nil {
+			t.Fatalf("%s: Parse rejected the spec (the bound belongs to Grid): %v", tc.key, err)
+		}
+		start := time.Now()
+		_, _, err := Compile(data, 0)
+		elapsed := time.Since(start)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.key+":") {
+			t.Errorf("%q: err = %v, want an error citing %s", tc.event, err, tc.key)
+		}
+		if elapsed > 100*time.Millisecond {
+			t.Errorf("%q: rejected after %v, want under 100ms", tc.event, elapsed)
+		}
+	}
+	for _, event := range []string{
+		"kind: cascade\nround: 1\ncount: 1\nwaves: 3\nspread: 2",
+		"kind: starve\nround: 3\nduration: 3\nrate: 0.1",
+		"kind: crash\nround: 5\ncount: 1",
+	} {
+		if _, _, err := Compile(stormSpec(event), 0); err != nil {
+			t.Errorf("%q ends at the budget and must compile: %v", event, err)
+		}
+	}
+	for name, data := range committedSpecs(t) {
+		if _, _, err := Compile(data, 1); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

@@ -2,8 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -124,4 +127,164 @@ func FuzzClientFrames(f *testing.F) {
 			t.Fatalf("runClient returned result %v and error %v", res, err)
 		}
 	})
+}
+
+// FuzzShardClientStream feeds untrusted worker bytes to the
+// coordinator's end of a shard session: RunShard ships a task through a
+// net.Pipe and reads whatever comes back. Every input must end in an
+// error or a clean done, never a panic or a hang, and onRecord may only
+// ever see an in-order prefix of the task's runs (all of them, on a
+// clean done). The corpus is a well-formed exchange — records with
+// interleaved telemetry, then done —, the same records torn before
+// done, a fail frame and a leave.
+func FuzzShardClientStream(f *testing.F) {
+	task := ShardTask{Shard: 2, Lo: 10, Hi: 14, SeedsPerCell: 2, MetricsEveryRuns: 2, Spec: []byte("ns: [3]")}
+	add := func(write func(c *conn)) {
+		var buf bytes.Buffer
+		c := newConn(&buf)
+		write(c)
+		c.flush() //nolint:errcheck // bytes.Buffer
+		f.Add(buf.Bytes())
+	}
+	record := func(c *conn, run int) {
+		c.writeFrame(frameShardRecord, uint64(run), 1, 7, 300, math.Float64bits(1e-3), 0) //nolint:errcheck
+	}
+	add(func(c *conn) {
+		for run := task.Lo; run < task.Hi; run++ {
+			record(c, run)
+			if done := run - task.Lo + 1; done%task.MetricsEveryRuns == 0 {
+				c.writeFrame(frameShardMetrics, uint64(task.Shard), uint64(done), 40, 900, 1, 2) //nolint:errcheck
+			}
+		}
+		c.writeFrame(frameShardDone, uint64(task.Shard), uint64(task.Runs())) //nolint:errcheck
+	})
+	add(func(c *conn) { // torn before done
+		for run := task.Lo; run < task.Hi; run++ {
+			record(c, run)
+		}
+	})
+	add(func(c *conn) {
+		record(c, task.Lo)
+		c.writeFrame(frameShardErr, uint64(task.Shard)) //nolint:errcheck
+		c.writeBytes([]byte("slice out of range"))      //nolint:errcheck
+	})
+	add(func(c *conn) { c.writeFrame(frameShardLeave) }) //nolint:errcheck
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, done := shardClientOver(data)
+		defer done()
+		next := task.Lo
+		err := s.RunShard(task, func(r ShardRecord) error {
+			if r.Run != next || r.Run >= task.Hi {
+				t.Fatalf("onRecord got run %d, want %d of [%d,%d)", r.Run, next, task.Lo, task.Hi)
+			}
+			next++
+			return nil
+		}, func(ShardMetrics) {})
+		if err == nil && next != task.Hi {
+			t.Fatalf("clean done after runs [%d,%d) of [%d,%d)", task.Lo, next, task.Lo, task.Hi)
+		}
+	})
+}
+
+// FuzzAcceptControlPlane feeds untrusted first-frame bytes to a control
+// plane's accept path through a net.Pipe. Every input must end in an
+// error or exactly one typed session, never a panic or a hang. The
+// corpus is a well-formed join, submit and status request, each with
+// the plane's token, plus a join with the wrong one.
+func FuzzAcceptControlPlane(f *testing.F) {
+	const token = "s3cret"
+	add := func(write func(c *conn)) {
+		var buf bytes.Buffer
+		c := newConn(&buf)
+		write(c)
+		c.flush() //nolint:errcheck // bytes.Buffer
+		f.Add(buf.Bytes())
+	}
+	join := func(tok string) func(c *conn) {
+		return func(c *conn) {
+			c.writeFrame(frameShardJoin, protocolVersion, 4) //nolint:errcheck
+			c.writeBytes([]byte(tok))                        //nolint:errcheck
+		}
+	}
+	add(join(token))
+	add(join("wrong"))
+	add(func(c *conn) {
+		c.writeFrame(frameSubmit, protocolVersion, 2, 3)     //nolint:errcheck
+		c.writeBytes([]byte(token))                          //nolint:errcheck
+		c.writeBytes([]byte("fuzz"))                         //nolint:errcheck
+		c.writeBytes([]byte("ns: [3]\nalgorithms: [dac]\n")) //nolint:errcheck
+	})
+	add(func(c *conn) {
+		c.writeFrame(frameStatusReq, protocolVersion) //nolint:errcheck
+		c.writeBytes([]byte(token))                   //nolint:errcheck
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		plane, peer := net.Pipe()
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			peer.Write(data) //nolint:errcheck // the plane may stop reading early
+			peer.Close()
+		}()
+		defer wg.Wait()
+		defer plane.Close()
+		acc, err := AcceptControlPlane(discardWrites{plane}, token, time.Second)
+		if err != nil {
+			if acc != nil {
+				t.Fatalf("AcceptControlPlane returned a session and error %v", err)
+			}
+			return
+		}
+		sessions := 0
+		for _, set := range []bool{acc.Worker != nil, acc.Submit != nil, acc.Status != nil} {
+			if set {
+				sessions++
+			}
+		}
+		if sessions != 1 {
+			t.Fatalf("accepted %d sessions, want exactly 1: %+v", sessions, acc)
+		}
+	})
+}
+
+// shardClientOver returns the coordinator's end of a shard session
+// whose worker sends data and hangs up; the coordinator's own writes
+// are dropped. Call done when finished with it.
+func shardClientOver(data []byte) (s *ShardClient, done func()) {
+	coordinator, worker := net.Pipe()
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		worker.Write(data) //nolint:errcheck // the coordinator may stop reading early
+		worker.Close()
+	}()
+	s = &ShardClient{raw: coordinator, c: newConn(discardWrites{coordinator}), timeout: time.Second}
+	return s, func() { coordinator.Close(); <-sent }
+}
+
+// TestRunShardRejectsRecordPastShard: a worker that streams one record
+// more than its shard holds fails the exchange as a malformed stream,
+// and onRecord never sees the extra run.
+func TestRunShardRejectsRecordPastShard(t *testing.T) {
+	task := ShardTask{Shard: 1, Lo: 3, Hi: 6, Spec: []byte("ns: [3]")}
+	var buf bytes.Buffer
+	c := newConn(&buf)
+	for run := task.Lo; run <= task.Hi; run++ {
+		c.writeFrame(frameShardRecord, uint64(run), 1, 7, 300, 0, 0) //nolint:errcheck // bytes.Buffer
+	}
+	c.flush() //nolint:errcheck
+	s, done := shardClientOver(buf.Bytes())
+	defer done()
+	var seen []int
+	err := s.RunShard(task, func(r ShardRecord) error {
+		seen = append(seen, r.Run)
+		return nil
+	}, nil)
+	if !errors.Is(err, ErrBadFrame) {
+		t.Errorf("err = %v, want ErrBadFrame", err)
+	}
+	if want := []int{3, 4, 5}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("onRecord saw runs %v, want %v", seen, want)
+	}
 }

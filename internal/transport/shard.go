@@ -231,8 +231,8 @@ func (s *ShardClient) RunShard(task ShardTask, onRecord func(ShardRecord) error,
 			if err != nil {
 				return err
 			}
-			if rec.Run != next {
-				return fmt.Errorf("%w: record for run %d, want %d", ErrBadFrame, rec.Run, next)
+			if rec.Run != next || next == task.Hi {
+				return fmt.Errorf("%w: record for run %d, want %d of [%d,%d)", ErrBadFrame, rec.Run, next, task.Lo, task.Hi)
 			}
 			next++
 			if err := onRecord(rec); err != nil {
