@@ -242,7 +242,16 @@ func noArg(mk func(c Cell) Adversary) factoryParser {
 
 func registerBuiltinFactories() {
 	RegisterAdversaryFactory("complete", noArg(func(Cell) Adversary { return Complete() }))
-	RegisterAdversaryFactory("halves", noArg(func(c Cell) Adversary { return Halves(c.N) }))
+	RegisterAdversaryFactory("halves", func(arg string) (AdversaryFactory, error) {
+		f, err := noArg(func(c Cell) Adversary { return Halves(c.N) })(arg)
+		f.Check = func(c Cell) error {
+			if c.N < 2 {
+				return fmt.Errorf("halves needs n ≥ 2 to split (got n=%d)", c.N)
+			}
+			return nil
+		}
+		return f, err
+	})
 	RegisterAdversaryFactory("chasemin", noArg(func(Cell) Adversary { return ChaseMin() }))
 	RegisterAdversaryFactory("fig1", func(arg string) (AdversaryFactory, error) {
 		if arg != "" {
@@ -273,12 +282,21 @@ func registerBuiltinFactories() {
 			},
 		}, nil
 	})
-	RegisterAdversaryFactory("rotating", degreeFactory(func(d int) Adversary { return Rotating(d) }))
-	RegisterAdversaryFactory("starve", degreeFactory(func(d int) Adversary { return Starve(d) }))
+	RegisterAdversaryFactory("rotating", degreeFactory(Rotating, func(d int) error {
+		_, err := adversary.NewRotating(d)
+		return err
+	}))
+	RegisterAdversaryFactory("starve", degreeFactory(Starve, func(d int) error {
+		_, err := adversary.NewStarve(d)
+		return err
+	}))
 	RegisterAdversaryFactory("clustered", func(arg string) (AdversaryFactory, error) {
 		period, err := strconv.Atoi(arg)
 		if err != nil {
 			return AdversaryFactory{}, fmt.Errorf("clustered needs an integer period: %v", err)
+		}
+		if _, err := adversary.NewClustered(period); err != nil {
+			return AdversaryFactory{}, err
 		}
 		return AdversaryFactory{New: func(Cell, int64) Adversary { return Clustered(period) }}, nil
 	})
@@ -290,6 +308,9 @@ func registerBuiltinFactories() {
 		p, err := strconv.ParseFloat(parts[0], 64)
 		if err != nil {
 			return AdversaryFactory{}, fmt.Errorf("er needs a probability: %v", err)
+		}
+		if _, err := adversary.NewProbabilistic(p, 0); err != nil {
+			return AdversaryFactory{}, err
 		}
 		fixed, hasFixed, err := optionalSeed(parts, 1)
 		if err != nil {
@@ -310,6 +331,9 @@ func registerBuiltinFactories() {
 		p, err := strconv.ParseFloat(parts[0], 64)
 		if err != nil {
 			return AdversaryFactory{}, fmt.Errorf("er2 needs a probability: %v", err)
+		}
+		if _, err := adversary.NewSparseProbabilistic(p, 0); err != nil {
+			return AdversaryFactory{}, err
 		}
 		fixed, hasFixed, err := optionalSeed(parts, 1)
 		if err != nil {
@@ -345,12 +369,21 @@ func registerBuiltinFactories() {
 		if err != nil {
 			return AdversaryFactory{}, err
 		}
-		return AdversaryFactory{New: func(c Cell, seed int64) Adversary {
-			if hasFixed {
-				seed = fixed
-			}
-			return RandomDegree(block, degree(c), extra, seed)
-		}}, nil
+		if _, err := adversary.NewRandomDegree(block, 0, extra, 0); err != nil {
+			return AdversaryFactory{}, err // the degree is checked per cell
+		}
+		return AdversaryFactory{
+			New: func(c Cell, seed int64) Adversary {
+				if hasFixed {
+					seed = fixed
+				}
+				return RandomDegree(block, degree(c), extra, seed)
+			},
+			Check: func(c Cell) error {
+				_, err := adversary.NewRandomDegree(block, degree(c), extra, 0)
+				return err
+			},
+		}, nil
 	})
 	RegisterAdversaryFactory("starveperiod", func(arg string) (AdversaryFactory, error) {
 		period, err := strconv.Atoi(arg)
@@ -371,14 +404,18 @@ func registerBuiltinFactories() {
 }
 
 // degreeFactory builds the parser for single-degree-argument
-// constructors (rotating, starve).
-func degreeFactory(mk func(d int) Adversary) factoryParser {
+// constructors (rotating, starve); check rejects a cell whose resolved
+// degree the constructor would refuse.
+func degreeFactory(mk func(d int) Adversary, check func(d int) error) factoryParser {
 	return func(arg string) (AdversaryFactory, error) {
 		degree, err := degreeArg(arg)
 		if err != nil {
 			return AdversaryFactory{}, err
 		}
-		return AdversaryFactory{New: func(c Cell, _ int64) Adversary { return mk(degree(c)) }}, nil
+		return AdversaryFactory{
+			New:   func(c Cell, _ int64) Adversary { return mk(degree(c)) },
+			Check: func(c Cell) error { return check(degree(c)) },
+		}, nil
 	}
 }
 

@@ -213,7 +213,8 @@ func TestParseAdversaryFactory(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "warp", "rotating:x", "random:1", "er:zz",
-		"complete:3", "starveperiod:0", "random:1,2,3,4,5"} {
+		"complete:3", "starveperiod:0", "random:1,2,3,4,5", "er:1.5", "er2:-0.1",
+		"clustered:0", "random:0,2", "random:1,2,2"} {
 		if _, err := anondyn.ParseAdversaryFactory(bad); err == nil {
 			t.Errorf("ParseAdversaryFactory(%q) accepted", bad)
 		}

@@ -8,31 +8,10 @@ import (
 	"anondyn/internal/metrics"
 )
 
-// ResultSink consumes the results of a seeded batch as they complete.
-// RunManyStream delivers results in batch order (index 0, 1, 2, …)
-// from a single goroutine regardless of worker count, so sinks need no
-// locking and every aggregate they build is deterministic. Returning
-// an error aborts further deliveries and fails the batch.
-type ResultSink interface {
-	Consume(index int, seed int64, res *Result) error
-}
-
 // BatchOptions tunes the worker pool behind a batch.
 type BatchOptions struct {
 	// Workers is the pool size; values < 1 mean GOMAXPROCS.
 	Workers int
-	// Retries re-executes a failing scenario up to this many extra
-	// times before recording its error (0 = a single attempt).
-	Retries int
-	// OnProgress, when non-nil, is called after each delivery with the
-	// number of completed runs and the batch size, from one goroutine.
-	OnProgress func(done, total int)
-	// MaxPending caps the reorder window: at most this many runs may be
-	// started ahead of the next result the sink is waiting for, so
-	// skewed per-run costs cannot grow reorder memory with the batch
-	// size. 0 = a built-in bound proportional to the worker count;
-	// values below the worker count are raised to it.
-	MaxPending int
 	// Metrics, when non-nil, watches the whole batch live: it is
 	// attached to every run's engine (unless the scenario sets its own
 	// sink), receives one RunSample per completed run in batch order,
@@ -45,12 +24,7 @@ type BatchOptions struct {
 
 // harness converts the options to the harness layer's form.
 func (o BatchOptions) harness() harness.Options {
-	h := harness.Options{
-		Workers:    o.Workers,
-		Retries:    o.Retries,
-		OnProgress: o.OnProgress,
-		MaxPending: o.MaxPending,
-	}
+	h := harness.Options{Workers: o.Workers}
 	if po, ok := o.Metrics.(harness.PoolObserver); ok {
 		h.Observer = po
 	}
@@ -83,7 +57,11 @@ func Seeds(n int, base int64) []int64 {
 // RunManyStream executes the scenario produced by mk(seed) for each
 // seed across a worker pool and streams every result into sink —
 // nothing is retained once a sink call returns, so memory stays
-// bounded by the in-flight window rather than the batch size. mk must
+// bounded by the in-flight window rather than the batch size. sink
+// sees results in batch order (index 0, 1, 2, …) from a single
+// goroutine regardless of worker count, so it needs no locking and
+// every aggregate it builds is deterministic; a sink error aborts
+// further deliveries and fails the batch. mk must
 // return a fresh Scenario per call (adversaries and strategies hold
 // RNG state) and is invoked concurrently for distinct seeds. Results
 // are bit-identical across worker counts.
@@ -94,7 +72,7 @@ func Seeds(n int, base int64) []int64 {
 // algorithm parameters and Byzantine set); only
 // the adversary and strategies mk builds are fresh per seed. Recycling
 // never changes results — asserted by the recycle tests.
-func RunManyStream(seeds []int64, mk func(seed int64) Scenario, sink ResultSink, opts BatchOptions) error {
+func RunManyStream(seeds []int64, mk func(seed int64) Scenario, sink func(i int, seed int64, res *Result) error, opts BatchOptions) error {
 	return harness.RunPooled(len(seeds),
 		func() (*engineBox, error) { return &engineBox{}, nil },
 		func(box *engineBox, i int) (*Result, error) {
@@ -109,7 +87,7 @@ func RunManyStream(seeds []int64, mk func(seed int64) Scenario, sink ResultSink,
 			return res, nil
 		},
 		func(i int, res *Result) error {
-			if err := sink.Consume(i, seeds[i], res); err != nil {
+			if err := sink(i, seeds[i], res); err != nil {
 				return err
 			}
 			opts.runDone(res)
@@ -131,7 +109,7 @@ type BatchStats struct {
 	rounds, outRange, bytes   analysis.Accumulator
 }
 
-// Consume implements ResultSink.
+// Consume folds one result — pass it to RunManyStream as the sink.
 func (b *BatchStats) Consume(_ int, _ int64, res *Result) error {
 	return b.ConsumeRecord(Record(res, b.Eps))
 }
@@ -232,28 +210,4 @@ type BatchReport struct {
 	Rounds      Summary `json:"rounds"`
 	OutputRange Summary `json:"output_range"`
 	Bytes       Summary `json:"bytes_delivered"`
-}
-
-// SinkFunc adapts a plain function to the ResultSink interface.
-type SinkFunc func(index int, seed int64, res *Result) error
-
-// Consume implements ResultSink.
-func (f SinkFunc) Consume(index int, seed int64, res *Result) error {
-	return f(index, seed, res)
-}
-
-// Sinks fans one result stream out to several sinks in order — e.g. a
-// BatchStats aggregate plus a per-run logger. The first sink error
-// aborts the fan-out.
-func Sinks(sinks ...ResultSink) ResultSink { return multiSink(sinks) }
-
-type multiSink []ResultSink
-
-func (m multiSink) Consume(index int, seed int64, res *Result) error {
-	for _, s := range m {
-		if err := s.Consume(index, seed, res); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -42,10 +42,10 @@ func runBatchAt(t *testing.T, workers int) ([]string, anondyn.BatchReport) {
 	stats := &anondyn.BatchStats{Eps: 1e-3}
 	var prints []string
 	err := anondyn.RunManyStream(anondyn.Seeds(16, 300), batchFamily,
-		anondyn.Sinks(stats, anondyn.SinkFunc(func(_ int, seed int64, res *anondyn.Result) error {
+		func(i int, seed int64, res *anondyn.Result) error {
 			prints = append(prints, fingerprint(seed, res))
-			return nil
-		})),
+			return stats.Consume(i, seed, res)
+		},
 		anondyn.BatchOptions{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
@@ -78,11 +78,11 @@ func TestRunManyMatchesStream(t *testing.T) {
 	seeds := anondyn.Seeds(8, 70)
 	var gotSeeds []int64
 	var results []*anondyn.Result
-	err := anondyn.RunManyStream(seeds, batchFamily, anondyn.SinkFunc(func(_ int, seed int64, res *anondyn.Result) error {
+	err := anondyn.RunManyStream(seeds, batchFamily, func(_ int, seed int64, res *anondyn.Result) error {
 		gotSeeds = append(gotSeeds, seed)
 		results = append(results, res)
 		return nil
-	}), anondyn.BatchOptions{})
+	}, anondyn.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestBatchStatsMatchesRetained(t *testing.T) {
 	seeds := anondyn.Seeds(12, 900)
 	stats := &anondyn.BatchStats{Eps: 1e-3}
 	var results []*anondyn.Result
-	retain := anondyn.SinkFunc(func(_ int, _ int64, res *anondyn.Result) error {
+	retain := func(i int, seed int64, res *anondyn.Result) error {
 		results = append(results, res)
-		return nil
-	})
-	if err := anondyn.RunManyStream(seeds, batchFamily, anondyn.Sinks(stats, retain), anondyn.BatchOptions{}); err != nil {
+		return stats.Consume(i, seed, res)
+	}
+	if err := anondyn.RunManyStream(seeds, batchFamily, retain, anondyn.BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	decided, violations := 0, 0
@@ -148,7 +148,7 @@ func TestRunManyStreamCollectsErrors(t *testing.T) {
 			return anondyn.Scenario{} // invalid
 		}
 		return batchFamily(seed)
-	}, stats, anondyn.BatchOptions{Workers: 2})
+	}, stats.Consume, anondyn.BatchOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
@@ -157,24 +157,5 @@ func TestRunManyStreamCollectsErrors(t *testing.T) {
 	}
 	if stats.Runs() != 3 {
 		t.Errorf("streamed %d valid runs, want 3", stats.Runs())
-	}
-}
-
-// TestRunManyStreamProgress checks the ordered progress callback.
-func TestRunManyStreamProgress(t *testing.T) {
-	var last, calls int
-	err := anondyn.RunManyStream(anondyn.Seeds(6, 0), batchFamily, &anondyn.BatchStats{},
-		anondyn.BatchOptions{Workers: 3, OnProgress: func(done, total int) {
-			if total != 6 || done != last+1 {
-				t.Errorf("progress (%d, %d) after %d", done, total, last)
-			}
-			last = done
-			calls++
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 6 {
-		t.Errorf("progress called %d times", calls)
 	}
 }

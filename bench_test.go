@@ -112,7 +112,7 @@ func BenchmarkRunManyParallel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				stats := &anondyn.BatchStats{Eps: 1e-3}
-				err := anondyn.RunManyStream(anondyn.Seeds(batch, 0), family, stats,
+				err := anondyn.RunManyStream(anondyn.Seeds(batch, 0), family, stats.Consume,
 					anondyn.BatchOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)

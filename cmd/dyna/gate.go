@@ -2,14 +2,14 @@ package main
 
 // dyna gate is the CI bench-regression gate: it compares two Go
 // benchmark output files (the checked-in bench/baseline.txt against a
-// fresh run) and fails when a benchmark regressed beyond the
-// configured thresholds.
+// fresh run) and fails when a benchmark regressed beyond the fixed
+// thresholds below.
 //
 // allocs/op is the load-bearing signal — allocation counts are
-// deterministic and machine-independent, so the default threshold is
-// tight (2%). ns/op depends on the hardware the baseline was recorded
-// on, so its default threshold is deliberately loose (fail only beyond
-// 5× the baseline median): it catches order-of-magnitude slowdowns,
+// deterministic and machine-independent, so its threshold is tight
+// (2%). ns/op depends on the hardware the baseline was recorded on, so
+// its threshold is deliberately loose (fail only beyond 5× the
+// baseline median): it catches order-of-magnitude slowdowns,
 // not machine differences or microarchitecture noise. A
 // regression must also be statistically separated (every new sample
 // worse than every baseline sample) before the gate fires, so a single
@@ -45,15 +45,22 @@ import (
 	"strings"
 )
 
+// The gate's regression thresholds, as fractions of the baseline
+// median.
+const (
+	// nsThreshold: 4.0 fails only beyond 5× — cross-machine baselines
+	// need order-of-magnitude slack.
+	nsThreshold = 4.0
+	// allocThreshold is tight: allocation counts are machine-independent.
+	allocThreshold = 0.02
+)
+
 func runGate(args []string) error {
 	out := os.Stdout
 	fs := newFlagSet("gate", "")
 	var (
 		baselinePath = fs.String("baseline", "bench/baseline.txt", "checked-in baseline benchmark output")
 		newPath      = fs.String("new", "", "freshly recorded benchmark output to gate")
-		nsThreshold  = fs.Float64("ns-threshold", 4.0, "maximum tolerated ns/op regression (fraction; 4.0 = fail beyond 5× — cross-machine baselines need order-of-magnitude slack)")
-		allocsLimit  = fs.Float64("alloc-threshold", 0.02, "maximum tolerated allocs/op regression (fraction; allocation counts are machine-independent)")
-		filter       = fs.String("bench", "", "regexp limiting which benchmarks are gated (default: all common ones)")
 		require      = fs.String("require", "", "comma-separated regexps that must each match at least one gated benchmark (guards against silently dropped or renamed benchmarks)")
 		appendPath   = fs.String("append", "", "JSON history file to append the gated medians of a passing run to (requires -label)")
 		label        = fs.String("label", "", "entry label for -append, e.g. a PR number or commit; duplicate labels are rejected")
@@ -72,24 +79,14 @@ func runGate(args []string) error {
 	if err != nil {
 		return err
 	}
-	var re *regexp.Regexp
-	if *filter != "" {
-		if re, err = regexp.Compile(*filter); err != nil {
-			return fmt.Errorf("-bench: %w", err)
-		}
-	}
-	gated, err := commonNames(baseline, fresh, re)
+	gated, err := commonNames(baseline, fresh)
 	if err != nil {
 		return err
 	}
 	if err := checkRequired(gated, *require); err != nil {
 		return err
 	}
-	regressions, err := gate(baseline, fresh, gated, thresholds{ns: *nsThreshold, allocs: *allocsLimit}, out)
-	if err != nil {
-		return err
-	}
-	if regressions > 0 {
+	if regressions := gate(baseline, fresh, gated, out); regressions > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed beyond the threshold", regressions)
 	}
 	if *appendPath != "" {
@@ -236,68 +233,54 @@ func checkRequired(names []string, require string) error {
 	return nil
 }
 
-// thresholds are the tolerated regression fractions per metric.
-type thresholds struct {
-	ns     float64
-	allocs float64
-}
-
 // samples maps benchmark name → metric unit → recorded values.
 type samples map[string]map[string][]float64
 
-// gatedUnits are the metrics the gate enforces.
-func (t thresholds) forUnit(unit string) (float64, bool) {
-	switch unit {
-	case "ns/op":
-		return t.ns, true
-	case "allocs/op":
-		return t.allocs, true
-	}
-	return 0, false
-}
-
-// commonNames lists the benchmarks present in both files (and passing
-// the filter), sorted. A comparison with no common benchmarks is a
-// configuration error, not a regression.
-func commonNames(baseline, fresh samples, filter *regexp.Regexp) ([]string, error) {
+// commonNames lists the benchmarks present in both files, sorted. A
+// comparison with no common benchmarks is a configuration error, not a
+// regression.
+func commonNames(baseline, fresh samples) ([]string, error) {
 	var names []string
 	for name := range baseline {
-		if _, ok := fresh[name]; ok && (filter == nil || filter.MatchString(name)) {
+		if _, ok := fresh[name]; ok {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
 		// A vacuous gate is a misconfigured gate: renamed benchmarks or
-		// a filter matching nothing, never a performance problem.
-		return nil, fmt.Errorf("no common benchmarks between baseline and new output (renamed benchmark or over-narrow -bench filter?)")
+		// a bench run selecting none of the baseline's, never a
+		// performance problem.
+		return nil, fmt.Errorf("no common benchmarks between baseline and new output (renamed benchmark or over-narrow -bench run?)")
 	}
 	return names, nil
 }
 
+// gatedUnits are the metrics the gate enforces, with their thresholds.
+var gatedUnits = []struct {
+	unit      string
+	threshold float64
+}{{"ns/op", nsThreshold}, {"allocs/op", allocThreshold}}
+
 // gate compares the listed benchmarks and prints one verdict line per
 // gated metric, returning the number of regressions.
-func gate(baseline, fresh samples, names []string, t thresholds, out *os.File) (int, error) {
+func gate(baseline, fresh samples, names []string, out *os.File) int {
 	regressions := 0
 	for _, name := range names {
-		for _, unit := range []string{"ns/op", "allocs/op"} {
-			threshold, gated := t.forUnit(unit)
-			if !gated {
-				continue
-			}
-			base, fresh := baseline[name][unit], fresh[name][unit]
+		for _, g := range gatedUnits {
+			base, fresh := baseline[name][g.unit], fresh[name][g.unit]
 			if len(base) == 0 || len(fresh) == 0 {
 				continue
 			}
-			verdict := compare(base, fresh, threshold)
+			verdict := compare(base, fresh, g.threshold)
 			fmt.Fprintf(out, "%-60s %-10s %12.1f → %12.1f   %s\n",
-				name, unit, median(base), median(fresh), verdict)
+				name, g.unit, median(base), median(fresh), verdict)
 			if verdict == "REGRESSED" {
 				regressions++
 			}
 		}
 	}
-	return regressions, nil
+	return regressions
 }
 
 // compare applies the gate rule to one metric: the new median must

@@ -100,15 +100,28 @@ func TestGateRejectsVacuousComparison(t *testing.T) {
 	}
 }
 
+// TestGateBenchFilter: the input files select what is gated — only
+// benchmarks present in both — and -require pins the ones that must be.
 func TestGateBenchFilter(t *testing.T) {
 	dir := t.TempDir()
 	base := write(t, dir, "base.txt", baselineText)
-	// Regress only the compiled benchmark, then gate only EngineRound/:
-	// the filter must keep the job green.
-	fresh := write(t, dir, "new.txt", strings.ReplaceAll(baselineText, "20 allocs/op", "80 allocs/op"))
-	if err := runGate([]string{"-baseline", base, "-new", fresh, "-bench", "EngineRound/"}); err != nil {
+	// Regress only the compiled benchmark, then leave it out of the new
+	// run (go test -bench 'EngineRound/'): the job must stay green.
+	regressed := strings.ReplaceAll(baselineText, "20 allocs/op", "80 allocs/op")
+	var roundOnly []string
+	for _, line := range strings.Split(regressed, "\n") {
+		if !strings.HasPrefix(line, "BenchmarkEngineRoundCompiled") {
+			roundOnly = append(roundOnly, line)
+		}
+	}
+	filtered := write(t, dir, "filtered.txt", strings.Join(roundOnly, "\n"))
+	if err := runGate([]string{"-baseline", base, "-new", filtered, "-require", "EngineRound/"}); err != nil {
 		t.Fatalf("filtered gate failed: %v", err)
 	}
+	if err := runGate([]string{"-baseline", base, "-new", filtered, "-require", "EngineRoundCompiled"}); err == nil {
+		t.Fatal("-require missed the benchmark left out of the new run")
+	}
+	fresh := write(t, dir, "new.txt", regressed)
 	if err := runGate([]string{"-baseline", base, "-new", fresh}); err == nil {
 		t.Fatal("unfiltered gate missed the compiled regression")
 	}

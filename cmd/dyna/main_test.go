@@ -94,17 +94,17 @@ func TestDispatch(t *testing.T) {
 
 	want := map[string]string{
 		"tables":   "cpuprofile csv exectrace exp list metrics workers",
-		"sweep":    "advs algos cpuprofile epss exectrace fleet fs maxpending metrics ns quiet report rounds save-spec seed seeds shards spec spec-dir timeout token workers",
+		"sweep":    "advs algos cpuprofile epss exectrace fleet fs metrics ns quiet report rounds save-spec seed seeds shards spec spec-dir timeout token workers",
 		"run":      "adversary algo byz cpuprofile crash eps exectrace f inputs maxbytes megat metrics n pend randports report rounds save-spec seed seeds series shuffle trace window workers",
 		"validate": "spec spec-dir",
-		"serve":    "cpuprofile exectrace fleet maxpending metrics quiet timeout token",
+		"serve":    "cpuprofile exectrace fleet metrics quiet timeout token",
 		"join":     "cpuprofile exectrace listen metrics token workers",
 		"submit":   "cpuprofile exectrace metrics quiet report seeds shards spec timeout token",
 		"status":   "timeout token",
 		"hub":      "addr adversary f metrics n randports rounds seed timeout",
 		"node":     "addr algo eps f input timeout",
 		"trace":    "events maxt n",
-		"gate":     "alloc-threshold append baseline bench label new ns-threshold require",
+		"gate":     "append baseline label new require",
 	}
 	flagLine := regexp.MustCompile(`(?m)^  -(\S+)`)
 	for _, c := range subcommands {

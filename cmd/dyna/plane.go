@@ -60,12 +60,11 @@ import (
 func runServe(args []string) error {
 	fs := newFlagSet("serve", " <listen-address>")
 	var (
-		fleet      = fs.String("fleet", "", "comma-separated dyna join -listen addresses to dial as a seed fleet")
-		maxPending = fs.Int("maxpending", 0, "per-shard reorder window on the workers (0 = the built-in bound, a multiple of each worker's pool size)")
-		quiet      = fs.Bool("quiet", false, "suppress the dispatch log")
-		token      = addToken(fs)
-		timeout    = addTimeout(fs)
-		proc       = addProcess(fs)
+		fleet   = fs.String("fleet", "", "comma-separated dyna join -listen addresses to dial as a seed fleet")
+		quiet   = fs.Bool("quiet", false, "suppress the dispatch log")
+		token   = addToken(fs)
+		timeout = addTimeout(fs)
+		proc    = addProcess(fs)
 	)
 	operands, err := parse(fs, args, 1, 1)
 	if err != nil {
@@ -73,11 +72,10 @@ func runServe(args []string) error {
 	}
 	return proc(func(coll *metrics.Collector) error {
 		popts := shard.PlaneOptions{
-			Addr:       operands[0],
-			Token:      *token,
-			IOTimeout:  *timeout,
-			MaxPending: *maxPending,
-			Metrics:    coll,
+			Addr:      operands[0],
+			Token:     *token,
+			IOTimeout: *timeout,
+			Metrics:   coll,
 		}
 		if !*quiet {
 			popts.Log = stderrLog

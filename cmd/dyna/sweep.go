@@ -159,16 +159,15 @@ func runSweep(args []string) error {
 			baseSeed:  fs.Int64("seed", 0, "axis sweep: base seed"),
 			maxRounds: fs.Int("rounds", 20000, "axis sweep: round budget per run"),
 		}
-		workers    = fs.Int("workers", 0, "local worker-pool size (0 = GOMAXPROCS)")
-		target     = addReport(fs, "; with -spec-dir, one file per spec (with -fleet, plus an HTML index)")
-		saveSpec   = fs.String("save-spec", "", "additionally write the axis sweep as a spec file")
-		fleet      = fs.String("fleet", "", "shard the spec files over these comma-separated worker addresses (dyna join -listen endpoints) instead of the local pool")
-		shardsN    = fs.Int("shards", 0, "with -fleet: target shard count per sweep (0 = twice the fleet)")
-		maxPending = fs.Int("maxpending", 0, "with -fleet: per-shard reorder window on the workers (0 = the built-in bound, a multiple of each worker's pool size)")
-		quiet      = fs.Bool("quiet", false, "with -fleet: suppress the banner, dispatch summary and status lines")
-		token      = addToken(fs)
-		timeout    = addTimeout(fs)
-		proc       = addProcess(fs)
+		workers  = fs.Int("workers", 0, "local worker-pool size (0 = GOMAXPROCS)")
+		target   = addReport(fs, "; with -spec-dir, one file per spec (with -fleet, plus an HTML index)")
+		saveSpec = fs.String("save-spec", "", "additionally write the axis sweep as a spec file")
+		fleet    = fs.String("fleet", "", "shard the spec files over these comma-separated worker addresses (dyna join -listen endpoints) instead of the local pool")
+		shardsN  = fs.Int("shards", 0, "with -fleet: target shard count per sweep (0 = twice the fleet)")
+		quiet    = fs.Bool("quiet", false, "with -fleet: suppress the banner, dispatch summary and status lines")
+		token    = addToken(fs)
+		timeout  = addTimeout(fs)
+		proc     = addProcess(fs)
 	)
 	if _, err := parse(fs, args, 0, 0); err != nil {
 		return err
@@ -213,10 +212,9 @@ func runSweep(args []string) error {
 			// No listener: a fixed fleet that is gone is gone, so the
 			// plane fails the sweep when its last worker is lost.
 			popts := shard.PlaneOptions{
-				Token:      *token,
-				IOTimeout:  *timeout,
-				MaxPending: *maxPending,
-				Metrics:    coll,
+				Token:     *token,
+				IOTimeout: *timeout,
+				Metrics:   coll,
 			}
 			if !*quiet {
 				popts.Log = stderrLog

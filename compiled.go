@@ -1,12 +1,5 @@
 package anondyn
 
-// reseeder matches adversary.Reseeder (and any Byzantine strategy with
-// the same method): rewind a randomized component's stream to the state
-// of a fresh instance built with the given seed.
-type reseeder interface {
-	Reseed(seed int64)
-}
-
 // CompiledScenario is a Scenario validated once, with its processes
 // built once, so that a hand-written loop of seeded runs can share it.
 // Runs go through the same engine box as every batch: the simulation
@@ -56,11 +49,12 @@ func (c *CompiledScenario) Run(seed int64, inputs []float64) (*Result, error) {
 		s.Inputs = inputs
 	}
 	s.Seed = seed
-	if r, ok := s.Adversary.(reseeder); ok {
+	if r, ok := s.Adversary.(AdversaryReseeder); ok {
 		r.Reseed(seed)
 	}
 	for _, strat := range s.Byzantine {
-		if r, ok := strat.(reseeder); ok {
+		// Byzantine strategies rewind through the same method.
+		if r, ok := strat.(AdversaryReseeder); ok {
 			r.Reseed(seed)
 		}
 	}

@@ -178,68 +178,3 @@ func abs(x float64) float64 {
 	}
 	return x
 }
-
-// Compose interleaves a fixed cycle of sub-adversaries round-robin:
-// round t is served by subs[t mod len(subs)].
-type Compose struct {
-	subs []Adversary
-}
-
-// NewCompose builds the round-robin composition of one or more
-// adversaries.
-func NewCompose(subs ...Adversary) (*Compose, error) {
-	if len(subs) == 0 {
-		return nil, fmt.Errorf("adversary: compose needs at least one sub-adversary")
-	}
-	return &Compose{subs: subs}, nil
-}
-
-// Name implements Adversary.
-func (c *Compose) Name() string {
-	name := "compose("
-	for i, s := range c.subs {
-		if i > 0 {
-			name += ","
-		}
-		name += s.Name()
-	}
-	return name + ")"
-}
-
-// Edges implements Adversary.
-func (c *Compose) Edges(t int, view View) *network.EdgeSet {
-	return c.subs[t%len(c.subs)].Edges(t, view)
-}
-
-// EdgesInto implements InPlace, delegating to the round's sub-adversary
-// (copying its Edges result when it lacks the fast path).
-func (c *Compose) EdgesInto(t int, view View, dst *network.EdgeSet) {
-	sub := c.subs[t%len(c.subs)]
-	if ip, ok := sub.(InPlace); ok {
-		ip.EdgesInto(t, view, dst)
-		return
-	}
-	dst.CopyFrom(sub.Edges(t, view))
-}
-
-// Reseed implements Reseeder, forwarding the seed to every randomized
-// sub-adversary.
-func (c *Compose) Reseed(seed int64) {
-	for _, sub := range c.subs {
-		if r, ok := sub.(Reseeder); ok {
-			r.Reseed(seed)
-		}
-	}
-}
-
-// Oblivious implements the state-independence seam: a composition is
-// oblivious exactly when every sub-adversary is — one adaptive sub makes
-// the whole cycle consult snapshots.
-func (c *Compose) Oblivious() bool {
-	for _, sub := range c.subs {
-		if !IsOblivious(sub) {
-			return false
-		}
-	}
-	return true
-}

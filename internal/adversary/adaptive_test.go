@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"anondyn/internal/core"
-	"anondyn/internal/network"
 )
 
 // valueView is a test View with explicit per-node values.
@@ -93,29 +92,5 @@ func TestStarveClampsDegree(t *testing.T) {
 		if got := e.InDegree(v); got != 2 {
 			t.Errorf("InDegree(%d) = %d, want clamped 2", v, got)
 		}
-	}
-}
-
-func TestCompose(t *testing.T) {
-	ring := NewStatic("ring", network.Ring(4))
-	empty := NewStatic("empty", network.NewEdgeSet(4))
-	c, err := NewCompose(ring, empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Edges(0, SizeView(4)).Len(); got != 4 {
-		t.Errorf("round 0: %d edges, want ring's 4", got)
-	}
-	if got := c.Edges(1, SizeView(4)).Len(); got != 0 {
-		t.Errorf("round 1: %d edges, want 0", got)
-	}
-	if got := c.Edges(2, SizeView(4)).Len(); got != 4 {
-		t.Errorf("round 2: %d edges, want 4 (cycled)", got)
-	}
-	if _, err := NewCompose(); err == nil {
-		t.Error("empty composition accepted")
-	}
-	if name := c.Name(); name == "" {
-		t.Error("empty composite name")
 	}
 }

@@ -71,7 +71,7 @@ type Reseeder interface {
 // not scale with the edge count — and, for in-place adversaries, by
 // rendering E(t+1) ahead on another goroutine while round t delivers
 // (see InPlace). Obliviousness is a method rather than a bare marker
-// interface so wrappers like Compose can answer per-instance.
+// interface so wrappers can answer per-instance from what they wrap.
 type Oblivious interface {
 	Adversary
 	// Oblivious reports whether this instance ignores view snapshots.

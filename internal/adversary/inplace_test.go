@@ -45,11 +45,6 @@ func inPlaceCases(t *testing.T) map[string][2]Adversary {
 		"starve":       pair(func() Adversary { return mustAdv(NewStarve(3)) }),
 		"isolate":      pair(func() Adversary { return mustAdv(NewIsolate(4)) }),
 		"chaseMin":     pair(func() Adversary { return NewChaseMin() }),
-		"compose": pair(func() Adversary {
-			// mixes an InPlace sub with a shared-graph (non-InPlace) sub,
-			// exercising Compose's CopyFrom fallback.
-			return mustAdv(NewCompose(NewStatic("ring", network.Ring(9)), mustAdv(NewRotating(2))))
-		}),
 	}
 }
 

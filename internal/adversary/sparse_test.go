@@ -265,7 +265,6 @@ func TestObliviousMarkers(t *testing.T) {
 		"er2":          mustAdv(NewSparseProbabilistic(0.4, 1)),
 		"split":        mustAdv(NewHalves(9)),
 		"isolate":      mustAdv(NewIsolate(0)),
-		"composeObliv": mustAdv(NewCompose(NewComplete(), mustAdv(NewRotating(2)))),
 	}
 	for name, a := range oblivious {
 		if !IsOblivious(a) {
@@ -273,11 +272,9 @@ func TestObliviousMarkers(t *testing.T) {
 		}
 	}
 	adaptive := map[string]Adversary{
-		"clustered":    mustAdv(NewClustered(3)),
-		"starve":       mustAdv(NewStarve(2)),
-		"chaseMin":     NewChaseMin(),
-		"composeMixed": mustAdv(NewCompose(NewComplete(), mustAdv(NewStarve(2)))),
-		"composeAdapt": mustAdv(NewCompose(NewChaseMin())),
+		"clustered": mustAdv(NewClustered(3)),
+		"starve":    mustAdv(NewStarve(2)),
+		"chaseMin":  NewChaseMin(),
 	}
 	for name, a := range adaptive {
 		if IsOblivious(a) {

@@ -103,10 +103,8 @@ func E10ProbabilisticRounds() *analysis.Table {
 		"p", "decided", "rounds mean", "rounds median", "rounds p95", "rounds max", "violations")
 	ps := []float64{0.05, 0.1, 0.2, 0.4, 0.7, 1.0}
 	stats := make([]*anondyn.BatchStats, len(ps))
-	sinks := make([]anondyn.ResultSink, len(ps))
 	for i := range ps {
 		stats[i] = &anondyn.BatchStats{Eps: eps}
-		sinks[i] = stats[i]
 	}
 	err := anondyn.RunManyStream(anondyn.Seeds(len(ps)*runs, 0),
 		func(batchSeed int64) anondyn.Scenario {
@@ -124,9 +122,9 @@ func E10ProbabilisticRounds() *analysis.Table {
 				MaxRounds: budget,
 			}
 		},
-		anondyn.SinkFunc(func(index int, seed int64, res *anondyn.Result) error {
-			return sinks[index/runs].Consume(index, seed, res)
-		}),
+		func(index int, seed int64, res *anondyn.Result) error {
+			return stats[index/runs].Consume(index, seed, res)
+		},
 		batchOptions())
 	if err != nil {
 		panic(fmt.Sprintf("E10: %v", err))

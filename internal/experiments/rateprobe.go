@@ -77,7 +77,7 @@ func E13RateProbe() *analysis.Table {
 	for i := range aggs {
 		aggs[i].allValid = true
 	}
-	sink := anondyn.SinkFunc(func(index int, _ int64, res *anondyn.Result) error {
+	sink := func(index int, _ int64, res *anondyn.Result) error {
 		agg := &aggs[index/seedsPerCell]
 		if !res.Valid() {
 			agg.allValid = false
@@ -88,7 +88,7 @@ func E13RateProbe() *analysis.Table {
 		}
 		agg.ratios = append(agg.ratios, tracker.Ratios(1e-9)...)
 		return nil
-	})
+	}
 	batchSeeds := anondyn.Seeds(len(cells)*seedsPerCell, 0)
 	err := anondyn.RunManyStream(batchSeeds, func(batchSeed int64) anondyn.Scenario {
 		index := int(batchSeed)

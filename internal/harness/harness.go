@@ -13,10 +13,10 @@
 // Aggregation is streaming: the sink consumes each result as soon as
 // its turn comes and the harness retains nothing afterwards. Workers
 // may run at most a fixed window of tasks ahead of the result the sink
-// is waiting for (Options.MaxPending, or a built-in multiple of the
-// worker count), so memory stays bounded by that window rather than
-// the batch size. Retaining every result is an opt-in sink policy, not
-// a harness property.
+// is waiting for (a multiple of the worker count, capped at the batch
+// size), so memory stays bounded by that window rather than the batch
+// size. Retaining every result is an opt-in sink policy, not a harness
+// property.
 package harness
 
 import (
@@ -31,10 +31,10 @@ import (
 // verbatim; beyond it, only the count is reported.
 const maxCollectedErrors = 16
 
-// runAheadPerWorker sizes the window when Options.MaxPending is 0: each
-// worker may run this many tasks ahead of the sink on average. Small
-// enough to bound memory, large enough that a worker rarely waits for
-// the calling goroutine to consume a result.
+// runAheadPerWorker sizes the reorder window: each worker may run this
+// many tasks ahead of the sink on average. Small enough to bound
+// memory, large enough that a worker rarely waits for the calling
+// goroutine to consume a result.
 const runAheadPerWorker = 32
 
 // PoolObserver watches the lifecycle of one batch's worker pool — the
@@ -55,21 +55,6 @@ type Options struct {
 	// Workers is the pool size; values < 1 mean GOMAXPROCS. The pool
 	// never exceeds the task count.
 	Workers int
-	// Retries is how many times a failing task is re-executed before
-	// its error is recorded (0 = a single attempt).
-	Retries int
-	// OnProgress, when non-nil, is invoked after each task has been
-	// delivered (success or failure), with the number delivered so far
-	// and the batch size. Calls happen from one goroutine, in index
-	// order — a progress bar needs no locking.
-	OnProgress func(done, total int)
-	// MaxPending bounds the reorder window: at most this many tasks may
-	// be claimed beyond the next index the sink is waiting for, so one
-	// slow task can hold back at most MaxPending−1 finished results
-	// however skewed the per-task costs. 0 means a built-in bound that
-	// scales with the worker count. Values below the worker count are
-	// raised to it, so bounding the window never idles the pool.
-	MaxPending int
 	// Observer, when non-nil, receives pool-size and busy-worker
 	// telemetry. Purely observational: it never affects scheduling,
 	// ordering, or results.
@@ -91,10 +76,10 @@ func (o Options) workers(n int) int {
 // Run executes tasks 0…n−1 on a worker pool and delivers each result
 // to sink in strict index order from a single goroutine (sinks need no
 // locking, and output is independent of worker count). task must be
-// safe for concurrent calls with distinct indices; it is retried up to
-// opts.Retries times on error. A task that exhausts its retries has
+// safe for concurrent calls with distinct indices. A failing task has
 // its error collected — the batch keeps going — and its sink call is
-// skipped. A sink error aborts the batch: no further sink calls, no
+// skipped; tasks are seeded and deterministic, so a retry would fail
+// the same way. A sink error aborts the batch: no further sink calls, no
 // new task claims; tasks already running finish and their results are
 // dropped. Run returns, once every worker has exited, all collected
 // errors joined, or nil.
@@ -136,16 +121,14 @@ func RunPooled[S, T any](n int, newState func() (S, error), task func(state S, i
 	if opts.Observer != nil {
 		opts.Observer.PoolStart(workers)
 	}
-	size := opts.MaxPending
-	if size <= 0 {
-		size = runAheadPerWorker * workers
-	}
-	size = min(max(size, workers), n)
+	size := min(runAheadPerWorker*workers, n)
 
 	// The reorder window: a worker takes a slot before it claims an
 	// index and the calling goroutine frees it once that index's result
 	// is consumed in order, so claimed-but-unconsumed tasks never exceed
-	// size. done is as large as the window, so a delivery never blocks.
+	// size — one slow task holds back at most size−1 finished results
+	// however skewed the per-task costs. done is as large as the
+	// window, so a delivery never blocks.
 	window := make(chan struct{}, size)
 	done := make(chan item, size)
 	stop := make(chan struct{}) // closed once the sink is done: no new claims
@@ -174,7 +157,7 @@ func RunPooled[S, T any](n int, newState func() (S, error), task func(state S, i
 				if opts.Observer != nil {
 					opts.Observer.WorkerBusy(1)
 				}
-				v, err := attempt(state, i, task, opts.Retries)
+				v, err := task(state, i)
 				if opts.Observer != nil {
 					opts.Observer.WorkerBusy(-1)
 				}
@@ -207,9 +190,6 @@ func RunPooled[S, T any](n int, newState func() (S, error), task func(state S, i
 			*cur = item{}
 			next++
 			<-window
-			if opts.OnProgress != nil {
-				opts.OnProgress(next, n)
-			}
 		}
 	}
 	close(stop)
@@ -221,19 +201,4 @@ func RunPooled[S, T any](n int, newState func() (S, error), task func(state S, i
 		taskErrs = append(taskErrs, sinkErr)
 	}
 	return errors.Join(taskErrs...)
-}
-
-// attempt runs one task with its bounded retry budget.
-func attempt[S, T any](state S, i int, task func(state S, i int) (T, error), retries int) (T, error) {
-	var (
-		v   T
-		err error
-	)
-	for try := 0; try <= retries; try++ {
-		v, err = task(state, i)
-		if err == nil {
-			return v, nil
-		}
-	}
-	return v, err
 }

@@ -54,30 +54,6 @@ func TestRunDeliversInOrder(t *testing.T) {
 	}
 }
 
-func TestRunRetries(t *testing.T) {
-	var mu sync.Mutex
-	attempts := make(map[int]int)
-	err := Run(8,
-		func(i int) (int, error) {
-			mu.Lock()
-			attempts[i]++
-			tries := attempts[i]
-			mu.Unlock()
-			if tries <= i%3 { // indices 1,2,4,5,7 fail their first tries
-				return 0, fmt.Errorf("transient %d", i)
-			}
-			return i, nil
-		},
-		nil,
-		Options{Workers: 4, Retries: 2})
-	if err != nil {
-		t.Fatalf("retries should have absorbed the transient failures: %v", err)
-	}
-	if attempts[2] != 3 {
-		t.Errorf("task 2 ran %d times, want 3", attempts[2])
-	}
-}
-
 func TestRunCollectsTaskErrors(t *testing.T) {
 	var delivered []int
 	err := Run(10,
@@ -91,7 +67,7 @@ func TestRunCollectsTaskErrors(t *testing.T) {
 			delivered = append(delivered, i)
 			return nil
 		},
-		Options{Workers: 3, Retries: 1})
+		Options{Workers: 3})
 	if err == nil {
 		t.Fatal("failing tasks reported no error")
 	}
@@ -160,25 +136,6 @@ func TestRunSinkErrorHaltsDispatch(t *testing.T) {
 	}
 	if executed > n/2 {
 		t.Errorf("%d of %d tasks ran after the sink failed at task 0", executed, n)
-	}
-}
-
-func TestRunProgress(t *testing.T) {
-	var calls []int
-	err := Run(5,
-		func(i int) (int, error) { return i, nil },
-		nil,
-		Options{Workers: 3, OnProgress: func(done, total int) {
-			if total != 5 {
-				t.Errorf("total = %d", total)
-			}
-			calls = append(calls, done)
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(calls, []int{1, 2, 3, 4, 5}) {
-		t.Errorf("progress calls = %v", calls)
 	}
 }
 
@@ -297,15 +254,9 @@ func TestRunPooledOrderMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunMaxPendingBoundsWindow pins the bounded-reorder contract:
-// with task 0 stalled, workers may claim at most MaxPending tasks ahead
-// of the sink, however large the batch.
-func TestRunMaxPendingBoundsWindow(t *testing.T) {
-	assertWindow(t, Options{Workers: 4, MaxPending: 8}, 8)
-}
-
-// TestRunDefaultWindowBoundsRunAhead: with MaxPending 0 the built-in
-// run-ahead bound caps how far workers get past a stalled task.
+// TestRunDefaultWindowBoundsRunAhead pins the bounded-reorder contract:
+// with task 0 stalled, workers may claim at most runAheadPerWorker
+// tasks each ahead of the sink, however large the batch.
 func TestRunDefaultWindowBoundsRunAhead(t *testing.T) {
 	const workers = 4
 	assertWindow(t, Options{Workers: workers}, runAheadPerWorker*workers)
@@ -371,7 +322,8 @@ func assertWindow(t *testing.T, opts Options, window int) {
 
 // TestRunPooledLeavesNoGoroutines: RunPooled returns only after every
 // goroutine it started has exited, on every exit path and whether the
-// window is the built-in one or MaxPending's.
+// window is the run-ahead bound or a batch no larger than the pool
+// (window == workers == n).
 func TestRunPooledLeavesNoGoroutines(t *testing.T) {
 	// One P makes the count exact: the last worker's wg.Done readies the
 	// caller on that worker's P, which runs the caller only once the
@@ -379,7 +331,6 @@ func TestRunPooledLeavesNoGoroutines(t *testing.T) {
 	// while the worker is still tearing down.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.Gosched() // let goroutines that earlier tests left exiting finish
-	const n = 200
 	boom := errors.New("boom")
 	okState := func() (int, error) { return 0, nil }
 	okTask := func(_ int, i int) (int, error) { return i, nil }
@@ -391,58 +342,53 @@ func TestRunPooledLeavesNoGoroutines(t *testing.T) {
 			return nil
 		}
 	}
-	cases := []struct {
-		name     string
-		newState func() (int, error)
-		task     func(int, int) (int, error)
-		sink     func(i, v int) error
-		wantErr  bool
-	}{
-		{"success", okState, okTask, nil, false},
-		{"task errors", okState, func(_ int, i int) (int, error) {
-			if i%3 == 0 {
-				return 0, boom
-			}
-			return i, nil
-		}, nil, true},
-		{"sink error at task 0", okState, okTask, sinkFailsAt(0), true},
-		{"sink error mid-batch", okState, okTask, sinkFailsAt(n / 2), true},
-		{"newState error", func() (int, error) { return 0, boom }, okTask, nil, true},
-	}
-	for _, c := range cases {
-		for _, maxPending := range []int{0, 4} {
+	for _, n := range []int{200, 4} {
+		cases := []struct {
+			name     string
+			newState func() (int, error)
+			task     func(int, int) (int, error)
+			sink     func(i, v int) error
+			wantErr  bool
+		}{
+			{"success", okState, okTask, nil, false},
+			{"task errors", okState, func(_ int, i int) (int, error) {
+				if i%3 == 0 {
+					return 0, boom
+				}
+				return i, nil
+			}, nil, true},
+			{"sink error at task 0", okState, okTask, sinkFailsAt(0), true},
+			{"sink error mid-batch", okState, okTask, sinkFailsAt(n / 2), true},
+			{"newState error", func() (int, error) { return 0, boom }, okTask, nil, true},
+		}
+		for _, c := range cases {
 			before := runtime.NumGoroutine()
-			err := RunPooled(n, c.newState, c.task, c.sink, Options{Workers: 4, MaxPending: maxPending})
+			err := RunPooled(n, c.newState, c.task, c.sink, Options{Workers: 4})
 			after := runtime.NumGoroutine()
 			if (err != nil) != c.wantErr {
-				t.Errorf("%s, MaxPending=%d: err = %v", c.name, maxPending, err)
+				t.Errorf("%s, n=%d: err = %v", c.name, n, err)
 			}
 			if after != before {
-				t.Errorf("%s, MaxPending=%d: %d goroutines before, %d after return", c.name, maxPending, before, after)
+				t.Errorf("%s, n=%d: %d goroutines before, %d after return", c.name, n, before, after)
 			}
 		}
 	}
 }
 
-// TestRunMaxPendingBelowWorkers: a window smaller than the pool is
-// raised to the pool size rather than starving it.
-func TestRunMaxPendingBelowWorkers(t *testing.T) {
-	assertWindow(t, Options{Workers: 8, MaxPending: 1}, 8)
-}
-
-// TestRunMaxPendingSinkError: a bounded window must not deadlock the
-// abort path when the sink fails mid-batch.
-func TestRunMaxPendingSinkError(t *testing.T) {
+// TestRunFullWindowSinkError: a window no larger than the pool (a
+// batch of workers tasks) must not deadlock the abort path when the
+// sink fails mid-batch.
+func TestRunFullWindowSinkError(t *testing.T) {
 	boom := errors.New("boom")
-	err := Run(256,
+	err := Run(4,
 		func(i int) (int, error) { return i, nil },
 		func(i, v int) error {
-			if i == 3 {
+			if i == 2 {
 				return boom
 			}
 			return nil
 		},
-		Options{Workers: 4, MaxPending: 4})
+		Options{Workers: 4})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the sink error", err)
 	}

@@ -32,8 +32,6 @@ type PlaneOptions struct {
 	// IOTimeout bounds each frame exchange (for a record stream: the
 	// gap between consecutive records). 0 means DefaultIOTimeout.
 	IOTimeout time.Duration
-	// MaxPending bounds each worker's per-shard reorder window.
-	MaxPending int
 	// Log, when non-nil, receives progress lines (Printf-style).
 	Log func(format string, args ...any)
 	// Metrics, when non-nil, aggregates every sweep's live telemetry
@@ -455,7 +453,6 @@ func (cp *ControlPlane) memberLoop(m *member) {
 			Lo:               sh.Lo,
 			Hi:               sh.Hi,
 			SeedsPerCell:     sw.seedsPer,
-			MaxPending:       cp.opts.MaxPending,
 			MetricsEveryRuns: metricsEveryRuns,
 			Spec:             sw.specData,
 		}

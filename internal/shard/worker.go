@@ -421,7 +421,7 @@ func (w *Worker) runTask(srv *transport.ShardServer, task transport.ShardTask) e
 	count := 0
 	next := task.Lo
 	runErr := grid.RunSlice(task.Lo, task.Hi,
-		anondyn.BatchOptions{Workers: w.opts.Workers, MaxPending: task.MaxPending, Metrics: batchSink},
+		anondyn.BatchOptions{Workers: w.opts.Workers, Metrics: batchSink},
 		func(c anondyn.Cell, _, run int, _ int64, res *anondyn.Result) error {
 			if run != next {
 				return fmt.Errorf("record stream gap at run %d (want %d): an earlier run failed", run, next)

@@ -2,8 +2,13 @@ package spec
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"anondyn"
+	"anondyn/internal/sim"
 )
 
 // addCommittedSpecs seeds a fuzz corpus with every committed spec.
@@ -105,4 +110,117 @@ stress:
 			t.Fatalf("seed %d compiles two storms:\n%+v\n%+v\n%s", seed, a, b, data)
 		}
 	})
+}
+
+// Limits on what FuzzGridDeterminism runs, checked before any run so
+// one exec stays well under a second: every cell's n, the dbac-pb
+// window (a run's cost grows with it), and the work bound
+// cells × seeds × n × max_rounds.
+const (
+	maxFuzzGridN      = 32
+	maxFuzzGridWindow = 16
+	maxFuzzGridWork   = 1 << 18
+)
+
+// FuzzGridDeterminism pins the batch contract — same (spec, seed), same
+// bytes at any worker count — on arbitrary accepted specs: the grid's
+// JSON rows (and its error, if any) at Workers 1 and 2 must be
+// byte-identical. The corpus is every committed spec as written (most
+// exceed the budget) and shrunk to one seed per cell and 200 rounds on
+// at most maxFuzzGridN nodes.
+func FuzzGridDeterminism(f *testing.F) {
+	for _, data := range committedSpecs(f) {
+		f.Add(data)
+		sw, err := Parse(data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sw.SeedsPerCell = 1
+		if sw.Stress != nil {
+			sw.Stress.Fleet.TotalNodes = maxFuzzGridN
+			sw.Stress.Rounds = min(sw.Stress.Rounds, 200)
+		} else {
+			sw.MaxRounds = 200
+		}
+		f.Add(sw.Encode())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sw, err := Parse(data)
+		if err != nil || !withinGridBudget(sw) {
+			return
+		}
+		first, err := runGridJSON(data, 1)
+		if second, err2 := runGridJSON(data, 2); !bytes.Equal(first, second) || fmt.Sprint(err) != fmt.Sprint(err2) {
+			t.Fatalf("workers 1 and 2 differ:\n%s (err %v)\n%s (err %v)\n--- spec\n%s", first, err, second, err2, data)
+		}
+	})
+}
+
+// withinGridBudget reports whether sw's grid fits the fuzz limits. The
+// axis product bounds the cell count before Cells() enumerates it.
+func withinGridBudget(sw *Sweep) bool {
+	if sw.Stress != nil && sw.Stress.Fleet.TotalNodes > maxFuzzGridN {
+		return false
+	}
+	if sw.PiggybackWindow > maxFuzzGridWindow {
+		return false
+	}
+	for _, v := range sw.Variants {
+		if v.PiggybackWindow > maxFuzzGridWindow {
+			return false
+		}
+	}
+	for _, n := range sw.Ns {
+		if n > maxFuzzGridN {
+			return false
+		}
+	}
+	for _, p := range sw.Pairs {
+		if p.N > maxFuzzGridN {
+			return false
+		}
+	}
+	// int64 throughout: the products must not wrap on 32-bit platforms.
+	cells := int64(1)
+	for _, axis := range []int{len(sw.Ns) + len(sw.Pairs), len(sw.Fs), len(sw.Epss), len(sw.Algorithms), len(sw.Adversaries), len(sw.Variants)} {
+		if cells *= int64(max(axis, 1)); cells > maxFuzzGridWork {
+			return false
+		}
+	}
+	g, err := sw.Grid()
+	if err != nil {
+		return true // the run reports the same error at both worker counts
+	}
+	rounds := int64(g.MaxRounds)
+	if rounds <= 0 {
+		rounds = sim.DefaultMaxRounds
+	}
+	seeds := int64(max(g.SeedsPerCell, 1))
+	if seeds > maxFuzzGridWork {
+		return false
+	}
+	work := int64(0)
+	for _, c := range g.Cells() {
+		if c.N > maxFuzzGridN {
+			return false
+		}
+		if work += seeds * int64(c.N) * min(rounds, maxFuzzGridWork); work > maxFuzzGridWork {
+			return false
+		}
+	}
+	return true
+}
+
+// runGridJSON compiles data afresh and returns the grid's rows as JSON
+// after a run on the given pool size.
+func runGridJSON(data []byte, workers int) ([]byte, error) {
+	_, g, err := Compile(data, 0)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := g.Run(anondyn.BatchOptions{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(rows)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"anondyn/examples/specs"
+	"anondyn/internal/adversary"
 	"anondyn/internal/core"
 	"anondyn/internal/spec"
 )
@@ -37,7 +39,7 @@ func FuzzWorkerTask(f *testing.F) {
 		c := newConn(&buf)
 		c.writeFrame(frameShardHello, protocolVersion) //nolint:errcheck // bytes.Buffer
 		c.writeBytes(nil)                              //nolint:errcheck
-		c.writeFrame(frameShardTask, 0, 0, 2, 1, 0, 0) //nolint:errcheck
+		c.writeFrame(frameShardTask, 0, 0, 2, 1, 0)    //nolint:errcheck
 		c.writeBytes(data)                             //nolint:errcheck
 		c.flush()                                      //nolint:errcheck
 		f.Add(buf.Bytes())
@@ -125,6 +127,113 @@ func FuzzClientFrames(f *testing.F) {
 		})
 		if (res == nil) == (err == nil) {
 			t.Fatalf("runClient returned result %v and error %v", res, err)
+		}
+	})
+}
+
+// hubFuzzRounds bounds every FuzzHubFrames execution.
+const hubFuzzRounds = 8
+
+// FuzzHubFrames feeds untrusted node bytes to the hub: Hub.Serve runs
+// n = 3 over loopback, two nodes are real RunClients, and the third
+// connection — dialed first, so it is the hub's node 0 — writes the
+// fuzzed bytes, half-closes and drains whatever the hub sends. Every
+// input must end in an error or a HubResult, never a panic or a hang.
+// A handshake the hub rejects frees the slot and leaves the hub waiting
+// for a replacement node by design; the test then closes the hub, which
+// must end Serve. The corpus is a well-formed hello, then one
+// broadcast and one status per round, deciding in round 4.
+func FuzzHubFrames(f *testing.F) {
+	const ioTimeout = time.Second
+	var buf bytes.Buffer
+	c := newConn(&buf)
+	c.writeFrame(frameHello, protocolVersion) //nolint:errcheck // bytes.Buffer
+	for round := 0; round < hubFuzzRounds; round++ {
+		c.writeMessageFrame(core.Message{Value: 0.5, Phase: round})                           //nolint:errcheck
+		c.writeStatus(Status{Phase: round + 1, Value: 0.5, Decided: round >= 4, Output: 0.5}) //nolint:errcheck
+	}
+	c.flush() //nolint:errcheck
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rejected := make(chan struct{}, 1)
+		hub, err := NewHub("127.0.0.1:0", HubConfig{
+			N: 3, Adversary: adversary.NewComplete(), MaxRounds: hubFuzzRounds, IOTimeout: ioTimeout,
+			Log: func(string, ...any) { // only rejected handshakes log
+				select {
+				case rejected <- struct{}{}:
+				default:
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fuzzed, err := net.Dial("tcp", hub.Addr())
+		if err != nil {
+			hub.Close()
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		defer wg.Wait()
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			defer fuzzed.Close()
+			fuzzed.Write(data)                 //nolint:errcheck // the hub may stop reading early
+			fuzzed.(*net.TCPConn).CloseWrite() //nolint:errcheck
+			io.Copy(io.Discard, fuzzed)        //nolint:errcheck
+		}()
+		for range 2 {
+			go func() {
+				defer wg.Done()
+				RunClient(hub.Addr(), ClientConfig{ //nolint:errcheck // the fuzzed node may abort the run
+					NewProcess: func(n, selfPort int) (core.Process, error) {
+						return core.NewDAC(n, selfPort, float64(selfPort)/float64(n), 0.1)
+					},
+					IOTimeout: ioTimeout,
+				})
+			}()
+		}
+		type served struct {
+			res *HubResult
+			err error
+		}
+		done := make(chan served, 1)
+		go func() {
+			res, err := hub.Serve()
+			done <- served{res, err}
+		}()
+		var out served
+		select {
+		case out = <-done:
+		case <-rejected:
+			hub.Close()
+			select {
+			case out = <-done:
+			case <-time.After(5 * ioTimeout):
+				fuzzed.Close() // unblock the drain so the deferred Wait returns
+				t.Fatal("Serve did not return after Close")
+			}
+			if out.err == nil {
+				t.Fatalf("Serve returned a result with a node slot unfilled: %+v", out.res)
+			}
+		case <-time.After(5 * ioTimeout):
+			hub.Close()
+			fuzzed.Close()
+			t.Fatalf("hub hung: no result, error or rejection within %v", 5*ioTimeout)
+		}
+		if (out.res == nil) == (out.err == nil) {
+			t.Fatalf("Serve returned result %v and error %v", out.res, out.err)
+		}
+		if res := out.res; res != nil {
+			if res.Rounds < 1 || res.Rounds > hubFuzzRounds || len(res.Trace) != res.Rounds {
+				t.Fatalf("result ran %d rounds with %d traced, budget %d", res.Rounds, len(res.Trace), hubFuzzRounds)
+			}
+			for id, round := range res.DecideRound {
+				if _, ok := res.Outputs[id]; !ok || id < 0 || id >= 3 || round >= res.Rounds {
+					t.Fatalf("node %d decided in round %d of %d with outputs %v", id, round, res.Rounds, res.Outputs)
+				}
+			}
 		}
 	})
 }

@@ -29,8 +29,9 @@ import (
 // metrics cadence field); v4 turned the coordinator into a resident
 // control plane: join/leave frames for elastic worker membership,
 // submit/sweep-status/sweep-rows frames for queueing sweeps against a
-// running service, and a shared-secret token in every handshake.
-const protocolVersion = 4
+// running service, and a shared-secret token in every handshake; v5
+// dropped the task frame's reorder-window field (workers size it).
+const protocolVersion = 5
 
 // Frame types.
 const (
@@ -47,7 +48,7 @@ const (
 	// record-stream → done exchanges until the coordinator stops.
 	frameShardHello  byte = 0x08 // coordinator → worker: version
 	frameShardReady  byte = 0x09 // worker → coordinator: version, capacity
-	frameShardTask   byte = 0x0a // coordinator → worker: shard, lo, hi, seeds, maxPending, spec
+	frameShardTask   byte = 0x0a // coordinator → worker: shard, lo, hi, seeds, metricsEvery, spec
 	frameShardRecord byte = 0x0b // worker → coordinator: run, decided, rounds, bytes, outbits, violation
 	frameShardDone   byte = 0x0c // worker → coordinator: shard, count
 	frameShardErr    byte = 0x0d // worker → coordinator: shard, message

@@ -28,8 +28,8 @@ const (
 	maxRowsBytes    = 1 << 24 // a completed sweep's aggregate rows (JSON)
 )
 
-// checkToken is the constant-time shared-secret comparison every v4
-// handshake runs. Both sides must agree on the token (often the empty
+// checkToken is the constant-time shared-secret comparison every
+// handshake (v4 on) runs. Both sides must agree on the token (often the empty
 // string: auth disabled); the compare is constant-time in the token
 // contents so a listening port does not leak the secret byte-by-byte.
 func checkToken(want string, got []byte) error {
@@ -51,9 +51,6 @@ type ShardTask struct {
 	// both sides must agree on the flattening, so the override rides
 	// with every task.
 	SeedsPerCell int
-	// MaxPending bounds the worker's reorder window for this shard
-	// (harness.Options.MaxPending; 0 = the harness's built-in bound).
-	MaxPending int
 	// MetricsEveryRuns, when > 0, asks the worker to interleave one
 	// telemetry frame into the record stream every that-many completed
 	// runs (plus one final frame before done). 0 = no telemetry (v2
@@ -208,8 +205,7 @@ func (s *ShardClient) RunShard(task ShardTask, onRecord func(ShardRecord) error,
 	s.deadline()
 	if err := s.c.writeFrame(frameShardTask,
 		uint64(task.Shard), uint64(task.Lo), uint64(task.Hi),
-		uint64(task.SeedsPerCell), uint64(task.MaxPending),
-		uint64(task.MetricsEveryRuns)); err != nil {
+		uint64(task.SeedsPerCell), uint64(task.MetricsEveryRuns)); err != nil {
 		return err
 	}
 	if err := s.c.writeBytes(task.Spec); err != nil {
@@ -404,7 +400,7 @@ func (s *ShardServer) Next() (ShardTask, error) {
 		return ShardTask{}, fmt.Errorf("%w: got 0x%02x, want shard task", ErrBadType, ft)
 	}
 	s.deadline()
-	var fields [6]uint64
+	var fields [5]uint64
 	for i := range fields {
 		v, err := s.c.readUvarint()
 		if err != nil {
@@ -421,8 +417,7 @@ func (s *ShardServer) Next() (ShardTask, error) {
 		Lo:               int(fields[1]),
 		Hi:               int(fields[2]),
 		SeedsPerCell:     int(fields[3]),
-		MaxPending:       int(fields[4]),
-		MetricsEveryRuns: int(fields[5]),
+		MetricsEveryRuns: int(fields[4]),
 		Spec:             specData,
 	}
 	if task.Lo > task.Hi {

@@ -82,7 +82,7 @@ func TestShardProtocolRoundTrip(t *testing.T) {
 		t.Errorf("capacity = %d, want 4", cl.Capacity)
 	}
 	for _, task := range []ShardTask{
-		{Shard: 0, Lo: 0, Hi: 5, SeedsPerCell: 2, MaxPending: 8, Spec: []byte("ns: [3]")},
+		{Shard: 0, Lo: 0, Hi: 5, SeedsPerCell: 2, Spec: []byte("ns: [3]")},
 		{Shard: 1, Lo: 5, Hi: 7, Spec: []byte("{}")},
 	} {
 		var got []ShardRecord
@@ -242,37 +242,44 @@ func TestShardRecordGapRejected(t *testing.T) {
 	}
 }
 
+// TestShardServerRejectsVersionMismatch: a worker refuses a coordinator
+// one version behind (v4 against v5: the task frame lost a field) as
+// well as a nonsense version.
 func TestShardServerRejectsVersionMismatch(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	errCh := make(chan error, 1)
-	go func() {
-		raw, err := ln.Accept()
-		if err != nil {
-			errCh <- err
-			return
-		}
-		defer raw.Close()
-		_, err = AcceptShard(raw, 1, "", 2*time.Second)
-		errCh <- err
-	}()
-	raw, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	c := newConn(raw)
-	if err := c.writeFrame(frameShardHello, 99); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errCh; !errors.Is(err, ErrVersion) {
-		t.Errorf("worker err = %v, want ErrVersion", err)
+	for _, ver := range []uint64{protocolVersion - 1, 99} {
+		func() {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			errCh := make(chan error, 1)
+			go func() {
+				raw, err := ln.Accept()
+				if err != nil {
+					errCh <- err
+					return
+				}
+				defer raw.Close()
+				_, err = AcceptShard(raw, 1, "", 2*time.Second)
+				errCh <- err
+			}()
+			raw, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			c := newConn(raw)
+			if err := c.writeFrame(frameShardHello, ver); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-errCh; !errors.Is(err, ErrVersion) {
+				t.Errorf("v%d hello: worker err = %v, want ErrVersion", ver, err)
+			}
+		}()
 	}
 }
 

@@ -56,14 +56,14 @@ type parityRow struct {
 func runParityBatch(t *testing.T, mk func(int64) anondyn.Scenario, sink anondyn.MetricsSink) []byte {
 	t.Helper()
 	var rows []parityRow
-	collect := anondyn.SinkFunc(func(_ int, seed int64, res *anondyn.Result) error {
+	collect := func(_ int, seed int64, res *anondyn.Result) error {
 		rows = append(rows, parityRow{
 			Seed: seed, Decided: res.Decided, Rounds: res.Rounds,
 			Outputs:   res.Outputs,
 			Delivered: res.MessagesDelivered, Lost: res.MessagesLost,
 		})
 		return nil
-	})
+	}
 	opts := anondyn.BatchOptions{Workers: 2, Metrics: sink}
 	if err := anondyn.RunManyStream(anondyn.Seeds(8, 100), mk, collect, opts); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func seriesRun(t *testing.T, seed int64) (*metrics.SeriesSink, metrics.Snapshot)
 	mk := parityFamily(false)
 	opts := anondyn.BatchOptions{Workers: 1, Metrics: metrics.Tee(ss, coll)}
 	err := anondyn.RunManyStream([]int64{seed, seed + 1}, mk,
-		anondyn.SinkFunc(func(int, int64, *anondyn.Result) error { return nil }), opts)
+		func(int, int64, *anondyn.Result) error { return nil }, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,10 +78,10 @@ func assertEqualResults(t *testing.T, want, got *anondyn.Result, label string) {
 // index — nil where the run failed — together with the batch error.
 func collect(seeds []int64, mk func(int64) anondyn.Scenario, opts anondyn.BatchOptions) ([]*anondyn.Result, error) {
 	got := make([]*anondyn.Result, len(seeds))
-	err := anondyn.RunManyStream(seeds, mk, anondyn.SinkFunc(func(i int, _ int64, res *anondyn.Result) error {
+	err := anondyn.RunManyStream(seeds, mk, func(i int, _ int64, res *anondyn.Result) error {
 		got[i] = res
 		return nil
-	}), opts)
+	}, opts)
 	return got, err
 }
 
@@ -252,7 +252,7 @@ func TestCompileConfigError(t *testing.T) {
 func TestRecycledWorkersRace(t *testing.T) {
 	seeds := anondyn.Seeds(32, 0)
 	stats := &anondyn.BatchStats{Eps: 1e-3}
-	if err := anondyn.RunManyStream(seeds, recycleFamily, stats,
+	if err := anondyn.RunManyStream(seeds, recycleFamily, stats.Consume,
 		anondyn.BatchOptions{Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestRecyclingAllocs(t *testing.T) {
 		}
 	}) / float64(len(seeds))
 	batch := testing.AllocsPerRun(3, func() {
-		if err := anondyn.RunManyStream(seeds, recycleFamily, &anondyn.BatchStats{},
+		if err := anondyn.RunManyStream(seeds, recycleFamily, (&anondyn.BatchStats{}).Consume,
 			anondyn.BatchOptions{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}

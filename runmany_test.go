@@ -19,11 +19,11 @@ func TestRunMany(t *testing.T) {
 			Seed:        seed,
 			MaxRounds:   5000,
 		}
-	}, anondyn.SinkFunc(func(_ int, seed int64, res *anondyn.Result) error {
+	}, func(_ int, seed int64, res *anondyn.Result) error {
 		seeds = append(seeds, seed)
 		results = append(results, res)
 		return nil
-	}), anondyn.BatchOptions{})
+	}, anondyn.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRunMany(t *testing.T) {
 func TestRunManyPropagatesErrors(t *testing.T) {
 	err := anondyn.RunManyStream(anondyn.Seeds(3, 0), func(seed int64) anondyn.Scenario {
 		return anondyn.Scenario{} // invalid
-	}, &anondyn.BatchStats{}, anondyn.BatchOptions{})
+	}, (&anondyn.BatchStats{}).Consume, anondyn.BatchOptions{})
 	if err == nil {
 		t.Error("invalid scenario accepted")
 	}

@@ -237,10 +237,10 @@ func (g Grid) RunSlice(lo, hi int, opts BatchOptions, each func(c Cell, cell, ru
 			i := int(seed-g.BaseSeed) / per
 			return g.scenario(cells[i], seed)
 		},
-		SinkFunc(func(index int, seed int64, res *Result) error {
+		func(index int, seed int64, res *Result) error {
 			run := lo + index
 			return each(cells[run/per], run/per, run, seed, res)
-		}),
+		},
 		opts)
 	if err != nil {
 		return fmt.Errorf("anondyn: sweep: %w", err)

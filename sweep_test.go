@@ -204,14 +204,19 @@ func TestGridRunEachOrderAndCells(t *testing.T) {
 }
 
 // TestGridAdversaryCheck: a factory's Check rejects the sweep before
-// any run starts.
+// any run starts (each of these used to panic inside a worker).
 func TestGridAdversaryCheck(t *testing.T) {
-	f, err := anondyn.ParseAdversaryFactory("fig1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := anondyn.Grid{Ns: []int{7}, Adversaries: []anondyn.AdversaryFactory{f}}
-	if _, err := g.Run(anondyn.BatchOptions{}); err == nil {
-		t.Error("fig1 at n=7 ran")
+	for _, c := range []struct {
+		adv string
+		n   int
+	}{{"fig1", 7}, {"halves", 1}, {"rotating:0", 5}, {"starve:crashdeg", 1}, {"random:1,-1", 5}} {
+		f, err := anondyn.ParseAdversaryFactory(c.adv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := anondyn.Grid{Ns: []int{c.n}, Adversaries: []anondyn.AdversaryFactory{f}}
+		if _, err := g.Run(anondyn.BatchOptions{}); err == nil {
+			t.Errorf("%s at n=%d ran", c.adv, c.n)
+		}
 	}
 }
