@@ -316,12 +316,9 @@ func registerBuiltinFactories() {
 		if err != nil {
 			return AdversaryFactory{}, err
 		}
-		return AdversaryFactory{New: func(_ Cell, seed int64) Adversary {
-			if hasFixed {
-				seed = fixed
-			}
+		return AdversaryFactory{New: seeded(fixed, hasFixed, func(_ Cell, seed int64) Adversary {
 			return Probabilistic(p, seed)
-		}}, nil
+		})}, nil
 	})
 	RegisterAdversaryFactory("er2", func(arg string) (AdversaryFactory, error) {
 		parts := strings.Split(arg, ",")
@@ -339,12 +336,9 @@ func registerBuiltinFactories() {
 		if err != nil {
 			return AdversaryFactory{}, err
 		}
-		return AdversaryFactory{New: func(_ Cell, seed int64) Adversary {
-			if hasFixed {
-				seed = fixed
-			}
+		return AdversaryFactory{New: seeded(fixed, hasFixed, func(_ Cell, seed int64) Adversary {
 			return SparseProbabilistic(p, seed)
-		}}, nil
+		})}, nil
 	})
 	RegisterAdversaryFactory("random", func(arg string) (AdversaryFactory, error) {
 		parts := strings.Split(arg, ",")
@@ -373,12 +367,9 @@ func registerBuiltinFactories() {
 			return AdversaryFactory{}, err // the degree is checked per cell
 		}
 		return AdversaryFactory{
-			New: func(c Cell, seed int64) Adversary {
-				if hasFixed {
-					seed = fixed
-				}
+			New: seeded(fixed, hasFixed, func(c Cell, seed int64) Adversary {
 				return RandomDegree(block, degree(c), extra, seed)
-			},
+			}),
 			Check: func(c Cell) error {
 				_, err := adversary.NewRandomDegree(block, degree(c), extra, 0)
 				return err
@@ -418,6 +409,39 @@ func degreeFactory(mk func(d int) Adversary, check func(d int) error) factoryPar
 		}, nil
 	}
 }
+
+// seeded is the New of a factory over a seeded constructor: mk with the
+// run seed, or with the fixed seed when the factory's spec names one.
+// A fixed-seed product is wrapped so that Reseed rewinds it to that
+// seed too, which keeps the renewal contract of AdversaryFactory.New:
+// every run of such a cell renders the fixed seed's stream.
+func seeded(fixed int64, hasFixed bool, mk func(c Cell, seed int64) Adversary) func(Cell, int64) Adversary {
+	if !hasFixed {
+		return mk
+	}
+	return func(c Cell, _ int64) Adversary {
+		return fixedSeed{mk(c, fixed).(seededAdversary), fixed}
+	}
+}
+
+// seededAdversary is what the seeded constructors return: the engine's
+// in-place and oblivious seams plus Reseed.
+type seededAdversary interface {
+	InPlaceAdversary
+	AdversaryReseeder
+	Oblivious() bool
+}
+
+// fixedSeed is a seeded adversary pinned to one seed. Embedding keeps
+// Name, Edges, EdgesInto and Oblivious promoted, so the engine takes
+// the product's own fast paths.
+type fixedSeed struct {
+	seededAdversary
+	seed int64
+}
+
+// Reseed rewinds to the pinned seed, whatever the run's.
+func (a fixedSeed) Reseed(int64) { a.seededAdversary.Reseed(a.seed) }
 
 // optionalSeed reads parts[i] as a pinned adversary seed when present.
 func optionalSeed(parts []string, i int) (seed int64, ok bool, err error) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"anondyn"
+	"anondyn/internal/adversary"
 )
 
 func TestFacadeAdversaryConstructors(t *testing.T) {
@@ -265,12 +266,12 @@ func TestFactoryPinnedSeeds(t *testing.T) {
 // TestRegisterAdversaryFactory: third-party registrations resolve and
 // duplicates are rejected loudly.
 func TestRegisterAdversaryFactory(t *testing.T) {
-	anondyn.RegisterAdversaryFactory("testring", func(arg string) (anondyn.AdversaryFactory, error) {
+	anondyn.RegisterAdversaryFactory(testFactoryName, func(arg string) (anondyn.AdversaryFactory, error) {
 		return anondyn.AdversaryFactory{New: func(c anondyn.Cell, _ int64) anondyn.Adversary {
 			return anondyn.Static("testring", anondyn.RingGraph(c.N))
 		}}, nil
 	})
-	f, err := anondyn.ParseAdversaryFactory("testring")
+	f, err := anondyn.ParseAdversaryFactory(testFactoryName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,4 +284,77 @@ func TestRegisterAdversaryFactory(t *testing.T) {
 		}
 	}()
 	anondyn.RegisterAdversaryFactory("complete", nil)
+}
+
+// testFactoryName is the factory TestRegisterAdversaryFactory registers.
+const testFactoryName = "testring"
+
+// TestFactoryRenewalContract: for every form of every registered
+// factory whose product is a Reseeder, New(c, s₁) with s₁'s stream
+// partly drawn and then Reseed(s₂) renders the same first 16 rounds as
+// New(c, s₂) — the contract Grid.RunSlice relies on when it renews a
+// worker's adversary instead of building a new one. Fixed-seed forms
+// must keep it too: their product ignores s₂ on Reseed, as New does.
+func TestFactoryRenewalContract(t *testing.T) {
+	forms := []struct {
+		spec     string
+		n        int
+		reseeder bool // the product must be a Reseeder
+	}{
+		{"complete", 9, false},
+		{"halves", 9, false},
+		{"chasemin", 9, false},
+		{"fig1", 3, false},
+		{"isolate:2", 9, false},
+		{"rotating:crashdeg", 9, false},
+		{"starve:byzdeg", 9, false},
+		{"clustered:4", 9, false},
+		{"er:0.3", 9, true},
+		{"er:0.3,77", 9, true},
+		{"er:0.3", 70, true},
+		{"er2:0.3", 9, true},
+		{"er2:0.3,77", 9, true},
+		{"random:2,3", 9, true},
+		{"random:3,byzdeg,0.1", 9, true},
+		{"random:3,byzdeg,0.1,2024", 9, true},
+		{"starveperiod:4", 9, false},
+	}
+	covered := map[string]bool{testFactoryName: true}
+	for _, form := range forms {
+		name, _, _ := strings.Cut(form.spec, ":")
+		covered[name] = true
+		f, err := anondyn.ParseAdversaryFactory(form.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell := anondyn.Cell{N: form.n, F: 2}
+		if form.n == 3 {
+			cell.F = 0
+		}
+		const rounds = 16
+		for _, seeds := range [][2]int64{{11, 12}, {12, 11}, {5, 5}, {-3, 1 << 40}} {
+			renewed := f.New(cell, seeds[0])
+			r, ok := renewed.(anondyn.AdversaryReseeder)
+			if ok != form.reseeder {
+				t.Fatalf("%s: product is a Reseeder: %v, want %v", form.spec, ok, form.reseeder)
+			}
+			if !ok {
+				break
+			}
+			adversary.Render(renewed, form.n, 5) // draw part of s₁'s stream
+			r.Reseed(seeds[1])
+			got := adversary.Render(renewed, form.n, rounds)
+			want := adversary.Render(f.New(cell, seeds[1]), form.n, rounds)
+			for round := range want {
+				if !got[round].Equal(want[round]) {
+					t.Fatalf("%s: New(%d) reseeded to %d differs from New(%d) in round %d", form.spec, seeds[0], seeds[1], seeds[1], round)
+				}
+			}
+		}
+	}
+	for _, name := range anondyn.AdversaryFactoryNames() {
+		if !covered[name] {
+			t.Errorf("factory %q has no form here: add one, so its renewal contract is checked", name)
+		}
+	}
 }

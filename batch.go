@@ -69,18 +69,38 @@ func Seeds(n int, base int64) []int64 {
 // Each worker recycles one simulation engine across every seed it
 // executes, and reinitializes the previous seed's processes in place
 // whenever the next scenario has the same shape (fixed ports, same
-// algorithm parameters and Byzantine set); only
-// the adversary and strategies mk builds are fresh per seed. Recycling
-// never changes results — asserted by the recycle tests.
+// algorithm parameters and Byzantine set); only the adversary and
+// strategies mk builds are fresh per seed. (Grid.RunSlice, on the same
+// pooled loop, also renews its factories' adversaries per worker rather
+// than rebuilding them per seed.) Recycling never changes results —
+// asserted by the recycle tests.
 func RunManyStream(seeds []int64, mk func(seed int64) Scenario, sink func(i int, seed int64, res *Result) error, opts BatchOptions) error {
+	return runPooled(seeds, func(_ *poolWorker, i int) Scenario { return mk(seeds[i]) }, sink, opts)
+}
+
+// poolWorker is one pool worker's state: the engine box it recycles
+// across its runs and, for a sweep, the adversary it built last, the
+// index of the cell it built it for (see Grid.RunSlice) and the
+// scenario it assembles each run in.
+type poolWorker struct {
+	box      engineBox
+	adv      Adversary
+	cell     int
+	scenario Scenario
+}
+
+// runPooled is the pooled run loop behind RunManyStream and
+// Grid.RunSlice: mk assembles run i on the state of the worker that
+// executes it.
+func runPooled(seeds []int64, mk func(w *poolWorker, i int) Scenario, sink func(i int, seed int64, res *Result) error, opts BatchOptions) error {
 	return harness.RunPooled(len(seeds),
-		func() (*engineBox, error) { return &engineBox{}, nil },
-		func(box *engineBox, i int) (*Result, error) {
-			s := mk(seeds[i])
+		func() (*poolWorker, error) { return &poolWorker{}, nil },
+		func(w *poolWorker, i int) (*Result, error) {
+			s := mk(w, i)
 			if s.Metrics == nil {
 				s.Metrics = opts.Metrics
 			}
-			res, err := box.run(s)
+			res, err := w.box.run(s)
 			if err != nil {
 				return nil, fmt.Errorf("anondyn: seed %d: %w", seeds[i], err)
 			}

@@ -14,11 +14,13 @@ import (
 	"testing"
 
 	"anondyn"
+	"anondyn/examples/specs"
 	"anondyn/internal/chaos"
 	"anondyn/internal/core"
 	"anondyn/internal/experiments"
 	"anondyn/internal/metrics"
 	"anondyn/internal/sim"
+	"anondyn/internal/spec"
 )
 
 func benchExperiment(b *testing.B, run func() interface{ Rows() int }) {
@@ -123,6 +125,36 @@ func BenchmarkRunManyParallel(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkGridRun prices a committed spec end to end through
+// spec.Grid and Grid.Run on one worker: er-crash-sweep (DAC at n = 9
+// under er:0.1/0.3/0.7 and the complete graph, two crashes) at 250
+// seeds per cell, the sweep-small-local workload's path without its
+// pool. ns/op is the 1 000-run sweep; allocs/op prices what a run
+// rebuilds.
+func BenchmarkGridRun(b *testing.B) {
+	data, err := specs.Read("er-crash-sweep.yaml")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sw, err := spec.Parse(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sw.SeedsPerCell = 250
+	grid, err := sw.Grid()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("er-crash-sweep", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := grid.Run(anondyn.BatchOptions{Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // Substrate micro-benchmarks.

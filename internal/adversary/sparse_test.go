@@ -43,8 +43,9 @@ func TestProbabilisticDenseStreamPinned(t *testing.T) {
 var sinkProbabilistic *Probabilistic
 
 // TestNewProbabilisticOneAllocation: the er adversary holds its
-// generator by value, so building one — which a sweep does once per run
-// — is a single object.
+// generator by value, so building one — which a sweep does once per
+// worker and cell, and a RunManyStream caller once per run — is a
+// single object.
 func TestNewProbabilisticOneAllocation(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { sinkProbabilistic = mustAdv(NewProbabilistic(0.3, 7)) })
 	if allocs != 1 {

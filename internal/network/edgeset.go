@@ -86,6 +86,43 @@ func (e *EdgeSet) AddUnchecked(u, v int) {
 	e.in[v*e.words+u/wordBits] |= 1 << (uint(u) % wordBits)
 }
 
+// AddOutWord adds the links u→64w+b for every set bit b of bits: word w
+// of u's out-row at once, for samplers that draw a row word by word.
+// bits may hold neither u itself nor a node ≥ n. In sparse mode the
+// links go to the log in ascending order, so a sampler that adds its
+// rows in (u, w) order leaves an ascending log, as one Add per link in
+// that order would.
+func (e *EdgeSet) AddOutWord(u, w int, bits uint64) {
+	e.check(u)
+	if w < 0 || w >= e.words {
+		panic(fmt.Sprintf("network: row word %d out of range [0,%d)", w, e.words))
+	}
+	base := w * wordBits
+	var illegal uint64 // the sender and the nodes ≥ n
+	if span := e.n - base; span < wordBits {
+		illegal = ^uint64(0) << (uint(span) & 63)
+	}
+	if self := uint(u - base); self < wordBits {
+		illegal |= 1 << self
+	}
+	if bits&illegal != 0 {
+		panic(fmt.Sprintf("network: row word %d of node %d holds a self-loop or a node ≥ %d", w, u, e.n))
+	}
+	if c := e.csr; c != nil {
+		for b := bits; b != 0; b &= b - 1 {
+			c.pairs = append(c.pairs, uint64(u)<<32|uint64(base+trailingZeros(b)))
+		}
+		c.built = 0
+		return
+	}
+	words := e.words
+	e.out[u*words+w] |= bits
+	in, col, mask := e.in, u/wordBits, uint64(1)<<(uint(u)%wordBits)
+	for b := bits; b != 0; b &= b - 1 {
+		in[(base+trailingZeros(b))*words+col] |= mask
+	}
+}
+
 // Remove deletes the directed link u→v if present.
 func (e *EdgeSet) Remove(u, v int) {
 	e.check(u)

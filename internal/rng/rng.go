@@ -5,7 +5,8 @@
 // file and pinned seed keeps rendering the bytes it always did. What
 // differs is the cost of Seed: math/rand walks one 1 841-step Park–Miller
 // chain through Schrage's two divisions per step, while Source computes
-// the same states on six independent chains with Mersenne reduction.
+// the same states on six independent chains with Mersenne reduction,
+// and Float64s reads a short prefix of the stream without a register.
 // Monte-Carlo sweeps seed a fresh stream per run, so that cost sits on
 // every run of a sweep.
 //
@@ -25,28 +26,30 @@ const (
 	pmMul   = 48271     // Park–Miller multiplier
 	pmZero  = 89482311  // math/rand's stand-in for a seed ≡ 0 (mod pmMod)
 	pmSkip  = 21        // register word 0 starts at Park–Miller state x_21
-	pmLanes = 6         // independent chains: two register words per step
+	pmLanes = 6         // Seed's independent chains: two register words per step
 )
 
 var (
 	// cooked is math/rand's unexported rngCooked table: register word i
 	// after Seed is its Park–Miller part XOR cooked[i].
 	cooked [regLen]uint64
-	// laneStart[j] = pmMul^(pmSkip+j) and laneStep = pmMul^pmLanes, mod pmMod.
-	laneStart [pmLanes]uint64
-	laneStep  uint64
+	// pmPow[j] = pmMul^(pmSkip+j) mod pmMod, so x_{21+j} = seed·pmPow[j].
+	pmPow [3 * regLen]uint64
+	// laneStep = pmMul^pmLanes mod pmMod advances one of Seed's chains.
+	laneStep uint64
 )
 
 func init() {
 	p := uint64(1)
-	for k := 1; k < pmSkip+pmLanes; k++ {
+	for k := 1; k < pmSkip; k++ {
 		p = mulMod(p, pmMul)
 		if k == pmLanes {
 			laneStep = p
 		}
-		if k >= pmSkip {
-			laneStart[k-pmSkip] = p
-		}
+	}
+	for j := range pmPow {
+		p = mulMod(p, pmMul)
+		pmPow[j] = p
 	}
 	cooked = deriveCooked()
 }
@@ -106,23 +109,16 @@ func New(seed int64) *Source {
 	return s
 }
 
-// Seed resets the stream to the one rand.NewSource(seed) starts. Word i
-// of the register mixes Park–Miller states x_{21+3i}, x_{22+3i} and
-// x_{23+3i} (x_k = 48271^k·seed mod 2³¹−1); lane j of six holds
-// x_{21+j+6s} at step s, so one step fills two words.
+// Seed resets the stream to the one rand.NewSource(seed) starts: word i
+// as word(x, i) computes it. Lane j of six holds x_{21+j+6s} at step s,
+// so one step fills two words; for a whole register that beats word's
+// three table products per word.
 func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = regLen - regTap
-	seed %= pmMod
-	if seed < 0 {
-		seed += pmMod
-	}
-	if seed == 0 {
-		seed = pmZero
-	}
-	x := uint64(seed)
-	x0, x1, x2 := mulMod(x, laneStart[0]), mulMod(x, laneStart[1]), mulMod(x, laneStart[2])
-	x3, x4, x5 := mulMod(x, laneStart[3]), mulMod(x, laneStart[4]), mulMod(x, laneStart[5])
+	x := pmStart(seed)
+	x0, x1, x2 := mulMod(x, pmPow[0]), mulMod(x, pmPow[1]), mulMod(x, pmPow[2])
+	x3, x4, x5 := mulMod(x, pmPow[3]), mulMod(x, pmPow[4]), mulMod(x, pmPow[5])
 	vec, ck := s.vec[:], cooked[:]
 	for i := 0; i+1 < regLen; i += 2 {
 		vec[i] = x0<<40 ^ x1<<20 ^ x2 ^ ck[i]
@@ -131,6 +127,28 @@ func (s *Source) Seed(seed int64) {
 		x3, x4, x5 = mulMod(x3, laneStep), mulMod(x4, laneStep), mulMod(x5, laneStep)
 	}
 	vec[regLen-1] = x0<<40 ^ x1<<20 ^ x2 ^ ck[regLen-1]
+}
+
+// pmStart reduces a seed to the Park–Miller chain's start x_0, as
+// math/rand does.
+func pmStart(seed int64) uint64 {
+	seed %= pmMod
+	if seed < 0 {
+		seed += pmMod
+	}
+	if seed == 0 {
+		seed = pmZero
+	}
+	return uint64(seed)
+}
+
+// word returns register word i as Seed leaves it for the chain start
+// x: it mixes the Park–Miller states x_{21+3i}, x_{22+3i} and x_{23+3i}
+// (x_k = 48271^k·x mod 2³¹−1), three independent products against the
+// power table.
+func word(x uint64, i int) uint64 {
+	p := pmPow[3*i : 3*i+3 : 3*i+3]
+	return mulMod(x, p[0])<<40 ^ mulMod(x, p[1])<<20 ^ mulMod(x, p[2]) ^ cooked[i]
 }
 
 // Uint64 returns the next 64-bit value of the stream.
@@ -148,6 +166,32 @@ func (s *Source) Uint64() uint64 {
 	return x
 }
 
+// Fill sets dst to the stream's next len(dst) values: the values, and
+// the stream's state after, of len(dst) Uint64 calls. It walks the two
+// indices through contiguous stretches between their wrap points, with
+// no wrap test per value.
+func (s *Source) Fill(dst []uint64) {
+	tap, feed := s.tap, s.feed
+	for len(dst) > 0 {
+		if tap == 0 {
+			tap = regLen
+		}
+		if feed == 0 {
+			feed = regLen
+		}
+		m := min(tap, feed, len(dst))
+		for j := range dst[:m] {
+			tap--
+			feed--
+			x := s.vec[feed] + s.vec[tap]
+			s.vec[feed] = x
+			dst[j] = x
+		}
+		dst = dst[m:]
+	}
+	s.tap, s.feed = tap, feed
+}
+
 // Int63 returns the next value with its top bit cleared.
 func (s *Source) Int63() int64 { return int64(s.Uint64() & int63) }
 
@@ -157,6 +201,66 @@ func (s *Source) Float64() float64 {
 	for {
 		if f := float64(s.Int63()) / (1 << 63); f < 1 {
 			return f
+		}
+	}
+}
+
+// Float64Reject is the least Int63 value Float64 draws again: it and
+// every larger one round to 1 in float64(y)/2⁶³.
+const Float64Reject = 1<<63 - 512
+
+// Float64Below returns the threshold t for which a value y < Float64Reject
+// of Int63 gives a Float64 below p exactly when y < t. It exists because
+// float64(y)/2⁶³ is monotone in y, so the draws below p are a prefix of
+// the accepted ones, and one integer compare per draw replaces the
+// conversion and the float compare.
+func Float64Below(p float64) uint64 {
+	lo, hi := uint64(0), uint64(Float64Reject) // t lies in [lo, hi]
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) < p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Float64s sets dst to the first len(dst) Float64 values of the stream
+// Seed(seed) starts, without building the register. Right after Seed,
+// draw k (1-based) of Uint64 adds register words (334−k) mod 607, the
+// feed, and 607−k, the tap, while k ≤ 273; after that the tap reads
+// what draw k−273 wrote, and from k = 608 on the feed reads what draw
+// k−607 wrote. So each draw is two seed words — six products against
+// the power table — or a sum over earlier draws, and a short prefix costs
+// a few products per value instead of a 607-word Seed.
+func Float64s(seed int64, dst []float64) {
+	x := pmStart(seed)
+	var stack [64]uint64
+	out := stack[:0] // out[k] is draw k+1
+	if len(dst) > len(stack) {
+		out = make([]uint64, 0, len(dst))
+	}
+	for i := range dst {
+		for {
+			k := len(out)
+			var feed, tap uint64
+			if k < regLen {
+				feed = word(x, (2*regLen-regTap-1-k)%regLen)
+			} else {
+				feed = out[k-regLen]
+			}
+			if k < regTap {
+				tap = word(x, regLen-1-k)
+			} else {
+				tap = out[k-regTap]
+			}
+			out = append(out, feed+tap)
+			if f := float64((feed+tap)&int63) / (1 << 63); f < 1 {
+				dst[i] = f
+				break
+			}
 		}
 	}
 }

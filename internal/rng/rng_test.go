@@ -183,3 +183,104 @@ func TestSourceIntnPanicsOutOfRange(t *testing.T) {
 		}()
 	}
 }
+
+// TestFillMatchesUint64: Fill advances the stream exactly as len(dst)
+// Uint64 calls do. Block lengths run from 0 to past two register
+// lengths, so blocks start and end on either side of both wrap points,
+// and Float64, Intn and rand.Rand.ExpFloat64 calls on the same Source
+// sit between the blocks, so the indices are anywhere when one starts.
+func TestFillMatchesUint64(t *testing.T) {
+	for _, seed := range []int64{0, 1, -5, 20261018} {
+		src := New(seed)
+		r := rand.New(src)
+		want := rand.New(rand.NewSource(seed))
+		var buf [2*regLen + 3]uint64
+		for i := 0; i < 400; i++ {
+			m := (i * 37) % len(buf)
+			src.Fill(buf[:m])
+			for j, g := range buf[:m] {
+				if w := want.Uint64(); g != w {
+					t.Fatalf("seed %d block %d (len %d) value %d: %d, math/rand %d", seed, i, m, j, g, w)
+				}
+			}
+			switch i % 3 {
+			case 0:
+				if g, w := src.Float64(), want.Float64(); g != w {
+					t.Fatalf("seed %d after block %d: Float64 %v, math/rand %v", seed, i, g, w)
+				}
+			case 1:
+				if g, w := src.Intn(1+i), want.Intn(1+i); g != w {
+					t.Fatalf("seed %d after block %d: Intn %d, math/rand %d", seed, i, g, w)
+				}
+			default:
+				if g, w := r.ExpFloat64(), want.ExpFloat64(); g != w {
+					t.Fatalf("seed %d after block %d: ExpFloat64 %v, math/rand %v", seed, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestFloat64sMatchesSeed: Float64s(seed, dst) is the first len(dst)
+// Float64 values of a seeded Source, for every parity seed (negative, 0,
+// multiples of 2³¹−1 that take the stand-in, random) and every length
+// from 0 to 700, across draw 273 (the tap starts reading drawn values)
+// and draw 607 (the feed does too).
+func TestFloat64sMatchesSeed(t *testing.T) {
+	seeds := paritySeeds()
+	for i, seed := range seeds {
+		var src Source
+		src.Seed(seed)
+		want := make([]float64, 700)
+		for j := range want {
+			want[j] = src.Float64()
+		}
+		lengths := []int{0, 1, 9, 272, 273, 274, 606, 607, 608, 700}
+		if i < 8 {
+			lengths = lengths[:0]
+			for n := 0; n <= 700; n++ {
+				lengths = append(lengths, n)
+			}
+		}
+		for _, n := range lengths {
+			got := make([]float64, n)
+			Float64s(seed, got)
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("seed %d len %d value %d: %v, Seed+Float64 %v", seed, n, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestFloat64Below: for every p the er adversary is committed or
+// tested at, and the edges of [0, 1], y < Float64Below(p) holds exactly
+// when Float64 of a draw with low bits y is below p — at the threshold
+// and its neighbours, at the reject boundary and over a random stream.
+func TestFloat64Below(t *testing.T) {
+	ps := []float64{0, 1, math.SmallestNonzeroFloat64, 0.1, 0.3, 0.7,
+		math.Nextafter(0.5, 0), math.Nextafter(0.5, 1), 0.5}
+	gen := New(35)
+	for _, p := range ps {
+		below := Float64Below(p)
+		check := func(y uint64) {
+			if y >= Float64Reject {
+				return
+			}
+			if got, want := y < below, float64(y)/(1<<63) < p; got != want {
+				t.Fatalf("p=%v y=%d: threshold %d says %v, Float64 compare %v", p, y, below, got, want)
+			}
+		}
+		for d := uint64(0); d < 4; d++ {
+			check(below + d)
+			check(below - d) // wraps past 0 to a rejected value, which check skips
+		}
+		for y := uint64(Float64Reject - 1030); y < Float64Reject; y++ {
+			check(y)
+		}
+		for i := 0; i < 200000; i++ {
+			check(gen.Uint64() & int63)
+		}
+	}
+}

@@ -288,7 +288,7 @@ func (c *Config) linkCap(from, to int) int {
 // crash-scheduled, in ascending order — the set H whose outputs the
 // consensus properties constrain.
 func (c *Config) FaultFree() []int {
-	var ff []int
+	ff := make([]int, 0, c.N) // one allocation per run, not one per doubling
 	for i := 0; i < c.N; i++ {
 		if _, byz := c.Byzantine[i]; byz {
 			continue

@@ -127,7 +127,8 @@ const (
 // JSON rows (and its error, if any) at Workers 1 and 2 must be
 // byte-identical. The corpus is every committed spec as written (most
 // exceed the budget) and shrunk to one seed per cell and 200 rounds on
-// at most maxFuzzGridN nodes.
+// at most maxFuzzGridN nodes, plus small sweeps over the fixed-seed
+// er, er2 and random factories.
 func FuzzGridDeterminism(f *testing.F) {
 	for _, data := range committedSpecs(f) {
 		f.Add(data)
@@ -143,6 +144,11 @@ func FuzzGridDeterminism(f *testing.F) {
 			sw.MaxRounds = 200
 		}
 		f.Add(sw.Encode())
+	}
+	// Fixed-seed factories: a worker renews their product across a
+	// cell's seeds, and must rewind it to the pinned seed each time.
+	for _, adv := range []string{"er:0.3,77", "er2:0.4,5", "random:3,byzdeg,0.1,2024"} {
+		f.Add([]byte(fmt.Sprintf("ns: [7, 9]\nfs: [1]\nadversaries: [%q, \"er:0.5\"]\nseeds_per_cell: 6\nmax_rounds: 200\n", adv)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sw, err := Parse(data)

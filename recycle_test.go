@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -497,4 +498,66 @@ func TestShapeTransitions(t *testing.T) {
 	if rejected != 2 {
 		t.Errorf("%d steps rejected by fresh runs, want 2 (the checked Eps 1 and the out-of-range input)", rejected)
 	}
+}
+
+// TestGridRenewalAllocs pins the per-worker adversary renewal by what
+// it saves: a one-worker Grid.Run of an er:0.3 cell, which seeds one
+// adversary per worker and cell and reseeds it per run, allocates at
+// least one object fewer per run than the same runs through
+// RunManyStream with a fresh adversary per run. Per run is the marginal
+// cost — a batch of 2R runs less a batch of R, over R — so the sweep's
+// fixed set-up (cells, folds, rows) is not spread over the runs. Bytes
+// per run are logged beside the counts.
+func TestGridRenewalAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // as TestRecyclingAllocs
+	factory, err := anondyn.ParseAdversaryFactory("er:0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := anondyn.Grid{
+		Ns: []int{9}, Fs: []int{2}, Adversaries: []anondyn.AdversaryFactory{factory},
+		MaxRounds: 5000,
+	}
+	cell := grid.Cells()[0]
+	fresh := func(seed int64) anondyn.Scenario {
+		return anondyn.Scenario{
+			N: 9, F: 2, Eps: cell.Eps, Algorithm: cell.Algorithm,
+			Inputs:    anondyn.RandomInputs(9, seed),
+			Adversary: factory.New(cell, seed),
+			Seed:      seed,
+			MaxRounds: grid.MaxRounds,
+		}
+	}
+	opts := anondyn.BatchOptions{Workers: 1}
+	const runs = 128
+	perRun := func(batch func(runs int)) (allocs, bytes float64) {
+		cost := func(runs int) (allocs, bytes float64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			batch(runs)
+			runtime.ReadMemStats(&after)
+			return testing.AllocsPerRun(3, func() { batch(runs) }), float64(after.TotalAlloc - before.TotalAlloc)
+		}
+		a1, b1 := cost(runs)
+		a2, b2 := cost(2 * runs)
+		return (a2 - a1) / runs, (b2 - b1) / runs
+	}
+	renewed, renewedBytes := perRun(func(runs int) {
+		g := grid
+		g.SeedsPerCell = runs
+		if _, err := g.Run(opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rebuilt, rebuiltBytes := perRun(func(runs int) {
+		if err := anondyn.RunManyStream(anondyn.Seeds(runs, 0), fresh, (&anondyn.BatchStats{}).Consume, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Both marginals carry the same fraction of an object (the
+	// harness's amortized growth); compare whole objects.
+	if math.Round(renewed) > math.Round(rebuilt)-1 {
+		t.Errorf("one-worker Grid.Run allocated %g objects per run, a fresh adversary per run %g: want at least 1 fewer", renewed, rebuilt)
+	}
+	t.Logf("per run: renewed %g allocs / %.0f B, fresh adversary %g allocs / %.0f B", renewed, renewedBytes, rebuilt, rebuiltBytes)
 }

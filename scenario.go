@@ -487,15 +487,12 @@ func SplitInputs(n, k int) []float64 {
 }
 
 // RandomInputs returns n inputs drawn uniformly from [0,1]: the first n
-// Float64 draws of math/rand's stream for seed. The generator lives on
-// the stack, so the slice is the only allocation.
+// Float64 draws of math/rand's stream for seed, read from the stream's
+// prefix without seeding a register (rng.Float64s). The slice is the
+// only allocation.
 func RandomInputs(n int, seed int64) []float64 {
-	var src rng.Source
-	src.Seed(seed)
 	in := make([]float64, n)
-	for i := range in {
-		in[i] = src.Float64()
-	}
+	rng.Float64s(seed, in)
 	return in
 }
 

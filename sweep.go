@@ -14,9 +14,15 @@ type AdversaryFactory struct {
 	// Name labels the axis value in cell results and reports.
 	Name string
 	// New builds the adversary for one run of the given cell with the
-	// run's seed. It must return a fresh value per call. The cell
-	// carries n and f, so degree-parametric constructors can track the
-	// thresholds (crashdeg, byzdeg) across the sweep.
+	// run's seed, as a fresh value per call. The cell carries n and f,
+	// so degree-parametric constructors can track the thresholds
+	// (crashdeg, byzdeg) across the sweep. A Grid renews a product that
+	// is an AdversaryReseeder instead of calling New again for the next
+	// run of the same cell on the same worker, so such a product must
+	// keep the renewal contract: New(c, s₁) after Reseed(s₂) renders the
+	// runs New(c, s₂) renders. A product that ignores the run seed (a
+	// fixed seed in the factory's spec) rewinds to its own seed on
+	// Reseed.
 	New func(c Cell, seed int64) Adversary
 	// Check, when non-nil, rejects cells the adversary is undefined on
 	// (fig1 needs n=3, isolate needs victim < n). Grid.Run reports the
@@ -152,30 +158,31 @@ func (g Grid) Cells() []Cell {
 	return cells
 }
 
-// scenario assembles one run of one cell: base fields from the cell,
-// then the variant override, then the Mutate hook (so experiment hooks
-// see the variant-adjusted scenario).
-func (g Grid) scenario(c Cell, seed int64) Scenario {
+// scenario assembles one run of one cell into s, around the cell's
+// adversary for the run: base fields from the cell, then the variant
+// override, then the Mutate hook (so experiment hooks see the
+// variant-adjusted scenario). The hooks take s's address, so s lives in
+// the caller's longer-lived state rather than escaping per run.
+func (g Grid) scenario(s *Scenario, c Cell, seed int64, adv Adversary) {
 	inputs := g.Inputs
 	if inputs == nil {
 		inputs = RandomInputs
 	}
-	s := Scenario{
+	*s = Scenario{
 		N: c.N, F: c.F, Eps: c.Eps,
 		Algorithm:        c.Algorithm,
 		Inputs:           inputs(c.N, seed),
-		Adversary:        c.Adversary.New(c, seed),
+		Adversary:        adv,
 		Seed:             seed,
 		MaxRounds:        g.MaxRounds,
 		AccountBandwidth: g.AccountBandwidth,
 	}
 	if c.Variant.Apply != nil {
-		c.Variant.Apply(&s)
+		c.Variant.Apply(s)
 	}
 	if g.Mutate != nil {
-		g.Mutate(&s, c, seed)
+		g.Mutate(s, c, seed)
 	}
-	return s
 }
 
 // RunEach executes the sweep and delivers every run's Result — cells
@@ -232,10 +239,11 @@ func (g Grid) RunSlice(lo, hi int, opts BatchOptions, each func(c Cell, cell, ru
 	for j := range seeds {
 		seeds[j] = g.BaseSeed + int64(lo+j)
 	}
-	err := RunManyStream(seeds,
-		func(seed int64) Scenario {
-			i := int(seed-g.BaseSeed) / per
-			return g.scenario(cells[i], seed)
+	err := runPooled(seeds,
+		func(w *poolWorker, j int) Scenario {
+			i := (lo + j) / per
+			g.scenario(&w.scenario, cells[i], seeds[j], w.adversary(cells[i], i, seeds[j]))
+			return w.scenario
 		},
 		func(index int, seed int64, res *Result) error {
 			run := lo + index
@@ -246,6 +254,23 @@ func (g Grid) RunSlice(lo, hi int, opts BatchOptions, each func(c Cell, cell, ru
 		return fmt.Errorf("anondyn: sweep: %w", err)
 	}
 	return nil
+}
+
+// adversary returns the adversary for a run of cell i with seed: the
+// one this worker built for the cell last, renewed through Reseed, when
+// it is a Reseeder, and a fresh product of the cell's factory otherwise.
+// The factory's renewal contract (AdversaryFactory.New) makes the two
+// render the same run, so a sweep builds and seeds each randomized
+// adversary once per worker and cell instead of once per run. The cache
+// holds the factory's product, not what Variant or Mutate make of it,
+// so a hook that replaces the adversary still does so on every run.
+func (w *poolWorker) adversary(c Cell, i int, seed int64) Adversary {
+	if r, ok := w.adv.(AdversaryReseeder); ok && w.cell == i {
+		r.Reseed(seed)
+		return w.adv
+	}
+	w.adv, w.cell = c.Adversary.New(c, seed), i
+	return w.adv
 }
 
 // SeriesPerCell runs the first seed of every cell once with a
@@ -266,7 +291,8 @@ func (g Grid) SeriesPerCell() ([][]float64, error) {
 	out := make([][]float64, len(cells))
 	for i, c := range cells {
 		seed := g.BaseSeed + int64(i*per)
-		s := g.scenario(c, seed)
+		var s Scenario
+		g.scenario(&s, c, seed, c.Adversary.New(c, seed))
 		series := NewRangeSeries()
 		s.Series = series
 		if _, err := s.Run(); err != nil {
