@@ -11,10 +11,13 @@ package anondyn_test
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"anondyn"
 	"anondyn/examples/specs"
+	"anondyn/internal/adversary"
 	"anondyn/internal/chaos"
 	"anondyn/internal/core"
 	"anondyn/internal/experiments"
@@ -312,6 +315,56 @@ func TestSteadyRoundAllocBudget(t *testing.T) {
 			t.Errorf("CSR crash round allocated %g times per round, want 0", avg)
 		}
 	})
+	// Most senders dead (¾ of the nodes crash silently by round 16, inside
+	// the warm-up): every steady round prunes E(t) of the dead nodes'
+	// links before the receiver-major build — on the run goroutine in a
+	// Step, on the build stage in a pipelined RunRounds. AllocsPerRun pins
+	// GOMAXPROCS to 1, which keeps a run from building ahead, so the
+	// pipelined row counts mallocs itself: RunRounds' per-call cost (the
+	// Result's maps, the build goroutine) is the same for 8 rounds and
+	// 40, so 32 more steady rounds must add none.
+	mostlyDead := func(cfg *sim.Config) {
+		cfg.ForceCSR = true
+		cfg.Crashes = map[int]anondyn.Crash{}
+		for k := 0; k < 3*cfg.N/4; k++ {
+			cfg.Crashes[k*37%cfg.N] = anondyn.CrashSilent(4 + k%4*4)
+		}
+	}
+	t.Run("er2/n=1025/csr/mostly-dead", func(t *testing.T) {
+		eng := steadyEngine(t, 1025, anondyn.SparseProbabilistic(8.0/1025, 1), mostlyDead)
+		if avg := testing.AllocsPerRun(50, eng.Step); avg != 0 {
+			t.Errorf("pruned CSR round allocated %g times per round, want 0", avg)
+		}
+	})
+	t.Run("er2/n=1025/csr/mostly-dead/pipelined", func(t *testing.T) {
+		if prev := runtime.GOMAXPROCS(0); prev < 2 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		}
+		probe := &stageProbe{InPlaceAdversary: anondyn.SparseProbabilistic(8.0/1025, 1).(anondyn.InPlaceAdversary)}
+		eng := steadyEngine(t, 1025, probe, mostlyDead)
+		probe.probing = true
+		eng.RunRounds(4)
+		probe.probing = false
+		if !probe.onStage {
+			t.Fatal("RunRounds never built a round on the build stage: the row is vacuous")
+		}
+		mallocs := func(k int) uint64 {
+			var best uint64
+			for try := 0; try < 5; try++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				eng.RunRounds(k)
+				runtime.ReadMemStats(&after)
+				if n := after.Mallocs - before.Mallocs; try == 0 || n < best {
+					best = n
+				}
+			}
+			return best
+		}
+		if short, long := mallocs(8), mallocs(40); long > short {
+			t.Errorf("pipelined pruned rounds allocated: %d mallocs for RunRounds(40), %d for RunRounds(8)", long, short)
+		}
+	})
 	// The storm filter edits the round's set in place through Retain: an
 	// er2 log (ascending) is filtered as it stands, a rotating one
 	// (receiver-major) through its sender-major view — neither allocates.
@@ -365,6 +418,23 @@ func TestSteadyRoundAllocBudget(t *testing.T) {
 		}
 	})
 }
+
+// stageProbe forwards an in-place adversary and, while probing, notes
+// whether a round was rendered on the sim pipeline's build stage.
+type stageProbe struct {
+	anondyn.InPlaceAdversary
+	probing bool
+	onStage bool
+}
+
+func (p *stageProbe) EdgesInto(t int, view adversary.View, dst *anondyn.EdgeSet) {
+	if p.probing && strings.Contains(string(debug.Stack()), "buildStage).serve") {
+		p.onStage = true
+	}
+	p.InPlaceAdversary.EdgesInto(t, view, dst)
+}
+
+func (p *stageProbe) Oblivious() bool { return true }
 
 // TestSteadyRoundAllocBudgetMetrics holds the same budget with a live
 // Collector attached: the engine's emitRound builds its RoundSample on
@@ -450,7 +520,11 @@ func BenchmarkEngineSteadyRound(b *testing.B) {
 // round 2 and a partial one in round 5, and DAC at n=16385 on er2:8/n
 // with a quarter of the nodes crashing silently in four waves — both on
 // the direct gather, which skips the dead senders and counts lost
-// messages as it goes.
+// messages as it goes. The storm row is the storm-10k workload's round
+// without its harness: DAC at n=10000 on er2:0.004 for 60 rounds, with
+// ¾ of the nodes crashing silently in four doubling waves (500, 1 000,
+// 2 000 and 4 000 nodes at rounds 5, 11, 17 and 23), so most of its
+// rounds prune the dead nodes' links before the receiver-major build.
 func engineRoundCases() []struct {
 	name      string
 	n         int
@@ -471,6 +545,17 @@ func engineRoundCases() []struct {
 		c := make(map[int]anondyn.Crash, n/4)
 		for k := 0; k < n/4; k++ {
 			c[4*k] = anondyn.CrashSilent(8 + k%4*8)
+		}
+		return c
+	}
+	storm := func(n int) map[int]anondyn.Crash {
+		c := make(map[int]anondyn.Crash, 3*n/4)
+		k := 0
+		for wave, count := range []int{n / 20, n / 10, n / 5, 2 * n / 5} {
+			for ; count > 0; count-- {
+				c[k*7919%n] = anondyn.CrashSilent(5 + 6*wave) // 7919 is prime: victims spread over the IDs
+				k++
+			}
 		}
 		return c
 	}
@@ -497,6 +582,7 @@ func engineRoundCases() []struct {
 		{"n=4097/d=4", 4097, 0, 0, d4, nil},
 		{"n=16385/p=8n", 16385, 0, 256, er2(16385), nil},
 		{"n=16385/p=8n/crash", 16385, 0, 256, er2(16385), waves},
+		{"n=10000/p=40n/storm", 10000, 0, 60, func() anondyn.Adversary { return anondyn.SparseProbabilistic(0.004, 1) }, storm},
 		{"n=16385/d=4", 16385, 0, 256, d4, nil},
 		{"n=65537/p=8n", 65537, 0, 128, er2(65537), nil},
 		{"n=65537/d=4", 65537, 0, 128, d4, nil},

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -93,7 +94,12 @@ func runGate(args []string) error {
 		if *label == "" {
 			return fmt.Errorf("-append requires -label")
 		}
-		if err := appendHistory(*appendPath, *label, fresh, gated, out); err != nil {
+		host, err := benchHost(*newPath)
+		if err != nil {
+			return err
+		}
+		host.Label = *label
+		if err := appendHistory(*appendPath, host, fresh, gated, out); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "recorded %d benchmark(s) as %q in %s\n", len(gated), *label, *appendPath)
@@ -102,11 +108,18 @@ func runGate(args []string) error {
 }
 
 // historyEntry is one -append record: the gated benchmarks' medians for
-// one labeled run. The committed history is an append-only JSON array —
-// each PR that refreshes the baseline adds one entry, so the trajectory
-// stays reconstructible even though baseline.txt itself is overwritten.
+// one labeled run, and the host that ran them — the "cpu:" line of the
+// benchmark output, the GOMAXPROCS its names carry (the -N suffix), and
+// the cores of the machine that records the entry (the one that ran
+// the benchmarks, in CI). The committed history is an append-only JSON
+// array — each PR that refreshes the baseline adds one entry, so the
+// trajectory stays reconstructible even though baseline.txt itself is
+// overwritten. Entries from before the host fields have none.
 type historyEntry struct {
 	Label      string                   `json:"label"`
+	CPU        string                   `json:"cpu,omitempty"`
+	Cores      int                      `json:"cores,omitempty"`
+	GOMAXPROCS int                      `json:"gomaxprocs,omitempty"`
 	Benchmarks map[string]historyMetric `json:"benchmarks"`
 }
 
@@ -120,7 +133,8 @@ type historyMetric struct {
 // duplicate label (re-running CI on the same PR must not double-record),
 // prints per-benchmark deltas against the previous entry, and writes
 // the extended array back.
-func appendHistory(path, label string, fresh samples, names []string, out *os.File) error {
+func appendHistory(path string, entry historyEntry, fresh samples, names []string, out *os.File) error {
+	label := entry.Label
 	var history []historyEntry
 	data, err := os.ReadFile(path)
 	switch {
@@ -138,7 +152,7 @@ func appendHistory(path, label string, fresh samples, names []string, out *os.Fi
 			return fmt.Errorf("%s: label %q already recorded", path, label)
 		}
 	}
-	entry := historyEntry{Label: label, Benchmarks: map[string]historyMetric{}}
+	entry.Benchmarks = map[string]historyMetric{}
 	for _, name := range names {
 		var m historyMetric
 		if xs := fresh[name]["ns/op"]; len(xs) > 0 {
@@ -337,6 +351,34 @@ func parseBenchFile(path string) (samples, error) {
 		return nil, fmt.Errorf("%s: no benchmark lines", path)
 	}
 	return s, nil
+}
+
+// benchHost reads the host a benchmark output file was recorded on: its
+// "cpu:" header line and the GOMAXPROCS suffix of its first benchmark
+// line. The cores are this machine's.
+func benchHost(path string) (historyEntry, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return historyEntry{}, err
+	}
+	defer f.Close()
+	h := historyEntry{Cores: runtime.NumCPU()}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && h.CPU == "" {
+			h.CPU = strings.TrimSpace(cpu)
+		}
+		if fields := strings.Fields(line); h.GOMAXPROCS == 0 && len(fields) > 0 && strings.HasPrefix(fields[0], "Benchmark") {
+			if m := procSuffix.FindString(fields[0]); m != "" {
+				h.GOMAXPROCS, _ = strconv.Atoi(m[1:])
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return historyEntry{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return h, nil
 }
 
 // procSuffix strips the trailing -<GOMAXPROCS> so baselines recorded

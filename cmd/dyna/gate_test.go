@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -204,6 +205,31 @@ func TestAppendHistoryRoundTrip(t *testing.T) {
 	}
 	if m.NsOp != 25880 || m.AllocsOp != 98 {
 		t.Errorf("recorded medians = %+v, want ns_op 25880 allocs_op 98", m)
+	}
+}
+
+// TestAppendHistoryRecordsHost: an entry carries the host of the run it
+// records — the output's cpu line, the GOMAXPROCS suffix of its
+// benchmark names, and this machine's cores.
+func TestAppendHistoryRecordsHost(t *testing.T) {
+	dir := t.TempDir()
+	text := "goos: linux\ngoarch: amd64\ncpu: Test CPU @ 1.00GHz\n" + edgeText
+	base := write(t, dir, "base.txt", text)
+	hist := filepath.Join(dir, "BENCH_engine.json")
+	if err := runGate([]string{"-baseline", base, "-new", base, "-append", hist, "-label", "host"}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var history []historyEntry
+	if err := json.Unmarshal(data, &history); err != nil {
+		t.Fatal(err)
+	}
+	got := history[0]
+	if got.CPU != "Test CPU @ 1.00GHz" || got.GOMAXPROCS != 4 || got.Cores != runtime.NumCPU() {
+		t.Errorf("host = %q, GOMAXPROCS %d, %d cores; want %q, 4, %d", got.CPU, got.GOMAXPROCS, got.Cores, "Test CPU @ 1.00GHz", runtime.NumCPU())
 	}
 }
 

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"fmt"
 	"testing"
 
 	"anondyn/internal/core"
@@ -102,6 +103,42 @@ func TestEdgesIntoMatchesEdges(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEdgesIntoIgnoresPrunedScratch is the audit the engine's crash
+// prune relies on: the engine edits its scratch set after the adversary
+// wrote it (network.EdgeSet.KeepBetween drops the links of dead nodes)
+// and hands the edited set back the next round, so every in-place
+// adversary must overwrite dst without reading what it holds. Each
+// round's scratch is pruned to a random node subset before the next
+// EdgesInto, on a CSR and a dense scratch, and every rendered graph
+// must still equal the allocating path's.
+func TestEdgesIntoIgnoresPrunedScratch(t *testing.T) {
+	const rounds = 24
+	for _, sparse := range []bool{true, false} {
+		for name, pair := range inPlaceCases(t) {
+			t.Run(fmt.Sprintf("%s/sparse=%v", name, sparse), func(t *testing.T) {
+				n := caseN(name)
+				alloc, ip := pair[0], pair[1].(InPlace)
+				dst := network.NewEdgeSet(n)
+				if sparse {
+					dst = network.NewEdgeSetSparse(n)
+				}
+				view := &driftView{n: n}
+				alive := make([]uint64, network.MaskWords(n))
+				for round := 0; round < rounds; round++ {
+					view.round = round
+					want := alloc.Edges(round, view)
+					ip.EdgesInto(round, view, dst)
+					if !dst.Equal(want) {
+						t.Fatalf("round %d: EdgesInto %v over a pruned scratch, Edges %v", round, dst.Edges(), want.Edges())
+					}
+					alive[0] = uint64(0x9e3779b97f4a7c15) >> (round % 7) // a different node subset each round
+					dst.KeepBetween(alive, alive)
+				}
+			})
+		}
 	}
 }
 

@@ -268,6 +268,39 @@ func (e *EdgeSet) Retain(keep func(u, v int) bool) {
 	})
 }
 
+// KeepBetween keeps only the links u→v with bit u of senders and bit v
+// of receivers set, and drops the rest in place: Retain with the filter
+// "u sends and v receives", given as two node bitmaps of MaskWords(n)
+// words each. It takes no callback and no branch per link. A sparse set
+// keeps the rest of its log in the log's order, and builds no view for
+// it; views survive when nothing was dropped. A dense set masks its
+// rows a word at a time. The sim engine prunes each round's graph with
+// it to the links from nodes that still send to nodes that still
+// receive.
+func (e *EdgeSet) KeepBetween(senders, receivers []uint64) {
+	if len(senders) < e.words || len(receivers) < e.words {
+		panic(fmt.Sprintf("network: KeepBetween masks of %d and %d words, want %d", len(senders), len(receivers), e.words))
+	}
+	if e.csr != nil {
+		e.sparseKeepBetween(senders, receivers)
+		return
+	}
+	keepRows(e.out, e.words, senders, receivers)
+	keepRows(e.in, e.words, receivers, senders)
+}
+
+// keepRows masks a bit matrix of words-word rows: row k is cleared
+// unless bit k of rows is set, and what is left is ANDed with cols.
+func keepRows(m []uint64, words int, rows, cols []uint64) {
+	for k := 0; k*words < len(m); k++ {
+		keep := -(rows[k/wordBits] >> (uint(k) % wordBits) & 1) // all ones when row k stays
+		row := m[k*words : (k+1)*words]
+		for w := range row {
+			row[w] &= cols[w] & keep
+		}
+	}
+}
+
 // Clone returns a deep copy in the same representation.
 func (e *EdgeSet) Clone() *EdgeSet {
 	var c *EdgeSet
@@ -302,7 +335,7 @@ func (e *EdgeSet) CopyFrom(other *EdgeSet) {
 	switch {
 	case e.csr != nil && other.csr != nil:
 		e.csr.pairs = append(e.csr.pairs[:0], other.csr.pairs...)
-		e.csr.built = 0
+		e.csr.built = other.csr.built & logAscending
 	case e.csr != nil:
 		e.sparseLogFromDense(other)
 	case other.csr != nil:

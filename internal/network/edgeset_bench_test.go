@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -115,4 +116,34 @@ func BenchmarkCSRBuild(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkKeepBetween prices the engine's crash prune on its own: an
+// er2-shaped log at the repo benchmark's sparse size, refilled from a
+// copy each op, pruned to the links among a quarter of the nodes (every
+// fourth node alive, as after the storm workload's last wave). The
+// refill is part of the op; ns/edge is per link of the unpruned log.
+func BenchmarkKeepBetween(b *testing.B) {
+	const n = 16385
+	s := NewEdgeSetSparse(n)
+	rng := rand.New(rand.NewSource(1))
+	for u := 0; u < n; u++ {
+		for v := rng.Intn(n / 4); v < n; v += 1 + rng.Intn(n/4) {
+			if u != v {
+				s.AddUnchecked(u, v)
+			}
+		}
+	}
+	log := slices.Clone(s.csr.pairs)
+	alive := make([]uint64, MaskWords(n))
+	for i := 0; i < n; i += 4 {
+		alive[i/wordBits] |= 1 << (uint(i) % wordBits)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.csr.pairs = append(s.csr.pairs[:0], log...)
+		s.KeepBetween(alive, alive)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(log)), "ns/edge")
 }

@@ -60,9 +60,19 @@ type Engine struct {
 	hasCap      bool              // any per-link byte budget configured
 
 	// two-stage pipeline state (see pipeline.go)
-	pipelines bool             // Run/RunRounds may build E(t+1) on a second goroutine
-	spare     *network.EdgeSet // the build stage's target; swapped with edges when consumed
-	pending   bool             // spare holds E(round), built ahead by the last pipelined round
+	pipelines   bool             // Run/RunRounds may build E(t+1) on a second goroutine
+	spare       *network.EdgeSet // the build stage's target; swapped with edges when consumed
+	pending     bool             // spare holds E(round), built ahead by the last pipelined round
+	pruneAhead  bool             // the build stage prunes what it builds: no Recorder, no KeepTrace
+	prunedAhead bool             // the pending set was pruned; written by the build stage before its reply
+
+	// Crash-aware pruning (see prune): pruned says E(round) is a CSR set
+	// holding only links from round senders to round receivers. Each
+	// goroutine that prunes keeps its own masks: runMask the run
+	// goroutine's, aheadMask the build stage's.
+	pruned    bool
+	runMask   linkMask
+	aheadMask linkMask
 
 	// dense RoundObserver scratch, reused across rounds
 	rvValues  []float64
@@ -186,6 +196,7 @@ func (e *Engine) Reset(cfg Config) error {
 		e.crashSched = nil
 		e.rvValues = make([]float64, n)
 		e.rvRunning = make([]bool, n)
+		e.runMask, e.aheadMask = linkMask{}, linkMask{}
 		e.edges = nil
 		e.spare = nil
 		e.view = nil
@@ -257,11 +268,25 @@ func (e *Engine) Reset(cfg Config) error {
 	} else {
 		e.inPlace = nil
 	}
+	// A CSR round prunes the links of nodes that stop sending or
+	// receiving (see prune). The masks it takes exist only in runs that
+	// have such nodes; in any other run every node sends and receives,
+	// and maskAt leaves the nil masks marked all.
+	if e.inPlace != nil && wantSparse && (len(e.crashSched) > 0 || e.hasByz) && e.runMask.send == nil {
+		m := newLinkMasks(n, 2)
+		e.runMask, e.aheadMask = m[0], m[1]
+	}
+	e.runMask.invalidate()
+	e.aheadMask.invalidate()
 	// Run and RunRounds build E(t+1) ahead on a second goroutine when
 	// nothing the round does can influence it — an oblivious in-place
 	// adversary and no Byzantine strategy (viewSkip: nothing reads the
 	// view) — and the round is CSR-sized.
 	e.pipelines = e.inPlace != nil && e.viewSkip && wantSparse
+	// The round prunes E(t) after openRound has shown it to the edge
+	// observers; a set built ahead can be pruned before that only when
+	// there are none.
+	e.pruneAhead = cfg.Hooks.Recorder == nil && !cfg.KeepTrace
 	e.roundObs, _ = e.hooks.Observer.(RoundObserver)
 	e.needSize = cfg.AccountBandwidth || cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
 	e.hasCap = cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
@@ -299,7 +324,11 @@ func (e *Engine) Reset(cfg Config) error {
 // is Byzantine, the edge scratch is CSR (N ≥ network.SparseThreshold,
 // or ForceCSR), and a core is idle (2 × such runs ≤ GOMAXPROCS,
 // process-wide). The adversary sees the same calls in the same order
-// either way, so no result changes. The goroutine has done its last
+// either way, so no result changes. That goroutine also prunes the
+// graph it built of the links dead nodes cannot use (see prune) before
+// it forces the receiver-major view, unless a Recorder or KeepTrace
+// must see the graph whole: the crash schedule is static, so it needs
+// nothing from the round in flight. The goroutine has done its last
 // work when Run returns and exits right after. The adversary may then
 // have rendered one round past the decision round: the engine keeps that
 // graph for a later Step or RunRounds.
@@ -351,16 +380,106 @@ func (e *Engine) Proc(i int) core.Process { return e.cfg.Procs[i] }
 // adversaries — the spare set swapped in when a pipelined round already
 // built E(t) there — and the adversary's own allocation otherwise.
 func (e *Engine) roundEdges(t int) *network.EdgeSet {
+	e.pruned = false
 	if e.inPlace == nil {
 		return e.cfg.Adversary.Edges(t, e.view)
 	}
 	if e.pending {
 		e.edges, e.spare = e.spare, e.edges
 		e.pending = false
+		e.pruned = e.prunedAhead
 	} else {
 		e.inPlace.EdgesInto(t, e.view, e.edges)
 	}
 	return e.edges
+}
+
+// linkMask is round t's senders (Byzantine, or alive at the round's
+// start: t ≤ crash round) and receivers (not Byzantine, and alive
+// through the round: t < crash round) as node bitmaps, the masks
+// EdgeSet.KeepBetween takes. The crash schedule is static, so they
+// hold from one crash round to the next: maskAt rebuilds them only when
+// a round reaches until. Rounds only move forward within a run, and
+// Reset invalidates the masks between runs.
+type linkMask struct {
+	send, recv []uint64
+	until      int  // the first round the masks do not hold for
+	all        bool // every node sends and receives: nothing to prune
+}
+
+// newLinkMasks returns k masks over n nodes, carved from one allocation.
+func newLinkMasks(n, k int) []linkMask {
+	w := network.MaskWords(n)
+	words := make([]uint64, 2*k*w)
+	masks := make([]linkMask, k)
+	for i := range masks {
+		masks[i].send = words[2*i*w : (2*i+1)*w : (2*i+1)*w]
+		masks[i].recv = words[(2*i+1)*w : (2*i+2)*w : (2*i+2)*w]
+	}
+	return masks
+}
+
+// invalidate makes the next maskAt rebuild: a new run's schedule.
+func (m *linkMask) invalidate() { m.until = 0 }
+
+// maskAt brings m to round t.
+func (e *Engine) maskAt(m *linkMask, t int) {
+	if t < m.until {
+		return
+	}
+	for i := range m.send {
+		m.send[i], m.recv[i] = ^uint64(0), ^uint64(0)
+	}
+	m.until, m.all = neverCrashes, true
+	clearBit := func(mask []uint64, i int) {
+		mask[i/64] &^= 1 << (uint(i) % 64)
+		m.all = false
+	}
+	if e.hasByz {
+		for i, byz := range e.isByz {
+			if byz {
+				clearBit(m.recv, i)
+			}
+		}
+	}
+	// A node stops receiving in its crash round c and stops sending in
+	// c+1: the masks change at those rounds and at no others.
+	for _, i := range e.crashSched {
+		c := e.crashRound[i]
+		if t > c {
+			clearBit(m.send, i)
+		} else {
+			m.until = min(m.until, c+1)
+		}
+		if t >= c {
+			clearBit(m.recv, i)
+		} else {
+			m.until = min(m.until, c)
+		}
+	}
+}
+
+// prune drops from E(t) every link that cannot deliver in round t: from
+// a node that no longer sends, or to one that does not receive. It
+// reports whether E(t) now holds only links from round-t senders to
+// round-t receivers, which lets the gather read each in-row as it
+// stands. Only a CSR set is pruned: a dense round has no transpose to
+// save, and its gather skips dead senders off the bitmap words. The
+// caller owns edges (an InPlace adversary's scratch), and m is the
+// calling goroutine's.
+//
+// Dropping those links leaves every count as it was: a gather counts
+// only sending in-neighbors (heard), and only eligible receivers count
+// lost messages, so the Result is the same field for field.
+func (e *Engine) prune(m *linkMask, t int, edges *network.EdgeSet) bool {
+	if !edges.IsSparse() {
+		return false
+	}
+	e.maskAt(m, t)
+	if !m.all {
+		edges.KeepBetween(m.send, m.recv)
+	}
+	return true
 }
 
 // refreshView brings the state window up to date for round t without
@@ -400,11 +519,16 @@ func (e *Engine) Step() {
 	e.playRound(t, e.roundEdges(t))
 }
 
-// playRound executes round t over E(t): open it (broadcasts), run the
-// per-receiver core (deliverRange, which also counts the round's lost
-// messages), close it (counters, observers).
+// playRound executes round t over E(t): open it (broadcasts), prune
+// E(t) of the links dead nodes cannot use unless the build stage already
+// did (after openRound, so a Recorder and KeepTrace see E(t) whole), run
+// the per-receiver core (deliverRange, which also counts the round's
+// lost messages), close it (counters, observers).
 func (e *Engine) playRound(t int, edges *network.EdgeSet) {
 	e.openRound(t, edges)
+	if !e.pruned && e.inPlace != nil {
+		e.pruned = e.prune(&e.runMask, t, edges)
+	}
 	delivered, lost := e.deliverRange(t, edges)
 	e.closeRound(t, delivered, lost)
 }
@@ -522,7 +646,10 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 // Byzantine and survives the whole round. Every gather counts the
 // sending in-neighbors it meets (heard), so an eligible receiver v adds
 // senders − 1 − heard: v is itself a sender, and (v, v) is never a
-// link.
+// link. On a pruned set (e.pruned: see prune) every in-neighbor sends,
+// so heard is the row's length: a round after a crash reads its rows
+// like a round with no crash (the clean arm), unless a sender crashes
+// partially in it or a node is Byzantine.
 //
 // There is one body on purpose: variants that skip the delivery buffer
 // when nothing observes deliveries measure within ±3 % of it on every
@@ -542,7 +669,7 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 	// per-sender check at all.
 	direct := !e.needSize && e.allIdentity
 	sparse := edges.IsSparse()
-	clean := e.senders == e.cfg.N && !e.partial && !e.hasByz
+	clean := (e.senders == e.cfg.N || e.pruned) && !e.partial && !e.hasByz
 	var inStarts, inIDs []int32
 	broadcasts, deliveries := e.broadcasts, e.deliveries
 	if direct && sparse {
@@ -561,10 +688,10 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 		)
 		switch {
 		case direct && sparse && clean:
-			// Every in-neighbor delivers its broadcast at port == node
-			// ID, already ascending: fill the buffer by index off the
-			// CSR row. The row is a handful of entries, so the batch
-			// DeliverAll folds next is still in L1.
+			// Every in-neighbor sends, and delivers its broadcast at
+			// port == node ID, already ascending: fill the buffer by
+			// index off the CSR row. The row is a handful of entries, so
+			// the batch DeliverAll folds next is still in L1.
 			row := inIDs[inStarts[v]:inStarts[v+1]]
 			ds = deliveries[:len(row)]
 			for i, u := range row {

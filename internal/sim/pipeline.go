@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"anondyn/internal/adversary"
 	"anondyn/internal/network"
 )
 
@@ -12,7 +11,8 @@ import (
 // oblivious in-place adversary E(t+1) depends on nothing round t does,
 // so while the run goroutine plays round t (broadcasts, gather,
 // DeliverAll, lost count, close) a build goroutine writes E(t+1) into
-// the engine's spare edge set and forces its receiver-major view. The
+// the engine's spare edge set, prunes it of dead nodes' links (see
+// Engine.prune) and forces its receiver-major view. The
 // adversary sees the same EdgesInto calls in the same order as a
 // sequential run — each round once, t strictly increasing, on one
 // goroutine at a time — so results are byte-identical; only which core
@@ -38,24 +38,30 @@ type buildStage struct {
 	done chan any      // one reply per request: nil, or the panic the build raised; closed when the goroutine exits
 }
 
-func newBuildStage(adv adversary.InPlace, view adversary.View) *buildStage {
+// newBuildStage starts the build goroutine of e's run. Of the engine it
+// reads only what no round writes (the adversary, the view it passes
+// on, the crash schedule) and writes only aheadMask and prunedAhead,
+// which the run goroutine reads after the reply.
+func newBuildStage(e *Engine) *buildStage {
 	s := &buildStage{req: make(chan buildReq), done: make(chan any, 1)}
-	go s.serve(adv, view)
+	go s.serve(e)
 	return s
 }
 
-func (s *buildStage) serve(adv adversary.InPlace, view adversary.View) {
+func (s *buildStage) serve(e *Engine) {
 	defer close(s.done)
 	for r := range s.req {
-		s.done <- build(adv, view, r)
+		s.done <- e.build(r)
 	}
 }
 
-// build renders one round ahead; a panic comes back as the reply, for
-// the run goroutine to re-raise.
-func build(adv adversary.InPlace, view adversary.View, r buildReq) (panicked any) {
+// build renders one round ahead and, when nothing must see it whole,
+// prunes it; a panic comes back as the reply, for the run goroutine to
+// re-raise.
+func (e *Engine) build(r buildReq) (panicked any) {
 	defer func() { panicked = recover() }()
-	adv.EdgesInto(r.t, view, r.dst)
+	e.inPlace.EdgesInto(r.t, e.view, r.dst)
+	e.prunedAhead = e.pruneAhead && e.prune(&e.aheadMask, r.t, r.dst)
 	if r.dst.IsSparse() { // FillComplete may have turned it dense
 		r.dst.InCSR()
 	}
@@ -100,7 +106,7 @@ func (e *Engine) run(end int, untilDecided bool) {
 		ahead := e.pipelines && t+1 < end && 2*int(pipelineRuns.Load()) <= procs
 		if ahead {
 			if stage == nil {
-				stage = newBuildStage(e.inPlace, e.view)
+				stage = newBuildStage(e)
 			}
 			if e.spare == nil {
 				e.spare = network.NewEdgeSetSparse(e.cfg.N)

@@ -92,6 +92,29 @@ func pipeCases() []pipeCase {
 			// not force a CSR view on them.
 			return dac(t, 20, 3, 400, adversary.NewComplete())
 		}},
+		{"crash-heavy", false, func(t *testing.T) Config {
+			// ¾ of the nodes dead by round 11: the round goroutine prunes
+			// the sets the build stage leaves whole for KeepTrace.
+			cfg := dac(t, 64, 40, 30, must(adversary.NewSparseProbabilistic(0.3, 10)))
+			cfg.Crashes = crashHeavy(64)
+			return cfg
+		}},
+		{"crash-heavy/untraced", false, func(t *testing.T) Config {
+			// No edge observer: the build stage prunes what it builds.
+			cfg := dac(t, 64, 40, 30, must(adversary.NewSparseProbabilistic(0.3, 10)))
+			cfg.Crashes, cfg.KeepTrace = crashHeavy(64), false
+			return cfg
+		}},
+		{"crash-heavy/storm-shaped/untraced", false, func(t *testing.T) Config {
+			cfg := dac(t, 64, 40, 30, &thinned{InPlace: must(adversary.NewSparseProbabilistic(0.3, 14))})
+			cfg.Crashes, cfg.KeepTrace = crashHeavy(64), false
+			return cfg
+		}},
+		{"crash-heavy/rotating/untraced", false, func(t *testing.T) Config {
+			cfg := dac(t, 64, 40, 30, must(adversary.NewRotating(9)))
+			cfg.Crashes, cfg.KeepTrace = crashHeavy(64), false
+			return cfg
+		}},
 		{"crashes", true, func(t *testing.T) Config {
 			cfg := dac(t, 48, 3, 400, must(adversary.NewSparseProbabilistic(0.3, 9)))
 			cfg.F = 3

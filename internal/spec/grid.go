@@ -34,18 +34,20 @@ func (s *Sweep) Grid() (anondyn.Grid, error) {
 		return anondyn.Grid{}, err
 	}
 	g.Inputs = inputs
-	g.Mutate = s.compileMutate()
 	if s.Stress != nil {
 		if err := s.Stress.CheckDuration(); err != nil {
 			return anondyn.Grid{}, err
 		}
 		s.applyStress(&g)
 	}
+	var plans map[cellKey]map[int]anondyn.Crash
 	if s.Construction != "" || s.Crashes != nil || len(s.Byzantine) > 0 {
 		// Place every (n, f) cell's faults once, so a bad placement is
 		// a spec error before the first run, not a run-time failure (a
 		// panic for byzsplit) mid-sweep or on a remote worker. The check
-		// builds no node set, so its cost does not grow with n.
+		// builds no node set, so its cost does not grow with n. A crash
+		// schedule depends on the cell alone, so its plan is compiled
+		// here too, once per cell, and every run of the cell shares it.
 		fs := g.Fs
 		if len(fs) == 0 {
 			fs = []int{0} // the Grid default
@@ -59,11 +61,23 @@ func (s *Sweep) Grid() (anondyn.Grid, error) {
 				if err := s.checkPlacement(c); err != nil {
 					return anondyn.Grid{}, err
 				}
+				if s.Crashes != nil && s.Stress == nil {
+					if plans == nil {
+						plans = make(map[cellKey]map[int]anondyn.Crash)
+					}
+					plans[cellKey{n, f}] = s.Crashes.compile(c)
+				}
 			}
 		}
 	}
+	if s.Stress == nil { // a stress section installs its own hook
+		g.Mutate = s.compileMutate(plans)
+	}
 	return g, nil
 }
+
+// cellKey is what a cell's fault placement depends on.
+type cellKey struct{ n, f int }
 
 // checkPlacement resolves one cell's fault pattern as compileMutate
 // will: the byzsplit layout must exist, every listed crash victim and
@@ -347,8 +361,11 @@ func compileSplit(arg string) (func(n int) int, error) {
 
 // compileMutate assembles the per-run fault hook: the byzsplit
 // construction, then crash schedules, then Byzantine casts. Returns
-// nil when the sweep declares none of them.
-func (s *Sweep) compileMutate() func(*anondyn.Scenario, anondyn.Cell, int64) {
+// nil when the sweep declares none of them. A run's crash schedule is
+// its cell's plan from plans, shared read-only by every run of the
+// cell (Grid.Mutate's contract); a cell Grid did not place compiles
+// its own.
+func (s *Sweep) compileMutate(plans map[cellKey]map[int]anondyn.Crash) func(*anondyn.Scenario, anondyn.Cell, int64) {
 	if s.Construction == "" && s.Crashes == nil && len(s.Byzantine) == 0 {
 		return nil
 	}
@@ -364,7 +381,11 @@ func (s *Sweep) compileMutate() func(*anondyn.Scenario, anondyn.Cell, int64) {
 			sc.Inputs = split.Inputs()
 		}
 		if s.Crashes != nil {
-			sc.Crashes = s.Crashes.compile(c)
+			plan, ok := plans[cellKey{c.N, c.F}]
+			if !ok {
+				plan = s.Crashes.compile(c)
+			}
+			sc.Crashes = plan
 		}
 		if len(s.Byzantine) > 0 {
 			byz := make(map[int]anondyn.Strategy)

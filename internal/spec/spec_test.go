@@ -1,10 +1,12 @@
 package spec
 
 import (
+	"maps"
 	"reflect"
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"anondyn"
@@ -219,6 +221,60 @@ crashes:
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("crashes = %v, want %v", got, want)
+	}
+}
+
+// TestCrashPlanSharedPerCell: each cell's crash plan is compiled once
+// by Grid and handed to every run of the cell, and a 2-worker sweep
+// leaves every plan as it was compiled (under -race, a run that wrote
+// the shared map would also race the other worker's reads).
+func TestCrashPlanSharedPerCell(t *testing.T) {
+	sw, err := Parse([]byte(`
+ns: [9, 11]
+fs: [2]
+adversaries: ["er:0.3", complete]
+seeds_per_cell: 6
+crashes:
+  nodes: [2, 5]
+  rounds: [4, 9]
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := sw.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := map[int]map[int]anondyn.Crash{} // by n: the f axis is one value
+	want := map[int]map[int]anondyn.Crash{}
+	for _, c := range g.Cells() {
+		s := anondyn.Scenario{}
+		g.Mutate(&s, c, 0)
+		if p, ok := plans[c.N]; ok && reflect.ValueOf(p).Pointer() != reflect.ValueOf(s.Crashes).Pointer() {
+			t.Fatalf("cell n=%d %s: a second crash map for the cell", c.N, c.Adversary.Name)
+		}
+		plans[c.N] = s.Crashes
+		want[c.N] = maps.Clone(s.Crashes)
+	}
+	mutate := g.Mutate
+	var runs atomic.Int64
+	g.Mutate = func(s *anondyn.Scenario, c anondyn.Cell, seed int64) {
+		mutate(s, c, seed)
+		if reflect.ValueOf(s.Crashes).Pointer() != reflect.ValueOf(plans[c.N]).Pointer() {
+			panic("a run got its own crash map")
+		}
+		runs.Add(1)
+	}
+	if _, err := g.Run(anondyn.BatchOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Load(); got != int64(len(g.Cells())*6) {
+		t.Fatalf("%d runs, want %d", got, len(g.Cells())*6)
+	}
+	for n, plan := range plans {
+		if !reflect.DeepEqual(plan, want[n]) {
+			t.Errorf("n=%d: the sweep left plan %v, compiled %v", n, plan, want[n])
+		}
 	}
 }
 

@@ -99,6 +99,9 @@ type Grid struct {
 	Skip func(c Cell) bool
 	// Mutate, when non-nil, adjusts each run's assembled Scenario —
 	// the hook for crash schedules, Byzantine strategies, overrides.
+	// A hook may hand every run of a cell one shared Crashes map (a
+	// spec's grid compiles each cell's crash plan once), so a hook that
+	// edits Scenario.Crashes must copy the map first.
 	Mutate func(s *Scenario, c Cell, seed int64)
 }
 
