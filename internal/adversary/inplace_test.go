@@ -126,7 +126,7 @@ func TestEdgesIntoIgnoresPrunedScratch(t *testing.T) {
 					dst = network.NewEdgeSetSparse(n)
 				}
 				view := &driftView{n: n}
-				alive := make([]uint64, network.MaskWords(n))
+				roles := make([]uint8, n)
 				for round := 0; round < rounds; round++ {
 					view.round = round
 					want := alloc.Edges(round, view)
@@ -134,8 +134,10 @@ func TestEdgesIntoIgnoresPrunedScratch(t *testing.T) {
 					if !dst.Equal(want) {
 						t.Fatalf("round %d: EdgesInto %v over a pruned scratch, Edges %v", round, dst.Edges(), want.Edges())
 					}
-					alive[0] = uint64(0x9e3779b97f4a7c15) >> (round % 7) // a different node subset each round
-					dst.KeepBetween(alive, alive)
+					for i := range roles { // a different role for each node each round
+						roles[i] = uint8(uint64(0x9e3779b97f4a7c15)>>((i+round)%61)) & (network.Sends | network.Receives)
+					}
+					dst.KeepBetween(roles)
 				}
 			})
 		}

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 )
 
@@ -41,23 +40,19 @@ const SparseThreshold = 2048
 // neither on any log.
 //
 // The sim engine's round reads only the receiver-major view, and on a
-// round after a crash it first prunes the log with KeepBetween to the
-// links from nodes that still send to nodes that still receive, so the
-// transpose and the gather never see a dead node's links.
+// CSR round of a run with crashes it first prunes the log with
+// KeepBetween to the links from nodes that still send to nodes that
+// still receive, so the transpose and the gather never see a dead
+// node's links.
 //
-// Whether the log is strictly ascending is recorded (logAscending) once
-// a pass has established it — a view build that scanned it, a Retain,
-// or a KeepBetween over an ascending log — and compact and Retain then
-// skip the scan. Any append clears the record with the views.
-//
-// Any mutation invalidates both views. A build writes the state, so a
-// view read on another goroutine must be forced before the hand-off
-// (the sim pipeline's build stage forces the receiver-major view of the
-// set it hands to the round).
+// Any mutation invalidates both. A build writes the state, so a view
+// read on another goroutine must be forced before the hand-off (the
+// sim pipeline's build stage forces the receiver-major view of the set
+// it hands to the round).
 type csrState struct {
 	pairs []uint64 // mutation log, u<<32 | v per link (duplicates allowed)
-	built uint8    // viewIn|viewOut: the views current with the log; logAscending
-	edges int      // distinct links, valid while built&views != 0
+	built uint8    // viewIn|viewOut: the views current with the log
+	edges int      // distinct links, valid while built != 0
 
 	outStart []int32 // n+1 prefix offsets into outList
 	outList  []int32 // receivers, ascending within each sender row
@@ -65,16 +60,12 @@ type csrState struct {
 	inList   []int32 // senders, ascending within each receiver row
 
 	cursor   []int32 // length-n scatter scratch for a build
-	role     []uint8 // length-n scratch for KeepBetween (bit 0 sends, bit 1 receives), made on first use
 	maxPairs int     // high-water mark of the log, for headroom sizing
 }
 
 const (
 	viewIn uint8 = 1 << iota
 	viewOut
-	logAscending // the log is known to be strictly ascending
-
-	views = viewIn | viewOut
 )
 
 // NewEdgeSetSparse returns an empty edge set over n nodes in sparse CSR
@@ -178,7 +169,7 @@ func (e *EdgeSet) buildOut() {
 // to the same count — and builds the receiver-major one when neither
 // does: it is the view a round is about to read anyway.
 func (e *EdgeSet) sparseLen() int {
-	if e.csr.built&views == 0 {
+	if e.csr.built == 0 {
 		e.buildIn()
 	}
 	return e.csr.edges
@@ -191,24 +182,10 @@ func (e *EdgeSet) sparseLen() int {
 // A strictly ascending log takes compactAscending, any other log
 // compactGeneral. Cost O(n + log length).
 func (c *csrState) compact(n int, start, list []int32, keyShift uint) ([]int32, int) {
-	if c.ascending() {
+	if ascendingPairs(c.pairs) {
 		return c.compactAscending(n, start, list, keyShift)
 	}
 	return c.compactGeneral(n, start, list, keyShift)
-}
-
-// ascending reports whether the log is strictly ascending: from the
-// record when a pass has established it, otherwise by scanning the log,
-// recording a yes.
-func (c *csrState) ascending() bool {
-	if c.built&logAscending != 0 {
-		return true
-	}
-	if !ascendingPairs(c.pairs) {
-		return false
-	}
-	c.built |= logAscending
-	return true
 }
 
 // compactGeneral is compact for any log (rotating emits receiver-major,
@@ -289,13 +266,12 @@ func (c *csrState) countRows(n int, start []int32, keyShift uint) {
 // already in ForEachEdge order with each link once, so it is filtered in
 // place; any other log is walked through its sender-major view and
 // rewritten from it (sorted and deduplicated, so it fits the log's own
-// storage). Either way the log leaves strictly ascending, and that is
-// recorded. Views survive when nothing was dropped: they depend only on
+// storage). Views survive when nothing was dropped: they depend only on
 // the link set.
 func (e *EdgeSet) sparseRetain(keep func(u, v int) bool) {
 	c := e.csr
 	w := 0
-	if c.ascending() {
+	if ascendingPairs(c.pairs) {
 		for _, p := range c.pairs {
 			if keep(int(p>>32), int(uint32(p))) {
 				c.pairs[w] = p
@@ -304,7 +280,7 @@ func (e *EdgeSet) sparseRetain(keep func(u, v int) bool) {
 		}
 		if w != len(c.pairs) {
 			c.pairs = c.pairs[:w]
-			c.built = logAscending
+			c.built = 0
 		}
 		return
 	}
@@ -321,45 +297,27 @@ func (e *EdgeSet) sparseRetain(keep func(u, v int) bool) {
 	if w != distinct {
 		c.built = 0
 	}
-	c.built |= logAscending
 }
 
 // sparseKeepBetween is KeepBetween on a sparse set: one pass over the
-// log with no branch on the data. The masks are first spread into one
-// byte per node (bit 0: sends, bit 1: receives), so a link's verdict is
-// two byte loads and no variable shift: over a 400 000-link log at
-// n = 10 000 with ¾ of the nodes dead (2-core Xeon) that pass measured
-// ~40 % faster than one testing the bitmap bits per link. Every pair is written back at the cursor, which advances only
-// past a kept one, so the log stays in its order. The same pass tells
-// whether the log was strictly ascending (a borrow-out compare per
-// pair), so an er or er2 log pruned here is built without a second
-// scan.
-func (e *EdgeSet) sparseKeepBetween(senders, receivers []uint64) {
+// log with no branch on the data. A link's verdict is two byte loads
+// and no variable shift: over a 400 000-link log at n = 10 000 with ¾ of
+// the nodes dead (2-core Xeon), role bytes measured ~40 % faster than
+// testing two bitmap bits per link. Every pair is written back at the
+// cursor, which advances only past a kept one, so the log stays in its
+// order.
+func (e *EdgeSet) sparseKeepBetween(roles []uint8) {
 	c := e.csr
-	if c.role == nil { // a set that is never pruned never pays for it
-		c.role = make([]uint8, e.n)
-	}
-	role := c.role
-	for i := range role {
-		role[i] = uint8(senders[i/wordBits]>>(uint(i)%wordBits)&1 | receivers[i/wordBits]>>(uint(i)%wordBits)&1<<1)
-	}
 	pairs := c.pairs
 	w := 0
-	asc, prev := uint64(1), uint64(0) // no pair is 0: that would be the loop 0→0
 	for _, p := range pairs {
-		keep := role[p>>32] & (role[uint32(p)] >> 1) & 1
-		_, below := bits.Sub64(prev, p, 0) // 1 when prev < p
-		asc &= below
-		prev = p
+		keep := roles[p>>32] & (roles[uint32(p)] >> 1) & Sends // Receives is Sends<<1
 		pairs[w] = p
 		w += int(keep)
 	}
-	if asc == 1 {
-		c.built |= logAscending
-	}
 	if w != len(pairs) {
 		c.pairs = pairs[:w]
-		c.built &= logAscending
+		c.built = 0
 	}
 }
 

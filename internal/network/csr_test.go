@@ -345,15 +345,15 @@ func TestLazyViewsProperty(t *testing.T) {
 		if got := inFirst.Len(); got != dense.Len() {
 			t.Fatalf("trial %d (n=%d): Len %d off the in view alone, want %d", trial, n, got, dense.Len())
 		}
-		if inFirst.csr.built&views != viewIn {
-			t.Fatalf("trial %d: InCSR then Len built views %02b, want the receiver-major one only", trial, inFirst.csr.built&views)
+		if inFirst.csr.built != viewIn {
+			t.Fatalf("trial %d: InCSR then Len built views %02b, want the receiver-major one only", trial, inFirst.csr.built)
 		}
 		outFirst.OutCSR()
 		if got := outFirst.Len(); got != dense.Len() {
 			t.Fatalf("trial %d (n=%d): Len %d off the out view alone, want %d", trial, n, got, dense.Len())
 		}
-		if outFirst.csr.built&views != viewOut {
-			t.Fatalf("trial %d: OutCSR then Len built views %02b, want the sender-major one only", trial, outFirst.csr.built&views)
+		if outFirst.csr.built != viewOut {
+			t.Fatalf("trial %d: OutCSR then Len built views %02b, want the sender-major one only", trial, outFirst.csr.built)
 		}
 		check(inFirst, dense, "in-first")
 		check(outFirst, dense, "out-first")

@@ -268,37 +268,29 @@ func (e *EdgeSet) Retain(keep func(u, v int) bool) {
 	})
 }
 
-// KeepBetween keeps only the links u→v with bit u of senders and bit v
-// of receivers set, and drops the rest in place: Retain with the filter
-// "u sends and v receives", given as two node bitmaps of MaskWords(n)
-// words each. It takes no callback and no branch per link. A sparse set
-// keeps the rest of its log in the log's order, and builds no view for
-// it; views survive when nothing was dropped. A dense set masks its
-// rows a word at a time. The sim engine prunes each round's graph with
-// it to the links from nodes that still send to nodes that still
-// receive.
-func (e *EdgeSet) KeepBetween(senders, receivers []uint64) {
-	if len(senders) < e.words || len(receivers) < e.words {
-		panic(fmt.Sprintf("network: KeepBetween masks of %d and %d words, want %d", len(senders), len(receivers), e.words))
+// Node roles for KeepBetween, one byte per node.
+const (
+	Sends    uint8 = 1 << iota // the node's out-links are kept
+	Receives                   // the node's in-links are kept
+)
+
+// KeepBetween keeps only the links u→v where roles[u] has Sends and
+// roles[v] has Receives, and drops the rest in place: Retain with the
+// filter "u sends and v receives", given as one role byte per node. A
+// sparse set takes no callback and no branch per link, keeps the rest
+// of its log in the log's order and builds no view for it; views
+// survive when nothing was dropped. A dense set is filtered by Retain.
+// The sim engine prunes a CSR round's graph with it to the links from
+// nodes that still send to nodes that still receive.
+func (e *EdgeSet) KeepBetween(roles []uint8) {
+	if len(roles) < e.n {
+		panic(fmt.Sprintf("network: KeepBetween over %d roles, want %d", len(roles), e.n))
 	}
 	if e.csr != nil {
-		e.sparseKeepBetween(senders, receivers)
+		e.sparseKeepBetween(roles)
 		return
 	}
-	keepRows(e.out, e.words, senders, receivers)
-	keepRows(e.in, e.words, receivers, senders)
-}
-
-// keepRows masks a bit matrix of words-word rows: row k is cleared
-// unless bit k of rows is set, and what is left is ANDed with cols.
-func keepRows(m []uint64, words int, rows, cols []uint64) {
-	for k := 0; k*words < len(m); k++ {
-		keep := -(rows[k/wordBits] >> (uint(k) % wordBits) & 1) // all ones when row k stays
-		row := m[k*words : (k+1)*words]
-		for w := range row {
-			row[w] &= cols[w] & keep
-		}
-	}
+	e.Retain(func(u, v int) bool { return roles[u]&Sends != 0 && roles[v]&Receives != 0 })
 }
 
 // Clone returns a deep copy in the same representation.
@@ -335,7 +327,7 @@ func (e *EdgeSet) CopyFrom(other *EdgeSet) {
 	switch {
 	case e.csr != nil && other.csr != nil:
 		e.csr.pairs = append(e.csr.pairs[:0], other.csr.pairs...)
-		e.csr.built = other.csr.built & logAscending
+		e.csr.built = 0
 	case e.csr != nil:
 		e.sparseLogFromDense(other)
 	case other.csr != nil:

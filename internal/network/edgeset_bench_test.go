@@ -135,15 +135,15 @@ func BenchmarkKeepBetween(b *testing.B) {
 		}
 	}
 	log := slices.Clone(s.csr.pairs)
-	alive := make([]uint64, MaskWords(n))
+	roles := make([]uint8, n)
 	for i := 0; i < n; i += 4 {
-		alive[i/wordBits] |= 1 << (uint(i) % wordBits)
+		roles[i] = Sends | Receives
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.csr.pairs = append(s.csr.pairs[:0], log...)
-		s.KeepBetween(alive, alive)
+		s.KeepBetween(roles)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(log)), "ns/edge")
 }

@@ -7,31 +7,29 @@ import (
 	"testing"
 )
 
-// randomMask sets each of n bits with probability p, and sets garbage in
-// the bits past n.
-func randomMask(rng *rand.Rand, n int, p float64) []uint64 {
-	m := make([]uint64, MaskWords(n))
-	for i := 0; i < n; i++ {
+// randomRoles gives each of n nodes Sends and Receives, each with
+// probability p, and garbage in the other bits of its byte.
+func randomRoles(rng *rand.Rand, n int, p float64) []uint8 {
+	roles := make([]uint8, n)
+	for i := range roles {
+		roles[i] = uint8(rng.Intn(256)) &^ (Sends | Receives)
 		if rng.Float64() < p {
-			m[i/wordBits] |= 1 << (uint(i) % wordBits)
+			roles[i] |= Sends
+		}
+		if rng.Float64() < p {
+			roles[i] |= Receives
 		}
 	}
-	if r := n % wordBits; r != 0 {
-		m[len(m)-1] |= ^uint64(0) << uint(r)
-	}
-	return m
+	return roles
 }
 
-func maskHas(m []uint64, i int) bool { return m[i/wordBits]>>(uint(i)%wordBits)&1 != 0 }
-
 // TestKeepBetweenMatchesRetain: over sorted, shuffled and duplicated
-// logs and dense sets, with or without views built beforehand and masks
+// logs and dense sets, with or without views built beforehand and roles
 // that keep everything, nothing or some, KeepBetween leaves exactly the
 // links Retain with the same filter leaves — the same edge list and,
 // sparse, both views equal to a fresh build. A sparse log keeps its
 // order (it is the filtered input, pair for pair), no view is built by
-// the pass, views survive a pass that drops nothing, and a log recorded
-// as ascending is ascending.
+// the pass, and views survive a pass that drops nothing.
 func TestKeepBetweenMatchesRetain(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	sizes := []int{1, 2, 3, 63, 64, 65, 129, 200}
@@ -49,8 +47,8 @@ func TestKeepBetweenMatchesRetain(t *testing.T) {
 			rng.Shuffle(len(log), func(i, j int) { log[i], log[j] = log[j], log[i] })
 		}
 		keepRate := []float64{0, 0.25, 0.9, 1}[rng.Intn(4)]
-		send, recv := randomMask(rng, n, keepRate), randomMask(rng, n, keepRate)
-		keep := func(u, v int) bool { return maskHas(send, u) && maskHas(recv, v) }
+		roles := randomRoles(rng, n, keepRate)
+		keep := func(u, v int) bool { return roles[u]&Sends != 0 && roles[v]&Receives != 0 }
 
 		var got, want *EdgeSet
 		if shape == "dense" {
@@ -73,9 +71,9 @@ func TestKeepBetweenMatchesRetain(t *testing.T) {
 		var viewsBefore uint8
 		if got.IsSparse() {
 			before = slices.Clone(got.csr.pairs)
-			viewsBefore = got.csr.built & views
+			viewsBefore = got.csr.built
 		}
-		got.KeepBetween(send, recv)
+		got.KeepBetween(roles)
 		var builtAfter uint8
 		if got.IsSparse() {
 			builtAfter = got.csr.built
@@ -102,17 +100,11 @@ func TestKeepBetweenMatchesRetain(t *testing.T) {
 		if !slices.Equal(got.csr.pairs, filtered) {
 			t.Fatalf("%s (n=%d): log %v after KeepBetween, want the input filtered in order %v", label(), n, got.csr.pairs, filtered)
 		}
-		if len(filtered) == len(before) && builtAfter&views != viewsBefore {
-			t.Fatalf("%s (n=%d): views %02b after a pass that dropped nothing, %02b before", label(), n, builtAfter&views, viewsBefore)
+		if len(filtered) == len(before) && builtAfter != viewsBefore {
+			t.Fatalf("%s (n=%d): views %02b after a pass that dropped nothing, %02b before", label(), n, builtAfter, viewsBefore)
 		}
-		if len(filtered) != len(before) && builtAfter&views != 0 {
-			t.Fatalf("%s (n=%d): views %02b survived a pass that dropped links", label(), n, builtAfter&views)
-		}
-		if builtAfter&logAscending != 0 && !ascendingPairs(got.csr.pairs) {
-			t.Fatalf("%s (n=%d): log recorded ascending but is not", label(), n)
-		}
-		if shape == "sorted" && builtAfter&logAscending == 0 {
-			t.Fatalf("%s (n=%d): an ascending log was not recorded as ascending", label(), n)
+		if len(filtered) != len(before) && builtAfter != 0 {
+			t.Fatalf("%s (n=%d): views %02b survived a pass that dropped links", label(), n, builtAfter)
 		}
 		assertViews(t, got, sparseFrom(n, want.Edges()), "%s (n=%d, prebuilt %d, keep %g)", label(), n, prebuilt, keepRate)
 	}
@@ -124,14 +116,14 @@ func TestKeepBetweenAllocatesNothing(t *testing.T) {
 	const n = 2049
 	rng := rand.New(rand.NewSource(37))
 	log := ascendingLog(rng, n, 8.0/n)
-	send, recv := randomMask(rng, n, 0.25), randomMask(rng, n, 0.25)
+	roles := randomRoles(rng, n, 0.5)
 	for name, s := range map[string]*EdgeSet{"sparse": NewEdgeSetSparse(n), "dense": NewEdgeSet(n)} {
 		round := func() {
 			s.Reset()
 			for _, p := range log {
 				s.AddUnchecked(p[0], p[1])
 			}
-			s.KeepBetween(send, recv)
+			s.KeepBetween(roles)
 			if s.IsSparse() {
 				s.InCSR()
 			}
@@ -143,36 +135,13 @@ func TestKeepBetweenAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestKeepBetweenShortMask: a mask shorter than MaskWords(n) is a bug
-// in the caller, reported at once.
-func TestKeepBetweenShortMask(t *testing.T) {
+// TestKeepBetweenShortRoles: fewer roles than nodes is a bug in the
+// caller, reported at once.
+func TestKeepBetweenShortRoles(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("KeepBetween accepted a one-word mask over 65 nodes")
+			t.Fatal("KeepBetween accepted 64 roles over 65 nodes")
 		}
 	}()
-	NewEdgeSetSparse(65).KeepBetween(make([]uint64, 1), make([]uint64, 2))
-}
-
-// TestAscendingRecord: a view build that scanned an ascending log
-// records it, so a later Retain skips the scan; an append clears the
-// record; a log that is not ascending is never recorded.
-func TestAscendingRecord(t *testing.T) {
-	s := sparseFrom(8, [][2]int{{0, 1}, {0, 5}, {3, 2}})
-	s.InCSR()
-	if s.csr.built&logAscending == 0 {
-		t.Fatal("the build did not record the ascending log")
-	}
-	s.AddUnchecked(1, 0) // out of order
-	if s.csr.built != 0 {
-		t.Fatalf("an append left %02b recorded", s.csr.built)
-	}
-	s.InCSR()
-	if s.csr.built&logAscending != 0 {
-		t.Fatal("a log that is not ascending was recorded as ascending")
-	}
-	s.Retain(func(u, v int) bool { return v != 5 }) // rewrites the log in order
-	if s.csr.built&logAscending == 0 || !ascendingPairs(s.csr.pairs) {
-		t.Fatalf("Retain left log %v unrecorded (%02b)", s.csr.pairs, s.csr.built)
-	}
+	NewEdgeSetSparse(65).KeepBetween(make([]uint8, 64))
 }

@@ -67,10 +67,12 @@ type Engine struct {
 	prunedAhead bool             // the pending set was pruned; written by the build stage before its reply
 
 	// Crash-aware pruning (see prune): pruned says E(round) is a CSR set
-	// holding only links from round senders to round receivers. Each
-	// goroutine that prunes keeps its own masks: runMask the run
-	// goroutine's, aheadMask the build stage's.
+	// holding only links from round senders to nodes alive through the
+	// round; pruneDue says the run goroutine rendered E(round) itself and
+	// prunes it after openRound. Each goroutine that prunes keeps its own
+	// masks: runMask the run goroutine's, aheadMask the build stage's.
 	pruned    bool
+	pruneDue  bool
 	runMask   linkMask
 	aheadMask linkMask
 
@@ -268,16 +270,14 @@ func (e *Engine) Reset(cfg Config) error {
 	} else {
 		e.inPlace = nil
 	}
-	// A CSR round prunes the links of nodes that stop sending or
-	// receiving (see prune). The masks it takes exist only in runs that
-	// have such nodes; in any other run every node sends and receives,
-	// and maskAt leaves the nil masks marked all.
-	if e.inPlace != nil && wantSparse && (len(e.crashSched) > 0 || e.hasByz) && e.runMask.send == nil {
-		m := newLinkMasks(n, 2)
-		e.runMask, e.aheadMask = m[0], m[1]
+	// A CSR round of a run with crashes prunes the links of crashed
+	// nodes (see prune). Only such runs make the masks; a recycled
+	// engine keeps them.
+	if e.inPlace != nil && wantSparse && len(e.crashSched) > 0 && e.runMask.roles == nil {
+		roles := make([]uint8, 2*n)
+		e.runMask.roles, e.aheadMask.roles = roles[:n:n], roles[n:]
 	}
-	e.runMask.invalidate()
-	e.aheadMask.invalidate()
+	e.runMask.until, e.aheadMask.until = 0, 0 // a new schedule: rebuild at the first prune
 	// Run and RunRounds build E(t+1) ahead on a second goroutine when
 	// nothing the round does can influence it — an oblivious in-place
 	// adversary and no Byzantine strategy (viewSkip: nothing reads the
@@ -380,7 +380,7 @@ func (e *Engine) Proc(i int) core.Process { return e.cfg.Procs[i] }
 // adversaries — the spare set swapped in when a pipelined round already
 // built E(t) there — and the adversary's own allocation otherwise.
 func (e *Engine) roundEdges(t int) *network.EdgeSet {
-	e.pruned = false
+	e.pruned, e.pruneDue = false, false
 	if e.inPlace == nil {
 		return e.cfg.Adversary.Edges(t, e.view)
 	}
@@ -390,69 +390,46 @@ func (e *Engine) roundEdges(t int) *network.EdgeSet {
 		e.pruned = e.prunedAhead
 	} else {
 		e.inPlace.EdgesInto(t, e.view, e.edges)
+		e.pruneDue = true
 	}
 	return e.edges
 }
 
-// linkMask is round t's senders (Byzantine, or alive at the round's
-// start: t ≤ crash round) and receivers (not Byzantine, and alive
-// through the round: t < crash round) as node bitmaps, the masks
-// EdgeSet.KeepBetween takes. The crash schedule is static, so they
-// hold from one crash round to the next: maskAt rebuilds them only when
-// a round reaches until. Rounds only move forward within a run, and
-// Reset invalidates the masks between runs.
+// linkMask is round t's link roles, one network.Sends|network.Receives
+// byte per node, the roles EdgeSet.KeepBetween takes: a node sends
+// while it is alive at the round's start (t ≤ crash round) and receives
+// while it is alive through the round (t < crash round). The crash
+// schedule is static, so the roles hold from one crash round to the
+// next: maskAt rebuilds them only when a round reaches until. Rounds
+// only move forward within a run, and Reset zeroes until between runs.
 type linkMask struct {
-	send, recv []uint64
-	until      int  // the first round the masks do not hold for
-	all        bool // every node sends and receives: nothing to prune
+	roles []uint8
+	until int  // the first round the roles do not hold for
+	all   bool // every node sends and receives: nothing to prune
 }
-
-// newLinkMasks returns k masks over n nodes, carved from one allocation.
-func newLinkMasks(n, k int) []linkMask {
-	w := network.MaskWords(n)
-	words := make([]uint64, 2*k*w)
-	masks := make([]linkMask, k)
-	for i := range masks {
-		masks[i].send = words[2*i*w : (2*i+1)*w : (2*i+1)*w]
-		masks[i].recv = words[(2*i+1)*w : (2*i+2)*w : (2*i+2)*w]
-	}
-	return masks
-}
-
-// invalidate makes the next maskAt rebuild: a new run's schedule.
-func (m *linkMask) invalidate() { m.until = 0 }
 
 // maskAt brings m to round t.
 func (e *Engine) maskAt(m *linkMask, t int) {
 	if t < m.until {
 		return
 	}
-	for i := range m.send {
-		m.send[i], m.recv[i] = ^uint64(0), ^uint64(0)
+	for i := range m.roles {
+		m.roles[i] = network.Sends | network.Receives
 	}
 	m.until, m.all = neverCrashes, true
-	clearBit := func(mask []uint64, i int) {
-		mask[i/64] &^= 1 << (uint(i) % 64)
-		m.all = false
-	}
-	if e.hasByz {
-		for i, byz := range e.isByz {
-			if byz {
-				clearBit(m.recv, i)
-			}
-		}
-	}
 	// A node stops receiving in its crash round c and stops sending in
-	// c+1: the masks change at those rounds and at no others.
+	// c+1: the roles change at those rounds and at no others.
 	for _, i := range e.crashSched {
 		c := e.crashRound[i]
 		if t > c {
-			clearBit(m.send, i)
+			m.roles[i] &^= network.Sends
+			m.all = false
 		} else {
 			m.until = min(m.until, c+1)
 		}
 		if t >= c {
-			clearBit(m.recv, i)
+			m.roles[i] &^= network.Receives
+			m.all = false
 		} else {
 			m.until = min(m.until, c)
 		}
@@ -460,11 +437,13 @@ func (e *Engine) maskAt(m *linkMask, t int) {
 }
 
 // prune drops from E(t) every link that cannot deliver in round t: from
-// a node that no longer sends, or to one that does not receive. It
-// reports whether E(t) now holds only links from round-t senders to
-// round-t receivers, which lets the gather read each in-row as it
-// stands. Only a CSR set is pruned: a dense round has no transpose to
-// save, and its gather skips dead senders off the bitmap words. The
+// a crashed node that no longer sends, or to one that no longer
+// receives. It reports whether E(t) now holds only links from round-t
+// senders to nodes alive through round t, which (with no Byzantine
+// node) lets the gather read each in-row as it stands. Only a CSR set
+// of a run with crashes is pruned: a dense round has no transpose to
+// save, and its gather skips dead senders off the bitmap words; a
+// Byzantine receiver's links stay, as deliverRange skips it anyway. The
 // caller owns edges (an InPlace adversary's scratch), and m is the
 // calling goroutine's.
 //
@@ -472,12 +451,12 @@ func (e *Engine) maskAt(m *linkMask, t int) {
 // only sending in-neighbors (heard), and only eligible receivers count
 // lost messages, so the Result is the same field for field.
 func (e *Engine) prune(m *linkMask, t int, edges *network.EdgeSet) bool {
-	if !edges.IsSparse() {
+	if len(e.crashSched) == 0 || m.roles == nil || !edges.IsSparse() {
 		return false
 	}
 	e.maskAt(m, t)
 	if !m.all {
-		edges.KeepBetween(m.send, m.recv)
+		edges.KeepBetween(m.roles)
 	}
 	return true
 }
@@ -520,13 +499,16 @@ func (e *Engine) Step() {
 }
 
 // playRound executes round t over E(t): open it (broadcasts), prune
-// E(t) of the links dead nodes cannot use unless the build stage already
-// did (after openRound, so a Recorder and KeepTrace see E(t) whole), run
-// the per-receiver core (deliverRange, which also counts the round's
-// lost messages), close it (counters, observers).
+// E(t) of the links dead nodes cannot use if this goroutine rendered it
+// (after openRound, so a Recorder and KeepTrace see E(t) whole), run the
+// per-receiver core (deliverRange, which also counts the round's lost
+// messages), close it (counters, observers). A set the build stage
+// rendered is never pruned here: it came pruned, or it came whole for an
+// edge observer with its receiver-major view already built, and pruning
+// it would throw that build away; the gather skips its dead senders.
 func (e *Engine) playRound(t int, edges *network.EdgeSet) {
 	e.openRound(t, edges)
-	if !e.pruned && e.inPlace != nil {
+	if e.pruneDue {
 		e.pruned = e.prune(&e.runMask, t, edges)
 	}
 	delivered, lost := e.deliverRange(t, edges)

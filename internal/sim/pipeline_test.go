@@ -93,8 +93,8 @@ func pipeCases() []pipeCase {
 			return dac(t, 20, 3, 400, adversary.NewComplete())
 		}},
 		{"crash-heavy", false, func(t *testing.T) Config {
-			// ¾ of the nodes dead by round 11: the round goroutine prunes
-			// the sets the build stage leaves whole for KeepTrace.
+			// ¾ of the nodes dead by round 11: the build stage leaves its
+			// sets whole for KeepTrace, and the gather skips the dead.
 			cfg := dac(t, 64, 40, 30, must(adversary.NewSparseProbabilistic(0.3, 10)))
 			cfg.Crashes = crashHeavy(64)
 			return cfg

@@ -74,15 +74,17 @@ func hasDeadLink(e *Engine, edges *network.EdgeSet, round int) bool {
 }
 
 // TestPruneDropsOnlyDeadLinks runs a crash-heavy CSR configuration with
-// ¾ of the nodes dead by round 11 every way a round can be pruned — a
-// plain Step loop (the run goroutine prunes), a pipelined Run with
-// KeepTrace (the build stage must leave the set whole; the run
-// goroutine prunes after openRound) and a pipelined Run without (the
-// build stage prunes) — and checks each against the reference oracle,
-// which prunes nothing: the same Result field for field, the same node
-// states, and with a Recorder the same event stream, whose round events
-// list E(t) whole. After the run, the last round's set holds only live
-// links, and the kept trace still holds the dead ones.
+// ¾ of the nodes dead by round 11 every way a round can be rendered — a
+// plain Step loop (the run goroutine prunes after openRound), a
+// pipelined Run with KeepTrace or a Recorder (the build stage leaves
+// the set whole and the run goroutine leaves it so: the gather skips
+// the dead) and a pipelined Run with neither (the build stage prunes) —
+// and checks each against the reference oracle, which prunes nothing:
+// the same Result field for field, the same node states, and with a
+// Recorder the same event stream, whose round events list E(t) whole.
+// After the run, the last round's set holds only live links when it was
+// pruned and still holds dead ones when it was not, and the kept trace
+// still holds the dead ones.
 func TestPruneDropsOnlyDeadLinks(t *testing.T) {
 	atLeastTwoProcs(t)
 	const n, rounds = 64, 30
@@ -104,13 +106,14 @@ func TestPruneDropsOnlyDeadLinks(t *testing.T) {
 		keepTrace bool
 		record    bool
 		run       func(*Engine) *Result
-		stage     bool // the build stage prunes
+		pruned    bool // the last round was pruned
+		stage     bool // by the build stage
 	}{
-		{"step", true, false, stepRun, false},
-		{"step/recorded", false, true, stepRun, false},
-		{"pipelined/traced", true, false, (*Engine).Run, false},
-		{"pipelined/recorded", false, true, (*Engine).Run, false},
-		{"pipelined/untraced", false, false, (*Engine).Run, true},
+		{"step", true, false, stepRun, true, false},
+		{"step/recorded", false, true, stepRun, true, false},
+		{"pipelined/traced", true, false, (*Engine).Run, false, false},
+		{"pipelined/recorded", false, true, (*Engine).Run, false, false},
+		{"pipelined/untraced", false, false, (*Engine).Run, true, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg, rec := mk(mode.keepTrace, mode.record)
@@ -128,10 +131,14 @@ func TestPruneDropsOnlyDeadLinks(t *testing.T) {
 				t.Fatalf("%s: rounds %d decided %v, want %d undecided (¾ of the nodes are dead)", mode.name, got.Rounds, got.Decided, rounds)
 			}
 			last := eng.round - 1
-			if !eng.pruned {
-				t.Fatalf("%s: round %d was not pruned", mode.name, last)
+			if eng.pruned != mode.pruned {
+				t.Fatalf("%s: round %d pruned = %v, want %v", mode.name, last, eng.pruned, mode.pruned)
 			}
-			assertLiveLinks(t, eng, eng.edges, last, mode.name)
+			if mode.pruned {
+				assertLiveLinks(t, eng, eng.edges, last, mode.name)
+			} else if !hasDeadLink(eng, eng.edges, last) {
+				t.Fatalf("%s: round %d's set lost its dead links", mode.name, last)
+			}
 			if eng.prunedAhead != mode.stage {
 				t.Fatalf("%s: build stage pruned = %v, want %v", mode.name, eng.prunedAhead, mode.stage)
 			}
