@@ -57,16 +57,6 @@ func Halves(n int) Adversary {
 	return a
 }
 
-// SplitGroups returns the adversary isolating the given disjoint groups
-// (complete within, silent across).
-func SplitGroups(n int, groups ...[]int) Adversary {
-	a, err := adversary.NewSplitGroups(n, groups...)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Clustered returns the adaptive adversary that keeps value-sorted
 // halves isolated and delivers a complete round only every period-th
 // round (worst-case rounds ≈ T·p_end shape).
@@ -128,9 +118,6 @@ func SparseProbabilistic(p float64, seed int64) Adversary {
 	}
 	return a
 }
-
-// Static wraps a fixed graph as an adversary.
-func Static(name string, g *EdgeSet) Adversary { return adversary.NewStatic(name, g) }
 
 // Periodic cycles through the given edge sets round-robin.
 func Periodic(name string, sets ...*EdgeSet) Adversary {
@@ -462,19 +449,6 @@ func NewEdgeSet(n int) *EdgeSet { return network.NewEdgeSet(n) }
 
 // CompleteGraph returns the complete directed graph on n nodes.
 func CompleteGraph(n int) *EdgeSet { return network.Complete(n) }
-
-// RingGraph returns the directed cycle on n nodes.
-func RingGraph(n int) *EdgeSet { return network.Ring(n) }
-
-// StarGraph returns the bidirectional star with the given hub.
-func StarGraph(n, hub int) *EdgeSet { return network.Star(n, hub) }
-
-// SatisfiesDynaDegree checks Definition 1 on a recorded trace: every
-// window of T consecutive rounds gives every listed fault-free node ≥ D
-// distinct incoming neighbors.
-func SatisfiesDynaDegree(tr Trace, faultFree []int, t, d int) bool {
-	return network.SatisfiesDynaDegree(tr, faultFree, t, d)
-}
 
 // MaxDynaDegree returns the largest D for which the trace satisfies
 // (T, D)-dynaDegree.

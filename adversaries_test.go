@@ -18,13 +18,11 @@ func TestFacadeAdversaryConstructors(t *testing.T) {
 		{"rotating", anondyn.Rotating(2)},
 		{"randomDegree", anondyn.RandomDegree(2, 3, 0.1, 1)},
 		{"halves", anondyn.Halves(6)},
-		{"splitGroups", anondyn.SplitGroups(6, []int{0, 1}, []int{2, 3})},
 		{"clustered", anondyn.Clustered(3)},
 		{"starve", anondyn.Starve(2)},
 		{"isolate", anondyn.Isolate(0)},
 		{"chaseMin", anondyn.ChaseMin()},
 		{"probabilistic", anondyn.Probabilistic(0.5, 1)},
-		{"static", anondyn.Static("ring", anondyn.RingGraph(5))},
 		{"periodic", anondyn.Periodic("p", anondyn.CompleteGraph(4), anondyn.NewEdgeSet(4))},
 	}
 	for _, tc := range cases {
@@ -46,7 +44,6 @@ func TestFacadeConstructorsPanicOnBadArgs(t *testing.T) {
 		{"rotating(0)", func() { anondyn.Rotating(0) }},
 		{"randomDegree(block=0)", func() { anondyn.RandomDegree(0, 1, 0, 1) }},
 		{"halves(1)", func() { anondyn.Halves(1) }},
-		{"splitGroups overlap", func() { anondyn.SplitGroups(4, []int{0}, []int{0}) }},
 		{"clustered(0)", func() { anondyn.Clustered(0) }},
 		{"starve(0)", func() { anondyn.Starve(0) }},
 		{"isolate(-1)", func() { anondyn.Isolate(-1) }},
@@ -68,12 +65,6 @@ func TestFacadeConstructorsPanicOnBadArgs(t *testing.T) {
 func TestFacadeGraphHelpers(t *testing.T) {
 	if g := anondyn.CompleteGraph(5); g.Len() != 20 {
 		t.Errorf("CompleteGraph(5) has %d edges", g.Len())
-	}
-	if g := anondyn.RingGraph(5); g.Len() != 5 {
-		t.Errorf("RingGraph(5) has %d edges", g.Len())
-	}
-	if g := anondyn.StarGraph(5, 0); g.Len() != 8 {
-		t.Errorf("StarGraph(5,0) has %d edges", g.Len())
 	}
 	g := anondyn.NewEdgeSet(3)
 	g.Add(0, 1)
@@ -123,14 +114,11 @@ func TestFacadeByzSplit(t *testing.T) {
 func TestFacadeDynaDegreeHelpers(t *testing.T) {
 	tr := anondyn.Trace{anondyn.CompleteGraph(4), anondyn.NewEdgeSet(4)}
 	ff := []int{0, 1, 2, 3}
-	if !anondyn.SatisfiesDynaDegree(tr, ff, 2, 3) {
-		t.Error("(2,3) should hold")
-	}
-	if anondyn.SatisfiesDynaDegree(tr, ff, 1, 1) {
-		t.Error("(1,1) should fail (empty round)")
-	}
 	if got := anondyn.MaxDynaDegree(tr, ff, 2); got != 3 {
-		t.Errorf("MaxDynaDegree = %d", got)
+		t.Errorf("MaxDynaDegree(T=2) = %d, want 3", got)
+	}
+	if got := anondyn.MaxDynaDegree(tr, ff, 1); got != 0 {
+		t.Errorf("MaxDynaDegree(T=1) = %d, want 0 (empty round)", got)
 	}
 	if got := anondyn.MinTForDegree(tr, ff, 3); got != 2 {
 		t.Errorf("MinTForDegree = %d", got)
@@ -154,28 +142,6 @@ func TestScenarioFloodMin(t *testing.T) {
 		if v != 0 {
 			t.Errorf("output %g, want the global min 0", v)
 		}
-	}
-}
-
-func TestScenarioLinkBandwidth(t *testing.T) {
-	res, err := anondyn.Scenario{
-		N: 7, F: 0, Eps: 1e-2,
-		Algorithm: anondyn.AlgoFullInfo,
-		Inputs:    anondyn.SpreadInputs(7),
-		Adversary: anondyn.Complete(),
-		LinkBandwidth: func(from, to int) int {
-			return 12 // fits roughly one history entry
-		},
-		MaxRounds: 50,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Decided {
-		t.Error("FullInfo decided through 12-byte links")
-	}
-	if res.MessagesOversized == 0 {
-		t.Error("no oversized drops")
 	}
 }
 
@@ -268,7 +234,7 @@ func TestFactoryPinnedSeeds(t *testing.T) {
 func TestRegisterAdversaryFactory(t *testing.T) {
 	anondyn.RegisterAdversaryFactory(testFactoryName, func(arg string) (anondyn.AdversaryFactory, error) {
 		return anondyn.AdversaryFactory{New: func(c anondyn.Cell, _ int64) anondyn.Adversary {
-			return anondyn.Static("testring", anondyn.RingGraph(c.N))
+			return anondyn.Periodic("testring", anondyn.CompleteGraph(c.N))
 		}}, nil
 	})
 	f, err := anondyn.ParseAdversaryFactory(testFactoryName)
@@ -341,10 +307,10 @@ func TestFactoryRenewalContract(t *testing.T) {
 			if !ok {
 				break
 			}
-			adversary.Render(renewed, form.n, 5) // draw part of s₁'s stream
+			render(renewed, form.n, 5) // draw part of s₁'s stream
 			r.Reseed(seeds[1])
-			got := adversary.Render(renewed, form.n, rounds)
-			want := adversary.Render(f.New(cell, seeds[1]), form.n, rounds)
+			got := render(renewed, form.n, rounds)
+			want := render(f.New(cell, seeds[1]), form.n, rounds)
 			for round := range want {
 				if !got[round].Equal(want[round]) {
 					t.Fatalf("%s: New(%d) reseeded to %d differs from New(%d) in round %d", form.spec, seeds[0], seeds[1], seeds[1], round)
@@ -357,4 +323,14 @@ func TestFactoryRenewalContract(t *testing.T) {
 			t.Errorf("factory %q has no form here: add one, so its renewal contract is checked", name)
 		}
 	}
+}
+
+// render draws the first rounds edge sets of an adversary against a
+// view with no state.
+func render(a anondyn.Adversary, n, rounds int) []*anondyn.EdgeSet {
+	tr := make([]*anondyn.EdgeSet, rounds)
+	for t := range tr {
+		tr[t] = a.Edges(t, adversary.SizeView(n))
+	}
+	return tr
 }

@@ -155,8 +155,6 @@ type (
 	PhaseTracker = analysis.PhaseTracker
 	// RangeSeries records the per-round convergence curve.
 	RangeSeries = analysis.RangeSeries
-	// Table renders experiment outputs.
-	Table = analysis.Table
 	// Recorder captures the execution event log.
 	Recorder = trace.Recorder
 	// Event is one entry of a recorded execution log.
@@ -169,13 +167,6 @@ type (
 	// round, one per completed batch run). Pass as Scenario.Metrics or
 	// BatchOptions.Metrics; attaching a sink never changes results.
 	MetricsSink = metrics.Sink
-	// MetricsCollector is the lock-cheap aggregating MetricsSink:
-	// atomics on the hot path, snapshots on demand, NDJSON streaming via
-	// the metrics package.
-	MetricsCollector = metrics.Collector
-	// MetricsSnapshot is one point-in-time aggregate of a collector;
-	// every wall-clock-derived field lives in its Timing sub-struct.
-	MetricsSnapshot = metrics.Snapshot
 )
 
 // Crash-fault constructors (re-exports).
@@ -198,11 +189,6 @@ func NewRangeSeries() *RangeSeries { return analysis.NewRangeSeries() }
 
 // NewRecorder returns an event recorder to pass as Scenario.Recorder.
 func NewRecorder() *Recorder { return trace.NewRecorder() }
-
-// NewMetricsCollector returns a collector to pass as Scenario.Metrics
-// or BatchOptions.Metrics. One collector may be shared by any number of
-// concurrent runs and pools.
-func NewMetricsCollector() *MetricsCollector { return metrics.NewCollector() }
 
 // Replay wraps a recorded execution's edge sets as an adversary: re-run
 // the same deterministic algorithm with the same inputs and ports

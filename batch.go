@@ -16,7 +16,7 @@ type BatchOptions struct {
 	// attached to every run's engine (unless the scenario sets its own
 	// sink), receives one RunSample per completed run in batch order,
 	// and — when it also implements the pool-observer methods, as
-	// MetricsCollector does — tracks pool size and worker utilization.
+	// metrics.Collector does — tracks pool size and worker utilization.
 	// Purely observational: results are bit-identical with or without
 	// it.
 	Metrics MetricsSink

@@ -31,6 +31,14 @@ package main
 //
 //	dyna gate -baseline bench/baseline.txt -new new.txt \
 //	    -append bench/BENCH_engine.json -label pr7
+//
+// An entry is the median of one file's counts, and counts taken back to
+// back carry whatever load the host drifts through, which the ledger
+// then shows as a change. So a before/after pair (pr7-before, pr7) is
+// recorded from interleaved single counts: run the parent's and the
+// change's test binaries with -test.count=1 in turn, five times,
+// concatenate each side's outputs into its own file, and append each
+// file under its label.
 
 import (
 	"bufio"

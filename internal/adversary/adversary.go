@@ -97,15 +97,3 @@ func (v staticView) Snapshot(int) core.Snapshot { return core.Snapshot{} }
 // SizeView returns a View with n nodes and zero-valued snapshots, for
 // rendering oblivious adversaries outside a simulation.
 func SizeView(n int) View { return staticView(n) }
-
-// Render materializes the first `rounds` edge sets of an adversary into a
-// network.Trace, e.g. to check its dynaDegree offline. Only meaningful
-// for oblivious (state-independent) adversaries.
-func Render(a Adversary, n, rounds int) network.Trace {
-	tr := make(network.Trace, rounds)
-	v := SizeView(n)
-	for t := 0; t < rounds; t++ {
-		tr[t] = a.Edges(t, v)
-	}
-	return tr
-}

@@ -26,11 +26,11 @@ func TestIsolateDegree(t *testing.T) {
 		}
 	}
 	// The Corollary 1 regime: (1, n−2)-dynaDegree holds.
-	tr := Render(a, n, 5)
-	if !network.SatisfiesDynaDegree(tr, allNodes(n), 1, n-2) {
+	tr := render(a, n, 5)
+	if network.MaxDynaDegree(tr, allNodes(n), 1) < n-2 {
 		t.Error("isolate must satisfy (1, n−2)-dynaDegree")
 	}
-	if network.SatisfiesDynaDegree(tr, allNodes(n), 1, n-1) {
+	if network.MaxDynaDegree(tr, allNodes(n), 1) >= n-1 {
 		t.Error("isolate should not satisfy (1, n−1)")
 	}
 	if a.Victim() != 2 {

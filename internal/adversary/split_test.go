@@ -24,7 +24,7 @@ func TestNewHalves(t *testing.T) {
 		}
 		// Theorem 9's degree: the smaller half has ⌊n/2⌋ members, so its
 		// nodes have exactly ⌊n/2⌋−1 in-neighbors — the worst case.
-		tr := Render(a, n, 3)
+		tr := render(a, n, 3)
 		got := network.MaxDynaDegree(tr, allNodes(n), 1)
 		if want := n/2 - 1; got != want {
 			t.Errorf("n=%d: degree = %d, want %d", n, got, want)

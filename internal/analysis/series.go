@@ -43,7 +43,12 @@ func (s *RangeSeries) OnRoundEnd(round int, values sim.RoundValues) {
 	if running >= 2 {
 		r = hi - lo
 	}
-	// Rounds arrive in order; pad defensively if one was skipped.
+	s.record(round, r)
+}
+
+// record appends round's range. Rounds arrive in order; pad defensively
+// if one was skipped.
+func (s *RangeSeries) record(round int, r float64) {
 	for len(s.ranges) < round {
 		s.ranges = append(s.ranges, math.NaN())
 	}

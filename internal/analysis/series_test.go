@@ -5,25 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"anondyn/internal/adversary"
+	"anondyn/internal/core"
 	"anondyn/internal/sim"
 )
 
-// roundValues adapts a node→value map to the dense view OnRoundEnd
-// takes, for synthetic observer feeds.
-func roundValues(n int, m map[int]float64) sim.RoundValues {
-	values := make([]float64, n)
-	running := make([]bool, n)
-	for node, v := range m {
-		values[node] = v
-		running[node] = true
-	}
-	return sim.MakeRoundValues(values, running)
-}
-
 func feed(s *RangeSeries, ranges ...float64) {
 	for round, r := range ranges {
-		// Two synthetic nodes spanning the range.
-		s.OnRoundEnd(round, roundValues(2, map[int]float64{0: 0.5 - r/2, 1: 0.5 + r/2}))
+		s.record(round, r)
 	}
 }
 
@@ -52,17 +41,34 @@ func TestRangeSeriesBasics(t *testing.T) {
 	}
 }
 
+// TestRangeSeriesSingleNodeRangeZero watches a one-node engine, whose
+// round view holds a single running node, and a view with none.
 func TestRangeSeriesSingleNodeRangeZero(t *testing.T) {
 	s := NewRangeSeries()
-	s.OnRoundEnd(0, roundValues(4, map[int]float64{3: 0.7}))
-	if got := s.At(0); got != 0 {
-		t.Errorf("single running node range = %g, want 0", got)
+	dac, err := core.NewDAC(1, 0, 0.7, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.NewEngine(sim.Config{
+		N: 1, Procs: []core.Process{dac}, Adversary: adversary.NewComplete(),
+		MaxRounds: 1, Hooks: sim.Hooks{Observer: s},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	if s.Len() != 1 || s.At(0) != 0 {
+		t.Errorf("single running node: series %v, want [0]", s.Series())
+	}
+	s.OnRoundEnd(1, sim.RoundValues{})
+	if got := s.At(1); got != 0 {
+		t.Errorf("no running node: range %g, want 0", got)
 	}
 }
 
 func TestRangeSeriesSkippedRoundPadded(t *testing.T) {
 	s := NewRangeSeries()
-	s.OnRoundEnd(2, roundValues(2, map[int]float64{0: 0, 1: 1}))
+	s.record(2, 1)
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}

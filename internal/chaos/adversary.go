@@ -70,8 +70,8 @@ func (a *stormAdversary) Oblivious() bool { return adversary.IsOblivious(a.base)
 
 // filter drops every link an active window suppresses: links crossing
 // an active partition cut, then each survivor with the active starve
-// windows' per-round drop draws (sender-major order; see
-// StreamVersion). Rounds with no active window return untouched.
+// windows' per-round drop draws (sender-major order; see the draw-order
+// contract in stream.go). Rounds with no active window return untouched.
 func (a *stormAdversary) filter(t int, dst *network.EdgeSet) {
 	a.live, a.rngs, a.rates = a.live[:0], a.rngs[:0], a.rates[:0]
 	for i := range a.cuts {

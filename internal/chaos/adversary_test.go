@@ -164,7 +164,7 @@ func goldenStorm(t *testing.T) adversary.InPlace {
 // set: the link count and an FNV-1a digest of the sender-major edge
 // list. The values were recorded before the filter's scratch moved into
 // the wrapper; any change to them replays committed storm specs
-// differently (see StreamVersion).
+// differently (see the draw-order contract in stream.go).
 func TestStarveGolden(t *testing.T) {
 	want := []struct {
 		edges  int

@@ -10,10 +10,11 @@
 // the connectivity events, and after the runs the assertions evaluate
 // against the aggregate rows into pass/fail Verdicts for the report.
 //
-// Every draw comes from the dedicated chaos stream (see StreamVersion):
-// a storm is a pure function of (spec, run seed), so the same committed
-// spec at the same seed reproduces byte-identical reports — locally and
-// sharded over a dyna sweep -fleet — exactly like any other sweep.
+// Every draw comes from the dedicated chaos stream (see the draw-order
+// contract in stream.go): a storm is a pure function of (spec, run
+// seed), so the same committed spec at the same seed reproduces
+// byte-identical reports — locally and sharded over a dyna sweep
+// -fleet — exactly like any other sweep.
 package chaos
 
 import (
@@ -30,7 +31,7 @@ type Stress struct {
 	// Fleet describes the generated node population.
 	Fleet Fleet `spec:"fleet,required"`
 	// Seed seeds the chaos stream (combined with each run's seed; see
-	// StreamVersion for the draw-order contract).
+	// stream.go for the draw-order contract).
 	Seed int64 `spec:"seed"`
 	// Rounds is the duration: every run executes at most this many
 	// rounds, ending earlier only at quiescence (all fault-free nodes

@@ -27,7 +27,7 @@ type Plan struct {
 }
 
 // Plan materializes the fleet (template draws consume the fleet
-// stream; see StreamVersion).
+// stream; see stream.go).
 func (s *Stress) Plan() *Plan {
 	n := s.Fleet.TotalNodes
 	p := &Plan{N: n}
@@ -99,8 +99,8 @@ type starveWindow struct {
 }
 
 // CompileStorm materializes the chaos schedule for one run. The storm
-// is a pure function of (stress block, run seed) — see StreamVersion
-// for the draw-order contract — so the scenario a worker assembles for
+// is a pure function of (stress block, run seed) — see stream.go for
+// the draw-order contract — so the scenario a worker assembles for
 // global run k is identical on every machine.
 func (s *Stress) CompileStorm(runSeed int64) *Storm {
 	n := s.Fleet.TotalNodes

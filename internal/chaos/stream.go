@@ -1,15 +1,15 @@
 package chaos
 
 // The chaos stream — the dedicated RNG stream every storm draw comes
-// from. Like the er2 sampler's stream, it is an explicitly versioned
-// contract: StreamVersion only changes when the draw sequence below
-// changes, and committed storm specs embed a seed, so a spec replayed
-// at the same seed reproduces the same fleet, the same victims and the
-// same timeline byte for byte — on any platform, forever. The
-// generator is splitmix64 (the same finalizer the engines already use
-// for delivery shuffles); intn maps a draw by modulo, which is part of
-// the contract (the bias at storm-sized n is irrelevant, stability is
-// not).
+// from. Like the er2 sampler's stream, it is a versioned contract: the
+// draw sequence below is v1 (pinned by TestStreamGolden), a change to
+// it is a new version, and committed storm specs embed a seed, so a
+// spec replayed at the same seed reproduces the same fleet, the same
+// victims and the same timeline byte for byte — on any platform,
+// forever. The generator is splitmix64 (the same finalizer the engines
+// already use for delivery shuffles); intn maps a draw by modulo, which
+// is part of the contract (the bias at storm-sized n is irrelevant,
+// stability is not).
 //
 // Draw order contract (v1):
 //
@@ -29,7 +29,6 @@ package chaos
 //     kinds consume nothing.
 //   - starve rounds = stream(mix(event seed, round)): one float64 per
 //     surviving edge in sender-major order.
-const StreamVersion = 1
 
 // Stream salts: arbitrary odd constants that keep the per-purpose
 // streams of one storm unrelated.

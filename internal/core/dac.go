@@ -58,7 +58,7 @@ type DAC struct {
 	jumps   int32
 	quorums int32
 
-	noJump  bool // ablation only: disable lines 5–8 (see NewDACNoJumpPhases)
+	noJump  bool // ablation only (experiment E12): disable lines 5–8, the jump rule
 	decided bool
 	logging bool // this phase's R is the log, not yet the bitset
 }
@@ -95,8 +95,8 @@ const tileWidth = 8
 // in node order — node i with self port selfPort(i) and input inputs[i],
 // all with output phase pEnd, quorum quorum and, when noJump is set, the
 // jump-rule ablation — except the slots skip reports (nil: none), which
-// are left zero. It checks pEnd and quorum as NewDACCustom does, then
-// each node's self port and input; an error names the node it was found
+// are left zero. It checks pEnd ≥ 0 and 1 ≤ quorum ≤ n, then each
+// node's self port and input; an error names the node it was found
 // at (pEnd and quorum at the first node built). A caller whose pEnd
 // comes from ε checks ε first, as NewDAC does.
 //
@@ -301,27 +301,6 @@ func (d *DAC) PEnd() int { return d.pEnd }
 // Quorum reports the number of distinct same-phase states (self
 // included) that triggers a phase advance.
 func (d *DAC) Quorum() int { return d.quorum }
-
-// NewDACNoJumpPhases builds the jump-rule ablation of DAC: messages from
-// higher phases are discarded instead of adopted (Algorithm 1 lines 5–8
-// removed). §IV introduces the jump rule precisely so that nodes need
-// not retransmit old-phase states under message loss; without it, any
-// adversary that staggers quorums strands slow nodes in phases nobody
-// broadcasts anymore — experiment E12 measures the resulting deadlock.
-// Ablation only; production users want NewDAC.
-func NewDACNoJumpPhases(n, selfPort, pEnd int, input float64) (*DAC, error) {
-	return newDAC(n, selfPort, pEnd, CrashQuorum(n), true, input)
-}
-
-// NewDACCustom builds a DAC node with an explicit output phase AND an
-// explicit quorum, without enforcing the paper's resilience bound. It
-// exists solely for the necessity experiments (E2/E3), which model
-// hypothetical algorithms that terminate below the ⌊n/2⌋+1 quorum — and
-// then demonstrably violate agreement, exactly as Theorem 9 predicts.
-// Production users want NewDAC.
-func NewDACCustom(n, selfPort, pEnd, quorum int, input float64) (*DAC, error) {
-	return newDAC(n, selfPort, pEnd, quorum, false, input)
-}
 
 // Reinit implements Process: return to the freshly-constructed
 // state with a new input, keeping n, pEnd, quorum, the self port, the

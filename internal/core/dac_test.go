@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// NewDACCustom builds a DAC node with an explicit output phase AND an
+// explicit quorum, without enforcing the paper's resilience bound. It
+// exists solely for the necessity experiments (E2/E3), which model
+// hypothetical algorithms that terminate below the ⌊n/2⌋+1 quorum — and
+// then demonstrably violate agreement, exactly as Theorem 9 predicts.
+// The engine builds those nodes through NewDACPopulation; this per-node
+// form is the reference the tests compare that population against.
+func NewDACCustom(n, selfPort, pEnd, quorum int, input float64) (*DAC, error) {
+	return newDAC(n, selfPort, pEnd, quorum, false, input)
+}
+
 // deliver is a test helper for feeding a message from a port.
 func deliver(p Process, port int, value float64, phase int) {
 	p.DeliverAll([]Delivery{{Port: port, Msg: Message{Value: value, Phase: phase}}})

@@ -2,6 +2,18 @@ package core
 
 import "testing"
 
+// NewDACNoJumpPhases builds the jump-rule ablation of DAC: messages from
+// higher phases are discarded instead of adopted (Algorithm 1 lines 5–8
+// removed). §IV introduces the jump rule precisely so that nodes need
+// not retransmit old-phase states under message loss; without it, any
+// adversary that staggers quorums strands slow nodes in phases nobody
+// broadcasts anymore — experiment E12 measures the resulting deadlock.
+// The engine builds it through NewDACPopulation; this per-node form is
+// the reference the tests compare that population against.
+func NewDACNoJumpPhases(n, selfPort, pEnd int, input float64) (*DAC, error) {
+	return newDAC(n, selfPort, pEnd, CrashQuorum(n), true, input)
+}
+
 func TestDACNoJumpIgnoresFutureStates(t *testing.T) {
 	d, err := NewDACNoJumpPhases(5, 0, 10, 0.5)
 	if err != nil {

@@ -8,46 +8,6 @@ package network
 // Trace is a finite prefix of a dynamic graph: Trace[t] = E(t).
 type Trace []*EdgeSet
 
-// AliveFunc reports whether a node had not crashed (and was following the
-// protocol) when it broadcast in the given round. The "effective" checker
-// uses it to ignore links whose sender was already silent — such a link
-// exists in E(t) but delivers nothing, so it cannot contribute to the
-// degree a fault-free node actually benefits from.
-type AliveFunc func(round, node int) bool
-
-// EveryoneAlive is the AliveFunc for fault-free executions.
-func EveryoneAlive(round, node int) bool { return true }
-
-// SatisfiesDynaDegree reports whether the trace satisfies
-// (T, D)-dynaDegree for the given fault-free node set, counting raw links
-// exactly as Definition 1 does (the incoming neighbor need not be
-// fault-free — a link from a Byzantine node counts).
-//
-// Only windows that fit entirely inside the finite trace are checked; an
-// empty window set (len(trace) < T) trivially satisfies the property.
-func SatisfiesDynaDegree(trace Trace, faultFree []int, t, d int) bool {
-	return worstWindowDegree(trace, faultFree, t, nil) >= d
-}
-
-// SatisfiesEffectiveDynaDegree is SatisfiesDynaDegree, but a link u→v in
-// round r counts only if alive(r, u). This is the delivery-relevant
-// variant used to reason about termination under crash faults.
-func SatisfiesEffectiveDynaDegree(trace Trace, faultFree []int, t, d int, alive AliveFunc) bool {
-	if alive == nil {
-		alive = EveryoneAlive
-	}
-	return worstWindowDegree(trace, faultFree, t, alive) >= d
-}
-
-// MaxDynaDegree returns the largest D such that the trace satisfies
-// (T, D)-dynaDegree for the given fault-free set, i.e. the minimum over
-// all T-windows and all fault-free nodes of the distinct-in-neighbor
-// count. A trace shorter than T yields n−1 (vacuous truth capped at the
-// model maximum, since D ≤ n−1 by definition).
-func MaxDynaDegree(trace Trace, faultFree []int, t int) int {
-	return worstWindowDegree(trace, faultFree, t, nil)
-}
-
 // MinTForDegree returns the smallest window length T ≥ 1 for which the
 // trace satisfies (T, D)-dynaDegree, or 0 when even T = len(trace) fails.
 // Satisfaction is monotone in T (larger windows only add links), so a
@@ -57,12 +17,12 @@ func MinTForDegree(trace Trace, faultFree []int, d int) int {
 		return 1
 	}
 	lo, hi := 1, len(trace)
-	if worstWindowDegree(trace, faultFree, hi, nil) < d {
+	if MaxDynaDegree(trace, faultFree, hi) < d {
 		return 0
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if worstWindowDegree(trace, faultFree, mid, nil) >= d {
+		if MaxDynaDegree(trace, faultFree, mid) >= d {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -71,10 +31,14 @@ func MinTForDegree(trace Trace, faultFree []int, d int) int {
 	return lo
 }
 
-// worstWindowDegree computes min over complete T-windows and fault-free
-// nodes of the distinct (alive-filtered) in-neighbor count. When no
-// complete window exists it returns n−1 (property is vacuous).
-func worstWindowDegree(trace Trace, faultFree []int, t int, alive AliveFunc) int {
+// MaxDynaDegree returns the largest D such that the trace satisfies
+// (T, D)-dynaDegree for the given fault-free set, i.e. the minimum over
+// all T-windows and all fault-free nodes of the distinct-in-neighbor
+// count. Links count as Definition 1 counts them: the in-neighbor need
+// not be fault-free, so a link from a Byzantine node counts. A trace
+// shorter than T yields n−1 (vacuous truth capped at the model maximum,
+// since D ≤ n−1 by definition); an empty trace yields 0.
+func MaxDynaDegree(trace Trace, faultFree []int, t int) int {
 	if t < 1 {
 		panic("network: dynaDegree window T must be ≥ 1")
 	}
@@ -96,11 +60,7 @@ func worstWindowDegree(trace Trace, faultFree []int, t int, alive AliveFunc) int
 				acc[i] = 0
 			}
 			for r := start; r < start+t; r++ {
-				if alive == nil {
-					trace[r].InBitsInto(v, acc)
-				} else {
-					inBitsAlive(trace[r], v, r, alive, acc)
-				}
+				trace[r].InBitsInto(v, acc)
 			}
 			// Self-loops never occur, but mask defensively so a buggy
 			// adversary cannot inflate the degree with (v, v).
@@ -121,25 +81,4 @@ func worstWindowDegree(trace Trace, faultFree []int, t int, alive AliveFunc) int
 		}
 	}
 	return worst
-}
-
-func inBitsAlive(e *EdgeSet, v, round int, alive AliveFunc, acc []uint64) {
-	for u := 0; u < e.N(); u++ {
-		if u != v && e.Has(u, v) && alive(round, u) {
-			acc[u/wordBits] |= 1 << (uint(u) % wordBits)
-		}
-	}
-}
-
-// WindowUnion returns the static graph G_t of Definition 1: the union of
-// E(start) … E(start+t−1).
-func WindowUnion(trace Trace, start, t int) *EdgeSet {
-	if start < 0 || t < 1 || start+t > len(trace) {
-		panic("network: window out of trace bounds")
-	}
-	u := trace[start].Clone()
-	for r := start + 1; r < start+t; r++ {
-		u.UnionWith(trace[r])
-	}
-	return u
 }

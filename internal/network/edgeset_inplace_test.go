@@ -107,8 +107,8 @@ func TestInRegularIntoMatchesInRegular(t *testing.T) {
 	e := NewEdgeSet(11)
 	e.FillComplete() // stale content must vanish
 	InRegularInto(e, 3, 5)
-	if !e.Equal(InRegular(11, 3, 5)) {
-		t.Fatal("InRegularInto differs from InRegular")
+	if !e.Equal(inRegular(11, 3, 5)) {
+		t.Fatal("InRegularInto over a full set differs from InRegularInto over an empty one")
 	}
 }
 

@@ -1,9 +1,6 @@
 package network
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Numbering is one node's local port numbering: a bijection P_i from node
 // IDs to ports {0, …, n−1} (§II-A; the paper uses 1…n, we use 0-based).
@@ -47,27 +44,6 @@ func isIdentityPerm(perm []int) bool {
 		}
 	}
 	return true
-}
-
-// NumberingFromPerm builds a numbering from an explicit permutation,
-// where perm[node] = port. It validates bijectivity.
-func NumberingFromPerm(perm []int) (Numbering, error) {
-	n := len(perm)
-	toNode := make([]int, n)
-	seen := make([]bool, n)
-	for node, port := range perm {
-		if port < 0 || port >= n {
-			return Numbering{}, fmt.Errorf("network: port %d out of range [0,%d)", port, n)
-		}
-		if seen[port] {
-			return Numbering{}, fmt.Errorf("network: duplicate port %d", port)
-		}
-		seen[port] = true
-		toNode[port] = node
-	}
-	toPort := make([]int, n)
-	copy(toPort, perm)
-	return Numbering{toPort: toPort, toNode: toNode, identity: isIdentityPerm(perm)}, nil
 }
 
 // N returns the size of the numbering.

@@ -45,19 +45,6 @@ func IsRoot(e *EdgeSet, u int) bool {
 	return true
 }
 
-// Roots returns every node that reaches all others, ascending. An empty
-// result means the round has no "coordinator" — allowed under
-// (T, D)-dynaDegree, forbidden under the rooted-spanning-tree property.
-func Roots(e *EdgeSet) []int {
-	var roots []int
-	for u := 0; u < e.N(); u++ {
-		if IsRoot(e, u) {
-			roots = append(roots, u)
-		}
-	}
-	return roots
-}
-
 // HasRootedSpanningTree reports the per-round condition of [10],[17],[38]:
 // some node reaches every other node in this round's graph.
 func HasRootedSpanningTree(e *EdgeSet) bool {

@@ -22,45 +22,11 @@ func Ring(n int) *EdgeSet {
 	return e
 }
 
-// BidirectionalRing returns the cycle with links in both directions.
-func BidirectionalRing(n int) *EdgeSet {
-	e := NewEdgeSet(n)
-	for u := 0; u < n; u++ {
-		e.Add(u, (u+1)%n)
-		e.Add((u+1)%n, u)
-	}
-	return e
-}
-
-// Star returns the graph where the hub exchanges links with every other
-// node (hub→i and i→hub for all i ≠ hub).
-func Star(n, hub int) *EdgeSet {
-	if hub < 0 || hub >= n {
-		panic(fmt.Sprintf("network: hub %d out of range [0,%d)", hub, n))
-	}
-	e := NewEdgeSet(n)
-	for v := 0; v < n; v++ {
-		if v != hub {
-			e.Add(hub, v)
-			e.Add(v, hub)
-		}
-	}
-	return e
-}
-
-// InRegular returns a directed graph where every node has exactly d
-// incoming links, from the d cyclically-preceding nodes shifted by
-// offset. Varying offset between rounds makes the in-neighbor sets
-// rotate, which is how the rotating adversaries guarantee distinctness
-// across windows.
-func InRegular(n, d, offset int) *EdgeSet {
-	e := NewEdgeSet(n)
-	InRegularInto(e, d, offset)
-	return e
-}
-
-// InRegularInto overwrites e with the InRegular graph of its size
-// without allocating.
+// InRegularInto overwrites e, without allocating, with the directed
+// graph where every node has exactly d incoming links, from the d
+// cyclically-preceding nodes shifted by offset. Varying offset between
+// rounds makes the in-neighbor sets rotate, which is how the rotating
+// adversaries guarantee distinctness across windows.
 func InRegularInto(e *EdgeSet, d, offset int) {
 	n := e.N()
 	if d < 0 || d > n-1 {

@@ -31,37 +31,18 @@ func TestRing(t *testing.T) {
 	}
 }
 
-func TestBidirectionalRing(t *testing.T) {
-	e := BidirectionalRing(4)
-	if e.Len() != 8 {
-		t.Errorf("Len = %d, want 8", e.Len())
-	}
-	if !e.Has(1, 0) || !e.Has(0, 1) {
-		t.Error("bidirectional ring missing a direction")
-	}
-}
-
-func TestStar(t *testing.T) {
-	e := Star(5, 2)
-	if e.Len() != 8 {
-		t.Errorf("Len = %d, want 8", e.Len())
-	}
-	for v := 0; v < 5; v++ {
-		if v == 2 {
-			continue
-		}
-		if !e.Has(2, v) || !e.Has(v, 2) {
-			t.Errorf("star missing hub link for %d", v)
-		}
-	}
-	mustPanic(t, func() { Star(5, 5) })
+// inRegular returns InRegularInto's graph on a fresh set.
+func inRegular(n, d, offset int) *EdgeSet {
+	e := NewEdgeSet(n)
+	InRegularInto(e, d, offset)
+	return e
 }
 
 func TestInRegular(t *testing.T) {
 	for _, tt := range []struct{ n, d, offset int }{
 		{5, 2, 0}, {5, 2, 3}, {7, 3, 1}, {4, 3, 0}, {6, 1, 5}, {3, 2, 2},
 	} {
-		e := InRegular(tt.n, tt.d, tt.offset)
+		e := inRegular(tt.n, tt.d, tt.offset)
 		for v := 0; v < tt.n; v++ {
 			if got := e.InDegree(v); got != tt.d {
 				t.Errorf("InRegular(%d,%d,%d): InDegree(%d) = %d, want %d",
@@ -72,8 +53,8 @@ func TestInRegular(t *testing.T) {
 			}
 		}
 	}
-	mustPanic(t, func() { InRegular(5, 5, 0) })
-	mustPanic(t, func() { InRegular(5, -1, 0) })
+	mustPanic(t, func() { inRegular(5, 5, 0) })
+	mustPanic(t, func() { inRegular(5, -1, 0) })
 }
 
 func TestInRegularRotationChangesNeighbors(t *testing.T) {
@@ -82,7 +63,7 @@ func TestInRegularRotationChangesNeighbors(t *testing.T) {
 	n, d := 7, 2
 	tr := make(Trace, 4)
 	for r := range tr {
-		tr[r] = InRegular(n, d, (r*d)%n)
+		tr[r] = inRegular(n, d, (r*d)%n)
 	}
 	// 4 rounds × 2 fresh in-neighbors = 8 > 6, but overlaps cap at 6.
 	if got := MaxDynaDegree(tr, allNodes(n), 4); got < 6 {

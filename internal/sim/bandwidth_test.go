@@ -75,67 +75,6 @@ func TestBandwidthCapTransparentForSmallMessages(t *testing.T) {
 	}
 }
 
-func TestLinkBandwidthHeterogeneous(t *testing.T) {
-	// §VII: per-link budgets. All links wide except those into node 0,
-	// which are too narrow for FullInfo histories: node 0 stops hearing
-	// anything once histories outgrow its links, while the rest of the
-	// network keeps converging.
-	n := 7
-	cfg := Config{
-		N:         n,
-		Procs:     fullInfoProcs(t, n, 1e-2),
-		Adversary: adversary.NewComplete(),
-		LinkBandwidth: func(from, to int) int {
-			if to == 0 {
-				return 10 // fits only a history-free message
-			}
-			return 0 // unlimited
-		},
-		MaxRounds: 50,
-	}
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := eng.Run()
-	if res.MessagesOversized == 0 {
-		t.Fatal("narrow links dropped nothing")
-	}
-	// Node 0 must be stuck at a low phase; the others decided.
-	if _, ok := res.Outputs[0]; ok {
-		t.Error("node 0 decided despite starved links")
-	}
-	decided := 0
-	for node := 1; node < n; node++ {
-		if _, ok := res.Outputs[node]; ok {
-			decided++
-		}
-	}
-	if decided != n-1 {
-		t.Errorf("%d of %d wide-link nodes decided", decided, n-1)
-	}
-}
-
-func TestLinkBandwidthOverridesUniformCap(t *testing.T) {
-	// A generous per-link function must win over a tiny uniform cap.
-	n := 5
-	cfg := Config{
-		N:               n,
-		Procs:           dacProcs(t, n, 4, spread(n)),
-		Adversary:       adversary.NewComplete(),
-		MaxMessageBytes: 1, // would drop everything…
-		LinkBandwidth:   func(from, to int) int { return 0 },
-	}
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := eng.Run()
-	if !res.Decided || res.MessagesOversized != 0 {
-		t.Errorf("per-link override ignored: decided=%v drops=%d", res.Decided, res.MessagesOversized)
-	}
-}
-
 func TestBandwidthCapEngineEquivalence(t *testing.T) {
 	mk := func(Observer) Config {
 		return Config{

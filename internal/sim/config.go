@@ -65,17 +65,6 @@ type RoundValues struct {
 	running []bool
 }
 
-// MakeRoundValues builds a standalone view over caller-owned slices —
-// for tests and adapters that feed observers outside an engine. values
-// and running must have equal length; running[i] marks node i as one of
-// the round's running nodes.
-func MakeRoundValues(values []float64, running []bool) RoundValues {
-	if len(values) != len(running) {
-		panic(fmt.Sprintf("sim: RoundValues over %d values but %d running flags", len(values), len(running)))
-	}
-	return RoundValues{values: values, running: running}
-}
-
 // N returns the network size the view spans.
 func (rv RoundValues) N() int { return len(rv.values) }
 
@@ -176,12 +165,6 @@ type Config struct {
 	// piggyback windows) may not (experiment E11).
 	MaxMessageBytes int
 
-	// LinkBandwidth, when non-nil, gives each directed link its own
-	// byte budget (§VII: "when each link has different bandwidth
-	// constraints"); a return value ≤ 0 means unlimited for that link.
-	// It takes precedence over MaxMessageBytes.
-	LinkBandwidth func(from, to int) int
-
 	// ShuffleDelivery randomizes the order in which each receiver
 	// processes one round's deliveries (default: ascending port). The
 	// permutation is a deterministic function of ShuffleSeed, the round
@@ -273,15 +256,6 @@ func shuffleDeliveries(ds []core.Delivery, seed int64, round, node int) {
 		j := int(x % uint64(i+1))
 		ds[i], ds[j] = ds[j], ds[i]
 	}
-}
-
-// linkCap resolves the byte budget of one directed link: per-link
-// overrides first, then the uniform cap; ≤ 0 means unlimited.
-func (c *Config) linkCap(from, to int) int {
-	if c.LinkBandwidth != nil {
-		return c.LinkBandwidth(from, to)
-	}
-	return c.MaxMessageBytes
 }
 
 // FaultFree lists the nodes that are neither Byzantine nor

@@ -57,7 +57,7 @@ type Engine struct {
 	hooks       Hooks             // cfg.Hooks, cached
 	roundObs    RoundObserver     // the effective Observer's optional round hook, cached
 	needSize    bool              // any consumer of wire sizes configured
-	hasCap      bool              // any per-link byte budget configured
+	hasCap      bool              // cfg.MaxMessageBytes > 0: every link carries that budget
 
 	// two-stage pipeline state (see pipeline.go)
 	pipelines   bool             // Run/RunRounds may build E(t+1) on a second goroutine
@@ -288,8 +288,8 @@ func (e *Engine) Reset(cfg Config) error {
 	// there are none.
 	e.pruneAhead = cfg.Hooks.Recorder == nil && !cfg.KeepTrace
 	e.roundObs, _ = e.hooks.Observer.(RoundObserver)
-	e.needSize = cfg.AccountBandwidth || cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
-	e.hasCap = cfg.MaxMessageBytes > 0 || cfg.LinkBandwidth != nil
+	e.needSize = cfg.AccountBandwidth || cfg.MaxMessageBytes > 0
+	e.hasCap = cfg.MaxMessageBytes > 0
 
 	if e.view == nil {
 		e.view = newExecView(&e.cfg, e.isByz)
@@ -851,11 +851,9 @@ func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet) ([]core.Del
 			}
 			continue // sender silent towards v (crashed, partial, or Byzantine nil)
 		}
-		if e.hasCap {
-			if limit := e.cfg.linkCap(u, v); limit > 0 && size > limit {
-				e.result.MessagesOversized++
-				continue // the link cannot carry a message this large
-			}
+		if e.hasCap && size > e.cfg.MaxMessageBytes {
+			e.result.MessagesOversized++
+			continue // the link cannot carry a message this large
 		}
 		d := &ds[k]
 		d.Port = numbering.PortOf(u)

@@ -92,7 +92,7 @@ func gatherPortLoop(e *Engine, t, v int, edges *network.EdgeSet) []core.Delivery
 		if !ok {
 			continue
 		}
-		if limit := e.cfg.linkCap(u, v); limit > 0 && size > limit {
+		if limit := e.cfg.MaxMessageBytes; limit > 0 && size > limit {
 			e.result.MessagesOversized++
 			continue
 		}

@@ -43,33 +43,17 @@ type Event struct {
 	FromPhase int `json:"fromPhase,omitempty"`
 }
 
-// Recorder accumulates events. The zero value records everything; use
-// NewFiltered to keep only selected kinds (delivery events dominate log
-// volume on long runs).
+// Recorder accumulates every event of an execution; the zero value is
+// ready to use.
 type Recorder struct {
 	events []Event
-	keep   map[Kind]bool // nil = keep all
 }
 
 // NewRecorder returns a recorder that keeps every event.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// NewFiltered returns a recorder that keeps only the listed kinds.
-func NewFiltered(kinds ...Kind) *Recorder {
-	keep := make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		keep[k] = true
-	}
-	return &Recorder{keep: keep}
-}
-
-// Record appends an event if its kind passes the filter.
-func (r *Recorder) Record(e Event) {
-	if r.keep != nil && !r.keep[e.Kind] {
-		return
-	}
-	r.events = append(r.events, e)
-}
+// Record appends an event.
+func (r *Recorder) Record(e Event) { r.events = append(r.events, e) }
 
 // Events returns the recorded log (shared slice; callers must not
 // mutate).

@@ -31,21 +31,6 @@ func TestRecorderKeepsAll(t *testing.T) {
 	}
 }
 
-func TestFilteredRecorder(t *testing.T) {
-	r := NewFiltered(KindRound, KindDecide)
-	for _, e := range sampleEvents() {
-		r.Record(e)
-	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
-	}
-	for _, e := range r.Events() {
-		if e.Kind != KindRound && e.Kind != KindDecide {
-			t.Errorf("kept event of kind %q", e.Kind)
-		}
-	}
-}
-
 func TestRoundEvents(t *testing.T) {
 	r := NewRecorder()
 	for _, e := range sampleEvents() {

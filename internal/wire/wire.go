@@ -51,11 +51,6 @@ func dequantize(q uint64) float64 {
 	return float64(q) / scale
 }
 
-// Quantize rounds a value to exactly the precision the wire carries.
-// Algorithms themselves work on float64; tests use Quantize to confirm
-// that wire round-trips lose nothing beyond the declared resolution.
-func Quantize(v float64) float64 { return dequantize(quantize(v)) }
-
 // Encode serializes a message, appending to dst and returning the
 // extended slice.
 func Encode(dst []byte, m core.Message) []byte {

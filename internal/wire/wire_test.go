@@ -10,6 +10,12 @@ import (
 	"anondyn/internal/core"
 )
 
+// Quantize rounds a value to exactly the precision the wire carries.
+// Algorithms themselves work on float64; the tests use Quantize to
+// confirm that wire round-trips lose nothing beyond the declared
+// resolution.
+func Quantize(v float64) float64 { return dequantize(quantize(v)) }
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	msgs := []core.Message{
 		{},

@@ -82,7 +82,7 @@ func TestMetricsParityProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("csr=%v", forceCSR), func(t *testing.T) {
 			mk := parityFamily(forceCSR)
 			off := runParityBatch(t, mk, nil)
-			on := runParityBatch(t, mk, anondyn.NewMetricsCollector())
+			on := runParityBatch(t, mk, metrics.NewCollector())
 			if !bytes.Equal(off, on) {
 				t.Errorf("metrics-enabled rows differ from disabled rows:\noff %s\non  %s", off, on)
 			}

@@ -81,7 +81,7 @@ type Scenario struct {
 	// Metrics, when non-nil, receives one sample per round from the
 	// engine (see sim.Hooks.Metrics). Attaching it never changes results
 	// or engine code paths — pinned by the metrics-parity property
-	// tests — so a shared MetricsCollector can watch a whole batch live.
+	// tests — so a shared metrics.Collector can watch a whole batch live.
 	Metrics MetricsSink
 
 	// Tracker, when non-nil, reconstructs the V(p) multisets during the
@@ -100,9 +100,6 @@ type Scenario struct {
 	// MaxMessageBytes, when > 0, drops any message whose wire encoding
 	// exceeds the per-link bandwidth budget (§VII; experiment E11).
 	MaxMessageBytes int
-	// LinkBandwidth optionally gives every directed link its own byte
-	// budget (≤ 0 = unlimited); it overrides MaxMessageBytes.
-	LinkBandwidth func(from, to int) int
 }
 
 // Run executes the scenario and returns its result.
@@ -177,7 +174,6 @@ func (box *engineBox) run(s Scenario) (*Result, error) {
 		KeepTrace:        s.KeepTrace,
 		AccountBandwidth: s.AccountBandwidth,
 		MaxMessageBytes:  s.MaxMessageBytes,
-		LinkBandwidth:    s.LinkBandwidth,
 		ShuffleDelivery:  s.ShuffleDelivery,
 		ShuffleSeed:      s.Seed,
 		ForceCSR:         s.ForceCSR,
@@ -348,11 +344,11 @@ func (s Scenario) observer() sim.Observer {
 }
 
 // newDACs builds a DAC-family run's nodes as one population (see
-// core.NewDACPopulation), each with the output phase, quorum and
-// ablation the per-node constructor for s would give it — NewDACCustom
-// under QuorumOverride or Unchecked, NewDACPhases under PEndOverride,
-// NewDAC otherwise, NewDACNoJumpPhases for the ablation — and checked as
-// that constructor checks it. Byzantine slots are left unbuilt.
+// core.NewDACPopulation): output phase PEndOverride or the one ε gives,
+// quorum QuorumOverride or the paper's core.CrashQuorum, and the
+// jump-rule ablation for AlgoDACNoJump. AlgoDAC checks ε as core.NewDAC
+// checks it, unless Unchecked, PEndOverride or QuorumOverride is set.
+// Byzantine slots are left unbuilt.
 func (s Scenario) newDACs(selfPort func(int) int) ([]core.DAC, error) {
 	pEnd, quorum := s.pEndDAC(), core.CrashQuorum(s.N)
 	skip := func(i int) bool { _, isByz := s.Byzantine[i]; return isByz }
@@ -361,9 +357,8 @@ func (s Scenario) newDACs(selfPort func(int) int) ([]core.DAC, error) {
 		case s.QuorumOverride > 0:
 			quorum = s.QuorumOverride
 		case s.Unchecked, s.PEndOverride > 0:
-			// The paper quorum, ε unchecked: NewDACCustom for the
-			// below-threshold configurations, NewDACPhases for an explicit
-			// output phase.
+			// The paper quorum, ε unchecked: the below-threshold
+			// configurations and an explicit output phase.
 		default:
 			// NewDAC derives pEnd from ε, so it checks ε — before anything
 			// else, at the first node it builds.
