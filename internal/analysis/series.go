@@ -43,12 +43,7 @@ func (s *RangeSeries) OnRoundEnd(round int, values sim.RoundValues) {
 	if running >= 2 {
 		r = hi - lo
 	}
-	s.record(round, r)
-}
-
-// record appends round's range. Rounds arrive in order; pad defensively
-// if one was skipped.
-func (s *RangeSeries) record(round int, r float64) {
+	// Rounds arrive in order; pad defensively if one was skipped.
 	for len(s.ranges) < round {
 		s.ranges = append(s.ranges, math.NaN())
 	}

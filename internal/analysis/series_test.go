@@ -7,13 +7,41 @@ import (
 
 	"anondyn/internal/adversary"
 	"anondyn/internal/core"
+	"anondyn/internal/fault"
+	"anondyn/internal/network"
 	"anondyn/internal/sim"
 )
 
+// feed fills a series with synthetic ranges, for the tests of what the
+// series does with its rounds once recorded.
 func feed(s *RangeSeries, ranges ...float64) {
-	for round, r := range ranges {
-		s.record(round, r)
+	s.ranges = append(s.ranges, ranges...)
+}
+
+// watch runs one DAC node per input for the given rounds over an empty
+// graph and reports every round to obs. A node then hears no one, never
+// reaches a quorum and keeps its input, so each round's view holds the
+// running nodes' inputs.
+func watch(t *testing.T, obs sim.Observer, crashes fault.Schedule, rounds int, inputs ...float64) {
+	t.Helper()
+	n := len(inputs)
+	procs := make([]core.Process, n)
+	for i, x := range inputs {
+		dac, err := core.NewDAC(n, 0, x, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs[i] = dac
 	}
+	e, err := sim.NewEngine(sim.Config{
+		N: n, F: len(crashes), Procs: procs, Crashes: crashes,
+		Adversary: adversary.NewStatic("empty", network.NewEdgeSet(n)),
+		MaxRounds: rounds, Hooks: sim.Hooks{Observer: obs},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
 }
 
 func TestRangeSeriesBasics(t *testing.T) {
@@ -41,22 +69,29 @@ func TestRangeSeriesBasics(t *testing.T) {
 	}
 }
 
+// TestRangeSeriesRunningRange watches three nodes with inputs 0, 1 and
+// 0.5: the range spans all three until node 1 crashes, then only the
+// two still running.
+func TestRangeSeriesRunningRange(t *testing.T) {
+	s := NewRangeSeries()
+	watch(t, s, fault.Schedule{1: fault.CrashSilent(1)}, 3, 0, 1, 0.5)
+	want := []float64{1, 0.5, 0.5}
+	got := s.Series()
+	if len(got) != len(want) {
+		t.Fatalf("series %v, want %v", got, want)
+	}
+	for r := range want {
+		if got[r] != want[r] {
+			t.Errorf("At(%d) = %g, want %g (series %v)", r, got[r], want[r], got)
+		}
+	}
+}
+
 // TestRangeSeriesSingleNodeRangeZero watches a one-node engine, whose
 // round view holds a single running node, and a view with none.
 func TestRangeSeriesSingleNodeRangeZero(t *testing.T) {
 	s := NewRangeSeries()
-	dac, err := core.NewDAC(1, 0, 0.7, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := sim.NewEngine(sim.Config{
-		N: 1, Procs: []core.Process{dac}, Adversary: adversary.NewComplete(),
-		MaxRounds: 1, Hooks: sim.Hooks{Observer: s},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
+	watch(t, s, nil, 1, 0.7)
 	if s.Len() != 1 || s.At(0) != 0 {
 		t.Errorf("single running node: series %v, want [0]", s.Series())
 	}
@@ -66,9 +101,17 @@ func TestRangeSeriesSingleNodeRangeZero(t *testing.T) {
 	}
 }
 
+// shifted reports every round to its series two rounds late, so the
+// series sees rounds 0 and 1 skipped.
+type shifted struct{ *RangeSeries }
+
+func (s shifted) OnRoundEnd(round int, values sim.RoundValues) {
+	s.RangeSeries.OnRoundEnd(round+2, values)
+}
+
 func TestRangeSeriesSkippedRoundPadded(t *testing.T) {
 	s := NewRangeSeries()
-	s.record(2, 1)
+	watch(t, shifted{s}, nil, 1, 0, 1)
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}

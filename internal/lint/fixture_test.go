@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -129,12 +131,22 @@ var Epoch = time.Now()
 // Phase is a named word-sized integer.
 type Phase int
 
+// IDs and Schedule are named containers of one.
+type IDs []int
+type Schedule map[int]bool
+
+// Tree holds itself and no integer.
+type Tree []Tree
+
 // Record is the root that reaches a wire frame.
 type Record struct {
 	Run    int
 	Bytes  int64
 	Phase  Phase
 	Tags   []uint
+	Nodes  IDs
+	Crash  Schedule
+	Kids   Tree
 	Inner  Inner
 	Next   *Record
 	hidden int
@@ -151,7 +163,7 @@ type Frame struct{ Size int }
 `,
 		},
 		rules: rules{wireRoots: []string{"fix/wire.Record"}},
-		open:  []string{"(c) wire.Record.Run", "(c) wire.Record.Phase", "(c) wire.Record.Tags", "(c) wire.Inner.Count"},
+		open:  []string{"(c) wire.Record.Run", "(c) wire.Record.Phase", "(c) wire.Record.Tags", "(c) wire.Record.Nodes", "(c) wire.Record.Crash", "(c) wire.Inner.Count"},
 	}, {
 		rule: "(d)",
 		src: map[string]string{
@@ -210,5 +222,34 @@ func Attach(x any) int {
 		if !reflect.DeepEqual(bad, tc.bad) {
 			t.Errorf("%s: bad allowlist entries %q, want %q", tc.rule, bad, tc.bad)
 		}
+	}
+}
+
+// TestLoadDirBuildConstraints loads a module whose files the go command
+// would not all build together: a file for another system and one
+// behind a build tag redeclare what the plain file declares.
+func TestLoadDirBuildConstraints(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":           "module fix\n",
+		"lib/lib.go":       "package lib\n\nconst Size = 1\n",
+		"lib/lib_plan9.go": "package lib\n\nconst Size = 2\n",
+		"lib/lib_tag.go":   "//go:build never\n\npackage lib\n\nconst Size = 3\n",
+	}
+	for name, text := range files {
+		p := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := loadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := m.pkg("fix/lib"); p == nil || len(p.files) != 1 {
+		t.Fatalf("package fix/lib: want one file to build")
 	}
 }

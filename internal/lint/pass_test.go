@@ -104,6 +104,11 @@ func loadDir(root string) (*module, error) {
 		if !strings.HasSuffix(name, ".go") {
 			return nil
 		}
+		// Build constraints and _GOOS/_GOARCH suffixes leave out files
+		// the go command would not build here.
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), name); err != nil || !ok {
+			return err
+		}
 		rel, err := filepath.Rel(root, p)
 		if err != nil {
 			return err
@@ -524,19 +529,28 @@ func wordFields(m *module, roots []string) ([]finding, error) {
 	return out, nil
 }
 
-func holdsWord(t types.Type) bool {
-	switch t := t.(type) {
+func holdsWord(t types.Type) bool { return holds(t, map[*types.Named]bool{}) }
+
+// holds reports whether t holds a word-sized integer; seen guards the
+// named types on the way, which a type such as `type T []T` revisits.
+func holds(t types.Type, seen map[*types.Named]bool) bool {
+	switch t := types.Unalias(t).(type) {
 	case *types.Pointer:
-		return holdsWord(t.Elem())
+		return holds(t.Elem(), seen)
 	case *types.Slice:
-		return holdsWord(t.Elem())
+		return holds(t.Elem(), seen)
 	case *types.Array:
-		return holdsWord(t.Elem())
+		return holds(t.Elem(), seen)
 	case *types.Map:
-		return holdsWord(t.Key()) || holdsWord(t.Elem())
-	case *types.Named, *types.Basic:
-		b, ok := t.Underlying().(*types.Basic)
-		return ok && (b.Kind() == types.Int || b.Kind() == types.Uint || b.Kind() == types.Uintptr)
+		return holds(t.Key(), seen) || holds(t.Elem(), seen)
+	case *types.Named:
+		if seen[t] {
+			return false
+		}
+		seen[t] = true
+		return holds(t.Underlying(), seen)
+	case *types.Basic:
+		return t.Kind() == types.Int || t.Kind() == types.Uint || t.Kind() == types.Uintptr
 	}
 	return false
 }
