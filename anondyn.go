@@ -153,7 +153,8 @@ type (
 	Result = sim.Result
 	// PhaseTracker reconstructs the paper's V(p) multisets from a run.
 	PhaseTracker = analysis.PhaseTracker
-	// RangeSeries records the per-round convergence curve.
+	// RangeSeries records the per-round convergence curve: the Range of
+	// each round's metrics sample.
 	RangeSeries = analysis.RangeSeries
 	// Recorder captures the execution event log.
 	Recorder = trace.Recorder
@@ -184,7 +185,8 @@ var (
 func NewPhaseTracker() *PhaseTracker { return analysis.NewPhaseTracker() }
 
 // NewRangeSeries returns a per-round convergence recorder to pass as
-// Scenario.Series.
+// Scenario.Series, which tees it onto the run's metrics sink. It records
+// one run at a time.
 func NewRangeSeries() *RangeSeries { return analysis.NewRangeSeries() }
 
 // NewRecorder returns an event recorder to pass as Scenario.Recorder.

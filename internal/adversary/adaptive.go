@@ -63,9 +63,6 @@ func NewClustered(period int) (*Clustered, error) {
 // Name implements Adversary.
 func (c *Clustered) Name() string { return fmt.Sprintf("clustered(T=%d)", c.period) }
 
-// Period returns the spacing of complete rounds.
-func (c *Clustered) Period() int { return c.period }
-
 // Edges implements Adversary.
 func (c *Clustered) Edges(t int, view View) *network.EdgeSet {
 	e := network.NewEdgeSet(view.N())

@@ -51,9 +51,6 @@ func (a *Isolate) EdgesInto(t int, view View, dst *network.EdgeSet) {
 	}
 }
 
-// Victim returns the suppressed node.
-func (a *Isolate) Victim() int { return a.victim }
-
 // Oblivious implements the state-independence seam.
 func (a *Isolate) Oblivious() bool { return true }
 

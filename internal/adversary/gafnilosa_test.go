@@ -121,3 +121,6 @@ func TestProbabilisticDensityAndDeterminism(t *testing.T) {
 		t.Errorf("mean edges/round = %.1f, want ≈ %.1f", mean, want)
 	}
 }
+
+// Victim returns the suppressed node.
+func (a *Isolate) Victim() int { return a.victim }

@@ -82,9 +82,6 @@ func (p *Periodic) Edges(t int, view View) *network.EdgeSet {
 	return p.sets[t%len(p.sets)]
 }
 
-// Period returns the schedule length.
-func (p *Periodic) Period() int { return len(p.sets) }
-
 // Oblivious implements the state-independence seam.
 func (p *Periodic) Oblivious() bool { return true }
 

@@ -250,3 +250,6 @@ func TestRandomDegreeValidation(t *testing.T) {
 		t.Error("extra > 1 accepted")
 	}
 }
+
+// Period returns the schedule length.
+func (p *Periodic) Period() int { return len(p.sets) }

@@ -149,11 +149,6 @@ func (l *ByzSplitLayout) Input(i int) float64 {
 	return 0
 }
 
-// IsByzantine reports whether node i is Byzantine in the scenario.
-func (l *ByzSplitLayout) IsByzantine(i int) bool {
-	return i >= (l.N-l.F)/2 && i < (l.N+l.F)/2
-}
-
 // SendsToA reports whether receiver i hears group A (true) or group B
 // (false). Byzantine receivers are wired to A arbitrarily.
 func (l *ByzSplitLayout) SendsToA(i int) bool { return i < (l.N+l.F)/2 }

@@ -132,3 +132,8 @@ func TestByzSplitLayoutValidation(t *testing.T) {
 		t.Errorf("n=3f+1 rejected: %v", err)
 	}
 }
+
+// IsByzantine reports whether node i is Byzantine in the scenario.
+func (l *ByzSplitLayout) IsByzantine(i int) bool {
+	return i >= (l.N-l.F)/2 && i < (l.N+l.F)/2
+}

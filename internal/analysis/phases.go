@@ -4,10 +4,7 @@
 // renders result tables.
 package analysis
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // PhaseTracker implements sim.Observer and reconstructs V(p): the
 // multiset of phase-p state values across nodes. A node's phase-p state
@@ -57,17 +54,6 @@ func (t *PhaseTracker) MaxPhase() int { return t.max }
 
 // Count returns |V(p)|.
 func (t *PhaseTracker) Count(p int) int { return len(t.values[p]) }
-
-// Values returns V(p) sorted ascending (a fresh slice).
-func (t *PhaseTracker) Values(p int) []float64 {
-	m := t.values[p]
-	vs := make([]float64, 0, len(m))
-	for _, v := range m {
-		vs = append(vs, v)
-	}
-	sort.Float64s(vs)
-	return vs
-}
 
 // Range returns range(V(p)) = max − min, or 0 when |V(p)| < 2.
 func (t *PhaseTracker) Range(p int) float64 {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -122,4 +123,15 @@ func TestPhaseTrackerOnDecideIsNoop(t *testing.T) {
 	if tr.MaxPhase() != 0 || tr.Count(0) != 0 {
 		t.Error("OnDecide mutated the tracker")
 	}
+}
+
+// Values returns V(p) sorted ascending (a fresh slice).
+func (t *PhaseTracker) Values(p int) []float64 {
+	m := t.values[p]
+	vs := make([]float64, 0, len(m))
+	for _, v := range m {
+		vs = append(vs, v)
+	}
+	sort.Float64s(vs)
+	return vs
 }

@@ -5,13 +5,13 @@ import (
 	"math"
 	"strings"
 
-	"anondyn/internal/sim"
+	"anondyn/internal/metrics"
 )
 
 // RangeSeries records, per round, the range (max − min) of the running
 // nodes' state values — the round-resolution convergence curve that the
-// F1 figure plots. It implements both sim.Observer and sim.RoundObserver
-// (the phase callbacks are no-ops; only the round hook feeds it).
+// F1 figure plots. It is a metrics.Sink that keeps each RoundSample's
+// Range, so it belongs to one run at a time: RoundDone grows a slice.
 type RangeSeries struct {
 	ranges []float64
 }
@@ -19,47 +19,21 @@ type RangeSeries struct {
 // NewRangeSeries returns an empty series.
 func NewRangeSeries() *RangeSeries { return &RangeSeries{} }
 
-// OnPhaseEnter implements sim.Observer (unused).
-func (s *RangeSeries) OnPhaseEnter(node, from, to int, value float64, round int) {}
-
-// OnDecide implements sim.Observer (unused).
-func (s *RangeSeries) OnDecide(node int, value float64, round int) {}
-
-// OnRoundEnd implements sim.RoundObserver. The dense view iterates the
-// running nodes in ascending order with no per-round map traffic.
-func (s *RangeSeries) OnRoundEnd(round int, values sim.RoundValues) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	running := 0
-	values.Range(func(_ int, v float64) {
-		running++
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	})
-	r := 0.0
-	if running >= 2 {
-		r = hi - lo
-	}
+// RoundDone implements metrics.Sink: it records the sample's Range at
+// its Round.
+func (s *RangeSeries) RoundDone(r metrics.RoundSample) {
 	// Rounds arrive in order; pad defensively if one was skipped.
-	for len(s.ranges) < round {
+	for len(s.ranges) < r.Round {
 		s.ranges = append(s.ranges, math.NaN())
 	}
-	s.ranges = append(s.ranges, r)
+	s.ranges = append(s.ranges, r.Range)
 }
+
+// RunDone implements metrics.Sink (unused: the series is per round).
+func (s *RangeSeries) RunDone(metrics.RunSample) {}
 
 // Len returns the number of recorded rounds.
 func (s *RangeSeries) Len() int { return len(s.ranges) }
-
-// At returns the range after the given round (NaN when unrecorded).
-func (s *RangeSeries) At(round int) float64 {
-	if round < 0 || round >= len(s.ranges) {
-		return math.NaN()
-	}
-	return s.ranges[round]
-}
 
 // Series returns a copy of the per-round ranges.
 func (s *RangeSeries) Series() []float64 {

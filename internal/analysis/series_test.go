@@ -8,6 +8,7 @@ import (
 	"anondyn/internal/adversary"
 	"anondyn/internal/core"
 	"anondyn/internal/fault"
+	"anondyn/internal/metrics"
 	"anondyn/internal/network"
 	"anondyn/internal/sim"
 )
@@ -19,10 +20,10 @@ func feed(s *RangeSeries, ranges ...float64) {
 }
 
 // watch runs one DAC node per input for the given rounds over an empty
-// graph and reports every round to obs. A node then hears no one, never
-// reaches a quorum and keeps its input, so each round's view holds the
-// running nodes' inputs.
-func watch(t *testing.T, obs sim.Observer, crashes fault.Schedule, rounds int, inputs ...float64) {
+// graph and reports every round to sink. A node then hears no one, never
+// reaches a quorum and keeps its input, so each round's range is over
+// the running nodes' inputs.
+func watch(t *testing.T, sink metrics.Sink, crashes fault.Schedule, rounds int, inputs ...float64) {
 	t.Helper()
 	n := len(inputs)
 	procs := make([]core.Process, n)
@@ -36,7 +37,7 @@ func watch(t *testing.T, obs sim.Observer, crashes fault.Schedule, rounds int, i
 	e, err := sim.NewEngine(sim.Config{
 		N: n, F: len(crashes), Procs: procs, Crashes: crashes,
 		Adversary: adversary.NewStatic("empty", network.NewEdgeSet(n)),
-		MaxRounds: rounds, Hooks: sim.Hooks{Observer: obs},
+		MaxRounds: rounds, Hooks: sim.Hooks{Metrics: sink},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,16 +89,12 @@ func TestRangeSeriesRunningRange(t *testing.T) {
 }
 
 // TestRangeSeriesSingleNodeRangeZero watches a one-node engine, whose
-// round view holds a single running node, and a view with none.
+// rounds have a single running node.
 func TestRangeSeriesSingleNodeRangeZero(t *testing.T) {
 	s := NewRangeSeries()
 	watch(t, s, nil, 1, 0.7)
 	if s.Len() != 1 || s.At(0) != 0 {
 		t.Errorf("single running node: series %v, want [0]", s.Series())
-	}
-	s.OnRoundEnd(1, sim.RoundValues{})
-	if got := s.At(1); got != 0 {
-		t.Errorf("no running node: range %g, want 0", got)
 	}
 }
 
@@ -105,8 +102,9 @@ func TestRangeSeriesSingleNodeRangeZero(t *testing.T) {
 // series sees rounds 0 and 1 skipped.
 type shifted struct{ *RangeSeries }
 
-func (s shifted) OnRoundEnd(round int, values sim.RoundValues) {
-	s.RangeSeries.OnRoundEnd(round+2, values)
+func (s shifted) RoundDone(r metrics.RoundSample) {
+	r.Round += 2
+	s.RangeSeries.RoundDone(r)
 }
 
 func TestRangeSeriesSkippedRoundPadded(t *testing.T) {
@@ -171,4 +169,12 @@ func TestFormatSampled(t *testing.T) {
 	if got := s.FormatSampled(0); !strings.Contains(got, "1:0.5") {
 		t.Errorf("stride 0 should clamp to 1: %q", got)
 	}
+}
+
+// At returns the range after the given round (NaN when unrecorded).
+func (s *RangeSeries) At(round int) float64 {
+	if round < 0 || round >= len(s.ranges) {
+		return math.NaN()
+	}
+	return s.ranges[round]
 }

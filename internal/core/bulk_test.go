@@ -135,8 +135,6 @@ func TestDACDeliverAllMidSliceTransitions(t *testing.T) {
 		wantValue float64
 		wantOut   float64 // decision; NaN-free: checked only when wantDone
 		wantDone  bool
-		wantJumps int
-		wantQuor  int
 	}{
 		{
 			// n=5: quorum 3. Ports 1,2 complete phase 0 mid-slice (v becomes
@@ -147,7 +145,7 @@ func TestDACDeliverAllMidSliceTransitions(t *testing.T) {
 			slices: [][]Delivery{{
 				msg(1, 1, 0), msg(2, 0.5, 0), msg(3, 0.25, 1), msg(4, 0.75, 1),
 			}},
-			wantPhase: 2, wantValue: 0.5, wantQuor: 2,
+			wantPhase: 2, wantValue: 0.5,
 		},
 		{
 			// A stale duplicate of a counted port between the two: the bit is
@@ -158,7 +156,7 @@ func TestDACDeliverAllMidSliceTransitions(t *testing.T) {
 			slices: [][]Delivery{{
 				msg(1, 1, 0), msg(2, 1, 0), msg(1, 0, 0), msg(3, 1, 1),
 			}},
-			wantPhase: 1, wantValue: 0.5, wantQuor: 1,
+			wantPhase: 1, wantValue: 0.5,
 		},
 		{
 			// pEnd=1: the quorum decides 0.5 mid-slice; a later claim from
@@ -169,7 +167,7 @@ func TestDACDeliverAllMidSliceTransitions(t *testing.T) {
 			slices: [][]Delivery{{
 				msg(1, 1, 0), msg(2, 1, 0), msg(3, 0.9, 7), msg(4, 0.1, 1),
 			}},
-			wantPhase: 1, wantValue: 0.9, wantOut: 0.5, wantDone: true, wantJumps: 1, wantQuor: 1,
+			wantPhase: 1, wantValue: 0.9, wantOut: 0.5, wantDone: true,
 		},
 		{
 			// Deciding BY a jump above pEnd: the decision is the jumped value.
@@ -178,7 +176,7 @@ func TestDACDeliverAllMidSliceTransitions(t *testing.T) {
 			slices: [][]Delivery{{
 				msg(1, 1, 0), msg(2, 0.7, 9), msg(3, 0.2, 3), msg(4, 0.3, 3),
 			}},
-			wantPhase: 3, wantValue: 0.7, wantOut: 0.7, wantDone: true, wantJumps: 1,
+			wantPhase: 3, wantValue: 0.7, wantOut: 0.7, wantDone: true,
 		},
 		{
 			// Quorum 1: every processed message advances — the fresh one and
@@ -188,7 +186,7 @@ func TestDACDeliverAllMidSliceTransitions(t *testing.T) {
 			slices: [][]Delivery{{
 				msg(1, 0.75, 0), msg(1, 0, 0), msg(2, 1, 0),
 			}},
-			wantPhase: 3, wantValue: 0.5, wantQuor: 3,
+			wantPhase: 3, wantValue: 0.5,
 		},
 		{
 			// The ablation discards the future state; the same-phase ones
@@ -198,7 +196,7 @@ func TestDACDeliverAllMidSliceTransitions(t *testing.T) {
 			slices: [][]Delivery{{
 				msg(1, 1, 0), msg(2, 0.9, 4), msg(3, 1, 0),
 			}},
-			wantPhase: 1, wantValue: 0.5, wantQuor: 1,
+			wantPhase: 1, wantValue: 0.5,
 		},
 		{
 			// Across slices: the port bits survive the call boundary, so a
@@ -233,9 +231,6 @@ func TestDACDeliverAllMidSliceTransitions(t *testing.T) {
 			}
 			if out, done := bulk.Output(); done != c.wantDone || (done && out != c.wantOut) {
 				t.Errorf("Output (%v, %v), want (%v, %v)", out, done, c.wantOut, c.wantDone)
-			}
-			if bulk.Jumps() != c.wantJumps || bulk.Quorums() != c.wantQuor {
-				t.Errorf("%d jumps, %d quorums; want %d, %d", bulk.Jumps(), bulk.Quorums(), c.wantJumps, c.wantQuor)
 			}
 		})
 	}

@@ -54,10 +54,6 @@ type DAC struct {
 	// ne == logCap, so one compare admits the log path.
 	ne, logCap, next, run int32
 
-	// stats, exposed for analysis
-	jumps   int32
-	quorums int32
-
 	noJump  bool // ablation only (experiment E12): disable lines 5–8, the jump rule
 	decided bool
 	logging bool // this phase's R is the log, not yet the bitset
@@ -219,7 +215,6 @@ func (d *DAC) deliver(port int, value float64, phase int) {
 		if d.p > d.pEnd {
 			d.p = d.pEnd // peers never exceed pEnd; defensive clamp
 		}
-		d.jumps++
 		d.reset()
 	case phase == d.p:
 		d.hear(port, value)
@@ -273,7 +268,6 @@ func (d *DAC) mark(port int) bool {
 func (d *DAC) advance() {
 	d.v = (d.vmin + d.vmax) / 2
 	d.p++
-	d.quorums++
 	d.reset()
 }
 
@@ -289,19 +283,6 @@ func (d *DAC) Phase() int { return d.p }
 // Value implements Process.
 func (d *DAC) Value() float64 { return d.v }
 
-// Jumps reports how many times this node took the jump rule (analysis).
-func (d *DAC) Jumps() int { return int(d.jumps) }
-
-// Quorums reports how many times this node advanced by quorum (analysis).
-func (d *DAC) Quorums() int { return int(d.quorums) }
-
-// PEnd reports the node's output phase.
-func (d *DAC) PEnd() int { return d.pEnd }
-
-// Quorum reports the number of distinct same-phase states (self
-// included) that triggers a phase advance.
-func (d *DAC) Quorum() int { return d.quorum }
-
 // Reinit implements Process: return to the freshly-constructed
 // state with a new input, keeping n, pEnd, quorum, the self port, the
 // ablation flag and R's place in its population's matrix.
@@ -311,8 +292,6 @@ func (d *DAC) Reinit(input float64) {
 	d.reset()
 	d.decided = false
 	d.decision = 0
-	d.jumps = 0
-	d.quorums = 0
 	d.maybeDecide()
 }
 

@@ -80,9 +80,6 @@ func TestDACQuorumAdvance(t *testing.T) {
 	if got := d.Value(); got != 0.5 {
 		t.Errorf("value = %g, want 0.5", got)
 	}
-	if d.Quorums() != 1 || d.Jumps() != 0 {
-		t.Errorf("quorums=%d jumps=%d, want 1,0", d.Quorums(), d.Jumps())
-	}
 }
 
 func TestDACDuplicatePortIgnored(t *testing.T) {
@@ -147,9 +144,6 @@ func TestDACJump(t *testing.T) {
 	}
 	if d.Value() != 0.75 {
 		t.Errorf("value = %g after jump, want 0.75 (copied)", d.Value())
-	}
-	if d.Jumps() != 1 {
-		t.Errorf("jumps = %d, want 1", d.Jumps())
 	}
 	// R must have been reset: two fresh ports advance to phase 5.
 	deliver(d, 1, 0.7, 4)
@@ -335,3 +329,6 @@ func TestDACConvergenceRateHalf(t *testing.T) {
 		t.Errorf("final range %g exceeds (1/2)^8", prev)
 	}
 }
+
+// PEnd reports the node's output phase.
+func (d *DAC) PEnd() int { return d.pEnd }

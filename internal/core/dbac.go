@@ -31,8 +31,6 @@ type DBAC struct {
 
 	decided  bool
 	decision float64
-
-	quorums int
 }
 
 var _ Process = (*DBAC)(nil)
@@ -119,7 +117,6 @@ func (d *DBAC) deliver(port int, value float64, phase int) {
 		lo, hi := d.low.max(), -d.high.max() // max(R_low), min(R_high)
 		d.v = (lo + hi) / 2
 		d.p++
-		d.quorums++
 		d.reset()
 	}
 	d.maybeDecide()
@@ -136,16 +133,6 @@ func (d *DBAC) Phase() int { return d.p }
 
 // Value implements Process.
 func (d *DBAC) Value() float64 { return d.v }
-
-// Quorums reports how many phase advances this node has made (analysis).
-func (d *DBAC) Quorums() int { return d.quorums }
-
-// PEnd reports the node's output phase.
-func (d *DBAC) PEnd() int { return d.pEnd }
-
-// Quorum reports the number of distinct counted states (self included)
-// that triggers a phase advance.
-func (d *DBAC) Quorum() int { return d.quorum }
 
 // NewDBACCustom builds a DBAC node with explicit output phase and
 // quorum, without enforcing n ≥ 5f+1. It exists solely for the necessity
@@ -193,7 +180,6 @@ func (d *DBAC) Reinit(input float64) {
 	d.high.add(-input)
 	d.decided = false
 	d.decision = 0
-	d.quorums = 0
 	d.maybeDecide()
 }
 

@@ -261,3 +261,10 @@ func TestDBACLockStepConvergence(t *testing.T) {
 		t.Errorf("range after 20 lock-step phases = %g, want ≤ 1e-4", hi-lo)
 	}
 }
+
+// PEnd reports the node's output phase.
+func (d *DBAC) PEnd() int { return d.pEnd }
+
+// Quorum reports the number of distinct counted states (self included)
+// that triggers a phase advance.
+func (d *DBAC) Quorum() int { return d.quorum }

@@ -35,9 +35,7 @@ type DBACPiggyback struct {
 
 	// hist[q mod (k+1)] is the state this node held in phase q; a ring
 	// indexed by phase so only the last k+1 phases are retained.
-	hist      []HistEntry
-	exact     int // deliveries satisfied by a same-phase entry (analysis)
-	fallbacks int // deliveries that fell back to the current value
+	hist []HistEntry
 }
 
 var _ Process = (*DBACPiggyback)(nil)
@@ -89,7 +87,6 @@ func (pb *DBACPiggyback) Reinit(input float64) {
 		pb.hist[i] = HistEntry{Phase: -1}
 	}
 	pb.hist[0] = HistEntry{Value: input, Phase: 0}
-	pb.exact, pb.fallbacks = 0, 0
 }
 
 // Broadcast implements Process: the current state plus up to K prior
@@ -119,31 +116,19 @@ func (pb *DBACPiggyback) Deliver(dl Delivery) { pb.deliver(dl.Port, &dl.Msg) }
 // holds it (DeliverAll passes the slice element).
 func (pb *DBACPiggyback) deliver(port int, m *Message) {
 	p := pb.inner.p
-	if m.Phase < p {
-		// Sender behind us and no usable entry: every history phase is
-		// even older. Plain DBAC would ignore this message too.
-		pb.forward(port, m.Value, m.Phase)
-		return
-	}
-	if m.Phase == p || pb.inner.r[port] {
-		// Current value already has the receiver's phase, or the port is
-		// already counted — plain DBAC handles both cases correctly.
-		if m.Phase == p && !pb.inner.r[port] {
-			pb.exact++
-		}
-		pb.forward(port, m.Value, m.Phase)
-		return
-	}
-	// Sender is ahead: look for the entry matching our phase exactly.
-	for _, e := range m.History {
-		if e.Phase == p {
-			pb.exact++
-			pb.forward(port, e.Value, e.Phase)
-			return
+	if m.Phase > p && !pb.inner.r[port] {
+		// Sender is ahead: look for the entry matching our phase exactly.
+		for _, e := range m.History {
+			if e.Phase == p {
+				pb.forward(port, e.Value, e.Phase)
+				return
+			}
 		}
 	}
-	// Skew exceeds K: fall back to the sender's current value.
-	pb.fallbacks++
+	// The current value: it has the receiver's phase, the port is
+	// already counted, or the skew exceeds K. A sender behind us has no
+	// usable entry either (every history phase is even older); plain
+	// DBAC handles each case.
 	pb.forward(port, m.Value, m.Phase)
 }
 
@@ -168,12 +153,3 @@ func (pb *DBACPiggyback) Phase() int { return pb.inner.Phase() }
 
 // Value implements Process.
 func (pb *DBACPiggyback) Value() float64 { return pb.inner.Value() }
-
-// Window reports the piggyback window K.
-func (pb *DBACPiggyback) Window() int { return pb.k }
-
-// ExactDeliveries reports deliveries resolved with a same-phase value.
-func (pb *DBACPiggyback) ExactDeliveries() int { return pb.exact }
-
-// FallbackDeliveries reports deliveries that used an ahead-phase value.
-func (pb *DBACPiggyback) FallbackDeliveries() int { return pb.fallbacks }

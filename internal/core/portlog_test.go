@@ -46,12 +46,12 @@ func honestValue(port, phase int) float64 {
 }
 
 // sameDAC fails unless a and b agree on everything Algorithm 1 defines:
-// Snap, the stats, the phase extremes and R as a set of ports.
+// Snap, the phase extremes and R as a set of ports.
 func sameDAC(t *testing.T, a, b *DAC, format string, args ...any) {
 	t.Helper()
-	if Snap(a) != Snap(b) || a.Jumps() != b.Jumps() || a.Quorums() != b.Quorums() || a.vmin != b.vmin || a.vmax != b.vmax {
-		t.Fatalf(format+": %+v j%d q%d [%g,%g], alone %+v j%d q%d [%g,%g]", append(args,
-			Snap(a), a.Jumps(), a.Quorums(), a.vmin, a.vmax, Snap(b), b.Jumps(), b.Quorums(), b.vmin, b.vmax)...)
+	if Snap(a) != Snap(b) || a.vmin != b.vmin || a.vmax != b.vmax {
+		t.Fatalf(format+": %+v [%g,%g], alone %+v [%g,%g]", append(args,
+			Snap(a), a.vmin, a.vmax, Snap(b), b.vmin, b.vmax)...)
 	}
 	if ra, rb := rPorts(a), rPorts(b); !slices.Equal(ra, rb) {
 		t.Fatalf(format+": R %v, alone %v", append(args, ra, rb)...)
@@ -307,7 +307,7 @@ func TestDACNeverLogsWithoutHonestPopulation(t *testing.T) {
 // TestDACSize pins the node's size: a population walks its nodes in
 // order every round, so every byte of DAC is paid once per receiver.
 func TestDACSize(t *testing.T) {
-	if s := unsafe.Sizeof(DAC{}); s > 152 {
-		t.Errorf("DAC is %d bytes, want at most 152", s)
+	if s := unsafe.Sizeof(DAC{}); s > 136 {
+		t.Errorf("DAC is %d bytes, want at most 136", s)
 	}
 }

@@ -273,8 +273,8 @@ func E7Baselines() *analysis.Table {
 }
 
 // E8BandwidthTradeoff sweeps the §VII piggyback window K on a skew-
-// inducing adversary and reports rounds, message size, and how often a
-// same-phase value could be used instead of an ahead-phase fallback.
+// inducing adversary and reports rounds, output range, message size and
+// the per-phase contraction ratios ρ.
 // Matrix: examples/specs/e8-piggyback-window.yaml (the variants axis
 // sweeps K on a seed-pinned adversary).
 func E8BandwidthTradeoff() *analysis.Table {

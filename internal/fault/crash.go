@@ -3,10 +3,7 @@
 // Byzantine behaviors for the DBAC setting.
 package fault
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Crash describes when and how one node crashes. A node crashing in
 // round r broadcasts in round r to only the listed subset of receivers
@@ -89,24 +86,4 @@ func (s Schedule) Alive(round, node int) bool {
 		return true
 	}
 	return round <= c.Round
-}
-
-// FullyAlive reports whether the node is fault-free through the round,
-// with no partial-delivery caveat.
-func (s Schedule) FullyAlive(round, node int) bool {
-	c, ok := s[node]
-	if !ok {
-		return true
-	}
-	return round < c.Round
-}
-
-// Nodes returns the crashing node IDs in ascending order.
-func (s Schedule) Nodes() []int {
-	nodes := make([]int, 0, len(s))
-	for n := range s {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	return nodes
 }

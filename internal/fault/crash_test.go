@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -85,4 +86,24 @@ func TestScheduleNodes(t *testing.T) {
 	if got, want := s.Nodes(), []int{1, 3, 4}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Nodes = %v, want %v", got, want)
 	}
+}
+
+// FullyAlive reports whether the node is fault-free through the round,
+// with no partial-delivery caveat.
+func (s Schedule) FullyAlive(round, node int) bool {
+	c, ok := s[node]
+	if !ok {
+		return true
+	}
+	return round < c.Round
+}
+
+// Nodes returns the crashing node IDs in ascending order.
+func (s Schedule) Nodes() []int {
+	nodes := make([]int, 0, len(s))
+	for n := range s {
+		nodes = append(nodes, n)
+	}
+	sort.Ints(nodes)
+	return nodes
 }

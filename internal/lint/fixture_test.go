@@ -191,6 +191,88 @@ func Attach(x any) int {
 		},
 		rules: rules{noAssert: "fix/sim"},
 		open:  []string{"(d) sim/engine.go .(Observer)", "(d) sim/engine.go .(Stepper)"},
+	}, {
+		rule: "(e)",
+		src: map[string]string{
+			"lib/lib.go": `package lib
+
+import "fmt"
+
+// T carries one method of each kind.
+type T struct{ n int }
+
+// Runner is a role the module declares.
+type Runner interface{ Run() }
+
+// Outer promotes T's methods.
+type Outer struct{ T }
+
+func (t T) Used()              {}
+func (t T) Promoted()          {}
+func (t T) Dead() int          { return t.n }
+func (t T) String() string     { return fmt.Sprint(t.n) }
+func (t *T) Run()              { t.n++ }
+func (t T) Grow(int)           {}
+func (t T) Shown() int         { return 1 }
+func (t T) Unchecked() int     { return 2 }
+func (t T) Kept()              {}
+func (t T) Self(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return t.Self(k - 1)
+}
+
+// hidden is unexported, but its exported method is still checked.
+type hidden struct{}
+
+func (hidden) Exported() {}
+
+// Probe asserts to an interface literal.
+func Probe(x any) {
+	if g, ok := x.(interface{ Grow(int) }); ok {
+		g.Grow(1)
+	}
+}
+`,
+			"lib/lib_test.go": `package lib_test
+
+import (
+	"fmt"
+	"testing"
+
+	"fix/lib"
+)
+
+func ExampleT_Shown() {
+	fmt.Println(lib.T{}.Shown())
+	// Output: 1
+}
+
+func ExampleT_Unchecked() {
+	fmt.Println(lib.T{}.Unchecked())
+}
+
+func TestDead(t *testing.T) { lib.T{}.Dead() }
+`,
+			"cmd/main.go": `package main
+
+import "fix/lib"
+
+// Cmd's method is exempt: package main has no importers.
+type Cmd struct{}
+
+func (Cmd) Exported() {}
+
+func main() {
+	lib.T{}.Used()
+	lib.Outer{}.Promoted()
+	lib.Probe(lib.T{})
+}
+`,
+		},
+		allow: map[string]string{"(e) lib.T.Kept": "a test elsewhere needs it"},
+		open:  []string{"(e) lib.T.Dead", "(e) lib.T.Unchecked", "(e) lib.T.Self", "(e) lib.hidden.Exported"},
 	}}
 	for _, tc := range cases {
 		src := map[string][]byte{}

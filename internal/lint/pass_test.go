@@ -211,9 +211,10 @@ func (l *loader) ImportFrom(ip, dir string, mode types.ImportMode) (*types.Packa
 	return p.types, nil
 }
 
-// run applies all four rules and returns the findings in position order.
+// run applies all five rules and returns the findings in position order.
 func run(m *module, r rules) ([]finding, error) {
 	out := unused(m)
+	out = append(out, deadMethods(m)...)
 	out = append(out, clockReads(m)...)
 	words, err := wordFields(m, r.wireRoots)
 	if err != nil {
@@ -444,6 +445,172 @@ func checked(f *ast.File, fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
+}
+
+// deadMethods is rule (e): an exported method of a type outside package
+// main needs a use in non-test code, outside its own declaration; or a
+// place in the method set of an interface its type satisfies, where the
+// interface is declared or written in the module's non-test code, or
+// declared in a standard package the module imports; or a call by name
+// from a checked Example, whose file is parsed but not type-checked.
+func deadMethods(m *module) []finding {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	var order []*types.Func
+	var named []*types.Named
+	for _, p := range m.pkgs {
+		if p.types == nil || p.types.Name() == "main" {
+			continue
+		}
+		// types.Implements is unspecified for an uninstantiated generic
+		// type, so a generic type's methods need a use or an Example.
+		for _, name := range p.types.Scope().Names() {
+			if tn, ok := p.types.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if t, ok := tn.Type().(*types.Named); ok && t.TypeParams().Len() == 0 {
+					named = append(named, t)
+				}
+			}
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.IsExported() {
+					if fn, ok := p.info.Defs[fd.Name].(*types.Func); ok {
+						decls[fn] = fd
+						order = append(order, fn)
+					}
+				}
+			}
+		}
+	}
+	used := map[*types.Func]bool{}
+	for _, p := range m.pkgs {
+		if p.info == nil {
+			continue
+		}
+		for id, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				fn = fn.Origin()
+				if d := decls[fn]; d != nil && !within([]ast.Node{d}, id.Pos()) {
+					used[fn] = true
+				}
+			}
+		}
+	}
+	ifaces := interfaces(m)
+	for _, t := range named {
+		ptr := types.NewPointer(t)
+		ms := types.NewMethodSet(ptr)
+		for _, iface := range ifaces {
+			if !hasNames(ms, iface) || !types.Implements(ptr, iface) {
+				continue
+			}
+			for i := 0; i < iface.NumMethods(); i++ {
+				im := iface.Method(i)
+				if sel := ms.Lookup(im.Pkg(), im.Name()); sel != nil {
+					used[sel.Obj().(*types.Func).Origin()] = true
+				}
+			}
+		}
+	}
+	called := exampleCalls(m)
+	var out []finding
+	for _, fn := range order {
+		if used[fn] || called[fn.Name()] {
+			continue
+		}
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		out = append(out, finding{
+			key: "(e) " + fn.Pkg().Name() + "." + recv.(*types.Named).Obj().Name() + "." + fn.Name(),
+			pos: m.fset.Position(fn.Pos()),
+			msg: "exported method with no non-test caller, no interface it satisfies and no checked Example: delete it, move it into a _test.go file, or allowlist it for the tests that need it",
+		})
+	}
+	return out
+}
+
+// interfaces returns every interface with methods that rule (e) lets a
+// method satisfy: each interface type written in the module's non-test
+// code, named or literal, and each one declared at package level in a
+// standard package the module imports, directly or not, or in the
+// universe (error).
+func interfaces(m *module) []*types.Interface {
+	var out []*types.Interface
+	add := func(t types.Type) {
+		if it, ok := t.(*types.Interface); ok && it.NumMethods() > 0 {
+			out = append(out, it)
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var walk func(*types.Package)
+	walk = func(tp *types.Package) {
+		if seen[tp] {
+			return
+		}
+		seen[tp] = true
+		if !m.contains(tp.Path()) {
+			for _, name := range tp.Scope().Names() {
+				if tn, ok := tp.Scope().Lookup(name).(*types.TypeName); ok {
+					add(tn.Type().Underlying())
+				}
+			}
+		}
+		for _, imp := range tp.Imports() {
+			walk(imp)
+		}
+	}
+	add(types.Universe.Lookup("error").Type().Underlying())
+	for _, p := range m.pkgs {
+		if p.info == nil {
+			continue
+		}
+		walk(p.types)
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					add(p.info.Types[it].Type)
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// hasNames reports whether ms has a method of every name iface needs, a
+// cheap filter ahead of types.Implements.
+func hasNames(ms *types.MethodSet, iface *types.Interface) bool {
+	for i := 0; i < iface.NumMethods(); i++ {
+		im := iface.Method(i)
+		if ms.Lookup(im.Pkg(), im.Name()) == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// exampleCalls returns the names called as x.Name(…) in the body of any
+// checked Example in the module's test files.
+func exampleCalls(m *module) map[string]bool {
+	out := map[string]bool{}
+	for _, p := range m.pkgs {
+		for _, f := range p.tests {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") && checked(f, fd) {
+					ast.Inspect(fd.Body, func(n ast.Node) bool {
+						if call, ok := n.(*ast.CallExpr); ok {
+							if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+								out[sel.Sel.Name] = true
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // clockReads is rule (b): every call or reference to time.Now or

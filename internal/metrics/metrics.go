@@ -68,10 +68,13 @@ type RunSample struct {
 	Lost      int
 }
 
-// Sink receives metrics emissions. Implementations must be fast and
-// allocation-free on RoundDone (it sits next to the engines' zero-alloc
-// steady round) and safe for concurrent use when shared across batch
-// workers. A nil Sink everywhere means metrics are off and cost nothing.
+// Sink receives metrics emissions. RoundDone sits next to the engines'
+// zero-alloc steady round: the engine hands it a stack value, so a sink
+// that only aggregates, like Collector, keeps the round allocation-free
+// and must be safe for concurrent use when shared across batch workers.
+// A recording sink (SeriesSink, analysis.RangeSeries) grows a slice and
+// belongs to one sequential run. A nil Sink everywhere means metrics are
+// off and cost nothing.
 type Sink interface {
 	// RoundDone fires after every synchronous round.
 	RoundDone(RoundSample)

@@ -30,7 +30,7 @@ const SparseThreshold = 2048
 //   - receiver-major (inStart/inList): InCSR, InList and what is built
 //     on them (InNeighborsInto, InDegree, InBitsInto), and Len when
 //     neither view exists yet;
-//   - sender-major (outStart/outList): OutCSR, OutList, OutNeighbors,
+//   - sender-major (outStart/outList): OutList, OutNeighbors,
 //     OutDegree, Has, ForEachEdge (hence Equal and Edges), and Retain
 //     on a log that is not strictly ascending.
 //
@@ -103,20 +103,11 @@ func NewEdgeSetAuto(n int) *EdgeSet {
 // IsSparse reports whether the set uses the sparse CSR representation.
 func (e *EdgeSet) IsSparse() bool { return e.csr != nil }
 
-// OutCSR exposes the sender-major CSR view: starts has n+1 prefix
-// offsets and ids[starts[u]:starts[u+1]] lists u's receivers in
-// ascending order. Sparse mode only; the slices alias internal storage,
-// are valid until the next mutation, and must be treated as read-only.
-func (e *EdgeSet) OutCSR() (starts, ids []int32) {
-	c := e.mustSparse("OutCSR")
-	e.buildOut()
-	return c.outStart, c.outList
-}
-
 // InCSR exposes the receiver-major CSR view: ids[starts[v]:starts[v+1]]
 // lists v's senders in ascending order — the delivery core's gather
-// rows. Same aliasing rules as OutCSR. It never builds the sender-major
-// view.
+// rows. Sparse mode only; the slices alias internal storage, are valid
+// until the next mutation, and must be treated as read-only. It never
+// builds the sender-major view.
 func (e *EdgeSet) InCSR() (starts, ids []int32) {
 	c := e.mustSparse("InCSR")
 	e.buildIn()

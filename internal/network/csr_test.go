@@ -403,3 +403,13 @@ func TestLazyViewRebuildsAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// OutCSR exposes the sender-major CSR view: starts has n+1 prefix
+// offsets and ids[starts[u]:starts[u+1]] lists u's receivers in
+// ascending order. Sparse mode only; the slices alias internal storage,
+// are valid until the next mutation, and must be treated as read-only.
+func (e *EdgeSet) OutCSR() (starts, ids []int32) {
+	c := e.mustSparse("OutCSR")
+	e.buildOut()
+	return c.outStart, c.outList
+}

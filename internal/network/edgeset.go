@@ -372,32 +372,6 @@ func (e *EdgeSet) fillCompleteMatrix(m []uint64) {
 	}
 }
 
-// UnionWith merges other's links into e in place. Both sets must share
-// n; the representations may differ.
-func (e *EdgeSet) UnionWith(other *EdgeSet) {
-	if other.n != e.n {
-		panic(fmt.Sprintf("network: union of mismatched sizes %d and %d", e.n, other.n))
-	}
-	switch {
-	case e.csr != nil && other.csr != nil:
-		// The log admits duplicates (build dedups), so a union is an append.
-		e.csr.pairs = append(e.csr.pairs, other.csr.pairs...)
-		e.csr.built = 0
-	case e.csr != nil || other.csr != nil:
-		other.forEachEdge(func(u, v int) bool {
-			e.AddUnchecked(u, v)
-			return true
-		})
-	default:
-		for i, w := range other.out {
-			e.out[i] |= w
-		}
-		for i, w := range other.in {
-			e.in[i] |= w
-		}
-	}
-}
-
 // IntersectWith keeps only the links present in both sets, in place.
 func (e *EdgeSet) IntersectWith(other *EdgeSet) {
 	if other.n != e.n {

@@ -80,7 +80,8 @@ func RunLocal(sw *spec.Sweep, grid anondyn.Grid, path string, opts anondyn.Batch
 // file, noted by name. quiet drops the banner and the note; streamed
 // says a RowStream already wrote the target, so the document is not
 // written again. An HTML target charts each cell's convergence from one
-// extra sequential run of grid per cell.
+// extra sequential run of grid per cell (Grid.SeriesPerCell: a series
+// records one run, so it rides on none of the pooled ones).
 func Emit(doc *Sweep, grid anondyn.Grid, target Target, description, footer string, quiet, streamed bool) error {
 	if target.Format == FormatHTML {
 		var err error

@@ -8,6 +8,7 @@ import (
 
 	"anondyn"
 	"anondyn/examples/specs"
+	"anondyn/internal/metrics"
 	"anondyn/internal/spec"
 )
 
@@ -228,14 +229,15 @@ func TestGracefulLeaveMidSweep(t *testing.T) {
 
 // TestConcurrentSweepsIsolated: two sweeps submitted to one plane run
 // concurrently over the same fleet under round-robin dispatch; each
-// finishes with rows byte-identical to its own local run, and each
-// handle's collector carries only its own sweep's telemetry.
+// finishes with rows byte-identical to its own local run, and the
+// plane's collector keeps each sweep's shard telemetry apart.
 func TestConcurrentSweepsIsolated(t *testing.T) {
 	dataA, gridA, localA := localReference(t, 5)
 	dataB, gridB, localB := localReference(t, 3)
 
 	// Real listening workers, dial-out fleet: the one-shot topology.
-	cp, err := NewControlPlane(PlaneOptions{IOTimeout: 10 * time.Second, Log: t.Logf})
+	coll := metrics.NewCollector()
+	cp, err := NewControlPlane(PlaneOptions{IOTimeout: 10 * time.Second, Log: t.Logf, Metrics: coll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,30 +269,20 @@ func TestConcurrentSweepsIsolated(t *testing.T) {
 	assertParity(t, resA.Rows, localA)
 	assertParity(t, resB.Rows, localB)
 
-	// Per-sweep telemetry: each collector counted exactly its own runs,
-	// and its shard rows are tagged with its own sweep id.
-	snapA, snapB := hA.Metrics().Snapshot(), hB.Metrics().Snapshot()
-	if int(snapA.Runs) != gridA.Runs() {
-		t.Errorf("sweep A collector has %d runs, want %d", snapA.Runs, gridA.Runs())
+	// The plane's collector counted both sweeps' runs and keys every
+	// shard row by its sweep id, so neither sweep's rows clobber the
+	// other's (shard indices restart at 0 per sweep).
+	snap := coll.Snapshot()
+	if int(snap.Runs) != gridA.Runs()+gridB.Runs() {
+		t.Errorf("collector has %d runs, want %d + %d", snap.Runs, gridA.Runs(), gridB.Runs())
 	}
-	if int(snapB.Runs) != gridB.Runs() {
-		t.Errorf("sweep B collector has %d runs, want %d", snapB.Runs, gridB.Runs())
+	shards := map[int]int{}
+	for _, s := range snap.Shards {
+		shards[s.Sweep]++
 	}
-	for _, s := range snapA.Shards {
-		if s.Sweep != hA.ID() {
-			t.Errorf("sweep A collector carries shard telemetry of sweep %d", s.Sweep)
-		}
-	}
-	for _, s := range snapB.Shards {
-		if s.Sweep != hB.ID() {
-			t.Errorf("sweep B collector carries shard telemetry of sweep %d", s.Sweep)
-		}
-	}
-	if len(snapA.Shards) != len(resA.Shards) {
-		t.Errorf("sweep A telemetry covers %d shards, want %d", len(snapA.Shards), len(resA.Shards))
-	}
-	if len(snapB.Shards) != len(resB.Shards) {
-		t.Errorf("sweep B telemetry covers %d shards, want %d", len(snapB.Shards), len(resB.Shards))
+	if shards[hA.ID()] != len(resA.Shards) || shards[hB.ID()] != len(resB.Shards) || len(shards) != 2 {
+		t.Errorf("shard telemetry per sweep %v, want %d for sweep %d and %d for sweep %d",
+			shards, len(resA.Shards), hA.ID(), len(resB.Shards), hB.ID())
 	}
 	cp.Shutdown()
 }
@@ -312,7 +304,7 @@ func TestJoinBadTokenRejected(t *testing.T) {
 	} else if strings.Contains(err.Error(), "wrong") {
 		t.Errorf("rejection echoes the presented token: %v", err)
 	}
-	if n := cp.Workers(); n != 0 {
+	if n := cp.Snapshot().Workers; n != 0 {
 		t.Fatalf("rejected worker occupies a slot: %d live members", n)
 	}
 

@@ -35,8 +35,7 @@ type PlaneOptions struct {
 	// Log, when non-nil, receives progress lines (Printf-style).
 	Log func(format string, args ...any)
 	// Metrics, when non-nil, aggregates every sweep's live telemetry
-	// into one collector (per-shard rows keyed by sweep). Each sweep
-	// additionally gets its own collector regardless.
+	// into one collector (per-shard rows keyed by sweep).
 	Metrics *metrics.Collector
 }
 
@@ -123,8 +122,7 @@ type sweep struct {
 	requeues int
 	runsBy   map[string]int
 
-	merge   *streamMerge
-	metrics *metrics.Collector
+	merge *streamMerge
 
 	err  error
 	done chan struct{}
@@ -169,13 +167,6 @@ func (cp *ControlPlane) Addr() string {
 		return ""
 	}
 	return cp.ln.Addr().String()
-}
-
-// Workers returns the live member count.
-func (cp *ControlPlane) Workers() int {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.live
 }
 
 // Serve accepts joins and submissions until Shutdown or Close. Only
@@ -341,7 +332,6 @@ func (cp *ControlPlane) Submit(specData []byte, o SubmitOptions) (*SweepHandle, 
 		state:    transport.SweepQueued,
 		runsBy:   make(map[string]int),
 		merge:    newStreamMerge(cells, per, shards, o.OnRow),
-		metrics:  metrics.NewCollector(),
 		done:     make(chan struct{}),
 	}
 	for i := range sw.pending {
@@ -473,20 +463,16 @@ func (cp *ControlPlane) memberLoop(m *member) {
 				return nil
 			}
 			count++
-			sample := metrics.RunSample{Decided: r.Decided, Rounds: r.Rounds}
-			sw.metrics.RunDone(sample)
-			cp.opts.Metrics.RunDone(sample)
+			cp.opts.Metrics.RunDone(metrics.RunSample{Decided: r.Decided, Rounds: r.Rounds})
 			return nil
 		}, func(tm transport.ShardMetrics) {
-			st := metrics.ShardStat{
+			cp.opts.Metrics.ShardProgress(metrics.ShardStat{
 				Sweep:     sw.id,
 				Shard:     tm.Shard,
 				Runs:      tm.Runs,
 				Rounds:    tm.Rounds,
 				Delivered: tm.Delivered,
-			}
-			sw.metrics.ShardProgress(st)
-			cp.opts.Metrics.ShardProgress(st)
+			})
 		})
 		var shardErr *transport.ShardError
 		switch {
@@ -735,10 +721,6 @@ func (h *SweepHandle) Total() int { return h.sw.total }
 
 // Done is closed when the sweep finishes (either way).
 func (h *SweepHandle) Done() <-chan struct{} { return h.sw.done }
-
-// Metrics returns the sweep's own collector (always non-nil): run and
-// telemetry folds segregated from every other sweep on the plane.
-func (h *SweepHandle) Metrics() *metrics.Collector { return h.sw.metrics }
 
 // Status snapshots the sweep's progress. Done counts runs of committed
 // shards only — a shard that streamed and was lost counts zero until

@@ -41,79 +41,23 @@ type Observer interface {
 	OnDecide(node int, value float64, round int)
 }
 
-// RoundObserver is an optional extension of Observer: when the
-// configured Observer also implements it, the engine calls OnRoundEnd
-// after every round with the post-round state values of the nodes that
-// are still running (fault-free and not-yet-crashed; Byzantine indices
-// are absent). Used for round-resolution convergence curves (the F1
-// figure series).
-type RoundObserver interface {
-	// OnRoundEnd receives the round index and a dense view of the
-	// running nodes' values; the view's backing storage is reused
-	// across calls and must not be retained.
-	OnRoundEnd(round int, values RoundValues)
-}
-
-// RoundValues is the dense view OnRoundEnd receives: per-node values
-// plus a running mask, backed by engine-owned slices that are
-// overwritten every round. It replaces the map the hook used to get —
-// observers iterate in deterministic ascending node order with no
-// hashing on the engine's hot path. Callers needing a snapshot must
-// copy what they read before returning.
-type RoundValues struct {
-	values  []float64
-	running []bool
-}
-
-// N returns the network size the view spans.
-func (rv RoundValues) N() int { return len(rv.values) }
-
-// Len counts the running nodes in the view.
-func (rv RoundValues) Len() int {
-	count := 0
-	for _, r := range rv.running {
-		if r {
-			count++
-		}
-	}
-	return count
-}
-
-// Value returns node i's post-round value and whether the node is
-// running this round (false for crashed and Byzantine nodes).
-func (rv RoundValues) Value(i int) (float64, bool) {
-	if !rv.running[i] {
-		return 0, false
-	}
-	return rv.values[i], true
-}
-
-// Range calls fn for every running node in ascending node order.
-func (rv RoundValues) Range(fn func(node int, value float64)) {
-	for i, r := range rv.running {
-		if r {
-			fn(i, rv.values[i])
-		}
-	}
-}
-
 // Hooks is the single registration surface for everything that watches
 // an execution. Each field is independently optional and nil-safe: the
 // zero value observes nothing and costs nothing on the hot path.
 //
-// Dispatch is by optional interface: an Observer that also implements
-// RoundObserver additionally receives OnRoundEnd. The Metrics sink is
-// deliberately NOT part of the trackPhases gating — attaching it never
-// changes which code path the engine selects, so enabling metrics can
-// never perturb results (pinned by the parity property tests).
+// An Observer or a Recorder makes the delivery loop probe every
+// delivery for phase changes. The Metrics sink deliberately does not:
+// it taps the round from outside, so attaching it never changes which
+// code path the engine selects and can never perturb results (pinned by
+// the parity property tests). Per-round curves, such as the F1 range
+// series, are Metrics sinks for that reason.
 type Hooks struct {
-	// Observer receives phase/decide callbacks (and OnRoundEnd when it
-	// also implements RoundObserver).
+	// Observer receives phase/decide callbacks.
 	Observer Observer
 	// Recorder receives the execution event log.
 	Recorder *trace.Recorder
 	// Metrics receives one RoundSample per round, at the end of the
-	// round.
+	// round: its counters and the running nodes' count and value range.
 	Metrics metrics.Sink
 }
 

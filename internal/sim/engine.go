@@ -55,7 +55,6 @@ type Engine struct {
 	edges       *network.EdgeSet  // engine-owned E(t) for InPlace adversaries
 	inPlace     adversary.InPlace // non-nil when the adversary has the fast path
 	hooks       Hooks             // cfg.Hooks, cached
-	roundObs    RoundObserver     // the effective Observer's optional round hook, cached
 	needSize    bool              // any consumer of wire sizes configured
 	hasCap      bool              // cfg.MaxMessageBytes > 0: every link carries that budget
 
@@ -75,10 +74,6 @@ type Engine struct {
 	pruneDue  bool
 	runMask   linkMask
 	aheadMask linkMask
-
-	// dense RoundObserver scratch, reused across rounds
-	rvValues  []float64
-	rvRunning []bool
 
 	// lazy-view bookkeeping: viewSkip means nothing in this configuration
 	// ever reads the view's snapshots (oblivious adversary, no Byzantine
@@ -196,8 +191,6 @@ func (e *Engine) Reset(cfg Config) error {
 		e.deliveries = make([]core.Delivery, n)
 		e.inbuf = make([]int, 0, n)
 		e.crashSched = nil
-		e.rvValues = make([]float64, n)
-		e.rvRunning = make([]bool, n)
 		e.runMask, e.aheadMask = linkMask{}, linkMask{}
 		e.edges = nil
 		e.spare = nil
@@ -287,7 +280,6 @@ func (e *Engine) Reset(cfg Config) error {
 	// observers; a set built ahead can be pruned before that only when
 	// there are none.
 	e.pruneAhead = cfg.Hooks.Recorder == nil && !cfg.KeepTrace
-	e.roundObs, _ = e.hooks.Observer.(RoundObserver)
 	e.needSize = cfg.AccountBandwidth || cfg.MaxMessageBytes > 0
 	e.hasCap = cfg.MaxMessageBytes > 0
 
@@ -372,9 +364,6 @@ func (e *Engine) finish() *Result {
 
 // Round returns the number of rounds executed so far.
 func (e *Engine) Round() int { return e.round }
-
-// Proc exposes a node's Process for inspection (nil for Byzantine IDs).
-func (e *Engine) Proc(i int) core.Process { return e.cfg.Procs[i] }
 
 // roundEdges resolves E(t): the engine-owned scratch set for InPlace
 // adversaries — the spare set swapped in when a pipelined round already
@@ -567,11 +556,10 @@ func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 }
 
 // closeRound is the second half: fold the round's message counts into
-// the Result, feed the round-level observers, advance the clock.
+// the Result, feed the metrics sink, advance the clock.
 func (e *Engine) closeRound(t, delivered, lost int) {
 	e.result.MessagesDelivered += delivered
 	e.result.MessagesLost += lost
-	e.notifyRoundEnd(t)
 	if e.hooks.Metrics != nil {
 		e.emitRound(t, delivered, lost)
 	}
@@ -868,26 +856,6 @@ func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet) ([]core.Del
 		sortDeliveriesByPort(ds)
 	}
 	return ds, heard
-}
-
-// notifyRoundEnd feeds the optional RoundObserver extension through a
-// dense, engine-owned RoundValues view: no map rebuild, no hashing, no
-// allocation — the observer path is as allocation-stable as the rest of
-// the round loop.
-func (e *Engine) notifyRoundEnd(t int) {
-	if e.roundObs == nil {
-		return
-	}
-	for i, p := range e.cfg.Procs {
-		running := p != nil && t+1 <= e.crashRound[i]
-		e.rvRunning[i] = running
-		if running {
-			e.rvValues[i] = p.Value()
-		} else {
-			e.rvValues[i] = 0
-		}
-	}
-	e.roundObs.OnRoundEnd(t, RoundValues{values: e.rvValues, running: e.rvRunning})
 }
 
 // outgoing resolves the message sender u directs at receiver v in round

@@ -110,8 +110,8 @@ func TestEngineStepAPIs(t *testing.T) {
 	if eng.Round() != 3 || res.Rounds != 3 {
 		t.Errorf("Round = %d, res.Rounds = %d, want 3", eng.Round(), res.Rounds)
 	}
-	if eng.Proc(0) == nil || eng.Proc(0).Phase() != 3 {
-		t.Errorf("Proc(0) phase = %v, want 3 (one phase per complete round)", eng.Proc(0).Phase())
+	if p := cfg.Procs[0].Phase(); p != 3 {
+		t.Errorf("node 0 phase = %d, want 3 (one phase per complete round)", p)
 	}
 	// Run continues from where stepping left off.
 	final := eng.Run()

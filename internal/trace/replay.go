@@ -65,9 +65,6 @@ var (
 	_ adversary.Oblivious = (*Replay)(nil)
 )
 
-// Rounds reports how many rounds were recorded.
-func (r *Replay) Rounds() int { return len(r.sets) }
-
 // Trace exposes the recorded edge sets as a network.Trace for offline
 // analysis (dynaDegree checking of a finished run).
 func (r *Replay) Trace() network.Trace {

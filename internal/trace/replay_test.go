@@ -34,8 +34,8 @@ func TestReplayEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Rounds() != 2 {
-		t.Fatalf("Rounds = %d, want 2", r.Rounds())
+	if got := len(r.Trace()); got != 2 {
+		t.Fatalf("%d rounds replayed, want 2", got)
 	}
 	e0 := r.Edges(0, adversary.SizeView(3))
 	if !e0.Has(0, 1) || e0.Len() != 1 {

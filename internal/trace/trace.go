@@ -62,17 +62,6 @@ func (r *Recorder) Events() []Event { return r.events }
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int { return len(r.events) }
 
-// RoundEvents extracts just the per-round edge sets, in round order.
-func (r *Recorder) RoundEvents() []Event {
-	var rounds []Event
-	for _, e := range r.events {
-		if e.Kind == KindRound {
-			rounds = append(rounds, e)
-		}
-	}
-	return rounds
-}
-
 // Describe renders a compact human-readable form of an event.
 func Describe(e Event) string {
 	switch e.Kind {

@@ -90,3 +90,14 @@ func TestDescribeCoversKinds(t *testing.T) {
 		t.Errorf("unknown kind description %q", s)
 	}
 }
+
+// RoundEvents extracts just the per-round edge sets, in round order.
+func (r *Recorder) RoundEvents() []Event {
+	var rounds []Event
+	for _, e := range r.events {
+		if e.Kind == KindRound {
+			rounds = append(rounds, e)
+		}
+	}
+	return rounds
+}

@@ -7,6 +7,7 @@ import (
 
 	"anondyn/internal/baseline"
 	"anondyn/internal/core"
+	"anondyn/internal/metrics"
 	"anondyn/internal/network"
 	"anondyn/internal/rng"
 	"anondyn/internal/sim"
@@ -89,7 +90,8 @@ type Scenario struct {
 	Tracker *PhaseTracker
 	// Series, when non-nil, records the per-round range of running
 	// nodes' values — the round-resolution convergence curve (figure
-	// F1).
+	// F1). It joins Metrics as a second sink, so like Metrics it never
+	// changes results or engine code paths.
 	Series *RangeSeries
 	// Recorder, when non-nil, captures the execution event log.
 	Recorder *Recorder
@@ -157,6 +159,12 @@ func (box *engineBox) run(s Scenario) (*Result, error) {
 	if f == 0 {
 		f = len(s.Byzantine) + len(s.Crashes) // pass validation for f-unset scenarios
 	}
+	// The series is a metrics sink: it taps the round without changing
+	// the delivery path (guarded, so that a typed-nil series is no sink).
+	sink := s.Metrics
+	if s.Series != nil {
+		sink = metrics.Tee(s.Series, s.Metrics)
+	}
 	cfg := sim.Config{
 		N:         s.N,
 		F:         f,
@@ -169,7 +177,7 @@ func (box *engineBox) run(s Scenario) (*Result, error) {
 		Hooks: sim.Hooks{
 			Observer: s.observer(),
 			Recorder: s.Recorder,
-			Metrics:  s.Metrics,
+			Metrics:  sink,
 		},
 		KeepTrace:        s.KeepTrace,
 		AccountBandwidth: s.AccountBandwidth,
@@ -324,23 +332,13 @@ func (s Scenario) ports() network.Ports {
 	return network.RandomPorts(s.N, rand.New(rng.New(s.Seed)))
 }
 
-// observer folds the optional collectors into one engine Observer.
+// observer returns the engine Observer: the Tracker, or nil (never a
+// typed-nil interface, which would turn on the per-delivery probes).
 func (s Scenario) observer() sim.Observer {
-	var observers []sim.Observer
-	if s.Tracker != nil {
-		observers = append(observers, s.Tracker)
+	if s.Tracker == nil {
+		return nil
 	}
-	if s.Series != nil {
-		observers = append(observers, s.Series)
-	}
-	switch len(observers) {
-	case 0:
-		return nil // leave nil (avoid a typed-nil Observer interface)
-	case 1:
-		return observers[0]
-	default:
-		return multiObserver(observers)
-	}
+	return s.Tracker
 }
 
 // newDACs builds a DAC-family run's nodes as one population (see
@@ -432,30 +430,6 @@ func (s Scenario) pEndDBAC() int {
 		return s.PEndOverride
 	}
 	return core.PEndDBAC(s.Eps, s.N)
-}
-
-// multiObserver fans engine callbacks out to several observers,
-// forwarding the optional round hook to those that implement it.
-type multiObserver []sim.Observer
-
-func (m multiObserver) OnPhaseEnter(node, from, to int, value float64, round int) {
-	for _, o := range m {
-		o.OnPhaseEnter(node, from, to, value, round)
-	}
-}
-
-func (m multiObserver) OnDecide(node int, value float64, round int) {
-	for _, o := range m {
-		o.OnDecide(node, value, round)
-	}
-}
-
-func (m multiObserver) OnRoundEnd(round int, values sim.RoundValues) {
-	for _, o := range m {
-		if ro, ok := o.(sim.RoundObserver); ok {
-			ro.OnRoundEnd(round, values)
-		}
-	}
 }
 
 // SpreadInputs returns n inputs evenly spread over [0,1]: 0, 1/(n−1), …,

@@ -280,11 +280,10 @@ func (w *poolWorker) adversary(c Cell, i int, seed int64) Adversary {
 // RangeSeries attached and returns each cell's per-round convergence
 // curve (range after each round), in Cells() order — the data behind
 // the HTML report's per-cell charts. It is a separate sequential pass
-// so the sweep's own Monte-Carlo runs stay observer-free: an Observer
-// forces one DeliverAll call per message with phase probes, where
-// observer-free runs keep the one-call DeliverAll fold. One extra run
-// per cell is cheap next to SeedsPerCell runs. Any Series a Mutate hook installs is replaced for
-// this pass.
+// because a RangeSeries records one run and is not safe for concurrent
+// use, while the sweep's pooled runs share their sinks. One extra run
+// per cell is cheap next to SeedsPerCell runs. Any Series a Mutate hook
+// installs is replaced for this pass.
 func (g Grid) SeriesPerCell() ([][]float64, error) {
 	cells := g.Cells()
 	per := g.SeedsPerCell
