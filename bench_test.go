@@ -198,6 +198,36 @@ func steadyEngine(tb testing.TB, n int, adv anondyn.Adversary, opts ...func(*sim
 	return eng
 }
 
+// steadyPopulation is steadyEngine with the nodes built as one
+// core.NewDACPopulation network and driven through core.PopulationOf,
+// as Scenario drives a DAC run: on a clean CSR round each receiver's
+// in-row goes to the population as it stands.
+func steadyPopulation(tb testing.TB, n int, adv anondyn.Adversary, opts ...func(*sim.Config)) *sim.Engine {
+	tb.Helper()
+	inputs := make([]float64, n)
+	for i := range inputs {
+		inputs[i] = float64(i) / float64(n-1)
+	}
+	dacs, err := core.NewDACPopulation(1<<20, core.CrashQuorum(n), false, func(i int) int { return i }, inputs, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	procs := make([]core.Process, n)
+	for i := range procs {
+		procs[i] = &dacs[i]
+	}
+	cfg := sim.Config{N: n, Procs: procs, Adversary: adv, MaxRounds: 1 << 30}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	eng := new(sim.Engine)
+	if err := eng.ResetPopulation(cfg, core.PopulationOf(dacs)); err != nil {
+		tb.Fatal(err)
+	}
+	eng.RunRounds(32) // warm the delivery scratch
+	return eng
+}
+
 // byzMiddle turns a steady config into the Byzantine sweep's shape:
 // never-deciding DBAC processes and f Byzantine nodes placed `middle`
 // (IDs n/2 … n/2+f−1, where the spec layer puts them), each running the
@@ -289,6 +319,37 @@ func TestSteadyRoundAllocBudget(t *testing.T) {
 			t.Errorf("steady-state auto-CSR round allocated %g times per round, want 0", avg)
 		}
 	})
+	// The population path holds it too: CSR rows delivered straight off
+	// the in-row (forced below the threshold, automatic past it, and on
+	// pruned crash rounds), and the dense direct gather.
+	for name, mk := range map[string]func(tb testing.TB) *sim.Engine{
+		"population/complete/n=9": func(tb testing.TB) *sim.Engine { return steadyPopulation(tb, 9, anondyn.Complete()) },
+		"population/er2/n=1025/csr": func(tb testing.TB) *sim.Engine {
+			return steadyPopulation(tb, 1025, anondyn.SparseProbabilistic(8.0/1025, 1),
+				func(cfg *sim.Config) { cfg.ForceCSR = true })
+		},
+		"population/er2/n=4097": func(tb testing.TB) *sim.Engine {
+			return steadyPopulation(tb, 4097, anondyn.SparseProbabilistic(8.0/4097, 1))
+		},
+		"population/d4/n=4097": func(tb testing.TB) *sim.Engine { return steadyPopulation(tb, 4097, anondyn.Rotating(4)) },
+		"population/er2/n=1025/csr/crash": func(tb testing.TB) *sim.Engine {
+			return steadyPopulation(tb, 1025, anondyn.SparseProbabilistic(8.0/1025, 1), func(cfg *sim.Config) {
+				cfg.ForceCSR = true
+				cfg.Crashes = map[int]anondyn.Crash{}
+				for k := 0; k < 256; k++ {
+					cfg.Crashes[4*k] = anondyn.CrashSilent(40 + k%4*10)
+				}
+				cfg.F = len(cfg.Crashes)
+			})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng := mk(t)
+			if avg := testing.AllocsPerRun(50, eng.Step); avg != 0 {
+				t.Errorf("steady-state population round allocated %g times per round, want 0", avg)
+			}
+		})
+	}
 	// Crash rounds take the direct gather and count their lost messages
 	// in it, allocation-free: a clean and a partial crash inside the
 	// measured window on the dense set, and silent crashes in waves on
@@ -467,17 +528,22 @@ func TestSteadyRoundAllocBudgetMetrics(t *testing.T) {
 			t.Errorf("collector saw nothing: rounds=%d delivered=%d", snap.Rounds, snap.Delivered)
 		}
 	})
-	t.Run("er2/n=1025/csr", func(t *testing.T) {
-		coll := metrics.NewCollector()
-		eng := steadyEngine(t, 1025, anondyn.SparseProbabilistic(8.0/1025, 1),
-			func(cfg *sim.Config) { cfg.ForceCSR = true }, attach(coll))
-		if avg := testing.AllocsPerRun(50, eng.Step); avg != 0 {
-			t.Errorf("metrics-enabled round allocated %g times per round, want 0", avg)
-		}
-		if snap := coll.Snapshot(); snap.Rounds == 0 || snap.Delivered == 0 {
-			t.Errorf("collector saw nothing: rounds=%d delivered=%d", snap.Rounds, snap.Delivered)
-		}
-	})
+	for name, build := range map[string]func(testing.TB, int, anondyn.Adversary, ...func(*sim.Config)) *sim.Engine{
+		"er2/n=1025/csr":            steadyEngine,
+		"population/er2/n=1025/csr": steadyPopulation,
+	} {
+		t.Run(name, func(t *testing.T) {
+			coll := metrics.NewCollector()
+			eng := build(t, 1025, anondyn.SparseProbabilistic(8.0/1025, 1),
+				func(cfg *sim.Config) { cfg.ForceCSR = true }, attach(coll))
+			if avg := testing.AllocsPerRun(50, eng.Step); avg != 0 {
+				t.Errorf("metrics-enabled round allocated %g times per round, want 0", avg)
+			}
+			if snap := coll.Snapshot(); snap.Rounds == 0 || snap.Delivered == 0 {
+				t.Errorf("collector saw nothing: rounds=%d delivered=%d", snap.Rounds, snap.Delivered)
+			}
+		})
+	}
 }
 
 // BenchmarkEngineSteadyRound measures one steady-state round in

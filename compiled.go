@@ -35,7 +35,7 @@ func (s Scenario) Compile() (*CompiledScenario, error) {
 		return nil, err
 	}
 	c := &CompiledScenario{s: s}
-	if _, err := c.box.procsFor(s, s.ports()); err != nil {
+	if _, _, err := c.box.procsFor(s, s.ports()); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -8,10 +8,12 @@ import "anondyn/internal/core"
 func (c *CompiledScenario) ProcsFor(seed int64) ([]core.Process, error) {
 	s := c.s
 	s.Seed = seed
-	return c.box.procsFor(s, s.ports())
+	procs, _, err := c.box.procsFor(s, s.ports())
+	return procs, err
 }
 
 // BuildProcs builds s's processes in a fresh engine box.
 func BuildProcs(s Scenario) ([]core.Process, error) {
-	return (&engineBox{}).procsFor(s, s.ports())
+	procs, _, err := (&engineBox{}).procsFor(s, s.ports())
+	return procs, err
 }

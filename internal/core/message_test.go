@@ -12,12 +12,15 @@ func TestMessageString(t *testing.T) {
 	}
 }
 
+// snapOf is p's Snapshot, taken through a one-node PerNode population.
+func snapOf(p Process) Snapshot { return Snap(PerNode([]Process{p}), 0) }
+
 func TestSnap(t *testing.T) {
 	d, err := NewDACPhases(5, 0, 2, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := Snap(d)
+	snap := snapOf(d)
 	if snap.Phase != 0 || snap.Value != 0.5 || snap.Decided {
 		t.Errorf("snap = %+v", snap)
 	}
@@ -26,7 +29,7 @@ func TestSnap(t *testing.T) {
 	deliver(d, 2, 0.5, 0)
 	deliver(d, 1, 0.5, 1)
 	deliver(d, 2, 0.5, 1)
-	snap = Snap(d)
+	snap = snapOf(d)
 	if snap.Phase != 2 || !snap.Decided {
 		t.Errorf("snap after deciding = %+v", snap)
 	}

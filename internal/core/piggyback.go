@@ -108,12 +108,9 @@ func (pb *DBACPiggyback) Broadcast() Message {
 	return m
 }
 
-// Deliver is DeliverAll for one message, preferring the same-phase
-// piggybacked entry.
-func (pb *DBACPiggyback) Deliver(dl Delivery) { pb.deliver(dl.Port, &dl.Msg) }
-
-// deliver is the body of Deliver; the message stays where the caller
-// holds it (DeliverAll passes the slice element).
+// deliver is DeliverAll's body for one message, preferring the
+// same-phase piggybacked entry; the message stays where the caller holds
+// it (DeliverAll passes the slice element).
 func (pb *DBACPiggyback) deliver(port int, m *Message) {
 	p := pb.inner.p
 	if m.Phase > p && !pb.inner.r[port] {

@@ -4,6 +4,10 @@ import (
 	"testing"
 )
 
+// Deliver is DeliverAll for one message: the per-message reference the
+// fold-equivalence tests compare DeliverAll against.
+func (pb *DBACPiggyback) Deliver(dl Delivery) { pb.deliver(dl.Port, &dl.Msg) }
+
 func TestPiggybackValidation(t *testing.T) {
 	if _, err := NewDBACPiggyback(6, 1, 0, -1, 0.5, 0.1); err == nil {
 		t.Error("negative window accepted")

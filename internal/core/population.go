@@ -1,0 +1,143 @@
+package core
+
+// Population is the engine's process role: the state machines of every
+// non-Byzantine node of one execution, addressed by node ID. The engine
+// drives it with Process's synchronous-round protocol, node by node:
+//
+//  1. Broadcast(i) once at the top of the round, for every node i that
+//     sends in it;
+//  2. for every receiver v, DeliverRow(v, …) once or DeliverAll(v, …)
+//     any number of times, then EndRound(v).
+//
+// Self-delivery is never routed through it, as for Process. The engine
+// never addresses a Byzantine node's ID.
+//
+// PerNode adapts any []Process; PopulationOf runs a DAC network built
+// by NewDACPopulation without a dynamic call per node and reads each
+// receiver's senders off a compact copy of their broadcasts.
+type Population interface {
+	// Broadcast returns the message ⟨v, p⟩ node i sends this round.
+	Broadcast(i int) Message
+
+	// DeliverRow delivers receiver v's whole round when row lists its
+	// in-neighbours in ascending ID order, each sender's ID is its port
+	// at v (the identity numbering), and every one of them delivers its
+	// broadcast of this round, msgs[u]. It is DeliverAll(v, ds) with
+	// ds[k] = Delivery{Port: row[k], Msg: msgs[row[k]]}; a population
+	// may read what its own Broadcast returned instead of msgs.
+	DeliverRow(v int, row []int32, msgs []Message)
+
+	// DeliverAll is Process.DeliverAll for node v.
+	DeliverAll(v int, ds []Delivery)
+
+	// EndRound is Process.EndRound for node v.
+	EndRound(v int)
+
+	// Output, Phase, Value and Reinit are node i's Process methods.
+	Output(i int) (float64, bool)
+	Phase(i int) int
+	Value(i int) float64
+	Reinit(i int, input float64)
+}
+
+// PerNode is the Population of per-node processes, indexed by node ID
+// (nil at Byzantine IDs): every call goes to the node's own Process, and
+// DeliverRow fills a Delivery slice for one DeliverAll call.
+func PerNode(procs []Process) Population { return &perNode{procs: procs} }
+
+type perNode struct {
+	procs []Process
+	ds    []Delivery // DeliverRow's fill, n entries once used
+}
+
+func (a *perNode) Broadcast(i int) Message { return a.procs[i].Broadcast() }
+
+func (a *perNode) DeliverRow(v int, row []int32, msgs []Message) {
+	if a.ds == nil {
+		a.ds = make([]Delivery, len(a.procs)) // a row has at most n−1 entries
+	}
+	ds := a.ds[:len(row)]
+	for k, u := range row {
+		d := &ds[k]
+		d.Port = int(u)
+		d.Msg = msgs[u]
+	}
+	a.procs[v].DeliverAll(ds)
+}
+
+func (a *perNode) DeliverAll(v int, ds []Delivery) { a.procs[v].DeliverAll(ds) }
+func (a *perNode) EndRound(v int)                  { a.procs[v].EndRound() }
+func (a *perNode) Output(i int) (float64, bool)    { return a.procs[i].Output() }
+func (a *perNode) Phase(i int) int                 { return a.procs[i].Phase() }
+func (a *perNode) Value(i int) float64             { return a.procs[i].Value() }
+func (a *perNode) Reinit(i int, input float64)     { a.procs[i].Reinit(input) }
+
+// PopulationOf is the Population of the DAC nodes ds, as
+// NewDACPopulation builds them (zero at the slots it skipped, which the
+// engine never addresses). Broadcast also copies the sender's ⟨v, p⟩
+// into a 16-byte-a-node start-of-round table, which DeliverRow reads
+// instead of the 40-byte Messages; every other call is a static call on
+// the node.
+func PopulationOf(ds []DAC) Population {
+	return &dacPopulation{ds: ds, sent: make([]vp, len(ds))}
+}
+
+type dacPopulation struct {
+	ds   []DAC
+	sent []vp // each sender's ⟨v, p⟩ at the start of the round, written by Broadcast
+}
+
+// vp is one broadcast as Algorithm 1 reads it.
+type vp struct {
+	v float64
+	p int
+}
+
+func (pop *dacPopulation) Broadcast(i int) Message {
+	d := &pop.ds[i]
+	pop.sent[i] = vp{d.v, d.p}
+	return Message{Value: d.v, Phase: d.p}
+}
+
+// DeliverRow is DAC.DeliverAll over the row, reading each sender's
+// broadcast from the start-of-round table: the same fold, with the
+// same-phase case inline and jumps, stale messages and the ablation
+// through deliver.
+func (pop *dacPopulation) DeliverRow(v int, row []int32, _ []Message) {
+	d, sent := &pop.ds[v], pop.sent
+	for _, u := range row {
+		m := &sent[u]
+		port := int(u)
+		if m.p != d.p {
+			d.deliver(port, m.v, m.p)
+			continue
+		}
+		if d.ne < d.logCap && d.nr+1 < d.quorum { // hear, inlined
+			if !d.extend(port) {
+				d.closeRun()
+				d.putPort(port)
+			}
+			d.nr++
+			d.store(m.v)
+		} else {
+			if d.logging {
+				d.materialize()
+			}
+			if d.mark(port) {
+				d.nr++
+				d.store(m.v)
+			}
+		}
+		if d.p < d.pEnd && d.nr >= d.quorum {
+			d.advance()
+			d.maybeDecide()
+		}
+	}
+}
+
+func (pop *dacPopulation) DeliverAll(v int, ds []Delivery) { pop.ds[v].DeliverAll(ds) }
+func (pop *dacPopulation) EndRound(int)                    {}
+func (pop *dacPopulation) Output(i int) (float64, bool)    { return pop.ds[i].Output() }
+func (pop *dacPopulation) Phase(i int) int                 { return pop.ds[i].p }
+func (pop *dacPopulation) Value(i int) float64             { return pop.ds[i].v }
+func (pop *dacPopulation) Reinit(i int, input float64)     { pop.ds[i].Reinit(input) }

@@ -110,8 +110,8 @@ func TestDACPopulationMatchesPerNodeProperty(t *testing.T) {
 					t.Helper()
 					for _, i := range live {
 						a, b := &pop[i], alone[i]
-						if Snap(a) != Snap(b) {
-							t.Fatalf("n=%d %s trial %d %s: node %d: %+v, alone %+v", n, v.name, trial, step, i, Snap(a), Snap(b))
+						if snapOf(a) != snapOf(b) {
+							t.Fatalf("n=%d %s trial %d %s: node %d: %+v, alone %+v", n, v.name, trial, step, i, snapOf(a), snapOf(b))
 						}
 						if !reflect.DeepEqual(canonical(a), canonical(b)) {
 							t.Fatalf("n=%d %s trial %d %s: node %d state diverged\npop   %+v\nalone %+v", n, v.name, trial, step, i,

@@ -49,9 +49,9 @@ func honestValue(port, phase int) float64 {
 // Snap, the phase extremes and R as a set of ports.
 func sameDAC(t *testing.T, a, b *DAC, format string, args ...any) {
 	t.Helper()
-	if Snap(a) != Snap(b) || a.vmin != b.vmin || a.vmax != b.vmax {
+	if snapOf(a) != snapOf(b) || a.vmin != b.vmin || a.vmax != b.vmax {
 		t.Fatalf(format+": %+v [%g,%g], alone %+v [%g,%g]", append(args,
-			Snap(a), a.vmin, a.vmax, Snap(b), b.vmin, b.vmax)...)
+			snapOf(a), a.vmin, a.vmax, snapOf(b), b.vmin, b.vmax)...)
 	}
 	if ra, rb := rPorts(a), rPorts(b); !slices.Equal(ra, rb) {
 		t.Fatalf(format+": R %v, alone %v", append(args, ra, rb)...)

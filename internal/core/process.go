@@ -2,7 +2,8 @@ package core
 
 // Process is the deterministic state machine a fault-free (or
 // crash-faulty, until it crashes) node runs. The simulation engine drives
-// it with the synchronous-round protocol of §II-A:
+// a network's processes through a Population (PerNode adapts any
+// []Process) with the synchronous-round protocol of §II-A:
 //
 //  1. Broadcast() is called once at the top of each round; the returned
 //     message is handed to the message adversary for delivery.
@@ -74,8 +75,8 @@ type Snapshot struct {
 	Byzantine bool
 }
 
-// Snap captures a Snapshot from any Process.
-func Snap(p Process) Snapshot {
-	_, decided := p.Output()
-	return Snapshot{Phase: p.Phase(), Value: p.Value(), Decided: decided}
+// Snap captures node i's Snapshot from its population.
+func Snap(pop Population, i int) Snapshot {
+	_, decided := pop.Output(i)
+	return Snapshot{Phase: pop.Phase(i), Value: pop.Value(i), Decided: decided}
 }

@@ -21,7 +21,7 @@ func driveSequence(p Process) []Snapshot {
 		p.Broadcast()
 		for i := range msgs {
 			p.DeliverAll(msgs[i : i+1])
-			out = append(out, Snap(p))
+			out = append(out, snapOf(p))
 		}
 		p.EndRound()
 	}

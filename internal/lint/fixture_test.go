@@ -223,6 +223,13 @@ func (t T) Self(k int) int {
 	return t.Self(k - 1)
 }
 
+// Other has a method named like one an Example calls on T, and one
+// only an in-package Example calls.
+type Other struct{}
+
+func (Other) Shown() int { return 3 }
+func (Other) Inner() int { return 4 }
+
 // hidden is unexported, but its exported method is still checked.
 type hidden struct{}
 
@@ -255,6 +262,15 @@ func ExampleT_Unchecked() {
 
 func TestDead(t *testing.T) { lib.T{}.Dead() }
 `,
+			"lib/inner_test.go": `package lib
+
+import "fmt"
+
+func ExampleOther_Inner() {
+	fmt.Println(Other{}.Inner())
+	// Output: 4
+}
+`,
 			"cmd/main.go": `package main
 
 import "fix/lib"
@@ -272,7 +288,7 @@ func main() {
 `,
 		},
 		allow: map[string]string{"(e) lib.T.Kept": "a test elsewhere needs it"},
-		open:  []string{"(e) lib.T.Dead", "(e) lib.T.Unchecked", "(e) lib.T.Self", "(e) lib.hidden.Exported"},
+		open:  []string{"(e) lib.T.Dead", "(e) lib.T.Unchecked", "(e) lib.T.Self", "(e) lib.Other.Shown", "(e) lib.hidden.Exported"},
 	}}
 	for _, tc := range cases {
 		src := map[string][]byte{}

@@ -1,6 +1,7 @@
 // Package lint holds a static pass over the whole module, run by go test.
 // It parses and type-checks every non-test package with go/parser and
-// go/types, reading the standard library from source, so it needs no
+// go/types, and the test files of each package that holds a checked
+// Example, reading the standard library from source, so it needs no
 // tool beyond the Go distribution. cmd/, examples/ and benchmark/ are
 // checked too, and count as callers. Five rules:
 //
@@ -14,7 +15,8 @@
 //	(e) an exported method of a type outside package main has a use in
 //	    non-test code, satisfies an interface the module declares or
 //	    writes or a standard package it imports declares, or is called
-//	    from a checked Example.
+//	    from a checked Example (the call as the type checker resolves it,
+//	    so a method of the same name on another type is not credited).
 //
 // Every exception is an allowlist entry with a one-line reason, and an
 // entry that names nothing fails the pass. The package has only _test.go

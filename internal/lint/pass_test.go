@@ -13,6 +13,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,14 +21,15 @@ import (
 )
 
 // A pkg is one directory of the module: its non-test files type-checked
-// as a package, its _test.go files only parsed (examples are read off
-// their syntax).
+// as a package, its _test.go files parsed and, when they hold a checked
+// Example, type-checked too, so that an Example's calls resolve.
 type pkg struct {
 	path  string // import path
 	files []*ast.File
 	tests []*ast.File
 	types *types.Package // nil for a directory with only _test.go files
 	info  *types.Info
+	tinfo *types.Info // the test files' uses; nil unless they hold a checked Example
 }
 
 // A module is every package of one Go module, type-checked from source.
@@ -156,6 +158,11 @@ func load(modPath string, src map[string][]byte) (*module, error) {
 			}
 		}
 	}
+	for _, p := range l.m.pkgs {
+		if err := l.checkTests(p); err != nil {
+			return nil, err
+		}
+	}
 	return l.m, nil
 }
 
@@ -192,6 +199,58 @@ func (l *loader) check(p *pkg) error {
 		return fmt.Errorf("type-checking %s: %w", p.path, errors.Join(errs...))
 	}
 	p.types, p.info = tp, info
+	return nil
+}
+
+// checkTests type-checks p's test files if any holds a checked Example,
+// as go test builds them: the in-package ones together with p's own
+// files, the external ones as a package that imports the module's. The
+// external files see p without its in-package test files, so a helper
+// an export_test.go file adds does not resolve there; such errors are
+// ignored, as only the Examples' calls are read, but an error inside a
+// checked Example fails the load.
+func (l *loader) checkTests(p *pkg) error {
+	var inner, outer []*ast.File
+	var bodies []ast.Node
+	for _, f := range p.tests {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && isExample(f, fd) {
+				bodies = append(bodies, fd.Body)
+			}
+		}
+		if len(p.files) > 0 && strings.HasSuffix(f.Name.Name, "_test") {
+			outer = append(outer, f)
+		} else {
+			inner = append(inner, f)
+		}
+	}
+	if len(bodies) == 0 {
+		return nil
+	}
+	p.tinfo = &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	var errs []error
+	conf := types.Config{
+		Importer: l,
+		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
+		Error: func(err error) {
+			if te, ok := err.(types.Error); ok && within(bodies, te.Pos) {
+				errs = append(errs, err)
+			}
+		},
+	}
+	if len(inner) > 0 {
+		conf.Check(p.path, l.m.fset, append(slices.Clip(p.files), inner...), p.tinfo) //nolint:errcheck // reported through conf.Error
+	}
+	if len(outer) > 0 {
+		conf.Check(p.path+"_test", l.m.fset, outer, p.tinfo) //nolint:errcheck // reported through conf.Error
+	}
+	if len(errs) > 0 {
+		return fmt.Errorf("type-checking the examples of %s: %w", p.path, errors.Join(errs...))
+	}
 	return nil
 }
 
@@ -423,13 +482,18 @@ func exampled(m *module) map[types.Object]bool {
 				return true
 			}
 			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") && checked(f, fd) {
+				if fd, ok := d.(*ast.FuncDecl); ok && isExample(f, fd) {
 					ast.Inspect(fd.Body, visit)
 				}
 			}
 		}
 	}
 	return out
+}
+
+// isExample reports whether fd is a checked Example function.
+func isExample(f *ast.File, fd *ast.FuncDecl) bool {
+	return fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") && checked(f, fd)
 }
 
 // checked reports whether an example function carries an output comment,
@@ -451,8 +515,8 @@ func checked(f *ast.File, fd *ast.FuncDecl) bool {
 // main needs a use in non-test code, outside its own declaration; or a
 // place in the method set of an interface its type satisfies, where the
 // interface is declared or written in the module's non-test code, or
-// declared in a standard package the module imports; or a call by name
-// from a checked Example, whose file is parsed but not type-checked.
+// declared in a standard package the module imports; or a call from a
+// checked Example that resolves to it.
 func deadMethods(m *module) []finding {
 	decls := map[*types.Func]*ast.FuncDecl{}
 	var order []*types.Func
@@ -514,7 +578,7 @@ func deadMethods(m *module) []finding {
 	called := exampleCalls(m)
 	var out []finding
 	for _, fn := range order {
-		if used[fn] || called[fn.Name()] {
+		if used[fn] || called[fn.Pos()] {
 			continue
 		}
 		recv := fn.Type().(*types.Signature).Recv().Type()
@@ -590,18 +654,26 @@ func hasNames(ms *types.MethodSet, iface *types.Interface) bool {
 	return true
 }
 
-// exampleCalls returns the names called as x.Name(…) in the body of any
-// checked Example in the module's test files.
-func exampleCalls(m *module) map[string]bool {
-	out := map[string]bool{}
+// exampleCalls returns the declaration positions of the methods called
+// as x.Name(…) in the body of any checked Example in the module's test
+// files, as the type-checked tests resolve each call. A test package
+// checked with its own package's files makes new objects for them, so a
+// method is matched by where it is declared, not by object.
+func exampleCalls(m *module) map[token.Pos]bool {
+	out := map[token.Pos]bool{}
 	for _, p := range m.pkgs {
+		if p.tinfo == nil {
+			continue
+		}
 		for _, f := range p.tests {
 			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") && checked(f, fd) {
+				if fd, ok := d.(*ast.FuncDecl); ok && isExample(f, fd) {
 					ast.Inspect(fd.Body, func(n ast.Node) bool {
 						if call, ok := n.(*ast.CallExpr); ok {
 							if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-								out[sel.Sel.Name] = true
+								if fn, ok := p.tinfo.Uses[sel.Sel].(*types.Func); ok {
+									out[fn.Origin().Pos()] = true
+								}
 							}
 						}
 						return true

@@ -70,7 +70,8 @@ type Config struct {
 
 	// Procs holds the state machine of every non-Byzantine node,
 	// indexed by node ID. Entries at Byzantine indices must be nil and
-	// vice versa.
+	// vice versa. Reset drives them through core.PerNode;
+	// ResetPopulation through a population over the same nodes.
 	Procs []core.Process
 
 	// Byzantine maps node IDs to their behavior. Byzantine nodes have no
@@ -167,6 +168,12 @@ func (c *Config) validate() (int, error) {
 	if len(c.Byzantine)+len(c.Crashes) > c.F && c.F > 0 {
 		return 0, fmt.Errorf("%w: %d faulty nodes exceed f=%d", ErrConfig,
 			len(c.Byzantine)+len(c.Crashes), c.F)
+	}
+	// Run stops once every fault-free node has decided, which an empty
+	// set has from round 0: such a run would play no round at all. The
+	// two fault sets are disjoint and in range, checked above.
+	if len(c.Byzantine)+len(c.Crashes) == c.N {
+		return 0, fmt.Errorf("%w: no fault-free node among n=%d", ErrConfig, c.N)
 	}
 	if c.Ports != nil && len(c.Ports) != c.N {
 		return 0, fmt.Errorf("%w: %d port numberings for n=%d", ErrConfig, len(c.Ports), c.N)

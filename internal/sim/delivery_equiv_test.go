@@ -232,7 +232,7 @@ func assertEqualStates(t *testing.T, ref, got *Engine, format string, args ...an
 		if p == nil {
 			continue
 		}
-		if r, g := core.Snap(p), core.Snap(got.cfg.Procs[i]); r != g {
+		if r, g := core.Snap(ref.pop, i), core.Snap(got.pop, i); r != g {
 			t.Fatalf(format+": node %d ends at %+v, reference %+v", append(args, i, g, r)...)
 		}
 	}

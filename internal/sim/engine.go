@@ -26,6 +26,7 @@ import (
 // appear only in the exported Result, materialized once per run.
 type Engine struct {
 	cfg       Config
+	pop       core.Population // drives cfg.Procs' nodes
 	maxRounds int
 	ports     network.Ports
 	ownPorts  bool // ports were engine-built identity numberings (reusable)
@@ -124,7 +125,8 @@ type byzNode struct {
 	out   []*core.Message // this round's message per receiver (nil entry: silent)
 }
 
-// NewEngine validates the configuration and prepares an execution.
+// NewEngine validates the configuration and prepares an execution of
+// cfg.Procs through core.PerNode.
 func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{}
 	if err := e.Reset(cfg); err != nil {
@@ -137,8 +139,17 @@ func NewEngine(cfg Config) (*Engine, error) {
 // recycling the previous execution's allocations whenever the network
 // size matches. A Reset engine is indistinguishable from a fresh
 // NewEngine(cfg) one — the recycle tests assert byte-identical Results —
-// so a batch worker can run thousands of seeds on one instance.
+// so a batch worker can run thousands of seeds on one instance. It drives
+// cfg.Procs through core.PerNode.
 func (e *Engine) Reset(cfg Config) error {
+	return e.ResetPopulation(cfg, core.PerNode(cfg.Procs))
+}
+
+// ResetPopulation is Reset with pop driving cfg.Procs' nodes: pop.X(i)
+// must act on cfg.Procs[i] as its X method would, as core.PopulationOf
+// does over the []core.DAC cfg.Procs points into. The engine then calls
+// only pop; cfg.Procs still names the Byzantine slots (nil).
+func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 	maxRounds, err := cfg.validate()
 	if err != nil {
 		return err
@@ -146,6 +157,7 @@ func (e *Engine) Reset(cfg Config) error {
 	n := cfg.N
 	sameN := e.broadcasts != nil && len(e.broadcasts) == n
 	e.cfg = cfg
+	e.pop = pop
 	e.maxRounds = maxRounds
 	e.round = 0
 	e.pending = false
@@ -284,22 +296,22 @@ func (e *Engine) Reset(cfg Config) error {
 	e.hasCap = cfg.MaxMessageBytes > 0
 
 	if e.view == nil {
-		e.view = newExecView(&e.cfg, e.isByz)
+		e.view = newExecView(&e.cfg, pop, e.isByz)
 	} else {
-		e.view.reset(&e.cfg, e.isByz)
+		e.view.reset(&e.cfg, pop, e.isByz)
 	}
 
 	e.faultFree = cfg.FaultFree()
 	e.result = Result{}
-	for i, p := range cfg.Procs {
-		if p != nil {
-			e.inputs[i] = p.Value()
+	for i := 0; i < n; i++ {
+		if !e.isByz[i] {
+			e.inputs[i] = pop.Value(i)
 		}
 	}
 	// A degenerate network (or pEnd = 0) can decide at construction.
-	for i, p := range cfg.Procs {
-		if p != nil {
-			e.noteDecision(i, p, 0)
+	for i := 0; i < n; i++ {
+		if !e.isByz[i] {
+			e.noteDecision(i, 0)
 		}
 	}
 	return nil
@@ -355,7 +367,7 @@ func (e *Engine) finish() *Result {
 			res.Outputs[i] = e.outputs[i]
 			res.DecideRound[i] = e.decideRound[i]
 		}
-		if e.cfg.Procs[i] != nil {
+		if !e.isByz[i] {
 			res.Inputs[i] = e.inputs[i]
 		}
 	}
@@ -452,11 +464,12 @@ func (e *Engine) prune(m *linkMask, t int, edges *network.EdgeSet) bool {
 
 // refreshView brings the state window up to date for round t without
 // the O(n) eager capture (execView.refresh) the model describes. The
-// lazy modes are equivalent to it because every Process.Broadcast
-// implementation is a pure read — a node's public state at the start of
-// round t is exactly its state after EndRound of the last round it was
-// processed in, which the delivery loop captures as it goes. The
-// equivalence property tests pin this against the eager refresh.
+// lazy modes are equivalent to it because Broadcast never changes a
+// node's state (a DAC population only copies it out): its state at the
+// start of round t is exactly its state after EndRound of the last
+// round it was processed in, which the delivery loop captures as it
+// goes. The equivalence property tests pin this against the eager
+// refresh.
 func (e *Engine) refreshView(t int) {
 	switch {
 	case e.viewSkip:
@@ -533,7 +546,7 @@ func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 			e.sends[i] = false
 			continue
 		}
-		m := e.cfg.Procs[i].Broadcast()
+		m := e.pop.Broadcast(i)
 		e.broadcasts[i] = m
 		e.sends[i] = true
 		e.senders++
@@ -575,8 +588,8 @@ func (e *Engine) closeRound(t, delivered, lost int) {
 func (e *Engine) emitRound(t, delivered, lost int) {
 	s := metrics.RoundSample{Round: t, Delivered: delivered, Lost: lost}
 	var lo, hi float64
-	for i, p := range e.cfg.Procs {
-		if p == nil {
+	for i := 0; i < e.cfg.N; i++ {
+		if e.isByz[i] {
 			continue
 		}
 		if e.decided[i] {
@@ -585,7 +598,7 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 		if t+1 > e.crashRound[i] {
 			continue
 		}
-		v := p.Value()
+		v := e.pop.Value(i)
 		if s.Running == 0 {
 			lo, hi = v, v
 		} else {
@@ -607,7 +620,7 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 // deliverRange is the per-receiver round core, run over the whole
 // receiver range in ascending node order: gather each receiver's
 // in-edges in ascending port order, optionally shuffle, hand them to
-// the algorithm, end the receiver's round. It returns the round's
+// the population, end the receiver's round. It returns the round's
 // delivery count and its lost count; the byte and oversize counters go
 // straight into the Result.
 //
@@ -621,10 +634,13 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 // like a round with no crash (the clean arm), unless a sender crashes
 // partially in it or a node is Byzantine.
 //
-// There is one body on purpose: variants that skip the delivery buffer
-// when nothing observes deliveries measure within ±3 % of it on every
-// repo-benchmark workload (BenchmarkEngineRound/n=51 is faster without
-// them, 0.61 → 0.53 ms/run), so they are not worth a second route.
+// One arm fills no delivery buffer: a clean CSR round with identity
+// ports, no wire sizes, no shuffle and no per-delivery watcher hands
+// each receiver's in-row to Population.DeliverRow as it stands (byRow),
+// so a DAC population reads its senders' 16-byte start-of-round entries
+// instead of copying 40-byte Messages into 48-byte Deliveries. That is
+// the run goroutine's critical path on round-sparse-er2. Every other
+// round gathers into the buffer and calls DeliverAll.
 //
 // Of a sparse set's two lazily built CSR views the loop reads only the
 // receiver-major one — directly (the direct gather below) or through
@@ -636,12 +652,14 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 	// With identity ports and no wire sizes to price, the gather reads
 	// the in-row straight into the buffer. A round in which every node sends
 	// its broadcast to all and none crashes partially (clean) needs no
-	// per-sender check at all.
+	// per-sender check at all: a CSR row then goes to the population as it
+	// stands, unless the deliveries must be shuffled or watched one by one.
 	direct := !e.needSize && e.allIdentity
 	sparse := edges.IsSparse()
 	clean := (e.senders == e.cfg.N || e.pruned) && !e.partial && !e.hasByz
+	byRow := direct && sparse && clean && !e.cfg.ShuffleDelivery && !e.trackPhases
 	var inStarts, inIDs []int32
-	broadcasts, deliveries := e.broadcasts, e.deliveries
+	pop, broadcasts := e.pop, e.broadcasts
 	if direct && sparse {
 		inStarts, inIDs = edges.InCSR()
 	}
@@ -651,74 +669,68 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 		if e.isByz[v] || t >= e.crashRound[v] {
 			continue
 		}
-		proc := e.cfg.Procs[v]
-		var (
-			ds    []core.Delivery
-			heard int
-		)
-		switch {
-		case direct && sparse && clean:
+		if byRow {
 			// Every in-neighbor sends, and delivers its broadcast at
-			// port == node ID, already ascending: fill the buffer by
-			// index off the CSR row. The row is a handful of entries, so
-			// the batch DeliverAll folds next is still in L1.
+			// port == node ID, already ascending.
 			row := inIDs[inStarts[v]:inStarts[v+1]]
-			ds = deliveries[:len(row)]
-			for i, u := range row {
-				d := &ds[i]
-				d.Port = int(u)
-				d.Msg = broadcasts[u]
-			}
-			heard = len(row)
-		case direct && sparse:
-			ds, heard = e.gatherRow(t, v, inIDs[inStarts[v]:inStarts[v+1]])
-		case direct:
-			ds, heard = e.gatherBits(t, v, edges.InRow(v), clean)
-		default:
-			ds, heard = e.gatherInNeighbors(t, v, edges)
-		}
-		lost += e.senders - 1 - heard
-		if e.cfg.ShuffleDelivery {
-			shuffleDeliveries(ds, e.cfg.ShuffleSeed, t, v)
-		}
-		delivered += len(ds)
-		if e.trackPhases {
-			// Observer/Recorder configured: one message per call, with
-			// the per-delivery probes interleaved — the same state as one
-			// call by fold equivalence.
-			for i := range ds {
-				d := &ds[i]
-				if e.hooks.Recorder != nil {
-					e.hooks.Recorder.Record(trace.Event{
-						Kind: trace.KindDeliver, Round: t, Node: v, Port: d.Port,
-						Value: d.Msg.Value, Phase: d.Msg.Phase,
-					})
-				}
-				before := proc.Phase()
-				proc.DeliverAll(ds[i : i+1])
-				if after := proc.Phase(); after != before {
-					e.notePhase(v, before, after, proc.Value(), t)
-				}
-			}
+			lost += e.senders - 1 - len(row)
+			delivered += len(row)
+			pop.DeliverRow(v, row, broadcasts)
 		} else {
-			// The receiver's whole in-edge batch in ONE dynamic call —
-			// the fold inside dispatches statically.
-			proc.DeliverAll(ds)
+			var (
+				ds    []core.Delivery
+				heard int
+			)
+			switch {
+			case direct && sparse:
+				ds, heard = e.gatherRow(t, v, inIDs[inStarts[v]:inStarts[v+1]])
+			case direct:
+				ds, heard = e.gatherBits(t, v, edges.InRow(v), clean)
+			default:
+				ds, heard = e.gatherInNeighbors(t, v, edges)
+			}
+			lost += e.senders - 1 - heard
+			if e.cfg.ShuffleDelivery {
+				shuffleDeliveries(ds, e.cfg.ShuffleSeed, t, v)
+			}
+			delivered += len(ds)
+			if e.trackPhases {
+				// Observer/Recorder configured: one message per call, with
+				// the per-delivery probes interleaved — the same state as one
+				// call by fold equivalence.
+				for i := range ds {
+					d := &ds[i]
+					if e.hooks.Recorder != nil {
+						e.hooks.Recorder.Record(trace.Event{
+							Kind: trace.KindDeliver, Round: t, Node: v, Port: d.Port,
+							Value: d.Msg.Value, Phase: d.Msg.Phase,
+						})
+					}
+					before := pop.Phase(v)
+					pop.DeliverAll(v, ds[i:i+1])
+					if after := pop.Phase(v); after != before {
+						e.notePhase(v, before, after, pop.Value(v), t)
+					}
+				}
+			} else {
+				pop.DeliverAll(v, ds)
+			}
 		}
-		proc.EndRound()
-		e.noteDecision(v, proc, t)
+		pop.EndRound(v)
+		e.noteDecision(v, t)
 		if liveView {
 			// End-of-round state IS the start-of-next-round snapshot:
-			// nothing mutates the process until its next DeliverAll.
-			e.view.snaps[v] = core.Snap(proc)
+			// nothing mutates the node until its next delivery.
+			e.view.snaps[v] = core.Snap(pop, v)
 		}
 	}
 	return delivered, lost
 }
 
-// gatherRow is the direct gather over a CSR in-row in a round that is
-// not clean: in-neighbors that no longer send are skipped, and the
-// others deliver what sent resolves. It returns the filled prefix of
+// gatherRow is the direct gather over a CSR in-row in a round that does
+// not go by row (not clean, or shuffled or watched per delivery):
+// in-neighbors that no longer send are skipped, and the others deliver
+// what sent resolves. It returns the filled prefix of
 // e.deliveries and the number of sending in-neighbors.
 func (e *Engine) gatherRow(t, v int, row []int32) ([]core.Delivery, int) {
 	ds := e.deliveries
@@ -898,11 +910,11 @@ func (e *Engine) notePhase(node, from, to int, value float64, round int) {
 	}
 }
 
-func (e *Engine) noteDecision(node int, proc core.Process, round int) {
+func (e *Engine) noteDecision(node, round int) {
 	if e.decided[node] {
 		return
 	}
-	v, ok := proc.Output()
+	v, ok := e.pop.Output(node)
 	if !ok {
 		return
 	}

@@ -274,6 +274,29 @@ func TestEngineConfigValidation(t *testing.T) {
 	}
 }
 
+// TestEngineRejectsNoFaultFreeNode: a configuration in which every node
+// is crash-scheduled or Byzantine has an empty H, so "every fault-free
+// node decided" holds before round 0 and Run would report a decided run
+// of zero rounds, however late the crashes.
+func TestEngineRejectsNoFaultFreeNode(t *testing.T) {
+	const n = 3
+	for name, c := range map[string]Config{
+		"crashed": {
+			N: n, Procs: dacProcs(t, n, 3, spread(n)), Adversary: adversary.NewComplete(),
+			Crashes: fault.Schedule{0: fault.CrashAt(5), 1: fault.CrashAt(5), 2: fault.CrashAt(5)},
+		},
+		"mixed": {
+			N: n, Procs: []core.Process{nil, dacProcs(t, n, 3, spread(n))[1], nil}, Adversary: adversary.NewComplete(),
+			Byzantine: map[int]fault.Strategy{0: fault.Silent{}, 2: fault.Silent{}},
+			Crashes:   fault.Schedule{1: fault.CrashAt(5)},
+		},
+	} {
+		if _, err := NewEngine(c); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: no fault-free node accepted (err %v)", name, err)
+		}
+	}
+}
+
 func TestEnginePortNumberingInvariance(t *testing.T) {
 	// Port numberings are local and arbitrary (§II-A): exact outputs may
 	// shift (a numbering permutes delivery order, and DAC advances

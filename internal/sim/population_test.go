@@ -1,0 +1,205 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"anondyn/internal/adversary"
+	"anondyn/internal/analysis"
+	"anondyn/internal/core"
+	"anondyn/internal/fault"
+	"anondyn/internal/network"
+	"anondyn/internal/trace"
+)
+
+// popCase is one draw of TestPopulationMatchesAdapterProperty: a DAC
+// network, its graph family and faults, what watches it, and how many
+// rounds RunRounds plays past Run's decision.
+type popCase struct {
+	n, pEnd, extra int
+	maxRounds      int
+	noJump         bool
+	adv            string // "er2", "rotating" or "complete"
+	degree         int    // the rotating graph's in-degree: a few, or ⌊n/2⌋
+	seed           int64
+	crashes        fault.Schedule
+	randomPorts    bool
+	shuffle        bool
+	forceCSR       bool
+	series         bool
+	tracker        bool
+	recorder       bool
+}
+
+func (c popCase) String() string {
+	return fmt.Sprintf("n=%d/%s/pEnd=%d/noJump=%v/crashes=%d/ports=%v/shuffle=%v/csr=%v/series=%v/tracker=%v/recorder=%v",
+		c.n, c.adv, c.pEnd, c.noJump, len(c.crashes), c.randomPorts, c.shuffle, c.forceCSR, c.series, c.tracker, c.recorder)
+}
+
+// popRun is one engine over a fresh NewDACPopulation network of c, with
+// its own adversary and watchers.
+type popRun struct {
+	eng      *Engine
+	series   *analysis.RangeSeries
+	tracker  *analysis.PhaseTracker
+	recorder *trace.Recorder
+}
+
+// newPopRun builds c's run; asPopulation drives the nodes through
+// core.PopulationOf, otherwise through the core.PerNode adapter over the
+// same kind of nodes.
+func newPopRun(t *testing.T, c popCase, asPopulation bool) *popRun {
+	t.Helper()
+	var ports network.Ports
+	selfPort := func(i int) int { return i }
+	if c.randomPorts {
+		ports = network.RandomPorts(c.n, newRand(c.seed))
+		selfPort = func(i int) int { return ports[i].Port(i) }
+	}
+	inputs := make([]float64, c.n)
+	rng := rand.New(rand.NewSource(c.seed))
+	for i := range inputs {
+		inputs[i] = rng.Float64()
+	}
+	dacs := must(core.NewDACPopulation(c.pEnd, core.CrashQuorum(c.n), c.noJump, selfPort, inputs, nil))
+	procs := make([]core.Process, c.n)
+	for i := range procs {
+		procs[i] = &dacs[i]
+	}
+	var adv adversary.Adversary
+	switch c.adv {
+	case "er2":
+		p := 8.0 / float64(c.n)
+		if c.n > 1000 {
+			p = 0.02 // a phase every few rounds, not every ~n/16
+		}
+		adv = must(adversary.NewSparseProbabilistic(p, c.seed))
+	case "rotating":
+		adv = must(adversary.NewRotating(c.degree))
+	default:
+		adv = adversary.NewComplete()
+	}
+	r := &popRun{}
+	cfg := Config{
+		N: c.n, F: len(c.crashes), Procs: procs, Adversary: adv, Crashes: c.crashes, Ports: ports,
+		MaxRounds: c.maxRounds, ShuffleDelivery: c.shuffle, ShuffleSeed: c.seed, ForceCSR: c.forceCSR,
+	}
+	if c.series {
+		r.series = analysis.NewRangeSeries()
+		cfg.Hooks.Metrics = r.series
+	}
+	if c.tracker {
+		r.tracker = analysis.NewPhaseTracker()
+		for i, in := range inputs {
+			r.tracker.SetInput(i, in)
+		}
+		cfg.Hooks.Observer = r.tracker
+	}
+	if c.recorder {
+		r.recorder = trace.NewRecorder()
+		cfg.Hooks.Recorder = r.recorder
+	}
+	r.eng = new(Engine)
+	var err error
+	if asPopulation {
+		err = r.eng.ResetPopulation(cfg, core.PopulationOf(dacs))
+	} else {
+		err = r.eng.Reset(cfg)
+	}
+	if err != nil {
+		t.Fatalf("%v: %v", c, err)
+	}
+	return r
+}
+
+// TestPopulationMatchesAdapterProperty: a DAC network driven through
+// core.PopulationOf — whose clean CSR rounds deliver straight off the
+// in-row and read the senders' start-of-round table — and the same
+// network driven through the core.PerNode adapter give deep-equal
+// Results from Run and from RunRounds past the decision, the same end
+// states, and the same series, phase tracker and event log. Sizes
+// straddle network.SparseThreshold (and force CSR below it) on er2,
+// rotating and complete graphs, with crash schedules (partial DeliverTo
+// lists included), random ports and shuffled delivery. Runs small
+// enough for the O(n²)-a-round reference oracle also meet it, which
+// pins the clean arm's lost count.
+func TestPopulationMatchesAdapterProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	rows := 0
+	for trial := 0; trial < 48; trial++ {
+		c := popCase{
+			n:         []int{9, 33, 70, 130, 9, 33, 70, network.SparseThreshold + 1}[rng.Intn(8)],
+			pEnd:      2 + rng.Intn(4),
+			extra:     3 + rng.Intn(12),
+			maxRounds: 150,
+			adv:       []string{"er2", "rotating", "complete"}[rng.Intn(3)],
+			seed:      rng.Int63(),
+		}
+		c.degree = []int{1 + rng.Intn(4), c.n / 2}[rng.Intn(2)]
+		c.noJump = rng.Intn(4) == 0
+		c.forceCSR = rng.Intn(3) > 0
+		c.randomPorts = rng.Intn(5) == 0
+		c.shuffle = rng.Intn(5) == 0
+		c.series, c.tracker, c.recorder = rng.Intn(2) == 0, rng.Intn(5) == 0, rng.Intn(5) == 0
+		if c.n > network.SparseThreshold {
+			// Bound the work to a few sparse rounds with identity ports:
+			// random ones are n² entries here, and the complete graph
+			// would deliver 4M messages a round, on the dense arm
+			// (FillComplete). The smaller draws cover both.
+			c.pEnd, c.extra, c.maxRounds, c.recorder = 2, 2, 8, false
+			c.degree, c.randomPorts = 64, false
+			if c.adv == "complete" {
+				c.adv = "rotating"
+			}
+		}
+		if rng.Intn(3) > 0 {
+			// Fewer than half crash, so a quorum of the living still forms.
+			c.crashes = fault.Schedule{}
+			for k := rng.Intn(c.n/3 + 1); k > 0; k-- {
+				node, round := rng.Intn(c.n), rng.Intn(8)
+				switch rng.Intn(3) {
+				case 0:
+					c.crashes[node] = fault.CrashAt(round)
+				case 1:
+					c.crashes[node] = fault.CrashSilent(round)
+				default:
+					c.crashes[node] = fault.CrashPartial(round, rng.Intn(c.n), rng.Intn(c.n))
+				}
+			}
+			if len(c.crashes) == 0 {
+				c.crashes = nil
+			}
+		}
+		if !c.randomPorts && !c.shuffle && !c.tracker && !c.recorder && c.adv != "complete" &&
+			(c.forceCSR || c.n >= network.SparseThreshold) {
+			rows++ // clean rounds of this run deliver off CSR rows
+		}
+		pop, per := newPopRun(t, c, true), newPopRun(t, c, false)
+		assertEqualResults(t, per.eng.Run(), pop.eng.Run(), "%v: Run", c)
+		assertEqualResults(t, per.eng.RunRounds(c.extra), pop.eng.RunRounds(c.extra), "%v: RunRounds past the decision", c)
+		for i := 0; i < c.n; i++ {
+			if a, b := core.Snap(pop.eng.pop, i), core.Snap(per.eng.pop, i); a != b {
+				t.Fatalf("%v: node %d ends at %+v through the population, %+v through the adapter", c, i, a, b)
+			}
+		}
+		if c.series && !reflect.DeepEqual(pop.series.Series(), per.series.Series()) {
+			t.Fatalf("%v: series %v, adapter %v", c, pop.series.Series(), per.series.Series())
+		}
+		if c.tracker && !reflect.DeepEqual(pop.tracker, per.tracker) {
+			t.Fatalf("%v: phase trackers differ", c)
+		}
+		if c.recorder && !reflect.DeepEqual(pop.recorder.Events(), per.recorder.Events()) {
+			t.Fatalf("%v: event logs differ", c)
+		}
+		if c.n <= 130 {
+			ref := newPopRun(t, c, false)
+			referenceRun(ref.eng)
+			assertEqualResults(t, referenceRunRounds(ref.eng, c.extra), pop.eng.RunRounds(0), "%v: reference oracle", c)
+		}
+	}
+	if rows < 8 {
+		t.Errorf("only %d trials could deliver off CSR rows: property nearly vacuous", rows)
+	}
+}

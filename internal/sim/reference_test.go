@@ -49,7 +49,7 @@ func referenceStep(e *Engine) {
 			}
 		}
 		proc.EndRound()
-		e.noteDecision(v, proc, t)
+		e.noteDecision(v, t)
 	}
 	e.closeRound(t, delivered, lostPairwise(e, t, edges))
 }

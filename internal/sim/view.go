@@ -7,25 +7,27 @@ import (
 // execView is the start-of-round state window handed to adversaries and
 // Byzantine strategies. It satisfies both adversary.View and fault.View
 // (structurally identical interfaces). It points at the engine's own
-// Config and Byzantine flags so engine recycling re-targets it without
-// reallocating the snapshot buffer.
+// Config, population and Byzantine flags so engine recycling re-targets
+// it without reallocating the snapshot buffer.
 type execView struct {
 	cfg   *Config
+	pop   core.Population
 	isByz []bool
 	round int
 	snaps []core.Snapshot
 }
 
-func newExecView(cfg *Config, isByz []bool) *execView {
+func newExecView(cfg *Config, pop core.Population, isByz []bool) *execView {
 	v := &execView{snaps: make([]core.Snapshot, cfg.N)}
-	v.reset(cfg, isByz)
+	v.reset(cfg, pop, isByz)
 	return v
 }
 
 // reset re-targets the view for a fresh execution, reusing the snapshot
 // buffer when the network size is unchanged.
-func (v *execView) reset(cfg *Config, isByz []bool) {
+func (v *execView) reset(cfg *Config, pop core.Population, isByz []bool) {
 	v.cfg = cfg
+	v.pop = pop
 	v.isByz = isByz
 	v.round = 0
 	if len(v.snaps) != cfg.N {
@@ -46,8 +48,7 @@ func (v *execView) refresh(t int) {
 			v.snaps[i] = core.Snapshot{Byzantine: true}
 			continue
 		}
-		p := v.cfg.Procs[i]
-		s := core.Snap(p)
+		s := core.Snap(v.pop, i)
 		s.Crashed = !v.cfg.Crashes.Alive(t, i)
 		v.snaps[i] = s
 	}

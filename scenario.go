@@ -116,10 +116,11 @@ func (s Scenario) Run() (*Result, error) {
 // instead of once per seed.
 type engineBox struct {
 	eng *sim.Engine
-	// procs are the last run's processes, kept only when its ports were
-	// fixed; key is the shape they were built for. Byzantine slots are
-	// nil.
+	// procs are the last run's processes and pop the population that
+	// drives them, kept only when its ports were fixed; key is the shape
+	// they were built for. Byzantine slots are nil.
 	procs []core.Process
+	pop   core.Population
 	key   procKey
 }
 
@@ -151,7 +152,7 @@ func (box *engineBox) run(s Scenario) (*Result, error) {
 		return nil, err
 	}
 	ports := s.ports()
-	procs, err := box.procsFor(s, ports)
+	procs, pop, err := box.procsFor(s, ports)
 	if err != nil {
 		return nil, err
 	}
@@ -187,49 +188,51 @@ func (box *engineBox) run(s Scenario) (*Result, error) {
 		ForceCSR:         s.ForceCSR,
 	}
 	if box.eng == nil {
-		box.eng, err = sim.NewEngine(cfg)
-	} else {
-		err = box.eng.Reset(cfg)
+		box.eng = new(sim.Engine)
 	}
-	if err != nil {
+	if err := box.eng.ResetPopulation(cfg, pop); err != nil {
 		return nil, err
 	}
 	return box.eng.Run(), nil
 }
 
-// procsFor returns the processes for one run of s: the box's own,
-// reinitialized in place with s.Inputs, when s has their shape (fixed
-// ports, same procKey, same Byzantine set); freshly built ones otherwise,
-// which the box keeps for the next run when their ports are fixed.
-func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process, error) {
+// procsFor returns the processes for one run of s and the population
+// the engine drives them through: the box's own, reinitialized in place
+// with s.Inputs, when s has their shape (fixed ports, same procKey, same
+// Byzantine set); freshly built ones otherwise, which the box keeps for
+// the next run when their ports are fixed. A DAC-family run's nodes are
+// one core.PopulationOf; every other algorithm runs core.PerNode.
+func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process, core.Population, error) {
 	key := s.procKey()
 	if ports == nil && box.procs != nil && box.key == key && box.sameByzantine(s.Byzantine) {
 		for i, p := range box.procs {
 			if p == nil {
 				continue
 			}
-			p.Reinit(s.Inputs[i]) // validate checked the input
+			box.pop.Reinit(i, s.Inputs[i]) // validate checked the input
 			if s.Tracker != nil {
 				s.Tracker.SetInput(i, s.Inputs[i])
 			}
 		}
-		return box.procs, nil
+		return box.procs, box.pop, nil
 	}
 	selfPort := func(i int) int { return i }
 	if ports != nil {
 		selfPort = func(i int) int { return ports[i].Port(i) }
 	}
 	procs := make([]core.Process, s.N)
+	var pop core.Population
 	if s.Algorithm == AlgoDAC || s.Algorithm == AlgoDACNoJump {
 		dacs, err := s.newDACs(selfPort)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for i := range procs {
 			if _, isByz := s.Byzantine[i]; !isByz {
 				procs[i] = &dacs[i]
 			}
 		}
+		pop = core.PopulationOf(dacs)
 	} else {
 		for i := range procs {
 			if _, isByz := s.Byzantine[i]; isByz {
@@ -237,10 +240,11 @@ func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process,
 			}
 			p, err := s.newProc(i, selfPort(i))
 			if err != nil {
-				return nil, fmt.Errorf("node %d: %w", i, err)
+				return nil, nil, fmt.Errorf("node %d: %w", i, err)
 			}
 			procs[i] = p
 		}
+		pop = core.PerNode(procs)
 	}
 	if s.Tracker != nil {
 		for i, p := range procs {
@@ -249,11 +253,11 @@ func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process,
 			}
 		}
 	}
-	box.procs, box.key = nil, key
+	box.procs, box.pop, box.key = nil, nil, key
 	if ports == nil {
-		box.procs = procs
+		box.procs, box.pop = procs, pop
 	}
-	return procs, nil
+	return procs, pop, nil
 }
 
 // sameByzantine reports whether byz names exactly the nil slots of the

@@ -29,7 +29,7 @@ func TestSeriesKeepsBatchDelivery(t *testing.T) {
 		Series: NewRangeSeries(),
 	}
 	box := &engineBox{}
-	procs, err := box.procsFor(s, nil)
+	procs, _, err := box.procsFor(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,8 @@ func TestSeriesKeepsBatchDelivery(t *testing.T) {
 	for i, p := range procs {
 		procs[i] = deliverSpy{p, &calls}
 	}
-	res, err := box.run(s) // reinitializes the spied processes in place
+	box.pop = core.PerNode(procs) // the spies see every call
+	res, err := box.run(s)        // reinitializes the spied processes in place
 	if err != nil {
 		t.Fatal(err)
 	}
