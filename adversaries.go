@@ -451,7 +451,9 @@ func NewEdgeSet(n int) *EdgeSet { return network.NewEdgeSet(n) }
 func CompleteGraph(n int) *EdgeSet { return network.Complete(n) }
 
 // MaxDynaDegree returns the largest D for which the trace satisfies
-// (T, D)-dynaDegree.
+// (T, D)-dynaDegree. Links from crashed and Byzantine senders count
+// (Definition 1), so a measured (T, ⌊n/2⌋) alone does not promise that
+// DAC terminates; see network.MaxDynaDegree.
 func MaxDynaDegree(tr Trace, faultFree []int, t int) int {
 	return network.MaxDynaDegree(tr, faultFree, t)
 }

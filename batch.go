@@ -1,8 +1,6 @@
 package anondyn
 
 import (
-	"fmt"
-
 	"anondyn/internal/analysis"
 	"anondyn/internal/harness"
 	"anondyn/internal/metrics"
@@ -44,78 +42,6 @@ func (o BatchOptions) runDone(res *Result) {
 	})
 }
 
-// Seeds returns 0, 1, …, n−1 offset by base — the conventional seed
-// batch for RunManyStream.
-func Seeds(n int, base int64) []int64 {
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = base + int64(i)
-	}
-	return seeds
-}
-
-// RunManyStream executes the scenario produced by mk(seed) for each
-// seed across a worker pool and streams every result into sink —
-// nothing is retained once a sink call returns, so memory stays
-// bounded by the in-flight window rather than the batch size. sink
-// sees results in batch order (index 0, 1, 2, …) from a single
-// goroutine regardless of worker count, so it needs no locking and
-// every aggregate it builds is deterministic; a sink error aborts
-// further deliveries and fails the batch. mk must
-// return a fresh Scenario per call (adversaries and strategies hold
-// RNG state) and is invoked concurrently for distinct seeds. Results
-// are bit-identical across worker counts.
-//
-// Each worker recycles one simulation engine across every seed it
-// executes, and reinitializes the previous seed's processes in place
-// whenever the next scenario has the same shape (fixed ports, same
-// algorithm parameters and Byzantine set); only the adversary and
-// strategies mk builds are fresh per seed. (Grid.RunSlice, on the same
-// pooled loop, also renews its factories' adversaries per worker rather
-// than rebuilding them per seed.) Recycling never changes results —
-// asserted by the recycle tests.
-func RunManyStream(seeds []int64, mk func(seed int64) Scenario, sink func(i int, seed int64, res *Result) error, opts BatchOptions) error {
-	return runPooled(seeds, func(_ *poolWorker, i int) Scenario { return mk(seeds[i]) }, sink, opts)
-}
-
-// poolWorker is one pool worker's state: the engine box it recycles
-// across its runs and, for a sweep, the adversary it built last, the
-// index of the cell it built it for (see Grid.RunSlice) and the
-// scenario it assembles each run in.
-type poolWorker struct {
-	box      engineBox
-	adv      Adversary
-	cell     int
-	scenario Scenario
-}
-
-// runPooled is the pooled run loop behind RunManyStream and
-// Grid.RunSlice: mk assembles run i on the state of the worker that
-// executes it.
-func runPooled(seeds []int64, mk func(w *poolWorker, i int) Scenario, sink func(i int, seed int64, res *Result) error, opts BatchOptions) error {
-	return harness.RunPooled(len(seeds),
-		func() (*poolWorker, error) { return &poolWorker{}, nil },
-		func(w *poolWorker, i int) (*Result, error) {
-			s := mk(w, i)
-			if s.Metrics == nil {
-				s.Metrics = opts.Metrics
-			}
-			res, err := w.box.run(s)
-			if err != nil {
-				return nil, fmt.Errorf("anondyn: seed %d: %w", seeds[i], err)
-			}
-			return res, nil
-		},
-		func(i int, res *Result) error {
-			if err := sink(i, seeds[i], res); err != nil {
-				return err
-			}
-			opts.runDone(res)
-			return nil
-		},
-		opts.harness())
-}
-
 // BatchStats is the streaming aggregation sink: it folds each result
 // into counters and analysis accumulators — decided count, safety
 // violations, rounds/output-range/bandwidth summaries — and retains
@@ -129,7 +55,8 @@ type BatchStats struct {
 	rounds, outRange, bytes   analysis.Accumulator
 }
 
-// Consume folds one result — pass it to RunManyStream as the sink.
+// Consume folds one result; the run index and seed are those a
+// Grid.RunEach callback receives, and go unused.
 func (b *BatchStats) Consume(_ int, _ int64, res *Result) error {
 	return b.ConsumeRecord(Record(res, b.Eps))
 }
@@ -187,9 +114,6 @@ func (b *BatchStats) Runs() int { return b.runs }
 
 // Decided returns how many consumed runs decided.
 func (b *BatchStats) Decided() int { return b.decided }
-
-// DecidedAll reports whether every consumed run decided.
-func (b *BatchStats) DecidedAll() bool { return b.decided == b.runs }
 
 // Violations returns how many decided runs broke validity or
 // ε-agreement.

@@ -27,6 +27,32 @@ func batchFamily(seed int64) anondyn.Scenario {
 	}
 }
 
+// familyGrid maps a per-seed scenario family onto a one-cell Grid whose
+// run j is mk(base+j), so the family's batch runs on the grid's pooled
+// loop. The cell contributes nothing: its factory builds no adversary,
+// its input generator no inputs, and Mutate replaces the whole
+// scenario, so the family alone decides each run.
+func familyGrid(mk func(seed int64) anondyn.Scenario, runs int, base int64) anondyn.Grid {
+	return anondyn.Grid{
+		Ns: []int{1},
+		Adversaries: []anondyn.AdversaryFactory{{Name: "family",
+			New: func(anondyn.Cell, int64) anondyn.Adversary { return nil }}},
+		Inputs:       func(int, int64) []float64 { return nil },
+		SeedsPerCell: runs,
+		BaseSeed:     base,
+		Mutate:       func(s *anondyn.Scenario, _ anondyn.Cell, seed int64) { *s = mk(seed) },
+	}
+}
+
+// runFamily runs the family's seeds base, base+1, …, base+runs−1
+// through familyGrid and hands each result to sink with its batch
+// index, in seed order.
+func runFamily(mk func(seed int64) anondyn.Scenario, runs int, base int64,
+	sink func(i int, seed int64, res *anondyn.Result) error, opts anondyn.BatchOptions) error {
+	return familyGrid(mk, runs, base).RunEach(opts,
+		func(_ anondyn.Cell, _, run int, seed int64, res *anondyn.Result) error { return sink(run, seed, res) })
+}
+
 // fingerprint renders everything a batch result exposes, so equality
 // of fingerprints is byte-identity of per-seed outputs.
 func fingerprint(seed int64, res *anondyn.Result) string {
@@ -41,7 +67,7 @@ func runBatchAt(t *testing.T, workers int) ([]string, anondyn.BatchReport) {
 	t.Helper()
 	stats := &anondyn.BatchStats{Eps: 1e-3}
 	var prints []string
-	err := anondyn.RunManyStream(anondyn.Seeds(16, 300), batchFamily,
+	err := runFamily(batchFamily, 16, 300,
 		func(i int, seed int64, res *anondyn.Result) error {
 			prints = append(prints, fingerprint(seed, res))
 			return stats.Consume(i, seed, res)
@@ -53,9 +79,9 @@ func runBatchAt(t *testing.T, workers int) ([]string, anondyn.BatchReport) {
 	return prints, stats.Report()
 }
 
-// TestRunManyStreamDeterministic is the tentpole contract: per-seed
-// results and streamed aggregates are bit-identical at workers=1,
-// workers=4 and workers=GOMAXPROCS.
+// TestRunManyStreamDeterministic: a batch's per-seed results and
+// streamed aggregates are bit-identical at workers=1, workers=4 and
+// workers=GOMAXPROCS.
 func TestRunManyStreamDeterministic(t *testing.T) {
 	basePrints, baseAgg := runBatchAt(t, 1)
 	if len(basePrints) != 16 {
@@ -75,10 +101,10 @@ func TestRunManyStreamDeterministic(t *testing.T) {
 // TestRunManyMatchesStream: a batch streams exactly the direct runs of
 // its seeds, in seed order.
 func TestRunManyMatchesStream(t *testing.T) {
-	seeds := anondyn.Seeds(8, 70)
+	const runs, base = 8, 70
 	var gotSeeds []int64
 	var results []*anondyn.Result
-	err := anondyn.RunManyStream(seeds, batchFamily, func(_ int, seed int64, res *anondyn.Result) error {
+	err := runFamily(batchFamily, runs, base, func(_ int, seed int64, res *anondyn.Result) error {
 		gotSeeds = append(gotSeeds, seed)
 		results = append(results, res)
 		return nil
@@ -86,16 +112,19 @@ func TestRunManyMatchesStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotSeeds, seeds) {
-		t.Errorf("seeds = %v, want %v", gotSeeds, seeds)
+	if len(gotSeeds) != runs {
+		t.Fatalf("streamed %d runs, want %d", len(gotSeeds), runs)
 	}
 	for i, res := range results {
-		want, err := batchFamily(seeds[i]).Run()
+		if gotSeeds[i] != base+int64(i) {
+			t.Errorf("run %d: seed %d, want %d", i, gotSeeds[i], base+int64(i))
+		}
+		want, err := batchFamily(gotSeeds[i]).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fingerprint(seeds[i], res) != fingerprint(seeds[i], want) {
-			t.Errorf("seed %d: parallel result differs from direct run", seeds[i])
+		if fingerprint(gotSeeds[i], res) != fingerprint(gotSeeds[i], want) {
+			t.Errorf("seed %d: parallel result differs from direct run", gotSeeds[i])
 		}
 	}
 }
@@ -103,14 +132,14 @@ func TestRunManyMatchesStream(t *testing.T) {
 // TestBatchStatsMatchesRetained checks the streaming aggregates against
 // the same numbers computed from the retained results.
 func TestBatchStatsMatchesRetained(t *testing.T) {
-	seeds := anondyn.Seeds(12, 900)
+	const runs = 12
 	stats := &anondyn.BatchStats{Eps: 1e-3}
 	var results []*anondyn.Result
 	retain := func(i int, seed int64, res *anondyn.Result) error {
 		results = append(results, res)
 		return stats.Consume(i, seed, res)
 	}
-	if err := anondyn.RunManyStream(seeds, batchFamily, retain, anondyn.BatchOptions{}); err != nil {
+	if err := runFamily(batchFamily, runs, 900, retain, anondyn.BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	decided, violations := 0, 0
@@ -125,11 +154,8 @@ func TestBatchStatsMatchesRetained(t *testing.T) {
 			violations++
 		}
 	}
-	if stats.Runs() != len(seeds) || stats.Decided() != decided {
+	if stats.Runs() != runs || stats.Decided() != decided {
 		t.Errorf("stats runs/decided = %d/%d, retained %d/%d", stats.Runs(), stats.Decided(), len(results), decided)
-	}
-	if stats.DecidedAll() != (decided == len(results)) {
-		t.Error("DecidedAll mismatch")
 	}
 	if stats.Violations() != violations {
 		t.Errorf("violations = %d, want %d", stats.Violations(), violations)
@@ -143,12 +169,12 @@ func TestBatchStatsMatchesRetained(t *testing.T) {
 // joined error while valid seeds still stream through.
 func TestRunManyStreamCollectsErrors(t *testing.T) {
 	stats := &anondyn.BatchStats{}
-	err := anondyn.RunManyStream(anondyn.Seeds(4, 0), func(seed int64) anondyn.Scenario {
+	err := runFamily(func(seed int64) anondyn.Scenario {
 		if seed == 2 {
 			return anondyn.Scenario{} // invalid
 		}
 		return batchFamily(seed)
-	}, stats.Consume, anondyn.BatchOptions{Workers: 2})
+	}, 4, 0, stats.Consume, anondyn.BatchOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("invalid scenario accepted")
 	}

@@ -93,37 +93,36 @@ func BenchmarkF1ConvergenceCurves(b *testing.B) {
 }
 
 // BenchmarkRunManyParallel measures the worker-pool batch harness on a
-// 1000-seed DAC Monte-Carlo batch against the sequential baseline
-// (workers=1). Every worker recycles its engine and, the family's runs
-// sharing one shape, its DAC processes, so this is the fully recycled
-// batch path. The per-seed results are identical by construction; the
-// ratio of the two ns/op figures is the parallel speedup. The pool sizes
-// are fixed so the row names do not depend on the host's GOMAXPROCS;
-// run with -cpu 2 (or more) for workers=2 to have two cores.
+// 1000-seed DAC Monte-Carlo batch — one er:0.5 cell at n = 9, f = 2
+// through Grid.Run — against the sequential baseline (workers=1).
+// Every worker recycles its engine, its DAC processes (the runs share
+// one shape) and its er adversary, renewed per run, so this is the
+// fully recycled batch path. The per-seed results are identical by
+// construction; the ratio of the two ns/op figures is the parallel
+// speedup. The pool sizes are fixed so the row names do not depend on
+// the host's GOMAXPROCS; run with -cpu 2 (or more) for workers=2 to
+// have two cores.
 func BenchmarkRunManyParallel(b *testing.B) {
 	const batch = 1000
-	family := func(seed int64) anondyn.Scenario {
-		return anondyn.Scenario{
-			N: 9, F: 2, Eps: 1e-3,
-			Algorithm: anondyn.AlgoDAC,
-			Inputs:    anondyn.RandomInputs(9, seed),
-			Adversary: anondyn.Probabilistic(0.5, seed),
-			Seed:      seed,
-			MaxRounds: 5000,
-		}
+	er, err := anondyn.ParseAdversaryFactory("er:0.5")
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid := anondyn.Grid{
+		Ns: []int{9}, Fs: []int{2}, Adversaries: []anondyn.AdversaryFactory{er},
+		SeedsPerCell: batch,
+		MaxRounds:    5000,
 	}
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				stats := &anondyn.BatchStats{Eps: 1e-3}
-				err := anondyn.RunManyStream(anondyn.Seeds(batch, 0), family, stats.Consume,
-					anondyn.BatchOptions{Workers: workers})
+				rows, err := grid.Run(anondyn.BatchOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if stats.Runs() != batch {
-					b.Fatalf("streamed %d runs", stats.Runs())
+				if rows[0].Runs != batch {
+					b.Fatalf("streamed %d runs", rows[0].Runs)
 				}
 			}
 		})

@@ -16,8 +16,8 @@ package anondyn
 //   - nil inputs mean the template's Inputs.
 //
 // A CompiledScenario is NOT safe for concurrent use — it owns one
-// engine and one adversary; give each goroutine its own, or use
-// RunManyStream, whose workers each own an engine box. Stateful per-run
+// engine and one adversary; give each goroutine its own, or run the
+// batch as a Grid, whose workers each own an engine box. Stateful per-run
 // collectors (Tracker, Series, Recorder) are shared across runs and
 // accumulate; leave them unset for batches. Randomized adversaries
 // without a Reseed method keep advancing their stream across runs: runs

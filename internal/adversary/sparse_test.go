@@ -44,8 +44,8 @@ var sinkProbabilistic *Probabilistic
 
 // TestNewProbabilisticOneAllocation: the er adversary holds its
 // generator by value, so building one — which a sweep does once per
-// worker and cell, and a RunManyStream caller once per run — is a
-// single object.
+// worker and cell, and a hook that replaces a run's adversary once per
+// run — is a single object.
 func TestNewProbabilisticOneAllocation(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { sinkProbabilistic = mustAdv(NewProbabilistic(0.3, 7)) })
 	if allocs != 1 {

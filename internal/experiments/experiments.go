@@ -8,9 +8,11 @@
 // its quantitative claims (convergence rates, resilience and dynaDegree
 // thresholds, worst-case round counts, the §VII bandwidth trade-off) on
 // the simulated anonymous dynamic network. Every experiment's cell
-// matrix is a committed spec file under examples/specs, compiled to an
-// anondyn.Grid and executed on the batch worker pool; the Go side only
-// attaches per-run collectors and renders the tables.
+// matrix is a committed spec file under examples/specs (a table whose
+// rows cross axes one spec cannot hold interleaves several), compiled
+// to an anondyn.Grid and executed on the batch worker pool; the Go side
+// only attaches per-run collectors and the knobs no spec key expresses
+// (hook), labels the rows and renders the tables.
 package experiments
 
 import (
@@ -24,8 +26,8 @@ import (
 )
 
 // Registry maps experiment IDs to their runners, in presentation order:
-// E1–E8 cover the paper's theorems, E9–E11 its Corollary 1 and the §VII
-// open problems.
+// E1–E8 cover the paper's theorems, E9–E13 its Corollary 1 and the §VII
+// open problems, and F1 the convergence curves behind E1 and E5.
 func Registry() []Experiment {
 	core := []Experiment{
 		{"E1", "DAC convergence rate and rounds (Theorem 3)", E1DACConvergence},
@@ -85,13 +87,7 @@ func E2CrashDegreeNecessity() *analysis.Table {
 		"E2: Theorem 9 part 1 — split adversary at (1, ⌊n/2⌋−1)-dynaDegree, inputs 0|1",
 		"n", "quorum", "variant", "decided", "rounds", "range", "ε-agreement")
 	runSweep(g, func(c anondyn.Cell, _ int, res *anondyn.Result) {
-		// Read the effective quorum off the variant itself rather than
-		// its display name.
-		probe := anondyn.Scenario{N: c.N, F: c.F}
-		if c.Variant.Apply != nil {
-			c.Variant.Apply(&probe)
-		}
-		quorum := probe.QuorumOverride
+		quorum := variantScenario(c).QuorumOverride
 		if quorum == 0 {
 			quorum = c.N/2 + 1 // the paper quorum
 		}
@@ -258,11 +254,7 @@ func E7Baselines() *analysis.Table {
 				if r.res.MessagesDelivered > 0 {
 					avgBytes = float64(r.res.BytesDelivered) / float64(r.res.MessagesDelivered)
 				}
-				label, ok := advLabels[r.c.Adversary.Name]
-				if !ok {
-					label = r.c.Adversary.Name // spec gained an adversary the label map predates
-				}
-				tb.AddRowf(r.c.Variant.Name, label, r.res.Decided,
+				tb.AddRowf(r.c.Variant.Name, label(advLabels, r.c.Adversary.Name), r.res.Decided,
 					r.res.Rounds, r.res.OutputRange(), r.res.EpsAgreement(r.c.Eps), avgBytes)
 			}
 		}

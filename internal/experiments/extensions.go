@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"anondyn"
 	"anondyn/internal/analysis"
@@ -26,52 +28,24 @@ func extensionRegistry() []Experiment {
 // minimum never propagates and exact agreement fails with ZERO faulty
 // nodes. DAC, run under the very same adversaries (n−2 ≥ ⌊n/2⌋), solves
 // approximate consensus: the feasibility gap between exact and
-// approximate consensus in this model, realized.
+// approximate consensus in this model, realized. Matrix:
+// examples/specs/e9-exact-floodmin.yaml, then e9-approx-dac.yaml.
 func E9ExactImpossibility() *analysis.Table {
-	const (
-		n   = 7
-		eps = 1e-3
-	)
 	tb := analysis.NewTable(
 		"E9: Corollary 1 — exact vs approximate consensus at (1, n−2)-dynaDegree (n=7, node 0 has input 0, rest 1)",
 		"algorithm", "adversary", "decided", "distinct outputs", "range", "agreement")
-	type c struct {
-		algo anondyn.Algo
-		name string
-		adv  anondyn.Adversary
+	advLabels := map[string]string{"isolate:0": "isolate(0)", "chasemin": "chaseMin"}
+	for _, file := range []string{"e9-exact-floodmin.yaml", "e9-approx-dac.yaml"} {
+		runSweep(sweepGrid(file), func(c anondyn.Cell, _ int, res *anondyn.Result) {
+			distinct := countDistinct(res.Outputs)
+			agreement := res.Decided && res.EpsAgreement(c.Eps)
+			if c.Algorithm == anondyn.AlgoFloodMin {
+				agreement = res.Decided && distinct == 1 // exact agreement
+			}
+			tb.AddRowf(c.Algorithm.String(), label(advLabels, c.Adversary.Name), res.Decided,
+				distinct, res.OutputRange(), agreement)
+		})
 	}
-	cases := []c{
-		{anondyn.AlgoFloodMin, "complete", anondyn.Complete()},
-		{anondyn.AlgoFloodMin, "isolate(0)", anondyn.Isolate(0)},
-		{anondyn.AlgoFloodMin, "chaseMin", anondyn.ChaseMin()},
-		{anondyn.AlgoDAC, "isolate(0)", anondyn.Isolate(0)},
-		{anondyn.AlgoDAC, "chaseMin", anondyn.ChaseMin()},
-	}
-	runCases(len(cases), func(i int) (*anondyn.Result, error) {
-		tc := cases[i]
-		res, err := anondyn.Scenario{
-			N: n, F: 0, Eps: eps,
-			Algorithm: tc.algo,
-			Unchecked: true,
-			Inputs:    anondyn.SplitInputs(n, 1), // node 0 → 0, rest → 1
-			Adversary: tc.adv,
-			MaxRounds: 500,
-		}.Run()
-		if err != nil {
-			return nil, fmt.Errorf("E9 %v/%s: %w", tc.algo, tc.name, err)
-		}
-		return res, nil
-	}, func(i int, res *anondyn.Result) {
-		tc := cases[i]
-		distinct := countDistinct(res.Outputs)
-		agreement := false
-		if tc.algo == anondyn.AlgoFloodMin {
-			agreement = res.Decided && distinct == 1 // exact agreement
-		} else {
-			agreement = res.Decided && res.EpsAgreement(eps)
-		}
-		tb.AddRowf(tc.algo.String(), tc.name, res.Decided, distinct, res.OutputRange(), agreement)
-	})
 	tb.AddNote("exact consensus: the adversary suppresses one message per receiver per round and the 0 never spreads")
 	tb.AddNote("DAC under the same adversaries: n−2 = 5 ≥ ⌊n/2⌋ = 3, so approximate consensus remains solvable")
 	return tb
@@ -87,51 +61,24 @@ func countDistinct(outputs map[int]float64) int {
 
 // E10ProbabilisticRounds measures DAC's rounds-to-output under the
 // random per-round Erdős–Rényi adversary across link probabilities —
-// the expected-round-complexity question §VII poses. Each cell
-// aggregates 20 seeded runs; the whole p × seed matrix runs as one
-// worker-pool batch with a streaming BatchStats aggregate per p.
+// the expected-round-complexity question §VII poses. Each p is one cell
+// of examples/specs/e10-er-rounds.yaml, aggregated over its seeds by
+// the sweep's own per-cell fold.
 func E10ProbabilisticRounds() *analysis.Table {
-	const (
-		n      = 9
-		f      = 2
-		eps    = 1e-3
-		runs   = 20
-		budget = 100000
-	)
-	tb := analysis.NewTable(
-		fmt.Sprintf("E10: DAC under er(p), n=%d, f=%d crashes, ε=1e-3, %d seeds per p", n, f, runs),
-		"p", "decided", "rounds mean", "rounds median", "rounds p95", "rounds max", "violations")
-	ps := []float64{0.05, 0.1, 0.2, 0.4, 0.7, 1.0}
-	stats := make([]*anondyn.BatchStats, len(ps))
-	for i := range ps {
-		stats[i] = &anondyn.BatchStats{Eps: eps}
-	}
-	err := anondyn.RunManyStream(anondyn.Seeds(len(ps)*runs, 0),
-		func(batchSeed int64) anondyn.Scenario {
-			p := ps[int(batchSeed)/runs]
-			seed := batchSeed % runs
-			return anondyn.Scenario{
-				N: n, F: f, Eps: eps,
-				Algorithm: anondyn.AlgoDAC,
-				Inputs:    anondyn.RandomInputs(n, 7000+seed),
-				Adversary: anondyn.Probabilistic(p, 9000+seed),
-				Crashes: map[int]anondyn.Crash{
-					2: anondyn.CrashAt(4),
-					5: anondyn.CrashAt(9),
-				},
-				MaxRounds: budget,
-			}
-		},
-		func(index int, seed int64, res *anondyn.Result) error {
-			return stats[index/runs].Consume(index, seed, res)
-		},
-		batchOptions())
+	g := sweepGrid("e10-er-rounds.yaml")
+	rows, err := g.Run(batchOptions())
 	if err != nil {
 		panic(fmt.Sprintf("E10: %v", err))
 	}
-	for i, p := range ps {
-		s := stats[i].Rounds()
-		tb.AddRowf(p, stats[i].DecidedAll(), s.Mean, s.Median, s.P95, s.Max, stats[i].Violations())
+	tb := analysis.NewTable(
+		fmt.Sprintf("E10: DAC under er(p), n=%d, f=%d crashes, ε=1e-3, %d seeds per p", rows[0].N, rows[0].F, g.SeedsPerCell),
+		"p", "decided", "rounds mean", "rounds median", "rounds p95", "rounds max", "violations")
+	for _, r := range rows {
+		p, err := strconv.ParseFloat(strings.TrimPrefix(r.Adversary, "er:"), 64)
+		if err != nil {
+			panic(fmt.Sprintf("E10: adversary %q: %v", r.Adversary, err))
+		}
+		tb.AddRowf(p, r.Decided == r.Runs, r.Rounds.Mean, r.Rounds.Median, r.Rounds.P95, r.Rounds.Max, r.Violations)
 	}
 	tb.AddNote("no (T,D) guarantee holds deterministically; termination is only probabilistic — yet safety (validity, ε-agreement) never breaks")
 	return tb
@@ -141,61 +88,42 @@ func E10ProbabilisticRounds() *analysis.Table {
 // bandwidth-constrained links): plain DAC/DBAC always fit; FullInfo's
 // messages grow with the phase count until the link drops them, and the
 // run stalls mid-convergence. A bounded piggyback window is the §VII
-// compromise: pick K so the message fits the link.
+// compromise: pick K so the message fits the link. Matrix:
+// examples/specs/e11-bandwidth-crash.yaml (DAC, FullInfo) and
+// e11-bandwidth-byzantine.yaml (DBAC and its windows), whose variants
+// set the cap.
 func E11BandwidthCaps() *analysis.Table {
-	const eps = 1e-3
-	n, f := 11, 2
 	tb := analysis.NewTable(
 		"E11: per-link bandwidth budget (n=11, f=2 where applicable, rotating adversary, ε=1e-3)",
 		"algorithm", "cap (bytes)", "decided", "rounds", "oversized drops", "range")
-	type c struct {
-		name string
-		run  func(cap int) (*anondyn.Result, error)
+	type row struct {
+		c   anondyn.Cell
+		res *anondyn.Result
 	}
-	mk := func(algo anondyn.Algo, window, ff int) func(cap int) (*anondyn.Result, error) {
-		return func(cap int) (*anondyn.Result, error) {
-			adv := anondyn.Rotating(anondyn.CrashDegree(n))
-			pEnd := 0
-			if algo == anondyn.AlgoDBAC || algo == anondyn.AlgoDBACPiggyback {
-				adv = anondyn.Rotating(anondyn.ByzDegree(n, ff))
-				pEnd = 14
-			}
-			return anondyn.Scenario{
-				N: n, F: ff, Eps: eps,
-				Algorithm:       algo,
-				PiggybackWindow: window,
-				PEndOverride:    pEnd,
-				Inputs:          anondyn.SpreadInputs(n),
-				Adversary:       adv,
-				MaxRounds:       600,
-				MaxMessageBytes: cap,
-			}.Run()
+	collect := func(file string) (rows []row) {
+		runSweep(sweepGrid(file), func(c anondyn.Cell, _ int, res *anondyn.Result) {
+			rows = append(rows, row{c: c, res: res})
+		})
+		return rows
+	}
+	crash, byz := collect("e11-bandwidth-crash.yaml"), collect("e11-bandwidth-byzantine.yaml")
+	// Light to heavy messages: the crash family's first algorithm (DAC)
+	// opens the table, the Byzantine family follows, and the crash
+	// family's second (FullInfo) closes it. The capped prefix makes
+	// append copy rather than overwrite FullInfo's rows.
+	half := len(crash) / 2
+	for _, r := range append(append(crash[:half:half], byz...), crash[half:]...) {
+		s, res := variantScenario(r.c), r.res
+		algo := s.Algorithm.String()
+		if s.PiggybackWindow > 0 {
+			algo += fmt.Sprintf("(K=%d)", s.PiggybackWindow)
 		}
-	}
-	cases := []c{
-		{"DAC", mk(anondyn.AlgoDAC, 0, 0)},
-		{"DBAC", mk(anondyn.AlgoDBAC, 0, f)},
-		{"DBAC+pb(K=2)", mk(anondyn.AlgoDBACPiggyback, 2, f)},
-		{"DBAC+pb(K=8)", mk(anondyn.AlgoDBACPiggyback, 8, f)},
-		{"FullInfo", mk(anondyn.AlgoFullInfo, 0, 0)},
-	}
-	limits := []int{0, 24}
-	runCases(len(cases)*len(limits), func(i int) (*anondyn.Result, error) {
-		tc, limit := cases[i/len(limits)], limits[i%len(limits)]
-		res, err := tc.run(limit)
-		if err != nil {
-			return nil, fmt.Errorf("E11 %s cap=%d: %w", tc.name, limit, err)
-		}
-		return res, nil
-	}, func(i int, res *anondyn.Result) {
-		tc, limit := cases[i/len(limits)], limits[i%len(limits)]
 		capLabel := "∞"
-		if limit > 0 {
-			capLabel = fmt.Sprintf("%d", limit)
+		if s.MaxMessageBytes > 0 {
+			capLabel = strconv.Itoa(s.MaxMessageBytes)
 		}
-		tb.AddRowf(tc.name, capLabel, res.Decided, res.Rounds,
-			res.MessagesOversized, res.OutputRange())
-	})
+		tb.AddRowf(algo, capLabel, res.Decided, res.Rounds, res.MessagesOversized, res.OutputRange())
+	}
 	tb.AddNote("cap 24 bytes ≈ current state + 4 history entries; FullInfo outgrows it and stalls, bounded windows keep fitting")
 	return tb
 }
@@ -206,43 +134,19 @@ func E11BandwidthCaps() *analysis.Table {
 // any adversary that staggers quorum arrivals strands slow nodes in
 // phases that nobody broadcasts anymore. Lockstep adversaries (complete,
 // rotating — every node advances every round) hide the defect; the
-// randomized one exposes the deadlock.
+// randomized one exposes the deadlock. Matrix:
+// examples/specs/e12-jump-ablation.yaml.
 func E12JumpAblation() *analysis.Table {
-	const (
-		n   = 9
-		eps = 1e-3
-	)
 	tb := analysis.NewTable(
 		"E12: jump-rule ablation (n=9, ε=1e-3, no faults)",
 		"algorithm", "adversary", "decided", "rounds", "range", "ε-agreement")
-	algos := []anondyn.Algo{anondyn.AlgoDAC, anondyn.AlgoDACNoJump}
-	advs := []struct {
-		name string
-		mk   func() anondyn.Adversary
-	}{
-		{"complete", func() anondyn.Adversary { return anondyn.Complete() }},
-		{"rotating(4)", func() anondyn.Adversary { return anondyn.Rotating(anondyn.CrashDegree(n)) }},
-		{"randDeg(B=3,D=4)", func() anondyn.Adversary {
-			return anondyn.RandomDegree(3, anondyn.CrashDegree(n), 0.05, 321)
-		}},
+	advLabels := map[string]string{
+		"rotating:crashdeg":          "rotating(4)",
+		"random:3,crashdeg,0.05,321": "randDeg(B=3,D=4)",
 	}
-	runCases(len(algos)*len(advs), func(i int) (*anondyn.Result, error) {
-		algo, ac := algos[i/len(advs)], advs[i%len(advs)]
-		res, err := anondyn.Scenario{
-			N: n, F: 0, Eps: eps,
-			Algorithm: algo,
-			Inputs:    anondyn.SpreadInputs(n),
-			Adversary: ac.mk(),
-			MaxRounds: 2000,
-		}.Run()
-		if err != nil {
-			return nil, fmt.Errorf("E12 %v/%s: %w", algo, ac.name, err)
-		}
-		return res, nil
-	}, func(i int, res *anondyn.Result) {
-		algo, ac := algos[i/len(advs)], advs[i%len(advs)]
-		tb.AddRowf(algo.String(), ac.name, res.Decided, res.Rounds,
-			res.OutputRange(), res.EpsAgreement(eps))
+	runSweep(sweepGrid("e12-jump-ablation.yaml"), func(c anondyn.Cell, _ int, res *anondyn.Result) {
+		tb.AddRowf(c.Algorithm.String(), label(advLabels, c.Adversary.Name), res.Decided, res.Rounds,
+			res.OutputRange(), res.EpsAgreement(c.Eps))
 	})
 	tb.AddNote("without the jump rule, staggered quorums strand slow nodes in abandoned phases: deadlock")
 	return tb

@@ -18,62 +18,31 @@ func figureRegistry() []Experiment {
 // F1ConvergenceCurves records the fault-free value range after every
 // round for DAC and DBAC under increasingly hostile adversaries — the
 // round-resolution picture behind the E1/E5 phase tables. Rendered as a
-// log-scale sparkline per run plus sampled values.
+// log-scale sparkline per run plus sampled values. Matrix:
+// examples/specs/f1-dac-curves.yaml, then f1-dbac-curves.yaml.
 func F1ConvergenceCurves() *analysis.Table {
-	const eps = 1e-3
 	tb := analysis.NewTable(
 		"F1: range vs round (log-scale sparklines ▁=≤1e-6 … █=1; ε=1e-3)",
 		"algorithm", "n", "adversary", "rounds→ε", "curve", "samples (round:range)")
-
-	type runCase struct {
-		algo    anondyn.Algo
-		n, f    int
-		advName string
-		adv     anondyn.Adversary
-		byz     map[int]anondyn.Strategy
-		pEnd    int
+	advLabels := map[string]string{
+		"rotating:4":   "rotating(4)",
+		"clustered:6":  "clustered(T=6)",
+		"er:0.15,4242": "er(p=0.15)",
+		"rotating:8":   "rotating(8)+equivocate",
 	}
-	n := 9
-	cases := []runCase{
-		{anondyn.AlgoDAC, n, 0, "complete", anondyn.Complete(), nil, 0},
-		{anondyn.AlgoDAC, n, 0, "rotating(4)", anondyn.Rotating(4), nil, 0},
-		{anondyn.AlgoDAC, n, 0, "clustered(T=6)", anondyn.Clustered(6), nil, 0},
-		{anondyn.AlgoDAC, n, 0, "er(p=0.15)", anondyn.Probabilistic(0.15, 4242), nil, 0},
-		{anondyn.AlgoDBAC, 11, 2, "rotating(8)+equivocate", anondyn.Rotating(8),
-			map[int]anondyn.Strategy{3: anondyn.Equivocator(0, 1), 8: anondyn.Equivocator(0, 1)}, 14},
+	for _, file := range []string{"f1-dac-curves.yaml", "f1-dbac-curves.yaml"} {
+		g := sweepGrid(file)
+		series := recordSeries(&g)
+		runSweep(g, func(c anondyn.Cell, run int, res *anondyn.Result) {
+			adv := label(advLabels, c.Adversary.Name)
+			if !res.Decided {
+				panic(fmt.Sprintf("F1 %v/%s: undecided", c.Algorithm, adv))
+			}
+			s := series[run]
+			tb.AddRowf(c.Algorithm.String(), c.N, adv,
+				s.RoundsToRange(c.Eps), s.Sparkline(24, 1e-6), s.FormatSampled(max(s.Len()/8, 1)))
+		})
 	}
-	type curve struct {
-		series *anondyn.RangeSeries
-	}
-	runCases(len(cases), func(i int) (curve, error) {
-		tc := cases[i]
-		series := anondyn.NewRangeSeries()
-		res, err := anondyn.Scenario{
-			N: tc.n, F: tc.f, Eps: eps,
-			Algorithm:    tc.algo,
-			PEndOverride: tc.pEnd,
-			Inputs:       anondyn.SpreadInputs(tc.n),
-			Adversary:    tc.adv,
-			Byzantine:    tc.byz,
-			Series:       series,
-			MaxRounds:    4000,
-		}.Run()
-		if err != nil {
-			return curve{}, fmt.Errorf("F1 %v/%s: %w", tc.algo, tc.advName, err)
-		}
-		if !res.Decided {
-			return curve{}, fmt.Errorf("F1 %v/%s: undecided", tc.algo, tc.advName)
-		}
-		return curve{series: series}, nil
-	}, func(i int, c curve) {
-		tc := cases[i]
-		stride := c.series.Len() / 8
-		if stride < 1 {
-			stride = 1
-		}
-		tb.AddRowf(tc.algo.String(), tc.n, tc.advName,
-			c.series.RoundsToRange(eps), c.series.Sparkline(24, 1e-6), c.series.FormatSampled(stride))
-	})
 	tb.AddNote("curves contract geometrically; hostile schedules stretch the x-axis (rounds), never the contraction per phase")
 	return tb
 }

@@ -1,7 +1,8 @@
 // Package harness is the worker-pool batch executor behind every
-// Monte-Carlo workload in this repository: RunManyStream (and through
-// it every Grid sweep), the experiment tables, and the CLI batch modes
-// all funnel through Run or RunPooled.
+// Monte-Carlo workload in this repository: every run of a Grid — the
+// experiment tables, the sweeps and the CLI batch modes — goes through
+// RunPooled (in Grid.RunSlice), and dyna tables spreads whole
+// experiments over Run.
 //
 // The contract is determinism first: tasks are independent and seeded,
 // workers claim indices from a shared counter and execute them in

@@ -35,7 +35,12 @@ func MinTForDegree(trace Trace, faultFree []int, d int) int {
 // (T, D)-dynaDegree for the given fault-free set, i.e. the minimum over
 // all T-windows and all fault-free nodes of the distinct-in-neighbor
 // count. Links count as Definition 1 counts them: the in-neighbor need
-// not be fault-free, so a link from a Byzantine node counts. A trace
+// not be fault-free, so a link from a Byzantine node counts, and so does
+// a link from a crashed node, which carries nothing. A measured
+// (T, ⌊n/2⌋) therefore does not by itself promise that DAC terminates:
+// with n = 5, nodes 0 and 1 crashed silently at round 0 and every round
+// {0, 1} → {2, 3, 4}, the degree is 2 = ⌊n/2⌋ and no survivor ever
+// hears anyone (pinned by TestDynaDegreeCountsCrashedSenders). A trace
 // shorter than T yields n−1 (vacuous truth capped at the model maximum,
 // since D ≤ n−1 by definition); an empty trace yields 0.
 func MaxDynaDegree(trace Trace, faultFree []int, t int) int {

@@ -65,7 +65,7 @@ func runParityBatch(t *testing.T, mk func(int64) anondyn.Scenario, sink anondyn.
 		return nil
 	}
 	opts := anondyn.BatchOptions{Workers: 2, Metrics: sink}
-	if err := anondyn.RunManyStream(anondyn.Seeds(8, 100), mk, collect, opts); err != nil {
+	if err := runFamily(mk, 8, 100, collect, opts); err != nil {
 		t.Fatal(err)
 	}
 	data, err := json.Marshal(rows)
@@ -99,8 +99,7 @@ func seriesRun(t *testing.T, seed int64) (*metrics.SeriesSink, metrics.Snapshot)
 	coll := metrics.NewCollector()
 	mk := parityFamily(false)
 	opts := anondyn.BatchOptions{Workers: 1, Metrics: metrics.Tee(ss, coll)}
-	err := anondyn.RunManyStream([]int64{seed, seed + 1}, mk,
-		func(int, int64, *anondyn.Result) error { return nil }, opts)
+	err := runFamily(mk, 2, seed, func(int, int64, *anondyn.Result) error { return nil }, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,15 @@
 package anondyn_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"anondyn"
+	"anondyn/internal/adversary"
 )
 
 // End-to-end property tests: for randomized inputs, adversaries, fault
@@ -204,5 +207,157 @@ func TestPropertyRecordedDynaDegree(t *testing.T) {
 	}
 	if err := quick.Check(property, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// registryArgs holds one argument per adversary registry name: the spec
+// "name:arg" (or the bare name for an empty argument) builds a product
+// of each name for TestPropertyValueIndependence to classify.
+var registryArgs = map[string]string{
+	"chasemin":     "",
+	"clustered":    "4",
+	"complete":     "",
+	"er":           "0.3",
+	"er2":          "0.3",
+	"fig1":         "",
+	"halves":       "",
+	"isolate":      "0",
+	"random":       "3,crashdeg",
+	"rotating":     "crashdeg",
+	"starve":       "crashdeg",
+	"starveperiod": "3",
+	// Registered by TestRegisterAdversaryFactory when it runs first.
+	testFactoryName: "",
+}
+
+// TestPropertyValueIndependence: DAC's transitions (the jump rule and
+// the quorum) read phases and ports, never values, so under an
+// oblivious adversary a run's round count, decide rounds and message
+// counts cannot depend on the inputs. Every registry factory whose
+// product is oblivious runs DAC and its no-jump ablation with and
+// without E10's two crashes, once per input vector, through one Grid;
+// only the outputs may differ between the two passes.
+func TestPropertyValueIndependence(t *testing.T) {
+	var oblivious []anondyn.AdversaryFactory
+	for _, name := range anondyn.AdversaryFactoryNames() {
+		arg, ok := registryArgs[name]
+		if !ok {
+			t.Errorf("registry name %q has no argument in registryArgs", name)
+			continue
+		}
+		spec := name
+		if arg != "" {
+			spec += ":" + arg
+		}
+		f, err := anondyn.ParseAdversaryFactory(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adversary.IsOblivious(f.New(anondyn.Cell{N: 9, F: 2}, 1)) {
+			oblivious = append(oblivious, f)
+		}
+	}
+	if len(oblivious) == 0 {
+		t.Fatal("no oblivious factory in the registry")
+	}
+	e10Crashes := map[int]anondyn.Crash{2: anondyn.CrashAt(4), 5: anondyn.CrashAt(9)}
+	grid := anondyn.Grid{
+		// fig1 is defined on n = 3 only, where the run is fault-free;
+		// n = 9 carries E10's f = 2.
+		Ns:          []int{3, 9},
+		Fs:          []int{0, 2},
+		Algorithms:  []anondyn.Algo{anondyn.AlgoDAC, anondyn.AlgoDACNoJump},
+		Adversaries: oblivious,
+		Variants: []anondyn.Variant{
+			{Name: "no crashes"},
+			{Name: "E10 crashes", Apply: func(s *anondyn.Scenario) { s.Crashes = e10Crashes }},
+		},
+		SeedsPerCell: 10,
+		MaxRounds:    500,
+		Skip: func(c anondyn.Cell) bool {
+			if c.N == 3 && (c.F != 0 || c.Variant.Apply != nil) || c.N == 9 && c.F != 2 {
+				return true
+			}
+			return c.Adversary.Check != nil && c.Adversary.Check(c) != nil
+		},
+	}
+	run := func(inputs func(n int, seed int64) []float64) []*anondyn.Result {
+		g := grid
+		g.Inputs = inputs
+		results := make([]*anondyn.Result, g.Runs())
+		err := g.RunEach(anondyn.BatchOptions{}, func(_ anondyn.Cell, _, run int, _ int64, res *anondyn.Result) error {
+			results[run] = res
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+	first := run(anondyn.RandomInputs)
+	second := run(func(n int, seed int64) []float64 { return anondyn.RandomInputs(n, ^seed) })
+	per := grid.SeedsPerCell
+	cells := grid.Cells()
+	outputsMoved := 0
+	for i, a := range first {
+		b := second[i]
+		c := cells[i/per]
+		label := fmt.Sprintf("n=%d %v %s %s run %d", c.N, c.Algorithm, c.Adversary.Name, c.Variant.Name, i)
+		if a.Rounds != b.Rounds || a.Decided != b.Decided || !reflect.DeepEqual(a.DecideRound, b.DecideRound) ||
+			a.MessagesDelivered != b.MessagesDelivered || a.MessagesLost != b.MessagesLost {
+			t.Errorf("%s: timing depends on the inputs: rounds %d/%d, delivered %d/%d, lost %d/%d, decide rounds %v/%v",
+				label, a.Rounds, b.Rounds, a.MessagesDelivered, b.MessagesDelivered,
+				a.MessagesLost, b.MessagesLost, a.DecideRound, b.DecideRound)
+		}
+		if !reflect.DeepEqual(a.Outputs, b.Outputs) {
+			outputsMoved++
+		}
+	}
+	// The check is vacuous unless the second input vector changed what
+	// the runs computed.
+	if outputsMoved == 0 {
+		t.Error("no run's outputs differ between the two input vectors")
+	}
+	t.Logf("%d oblivious factories, %d cells, %d run pairs, %d with different outputs",
+		len(oblivious), len(cells), len(first), outputsMoved)
+}
+
+// TestDynaDegreeCountsCrashedSenders pins a counterexample for the
+// crash theorem's degree condition as MaxDynaDegree measures it: links
+// from crashed senders count (Definition 1 does not ask the sender to
+// be fault-free), so a trace can measure (1, ⌊n/2⌋)-dynaDegree while
+// every link a fault-free node hears is from a crashed node. Here n = 5,
+// f = 2, nodes 0 and 1 crash silently before round 0, and every round
+// is {0, 1} → {2, 3, 4}: the measured degree is 2 = ⌊n/2⌋, yet the
+// survivors never hear anyone and DAC cannot decide. So a measured
+// (T, ⌊n/2⌋) alone does not promise termination.
+func TestDynaDegreeCountsCrashedSenders(t *testing.T) {
+	const n, f = 5, 2
+	e := anondyn.NewEdgeSet(n)
+	for _, from := range []int{0, 1} {
+		for _, to := range []int{2, 3, 4} {
+			e.Add(from, to)
+		}
+	}
+	res, err := anondyn.Scenario{
+		N: n, F: f, Eps: 1e-3,
+		Algorithm: anondyn.AlgoDAC,
+		Inputs:    anondyn.SpreadInputs(n),
+		Adversary: anondyn.Periodic("crashed-senders", e),
+		Crashes:   map[int]anondyn.Crash{0: anondyn.CrashSilent(0), 1: anondyn.CrashSilent(0)},
+		KeepTrace: true,
+		MaxRounds: 200,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := anondyn.MaxDynaDegree(res.Trace, res.FaultFree, 1); d != n/2 {
+		t.Errorf("MaxDynaDegree(trace, H=%v, 1) = %d, want ⌊n/2⌋ = %d", res.FaultFree, d, n/2)
+	}
+	if res.Decided {
+		t.Errorf("DAC decided in %d rounds with every heard link from a crashed sender", res.Rounds)
+	}
+	if res.Rounds != 200 || res.MessagesDelivered != 0 {
+		t.Errorf("ran %d rounds delivering %d messages, want 200 rounds and none", res.Rounds, res.MessagesDelivered)
 	}
 }

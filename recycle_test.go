@@ -75,11 +75,12 @@ func assertEqualResults(t *testing.T, want, got *anondyn.Result, label string) {
 	}
 }
 
-// collect runs a RunManyStream batch and returns its results by batch
-// index — nil where the run failed — together with the batch error.
-func collect(seeds []int64, mk func(int64) anondyn.Scenario, opts anondyn.BatchOptions) ([]*anondyn.Result, error) {
-	got := make([]*anondyn.Result, len(seeds))
-	err := anondyn.RunManyStream(seeds, mk, func(i int, _ int64, res *anondyn.Result) error {
+// collect runs the family's seeds base, base+1, …, base+runs−1 as one
+// batch and returns its results by batch index — nil where the run
+// failed — together with the batch error.
+func collect(mk func(int64) anondyn.Scenario, runs int, base int64, opts anondyn.BatchOptions) ([]*anondyn.Result, error) {
+	got := make([]*anondyn.Result, runs)
+	err := runFamily(mk, runs, base, func(i int, _ int64, res *anondyn.Result) error {
 		got[i] = res
 		return nil
 	}, opts)
@@ -147,7 +148,7 @@ func TestCompiledRandomPortsMatchesFresh(t *testing.T) {
 // worker count, on the crash and the Byzantine family and on every
 // baseline.
 func TestRunManyStreamRecycledMatchesSequential(t *testing.T) {
-	seeds := anondyn.Seeds(24, 100)
+	const runs, base = 24, 100
 	for name, family := range map[string]func(int64) anondyn.Scenario{
 		"dac-er-crash":      recycleFamily,
 		"dbac-byzantine":    byzFamily,
@@ -158,16 +159,16 @@ func TestRunManyStreamRecycledMatchesSequential(t *testing.T) {
 		"floodmin":          baselineFamily(anondyn.AlgoFloodMin),
 	} {
 		var want []*anondyn.Result
-		for _, seed := range seeds {
-			want = append(want, mustRun(t, family(seed)))
+		for i := range runs {
+			want = append(want, mustRun(t, family(base+int64(i))))
 		}
 		for _, workers := range []int{1, 3, 8} {
-			got, err := collect(seeds, family, anondyn.BatchOptions{Workers: workers})
+			got, err := collect(family, runs, base, anondyn.BatchOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {
-				assertEqualResults(t, want[i], got[i], fmt.Sprintf("%s workers=%d seed %d", name, workers, seeds[i]))
+				assertEqualResults(t, want[i], got[i], fmt.Sprintf("%s workers=%d seed %d", name, workers, base+i))
 			}
 		}
 	}
@@ -214,7 +215,7 @@ func TestRecycledFloodMinValidatesInputs(t *testing.T) {
 	if _, err := mk(2).Run(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("fresh run: err %v, want %q", err, want)
 	}
-	got, err := collect([]int64{1, 2}, mk, anondyn.BatchOptions{Workers: 1})
+	got, err := collect(mk, 2, 1, anondyn.BatchOptions{Workers: 1})
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("batch: err %v, want %q", err, want)
 	}
@@ -251,13 +252,13 @@ func TestCompileConfigError(t *testing.T) {
 // per-worker engine boxes for sharing bugs; the two-cell grid makes
 // workers switch shapes mid-batch.
 func TestRecycledWorkersRace(t *testing.T) {
-	seeds := anondyn.Seeds(32, 0)
+	const runs = 32
 	stats := &anondyn.BatchStats{Eps: 1e-3}
-	if err := anondyn.RunManyStream(seeds, recycleFamily, stats.Consume,
+	if err := runFamily(recycleFamily, runs, 0, stats.Consume,
 		anondyn.BatchOptions{Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Runs() != len(seeds) {
+	if stats.Runs() != runs {
 		t.Fatalf("streamed %d runs", stats.Runs())
 	}
 	grid := anondyn.Grid{
@@ -325,18 +326,18 @@ func TestRecyclingAllocs(t *testing.T) {
 		t.Errorf("compiled run allocated %g objects, fresh run %g: want at least %g fewer", recycled, fresh, saving)
 	}
 
-	seeds := anondyn.Seeds(64, 0)
+	const runs = 64
 	freshLoop := testing.AllocsPerRun(3, func() {
-		for _, s := range seeds {
+		for s := range int64(runs) {
 			mustRun(t, recycleFamily(s))
 		}
-	}) / float64(len(seeds))
+	}) / runs
 	batch := testing.AllocsPerRun(3, func() {
-		if err := anondyn.RunManyStream(seeds, recycleFamily, (&anondyn.BatchStats{}).Consume,
+		if err := runFamily(recycleFamily, runs, 0, (&anondyn.BatchStats{}).Consume,
 			anondyn.BatchOptions{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
-	}) / float64(len(seeds))
+	}) / runs
 	if batch > freshLoop-saving {
 		t.Errorf("one-worker batch allocated %g objects per run, fresh runs %g: want at least %g fewer", batch, freshLoop, saving)
 	}
@@ -475,12 +476,11 @@ func TestShapeTransitions(t *testing.T) {
 	}
 	mk := func(seed int64) anondyn.Scenario { return shapes[seed].scenario(seed) }
 
-	seeds := anondyn.Seeds(len(shapes), 0)
-	got, batchErr := collect(seeds, mk, anondyn.BatchOptions{Workers: 1})
+	got, batchErr := collect(mk, len(shapes), 0, anondyn.BatchOptions{Workers: 1})
 	rejected := 0
-	for i, seed := range seeds {
+	for i := range shapes {
 		name := steps[i].name
-		want, err := mk(seed).Run()
+		want, err := mk(int64(i)).Run()
 		switch {
 		case err != nil:
 			rejected++
@@ -503,8 +503,8 @@ func TestShapeTransitions(t *testing.T) {
 // TestGridRenewalAllocs pins the per-worker adversary renewal by what
 // it saves: a one-worker Grid.Run of an er:0.3 cell, which seeds one
 // adversary per worker and cell and reseeds it per run, allocates at
-// least one object fewer per run than the same runs through
-// RunManyStream with a fresh adversary per run. Per run is the marginal
+// least one object fewer per run than the same runs as a per-seed
+// family (familyGrid) that builds a fresh adversary per run. Per run is the marginal
 // cost — a batch of 2R runs less a batch of R, over R — so the sweep's
 // fixed set-up (cells, folds, rows) is not spread over the runs. Bytes
 // per run are logged beside the counts.
@@ -550,7 +550,7 @@ func TestGridRenewalAllocs(t *testing.T) {
 		}
 	})
 	rebuilt, rebuiltBytes := perRun(func(runs int) {
-		if err := anondyn.RunManyStream(anondyn.Seeds(runs, 0), fresh, (&anondyn.BatchStats{}).Consume, opts); err != nil {
+		if err := runFamily(fresh, runs, 0, (&anondyn.BatchStats{}).Consume, opts); err != nil {
 			t.Fatal(err)
 		}
 	})

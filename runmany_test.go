@@ -9,7 +9,7 @@ import (
 func TestRunMany(t *testing.T) {
 	var results []*anondyn.Result
 	var seeds []int64
-	err := anondyn.RunManyStream(anondyn.Seeds(10, 100), func(seed int64) anondyn.Scenario {
+	err := runFamily(func(seed int64) anondyn.Scenario {
 		return anondyn.Scenario{
 			N: 7, F: 3, Eps: 1e-3,
 			Algorithm:   anondyn.AlgoDAC,
@@ -19,7 +19,7 @@ func TestRunMany(t *testing.T) {
 			Seed:        seed,
 			MaxRounds:   5000,
 		}
-	}, func(_ int, seed int64, res *anondyn.Result) error {
+	}, 10, 100, func(_ int, seed int64, res *anondyn.Result) error {
 		seeds = append(seeds, seed)
 		results = append(results, res)
 		return nil
@@ -45,17 +45,10 @@ func TestRunMany(t *testing.T) {
 }
 
 func TestRunManyPropagatesErrors(t *testing.T) {
-	err := anondyn.RunManyStream(anondyn.Seeds(3, 0), func(seed int64) anondyn.Scenario {
+	err := runFamily(func(seed int64) anondyn.Scenario {
 		return anondyn.Scenario{} // invalid
-	}, (&anondyn.BatchStats{}).Consume, anondyn.BatchOptions{})
+	}, 3, 0, (&anondyn.BatchStats{}).Consume, anondyn.BatchOptions{})
 	if err == nil {
 		t.Error("invalid scenario accepted")
-	}
-}
-
-func TestSeeds(t *testing.T) {
-	s := anondyn.Seeds(3, 40)
-	if len(s) != 3 || s[0] != 40 || s[2] != 42 {
-		t.Errorf("Seeds = %v", s)
 	}
 }

@@ -3,6 +3,8 @@ package anondyn
 import (
 	"errors"
 	"fmt"
+
+	"anondyn/internal/harness"
 )
 
 // AdversaryFactory names a parametric adversary constructor so sweeps
@@ -40,7 +42,7 @@ func CompleteFactory() AdversaryFactory {
 // applied to every run of its cells, after the cell's base scenario is
 // assembled and before Grid.Mutate runs. It is how one sweep compares
 // protocol variants — quorum overrides, piggyback windows, algorithm
-// swaps — on otherwise identical cells (experiments E2/E6/E7/E8).
+// swaps — on otherwise identical cells (experiments E2, E6, E7, E8, E11).
 type Variant struct {
 	// Name labels the variant in cell results and reports.
 	Name string
@@ -218,6 +220,17 @@ func (g Grid) Runs() int {
 // lo+j, i.e. seed BaseSeed+lo+j of cell (lo+j)/SeedsPerCell. Every
 // cell of the grid is checked before any run starts, so a slice fails
 // on exactly the sweeps the full run would reject.
+//
+// This is the one pooled run loop of the package. Nothing is retained
+// once each returns, so memory stays bounded by the pool's in-flight
+// window, not the slice; an each error aborts further deliveries and
+// fails the run. Each worker recycles one simulation engine across
+// every run it executes, reinitializes the previous run's processes in
+// place whenever the next run has the same shape (fixed ports, same
+// algorithm parameters and Byzantine set), and renews its cell's
+// adversary rather than rebuilding it (poolWorker.adversary). Recycling
+// never changes results — asserted by the recycle tests — so the runs
+// are bit-identical across worker counts.
 func (g Grid) RunSlice(lo, hi int, opts BatchOptions, each func(c Cell, cell, run int, seed int64, res *Result) error) error {
 	cells := g.Cells()
 	if len(cells) == 0 {
@@ -238,25 +251,45 @@ func (g Grid) RunSlice(lo, hi int, opts BatchOptions, each func(c Cell, cell, ru
 	if lo < 0 || hi > len(cells)*per || lo > hi {
 		return fmt.Errorf("anondyn: sweep slice [%d,%d) out of range for %d runs", lo, hi, len(cells)*per)
 	}
-	seeds := make([]int64, hi-lo)
-	for j := range seeds {
-		seeds[j] = g.BaseSeed + int64(lo+j)
-	}
-	err := runPooled(seeds,
-		func(w *poolWorker, j int) Scenario {
-			i := (lo + j) / per
-			g.scenario(&w.scenario, cells[i], seeds[j], w.adversary(cells[i], i, seeds[j]))
-			return w.scenario
+	err := harness.RunPooled(hi-lo,
+		func() (*poolWorker, error) { return &poolWorker{}, nil },
+		func(w *poolWorker, j int) (*Result, error) {
+			run := lo + j
+			i, seed := run/per, g.BaseSeed+int64(run)
+			s := &w.scenario
+			g.scenario(s, cells[i], seed, w.adversary(cells[i], i, seed))
+			if s.Metrics == nil {
+				s.Metrics = opts.Metrics
+			}
+			res, err := w.box.run(*s)
+			if err != nil {
+				return nil, fmt.Errorf("anondyn: seed %d: %w", seed, err)
+			}
+			return res, nil
 		},
-		func(index int, seed int64, res *Result) error {
-			run := lo + index
-			return each(cells[run/per], run/per, run, seed, res)
+		func(j int, res *Result) error {
+			run := lo + j
+			if err := each(cells[run/per], run/per, run, g.BaseSeed+int64(run), res); err != nil {
+				return err
+			}
+			opts.runDone(res)
+			return nil
 		},
-		opts)
+		opts.harness())
 	if err != nil {
 		return fmt.Errorf("anondyn: sweep: %w", err)
 	}
 	return nil
+}
+
+// poolWorker is one pool worker's state: the engine box it recycles
+// across its runs, the adversary it built last, the index of the cell
+// it built it for, and the scenario it assembles each run in.
+type poolWorker struct {
+	box      engineBox
+	adv      Adversary
+	cell     int
+	scenario Scenario
 }
 
 // adversary returns the adversary for a run of cell i with seed: the
