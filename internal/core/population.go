@@ -2,29 +2,31 @@ package core
 
 // Population is the engine's process role: the state machines of every
 // non-Byzantine node of one execution, addressed by node ID. The engine
-// drives it with Process's synchronous-round protocol, node by node:
+// drives it with Process's synchronous-round protocol:
 //
-//  1. Broadcast(i) once at the top of the round, for every node i that
-//     sends in it;
+//  1. BroadcastAll once at the top of the round, for all the nodes that
+//     broadcast in it at once;
 //  2. for every receiver v, DeliverRow(v, …) once or DeliverAll(v, …)
 //     any number of times, then EndRound(v).
 //
 // Self-delivery is never routed through it, as for Process. The engine
-// never addresses a Byzantine node's ID.
+// never addresses a Byzantine node's ID, and live is false at every one.
 //
 // PerNode adapts any []Process; PopulationOf runs a DAC network built
 // by NewDACPopulation without a dynamic call per node and reads each
 // receiver's senders off a compact copy of their broadcasts.
 type Population interface {
-	// Broadcast returns the message ⟨v, p⟩ node i sends this round.
-	Broadcast(i int) Message
+	// BroadcastAll sets msgs[i] to the message ⟨v, p⟩ node i sends this
+	// round, for every i with live[i], and leaves the other entries as
+	// they are.
+	BroadcastAll(live []bool, msgs []Message)
 
 	// DeliverRow delivers receiver v's whole round when row lists its
 	// in-neighbours in ascending ID order, each sender's ID is its port
 	// at v (the identity numbering), and every one of them delivers its
 	// broadcast of this round, msgs[u]. It is DeliverAll(v, ds) with
 	// ds[k] = Delivery{Port: row[k], Msg: msgs[row[k]]}; a population
-	// may read what its own Broadcast returned instead of msgs.
+	// may read what its own BroadcastAll recorded instead of msgs.
 	DeliverRow(v int, row []int32, msgs []Message)
 
 	// DeliverAll is Process.DeliverAll for node v.
@@ -50,7 +52,13 @@ type perNode struct {
 	ds    []Delivery // DeliverRow's fill, n entries once used
 }
 
-func (a *perNode) Broadcast(i int) Message { return a.procs[i].Broadcast() }
+func (a *perNode) BroadcastAll(live []bool, msgs []Message) {
+	for i, ok := range live {
+		if ok {
+			msgs[i] = a.procs[i].Broadcast()
+		}
+	}
+}
 
 func (a *perNode) DeliverRow(v int, row []int32, msgs []Message) {
 	if a.ds == nil {
@@ -74,7 +82,7 @@ func (a *perNode) Reinit(i int, input float64)     { a.procs[i].Reinit(input) }
 
 // PopulationOf is the Population of the DAC nodes ds, as
 // NewDACPopulation builds them (zero at the slots it skipped, which the
-// engine never addresses). Broadcast also copies the sender's ⟨v, p⟩
+// engine never addresses). BroadcastAll also copies each sender's ⟨v, p⟩
 // into a 16-byte-a-node start-of-round table, which DeliverRow reads
 // instead of the 40-byte Messages; every other call is a static call on
 // the node.
@@ -84,7 +92,7 @@ func PopulationOf(ds []DAC) Population {
 
 type dacPopulation struct {
 	ds   []DAC
-	sent []vp // each sender's ⟨v, p⟩ at the start of the round, written by Broadcast
+	sent []vp // each sender's ⟨v, p⟩ at the start of the round, written by BroadcastAll
 }
 
 // vp is one broadcast as Algorithm 1 reads it.
@@ -93,10 +101,15 @@ type vp struct {
 	p int
 }
 
-func (pop *dacPopulation) Broadcast(i int) Message {
-	d := &pop.ds[i]
-	pop.sent[i] = vp{d.v, d.p}
-	return Message{Value: d.v, Phase: d.p}
+func (pop *dacPopulation) BroadcastAll(live []bool, msgs []Message) {
+	ds, sent := pop.ds, pop.sent
+	for i, ok := range live {
+		if ok {
+			d := &ds[i]
+			sent[i] = vp{d.v, d.p}
+			msgs[i] = Message{Value: d.v, Phase: d.p}
+		}
+	}
 }
 
 // DeliverRow is DAC.DeliverAll over the row, reading each sender's

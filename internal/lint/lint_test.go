@@ -44,9 +44,10 @@ var moduleRules = rules{
 // allow is every exception the module has, with its reason.
 var allow = map[string]string{
 	// (a) exported for the tests of other packages only.
-	"(a) network.Ring":       "the directed cycle: a fixed test graph for the internal/adversary and internal/sim tests",
-	"(a) specs.Names":        "lists the committed specs for the golden and load tests of internal/spec, internal/report, internal/experiments and internal/transport",
-	"(a) metrics.SeriesSink": "records every sample for the root package's metrics-parity tests",
+	"(a) network.Ring":              "the directed cycle: a fixed test graph for the internal/adversary and internal/sim tests",
+	"(a) network.NumberingFromPerm": "an explicit numbering: the internal/sim anonymity property conjugates every node's ports with it",
+	"(a) specs.Names":               "lists the committed specs for the golden and load tests of internal/spec, internal/report, internal/experiments and internal/transport",
+	"(a) metrics.SeriesSink":        "records every sample for the root package's metrics-parity tests",
 
 	// (b) files outside the determinism boundary.
 	"(b) benchmark/layers.go":                "the benchmark: per-layer wall time is what it measures",

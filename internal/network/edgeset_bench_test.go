@@ -147,3 +147,24 @@ func BenchmarkKeepBetween(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(log)), "ns/edge")
 }
+
+// BenchmarkInRegularInto times the rotating adversary's generator on its
+// own, at the repo benchmark's sparse size: one op overwrites a recycled
+// CSR set with an in-regular graph, the link log BenchmarkCSRBuild fills
+// outside its timer. The offset steps as the rotating adversary's does.
+func BenchmarkInRegularInto(b *testing.B) {
+	const n, d = 16385, 4
+	b.Run(fmt.Sprintf("n=%d/d=%d", n, d), func(b *testing.B) {
+		s := NewEdgeSetSparse(n)
+		// Size the log before timing: the second Reset regrows it to its
+		// headroom.
+		InRegularInto(s, d, 0)
+		InRegularInto(s, d, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			InRegularInto(s, d, (i*d)%n)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*d), "ns/edge")
+	})
+}

@@ -1,6 +1,9 @@
 package network
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Numbering is one node's local port numbering: a bijection P_i from node
 // IDs to ports {0, …, n−1} (§II-A; the paper uses 1…n, we use 0-based).
@@ -35,6 +38,29 @@ func RandomNumbering(n int, rng *rand.Rand) Numbering {
 	}
 	p.identity = isIdentityPerm(perm)
 	return p
+}
+
+// NumberingFromPerm builds a numbering from an explicit permutation,
+// where perm[node] = port, and validates that it is a bijection. The
+// tests hold the seeded numberings against it and build conjugated
+// numberings (π(v) gives π(u) the port v gave u) with it.
+func NumberingFromPerm(perm []int) (Numbering, error) {
+	n := len(perm)
+	toNode := make([]int, n)
+	seen := make([]bool, n)
+	for node, port := range perm {
+		if port < 0 || port >= n {
+			return Numbering{}, fmt.Errorf("network: port %d out of range [0,%d)", port, n)
+		}
+		if seen[port] {
+			return Numbering{}, fmt.Errorf("network: duplicate port %d", port)
+		}
+		seen[port] = true
+		toNode[port] = node
+	}
+	toPort := make([]int, n)
+	copy(toPort, perm)
+	return Numbering{toPort: toPort, toNode: toNode, identity: isIdentityPerm(perm)}, nil
 }
 
 func isIdentityPerm(perm []int) bool {

@@ -1,33 +1,10 @@
 package network
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-// NumberingFromPerm builds a numbering from an explicit permutation,
-// where perm[node] = port. It validates bijectivity. It is the oracle the
-// tests hold the seeded numberings against.
-func NumberingFromPerm(perm []int) (Numbering, error) {
-	n := len(perm)
-	toNode := make([]int, n)
-	seen := make([]bool, n)
-	for node, port := range perm {
-		if port < 0 || port >= n {
-			return Numbering{}, fmt.Errorf("network: port %d out of range [0,%d)", port, n)
-		}
-		if seen[port] {
-			return Numbering{}, fmt.Errorf("network: duplicate port %d", port)
-		}
-		seen[port] = true
-		toNode[port] = node
-	}
-	toPort := make([]int, n)
-	copy(toPort, perm)
-	return Numbering{toPort: toPort, toNode: toNode, identity: isIdentityPerm(perm)}, nil
-}
 
 func TestIdentityNumbering(t *testing.T) {
 	p := IdentityNumbering(5)

@@ -27,21 +27,32 @@ func Ring(n int) *EdgeSet {
 // cyclically-preceding nodes shifted by offset. Varying offset between
 // rounds makes the in-neighbor sets rotate, which is how the rotating
 // adversaries guarantee distinctness across windows.
+//
+// Receiver v hears from (v+offset+1) mod n, (v+offset+2) mod n, …,
+// skipping v itself, and the links go to the log in that order, receiver
+// by receiver. The sender steps with a wrap compare rather than a
+// modulo, and every link is in range and no self-loop by construction,
+// so it is appended unchecked.
 func InRegularInto(e *EdgeSet, d, offset int) {
 	n := e.N()
 	if d < 0 || d > n-1 {
 		panic(fmt.Sprintf("network: in-degree %d out of range [0,%d]", d, n-1))
 	}
 	e.Reset()
+	first := ((offset+1)%n + n) % n // v's first sender, for v = 0
 	for v := 0; v < n; v++ {
-		added := 0
-		for j := 1; added < d && j <= n; j++ {
-			u := (v + offset + j) % n
-			if u == v {
-				continue
+		u := first
+		for added := 0; added < d; {
+			if u != v {
+				e.AddUnchecked(u, v)
+				added++
 			}
-			e.Add(u, v)
-			added++
+			if u++; u == n {
+				u = 0
+			}
+		}
+		if first++; first == n {
+			first = 0
 		}
 	}
 }

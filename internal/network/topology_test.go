@@ -1,6 +1,9 @@
 package network
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestComplete(t *testing.T) {
 	n := 5
@@ -55,6 +58,64 @@ func TestInRegular(t *testing.T) {
 	}
 	mustPanic(t, func() { inRegular(5, 5, 0) })
 	mustPanic(t, func() { inRegular(5, -1, 0) })
+}
+
+// inRegularModular is InRegularInto as first written, one modulo and one
+// checked Add per candidate sender: the reference the stepped,
+// unchecked generator is held to.
+func inRegularModular(e *EdgeSet, d, offset int) {
+	n := e.N()
+	e.Reset()
+	for v := 0; v < n; v++ {
+		added := 0
+		for j := 1; added < d && j <= n; j++ {
+			u := (v + offset + j) % n
+			if u == v {
+				continue
+			}
+			e.Add(u, v)
+			added++
+		}
+	}
+}
+
+// TestInRegularIntoMatchesModularLoop: InRegularInto builds the modular
+// reference's graph over every size, degree and offset class (offsets
+// past n wrap), in both representations: the same bits dense (Equal)
+// and the same link log in the same order sparse — a stronger check
+// than Equal, and what keeps the CSR compaction and every digest
+// downstream unchanged. An out-of-range degree still panics.
+func TestInRegularIntoMatchesModularLoop(t *testing.T) {
+	for _, n := range []int{2, 3, 9, 2049} {
+		for _, d := range []int{0, 1, 4, n - 1} {
+			if d > n-1 {
+				continue
+			}
+			for _, offset := range []int{0, 1, n - 1, n, 3*n + 2} {
+				wantLog := NewEdgeSetSparse(n)
+				inRegularModular(wantLog, d, offset)
+				want := NewEdgeSet(n)
+				for _, p := range wantLog.csr.pairs {
+					want.Add(int(p>>32), int(uint32(p)))
+				}
+				for _, got := range []*EdgeSet{NewEdgeSet(n), NewEdgeSetSparse(n)} {
+					got.Add(1, 0) // stale content must vanish
+					InRegularInto(got, d, offset)
+					if got.IsSparse() {
+						if !slices.Equal(got.csr.pairs, wantLog.csr.pairs) {
+							t.Fatalf("sparse n=%d d=%d offset=%d: link log differs from the modular loop's", n, d, offset)
+						}
+					} else if !got.Equal(want) {
+						t.Fatalf("dense n=%d d=%d offset=%d: graph differs from the modular loop's", n, d, offset)
+					}
+				}
+			}
+		}
+		mustPanic(t, func() { InRegularInto(NewEdgeSet(n), n, 0) })
+		mustPanic(t, func() { InRegularInto(NewEdgeSetSparse(n), n, 0) })
+		mustPanic(t, func() { InRegularInto(NewEdgeSet(n), -1, 0) })
+		mustPanic(t, func() { InRegularInto(NewEdgeSetSparse(n), -1, 0) })
+	}
 }
 
 func TestInRegularRotationChangesNeighbors(t *testing.T) {

@@ -48,10 +48,12 @@ type Engine struct {
 	// scratch reused across rounds
 	broadcasts  []core.Message
 	sends       []bool            // node sends in round t: Byzantine, or alive at its start (t ≤ crash round)
+	live        []bool            // node broadcasts in round t: sends and is not Byzantine — Population.BroadcastAll's mask
 	bcastSize   []int             // wire.Size per broadcast, computed once per round
 	byzStoreBuf []core.Message    // flat backing of every byzNode.store, grown in Reset, recycled across runs
 	byzOutBuf   []*core.Message   // flat backing of every byzNode.out
 	deliveries  []core.Delivery   // the receiver's gather buffer, n entries
+	rowbuf      []int32           // the receiver's sending in-neighbours on the by-row arm, n entries
 	inbuf       []int             // in-neighbor list behind gatherInNeighbors, capacity n
 	edges       *network.EdgeSet  // engine-owned E(t) for InPlace adversaries
 	inPlace     adversary.InPlace // non-nil when the adversary has the fast path
@@ -102,10 +104,10 @@ type Engine struct {
 	allIdentity bool
 	hasByz      bool
 
-	// Per-round sender census, taken by openRound: how many nodes send
-	// (the lost count's "alive sender" side), and whether some sender
-	// crashes this round with a DeliverTo list (only then does a gather
-	// consult AllowsFinalDelivery).
+	// Per-round sender census, taken by openRound (see census): how many
+	// nodes send (the lost count's "alive sender" side), and whether some
+	// sender crashes this round with a DeliverTo list (only then does a
+	// gather consult AllowsFinalDelivery).
 	senders int
 	partial bool
 
@@ -180,7 +182,6 @@ func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 			e.outputs[i] = 0
 			e.decideRound[i] = 0
 			e.inputs[i] = 0
-			e.sends[i] = false
 			e.bcastSize[i] = 0
 		}
 		e.crashSched = e.crashSched[:0]
@@ -194,6 +195,7 @@ func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 		e.inputs = make([]float64, n)
 		e.broadcasts = make([]core.Message, n)
 		e.sends = make([]bool, n)
+		e.live = make([]bool, n)
 		e.bcastSize = make([]int, n)
 		e.crashRound = make([]int, n)
 		e.crashInfo = make([]fault.Crash, n)
@@ -201,6 +203,7 @@ func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 		// record-degree round can never regrow them (steady rounds stay
 		// at 0 allocs).
 		e.deliveries = make([]core.Delivery, n)
+		e.rowbuf = make([]int32, n)
 		e.inbuf = make([]int, 0, n)
 		e.crashSched = nil
 		e.runMask, e.aheadMask = linkMask{}, linkMask{}
@@ -237,6 +240,9 @@ func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 		if e.crashRound[i] != neverCrashes {
 			e.crashSched = append(e.crashSched, i)
 		}
+		// Round 0's senders: every node (no crash round is negative).
+		// census turns off only crash-scheduled nodes from then on.
+		e.sends[i], e.live[i] = true, !e.isByz[i]
 	}
 	e.viewSkip = adversary.IsOblivious(cfg.Adversary) && len(cfg.Byzantine) == 0
 	e.viewInit = false
@@ -464,7 +470,7 @@ func (e *Engine) prune(m *linkMask, t int, edges *network.EdgeSet) bool {
 
 // refreshView brings the state window up to date for round t without
 // the O(n) eager capture (execView.refresh) the model describes. The
-// lazy modes are equivalent to it because Broadcast never changes a
+// lazy modes are equivalent to it because BroadcastAll never changes a
 // node's state (a DAC population only copies it out): its state at the
 // start of round t is exactly its state after EndRound of the last
 // round it was processed in, which the delivery loop captures as it
@@ -519,12 +525,17 @@ func (e *Engine) playRound(t int, edges *network.EdgeSet) {
 
 // openRound is the first half of a round, once the adversary has chosen
 // E(t) (reading start-of-round state through the view, if it adapts):
-// every live node broadcasts. Crash-scheduled nodes still broadcast in
+// it takes the round's sender census (senders, partial, and the sends
+// and live masks) that the gather's lost count and fault checks read,
+// then every sender speaks. Crash-scheduled nodes still broadcast in
 // their crash round (possibly reaching only a subset); Byzantine nodes
 // produce per-receiver messages into the engine-owned storage Reset
 // carved for them (no allocation), overwriting last round's so nothing
-// stale is ever consulted. It also takes the round's sender census
-// (senders, partial) that the gather's lost count and fault checks read.
+// stale is ever consulted. The live nodes broadcast through one
+// Population.BroadcastAll call, which fills e.broadcasts (and a DAC
+// population's start-of-round table). Wire sizes and the Recorder's
+// broadcast and crash events take a second pass over the live nodes,
+// made only when one of them is on.
 func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 	rec := e.hooks.Recorder
 	if rec != nil {
@@ -533,26 +544,24 @@ func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 	if e.cfg.KeepTrace {
 		e.result.Trace = append(e.result.Trace, edges.Clone())
 	}
-	e.senders, e.partial = 0, false
-	for i := 0; i < e.cfg.N; i++ {
-		if e.isByz[i] {
-			b := &e.byz[i]
-			b.strat.MessagesInto(t, i, e.view, b.store, b.out)
-			e.sends[i] = true
-			e.senders++
+	e.census(t)
+	if e.hasByz {
+		for i, byz := range e.isByz {
+			if byz {
+				b := &e.byz[i]
+				b.strat.MessagesInto(t, i, e.view, b.store, b.out)
+			}
+		}
+	}
+	e.pop.BroadcastAll(e.live, e.broadcasts)
+	if !e.needSize && rec == nil {
+		return
+	}
+	for i, live := range e.live {
+		if !live {
 			continue
 		}
-		if t > e.crashRound[i] {
-			e.sends[i] = false
-			continue
-		}
-		m := e.pop.Broadcast(i)
-		e.broadcasts[i] = m
-		e.sends[i] = true
-		e.senders++
-		if e.crashRound[i] == t && e.crashInfo[i].DeliverTo != nil {
-			e.partial = true
-		}
+		m := e.broadcasts[i]
 		if e.needSize {
 			// One Size per broadcast per round; deliveries reuse it.
 			e.bcastSize[i] = wire.Size(m)
@@ -564,6 +573,24 @@ func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 			if e.crashRound[i] == t {
 				rec.Record(trace.Event{Kind: trace.KindCrash, Round: t, Node: i})
 			}
+		}
+	}
+}
+
+// census brings the sender masks to round t and counts the round's
+// senders. A node stops sending only once its crash round has passed,
+// and Byzantine nodes never crash, so from Reset's round-0 masks (every
+// node sends, every non-Byzantine one broadcasts) only crash-scheduled
+// nodes ever change: the census costs O(crashes), not O(n).
+func (e *Engine) census(t int) {
+	e.senders, e.partial = e.cfg.N, false
+	for _, i := range e.crashSched {
+		c := e.crashRound[i]
+		if t > c {
+			e.sends[i], e.live[i] = false, false
+			e.senders--
+		} else if c == t && e.crashInfo[i].DeliverTo != nil {
+			e.partial = true
 		}
 	}
 }
@@ -630,17 +657,20 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 // sending in-neighbors it meets (heard), so an eligible receiver v adds
 // senders − 1 − heard: v is itself a sender, and (v, v) is never a
 // link. On a pruned set (e.pruned: see prune) every in-neighbor sends,
-// so heard is the row's length: a round after a crash reads its rows
-// like a round with no crash (the clean arm), unless a sender crashes
-// partially in it or a node is Byzantine.
+// so heard is the row's length.
 //
-// One arm fills no delivery buffer: a clean CSR round with identity
-// ports, no wire sizes, no shuffle and no per-delivery watcher hands
-// each receiver's in-row to Population.DeliverRow as it stands (byRow),
-// so a DAC population reads its senders' 16-byte start-of-round entries
-// instead of copying 40-byte Messages into 48-byte Deliveries. That is
-// the run goroutine's critical path on round-sparse-er2. Every other
-// round gathers into the buffer and calls DeliverAll.
+// One arm fills no delivery buffer: a round with identity ports, no
+// wire sizes, no sender crashing partially, no Byzantine node, no
+// shuffle and no per-delivery watcher goes by row (byRow). Each
+// receiver's sending in-neighbors, ascending, go to
+// Population.DeliverRow as an ID list, so a DAC population reads its
+// senders' 16-byte start-of-round entries instead of copying 40-byte
+// Messages into 48-byte Deliveries. A CSR in-row in which every node
+// sends (clean) is that list as it stands; otherwise — a dense bitmap
+// row, or a CSR row with crashed senders left in — the sending ones are
+// collected into e.rowbuf. That is the run goroutine's critical path on
+// round-sparse-er2 and round-sparse-regular. Every other round gathers
+// into the buffer and calls DeliverAll.
 //
 // Of a sparse set's two lazily built CSR views the loop reads only the
 // receiver-major one — directly (the direct gather below) or through
@@ -650,14 +680,11 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost int) {
 	liveView := !e.viewSkip
 	// With identity ports and no wire sizes to price, the gather reads
-	// the in-row straight into the buffer. A round in which every node sends
-	// its broadcast to all and none crashes partially (clean) needs no
-	// per-sender check at all: a CSR row then goes to the population as it
-	// stands, unless the deliveries must be shuffled or watched one by one.
+	// the in-row straight into the buffer or the row list.
 	direct := !e.needSize && e.allIdentity
 	sparse := edges.IsSparse()
-	clean := (e.senders == e.cfg.N || e.pruned) && !e.partial && !e.hasByz
-	byRow := direct && sparse && clean && !e.cfg.ShuffleDelivery && !e.trackPhases
+	clean := e.senders == e.cfg.N || e.pruned
+	byRow := direct && !e.partial && !e.hasByz && !e.cfg.ShuffleDelivery && !e.trackPhases
 	var inStarts, inIDs []int32
 	pop, broadcasts := e.pop, e.broadcasts
 	if direct && sparse {
@@ -670,9 +697,17 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 			continue
 		}
 		if byRow {
-			// Every in-neighbor sends, and delivers its broadcast at
-			// port == node ID, already ascending.
-			row := inIDs[inStarts[v]:inStarts[v+1]]
+			// Every listed in-neighbor delivers its broadcast at port ==
+			// node ID, already ascending.
+			var row []int32
+			switch {
+			case sparse && clean:
+				row = inIDs[inStarts[v]:inStarts[v+1]]
+			case sparse:
+				row = e.sendingIDs(inIDs[inStarts[v]:inStarts[v+1]])
+			default:
+				row = e.sendingBits(edges.InRow(v))
+			}
 			lost += e.senders - 1 - len(row)
 			delivered += len(row)
 			pop.DeliverRow(v, row, broadcasts)
@@ -685,7 +720,7 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 			case direct && sparse:
 				ds, heard = e.gatherRow(t, v, inIDs[inStarts[v]:inStarts[v+1]])
 			case direct:
-				ds, heard = e.gatherBits(t, v, edges.InRow(v), clean)
+				ds, heard = e.gatherBits(t, v, edges.InRow(v))
 			default:
 				ds, heard = e.gatherInNeighbors(t, v, edges)
 			}
@@ -727,11 +762,44 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 	return delivered, lost
 }
 
+// sendingIDs is the by-row arm's list for a CSR in-row that may hold
+// crashed senders: the in-neighbors that send this round, ascending, in
+// e.rowbuf.
+func (e *Engine) sendingIDs(row []int32) []int32 {
+	buf := e.rowbuf
+	k := 0
+	for _, u := range row {
+		if e.sends[u] {
+			buf[k] = u
+			k++
+		}
+	}
+	return buf[:k]
+}
+
+// sendingBits is sendingIDs over a dense in-row's bitmap words.
+func (e *Engine) sendingBits(row []uint64) []int32 {
+	buf := e.rowbuf
+	k := 0
+	for w, word := range row {
+		base := w * 64
+		for word != 0 {
+			u := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			if e.sends[u] {
+				buf[k] = int32(u)
+				k++
+			}
+		}
+	}
+	return buf[:k]
+}
+
 // gatherRow is the direct gather over a CSR in-row in a round that does
-// not go by row (not clean, or shuffled or watched per delivery):
-// in-neighbors that no longer send are skipped, and the others deliver
-// what sent resolves. It returns the filled prefix of
-// e.deliveries and the number of sending in-neighbors.
+// not go by row (a partial crash or a Byzantine node, or shuffled or
+// watched per delivery): in-neighbors that no longer send are skipped,
+// and the others deliver what sent resolves. It returns the filled
+// prefix of e.deliveries and the number of sending in-neighbors.
 func (e *Engine) gatherRow(t, v int, row []int32) ([]core.Delivery, int) {
 	ds := e.deliveries
 	byz := e.hasByz
@@ -770,32 +838,16 @@ func (e *Engine) sent(t, u, v int, byz bool) *core.Message {
 	return &e.broadcasts[u]
 }
 
-// gatherBits is the direct gather over a dense in-row's bitmap words,
-// ascending. In a clean round it is the plain scan; otherwise it applies
-// gatherRow's checks per sender.
-func (e *Engine) gatherBits(t, v int, row []uint64, clean bool) ([]core.Delivery, int) {
+// gatherBits is gatherRow over a dense in-row's bitmap words, ascending.
+func (e *Engine) gatherBits(t, v int, row []uint64) ([]core.Delivery, int) {
 	ds := e.deliveries
-	k, heard := 0, 0
-	base := 0
-	if clean {
-		for _, w := range row {
-			for w != 0 {
-				u := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				d := &ds[k]
-				d.Port = u
-				d.Msg = e.broadcasts[u]
-				k++
-			}
-			base += 64
-		}
-		return ds[:k], k
-	}
 	byz := e.hasByz
-	for _, w := range row {
-		for w != 0 {
-			u := base + bits.TrailingZeros64(w)
-			w &= w - 1
+	k, heard := 0, 0
+	for w, word := range row {
+		base := w * 64
+		for word != 0 {
+			u := base + bits.TrailingZeros64(word)
+			word &= word - 1
 			if !e.sends[u] {
 				continue
 			}
@@ -809,7 +861,6 @@ func (e *Engine) gatherBits(t, v int, row []uint64, clean bool) ([]core.Delivery
 			d.Msg = *m
 			k++
 		}
-		base += 64
 	}
 	return ds[:k], heard
 }

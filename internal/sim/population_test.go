@@ -115,19 +115,22 @@ func newPopRun(t *testing.T, c popCase, asPopulation bool) *popRun {
 }
 
 // TestPopulationMatchesAdapterProperty: a DAC network driven through
-// core.PopulationOf — whose clean CSR rounds deliver straight off the
-// in-row and read the senders' start-of-round table — and the same
-// network driven through the core.PerNode adapter give deep-equal
-// Results from Run and from RunRounds past the decision, the same end
-// states, and the same series, phase tracker and event log. Sizes
-// straddle network.SparseThreshold (and force CSR below it) on er2,
-// rotating and complete graphs, with crash schedules (partial DeliverTo
-// lists included), random ports and shuffled delivery. Runs small
-// enough for the O(n²)-a-round reference oracle also meet it, which
-// pins the clean arm's lost count.
+// core.PopulationOf — whose by-row rounds hand each receiver's sending
+// in-neighbours to DeliverRow, which reads the senders' start-of-round
+// table — and the same network driven through the core.PerNode adapter
+// give deep-equal Results from Run and from RunRounds past the
+// decision, the same end states, and the same series, phase tracker and
+// event log. Sizes straddle network.SparseThreshold (and force CSR
+// below it) on er2, rotating and complete graphs, with crash schedules
+// (silent and partial DeliverTo lists included), random ports and
+// shuffled delivery. Both by-row arms must be drawn often: CSR rows and
+// dense bitmap rows, the latter also after a silent crash, when a dense
+// round lists only the senders still alive. Runs small enough for the
+// O(n²)-a-round reference oracle also meet it, which pins the by-row
+// arms' lost counts.
 func TestPopulationMatchesAdapterProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
-	rows := 0
+	csrRows, denseRows, silentDenseRows := 0, 0, 0
 	for trial := 0; trial < 48; trial++ {
 		c := popCase{
 			n:         []int{9, 33, 70, 130, 9, 33, 70, network.SparseThreshold + 1}[rng.Intn(8)],
@@ -172,9 +175,20 @@ func TestPopulationMatchesAdapterProperty(t *testing.T) {
 				c.crashes = nil
 			}
 		}
-		if !c.randomPorts && !c.shuffle && !c.tracker && !c.recorder && c.adv != "complete" &&
-			(c.forceCSR || c.n >= network.SparseThreshold) {
-			rows++ // clean rounds of this run deliver off CSR rows
+		// A run with identity ports, no shuffle and no per-delivery
+		// watcher goes by row in every round no sender crashes partially
+		// in: on CSR rows, or on dense ones under FillComplete or below
+		// the threshold.
+		if !c.randomPorts && !c.shuffle && !c.tracker && !c.recorder {
+			switch {
+			case c.adv != "complete" && (c.forceCSR || c.n >= network.SparseThreshold):
+				csrRows++
+			case hasSilentCrash(c.crashes):
+				denseRows++
+				silentDenseRows++
+			default:
+				denseRows++
+			}
 		}
 		pop, per := newPopRun(t, c, true), newPopRun(t, c, false)
 		assertEqualResults(t, per.eng.Run(), pop.eng.Run(), "%v: Run", c)
@@ -199,7 +213,19 @@ func TestPopulationMatchesAdapterProperty(t *testing.T) {
 			assertEqualResults(t, referenceRunRounds(ref.eng, c.extra), pop.eng.RunRounds(0), "%v: reference oracle", c)
 		}
 	}
-	if rows < 8 {
-		t.Errorf("only %d trials could deliver off CSR rows: property nearly vacuous", rows)
+	if csrRows < 8 || denseRows < 8 || silentDenseRows < 2 {
+		t.Errorf("%d trials could deliver off CSR rows and %d off dense ones (%d after a silent crash): property nearly vacuous",
+			csrRows, denseRows, silentDenseRows)
 	}
+}
+
+// hasSilentCrash reports whether s holds a crash that sends nothing in
+// its crash round.
+func hasSilentCrash(s fault.Schedule) bool {
+	for _, c := range s {
+		if c.DeliverTo != nil && len(c.DeliverTo) == 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -165,8 +165,10 @@ func TestResultDetachedFromEngine(t *testing.T) {
 }
 
 // TestSteadyStateRoundAllocs is the allocation budget of the tentpole:
-// a steady-state DAC round allocates nothing, on both the benign
-// complete graph and the §VII probabilistic adversary.
+// a steady-state DAC round allocates nothing — on the benign complete
+// graph, the §VII probabilistic adversary, a dense round after a silent
+// crash (the by-row arm listing only the senders still alive, behind
+// the round's one BroadcastAll call) and a CSR rotating:4 round.
 func TestSteadyStateRoundAllocs(t *testing.T) {
 	const n = 9
 	// A huge pEnd keeps every node busy forever: rounds stay steady-state.
@@ -181,24 +183,23 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 		}
 		return procs
 	}
-	cases := map[string]func() adversary.Adversary{
-		"complete": func() adversary.Adversary { return adversary.NewComplete() },
-		"er": func() adversary.Adversary {
-			a, err := adversary.NewProbabilistic(0.5, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
+	cases := map[string]func() Config{
+		"complete": func() Config { return Config{Adversary: adversary.NewComplete()} },
+		"er": func() Config {
+			return Config{Adversary: must(adversary.NewProbabilistic(0.5, 3))}
+		},
+		"dense-silent-crash": func() Config {
+			return Config{Adversary: adversary.NewComplete(), Crashes: fault.Schedule{4: fault.CrashSilent(2)}}
+		},
+		"csr-rotating": func() Config {
+			return Config{Adversary: must(adversary.NewRotating(4)), ForceCSR: true}
 		},
 	}
-	for name, mkAdv := range cases {
+	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
-			eng, err := NewEngine(Config{
-				N:         n,
-				Procs:     bigProcs(),
-				Adversary: mkAdv(),
-				MaxRounds: 1 << 30,
-			})
+			cfg := mk()
+			cfg.N, cfg.Procs, cfg.MaxRounds = n, bigProcs(), 1<<30
+			eng, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
