@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // Population is the engine's process role: the state machines of every
 // non-Byzantine node of one execution, addressed by node ID. The engine
 // drives it with Process's synchronous-round protocol:
@@ -7,7 +9,9 @@ package core
 //  1. BroadcastAll once at the top of the round, for all the nodes that
 //     broadcast in it at once;
 //  2. for every receiver v, DeliverRow(v, …) once or DeliverAll(v, …)
-//     any number of times, then EndRound(v).
+//     any number of times, then EndRound(v) — or, in a round of a network
+//     of at most 64 nodes whose every row DeliverRow could take, one
+//     DeliverWords call for all the receivers at once.
 //
 // Self-delivery is never routed through it, as for Process. The engine
 // never addresses a Byzantine node's ID, and live is false at every one.
@@ -29,6 +33,16 @@ type Population interface {
 	// may read what its own BroadcastAll recorded instead of msgs.
 	DeliverRow(v int, row []int32, msgs []Message)
 
+	// DeliverWords delivers a whole round of a network of at most 64
+	// nodes, every row as DeliverRow takes it: for each receiver v in
+	// recv, in ascending order, it is DeliverRow(v, row, msgs) and then
+	// EndRound(v), where row lists the set bits of in[v] & sends. Bit u
+	// of a word stands for node u; sends holds the nodes that broadcast
+	// this round (so recv ⊆ sends, and msgs[u] is set for every u in
+	// sends), and in[v] never holds v. It returns the receivers of recv
+	// whose Output reports a decision at the end of the round.
+	DeliverWords(recv uint64, in []uint64, sends uint64, msgs []Message) (decided uint64)
+
 	// DeliverAll is Process.DeliverAll for node v.
 	DeliverAll(v int, ds []Delivery)
 
@@ -44,12 +58,14 @@ type Population interface {
 
 // PerNode is the Population of per-node processes, indexed by node ID
 // (nil at Byzantine IDs): every call goes to the node's own Process, and
-// DeliverRow fills a Delivery slice for one DeliverAll call.
+// DeliverRow and each receiver of DeliverWords fill a Delivery slice for
+// one DeliverAll call.
 func PerNode(procs []Process) Population { return &perNode{procs: procs} }
 
 type perNode struct {
 	procs []Process
 	ds    []Delivery // DeliverRow's fill, n entries once used
+	row   [64]int32  // DeliverWords' rows, as rowOf lists them
 }
 
 func (a *perNode) BroadcastAll(live []bool, msgs []Message) {
@@ -73,6 +89,30 @@ func (a *perNode) DeliverRow(v int, row []int32, msgs []Message) {
 	a.procs[v].DeliverAll(ds)
 }
 
+func (a *perNode) DeliverWords(recv uint64, in []uint64, sends uint64, msgs []Message) (decided uint64) {
+	for r := recv; r != 0; r &= r - 1 {
+		v := bits.TrailingZeros64(r)
+		a.DeliverRow(v, rowOf(in[v]&sends, &a.row), msgs)
+		p := a.procs[v]
+		p.EndRound()
+		if _, ok := p.Output(); ok {
+			decided |= 1 << uint(v)
+		}
+	}
+	return decided
+}
+
+// rowOf lists the set bits of w in row, ascending: a row word as
+// DeliverRow takes it.
+func rowOf(w uint64, row *[64]int32) []int32 {
+	k := 0
+	for ; w != 0; w &= w - 1 {
+		row[k] = int32(bits.TrailingZeros64(w))
+		k++
+	}
+	return row[:k]
+}
+
 func (a *perNode) DeliverAll(v int, ds []Delivery) { a.procs[v].DeliverAll(ds) }
 func (a *perNode) EndRound(v int)                  { a.procs[v].EndRound() }
 func (a *perNode) Output(i int) (float64, bool)    { return a.procs[i].Output() }
@@ -92,7 +132,8 @@ func PopulationOf(ds []DAC) Population {
 
 type dacPopulation struct {
 	ds   []DAC
-	sent []vp // each sender's ⟨v, p⟩ at the start of the round, written by BroadcastAll
+	sent []vp      // each sender's ⟨v, p⟩ at the start of the round, written by BroadcastAll
+	row  [64]int32 // DeliverWords' rows, as rowOf lists them
 }
 
 // vp is one broadcast as Algorithm 1 reads it.
@@ -146,6 +187,20 @@ func (pop *dacPopulation) DeliverRow(v int, row []int32, _ []Message) {
 			d.maybeDecide()
 		}
 	}
+}
+
+// DeliverWords is DeliverRow over each receiver's row word; DAC's
+// EndRound does nothing, and Output reports a decision iff the node has
+// decided.
+func (pop *dacPopulation) DeliverWords(recv uint64, in []uint64, sends uint64, _ []Message) (decided uint64) {
+	for r := recv; r != 0; r &= r - 1 {
+		v := bits.TrailingZeros64(r)
+		pop.DeliverRow(v, rowOf(in[v]&sends, &pop.row), nil)
+		if pop.ds[v].decided {
+			decided |= 1 << uint(v)
+		}
+	}
+	return decided
 }
 
 func (pop *dacPopulation) DeliverAll(v int, ds []Delivery) { pop.ds[v].DeliverAll(ds) }

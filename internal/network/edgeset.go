@@ -470,6 +470,18 @@ func (e *EdgeSet) InRow(v int) []uint64 {
 	return e.in[base : base+e.words : base+e.words]
 }
 
+// InWords exposes the in-rows of a dense set over at most 64 nodes, one
+// word per receiver: bit u of InWords()[v] is set iff u→v is a link. It
+// aliases the set's storage as InRow does, for the simulation engine's
+// word round, which hands every receiver's row to the processes in one
+// call. Dense mode and n ≤ 64 only.
+func (e *EdgeSet) InWords() []uint64 {
+	if e.csr != nil || e.words != 1 {
+		panic(fmt.Sprintf("network: InWords on a sparse set or over %d > %d nodes", e.n, wordBits))
+	}
+	return e.in[:e.n:e.n]
+}
+
 // InBitsInto accumulates, into acc (length MaskWords(n)), the bitmap of
 // v's incoming neighbors — a word-wise OR of v's transposed in-row.
 // Used by the dynaDegree checker to union windows without allocating.

@@ -12,14 +12,19 @@ import (
 	"anondyn/internal/trace"
 )
 
-// anonRun is one side of TestAnonymityRelabelProperty: a DAC network of
-// n nodes with its inputs, ports (nil: identity), crash schedule and
-// adversary, driven through core.PopulationOf or core.PerNode. Its run
-// keeps the trace, the E(t) the image replays.
+// anonRun is one side of TestAnonymityRelabelProperty: a network of n
+// nodes with its inputs, ports (nil: identity), crash schedule,
+// Byzantine nodes and adversary. A DAC network (algo "") is driven
+// through core.PopulationOf or core.PerNode; a DBAC ("dbac") or
+// piggyback ("dbac-pb") one, built for f faults, through core.PerNode.
+// Its run keeps the trace, the E(t) the image replays.
 type anonRun struct {
+	algo            string
+	f               int
 	inputs          []float64
 	ports           network.Ports
 	crashes         fault.Schedule
+	byz             map[int]fault.Strategy
 	adv             adversary.Adversary
 	asPopulation    bool
 	forceCSR        bool
@@ -33,20 +38,34 @@ func (r anonRun) run(t *testing.T) *Result {
 	if r.ports != nil {
 		selfPort = func(i int) int { return r.ports[i].Port(i) }
 	}
-	dacs := must(core.NewDACPopulation(r.pEnd, core.CrashQuorum(n), false, selfPort, r.inputs, nil))
 	procs := make([]core.Process, n)
-	for i := range procs {
-		procs[i] = &dacs[i]
+	var pop core.Population
+	if r.algo == "" {
+		dacs := must(core.NewDACPopulation(r.pEnd, core.CrashQuorum(n), false, selfPort, r.inputs, nil))
+		for i := range procs {
+			procs[i] = &dacs[i]
+		}
+		pop = core.PerNode(procs)
+		if r.asPopulation {
+			pop = core.PopulationOf(dacs)
+		}
+	} else {
+		for i, x := range r.inputs {
+			switch _, byz := r.byz[i]; {
+			case byz:
+			case r.algo == "dbac":
+				procs[i] = must(core.NewDBACPhases(n, r.f, selfPort(i), r.pEnd, x))
+			default:
+				procs[i] = must(core.NewDBACPiggybackPhases(n, r.f, selfPort(i), 2, r.pEnd, x))
+			}
+		}
+		pop = core.PerNode(procs)
 	}
 	cfg := Config{
-		N: n, F: len(r.crashes), Procs: procs, Adversary: r.adv, Crashes: r.crashes, Ports: r.ports,
-		MaxRounds: r.maxRounds, ForceCSR: r.forceCSR, KeepTrace: true,
+		N: n, F: max(r.f, len(r.crashes)), Procs: procs, Adversary: r.adv, Crashes: r.crashes, Byzantine: r.byz,
+		Ports: r.ports, MaxRounds: r.maxRounds, ForceCSR: r.forceCSR, KeepTrace: true,
 	}
 	eng := new(Engine)
-	pop := core.PerNode(procs)
-	if r.asPopulation {
-		pop = core.PopulationOf(dacs)
-	}
 	if err := eng.ResetPopulation(cfg, pop); err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +73,17 @@ func (r anonRun) run(t *testing.T) *Result {
 }
 
 // relabel is the π-image of r's configuration: node π(i) gets node i's
-// input and crash (its DeliverTo list mapped through π), numbering
+// input, crash (its DeliverTo list mapped through π) and Byzantine
+// strategy (ID-free ones only: they send every receiver the same), numbering
 // π(v) gives π(u) the port v gave u, and the adversary replays the
 // recorded E(t) with every link u→v moved to π(u)→π(v).
 func relabel(t *testing.T, r anonRun, perm []int, recorded []*network.EdgeSet) anonRun {
 	t.Helper()
 	n := len(r.inputs)
-	img := anonRun{pEnd: r.pEnd, maxRounds: r.maxRounds, inputs: make([]float64, n), ports: make(network.Ports, n)}
+	img := anonRun{
+		algo: r.algo, f: r.f, pEnd: r.pEnd, maxRounds: r.maxRounds,
+		inputs: make([]float64, n), ports: make(network.Ports, n),
+	}
 	for i, x := range r.inputs {
 		img.inputs[perm[i]] = x
 	}
@@ -88,6 +111,12 @@ func relabel(t *testing.T, r anonRun, perm []int, recorded []*network.EdgeSet) a
 			img.crashes[perm[i]] = mapped
 		}
 	}
+	if r.byz != nil {
+		img.byz = map[int]fault.Strategy{}
+		for i, strat := range r.byz {
+			img.byz[perm[i]] = strat
+		}
+	}
 	events := make([]trace.Event, len(recorded))
 	for round, edges := range recorded {
 		links := edges.Edges()
@@ -100,22 +129,25 @@ func relabel(t *testing.T, r anonRun, perm []int, recorded []*network.EdgeSet) a
 	return img
 }
 
-// TestAnonymityRelabelProperty (ROADMAP 16(d), DAC part): nodes are
-// anonymous (§II-A), so relabelling them by a permutation π — inputs,
-// crash schedule, E(t) edge by edge and each node's numbering
-// conjugated with them — must give the π-image of the run: the same
-// Rounds, Decided and message counts, and Outputs[π(i)] ==
-// Outputs[i] (DecideRound likewise). Draws cover n from 5 to 130; er,
-// er2, rotating and the value-reading ChaseMin; identity or random
+// TestAnonymityRelabelProperty (ROADMAP 16(d)): nodes are anonymous
+// (§II-A), so relabelling them by a permutation π — inputs, crash
+// schedule, Byzantine nodes, E(t) edge by edge and each node's
+// numbering conjugated with them — must give the π-image of the run:
+// the same Rounds, Decided and message counts, and Outputs[π(i)] ==
+// Outputs[i] (DecideRound likewise). DAC draws cover n from 5 to 130;
+// er, er2, rotating and the value-reading ChaseMin; identity or random
 // ports; clean, silent and partial crashes; ForceCSR flipped between
-// the two runs; population or adapter on each side. An identity-port
-// original goes by row (dense bitmap rows or CSR rows), while its image
-// has non-identity numberings and takes the general gather over the
-// replayed dense sets, so the property also holds the two paths
-// against each other.
+// the two runs; population or adapter on each side. DBAC and its
+// piggyback variant, through the adapter, run fault-free or with
+// Extremist and Laggard nodes, whose messages name no ID. An
+// identity-port original goes by row (word rounds at n ≤ 64 on a dense
+// set, dense bitmap rows or CSR rows; a Byzantine node sends it to the
+// direct gather), while its image has non-identity numberings and
+// takes the general gather over the replayed dense sets, so the
+// property also holds the paths against each other.
 func TestAnonymityRelabelProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	identity, decided := 0, 0
+	identity, words, decided := 0, 0, 0
 	for trial := 0; trial < 120; trial++ {
 		n := []int{5, 9, 17, 33, 70, 130}[rng.Intn(6)]
 		seed := rng.Int63()
@@ -128,20 +160,8 @@ func TestAnonymityRelabelProperty(t *testing.T) {
 		}
 		if rng.Intn(3) == 0 {
 			orig.ports = network.RandomPorts(n, newRand(seed))
-		} else {
-			identity++
 		}
-		kind := []string{"er", "er2", "rotating", "chaseMin"}[rng.Intn(4)]
-		switch kind {
-		case "er":
-			orig.adv = must(adversary.NewProbabilistic(0.2+0.6*rng.Float64(), seed))
-		case "er2":
-			orig.adv = must(adversary.NewSparseProbabilistic(min(1, 8/float64(n)), seed))
-		case "rotating":
-			orig.adv = must(adversary.NewRotating([]int{1 + rng.Intn(4), n / 2}[rng.Intn(2)]))
-		default:
-			orig.adv = adversary.NewChaseMin()
-		}
+		kind := drawAnonAdversary(rng, &orig, seed)
 		if rng.Intn(3) > 0 {
 			orig.crashes = fault.Schedule{}
 			for k := 1 + rng.Intn(n/3); k > 0; k-- {
@@ -158,33 +178,110 @@ func TestAnonymityRelabelProperty(t *testing.T) {
 		}
 		label := fmt.Sprintf("trial %d: n=%d/%s/identityPorts=%v/crashes=%d/csr=%v/population=%v",
 			trial, n, kind, orig.ports == nil, len(orig.crashes), orig.forceCSR, orig.asPopulation)
-
-		want := orig.run(t)
-		perm := rng.Perm(n)
-		img := relabel(t, orig, perm, want.Trace)
-		img.asPopulation, img.forceCSR = rng.Intn(2) == 0, !orig.forceCSR
-		got := img.run(t)
-
-		if got.Rounds != want.Rounds || got.Decided != want.Decided ||
-			got.MessagesDelivered != want.MessagesDelivered || got.MessagesLost != want.MessagesLost {
-			t.Fatalf("%s: image ran %d rounds (decided %v, %d delivered, %d lost), original %d (%v, %d, %d)", label,
-				got.Rounds, got.Decided, got.MessagesDelivered, got.MessagesLost,
-				want.Rounds, want.Decided, want.MessagesDelivered, want.MessagesLost)
-		}
-		if want.Decided {
+		if checkRelabel(t, rng, orig, label) {
 			decided++
 		}
-		if len(got.Outputs) != len(want.Outputs) {
-			t.Fatalf("%s: %d nodes decided in the image, %d in the original", label, len(got.Outputs), len(want.Outputs))
-		}
-		for i, out := range want.Outputs {
-			if o, ok := got.Outputs[perm[i]]; !ok || o != out || got.DecideRound[perm[i]] != want.DecideRound[i] {
-				t.Fatalf("%s: node %d decided %v in round %d, its image %d decided %v (%v) in round %d", label,
-					i, out, want.DecideRound[i], perm[i], o, ok, got.DecideRound[perm[i]])
+		if orig.ports == nil {
+			identity++
+			if n <= 64 && !orig.forceCSR {
+				words++ // word rounds, against the image's general gather
 			}
 		}
 	}
 	if identity < 40 || decided < 60 {
-		t.Errorf("%d identity-port originals and %d decided runs of 120: property nearly vacuous", identity, decided)
+		t.Errorf("DAC: %d identity-port originals and %d decided runs of 120: property nearly vacuous", identity, decided)
 	}
+
+	byzantine, dbacDecided := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		n := []int{6, 9, 17, 33, 70}[rng.Intn(5)]
+		seed := rng.Int63()
+		orig := anonRun{
+			algo: []string{"dbac", "dbac-pb"}[rng.Intn(2)], f: rng.Intn((n-1)/5 + 1),
+			pEnd: 2 + rng.Intn(4), maxRounds: 150, inputs: make([]float64, n), forceCSR: rng.Intn(2) == 0,
+		}
+		for i := range orig.inputs {
+			orig.inputs[i] = rng.Float64()
+		}
+		if rng.Intn(3) == 0 {
+			orig.ports = network.RandomPorts(n, newRand(seed))
+		}
+		kind := drawAnonAdversary(rng, &orig, seed)
+		if orig.f > 0 && rng.Intn(2) == 0 {
+			orig.byz = map[int]fault.Strategy{}
+			for _, i := range rng.Perm(n)[:orig.f] {
+				if rng.Intn(2) == 0 {
+					orig.byz[i] = fault.Extremist{Value: float64(rng.Intn(2))}
+				} else {
+					orig.byz[i] = fault.Laggard{Value: rng.Float64()}
+				}
+			}
+			byzantine++
+		}
+		label := fmt.Sprintf("%s trial %d: n=%d/f=%d/%s/identityPorts=%v/byzantine=%d/csr=%v",
+			orig.algo, trial, n, orig.f, kind, orig.ports == nil, len(orig.byz), orig.forceCSR)
+		if checkRelabel(t, rng, orig, label) {
+			dbacDecided++
+		}
+		if orig.ports == nil && orig.byz == nil && n <= 64 && !orig.forceCSR {
+			words++
+		}
+	}
+	if byzantine < 15 || dbacDecided < 20 {
+		t.Errorf("DBAC: %d runs with Byzantine nodes and %d decided runs of 60: property nearly vacuous", byzantine, dbacDecided)
+	}
+	if words < 20 {
+		t.Errorf("%d identity-port originals on dense sets at n ≤ 64: the word round is nearly unchecked", words)
+	}
+	t.Logf("DAC: %d identity-port originals, %d decided; DBAC: %d with Byzantine nodes, %d decided; %d originals in word rounds",
+		identity, decided, byzantine, dbacDecided, words)
+}
+
+// drawAnonAdversary gives orig a drawn adversary — er, er2, rotating or
+// ChaseMin — and returns its kind.
+func drawAnonAdversary(rng *rand.Rand, orig *anonRun, seed int64) string {
+	n := len(orig.inputs)
+	kind := []string{"er", "er2", "rotating", "chaseMin"}[rng.Intn(4)]
+	switch kind {
+	case "er":
+		orig.adv = must(adversary.NewProbabilistic(0.2+0.6*rng.Float64(), seed))
+	case "er2":
+		orig.adv = must(adversary.NewSparseProbabilistic(min(1, 8/float64(n)), seed))
+	case "rotating":
+		orig.adv = must(adversary.NewRotating([]int{1 + rng.Intn(4), n / 2}[rng.Intn(2)]))
+	default:
+		orig.adv = adversary.NewChaseMin()
+	}
+	return kind
+}
+
+// checkRelabel runs orig and its image under a drawn π (the image on a
+// drawn side, population or adapter, and on the other ForceCSR setting)
+// and fails t unless the image is the π-image of the original. It
+// reports whether the original decided.
+func checkRelabel(t *testing.T, rng *rand.Rand, orig anonRun, label string) bool {
+	t.Helper()
+	n := len(orig.inputs)
+	want := orig.run(t)
+	perm := rng.Perm(n)
+	img := relabel(t, orig, perm, want.Trace)
+	img.asPopulation, img.forceCSR = rng.Intn(2) == 0, !orig.forceCSR
+	got := img.run(t)
+
+	if got.Rounds != want.Rounds || got.Decided != want.Decided ||
+		got.MessagesDelivered != want.MessagesDelivered || got.MessagesLost != want.MessagesLost {
+		t.Fatalf("%s: image ran %d rounds (decided %v, %d delivered, %d lost), original %d (%v, %d, %d)", label,
+			got.Rounds, got.Decided, got.MessagesDelivered, got.MessagesLost,
+			want.Rounds, want.Decided, want.MessagesDelivered, want.MessagesLost)
+	}
+	if len(got.Outputs) != len(want.Outputs) {
+		t.Fatalf("%s: %d nodes decided in the image, %d in the original", label, len(got.Outputs), len(want.Outputs))
+	}
+	for i, out := range want.Outputs {
+		if o, ok := got.Outputs[perm[i]]; !ok || o != out || got.DecideRound[perm[i]] != want.DecideRound[i] {
+			t.Fatalf("%s: node %d decided %v in round %d, its image %d decided %v (%v) in round %d", label,
+				i, out, want.DecideRound[i], perm[i], o, ok, got.DecideRound[perm[i]])
+		}
+	}
+	return want.Decided
 }

@@ -111,6 +111,12 @@ type Engine struct {
 	senders int
 	partial bool
 
+	// At n ≤ wordN the census is also kept as node sets in one word
+	// each, bit i for node i: the round's senders (sends) and receivers
+	// (alive through the round, not Byzantine). They feed the word round
+	// (deliverWords). Past wordN nodes nothing reads them.
+	sendWord, recvWord uint64
+
 	// trackPhases is false when neither an Observer nor a Recorder is
 	// configured: phase transitions then have no consumer, and the
 	// delivery loop skips the two Phase() probes per delivery — at
@@ -119,6 +125,9 @@ type Engine struct {
 
 	result Result // counters accumulate here; finish() materializes maps
 }
+
+// wordN is the most nodes a word round serves: one bit of a uint64 each.
+const wordN = 64
 
 // byzNode is one Byzantine node's sending state.
 type byzNode struct {
@@ -308,6 +317,15 @@ func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 	}
 
 	e.faultFree = cfg.FaultFree()
+	e.sendWord, e.recvWord = 0, 0
+	if n <= wordN {
+		e.sendWord = ^uint64(0) >> (wordN - n)
+		for i, byz := range e.isByz {
+			if !byz {
+				e.recvWord |= 1 << uint(i)
+			}
+		}
+	}
 	e.result = Result{}
 	for i := 0; i < n; i++ {
 		if !e.isByz[i] {
@@ -581,16 +599,22 @@ func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 // senders. A node stops sending only once its crash round has passed,
 // and Byzantine nodes never crash, so from Reset's round-0 masks (every
 // node sends, every non-Byzantine one broadcasts) only crash-scheduled
-// nodes ever change: the census costs O(crashes), not O(n).
+// nodes ever change: the census costs O(crashes), not O(n). It also
+// brings the word forms of the senders and of the receivers to round t:
+// a node stops receiving in its crash round.
 func (e *Engine) census(t int) {
 	e.senders, e.partial = e.cfg.N, false
 	for _, i := range e.crashSched {
 		c := e.crashRound[i]
 		if t > c {
 			e.sends[i], e.live[i] = false, false
+			e.sendWord &^= 1 << uint(i)
 			e.senders--
 		} else if c == t && e.crashInfo[i].DeliverTo != nil {
 			e.partial = true
+		}
+		if t >= c {
+			e.recvWord &^= 1 << uint(i)
 		}
 	}
 }
@@ -661,9 +685,11 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 //
 // One arm fills no delivery buffer: a round with identity ports, no
 // wire sizes, no sender crashing partially, no Byzantine node, no
-// shuffle and no per-delivery watcher goes by row (byRow). Each
-// receiver's sending in-neighbors, ascending, go to
-// Population.DeliverRow as an ID list, so a DAC population reads its
+// shuffle and no per-delivery watcher goes by row (byRow). On a dense
+// set of at most 64 nodes such a round is one word round
+// (deliverWords), a single Population.DeliverWords call over the in-row
+// words. Otherwise each receiver's sending in-neighbors, ascending, go
+// to Population.DeliverRow as an ID list, so a DAC population reads its
 // senders' 16-byte start-of-round entries instead of copying 40-byte
 // Messages into 48-byte Deliveries. A CSR in-row in which every node
 // sends (clean) is that list as it stands; otherwise — a dense bitmap
@@ -685,6 +711,9 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 	sparse := edges.IsSparse()
 	clean := e.senders == e.cfg.N || e.pruned
 	byRow := direct && !e.partial && !e.hasByz && !e.cfg.ShuffleDelivery && !e.trackPhases
+	if byRow && e.cfg.N <= wordN && !sparse {
+		return e.deliverWords(t, edges)
+	}
 	var inStarts, inIDs []int32
 	pop, broadcasts := e.pop, e.broadcasts
 	if direct && sparse {
@@ -757,6 +786,33 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 			// End-of-round state IS the start-of-next-round snapshot:
 			// nothing mutates the node until its next delivery.
 			e.view.snaps[v] = core.Snap(pop, v)
+		}
+	}
+	return delivered, lost
+}
+
+// deliverWords is deliverRange's by-row round on a dense set of at most
+// 64 nodes: one Population.DeliverWords call for every receiver, over
+// the set's in-row words and the census words. Receiver v hears the
+// senders in its in-row word, so the counts are popcounts. Only the
+// receivers the call reports decided go through noteDecision, and every
+// receiver is re-snapped afterwards when the view is live: a node's
+// round touches only its own state, so doing these after all the
+// deliveries, not after each receiver's, changes nothing.
+func (e *Engine) deliverWords(t int, edges *network.EdgeSet) (delivered, lost int) {
+	in, sends, recv := edges.InWords(), e.sendWord, e.recvWord
+	for r := recv; r != 0; r &= r - 1 {
+		delivered += bits.OnesCount64(in[bits.TrailingZeros64(r)] & sends)
+	}
+	lost = bits.OnesCount64(recv)*(e.senders-1) - delivered
+	decided := e.pop.DeliverWords(recv, in, sends, e.broadcasts)
+	for ; decided != 0; decided &= decided - 1 {
+		e.noteDecision(bits.TrailingZeros64(decided), t)
+	}
+	if !e.viewSkip {
+		for r := recv; r != 0; r &= r - 1 {
+			v := bits.TrailingZeros64(r)
+			e.view.snaps[v] = core.Snap(e.pop, v)
 		}
 	}
 	return delivered, lost

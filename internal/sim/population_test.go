@@ -125,12 +125,16 @@ func newPopRun(t *testing.T, c popCase, asPopulation bool) *popRun {
 // (silent and partial DeliverTo lists included), random ports and
 // shuffled delivery. Both by-row arms must be drawn often: CSR rows and
 // dense bitmap rows, the latter also after a silent crash, when a dense
-// round lists only the senders still alive. Runs small enough for the
-// O(n²)-a-round reference oracle also meet it, which pins the by-row
-// arms' lost counts.
+// round lists only the senders still alive. So must the word round
+// (dense rows at n ≤ 64), also after a silent crash. PerNode takes the
+// word round too, so there the two sides share the engine's arm: runs
+// small enough for the O(n²)-a-round reference oracle also meet it,
+// which holds every word-round trial to an independent fold and pins
+// the by-row arms' lost counts.
 func TestPopulationMatchesAdapterProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	csrRows, denseRows, silentDenseRows := 0, 0, 0
+	wordRounds, silentWordRounds := 0, 0 // checked against the oracle
 	for trial := 0; trial < 48; trial++ {
 		c := popCase{
 			n:         []int{9, 33, 70, 130, 9, 33, 70, network.SparseThreshold + 1}[rng.Intn(8)],
@@ -178,8 +182,9 @@ func TestPopulationMatchesAdapterProperty(t *testing.T) {
 		// A run with identity ports, no shuffle and no per-delivery
 		// watcher goes by row in every round no sender crashes partially
 		// in: on CSR rows, or on dense ones under FillComplete or below
-		// the threshold.
-		if !c.randomPorts && !c.shuffle && !c.tracker && !c.recorder {
+		// the threshold, and those in word rounds at n ≤ 64.
+		byRow := !c.randomPorts && !c.shuffle && !c.tracker && !c.recorder
+		if byRow {
 			switch {
 			case c.adv != "complete" && (c.forceCSR || c.n >= network.SparseThreshold):
 				csrRows++
@@ -190,6 +195,7 @@ func TestPopulationMatchesAdapterProperty(t *testing.T) {
 				denseRows++
 			}
 		}
+		words := byRow && c.n <= 64 && (c.adv == "complete" || !c.forceCSR)
 		pop, per := newPopRun(t, c, true), newPopRun(t, c, false)
 		assertEqualResults(t, per.eng.Run(), pop.eng.Run(), "%v: Run", c)
 		assertEqualResults(t, per.eng.RunRounds(c.extra), pop.eng.RunRounds(c.extra), "%v: RunRounds past the decision", c)
@@ -211,12 +217,23 @@ func TestPopulationMatchesAdapterProperty(t *testing.T) {
 			ref := newPopRun(t, c, false)
 			referenceRun(ref.eng)
 			assertEqualResults(t, referenceRunRounds(ref.eng, c.extra), pop.eng.RunRounds(0), "%v: reference oracle", c)
+			if words {
+				wordRounds++
+				if hasSilentCrash(c.crashes) {
+					silentWordRounds++
+				}
+			}
 		}
 	}
 	if csrRows < 8 || denseRows < 8 || silentDenseRows < 2 {
 		t.Errorf("%d trials could deliver off CSR rows and %d off dense ones (%d after a silent crash): property nearly vacuous",
 			csrRows, denseRows, silentDenseRows)
 	}
+	if wordRounds < 8 || silentWordRounds < 2 {
+		t.Errorf("%d trials met the oracle in word rounds (%d after a silent crash): property nearly vacuous", wordRounds, silentWordRounds)
+	}
+	t.Logf("by-row trials: %d CSR, %d dense (%d after a silent crash); %d in word rounds (%d after a silent crash)",
+		csrRows, denseRows, silentDenseRows, wordRounds, silentWordRounds)
 }
 
 // hasSilentCrash reports whether s holds a crash that sends nothing in

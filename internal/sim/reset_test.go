@@ -167,15 +167,18 @@ func TestResultDetachedFromEngine(t *testing.T) {
 // TestSteadyStateRoundAllocs is the allocation budget of the tentpole:
 // a steady-state DAC round allocates nothing — on the benign complete
 // graph, the §VII probabilistic adversary, a dense round after a silent
-// crash (the by-row arm listing only the senders still alive, behind
-// the round's one BroadcastAll call) and a CSR rotating:4 round.
+// crash (each a word round through core.PerNode at n = 9, behind the
+// round's one BroadcastAll call), a CSR rotating:4 round, and the word
+// round of a core.PopulationOf population on er:0.3 after a silent
+// crash.
 func TestSteadyStateRoundAllocs(t *testing.T) {
 	const n = 9
 	// A huge pEnd keeps every node busy forever: rounds stay steady-state.
+	const pEnd = 1 << 20
 	bigProcs := func() []core.Process {
 		procs := make([]core.Process, n)
 		for i := 0; i < n; i++ {
-			d, err := core.NewDACPhases(n, i, 1<<20, spread(n)[i])
+			d, err := core.NewDACPhases(n, i, pEnd, spread(n)[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,24 +186,38 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 		}
 		return procs
 	}
-	cases := map[string]func() Config{
-		"complete": func() Config { return Config{Adversary: adversary.NewComplete()} },
-		"er": func() Config {
+	cases := map[string]struct {
+		cfg        func() Config
+		population bool // drive a NewDACPopulation network through core.PopulationOf
+	}{
+		"complete": {cfg: func() Config { return Config{Adversary: adversary.NewComplete()} }},
+		"er": {cfg: func() Config {
 			return Config{Adversary: must(adversary.NewProbabilistic(0.5, 3))}
-		},
-		"dense-silent-crash": func() Config {
+		}},
+		"dense-silent-crash": {cfg: func() Config {
 			return Config{Adversary: adversary.NewComplete(), Crashes: fault.Schedule{4: fault.CrashSilent(2)}}
-		},
-		"csr-rotating": func() Config {
+		}},
+		"csr-rotating": {cfg: func() Config {
 			return Config{Adversary: must(adversary.NewRotating(4)), ForceCSR: true}
-		},
+		}},
+		"word-er-crash": {population: true, cfg: func() Config {
+			return Config{Adversary: must(adversary.NewProbabilistic(0.3, 3)), Crashes: fault.Schedule{4: fault.CrashSilent(2)}}
+		}},
 	}
-	for name, mk := range cases {
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			cfg := mk()
+			cfg := c.cfg()
 			cfg.N, cfg.Procs, cfg.MaxRounds = n, bigProcs(), 1<<30
-			eng, err := NewEngine(cfg)
-			if err != nil {
+			pop := core.PerNode(cfg.Procs)
+			if c.population {
+				dacs := must(core.NewDACPopulation(pEnd, core.CrashQuorum(n), false, func(i int) int { return i }, spread(n), nil))
+				for i := range cfg.Procs {
+					cfg.Procs[i] = &dacs[i]
+				}
+				pop = core.PopulationOf(dacs)
+			}
+			eng := new(Engine)
+			if err := eng.ResetPopulation(cfg, pop); err != nil {
 				t.Fatal(err)
 			}
 			eng.RunRounds(32) // warm the delivery scratch
