@@ -22,12 +22,14 @@ package main
 //
 // With -append (and a mandatory -label), a run that passes the gate is
 // also recorded: the gated benchmarks' ns/op, allocs/op, and (where
-// reported) ns/edge medians are appended as one labeled entry to a
+// reported) ns/edge medians, with the min and max of the ns/op and
+// ns/edge counts beside them, are appended as one labeled entry to a
 // committed JSON history file (bench/BENCH_engine.json), giving the
 // repo a per-PR performance ledger that survives baseline refreshes.
 // Each append also prints one delta line per benchmark against the
 // previous ledger entry, so the recorded trajectory is visible in the
-// CI log:
+// CI log; a move of an ns median is marked beyond or within the
+// previous entry's spread, where that entry recorded one:
 //
 //	dyna gate -baseline bench/baseline.txt -new new.txt \
 //	    -append bench/BENCH_engine.json -label pr7
@@ -135,6 +137,12 @@ type historyMetric struct {
 	NsOp     float64 `json:"ns_op"`
 	AllocsOp float64 `json:"allocs_op"`
 	NsEdge   float64 `json:"ns_edge,omitempty"`
+	// The spread of the counts behind the ns medians: their min and max.
+	// Entries from before the spread fields have none.
+	NsOpMin   float64 `json:"ns_op_min,omitempty"`
+	NsOpMax   float64 `json:"ns_op_max,omitempty"`
+	NsEdgeMin float64 `json:"ns_edge_min,omitempty"`
+	NsEdgeMax float64 `json:"ns_edge_max,omitempty"`
 }
 
 // appendHistory loads the history file (absent means empty), rejects a
@@ -164,13 +172,13 @@ func appendHistory(path string, entry historyEntry, fresh samples, names []strin
 	for _, name := range names {
 		var m historyMetric
 		if xs := fresh[name]["ns/op"]; len(xs) > 0 {
-			m.NsOp = median(xs)
+			m.NsOp, m.NsOpMin, m.NsOpMax = median(xs), slices.Min(xs), slices.Max(xs)
 		}
 		if xs := fresh[name]["allocs/op"]; len(xs) > 0 {
 			m.AllocsOp = median(xs)
 		}
 		if xs := fresh[name]["ns/edge"]; len(xs) > 0 {
-			m.NsEdge = median(xs)
+			m.NsEdge, m.NsEdgeMin, m.NsEdgeMax = median(xs), slices.Min(xs), slices.Max(xs)
 		}
 		entry.Benchmarks[name] = m
 	}
@@ -186,11 +194,11 @@ func appendHistory(path string, entry historyEntry, fresh samples, names []strin
 }
 
 // printHistoryDeltas reports, for every benchmark recorded in both the
-// previous ledger entry and the new one, how each tracked metric moved.
-// The gate's verdict lines compare against baseline.txt, which is
-// overwritten on refresh; these lines compare against the last
-// *recorded* entry, so the ledger's own trajectory is visible in the
-// log that appends to it.
+// previous ledger entry and the new one, how each tracked metric moved,
+// and whether an ns median left the previous entry's spread. The gate's
+// verdict lines compare against baseline.txt, which is overwritten on
+// refresh; these lines compare against the last *recorded* entry, so
+// the ledger's own trajectory is visible in the log that appends to it.
 func printHistoryDeltas(out *os.File, prev, next historyEntry) {
 	names := make([]string, 0, len(next.Benchmarks))
 	for name := range next.Benchmarks {
@@ -202,9 +210,9 @@ func printHistoryDeltas(out *os.File, prev, next historyEntry) {
 	for _, name := range names {
 		p, n := prev.Benchmarks[name], next.Benchmarks[name]
 		fmt.Fprintf(out, "since %q %-50s %s  %s  %s\n", prev.Label, name,
-			deltaField("ns/op", p.NsOp, n.NsOp),
+			deltaField("ns/op", p.NsOp, n.NsOp)+spreadVerdict(p.NsOpMin, p.NsOpMax, p.NsOp, n.NsOp),
 			deltaField("allocs/op", p.AllocsOp, n.AllocsOp),
-			deltaField("ns/edge", p.NsEdge, n.NsEdge))
+			deltaField("ns/edge", p.NsEdge, n.NsEdge)+spreadVerdict(p.NsEdgeMin, p.NsEdgeMax, p.NsEdge, n.NsEdge))
 	}
 }
 
@@ -224,6 +232,21 @@ func deltaField(unit string, prev, next float64) string {
 		return fmt.Sprintf("%s %.5g → %.5g", unit, prev, next)
 	default:
 		return fmt.Sprintf("%s %.5g → %.5g (%+.1f%%)", unit, prev, next, 100*(next-prev)/prev)
+	}
+}
+
+// spreadVerdict says whether an ns median moved from prev to next
+// beyond the previous entry's spread [lo, hi] of counts or within it:
+// only a move beyond it can tell a change from the host's noise. It is
+// empty when there is no move or no recorded spread.
+func spreadVerdict(lo, hi, prev, next float64) string {
+	switch {
+	case hi == 0 || next == 0 || next == prev:
+		return ""
+	case next < lo || next > hi:
+		return fmt.Sprintf(" beyond spread %.5g–%.5g", lo, hi)
+	default:
+		return fmt.Sprintf(" within spread %.5g–%.5g", lo, hi)
 	}
 }
 

@@ -277,6 +277,50 @@ func TestAppendRecordsNsEdge(t *testing.T) {
 	}
 }
 
+// TestAppendRecordsSpread: an entry records the min and max of the
+// ns/op and ns/edge counts beside their medians, and the next append's
+// delta line says whether each ns median moved beyond that spread or
+// within it. An entry written before the spread fields still loads, and
+// a delta against it carries no spread verdict.
+func TestAppendRecordsSpread(t *testing.T) {
+	dir := t.TempDir()
+	base := write(t, dir, "base.txt", edgeText)
+	// ns/op moves inside pr6's 368000–369000, ns/edge below 50.50–50.70.
+	within := write(t, dir, "within.txt", strings.NewReplacer(
+		"368000 ns/op", "368400 ns/op",
+		"369000 ns/op", "368700 ns/op",
+		"50.50 ns/edge", "46.60 ns/edge",
+		"50.70 ns/edge", "46.80 ns/edge",
+	).Replace(edgeText))
+	hist := filepath.Join(dir, "hist.json")
+	stdoutOf(t, "gate", "-baseline", base, "-new", base, "-append", hist, "-label", "pr6")
+	log := string(stdoutOf(t, "gate", "-baseline", base, "-new", within, "-append", hist, "-label", "pr7"))
+	data, err := os.ReadFile(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var history []historyEntry
+	if err := json.Unmarshal(data, &history); err != nil {
+		t.Fatal(err)
+	}
+	m := history[0].Benchmarks["BenchmarkEngineRound/n=1025/p=8n"]
+	if m.NsOpMin != 368000 || m.NsOpMax != 369000 || m.NsEdgeMin != 50.50 || m.NsEdgeMax != 50.70 {
+		t.Errorf("recorded spread = %+v, want ns/op 368000–369000 and ns/edge 50.5–50.7", m)
+	}
+	for _, want := range []string{"within spread 3.68e+05–3.69e+05", "beyond spread 50.5–50.7"} {
+		if !strings.Contains(log, want) {
+			t.Errorf("append log lacks %q:\n%s", want, log)
+		}
+	}
+
+	// An entry without the spread fields, as the ledger's older ones.
+	old := write(t, dir, "old.json", `[{"label": "pr5", "benchmarks": {"BenchmarkEngineRound/n=1025/p=8n": {"ns_op": 400000, "allocs_op": 0, "ns_edge": 55}}}]`)
+	log = string(stdoutOf(t, "gate", "-baseline", base, "-new", base, "-append", old, "-label", "pr6"))
+	if !strings.Contains(log, `since "pr5"`) || strings.Contains(log, "spread") {
+		t.Errorf("delta against an entry without a spread:\n%s", log)
+	}
+}
+
 // TestAppendRejectsDuplicateLabel: re-running CI for the same PR must
 // not double-record the entry.
 func TestAppendRejectsDuplicateLabel(t *testing.T) {

@@ -1,6 +1,9 @@
 package core
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Population is the engine's process role: the state machines of every
 // non-Byzantine node of one execution, addressed by node ID. The engine
@@ -9,20 +12,27 @@ import "math/bits"
 //  1. BroadcastAll once at the top of the round, for all the nodes that
 //     broadcast in it at once;
 //  2. for every receiver v, DeliverRow(v, …) once or DeliverAll(v, …)
-//     any number of times, then EndRound(v) — or, in a round of a network
-//     of at most 64 nodes whose every row DeliverRow could take, one
-//     DeliverWords call for all the receivers at once.
+//     any number of times, then EndRound(v) — or, in a round whose every
+//     row DeliverRow could take, one call for all the receivers at once:
+//     DeliverWords over the in-row words of a network of at most 64
+//     nodes, DeliverCSR over the rows of a receiver-major CSR in which
+//     every listed sender delivers.
 //
 // Self-delivery is never routed through it, as for Process. The engine
 // never addresses a Byzantine node's ID, and live is false at every one.
+// Between two BroadcastAll calls on the same msgs slice nothing but the
+// population writes msgs, and its nodes change only through its own
+// methods: a population may then rewrite only the entries of the nodes
+// whose state changed since its last call.
 //
 // PerNode adapts any []Process; PopulationOf runs a DAC network built
 // by NewDACPopulation without a dynamic call per node and reads each
 // receiver's senders off a compact copy of their broadcasts.
 type Population interface {
 	// BroadcastAll sets msgs[i] to the message ⟨v, p⟩ node i sends this
-	// round, for every i with live[i], and leaves the other entries as
-	// they are.
+	// round, for every i with live[i]. It may also set the entry of a
+	// node that is not live to the message that node would send, and
+	// leaves the other entries as they are.
 	BroadcastAll(live []bool, msgs []Message)
 
 	// DeliverRow delivers receiver v's whole round when row lists its
@@ -43,6 +53,15 @@ type Population interface {
 	// whose Output reports a decision at the end of the round.
 	DeliverWords(recv uint64, in []uint64, sends uint64, msgs []Message) (decided uint64)
 
+	// DeliverCSR delivers a whole round whose rows are those of a
+	// receiver-major CSR, every row as DeliverRow takes it: for each
+	// receiver v in recv, in ascending order, it is DeliverRow(v,
+	// ids[starts[v]:starts[v+1]], msgs) and then EndRound(v). recv is a
+	// node set of bit v&63 of word v>>6 for node v, and decided is as
+	// long: the call overwrites it with the receivers of recv whose
+	// Output reports a decision at the end of the round.
+	DeliverCSR(recv []uint64, starts, ids []int32, msgs []Message, decided []uint64)
+
 	// DeliverAll is Process.DeliverAll for node v.
 	DeliverAll(v int, ds []Delivery)
 
@@ -58,8 +77,8 @@ type Population interface {
 
 // PerNode is the Population of per-node processes, indexed by node ID
 // (nil at Byzantine IDs): every call goes to the node's own Process, and
-// DeliverRow and each receiver of DeliverWords fill a Delivery slice for
-// one DeliverAll call.
+// DeliverRow and each receiver of DeliverWords and DeliverCSR fill a
+// Delivery slice for one DeliverAll call.
 func PerNode(procs []Process) Population { return &perNode{procs: procs} }
 
 type perNode struct {
@@ -93,13 +112,34 @@ func (a *perNode) DeliverWords(recv uint64, in []uint64, sends uint64, msgs []Me
 	for r := recv; r != 0; r &= r - 1 {
 		v := bits.TrailingZeros64(r)
 		a.DeliverRow(v, rowOf(in[v]&sends, &a.row), msgs)
-		p := a.procs[v]
-		p.EndRound()
-		if _, ok := p.Output(); ok {
-			decided |= 1 << uint(v)
+		if a.end(v) {
+			decided |= r & -r
 		}
 	}
 	return decided
+}
+
+func (a *perNode) DeliverCSR(recv []uint64, starts, ids []int32, msgs []Message, decided []uint64) {
+	for w, word := range recv {
+		var dw uint64
+		for r := word; r != 0; r &= r - 1 {
+			v := w<<6 | bits.TrailingZeros64(r)
+			a.DeliverRow(v, ids[starts[v]:starts[v+1]], msgs)
+			if a.end(v) {
+				dw |= r & -r
+			}
+		}
+		decided[w] = dw
+	}
+}
+
+// end ends node v's round and reports whether its Output reports a
+// decision.
+func (a *perNode) end(v int) bool {
+	p := a.procs[v]
+	p.EndRound()
+	_, ok := p.Output()
+	return ok
 }
 
 // rowOf lists the set bits of w in row, ascending: a row word as
@@ -122,18 +162,29 @@ func (a *perNode) Reinit(i int, input float64)     { a.procs[i].Reinit(input) }
 
 // PopulationOf is the Population of the DAC nodes ds, as
 // NewDACPopulation builds them (zero at the slots it skipped, which the
-// engine never addresses). BroadcastAll also copies each sender's ⟨v, p⟩
+// engine never addresses). BroadcastAll also copies each node's ⟨v, p⟩
 // into a 16-byte-a-node start-of-round table, which DeliverRow reads
 // instead of the 40-byte Messages; every other call is a static call on
 // the node.
+//
+// BroadcastAll copies only what changed: the deliveries list each node
+// whose ⟨v, p⟩ no longer matches its table entry, and BroadcastAll
+// rewrites the entry and msgs[i] of those nodes alone, live or not (a
+// node that is not live does not change). It copies every node on its
+// first call, after a Reinit, and when msgs is not the slice it filled
+// last.
 func PopulationOf(ds []DAC) Population {
-	return &dacPopulation{ds: ds, sent: make([]vp, len(ds))}
+	return &dacPopulation{ds: ds, sent: make([]vp, len(ds)), changed: make([]int32, 0, len(ds)), full: true}
 }
 
 type dacPopulation struct {
 	ds   []DAC
-	sent []vp      // each sender's ⟨v, p⟩ at the start of the round, written by BroadcastAll
+	sent []vp      // each node's ⟨v, p⟩ as BroadcastAll last copied it
 	row  [64]int32 // DeliverWords' rows, as rowOf lists them
+
+	changed []int32   // nodes whose ⟨v, p⟩ differs from sent, each listed once a round (see note)
+	full    bool      // the next BroadcastAll copies every node
+	filled  []Message // the msgs the last BroadcastAll filled
 }
 
 // vp is one broadcast as Algorithm 1 reads it.
@@ -142,15 +193,38 @@ type vp struct {
 	p int
 }
 
-func (pop *dacPopulation) BroadcastAll(live []bool, msgs []Message) {
+func (pop *dacPopulation) BroadcastAll(_ []bool, msgs []Message) {
 	ds, sent := pop.ds, pop.sent
-	for i, ok := range live {
-		if ok {
+	if pop.full || len(msgs) != len(pop.filled) || len(msgs) > 0 && &msgs[0] != &pop.filled[0] {
+		for i := range ds {
+			d := &ds[i]
+			sent[i] = vp{d.v, d.p}
+			msgs[i] = Message{Value: d.v, Phase: d.p}
+		}
+		pop.full, pop.filled = false, msgs
+	} else {
+		for _, i := range pop.changed {
 			d := &ds[i]
 			sent[i] = vp{d.v, d.p}
 			msgs[i] = Message{Value: d.v, Phase: d.p}
 		}
 	}
+	pop.changed = pop.changed[:0]
+}
+
+// note lists node v in changed once its ⟨v, p⟩ differs from its table
+// entry. It compares the bits of v: a jump clamped at pEnd changes v
+// alone, and −0 == +0. A receiver's deliveries in a round are made back
+// to back, so a node already listed this round is the list's last entry.
+func (pop *dacPopulation) note(v int) {
+	d, s := &pop.ds[v], &pop.sent[v]
+	if d.p == s.p && math.Float64bits(d.v) == math.Float64bits(s.v) {
+		return
+	}
+	if k := len(pop.changed); k > 0 && pop.changed[k-1] == int32(v) {
+		return
+	}
+	pop.changed = append(pop.changed, int32(v))
 }
 
 // DeliverRow is DAC.DeliverAll over the row, reading each sender's
@@ -187,6 +261,7 @@ func (pop *dacPopulation) DeliverRow(v int, row []int32, _ []Message) {
 			d.maybeDecide()
 		}
 	}
+	pop.note(v)
 }
 
 // DeliverWords is DeliverRow over each receiver's row word; DAC's
@@ -197,15 +272,39 @@ func (pop *dacPopulation) DeliverWords(recv uint64, in []uint64, sends uint64, _
 		v := bits.TrailingZeros64(r)
 		pop.DeliverRow(v, rowOf(in[v]&sends, &pop.row), nil)
 		if pop.ds[v].decided {
-			decided |= 1 << uint(v)
+			decided |= r & -r
 		}
 	}
 	return decided
 }
 
-func (pop *dacPopulation) DeliverAll(v int, ds []Delivery) { pop.ds[v].DeliverAll(ds) }
-func (pop *dacPopulation) EndRound(int)                    {}
-func (pop *dacPopulation) Output(i int) (float64, bool)    { return pop.ds[i].Output() }
-func (pop *dacPopulation) Phase(i int) int                 { return pop.ds[i].p }
-func (pop *dacPopulation) Value(i int) float64             { return pop.ds[i].v }
-func (pop *dacPopulation) Reinit(i int, input float64)     { pop.ds[i].Reinit(input) }
+// DeliverCSR is DeliverRow over each receiver's CSR row, as DeliverWords
+// is over its row word.
+func (pop *dacPopulation) DeliverCSR(recv []uint64, starts, ids []int32, _ []Message, decided []uint64) {
+	for w, word := range recv {
+		var dw uint64
+		for r := word; r != 0; r &= r - 1 {
+			v := w<<6 | bits.TrailingZeros64(r)
+			pop.DeliverRow(v, ids[starts[v]:starts[v+1]], nil)
+			if pop.ds[v].decided {
+				dw |= r & -r
+			}
+		}
+		decided[w] = dw
+	}
+}
+
+func (pop *dacPopulation) DeliverAll(v int, ds []Delivery) {
+	pop.ds[v].DeliverAll(ds)
+	pop.note(v)
+}
+
+func (pop *dacPopulation) EndRound(int)                 {}
+func (pop *dacPopulation) Output(i int) (float64, bool) { return pop.ds[i].Output() }
+func (pop *dacPopulation) Phase(i int) int              { return pop.ds[i].p }
+func (pop *dacPopulation) Value(i int) float64          { return pop.ds[i].v }
+
+func (pop *dacPopulation) Reinit(i int, input float64) {
+	pop.ds[i].Reinit(input)
+	pop.full = true
+}

@@ -39,6 +39,14 @@ const SparseThreshold = 2048
 // over er2 never builds the sender-major view at all. KeepBetween forces
 // neither on any log.
 //
+// Which compaction arm builds which view: a strictly ascending log (the
+// er and er2 samplers') takes compactAscending for both. A log whose
+// receivers never decrease — InRegularInto's, receiver by receiver, and
+// that log after KeepBetween, which keeps the log's order — has its
+// receiver-major view copied off the log in order, with no scatter
+// (compactGeneral's copy arm), and its sender-major view scattered. Any
+// other log is scattered into either view (compactGeneral).
+//
 // The sim engine's round reads only the receiver-major view, and on a
 // CSR round of a run with crashes it first prunes the log with
 // KeepBetween to the links from nodes that still send to nodes that
@@ -171,7 +179,8 @@ func (e *EdgeSet) sparseLen() int {
 // pair's row is uint32(p>>keyShift), its entry the other half — 32 for
 // sender-major rows of receivers, 0 for receiver-major rows of senders.
 // A strictly ascending log takes compactAscending, any other log
-// compactGeneral. Cost O(n + log length).
+// compactGeneral (see csrState for which log takes which). Cost
+// O(n + log length).
 func (c *csrState) compact(n int, start, list []int32, keyShift uint) ([]int32, int) {
 	if ascendingPairs(c.pairs) {
 		return c.compactAscending(n, start, list, keyShift)
@@ -180,18 +189,23 @@ func (c *csrState) compact(n int, start, list []int32, keyShift uint) ([]int32, 
 }
 
 // compactGeneral is compact for any log (rotating emits receiver-major,
-// wrapping rows; layered adversaries may log a link twice): the scatter
-// is stable, so a row holds its entries in log order, then each row is
-// sorted if it is not already, and deduplicated.
+// wrapping rows; layered adversaries may log a link twice): each row
+// gets its entries in log order, then is sorted if it is not already,
+// and deduplicated. The rows are filled by a counted stable scatter,
+// or, for the receiver-major view of a log whose receivers never
+// decrease, by one pass that copies the log's senders in order: its
+// rows already lie in the log one after another.
 func (c *csrState) compactGeneral(n int, start, list []int32, keyShift uint) ([]int32, int) {
 	valShift := 32 - keyShift
-	c.countRows(n, start, keyShift)
-	copy(c.cursor, start[:n])
 	list = growInt32(list, len(c.pairs))
-	for _, p := range c.pairs {
-		k := uint32(p >> keyShift)
-		list[c.cursor[k]] = int32(uint32(p >> valShift))
-		c.cursor[k]++
+	if keyShift != 0 || !copyReceiverMajor(c.pairs, start, list) {
+		c.countRows(n, start, keyShift)
+		copy(c.cursor, start[:n])
+		for _, p := range c.pairs {
+			k := uint32(p >> keyShift)
+			list[c.cursor[k]] = int32(uint32(p >> valShift))
+			c.cursor[k]++
+		}
 	}
 
 	// Sort each row if needed and dedup, compacting in place. The write
@@ -239,6 +253,30 @@ func (c *csrState) compactAscending(n int, start, list []int32, keyShift uint) (
 		c.cursor[v]++
 	}
 	return list, len(c.pairs)
+}
+
+// copyReceiverMajor fills a receiver-major view's n+1 row starts and
+// list in one pass over a log whose receivers never decrease: each
+// pair's sender is copied in log order, and a row starts where its
+// receiver first appears. It reports false at the first receiver that
+// decreases, having written part of start and list, which the caller's
+// count and scatter overwrite.
+func copyReceiverMajor(pairs []uint64, start, list []int32) bool {
+	next := 0 // the first row whose start is not set yet
+	for i, p := range pairs {
+		v := int(uint32(p))
+		if v < next-1 {
+			return false
+		}
+		for ; next <= v; next++ {
+			start[next] = int32(i)
+		}
+		list[i] = int32(p >> 32)
+	}
+	for ; next < len(start); next++ {
+		start[next] = int32(len(pairs))
+	}
+	return true
 }
 
 // countRows fills start with the n+1 prefix offsets of the log's rows

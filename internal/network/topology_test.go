@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -84,8 +86,12 @@ func inRegularModular(e *EdgeSet, d, offset int) {
 // past n wrap), in both representations: the same bits dense (Equal)
 // and the same link log in the same order sparse — a stronger check
 // than Equal, and what keeps the CSR compaction and every digest
-// downstream unchanged. An out-of-range degree still panics.
+// downstream unchanged. Its receiver-major view, which compactGeneral
+// copies off the log without a scatter, equals the scattered one (see
+// assertReceiverMajorView), also after KeepBetween. An out-of-range
+// degree still panics.
 func TestInRegularIntoMatchesModularLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
 	for _, n := range []int{2, 3, 9, 2049} {
 		for _, d := range []int{0, 1, 4, n - 1} {
 			if d > n-1 {
@@ -105,6 +111,14 @@ func TestInRegularIntoMatchesModularLoop(t *testing.T) {
 						if !slices.Equal(got.csr.pairs, wantLog.csr.pairs) {
 							t.Fatalf("sparse n=%d d=%d offset=%d: link log differs from the modular loop's", n, d, offset)
 						}
+						// The view checks rebuild the log; for its 4M links at
+						// n = 2049, d = n−1, one wrapping offset is enough.
+						if n*d < 1<<20 || offset == n-1 {
+							name := fmt.Sprintf("n=%d d=%d offset=%d", n, d, offset)
+							assertReceiverMajorView(t, got, name)
+							got.KeepBetween(randomRoles(rng, n, 0.7))
+							assertReceiverMajorView(t, got, name+" after KeepBetween")
+						}
 					} else if !got.Equal(want) {
 						t.Fatalf("dense n=%d d=%d offset=%d: graph differs from the modular loop's", n, d, offset)
 					}
@@ -115,6 +129,81 @@ func TestInRegularIntoMatchesModularLoop(t *testing.T) {
 		mustPanic(t, func() { InRegularInto(NewEdgeSetSparse(n), n, 0) })
 		mustPanic(t, func() { InRegularInto(NewEdgeSet(n), -1, 0) })
 		mustPanic(t, func() { InRegularInto(NewEdgeSetSparse(n), -1, 0) })
+	}
+}
+
+// assertReceiverMajorView checks a receiver-major log's view: the log's
+// receivers never decrease, so its receiver-major view takes the copy in
+// compactGeneral, and that view equals the one compactGeneral scatters
+// from the same log with its first row moved to the end (where the
+// receivers decrease, unless the log has at most one row).
+func assertReceiverMajorView(t *testing.T, s *EdgeSet, name string) {
+	t.Helper()
+	pairs := s.csr.pairs
+	if !copyReceiverMajor(pairs, make([]int32, s.N()+1), make([]int32, len(pairs))) {
+		t.Fatalf("%s: log is not receiver-major", name)
+	}
+	k := 0
+	for k < len(pairs) && uint32(pairs[k]) == uint32(pairs[0]) {
+		k++
+	}
+	moved := NewEdgeSetSparse(s.N())
+	for _, p := range append(slices.Clone(pairs[k:]), pairs[:k]...) {
+		moved.AddUnchecked(int(p>>32), int(uint32(p)))
+	}
+	assertSameInCSR(t, s, moved, name)
+}
+
+// assertSameInCSR checks that got and want have equal receiver-major
+// views and link counts.
+func assertSameInCSR(t *testing.T, got, want *EdgeSet, name string) {
+	t.Helper()
+	gs, gi := got.InCSR()
+	ws, wi := want.InCSR()
+	n := got.N()
+	if !slices.Equal(gs, ws) || !slices.Equal(gi[:gs[n]], wi[:ws[n]]) || got.Len() != want.Len() {
+		t.Fatalf("%s: receiver-major view\n  starts %v ids %v, want\n  starts %v ids %v",
+			name, gs, gi[:gs[n]], ws, wi[:ws[n]])
+	}
+}
+
+// TestReceiverMajorCompaction: hand-made receiver-major logs — with a
+// link logged twice, with a row out of order, pruned by KeepBetween —
+// give the receiver-major view of their links, sorted and deduplicated
+// (a set built through the dense bitmap, and converted, holds the
+// links once and in order), and so does a log whose receivers decrease
+// only at its last pair, which must fall back to the scatter.
+func TestReceiverMajorCompaction(t *testing.T) {
+	const n = 6
+	for _, c := range []struct {
+		name          string
+		links         [][2]int
+		roles         []uint8 // KeepBetween's, when not nil
+		receiverMajor bool
+	}{
+		{name: "duplicates", links: [][2]int{{1, 0}, {2, 0}, {2, 0}, {3, 2}, {3, 2}, {5, 2}, {0, 5}, {0, 5}}, receiverMajor: true},
+		{name: "unsorted row", links: [][2]int{{4, 0}, {5, 1}, {3, 1}, {0, 1}, {2, 3}, {1, 3}, {1, 4}}, receiverMajor: true},
+		{name: "unsorted row with duplicates", links: [][2]int{{5, 1}, {3, 1}, {5, 1}, {0, 1}, {3, 1}}, receiverMajor: true},
+		{name: "pruned", links: [][2]int{{2, 0}, {5, 0}, {1, 0}, {0, 2}, {4, 2}, {3, 4}, {0, 5}, {4, 5}},
+			roles: []uint8{Sends | Receives, Receives, Sends | Receives, Sends, Sends | Receives, Sends}, receiverMajor: true},
+		{name: "last pair decreases", links: [][2]int{{1, 0}, {2, 1}, {0, 1}, {0, 3}, {4, 5}, {2, 5}, {3, 2}}},
+	} {
+		got := NewEdgeSetSparse(n)
+		dense := NewEdgeSet(n)
+		for _, l := range c.links {
+			got.AddUnchecked(l[0], l[1])
+			dense.AddUnchecked(l[0], l[1])
+		}
+		if c.roles != nil {
+			got.KeepBetween(c.roles)
+			dense.KeepBetween(c.roles)
+		}
+		if rm := copyReceiverMajor(got.csr.pairs, make([]int32, n+1), make([]int32, len(got.csr.pairs))); rm != c.receiverMajor {
+			t.Fatalf("%s: copyReceiverMajor = %v, want %v", c.name, rm, c.receiverMajor)
+		}
+		want := NewEdgeSetSparse(n)
+		want.CopyFrom(dense)
+		assertSameInCSR(t, got, want, c.name)
 	}
 }
 

@@ -111,11 +111,13 @@ type Engine struct {
 	senders int
 	partial bool
 
-	// At n ≤ wordN the census is also kept as node sets in one word
-	// each, bit i for node i: the round's senders (sends) and receivers
-	// (alive through the round, not Byzantine). They feed the word round
-	// (deliverWords). Past wordN nodes nothing reads them.
-	sendWord, recvWord uint64
+	// The census is also kept as node sets, bit i&63 of word i>>6 for
+	// node i: the round's receivers (alive through the round, not
+	// Byzantine), and at n ≤ wordN its senders in one word. They feed
+	// the batch rounds (deliverWords, deliverCSR), which return the
+	// receivers that have decided in decidedMask, as long as recvMask.
+	recvMask, decidedMask []uint64
+	sendWord              uint64
 
 	// trackPhases is false when neither an Observer nor a Recorder is
 	// configured: phase transitions then have no consumer, and the
@@ -213,6 +215,8 @@ func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 		// at 0 allocs).
 		e.deliveries = make([]core.Delivery, n)
 		e.rowbuf = make([]int32, n)
+		masks := make([]uint64, 2*network.MaskWords(n))
+		e.recvMask, e.decidedMask = masks[:len(masks)/2:len(masks)/2], masks[len(masks)/2:]
 		e.inbuf = make([]int, 0, n)
 		e.crashSched = nil
 		e.runMask, e.aheadMask = linkMask{}, linkMask{}
@@ -317,13 +321,14 @@ func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 	}
 
 	e.faultFree = cfg.FaultFree()
-	e.sendWord, e.recvWord = 0, 0
+	e.sendWord = 0
 	if n <= wordN {
 		e.sendWord = ^uint64(0) >> (wordN - n)
-		for i, byz := range e.isByz {
-			if !byz {
-				e.recvWord |= 1 << uint(i)
-			}
+	}
+	clear(e.recvMask)
+	for i, byz := range e.isByz {
+		if !byz {
+			e.recvMask[i>>6] |= 1 << uint(i&63)
 		}
 	}
 	e.result = Result{}
@@ -600,8 +605,8 @@ func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 // and Byzantine nodes never crash, so from Reset's round-0 masks (every
 // node sends, every non-Byzantine one broadcasts) only crash-scheduled
 // nodes ever change: the census costs O(crashes), not O(n). It also
-// brings the word forms of the senders and of the receivers to round t:
-// a node stops receiving in its crash round.
+// brings the node sets of the senders (at n ≤ wordN) and of the
+// receivers to round t: a node stops receiving in its crash round.
 func (e *Engine) census(t int) {
 	e.senders, e.partial = e.cfg.N, false
 	for _, i := range e.crashSched {
@@ -614,7 +619,7 @@ func (e *Engine) census(t int) {
 			e.partial = true
 		}
 		if t >= c {
-			e.recvWord &^= 1 << uint(i)
+			e.recvMask[i>>6] &^= 1 << uint(i&63)
 		}
 	}
 }
@@ -685,18 +690,19 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 //
 // One arm fills no delivery buffer: a round with identity ports, no
 // wire sizes, no sender crashing partially, no Byzantine node, no
-// shuffle and no per-delivery watcher goes by row (byRow). On a dense
-// set of at most 64 nodes such a round is one word round
-// (deliverWords), a single Population.DeliverWords call over the in-row
-// words. Otherwise each receiver's sending in-neighbors, ascending, go
-// to Population.DeliverRow as an ID list, so a DAC population reads its
-// senders' 16-byte start-of-round entries instead of copying 40-byte
-// Messages into 48-byte Deliveries. A CSR in-row in which every node
-// sends (clean) is that list as it stands; otherwise — a dense bitmap
-// row, or a CSR row with crashed senders left in — the sending ones are
-// collected into e.rowbuf. That is the run goroutine's critical path on
-// round-sparse-er2 and round-sparse-regular. Every other round gathers
-// into the buffer and calls DeliverAll.
+// shuffle and no per-delivery watcher goes by row (byRow). Such a round
+// is one population call in two cases: on a dense set of at most 64
+// nodes (deliverWords, over the in-row words), and on a CSR set whose
+// rows list only senders (clean: every node sends, or the set was
+// pruned; deliverCSR, over the receiver-major view as it stands). That
+// is the run goroutine's critical path on round-sparse-er2 and
+// round-sparse-regular. Otherwise each receiver's sending in-neighbors,
+// ascending, go to Population.DeliverRow as an ID list collected into
+// e.rowbuf — off a dense bitmap row, or a CSR row with crashed senders
+// left in — so a DAC population reads its senders' 16-byte
+// start-of-round entries instead of copying 40-byte Messages into
+// 48-byte Deliveries. Every other round gathers into the buffer and
+// calls DeliverAll.
 //
 // Of a sparse set's two lazily built CSR views the loop reads only the
 // receiver-major one — directly (the direct gather below) or through
@@ -711,8 +717,11 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 	sparse := edges.IsSparse()
 	clean := e.senders == e.cfg.N || e.pruned
 	byRow := direct && !e.partial && !e.hasByz && !e.cfg.ShuffleDelivery && !e.trackPhases
-	if byRow && e.cfg.N <= wordN && !sparse {
+	switch {
+	case byRow && e.cfg.N <= wordN && !sparse:
 		return e.deliverWords(t, edges)
+	case byRow && sparse && clean:
+		return e.deliverCSR(t, edges)
 	}
 	var inStarts, inIDs []int32
 	pop, broadcasts := e.pop, e.broadcasts
@@ -729,12 +738,9 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 			// Every listed in-neighbor delivers its broadcast at port ==
 			// node ID, already ascending.
 			var row []int32
-			switch {
-			case sparse && clean:
-				row = inIDs[inStarts[v]:inStarts[v+1]]
-			case sparse:
+			if sparse {
 				row = e.sendingIDs(inIDs[inStarts[v]:inStarts[v+1]])
-			default:
+			} else {
 				row = e.sendingBits(edges.InRow(v))
 			}
 			lost += e.senders - 1 - len(row)
@@ -794,28 +800,60 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 // deliverWords is deliverRange's by-row round on a dense set of at most
 // 64 nodes: one Population.DeliverWords call for every receiver, over
 // the set's in-row words and the census words. Receiver v hears the
-// senders in its in-row word, so the counts are popcounts. Only the
-// receivers the call reports decided go through noteDecision, and every
-// receiver is re-snapped afterwards when the view is live: a node's
-// round touches only its own state, so doing these after all the
-// deliveries, not after each receiver's, changes nothing.
+// senders in its in-row word, so the counts are popcounts.
 func (e *Engine) deliverWords(t int, edges *network.EdgeSet) (delivered, lost int) {
-	in, sends, recv := edges.InWords(), e.sendWord, e.recvWord
+	in, sends, recv := edges.InWords(), e.sendWord, e.recvMask[0]
 	for r := recv; r != 0; r &= r - 1 {
 		delivered += bits.OnesCount64(in[bits.TrailingZeros64(r)] & sends)
 	}
 	lost = bits.OnesCount64(recv)*(e.senders-1) - delivered
-	decided := e.pop.DeliverWords(recv, in, sends, e.broadcasts)
-	for ; decided != 0; decided &= decided - 1 {
-		e.noteDecision(bits.TrailingZeros64(decided), t)
+	e.decidedMask[0] = e.pop.DeliverWords(recv, in, sends, e.broadcasts)
+	e.endBatch(t)
+	return delivered, lost
+}
+
+// deliverCSR is deliverRange's by-row round on a clean CSR set: one
+// Population.DeliverCSR call for every receiver, over the set's
+// receiver-major view and the census's receiver set. Every listed
+// sender sends, so a receiver hears its whole row, and the round
+// delivers every link but those into the nodes that no longer receive —
+// crash-scheduled ones, as a by-row round has no Byzantine node.
+func (e *Engine) deliverCSR(t int, edges *network.EdgeSet) (delivered, lost int) {
+	starts, ids := edges.InCSR()
+	receivers := e.cfg.N
+	delivered = int(starts[receivers])
+	for _, i := range e.crashSched {
+		if t >= e.crashRound[i] {
+			receivers--
+			delivered -= int(starts[i+1] - starts[i])
+		}
 	}
-	if !e.viewSkip {
-		for r := recv; r != 0; r &= r - 1 {
-			v := bits.TrailingZeros64(r)
+	lost = receivers*(e.senders-1) - delivered
+	e.pop.DeliverCSR(e.recvMask, starts, ids, e.broadcasts, e.decidedMask)
+	e.endBatch(t)
+	return delivered, lost
+}
+
+// endBatch finishes a batch round: only the receivers the population
+// reported decided (decidedMask) go through noteDecision, and every
+// receiver is re-snapped when the view is live. A node's round touches
+// only its own state, so doing these after all the deliveries, not
+// after each receiver's, changes nothing.
+func (e *Engine) endBatch(t int) {
+	for w, word := range e.decidedMask {
+		for ; word != 0; word &= word - 1 {
+			e.noteDecision(w<<6|bits.TrailingZeros64(word), t)
+		}
+	}
+	if e.viewSkip {
+		return
+	}
+	for w, word := range e.recvMask {
+		for ; word != 0; word &= word - 1 {
+			v := w<<6 | bits.TrailingZeros64(word)
 			e.view.snaps[v] = core.Snap(e.pop, v)
 		}
 	}
-	return delivered, lost
 }
 
 // sendingIDs is the by-row arm's list for a CSR in-row that may hold

@@ -123,18 +123,18 @@ func newPopRun(t *testing.T, c popCase, asPopulation bool) *popRun {
 // event log. Sizes straddle network.SparseThreshold (and force CSR
 // below it) on er2, rotating and complete graphs, with crash schedules
 // (silent and partial DeliverTo lists included), random ports and
-// shuffled delivery. Both by-row arms must be drawn often: CSR rows and
-// dense bitmap rows, the latter also after a silent crash, when a dense
-// round lists only the senders still alive. So must the word round
-// (dense rows at n ≤ 64), also after a silent crash. PerNode takes the
-// word round too, so there the two sides share the engine's arm: runs
-// small enough for the O(n²)-a-round reference oracle also meet it,
-// which holds every word-round trial to an independent fold and pins
-// the by-row arms' lost counts.
+// shuffled delivery. Both by-row arms must be drawn often: CSR rows, as
+// one DeliverCSR call a round, and dense bitmap rows, the latter also
+// after a silent crash, when a dense round lists only the senders still
+// alive. So must the word round (dense rows at n ≤ 64), also after a
+// silent crash. PerNode takes the word round and the CSR call too, so
+// there the two sides share the engine's arm: runs small enough for the
+// O(n²)-a-round reference oracle also meet it, which holds every such
+// trial to an independent fold and pins the by-row arms' lost counts.
 func TestPopulationMatchesAdapterProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	csrRows, denseRows, silentDenseRows := 0, 0, 0
-	wordRounds, silentWordRounds := 0, 0 // checked against the oracle
+	wordRounds, silentWordRounds, csrCalls := 0, 0, 0 // checked against the oracle
 	for trial := 0; trial < 48; trial++ {
 		c := popCase{
 			n:         []int{9, 33, 70, 130, 9, 33, 70, network.SparseThreshold + 1}[rng.Intn(8)],
@@ -182,7 +182,9 @@ func TestPopulationMatchesAdapterProperty(t *testing.T) {
 		// A run with identity ports, no shuffle and no per-delivery
 		// watcher goes by row in every round no sender crashes partially
 		// in: on CSR rows, or on dense ones under FillComplete or below
-		// the threshold, and those in word rounds at n ≤ 64.
+		// the threshold, and those in word rounds at n ≤ 64. Its CSR
+		// rounds are one DeliverCSR call each: er2 and rotating render in
+		// place, so a run with crashes prunes every CSR round's set.
 		byRow := !c.randomPorts && !c.shuffle && !c.tracker && !c.recorder
 		if byRow {
 			switch {
@@ -223,17 +225,21 @@ func TestPopulationMatchesAdapterProperty(t *testing.T) {
 					silentWordRounds++
 				}
 			}
+			if byRow && c.adv != "complete" && c.forceCSR {
+				csrCalls++
+			}
 		}
 	}
 	if csrRows < 8 || denseRows < 8 || silentDenseRows < 2 {
 		t.Errorf("%d trials could deliver off CSR rows and %d off dense ones (%d after a silent crash): property nearly vacuous",
 			csrRows, denseRows, silentDenseRows)
 	}
-	if wordRounds < 8 || silentWordRounds < 2 {
-		t.Errorf("%d trials met the oracle in word rounds (%d after a silent crash): property nearly vacuous", wordRounds, silentWordRounds)
+	if wordRounds < 8 || silentWordRounds < 2 || csrCalls < 8 {
+		t.Errorf("%d trials met the oracle in word rounds (%d after a silent crash), %d in DeliverCSR calls: property nearly vacuous",
+			wordRounds, silentWordRounds, csrCalls)
 	}
-	t.Logf("by-row trials: %d CSR, %d dense (%d after a silent crash); %d in word rounds (%d after a silent crash)",
-		csrRows, denseRows, silentDenseRows, wordRounds, silentWordRounds)
+	t.Logf("by-row trials: %d CSR, %d dense (%d after a silent crash); met the oracle: %d in word rounds (%d after a silent crash), %d in DeliverCSR calls",
+		csrRows, denseRows, silentDenseRows, wordRounds, silentWordRounds, csrCalls)
 }
 
 // hasSilentCrash reports whether s holds a crash that sends nothing in

@@ -168,9 +168,10 @@ func TestResultDetachedFromEngine(t *testing.T) {
 // a steady-state DAC round allocates nothing — on the benign complete
 // graph, the §VII probabilistic adversary, a dense round after a silent
 // crash (each a word round through core.PerNode at n = 9, behind the
-// round's one BroadcastAll call), a CSR rotating:4 round, and the word
+// round's one BroadcastAll call), a CSR rotating:4 round, the word
 // round of a core.PopulationOf population on er:0.3 after a silent
-// crash.
+// crash, and that population's CSR rotating:4 round after one (pruned,
+// one DeliverCSR call).
 func TestSteadyStateRoundAllocs(t *testing.T) {
 	const n = 9
 	// A huge pEnd keeps every node busy forever: rounds stay steady-state.
@@ -202,6 +203,9 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 		}},
 		"word-er-crash": {population: true, cfg: func() Config {
 			return Config{Adversary: must(adversary.NewProbabilistic(0.3, 3)), Crashes: fault.Schedule{4: fault.CrashSilent(2)}}
+		}},
+		"csr-rotating-crash": {population: true, cfg: func() Config {
+			return Config{Adversary: must(adversary.NewRotating(4)), ForceCSR: true, Crashes: fault.Schedule{4: fault.CrashSilent(2)}}
 		}},
 	}
 	for name, c := range cases {
