@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // bounded keeps the k smallest values it has been given, counting
 // multiplicity. It implements R_low of Algorithm 2 (STORE, lines 18–21):
 // a new value is stored while fewer than k are held; afterwards it
@@ -23,9 +25,14 @@ package core
 // run of equal values, which top tracks, so max() is one load and keeps
 // which of −0 and +0 (the one pair of equal non-NaN floats whose bits
 // differ) that list returns. A NaN takes a slot there for good and is
-// never its maximum; here it takes a slot away instead. Both presume
-// that the first value after clear is not NaN: DBAC's first is its own
-// value, which never is.
+// never its maximum; here it takes a slot away instead. The two agree
+// only when the first value after clear is not NaN. A DBAC's first is
+// its own value, which is NaN only after infinite Byzantine values
+// reached it below its quorum (see max). Given a NaN first, the unsorted
+// list returns that NaN for the rest of the phase, since no value
+// compares above it; here the NaN takes a slot away like any other, so
+// max returns the largest value held after it, or NaN once NaNs took
+// every slot and every later value is rejected.
 type bounded struct {
 	bar   float64 // the top value once no slot is free: add then rejects v ≥ bar
 	lim   int     // slots values may take: k, less one per NaN received
@@ -37,10 +44,6 @@ type bounded struct {
 type slot struct {
 	v  float64
 	at int
-}
-
-func newBounded(k int) bounded {
-	return bounded{lim: k, slots: make([]slot, 0, k)}
 }
 
 // add stores v if it belongs among the k smallest. The reject — v at or
@@ -59,8 +62,11 @@ func (b *bounded) insert(v float64) {
 	if v != v {
 		if n < b.lim {
 			b.lim--
-			if n == b.lim && n > 0 {
-				b.bar = s[n-1].v
+			if n == b.lim {
+				b.bar = math.Inf(-1) // no slot left: every value is rejected
+				if n > 0 {
+					b.bar = s[n-1].v
+				}
 			}
 		}
 		return
@@ -107,8 +113,15 @@ func (b *bounded) insert(v float64) {
 }
 
 // max returns the largest held value — max(R_low), the (f+1)-st smallest
-// value received overall once the list is full.
-func (b *bounded) max() float64 { return b.slots[b.top].v }
+// value received overall once the list is full — and NaN when NaNs took
+// every slot (a DBAC whose own value is NaN, which only infinite
+// Byzantine values below its quorum make, can meet a NaN).
+func (b *bounded) max() float64 {
+	if len(b.slots) == 0 {
+		return math.NaN()
+	}
+	return b.slots[b.top].v
+}
 
 // held counts the values the unsorted list would hold: the slots, and
 // the NaNs that took one.

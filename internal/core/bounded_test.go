@@ -9,6 +9,11 @@ import (
 	"testing/quick"
 )
 
+// newBounded is an empty list of k slots, as a DBAC's lists are built.
+func newBounded(k int) bounded {
+	return bounded{lim: k, slots: make([]slot, 0, k)}
+}
+
 func TestBoundedLowKeepsSmallest(t *testing.T) {
 	b := newBounded(3)
 	for _, v := range []float64{0.9, 0.1, 0.5, 0.7, 0.3, 0.2} {
@@ -232,13 +237,32 @@ func TestBoundedMatchesRescanAndSortOracle(t *testing.T) {
 	}
 }
 
+// TestBoundedAllNaN: once NaNs have taken every slot (a first value
+// that is NaN, as a DBAC whose own value became NaN stores it), the
+// list rejects every value and max is NaN rather than indexing an
+// empty list.
+func TestBoundedAllNaN(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		b := newBounded(k)
+		for range k {
+			b.add(math.NaN())
+		}
+		for _, v := range []float64{0.5, math.Inf(-1), 0, math.NaN()} {
+			b.add(v)
+		}
+		if len(b.slots) != 0 || !math.IsNaN(b.max()) {
+			t.Errorf("k=%d: slots %v, max %v; want none and NaN", k, b.slots, b.max())
+		}
+	}
+}
+
 // TestBoundedNaNHoldsASlot: Byzantine values are not validated, so a
 // custom strategy can send NaN. No comparison with NaN is true, so in
 // the flat list a NaN that arrives while there is room takes a slot for
 // the rest of the phase and is never returned or overwritten, and one
 // that arrives when the list is full is dropped. The sorted lists must
 // do the same, bit for bit. The first value of every stream is not NaN:
-// DBAC's is its own value.
+// DBAC's is its own value, NaN only in TestBoundedAllNaN's case.
 func TestBoundedNaNHoldsASlot(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	alphabet := []float64{math.NaN(), math.Copysign(0, -1), 0, 0.25, 0.5, 1}

@@ -193,6 +193,21 @@ func TestDBACOutputFreezes(t *testing.T) {
 	}
 }
 
+// NewDBACCustom builds a DBAC node with explicit output phase and
+// quorum, without enforcing n ≥ 5f+1: one node of what
+// NewDBACPopulation builds for the necessity experiment (E6), which
+// models hypothetical algorithms that terminate below the ⌊(n+3f)/2⌋+1
+// quorum and then violate agreement, as Theorem 10 predicts.
+func NewDBACCustom(n, f, selfPort, pEnd, quorum int, input float64) (*DBAC, error) {
+	if err := checkDBAC(n, f, pEnd, quorum); err != nil {
+		return nil, err
+	}
+	if err := checkNode(n, selfPort, input); err != nil {
+		return nil, err
+	}
+	return newDBAC(n, f, selfPort, pEnd, quorum, input), nil
+}
+
 func TestNewDBACCustom(t *testing.T) {
 	// n = 5f is rejected by NewDBAC but allowed by the necessity-
 	// experiment constructor.

@@ -113,7 +113,7 @@ func (pb *DBACPiggyback) Broadcast() Message {
 // it (DeliverAll passes the slice element).
 func (pb *DBACPiggyback) deliver(port int, m *Message) {
 	p := pb.inner.p
-	if m.Phase > p && !pb.inner.r[port] {
+	if m.Phase > p && !pb.inner.has(port) {
 		// Sender is ahead: look for the entry matching our phase exactly.
 		for _, e := range m.History {
 			if e.Phase == p {

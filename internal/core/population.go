@@ -12,11 +12,12 @@ import (
 //  1. BroadcastAll once at the top of the round, for all the nodes that
 //     broadcast in it at once;
 //  2. for every receiver v, DeliverRow(v, …) once or DeliverAll(v, …)
-//     any number of times, then EndRound(v) — or, in a round whose every
-//     row DeliverRow could take, one call for all the receivers at once:
-//     DeliverWords over the in-row words of a network of at most 64
-//     nodes, DeliverCSR over the rows of a receiver-major CSR in which
-//     every listed sender delivers.
+//     any number of times, then EndRound(v) — or one call for all the
+//     receivers at once, in a round with identity ports in which every
+//     sender delivers its broadcast or, if Byzantine, its message for
+//     the receiver: DeliverWords over the in-row words of a network of
+//     at most 64 nodes, and, with no Byzantine sender, DeliverCSR over
+//     the rows of a receiver-major CSR.
 //
 // Self-delivery is never routed through it, as for Process. The engine
 // never addresses a Byzantine node's ID, and live is false at every one.
@@ -26,7 +27,8 @@ import (
 // whose state changed since its last call.
 //
 // PerNode adapts any []Process; PopulationOf runs a DAC network built
-// by NewDACPopulation without a dynamic call per node and reads each
+// by NewDACPopulation and DBACPopulationOf a DBAC network built by
+// NewDBACPopulation, without a dynamic call per node, reading each
 // receiver's senders off a compact copy of their broadcasts.
 type Population interface {
 	// BroadcastAll sets msgs[i] to the message ⟨v, p⟩ node i sends this
@@ -44,14 +46,16 @@ type Population interface {
 	DeliverRow(v int, row []int32, msgs []Message)
 
 	// DeliverWords delivers a whole round of a network of at most 64
-	// nodes, every row as DeliverRow takes it: for each receiver v in
-	// recv, in ascending order, it is DeliverRow(v, row, msgs) and then
-	// EndRound(v), where row lists the set bits of in[v] & sends. Bit u
-	// of a word stands for node u; sends holds the nodes that broadcast
-	// this round (so recv ⊆ sends, and msgs[u] is set for every u in
-	// sends), and in[v] never holds v. It returns the receivers of recv
-	// whose Output reports a decision at the end of the round.
-	DeliverWords(recv uint64, in []uint64, sends uint64, msgs []Message) (decided uint64)
+	// nodes: for each receiver v in recv, in ascending order, every
+	// sender u in in[v] & sends, ascending, delivers at port u, and then
+	// EndRound(v). Bit u of a word stands for node u; sends holds the
+	// nodes that send this round (so recv ⊆ sends), and in[v] never holds
+	// v. A sender outside byz delivers its broadcast msgs[u]: a row with
+	// no bit of byz is DeliverRow's. A Byzantine sender b (in byz)
+	// delivers *out[b][v], its message for v, and is silent towards v
+	// when that entry is nil. It returns the receivers of recv whose
+	// Output reports a decision at the end of the round.
+	DeliverWords(recv uint64, in []uint64, sends uint64, msgs []Message, byz uint64, out [][]*Message) (decided uint64)
 
 	// DeliverCSR delivers a whole round whose rows are those of a
 	// receiver-major CSR, every row as DeliverRow takes it: for each
@@ -108,15 +112,50 @@ func (a *perNode) DeliverRow(v int, row []int32, msgs []Message) {
 	a.procs[v].DeliverAll(ds)
 }
 
-func (a *perNode) DeliverWords(recv uint64, in []uint64, sends uint64, msgs []Message) (decided uint64) {
+func (a *perNode) DeliverWords(recv uint64, in []uint64, sends uint64, msgs []Message, byz uint64, out [][]*Message) (decided uint64) {
 	for r := recv; r != 0; r &= r - 1 {
 		v := bits.TrailingZeros64(r)
-		a.DeliverRow(v, rowOf(in[v]&sends, &a.row), msgs)
+		if row := in[v] & sends; row&byz == 0 {
+			a.DeliverRow(v, rowOf(row, &a.row), msgs)
+		} else {
+			a.deliverMixed(v, row, byz, msgs, out)
+		}
 		if a.end(v) {
 			decided |= r & -r
 		}
 	}
 	return decided
+}
+
+// deliverMixed is DeliverWords' fold of a row with a Byzantine sender,
+// kept out of line: no word round of a fault-free run takes it.
+func (a *perNode) deliverMixed(v int, row, byz uint64, msgs []Message, out [][]*Message) {
+	if a.ds == nil {
+		a.ds = make([]Delivery, len(a.procs))
+	}
+	a.procs[v].DeliverAll(fillRow(a.ds, v, row, byz, msgs, out))
+}
+
+// fillRow fills ds with receiver v's deliveries from the senders in
+// row, ascending, as DeliverWords delivers them: msgs[u] from an honest
+// sender, *out[u][v] from a Byzantine one (in byz), none from a
+// Byzantine sender whose entry is nil. It returns the filled prefix.
+func fillRow(ds []Delivery, v int, row, byz uint64, msgs []Message, out [][]*Message) []Delivery {
+	k := 0
+	for w := row; w != 0; w &= w - 1 {
+		u := bits.TrailingZeros64(w)
+		m := &msgs[u]
+		if byz&(1<<uint(u)) != 0 {
+			if m = out[u][v]; m == nil {
+				continue
+			}
+		}
+		d := &ds[k]
+		d.Port = u
+		d.Msg = *m
+		k++
+	}
+	return ds[:k]
 }
 
 func (a *perNode) DeliverCSR(recv []uint64, starts, ids []int32, msgs []Message, decided []uint64) {
@@ -174,57 +213,81 @@ func (a *perNode) Reinit(i int, input float64)     { a.procs[i].Reinit(input) }
 // first call, after a Reinit, and when msgs is not the slice it filled
 // last.
 func PopulationOf(ds []DAC) Population {
-	return &dacPopulation{ds: ds, sent: make([]vp, len(ds)), changed: make([]int32, 0, len(ds)), full: true}
+	return &dacPopulation{ds: ds, startTable: newStartTable(len(ds))}
 }
 
 type dacPopulation struct {
-	ds   []DAC
-	sent []vp      // each node's ⟨v, p⟩ as BroadcastAll last copied it
-	row  [64]int32 // DeliverWords' rows, as rowOf lists them
+	ds []DAC
+	startTable
+	row [64]int32  // DeliverWords' rows, as rowOf lists them
+	dl  []Delivery // DeliverWords' rows with a Byzantine sender, 64 entries once used
+}
 
+// startTable is a population's start-of-round table: each node's ⟨v, p⟩
+// as BroadcastAll last copied it, and the nodes whose ⟨v, p⟩ has
+// changed since (see note), which are all a BroadcastAll copies once
+// due has reported a full copy done.
+type startTable struct {
+	sent    []vp
 	changed []int32   // nodes whose ⟨v, p⟩ differs from sent, each listed once a round (see note)
 	full    bool      // the next BroadcastAll copies every node
 	filled  []Message // the msgs the last BroadcastAll filled
 }
 
-// vp is one broadcast as Algorithm 1 reads it.
+func newStartTable(n int) startTable {
+	return startTable{sent: make([]vp, n), changed: make([]int32, 0, n), full: true}
+}
+
+// vp is one broadcast as Algorithms 1 and 2 read it.
 type vp struct {
 	v float64
 	p int
 }
 
-func (pop *dacPopulation) BroadcastAll(_ []bool, msgs []Message) {
-	ds, sent := pop.ds, pop.sent
-	if pop.full || len(msgs) != len(pop.filled) || len(msgs) > 0 && &msgs[0] != &pop.filled[0] {
-		for i := range ds {
-			d := &ds[i]
-			sent[i] = vp{d.v, d.p}
-			msgs[i] = Message{Value: d.v, Phase: d.p}
-		}
-		pop.full, pop.filled = false, msgs
-	} else {
-		for _, i := range pop.changed {
-			d := &ds[i]
-			sent[i] = vp{d.v, d.p}
-			msgs[i] = Message{Value: d.v, Phase: d.p}
-		}
+// due reports whether this BroadcastAll must copy every node: on the
+// first call, after a Reinit, and into a msgs slice other than the one
+// filled last. It then takes the full copy as done.
+func (t *startTable) due(msgs []Message) bool {
+	if t.full || len(msgs) != len(t.filled) || len(msgs) > 0 && &msgs[0] != &t.filled[0] {
+		t.full, t.filled = false, msgs
+		return true
 	}
-	pop.changed = pop.changed[:0]
+	return false
 }
 
-// note lists node v in changed once its ⟨v, p⟩ differs from its table
+// put copies node i's ⟨v, p⟩ into the table and msgs.
+func (t *startTable) put(i int, v float64, p int, msgs []Message) {
+	t.sent[i] = vp{v, p}
+	msgs[i] = Message{Value: v, Phase: p}
+}
+
+// note lists node i in changed once its ⟨v, p⟩ differs from its table
 // entry. It compares the bits of v: a jump clamped at pEnd changes v
 // alone, and −0 == +0. A receiver's deliveries in a round are made back
 // to back, so a node already listed this round is the list's last entry.
-func (pop *dacPopulation) note(v int) {
-	d, s := &pop.ds[v], &pop.sent[v]
-	if d.p == s.p && math.Float64bits(d.v) == math.Float64bits(s.v) {
+func (t *startTable) note(i int, v float64, p int) {
+	s := &t.sent[i]
+	if p == s.p && math.Float64bits(v) == math.Float64bits(s.v) {
 		return
 	}
-	if k := len(pop.changed); k > 0 && pop.changed[k-1] == int32(v) {
+	if k := len(t.changed); k > 0 && t.changed[k-1] == int32(i) {
 		return
 	}
-	pop.changed = append(pop.changed, int32(v))
+	t.changed = append(t.changed, int32(i))
+}
+
+func (pop *dacPopulation) BroadcastAll(_ []bool, msgs []Message) {
+	ds := pop.ds
+	if pop.due(msgs) {
+		for i := range ds {
+			pop.put(i, ds[i].v, ds[i].p, msgs)
+		}
+	} else {
+		for _, i := range pop.changed {
+			pop.put(int(i), ds[i].v, ds[i].p, msgs)
+		}
+	}
+	pop.changed = pop.changed[:0]
 }
 
 // DeliverRow is DAC.DeliverAll over the row, reading each sender's
@@ -261,16 +324,21 @@ func (pop *dacPopulation) DeliverRow(v int, row []int32, _ []Message) {
 			d.maybeDecide()
 		}
 	}
-	pop.note(v)
+	pop.note(v, d.v, d.p)
 }
 
-// DeliverWords is DeliverRow over each receiver's row word; DAC's
-// EndRound does nothing, and Output reports a decision iff the node has
-// decided.
-func (pop *dacPopulation) DeliverWords(recv uint64, in []uint64, sends uint64, _ []Message) (decided uint64) {
+// DeliverWords is DeliverRow over each receiver's row word, or
+// DeliverAll over the row's deliveries when a Byzantine sender is in
+// it; DAC's EndRound does nothing, and Output reports a decision iff
+// the node has decided.
+func (pop *dacPopulation) DeliverWords(recv uint64, in []uint64, sends uint64, msgs []Message, byz uint64, out [][]*Message) (decided uint64) {
 	for r := recv; r != 0; r &= r - 1 {
 		v := bits.TrailingZeros64(r)
-		pop.DeliverRow(v, rowOf(in[v]&sends, &pop.row), nil)
+		if row := in[v] & sends; row&byz == 0 {
+			pop.DeliverRow(v, rowOf(row, &pop.row), nil)
+		} else {
+			pop.deliverMixed(v, row, byz, msgs, out)
+		}
 		if pop.ds[v].decided {
 			decided |= r & -r
 		}
@@ -294,9 +362,18 @@ func (pop *dacPopulation) DeliverCSR(recv []uint64, starts, ids []int32, _ []Mes
 	}
 }
 
+// deliverMixed is perNode.deliverMixed for the population's node v.
+func (pop *dacPopulation) deliverMixed(v int, row, byz uint64, msgs []Message, out [][]*Message) {
+	if pop.dl == nil {
+		pop.dl = make([]Delivery, 64)
+	}
+	pop.DeliverAll(v, fillRow(pop.dl, v, row, byz, msgs, out))
+}
+
 func (pop *dacPopulation) DeliverAll(v int, ds []Delivery) {
-	pop.ds[v].DeliverAll(ds)
-	pop.note(v)
+	d := &pop.ds[v]
+	d.DeliverAll(ds)
+	pop.note(v, d.v, d.p)
 }
 
 func (pop *dacPopulation) EndRound(int)                 {}

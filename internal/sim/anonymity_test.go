@@ -15,9 +15,10 @@ import (
 // anonRun is one side of TestAnonymityRelabelProperty: a network of n
 // nodes with its inputs, ports (nil: identity), crash schedule,
 // Byzantine nodes and adversary. A DAC network (algo "") is driven
-// through core.PopulationOf or core.PerNode; a DBAC ("dbac") or
-// piggyback ("dbac-pb") one, built for f faults, through core.PerNode.
-// Its run keeps the trace, the E(t) the image replays.
+// through core.PopulationOf or core.PerNode, a DBAC one ("dbac"), built
+// for f faults, through core.DBACPopulationOf or core.PerNode, and a
+// piggyback one ("dbac-pb") through core.PerNode. Its run keeps the
+// trace, the E(t) the image replays.
 type anonRun struct {
 	algo            string
 	f               int
@@ -50,16 +51,24 @@ func (r anonRun) run(t *testing.T) *Result {
 			pop = core.PopulationOf(dacs)
 		}
 	} else {
+		skip := func(i int) bool { _, byz := r.byz[i]; return byz }
+		var dbacs []core.DBAC
+		if r.algo == "dbac" {
+			dbacs = must(core.NewDBACPopulation(r.f, r.pEnd, core.ByzQuorum(n, r.f), selfPort, r.inputs, skip))
+		}
 		for i, x := range r.inputs {
-			switch _, byz := r.byz[i]; {
-			case byz:
+			switch {
+			case skip(i):
 			case r.algo == "dbac":
-				procs[i] = must(core.NewDBACPhases(n, r.f, selfPort(i), r.pEnd, x))
+				procs[i] = &dbacs[i]
 			default:
 				procs[i] = must(core.NewDBACPiggybackPhases(n, r.f, selfPort(i), 2, r.pEnd, x))
 			}
 		}
 		pop = core.PerNode(procs)
+		if r.asPopulation && dbacs != nil {
+			pop = core.DBACPopulationOf(dbacs)
+		}
 	}
 	cfg := Config{
 		N: n, F: max(r.f, len(r.crashes)), Procs: procs, Adversary: r.adv, Crashes: r.crashes, Byzantine: r.byz,
@@ -74,7 +83,7 @@ func (r anonRun) run(t *testing.T) *Result {
 
 // relabel is the π-image of r's configuration: node π(i) gets node i's
 // input, crash (its DeliverTo list mapped through π) and Byzantine
-// strategy (ID-free ones only: they send every receiver the same), numbering
+// strategy (relabelled: it sends π(v) what node i sent v), numbering
 // π(v) gives π(u) the port v gave u, and the adversary replays the
 // recorded E(t) with every link u→v moved to π(u)→π(v).
 func relabel(t *testing.T, r anonRun, perm []int, recorded []*network.EdgeSet) anonRun {
@@ -114,7 +123,7 @@ func relabel(t *testing.T, r anonRun, perm []int, recorded []*network.EdgeSet) a
 	if r.byz != nil {
 		img.byz = map[int]fault.Strategy{}
 		for i, strat := range r.byz {
-			img.byz[perm[i]] = strat
+			img.byz[perm[i]] = relabelled{inner: strat, self: i, perm: perm, out: make([]*core.Message, n)}
 		}
 	}
 	events := make([]trace.Event, len(recorded))
@@ -137,14 +146,16 @@ func relabel(t *testing.T, r anonRun, perm []int, recorded []*network.EdgeSet) a
 // Outputs[i] (DecideRound likewise). DAC draws cover n from 5 to 130;
 // er, er2, rotating and the value-reading ChaseMin; identity or random
 // ports; clean, silent and partial crashes; ForceCSR flipped between
-// the two runs; population or adapter on each side. DBAC and its
-// piggyback variant, through the adapter, run fault-free or with
-// Extremist and Laggard nodes, whose messages name no ID. An
-// identity-port original goes by row (word rounds at n ≤ 64 on a dense
-// set, dense bitmap rows or CSR rows; a Byzantine node sends it to the
-// direct gather), while its image has non-identity numberings and
-// takes the general gather over the replayed dense sets, so the
-// property also holds the paths against each other.
+// the two runs; population or adapter on each side. DBAC (population or
+// adapter) and its piggyback variant run fault-free or with Extremist,
+// Laggard, Equivocator or SplitBrain nodes; in the image each runs
+// relabelled, so Equivocator's halves and SplitBrain's groups hold the
+// images of the original's receivers. An identity-port original goes by
+// row (word rounds at n ≤ 64 on a dense set, Byzantine senders
+// included; dense bitmap rows or CSR rows otherwise), while its image
+// has non-identity numberings and takes the general gather over the
+// replayed dense sets, so the property also holds the paths against
+// each other.
 func TestAnonymityRelabelProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	identity, words, decided := 0, 0, 0
@@ -192,13 +203,14 @@ func TestAnonymityRelabelProperty(t *testing.T) {
 		t.Errorf("DAC: %d identity-port originals and %d decided runs of 120: property nearly vacuous", identity, decided)
 	}
 
-	byzantine, dbacDecided := 0, 0
-	for trial := 0; trial < 60; trial++ {
+	byzantine, dbacDecided, byzWords := 0, 0, 0
+	for trial := 0; trial < 100; trial++ {
 		n := []int{6, 9, 17, 33, 70}[rng.Intn(5)]
 		seed := rng.Int63()
 		orig := anonRun{
 			algo: []string{"dbac", "dbac-pb"}[rng.Intn(2)], f: rng.Intn((n-1)/5 + 1),
 			pEnd: 2 + rng.Intn(4), maxRounds: 150, inputs: make([]float64, n), forceCSR: rng.Intn(2) == 0,
+			asPopulation: rng.Intn(2) == 0,
 		}
 		for i := range orig.inputs {
 			orig.inputs[i] = rng.Float64()
@@ -210,31 +222,68 @@ func TestAnonymityRelabelProperty(t *testing.T) {
 		if orig.f > 0 && rng.Intn(2) == 0 {
 			orig.byz = map[int]fault.Strategy{}
 			for _, i := range rng.Perm(n)[:orig.f] {
-				if rng.Intn(2) == 0 {
+				switch rng.Intn(4) {
+				case 0:
 					orig.byz[i] = fault.Extremist{Value: float64(rng.Intn(2))}
-				} else {
+				case 1:
 					orig.byz[i] = fault.Laggard{Value: rng.Float64()}
+				case 2:
+					orig.byz[i] = fault.Equivocator{Low: 0, High: 1}
+				default:
+					orig.byz[i] = fault.SplitBrain{InA: func(v int) bool { return v%3 == 0 }, ValueA: 0.2, ValueB: 0.9}
 				}
 			}
 			byzantine++
 		}
-		label := fmt.Sprintf("%s trial %d: n=%d/f=%d/%s/identityPorts=%v/byzantine=%d/csr=%v",
-			orig.algo, trial, n, orig.f, kind, orig.ports == nil, len(orig.byz), orig.forceCSR)
+		label := fmt.Sprintf("%s trial %d: n=%d/f=%d/%s/identityPorts=%v/byzantine=%d/csr=%v/population=%v",
+			orig.algo, trial, n, orig.f, kind, orig.ports == nil, len(orig.byz), orig.forceCSR, orig.asPopulation)
 		if checkRelabel(t, rng, orig, label) {
 			dbacDecided++
 		}
-		if orig.ports == nil && orig.byz == nil && n <= 64 && !orig.forceCSR {
+		if orig.ports == nil && n <= 64 && !orig.forceCSR {
 			words++
+			if orig.byz != nil {
+				byzWords++ // Byzantine word rounds, against the image's general gather
+			}
 		}
 	}
-	if byzantine < 15 || dbacDecided < 20 {
-		t.Errorf("DBAC: %d runs with Byzantine nodes and %d decided runs of 60: property nearly vacuous", byzantine, dbacDecided)
+	if byzantine < 25 || dbacDecided < 35 {
+		t.Errorf("DBAC: %d runs with Byzantine nodes and %d decided runs of 100: property nearly vacuous", byzantine, dbacDecided)
 	}
-	if words < 20 {
-		t.Errorf("%d identity-port originals on dense sets at n ≤ 64: the word round is nearly unchecked", words)
+	if words < 30 || byzWords < 12 {
+		t.Errorf("%d identity-port originals on dense sets at n ≤ 64, %d of them with Byzantine nodes: the word round is nearly unchecked",
+			words, byzWords)
 	}
-	t.Logf("DAC: %d identity-port originals, %d decided; DBAC: %d with Byzantine nodes, %d decided; %d originals in word rounds",
-		identity, decided, byzantine, dbacDecided, words)
+	t.Logf("DAC: %d identity-port originals, %d decided; DBAC: %d with Byzantine nodes, %d decided; %d originals in word rounds, %d with Byzantine nodes",
+		identity, decided, byzantine, dbacDecided, words, byzWords)
+}
+
+// relabelled runs a Byzantine strategy in the π-image of a run: as node
+// self of the original, sending receiver π(v) what it sends v there. The
+// strategies the test draws read no state off the view, so the image's
+// view serves them as it is; what they read is the receiver's ID
+// (Equivocator's halves, SplitBrain's groups), and that is what the
+// wrapper maps.
+type relabelled struct {
+	inner fault.Strategy
+	self  int
+	perm  []int
+	out   []*core.Message // the inner strategy's messages, by original receiver
+}
+
+func (r relabelled) Name() string { return "relabelled " + r.inner.Name() }
+
+func (r relabelled) MessagesInto(round, _ int, view fault.View, msgs []core.Message, out []*core.Message) {
+	r.inner.MessagesInto(round, r.self, view, msgs, r.out)
+	for v, m := range r.out {
+		out[r.perm[v]] = m
+	}
+}
+
+func (r relabelled) Messages(round, self int, view fault.View) []*core.Message {
+	msgs, out := make([]core.Message, view.N()), make([]*core.Message, view.N())
+	r.MessagesInto(round, self, view, msgs, out)
+	return out
 }
 
 // drawAnonAdversary gives orig a drawn adversary — er, er2, rotating or

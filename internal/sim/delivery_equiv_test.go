@@ -333,23 +333,31 @@ func randomDeliveryConfig(t *testing.T, n int, seed int64) Config {
 
 	algo := rng.Intn(3)
 	procs := make([]core.Process, n)
-	for i := 0; i < n; i++ {
-		if _, isByz := byz[i]; isByz {
-			continue
+	inputs := make([]float64, n)
+	for i := range inputs {
+		if _, isByz := byz[i]; !isByz {
+			inputs[i] = rng.Float64()
 		}
-		var p core.Process
-		var err error
-		if algo == 1 {
-			// The custom constructor skips the n ≥ 5f+1 resilience check:
-			// the property is about delivery streams, not correctness.
-			p, err = core.NewDBACCustom(n, len(byz), i, 1<<20, core.ByzQuorum(n, len(byz)), rng.Float64())
-		} else {
-			p, err = core.NewDACPhases(n, i, 1<<20, rng.Float64())
-		}
+	}
+	skip := func(i int) bool { _, isByz := byz[i]; return isByz }
+	if algo == 1 {
+		// A population checks no n ≥ 5f+1 bound: the property is about
+		// delivery streams, not correctness.
+		dbacs, err := core.NewDBACPopulation(len(byz), 1<<20, core.ByzQuorum(n, len(byz)), func(i int) int { return i }, inputs, skip)
 		if err != nil {
 			t.Fatal(err)
 		}
-		procs[i] = p
+		for i := range procs {
+			if !skip(i) {
+				procs[i] = &dbacs[i]
+			}
+		}
+	} else {
+		for i := range procs {
+			if !skip(i) {
+				procs[i] = must(core.NewDACPhases(n, i, 1<<20, inputs[i]))
+			}
+		}
 	}
 
 	cfg := Config{

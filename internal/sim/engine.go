@@ -36,7 +36,8 @@ type Engine struct {
 
 	// dense per-node execution state, sized cfg.N
 	isByz       []bool
-	byz         []byzNode // per node: its Byzantine strategy and this round's messages; nil until a run has Byzantine nodes
+	byz         []byzNode         // per node: its Byzantine strategy and message storage; nil until a run has Byzantine nodes
+	byzOut      [][]*core.Message // per Byzantine node: this round's message per receiver (nil entry: silent); allocated with byz
 	decided     []bool
 	outputs     []float64
 	decideRound []int
@@ -51,7 +52,7 @@ type Engine struct {
 	live        []bool            // node broadcasts in round t: sends and is not Byzantine — Population.BroadcastAll's mask
 	bcastSize   []int             // wire.Size per broadcast, computed once per round
 	byzStoreBuf []core.Message    // flat backing of every byzNode.store, grown in Reset, recycled across runs
-	byzOutBuf   []*core.Message   // flat backing of every byzNode.out
+	byzOutBuf   []*core.Message   // flat backing of every byzOut entry
 	deliveries  []core.Delivery   // the receiver's gather buffer, n entries
 	rowbuf      []int32           // the receiver's sending in-neighbours on the by-row arm, n entries
 	inbuf       []int             // in-neighbor list behind gatherInNeighbors, capacity n
@@ -113,11 +114,12 @@ type Engine struct {
 
 	// The census is also kept as node sets, bit i&63 of word i>>6 for
 	// node i: the round's receivers (alive through the round, not
-	// Byzantine), and at n ≤ wordN its senders in one word. They feed
-	// the batch rounds (deliverWords, deliverCSR), which return the
-	// receivers that have decided in decidedMask, as long as recvMask.
+	// Byzantine), and at n ≤ wordN its senders in one word, beside the
+	// Byzantine nodes' (set at Reset). They feed the batch rounds
+	// (deliverWords, deliverCSR), which return the receivers that have
+	// decided in decidedMask, as long as recvMask.
 	recvMask, decidedMask []uint64
-	sendWord              uint64
+	sendWord, byzWord     uint64
 
 	// trackPhases is false when neither an Observer nor a Recorder is
 	// configured: phase transitions then have no consumer, and the
@@ -131,11 +133,11 @@ type Engine struct {
 // wordN is the most nodes a word round serves: one bit of a uint64 each.
 const wordN = 64
 
-// byzNode is one Byzantine node's sending state.
+// byzNode is one Byzantine node's strategy and the engine-owned storage
+// it fills; its messages per receiver are in Engine.byzOut.
 type byzNode struct {
 	strat fault.Strategy
-	store []core.Message  // engine-owned storage the strategy fills
-	out   []*core.Message // this round's message per receiver (nil entry: silent)
+	store []core.Message
 }
 
 // NewEngine validates the configuration and prepares an execution of
@@ -197,9 +199,10 @@ func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 		}
 		e.crashSched = e.crashSched[:0]
 		clear(e.byz) // drop last run's slices: nothing stale survives
+		clear(e.byzOut)
 	} else {
 		e.isByz = make([]bool, n)
-		e.byz = nil
+		e.byz, e.byzOut = nil, nil
 		e.decided = make([]bool, n)
 		e.outputs = make([]float64, n)
 		e.decideRound = make([]int, n)
@@ -231,7 +234,7 @@ func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 	// round, and that a recycled engine keeps. The pointers start nil, as
 	// on a fresh engine.
 	if len(cfg.Byzantine) > 0 && e.byz == nil {
-		e.byz = make([]byzNode, n)
+		e.byz, e.byzOut = make([]byzNode, n), make([][]*core.Message, n)
 	}
 	if need := len(cfg.Byzantine) * n; cap(e.byzStoreBuf) < need {
 		e.byzStoreBuf = make([]core.Message, need)
@@ -245,7 +248,7 @@ func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 		b := &e.byz[i]
 		b.strat = strat
 		b.store = e.byzStoreBuf[off : off+n : off+n]
-		b.out = e.byzOutBuf[off : off+n : off+n]
+		e.byzOut[i] = e.byzOutBuf[off : off+n : off+n]
 		off += n
 	}
 	fillCrashState(e.crashRound, e.crashInfo, cfg.Crashes)
@@ -326,9 +329,13 @@ func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 		e.sendWord = ^uint64(0) >> (wordN - n)
 	}
 	clear(e.recvMask)
+	e.byzWord = 0
 	for i, byz := range e.isByz {
-		if !byz {
+		switch {
+		case !byz:
 			e.recvMask[i>>6] |= 1 << uint(i&63)
+		case n <= wordN:
+			e.byzWord |= 1 << uint(i)
 		}
 	}
 	e.result = Result{}
@@ -572,7 +579,7 @@ func (e *Engine) openRound(t int, edges *network.EdgeSet) {
 		for i, byz := range e.isByz {
 			if byz {
 				b := &e.byz[i]
-				b.strat.MessagesInto(t, i, e.view, b.store, b.out)
+				b.strat.MessagesInto(t, i, e.view, b.store, e.byzOut[i])
 			}
 		}
 	}
@@ -689,14 +696,16 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 // so heard is the row's length.
 //
 // One arm fills no delivery buffer: a round with identity ports, no
-// wire sizes, no sender crashing partially, no Byzantine node, no
-// shuffle and no per-delivery watcher goes by row (byRow). Such a round
-// is one population call in two cases: on a dense set of at most 64
-// nodes (deliverWords, over the in-row words), and on a CSR set whose
+// wire sizes, no sender crashing partially, no shuffle and no
+// per-delivery watcher goes by word on a dense set of at most 64 nodes
+// (deliverWords: one population call over the in-row words, Byzantine
+// senders included), and by row elsewhere when no node is Byzantine
+// (byRow). A by-row round is one population call on a CSR set whose
 // rows list only senders (clean: every node sends, or the set was
 // pruned; deliverCSR, over the receiver-major view as it stands). That
 // is the run goroutine's critical path on round-sparse-er2 and
-// round-sparse-regular. Otherwise each receiver's sending in-neighbors,
+// round-sparse-regular; the word round is sweep-byz-dense's and
+// sweep-small-local's. Otherwise each receiver's sending in-neighbors,
 // ascending, go to Population.DeliverRow as an ID list collected into
 // e.rowbuf — off a dense bitmap row, or a CSR row with crashed senders
 // left in — so a DAC population reads its senders' 16-byte
@@ -716,11 +725,12 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 	direct := !e.needSize && e.allIdentity
 	sparse := edges.IsSparse()
 	clean := e.senders == e.cfg.N || e.pruned
-	byRow := direct && !e.partial && !e.hasByz && !e.cfg.ShuffleDelivery && !e.trackPhases
-	switch {
-	case byRow && e.cfg.N <= wordN && !sparse:
+	byRow := direct && !e.partial && !e.cfg.ShuffleDelivery && !e.trackPhases
+	if byRow && e.cfg.N <= wordN && !sparse {
 		return e.deliverWords(t, edges)
-	case byRow && sparse && clean:
+	}
+	byRow = byRow && !e.hasByz
+	if byRow && sparse && clean {
 		return e.deliverCSR(t, edges)
 	}
 	var inStarts, inIDs []int32
@@ -797,19 +807,39 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 	return delivered, lost
 }
 
-// deliverWords is deliverRange's by-row round on a dense set of at most
+// deliverWords is deliverRange's word round on a dense set of at most
 // 64 nodes: one Population.DeliverWords call for every receiver, over
-// the set's in-row words and the census words. Receiver v hears the
-// senders in its in-row word, so the counts are popcounts.
+// the set's in-row words, the census words and the Byzantine nodes'
+// messages. Receiver v hears the senders in its in-row word, so the
+// counts are popcounts, less the Byzantine senders silent towards v
+// for the delivered count, as gatherBits counts them.
 func (e *Engine) deliverWords(t int, edges *network.EdgeSet) (delivered, lost int) {
-	in, sends, recv := edges.InWords(), e.sendWord, e.recvMask[0]
+	in, sends, recv, byz := edges.InWords(), e.sendWord, e.recvMask[0], e.byzWord
 	for r := recv; r != 0; r &= r - 1 {
 		delivered += bits.OnesCount64(in[bits.TrailingZeros64(r)] & sends)
 	}
 	lost = bits.OnesCount64(recv)*(e.senders-1) - delivered
-	e.decidedMask[0] = e.pop.DeliverWords(recv, in, sends, e.broadcasts)
+	if byz != 0 {
+		delivered -= e.silentLinks(recv, in)
+	}
+	e.decidedMask[0] = e.pop.DeliverWords(recv, in, sends, e.broadcasts, byz, e.byzOut)
 	e.endBatch(t)
 	return delivered, lost
+}
+
+// silentLinks counts the word round's links from a Byzantine sender
+// whose message for the receiver is nil: heard, but not delivered.
+func (e *Engine) silentLinks(recv uint64, in []uint64) int {
+	silent := 0
+	for r := recv; r != 0; r &= r - 1 {
+		v := bits.TrailingZeros64(r)
+		for b := in[v] & e.byzWord; b != 0; b &= b - 1 {
+			if e.byzOut[bits.TrailingZeros64(b)][v] == nil {
+				silent++
+			}
+		}
+	}
+	return silent
 }
 
 // deliverCSR is deliverRange's by-row round on a clean CSR set: one
@@ -924,7 +954,7 @@ func (e *Engine) gatherRow(t, v int, row []int32) ([]core.Delivery, int) {
 // a run without Byzantine nodes never loads isByz.
 func (e *Engine) sent(t, u, v int, byz bool) *core.Message {
 	if byz && e.isByz[u] {
-		return e.byz[u].out[v]
+		return e.byzOut[u][v]
 	}
 	if e.partial && e.crashRound[u] == t && !e.crashInfo[u].AllowsFinalDelivery(v) {
 		return nil
@@ -1025,7 +1055,7 @@ func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet) ([]core.Del
 // (each is delivered at most once per round).
 func (e *Engine) outgoing(t, u, v int) (m *core.Message, size int, ok bool) {
 	if e.isByz[u] {
-		mp := e.byz[u].out[v]
+		mp := e.byzOut[u][v]
 		if mp == nil {
 			return nil, 0, false
 		}

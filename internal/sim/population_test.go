@@ -131,6 +131,8 @@ func newPopRun(t *testing.T, c popCase, asPopulation bool) *popRun {
 // there the two sides share the engine's arm: runs small enough for the
 // O(n²)-a-round reference oracle also meet it, which holds every such
 // trial to an independent fold and pins the by-row arms' lost counts.
+// DBAC networks with Byzantine senders follow (checkByzPopulations), in
+// Byzantine word rounds and per receiver.
 func TestPopulationMatchesAdapterProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	csrRows, denseRows, silentDenseRows := 0, 0, 0
@@ -240,6 +242,7 @@ func TestPopulationMatchesAdapterProperty(t *testing.T) {
 	}
 	t.Logf("by-row trials: %d CSR, %d dense (%d after a silent crash); met the oracle: %d in word rounds (%d after a silent crash), %d in DeliverCSR calls",
 		csrRows, denseRows, silentDenseRows, wordRounds, silentWordRounds, csrCalls)
+	checkByzPopulations(t)
 }
 
 // hasSilentCrash reports whether s holds a crash that sends nothing in
@@ -251,4 +254,194 @@ func hasSilentCrash(s fault.Schedule) bool {
 		}
 	}
 	return false
+}
+
+// byzCase is one DBAC draw of TestPopulationMatchesAdapterProperty: n
+// nodes tolerating f Byzantine ones, f of them running the strategy
+// kind names, on a graph family, with crashes and watchers.
+type byzCase struct {
+	n, f, pEnd, extra int
+	strategy          string // "equivocate", "split", "extremist", "laggard", "mute" or "noise"
+	adv               string // "complete", "er" or "byzdeg"
+	seed              int64
+	crashes           fault.Schedule
+	randomPorts       bool
+	shuffle           bool
+	tracker           bool
+}
+
+func (c byzCase) String() string {
+	return fmt.Sprintf("n=%d/f=%d/%s/%s/pEnd=%d/crashes=%d/ports=%v/shuffle=%v/tracker=%v",
+		c.n, c.f, c.strategy, c.adv, c.pEnd, len(c.crashes), c.randomPorts, c.shuffle, c.tracker)
+}
+
+// newByzRun builds c's run: its honest nodes one NewDBACPopulation
+// network driven through core.DBACPopulationOf, or per-node DBACs
+// through core.PerNode; the Byzantine ones (IDs n/2…, where the spec
+// layer puts them) with fresh strategies.
+func newByzRun(t *testing.T, c byzCase, asPopulation bool) *Engine {
+	t.Helper()
+	var ports network.Ports
+	selfPort := func(i int) int { return i }
+	if c.randomPorts {
+		ports = network.RandomPorts(c.n, newRand(c.seed))
+		selfPort = func(i int) int { return ports[i].Port(i) }
+	}
+	byz := map[int]fault.Strategy{}
+	for id := c.n / 2; id < c.n/2+c.f; id++ {
+		switch c.strategy {
+		case "equivocate":
+			byz[id] = fault.Equivocator{Low: 0, High: 1}
+		case "split":
+			byz[id] = fault.SplitBrain{InA: func(r int) bool { return r%3 == 0 }, ValueA: 0.25, ValueB: 0.75}
+		case "extremist":
+			byz[id] = fault.Extremist{Value: 1}
+		case "laggard":
+			byz[id] = fault.Laggard{Value: 0.5}
+		case "mute":
+			byz[id] = halfMute{}
+		default:
+			byz[id] = fault.NewRandomNoise(c.seed + int64(id))
+		}
+	}
+	skip := func(i int) bool { _, ok := byz[i]; return ok }
+	inputs := make([]float64, c.n)
+	rng := rand.New(rand.NewSource(c.seed))
+	for i := range inputs {
+		inputs[i] = rng.Float64()
+	}
+	procs := make([]core.Process, c.n)
+	var pop core.Population
+	if asPopulation {
+		dbacs := must(core.NewDBACPopulation(c.f, c.pEnd, core.ByzQuorum(c.n, c.f), selfPort, inputs, skip))
+		for i := range procs {
+			if !skip(i) {
+				procs[i] = &dbacs[i]
+			}
+		}
+		pop = core.DBACPopulationOf(dbacs)
+	} else {
+		for i := range procs {
+			if !skip(i) {
+				procs[i] = must(core.NewDBACPhases(c.n, c.f, selfPort(i), c.pEnd, inputs[i]))
+			}
+		}
+		pop = core.PerNode(procs)
+	}
+	var adv adversary.Adversary
+	switch c.adv {
+	case "er":
+		adv = must(adversary.NewProbabilistic(0.8, c.seed))
+	case "byzdeg":
+		adv = must(adversary.NewRandomDegree(3, core.ByzDegree(c.n, c.f), 0.05, c.seed))
+	default:
+		adv = adversary.NewComplete()
+	}
+	cfg := Config{
+		N: c.n, F: c.f + len(c.crashes), Procs: procs, Adversary: adv, Crashes: c.crashes, Byzantine: byz,
+		Ports: ports, MaxRounds: 400, ShuffleDelivery: c.shuffle, ShuffleSeed: c.seed,
+	}
+	if c.tracker {
+		tracker := analysis.NewPhaseTracker()
+		for i, in := range inputs {
+			if !skip(i) {
+				tracker.SetInput(i, in)
+			}
+		}
+		cfg.Hooks.Observer = tracker
+	}
+	eng := new(Engine)
+	if err := eng.ResetPopulation(cfg, pop); err != nil {
+		t.Fatalf("%v: %v", c, err)
+	}
+	return eng
+}
+
+// checkByzPopulations is TestPopulationMatchesAdapterProperty for DBAC
+// networks with Byzantine senders: driven through core.DBACPopulationOf
+// and through core.PerNode they give deep-equal Results from Run and
+// from RunRounds past the decision, and meet the reference oracle. Runs
+// with identity ports, no shuffle, no phase tracker and no partial
+// crash go by word in every round (Byzantine senders included, at n ≤
+// 64); the others gather per receiver. Both must be drawn often, the
+// word rounds also after a silent crash.
+func checkByzPopulations(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	words, silentWords, gathered := 0, 0, 0
+	for trial := 0; trial < 40; trial++ {
+		n := []int{6, 11, 16, 31, 51, 64}[rng.Intn(6)]
+		c := byzCase{
+			n: n, f: 1 + rng.Intn((n-1)/5), pEnd: 2 + rng.Intn(4), extra: 2 + rng.Intn(6),
+			strategy: []string{"equivocate", "split", "extremist", "laggard", "mute", "noise"}[rng.Intn(6)],
+			adv:      []string{"complete", "er", "byzdeg"}[rng.Intn(3)],
+			seed:     rng.Int63(),
+		}
+		c.randomPorts, c.shuffle, c.tracker = rng.Intn(6) == 0, rng.Intn(6) == 0, rng.Intn(6) == 0
+		if rng.Intn(3) > 0 {
+			// Honest crashes, below the Byzantine nodes' IDs, within the
+			// slack a quorum leaves (past it, the run never decides).
+			c.crashes = fault.Schedule{}
+			for k := 1 + rng.Intn(max(1, n-c.f-core.ByzQuorum(n, c.f))); k > 0; k-- {
+				node, round := rng.Intn(n/2), rng.Intn(8)
+				if rng.Intn(8) == 0 {
+					c.crashes[node] = fault.CrashPartial(round, rng.Intn(n))
+				} else {
+					c.crashes[node] = fault.CrashSilent(round)
+				}
+			}
+		}
+		pop, per, ref := newByzRun(t, c, true), newByzRun(t, c, false), newByzRun(t, c, false)
+		assertEqualResults(t, per.Run(), pop.Run(), "%v: Run", c)
+		assertEqualResults(t, per.RunRounds(c.extra), pop.RunRounds(c.extra), "%v: RunRounds past the decision", c)
+		referenceRun(ref)
+		assertEqualResults(t, referenceRunRounds(ref, c.extra), pop.RunRounds(0), "%v: reference oracle", c)
+		switch {
+		case !c.randomPorts && !c.shuffle && !c.tracker && !hasPartialCrash(c.crashes):
+			words++
+			if hasSilentCrash(c.crashes) {
+				silentWords++
+			}
+		default:
+			gathered++
+		}
+	}
+	if words < 15 || silentWords < 3 || gathered < 8 {
+		t.Errorf("%d trials met the oracle in Byzantine word rounds (%d after a silent crash), %d per receiver: property nearly vacuous",
+			words, silentWords, gathered)
+	}
+	t.Logf("met the oracle: %d in Byzantine word rounds (%d after a silent crash), %d per receiver", words, silentWords, gathered)
+}
+
+// hasPartialCrash reports whether s holds a crash that delivers to some
+// nodes, not all or none, in its crash round.
+func hasPartialCrash(s fault.Schedule) bool {
+	for _, c := range s {
+		if len(c.DeliverTo) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// halfMute is a Byzantine node heard by every receiver it has a link
+// to, but silent towards the odd ones: the even ones get ⟨0.5, far
+// future⟩. The silent links count as heard, not delivered.
+type halfMute struct{}
+
+func (halfMute) Name() string { return "half-mute" }
+
+func (halfMute) MessagesInto(_, _ int, _ fault.View, msgs []core.Message, out []*core.Message) {
+	msgs[0] = core.Message{Value: 0.5, Phase: 1 << 40}
+	for i := range out {
+		out[i] = nil
+		if i%2 == 0 {
+			out[i] = &msgs[0]
+		}
+	}
+}
+
+func (m halfMute) Messages(round, self int, view fault.View) []*core.Message {
+	msgs, out := make([]core.Message, view.N()), make([]*core.Message, view.N())
+	m.MessagesInto(round, self, view, msgs, out)
+	return out
 }

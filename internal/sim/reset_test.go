@@ -171,7 +171,8 @@ func TestResultDetachedFromEngine(t *testing.T) {
 // round's one BroadcastAll call), a CSR rotating:4 round, the word
 // round of a core.PopulationOf population on er:0.3 after a silent
 // crash, and that population's CSR rotating:4 round after one (pruned,
-// one DeliverCSR call).
+// one DeliverCSR call), and the Byzantine word round of a
+// core.DBACPopulationOf population at n = 51, f = 10.
 func TestSteadyStateRoundAllocs(t *testing.T) {
 	const n = 9
 	// A huge pEnd keeps every node busy forever: rounds stay steady-state.
@@ -228,6 +229,38 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 			avg := testing.AllocsPerRun(100, eng.Step)
 			if avg != 0 {
 				t.Errorf("steady-state round allocated %g times, want 0", avg)
+			}
+		})
+	}
+	// The Byzantine word round of a core.DBACPopulationOf population,
+	// sweep-byz-dense's largest cell: n = 51 with f = 10 equivocators in
+	// the middle of the IDs, on the complete graph and on random:3,byzdeg.
+	const byzN, byzF = 51, 10
+	for name, adv := range map[string]adversary.Adversary{
+		"complete": adversary.NewComplete(),
+		"byzdeg":   must(adversary.NewRandomDegree(3, core.ByzDegree(byzN, byzF), 0.05, 1)),
+	} {
+		t.Run("word-dbac-byz/"+name, func(t *testing.T) {
+			byz := map[int]fault.Strategy{}
+			for id := byzN / 2; id < byzN/2+byzF; id++ {
+				byz[id] = fault.Equivocator{Low: 0, High: 1}
+			}
+			skip := func(i int) bool { _, ok := byz[i]; return ok }
+			dbacs := must(core.NewDBACPopulation(byzF, pEnd, core.ByzQuorum(byzN, byzF), func(i int) int { return i }, spread(byzN), skip))
+			procs := make([]core.Process, byzN)
+			for i := range procs {
+				if !skip(i) {
+					procs[i] = &dbacs[i]
+				}
+			}
+			cfg := Config{N: byzN, F: byzF, Procs: procs, Byzantine: byz, Adversary: adv, MaxRounds: 1 << 30}
+			eng := new(Engine)
+			if err := eng.ResetPopulation(cfg, core.DBACPopulationOf(dbacs)); err != nil {
+				t.Fatal(err)
+			}
+			eng.RunRounds(32)
+			if avg := testing.AllocsPerRun(100, eng.Step); avg != 0 {
+				t.Errorf("steady-state Byzantine word round allocated %g times, want 0", avg)
 			}
 		})
 	}

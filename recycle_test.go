@@ -29,6 +29,20 @@ func recycleFamily(seed int64) anondyn.Scenario {
 	}
 }
 
+// dbacFamily is sweep-byz-dense's shape at n = 11: DBAC at f = 2 with
+// two equivocators, on er:0.7, to a fixed output phase.
+func dbacFamily(seed int64) anondyn.Scenario {
+	return anondyn.Scenario{
+		N: 11, F: 2, Eps: 1e-3, PEndOverride: 8,
+		Algorithm: anondyn.AlgoDBAC,
+		Inputs:    anondyn.RandomInputs(11, seed),
+		Adversary: anondyn.Probabilistic(0.7, seed),
+		Byzantine: map[int]anondyn.Strategy{5: anondyn.Equivocator(0, 1), 6: anondyn.Equivocator(0, 1)},
+		Seed:      seed,
+		MaxRounds: 5000,
+	}
+}
+
 // byzFamily exercises the Byzantine path: a reseedable RandomNoise
 // strategy plus DBAC processes (recycled in place under fixed ports).
 func byzFamily(seed int64) anondyn.Scenario {
@@ -286,8 +300,9 @@ func TestRecycledWorkersRace(t *testing.T) {
 // processes in place allocates fewer objects than a fresh Scenario.Run
 // of the same seed by at least what building the processes costs — on a
 // warmed CompiledScenario and in a steady one-worker batch alike. A DAC
-// run builds its nodes as one population, so that cost is a constant:
-// the same at n=9 as at n=4097.
+// run builds its nodes as one population, and so does a DBAC run with
+// Byzantine equivocators (dbacFamily), so that cost is a constant: the
+// same at n=9 or 11 as at n=4097.
 func TestRecyclingAllocs(t *testing.T) {
 	// A GC cycle inside the n=4097 build lets the runtime clean up its
 	// unique-handle map on a background goroutine, whose allocation
@@ -295,54 +310,56 @@ func TestRecyclingAllocs(t *testing.T) {
 	// collector off.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const seed = 5
-	build := func(n int) float64 {
-		s := recycleFamily(seed)
-		s.N, s.Inputs = n, anondyn.RandomInputs(n, seed)
-		return testing.AllocsPerRun(20, func() {
-			if _, err := anondyn.BuildProcs(s); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	saving := build(recycleFamily(seed).N)
-	if large := build(4097); large != saving {
-		t.Errorf("building DAC processes cost %g allocations at n=9, %g at n=4097: want a constant", saving, large)
-	}
-	run := func(cs *anondyn.CompiledScenario, s anondyn.Scenario) func() {
-		return func() {
-			if _, err := cs.Run(seed, s.Inputs); err != nil {
-				t.Fatal(err)
+	for name, family := range map[string]func(int64) anondyn.Scenario{"dac": recycleFamily, "dbac": dbacFamily} {
+		build := func(n int) float64 {
+			s := family(seed)
+			s.N, s.Inputs = n, anondyn.RandomInputs(n, seed)
+			return testing.AllocsPerRun(20, func() {
+				if _, err := anondyn.BuildProcs(s); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		saving := build(family(seed).N)
+		if large := build(4097); large != saving {
+			t.Errorf("%s: building processes cost %g allocations at n=%d, %g at n=4097: want a constant", name, saving, family(seed).N, large)
+		}
+		run := func(cs *anondyn.CompiledScenario, s anondyn.Scenario) func() {
+			return func() {
+				if _, err := cs.Run(seed, s.Inputs); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
 
-	fresh := testing.AllocsPerRun(20, func() { mustRun(t, recycleFamily(seed)) })
-	cs, err := recycleFamily(0).Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recycled := testing.AllocsPerRun(20, run(cs, recycleFamily(seed)))
-	if recycled > fresh-saving {
-		t.Errorf("compiled run allocated %g objects, fresh run %g: want at least %g fewer", recycled, fresh, saving)
-	}
-
-	const runs = 64
-	freshLoop := testing.AllocsPerRun(3, func() {
-		for s := range int64(runs) {
-			mustRun(t, recycleFamily(s))
-		}
-	}) / runs
-	batch := testing.AllocsPerRun(3, func() {
-		if err := runFamily(recycleFamily, runs, 0, (&anondyn.BatchStats{}).Consume,
-			anondyn.BatchOptions{Workers: 1}); err != nil {
+		fresh := testing.AllocsPerRun(20, func() { mustRun(t, family(seed)) })
+		cs, err := family(0).Compile()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}) / runs
-	if batch > freshLoop-saving {
-		t.Errorf("one-worker batch allocated %g objects per run, fresh runs %g: want at least %g fewer", batch, freshLoop, saving)
+		recycled := testing.AllocsPerRun(20, run(cs, family(seed)))
+		if recycled > fresh-saving {
+			t.Errorf("%s: compiled run allocated %g objects, fresh run %g: want at least %g fewer", name, recycled, fresh, saving)
+		}
+
+		const runs = 64
+		freshLoop := testing.AllocsPerRun(3, func() {
+			for s := range int64(runs) {
+				mustRun(t, family(s))
+			}
+		}) / runs
+		batch := testing.AllocsPerRun(3, func() {
+			if err := runFamily(family, runs, 0, (&anondyn.BatchStats{}).Consume,
+				anondyn.BatchOptions{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}) / runs
+		if batch > freshLoop-saving {
+			t.Errorf("%s: one-worker batch allocated %g objects per run, fresh runs %g: want at least %g fewer", name, batch, freshLoop, saving)
+		}
+		t.Logf("%s allocs/run: process build %g, fresh %g, recycled %g, batch %g (fresh loop %g)",
+			name, saving, fresh, recycled, batch, freshLoop)
 	}
-	t.Logf("allocs/run: process build %g, fresh %g, recycled %g, batch %g (fresh loop %g)",
-		saving, fresh, recycled, batch, freshLoop)
 }
 
 // TestRecyclingKeepsProcesses pins recycling by process identity: a
@@ -510,54 +527,76 @@ func TestShapeTransitions(t *testing.T) {
 // per run are logged beside the counts.
 func TestGridRenewalAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // as TestRecyclingAllocs
-	factory, err := anondyn.ParseAdversaryFactory("er:0.3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := anondyn.Grid{
-		Ns: []int{9}, Fs: []int{2}, Adversaries: []anondyn.AdversaryFactory{factory},
-		MaxRounds: 5000,
-	}
-	cell := grid.Cells()[0]
-	fresh := func(seed int64) anondyn.Scenario {
-		return anondyn.Scenario{
-			N: 9, F: 2, Eps: cell.Eps, Algorithm: cell.Algorithm,
-			Inputs:    anondyn.RandomInputs(9, seed),
-			Adversary: factory.New(cell, seed),
-			Seed:      seed,
-			MaxRounds: grid.MaxRounds,
-		}
-	}
-	opts := anondyn.BatchOptions{Workers: 1}
-	const runs = 128
-	perRun := func(batch func(runs int)) (allocs, bytes float64) {
-		cost := func(runs int) (allocs, bytes float64) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			batch(runs)
-			runtime.ReadMemStats(&after)
-			return testing.AllocsPerRun(3, func() { batch(runs) }), float64(after.TotalAlloc - before.TotalAlloc)
-		}
-		a1, b1 := cost(runs)
-		a2, b2 := cost(2 * runs)
-		return (a2 - a1) / runs, (b2 - b1) / runs
-	}
-	renewed, renewedBytes := perRun(func(runs int) {
-		g := grid
-		g.SeedsPerCell = runs
-		if _, err := g.Run(opts); err != nil {
+	// The DBAC cell runs dbacFamily's shape: its strategies are one map,
+	// shared by every run as a spec's grid shares them, so the box keeps
+	// its population.
+	byz := dbacFamily(0).Byzantine
+	for _, c := range []struct {
+		name string
+		algo anondyn.Algo
+		n    int
+		adv  string
+		byz  map[int]anondyn.Strategy // with output phase 8
+	}{
+		{"dac", anondyn.AlgoDAC, 9, "er:0.3", nil},
+		{"dbac", anondyn.AlgoDBAC, 11, "er:0.7", byz},
+	} {
+		factory, err := anondyn.ParseAdversaryFactory(c.adv)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	rebuilt, rebuiltBytes := perRun(func(runs int) {
-		if err := runFamily(fresh, runs, 0, (&anondyn.BatchStats{}).Consume, opts); err != nil {
-			t.Fatal(err)
+		grid := anondyn.Grid{
+			Ns: []int{c.n}, Fs: []int{2}, Algorithms: []anondyn.Algo{c.algo}, Adversaries: []anondyn.AdversaryFactory{factory},
+			MaxRounds: 5000,
 		}
-	})
-	// Both marginals carry the same fraction of an object (the
-	// harness's amortized growth); compare whole objects.
-	if math.Round(renewed) > math.Round(rebuilt)-1 {
-		t.Errorf("one-worker Grid.Run allocated %g objects per run, a fresh adversary per run %g: want at least 1 fewer", renewed, rebuilt)
+		if c.byz != nil {
+			grid.Mutate = func(s *anondyn.Scenario, _ anondyn.Cell, _ int64) { s.PEndOverride, s.Byzantine = 8, c.byz }
+		}
+		cell := grid.Cells()[0]
+		fresh := func(seed int64) anondyn.Scenario {
+			s := anondyn.Scenario{
+				N: c.n, F: 2, Eps: cell.Eps, Algorithm: cell.Algorithm,
+				Inputs:    anondyn.RandomInputs(c.n, seed),
+				Adversary: factory.New(cell, seed),
+				Seed:      seed,
+				MaxRounds: grid.MaxRounds,
+			}
+			if c.byz != nil {
+				s.PEndOverride, s.Byzantine = 8, c.byz
+			}
+			return s
+		}
+		opts := anondyn.BatchOptions{Workers: 1}
+		const runs = 128
+		perRun := func(batch func(runs int)) (allocs, bytes float64) {
+			cost := func(runs int) (allocs, bytes float64) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				batch(runs)
+				runtime.ReadMemStats(&after)
+				return testing.AllocsPerRun(3, func() { batch(runs) }), float64(after.TotalAlloc - before.TotalAlloc)
+			}
+			a1, b1 := cost(runs)
+			a2, b2 := cost(2 * runs)
+			return (a2 - a1) / runs, (b2 - b1) / runs
+		}
+		renewed, renewedBytes := perRun(func(runs int) {
+			g := grid
+			g.SeedsPerCell = runs
+			if _, err := g.Run(opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		rebuilt, rebuiltBytes := perRun(func(runs int) {
+			if err := runFamily(fresh, runs, 0, (&anondyn.BatchStats{}).Consume, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Both marginals carry the same fraction of an object (the
+		// harness's amortized growth); compare whole objects.
+		if math.Round(renewed) > math.Round(rebuilt)-1 {
+			t.Errorf("%s: one-worker Grid.Run allocated %g objects per run, a fresh adversary per run %g: want at least 1 fewer", c.name, renewed, rebuilt)
+		}
+		t.Logf("%s per run: renewed %g allocs / %.0f B, fresh adversary %g allocs / %.0f B", c.name, renewed, renewedBytes, rebuilt, rebuiltBytes)
 	}
-	t.Logf("per run: renewed %g allocs / %.0f B, fresh adversary %g allocs / %.0f B", renewed, renewedBytes, rebuilt, rebuiltBytes)
 }

@@ -201,7 +201,8 @@ func (box *engineBox) run(s Scenario) (*Result, error) {
 // with s.Inputs, when s has their shape (fixed ports, same procKey, same
 // Byzantine set); freshly built ones otherwise, which the box keeps for
 // the next run when their ports are fixed. A DAC-family run's nodes are
-// one core.PopulationOf; every other algorithm runs core.PerNode.
+// one core.PopulationOf, a DBAC run's one core.DBACPopulationOf; every
+// other algorithm runs core.PerNode.
 func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process, core.Population, error) {
 	key := s.procKey()
 	if ports == nil && box.procs != nil && box.key == key && box.sameByzantine(s.Byzantine) {
@@ -222,7 +223,8 @@ func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process,
 	}
 	procs := make([]core.Process, s.N)
 	var pop core.Population
-	if s.Algorithm == AlgoDAC || s.Algorithm == AlgoDACNoJump {
+	switch s.Algorithm {
+	case AlgoDAC, AlgoDACNoJump:
 		dacs, err := s.newDACs(selfPort)
 		if err != nil {
 			return nil, nil, err
@@ -233,7 +235,18 @@ func (box *engineBox) procsFor(s Scenario, ports network.Ports) ([]core.Process,
 			}
 		}
 		pop = core.PopulationOf(dacs)
-	} else {
+	case AlgoDBAC:
+		dbacs, err := s.newDBACs(selfPort)
+		if err != nil {
+			return nil, nil, err
+		}
+		for i := range procs {
+			if _, isByz := s.Byzantine[i]; !isByz {
+				procs[i] = &dbacs[i]
+			}
+		}
+		pop = core.DBACPopulationOf(dbacs)
+	default:
 		for i := range procs {
 			if _, isByz := s.Byzantine[i]; isByz {
 				continue
@@ -376,22 +389,38 @@ func (s Scenario) newDACs(selfPort func(int) int) ([]core.DAC, error) {
 	return core.NewDACPopulation(pEnd, quorum, s.Algorithm == AlgoDACNoJump, selfPort, s.Inputs, skip)
 }
 
+// newDBACs builds a DBAC run's nodes as one population (see
+// core.NewDBACPopulation), with the output phase and quorum the per-node
+// constructors would take: PEndOverride or the one ε gives, and
+// QuorumOverride or the paper's core.ByzQuorum. AlgoDBAC checks ε as
+// core.NewDBAC checks it — before anything else, at the first node it
+// builds — unless Unchecked, PEndOverride or QuorumOverride is set
+// (validate has checked n ≥ 5f+1 where the per-node constructors did).
+// Byzantine slots are left unbuilt.
+func (s Scenario) newDBACs(selfPort func(int) int) ([]core.DBAC, error) {
+	skip := func(i int) bool { _, isByz := s.Byzantine[i]; return isByz }
+	quorum := core.ByzQuorum(s.N, s.F)
+	switch {
+	case s.QuorumOverride > 0:
+		quorum = s.QuorumOverride
+	case s.Unchecked, s.PEndOverride > 0:
+	default:
+		if err := core.ValidateEpsilon(s.Eps); err != nil {
+			for i := range s.Inputs {
+				if !skip(i) {
+					return nil, fmt.Errorf("node %d: %w", i, err)
+				}
+			}
+		}
+	}
+	return core.NewDBACPopulation(s.F, s.pEndDBAC(), quorum, selfPort, s.Inputs, skip)
+}
+
 // newProc instantiates the selected algorithm for one node of a run
-// outside the DAC family (see newDACs).
+// outside the DAC family and DBAC (see newDACs, newDBACs).
 func (s Scenario) newProc(i, selfPort int) (core.Process, error) {
 	input := s.Inputs[i]
 	switch s.Algorithm {
-	case AlgoDBAC:
-		switch {
-		case s.QuorumOverride > 0:
-			return core.NewDBACCustom(s.N, s.F, selfPort, s.pEndDBAC(), s.QuorumOverride, input)
-		case s.Unchecked:
-			return core.NewDBACCustom(s.N, s.F, selfPort, s.pEndDBAC(), core.ByzQuorum(s.N, s.F), input)
-		case s.PEndOverride > 0:
-			return core.NewDBACPhases(s.N, s.F, selfPort, s.PEndOverride, input)
-		default:
-			return core.NewDBAC(s.N, s.F, selfPort, input, s.Eps)
-		}
 	case AlgoDBACPiggyback:
 		if s.PEndOverride > 0 {
 			return core.NewDBACPiggybackPhases(s.N, s.F, selfPort, s.PiggybackWindow, s.PEndOverride, input)
