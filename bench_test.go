@@ -318,9 +318,10 @@ func TestSteadyRoundAllocBudget(t *testing.T) {
 			t.Errorf("steady-state auto-CSR round allocated %g times per round, want 0", avg)
 		}
 	})
-	// The population path holds it too: CSR rows delivered straight off
-	// the in-row (forced below the threshold, automatic past it, and on
-	// pruned crash rounds), and the dense direct gather.
+	// The population path holds it too: the word round on the complete
+	// graph, CSR rounds (forced below the threshold, automatic past it,
+	// and pruned after crashes), and the gather of a silent crash's
+	// round.
 	for name, mk := range map[string]func(tb testing.TB) *sim.Engine{
 		"population/complete/n=9": func(tb testing.TB) *sim.Engine { return steadyPopulation(tb, 9, anondyn.Complete()) },
 		"population/er2/n=1025/csr": func(tb testing.TB) *sim.Engine {
@@ -349,10 +350,11 @@ func TestSteadyRoundAllocBudget(t *testing.T) {
 			}
 		})
 	}
-	// Crash rounds take the direct gather and count their lost messages
-	// in it, allocation-free: a clean and a partial crash inside the
-	// measured window on the dense set, and silent crashes in waves on
-	// the CSR one (every round after the first wave skips dead senders).
+	// Crash rounds count their lost messages allocation-free on every
+	// arm they take: inside the measured window on the dense set, a clean
+	// crash goes by word and a partial one gathers; on the CSR one, silent
+	// crashes in waves gather in their crash rounds, and every round after
+	// the first wave goes by pruned CSR.
 	t.Run("crash/n=9", func(t *testing.T) {
 		eng := steadyEngine(t, 9, anondyn.Probabilistic(0.5, 1), func(cfg *sim.Config) {
 			cfg.F = 2
@@ -583,9 +585,10 @@ func BenchmarkEngineSteadyRound(b *testing.B) {
 // ns/edge of the faulted dense round under the gate. The crash rows
 // price the crash round: DAC at n=51 on er:0.3 with a clean crash in
 // round 2 and a partial one in round 5, and DAC at n=16385 on er2:8/n
-// with a quarter of the nodes crashing silently in four waves — both on
-// the direct gather, which skips the dead senders and counts lost
-// messages as it goes. The storm row is the storm-10k workload's round
+// with a quarter of the nodes crashing silently in four waves. The first
+// goes by word and the second by pruned CSR, and the crash rounds of the
+// partial and silent crashes gather, skipping the dead senders and
+// counting lost messages as they go. The storm row is the storm-10k workload's round
 // without its harness: DAC at n=10000 on er2:0.004 for 60 rounds, with
 // ¾ of the nodes crashing silently in four doubling waves (500, 1 000,
 // 2 000 and 4 000 nodes at rounds 5, 11, 17 and 23), so most of its

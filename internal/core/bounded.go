@@ -25,18 +25,18 @@ import "math"
 // run of equal values, which top tracks, so max() is one load and keeps
 // which of −0 and +0 (the one pair of equal non-NaN floats whose bits
 // differ) that list returns. A NaN takes a slot there for good and is
-// never its maximum; here it takes a slot away instead. The two agree
-// only when the first value after clear is not NaN. A DBAC's first is
-// its own value, which is NaN only after infinite Byzantine values
-// reached it below its quorum (see max). Given a NaN first, the unsorted
-// list returns that NaN for the rest of the phase, since no value
-// compares above it; here the NaN takes a slot away like any other, so
-// max returns the largest value held after it, or NaN once NaNs took
-// every slot and every later value is rejected.
+// never its maximum, unless it is the first value after clear: no value
+// compares above the NaN in the first slot, so that list returns it for
+// the rest of the phase. Here a NaN takes a slot away instead, and a
+// NaN first sets nan, which makes max NaN until clear, while the later
+// values still take and trade the slots left, so held counts as that
+// list does. A DBAC's first value is its own, which is NaN only after
+// infinite Byzantine values reached it below its quorum.
 type bounded struct {
 	bar   float64 // the top value once no slot is free: add then rejects v ≥ bar
 	lim   int     // slots values may take: k, less one per NaN received
 	top   int     // lowest slot of the top run of equal values
+	nan   bool    // the first value after clear was NaN
 	slots []slot  // sorted by value, then index; capacity k
 }
 
@@ -61,6 +61,7 @@ func (b *bounded) insert(v float64) {
 	n := len(s)
 	if v != v {
 		if n < b.lim {
+			b.nan = b.nan || b.held() == 0
 			b.lim--
 			if n == b.lim {
 				b.bar = math.Inf(-1) // no slot left: every value is rejected
@@ -113,11 +114,10 @@ func (b *bounded) insert(v float64) {
 }
 
 // max returns the largest held value — max(R_low), the (f+1)-st smallest
-// value received overall once the list is full — and NaN when NaNs took
-// every slot (a DBAC whose own value is NaN, which only infinite
-// Byzantine values below its quorum make, can meet a NaN).
+// value received overall once the list is full — and NaN when the first
+// value after clear was NaN.
 func (b *bounded) max() float64 {
-	if len(b.slots) == 0 {
+	if b.nan {
 		return math.NaN()
 	}
 	return b.slots[b.top].v
@@ -131,4 +131,5 @@ func (b *bounded) clear() {
 	b.slots = b.slots[:0]
 	b.lim = cap(b.slots)
 	b.top = 0
+	b.nan = false
 }

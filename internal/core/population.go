@@ -17,7 +17,9 @@ import (
 //     sender delivers its broadcast or, if Byzantine, its message for
 //     the receiver: DeliverWords over the in-row words of a network of
 //     at most 64 nodes, and, with no Byzantine sender, DeliverCSR over
-//     the rows of a receiver-major CSR.
+//     the rows of a receiver-major CSR. The engine calls DeliverRow
+//     itself only for the dense rows of a network past 64 nodes; a
+//     population's own DeliverWords and DeliverCSR may reach it per row.
 //
 // Self-delivery is never routed through it, as for Process. The engine
 // never addresses a Byzantine node's ID, and live is false at every one.

@@ -457,9 +457,9 @@ func (e *EdgeSet) Edges() [][2]int {
 // incoming neighbors, bit u of word w set iff u = 64w+b is a sender
 // towards v. The slice aliases the set's backing storage and is valid
 // only until the next mutation; callers must treat it as read-only.
-// It exists for the simulation engines' fused gather, which turns the
-// row's bits straight into deliveries without an intermediate neighbor
-// list. Dense mode only — sparse callers use InList, the CSR row with
+// It exists for the simulation engine's dense-row arm, which turns the
+// row's bits into a sender list without an intermediate neighbor list.
+// Dense mode only — sparse callers use InList, the CSR row with
 // the same ascending-sender iteration order.
 func (e *EdgeSet) InRow(v int) []uint64 {
 	if e.csr != nil {

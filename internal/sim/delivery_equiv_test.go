@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,9 +15,10 @@ import (
 
 // TestDeliveryEquivalenceProperty is the round loop's oracle test:
 // across randomized sparse, dense and faulted scenarios, the fast paths
-// — word-wise in-neighbor gather, the direct gathers (crash rounds and
-// Byzantine senders included), lazy/incremental view maintenance, and the lost count the
-// gathers fold as they go — must together produce
+// — the word, CSR and dense-row rounds, the one gather behind every
+// other round (crash rounds and Byzantine senders included),
+// lazy/incremental view maintenance, and the lost count each arm folds
+// as it goes — must together produce
 // byte-identical Results (trace, MessagesLost/Delivered/Oversized,
 // BytesDelivered, outputs) AND an identical per-delivery event stream
 // (delivery order is visible through the recorder) compared to the
@@ -25,7 +27,7 @@ import (
 // lost count).
 func TestDeliveryEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	direct, directCrash, bitsCrash, directByz, bitsByz := 0, 0, 0, 0, 0
+	words, csr, rows, gatherByz, gatherCrash := 0, 0, 0, 0, 0 // plain runs (two a trial) that took the arm
 	// Sizes straddle the 64-bit word boundary on purpose: the word-wise
 	// path must be exact in the multi-word regime too.
 	for trial := 0; trial < 60; trial++ {
@@ -69,7 +71,8 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 		// Third run: no Recorder, no bandwidth accounting. This is the
 		// shape that hands DeliverAll whole batches (it does exactly when
 		// nothing observes deliveries) and, on draws with identity ports
-		// and no caps, takes the direct gather, so it must be pinned
+		// and no caps, takes the word, CSR and dense-row arms where it
+		// can, so it must be pinned
 		// against the reference too — through Results, since there is no
 		// event stream to compare.
 		bareRef := cfg()
@@ -94,11 +97,12 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 			trial, n, seed, bareWW.ForceCSR)
 
 		// Fourth run, on every draw (crash-only, Byzantine and mixed ones
-		// included): strip what disarms the direct gather (ports, caps,
-		// bandwidth accounting) so deliverRange's in-row fill — CSR rows
-		// or dense bitmap words, with whichever algorithm, strategies and
-		// shuffling were drawn, and with the gather's own lost count —
-		// meets the oracle on both representations.
+		// included): strip what keeps a round off the word, CSR and
+		// dense-row arms (ports, caps, bandwidth accounting), so each of
+		// them, and the gather in the rounds they do not take (a partial
+		// crash, a Byzantine sender past the word round, shuffling), with
+		// whichever algorithm and strategies were drawn and with each
+		// arm's own lost count, meets the oracle on both representations.
 		crashy := len(bareRef.Crashes) > 0
 		byzy := len(bareRef.Byzantine) > 0
 		plain := func() Config {
@@ -114,58 +118,90 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 			}
 			spCfg := plain()
 			spCfg.ForceCSR = forceCSR
-			spEng, err := NewEngine(spCfg)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
+			spEng, arms := newArmEngine(t, spCfg)
 			if spEng.needSize || !spEng.allIdentity {
-				t.Fatalf("trial %d: an identity-port config with no caps or accounting missed the direct gather", trial)
+				t.Fatalf("trial %d: an identity-port config with no caps or accounting is kept off the word, CSR and dense-row arms", trial)
 			}
 			rr, ww = referenceRunRounds(spRefEng, 25), spEng.RunRounds(25)
 			if rr.MessagesLost != ww.MessagesLost || rr.MessagesDelivered != ww.MessagesDelivered {
-				t.Fatalf("trial %d (n=%d, seed=%d, csr=%v) direct gather: lost/delivered %d/%d, oracle %d/%d",
+				t.Fatalf("trial %d (n=%d, seed=%d, csr=%v) plain: lost/delivered %d/%d, oracle %d/%d",
 					trial, n, seed, forceCSR, ww.MessagesLost, ww.MessagesDelivered, rr.MessagesLost, rr.MessagesDelivered)
 			}
-			assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d, csr=%v) direct-gather pair", trial, n, seed, forceCSR)
-			assertEqualStates(t, spRefEng, spEng, "trial %d (n=%d, seed=%d, csr=%v) direct-gather pair", trial, n, seed, forceCSR)
-			// Complete graphs (FillComplete converts the scratch to dense) and
-			// adversaries that return their own dense set take the bitmap
-			// gather instead of the CSR one.
-			switch sparseRound := spEng.inPlace != nil && spEng.edges.IsSparse(); {
-			case sparseRound && byzy:
-				directByz++
-			case sparseRound && !crashy:
-				direct++
-			case sparseRound:
-				directCrash++
-			case !forceCSR && byzy:
-				bitsByz++
-			case !forceCSR && crashy:
-				bitsCrash++
+			assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d, csr=%v) plain pair", trial, n, seed, forceCSR)
+			assertEqualStates(t, spRefEng, spEng, "trial %d (n=%d, seed=%d, csr=%v) plain pair", trial, n, seed, forceCSR)
+			words += min(arms.words, 1)
+			csr += min(arms.csr, 1)
+			rows += min(arms.rows, 1)
+			switch {
+			case arms.gathers == 0:
+			case byzy:
+				gatherByz++
+			case crashy:
+				gatherCrash++
 			}
 		}
 	}
-	if directByz < 5 || bitsByz < 5 {
-		t.Errorf("Byzantine configs hit the CSR direct gather %d times and the bitmap one %d times — property nearly vacuous",
-			directByz, bitsByz)
+	t.Logf("plain runs by arm: %d word, %d CSR, %d dense row; gather %d Byzantine, %d crash-only",
+		words, csr, rows, gatherByz, gatherCrash)
+	if words < 10 || csr < 10 || rows < 2 {
+		t.Errorf("plain runs took the word round %d times, the CSR round %d times and the dense-row arm %d times — property nearly vacuous",
+			words, csr, rows)
 	}
-	if directCrash < 5 || bitsCrash < 5 {
-		t.Errorf("crash-only configs hit the CSR direct gather %d times and the bitmap one %d times — property nearly vacuous",
-			directCrash, bitsCrash)
-	}
-	if direct < 10 {
-		t.Errorf("only %d trials exercised the sparse direct gather — property nearly vacuous", direct)
+	if gatherByz < 10 || gatherCrash < 10 {
+		t.Errorf("Byzantine plain runs took the gather %d times and crash-only ones %d times — property nearly vacuous",
+			gatherByz, gatherCrash)
 	}
 }
 
-// TestDirectGatherCrashKinds pins each crash kind on the direct gather,
-// in both representations: a clean crash (the final broadcast reaches
-// every out-neighbor), a silent one (it reaches none) and a partial one
-// (only the DeliverTo list), each in its crash round and in the rounds
-// after it, against the reference oracle's deliveries, lost count and
-// end states.
-func TestDirectGatherCrashKinds(t *testing.T) {
-	const n = 33
+// armCount is a Population that counts the engine's calls on each arm
+// of deliverRange: DeliverWords is the word round, DeliverCSR the CSR
+// round, DeliverRow the dense-row arm and DeliverAll the gather.
+type armCount struct {
+	core.Population
+	words, csr, rows, gathers int
+}
+
+func (a *armCount) DeliverWords(recv uint64, in []uint64, sends uint64, msgs []core.Message, byz uint64, out [][]*core.Message) uint64 {
+	a.words++
+	return a.Population.DeliverWords(recv, in, sends, msgs, byz, out)
+}
+
+func (a *armCount) DeliverCSR(recv []uint64, starts, ids []int32, msgs []core.Message, decided []uint64) {
+	a.csr++
+	a.Population.DeliverCSR(recv, starts, ids, msgs, decided)
+}
+
+func (a *armCount) DeliverRow(v int, row []int32, msgs []core.Message) {
+	a.rows++
+	a.Population.DeliverRow(v, row, msgs)
+}
+
+func (a *armCount) DeliverAll(v int, ds []core.Delivery) {
+	a.gathers++
+	a.Population.DeliverAll(v, ds)
+}
+
+// newArmEngine is NewEngine(cfg) with its calls counted by arm.
+func newArmEngine(t *testing.T, cfg Config) (*Engine, *armCount) {
+	t.Helper()
+	arms := &armCount{Population: core.PerNode(cfg.Procs)}
+	e := &Engine{}
+	if err := e.ResetPopulation(cfg, arms); err != nil {
+		t.Fatal(err)
+	}
+	return e, arms
+}
+
+// TestGatherCrashKinds pins each crash kind on the one gather, in both
+// representations: a clean crash (the final broadcast reaches every
+// out-neighbor), a silent one (it reaches none) and a partial one (only
+// the DeliverTo list), each in its crash round and in the rounds after
+// it, against the reference oracle's deliveries, lost count and end
+// states. Shuffled delivery sends every round through the gather.
+// Unshuffled, the crash rounds of silent and partial crashes gather,
+// and every other round goes by word (n = 33), by dense row (n = 70) or
+// by CSR, so those arms meet each kind too.
+func TestGatherCrashKinds(t *testing.T) {
 	kinds := map[string]func(r int) fault.Crash{
 		"clean":   fault.CrashAt,
 		"silent":  fault.CrashSilent,
@@ -177,26 +213,45 @@ func TestDirectGatherCrashKinds(t *testing.T) {
 	}
 	for kind, crash := range kinds {
 		for advName, adv := range advs {
-			for _, forceCSR := range []bool{false, true} {
-				mk := func() Config {
-					return Config{
-						N: n, F: 4, Procs: dacProcs(t, n, 40, spread(n)), Adversary: adv(),
-						Crashes:   fault.Schedule{3: crash(1), 8: crash(2), 20: crash(2), 30: crash(5)},
-						MaxRounds: 1 << 20, KeepTrace: true, ForceCSR: forceCSR,
+			for _, n := range []int{33, 70} {
+				for _, forceCSR := range []bool{false, true} {
+					for _, shuffle := range []bool{false, true} {
+						name := fmt.Sprintf("%s/%s/n=%d/csr=%v/shuffle=%v", kind, advName, n, forceCSR, shuffle)
+						mk := func() Config {
+							return Config{
+								N: n, F: 4, Procs: dacProcs(t, n, 40, spread(n)), Adversary: adv(),
+								Crashes:   fault.Schedule{3: crash(1), 8: crash(2), 20: crash(2), 30: crash(5)},
+								MaxRounds: 1 << 20, KeepTrace: true, ForceCSR: forceCSR,
+								ShuffleDelivery: shuffle, ShuffleSeed: 9,
+							}
+						}
+						ref := must(NewEngine(mk()))
+						eng, arms := newArmEngine(t, mk())
+						if eng.needSize || !eng.allIdentity || eng.edges.IsSparse() != forceCSR {
+							t.Fatalf("%s: not an identity-port round without sizes in the drawn representation", name)
+						}
+						rr, ww := referenceRunRounds(ref, 10), eng.RunRounds(10)
+						if rr.MessagesLost != ww.MessagesLost || rr.MessagesDelivered != ww.MessagesDelivered {
+							t.Fatalf("%s: lost/delivered %d/%d, oracle %d/%d", name,
+								ww.MessagesLost, ww.MessagesDelivered, rr.MessagesLost, rr.MessagesDelivered)
+						}
+						assertEqualResults(t, rr, ww, "%s", name)
+						assertEqualStates(t, ref, eng, "%s", name)
+						if (shuffle || kind != "clean") && arms.gathers == 0 {
+							t.Fatalf("%s: no round gathered", name)
+						}
+						batch := arms.rows // the calls of the arm the other rounds take
+						switch {
+						case forceCSR:
+							batch = arms.csr
+						case n <= wordN:
+							batch = arms.words
+						}
+						if shuffle && arms.words+arms.csr+arms.rows > 0 || !shuffle && batch == 0 {
+							t.Fatalf("%s: rounds by arm %+v", name, *arms)
+						}
 					}
 				}
-				ref := must(NewEngine(mk()))
-				eng := must(NewEngine(mk()))
-				if eng.needSize || !eng.allIdentity || eng.edges.IsSparse() != forceCSR {
-					t.Fatalf("%s/%s/csr=%v: not on the direct gather", kind, advName, forceCSR)
-				}
-				rr, ww := referenceRunRounds(ref, 10), eng.RunRounds(10)
-				if rr.MessagesLost != ww.MessagesLost || rr.MessagesDelivered != ww.MessagesDelivered {
-					t.Fatalf("%s/%s/csr=%v: lost/delivered %d/%d, oracle %d/%d", kind, advName, forceCSR,
-						ww.MessagesLost, ww.MessagesDelivered, rr.MessagesLost, rr.MessagesDelivered)
-				}
-				assertEqualResults(t, rr, ww, "%s/%s/csr=%v", kind, advName, forceCSR)
-				assertEqualStates(t, ref, eng, "%s/%s/csr=%v", kind, advName, forceCSR)
 			}
 		}
 	}

@@ -54,8 +54,8 @@ type Engine struct {
 	byzStoreBuf []core.Message    // flat backing of every byzNode.store, grown in Reset, recycled across runs
 	byzOutBuf   []*core.Message   // flat backing of every byzOut entry
 	deliveries  []core.Delivery   // the receiver's gather buffer, n entries
-	rowbuf      []int32           // the receiver's sending in-neighbours on the by-row arm, n entries
-	inbuf       []int             // in-neighbor list behind gatherInNeighbors, capacity n
+	rowbuf      []int32           // the receiver's sending in-neighbours on the dense-row arm, n entries
+	inbuf       []int             // in-neighbor list behind gather, capacity n
 	edges       *network.EdgeSet  // engine-owned E(t) for InPlace adversaries
 	inPlace     adversary.InPlace // non-nil when the adversary has the fast path
 	hooks       Hooks             // cfg.Hooks, cached
@@ -94,21 +94,16 @@ type Engine struct {
 
 	// allIdentity (every numbering is the identity bijection, checked
 	// once per Reset) with no wire-size consumer (needSize: no link caps,
-	// no bandwidth accounting) arms the direct gather: it scans the
-	// receiver's in-row (bitmap words or CSR row) straight into the
-	// delivery buffer, skipping the intermediate neighbor list, the port
-	// map and outgoing()'s size and cap work. An in-neighbor delivers its
-	// broadcast unless it has crashed, or crashes in this round with a
-	// DeliverTo list that leaves the receiver out; a Byzantine one
-	// (hasByz: the run has some) delivers its message for the receiver,
-	// if any.
+	// no bandwidth accounting) lets a round skip the port map and the
+	// per-delivery sizes: the word, CSR and dense-row arms of deliverRange
+	// need it. hasByz says the run has Byzantine nodes.
 	allIdentity bool
 	hasByz      bool
 
 	// Per-round sender census, taken by openRound (see census): how many
 	// nodes send (the lost count's "alive sender" side), and whether some
-	// sender crashes this round with a DeliverTo list (only then does a
-	// gather consult AllowsFinalDelivery).
+	// sender crashes this round with a DeliverTo list (then the round
+	// gathers, as only the gather consults AllowsFinalDelivery).
 	senders int
 	partial bool
 
@@ -689,55 +684,46 @@ func (e *Engine) emitRound(t, delivered, lost int) {
 //
 // Lost messages are the (sending node, eligible receiver) pairs with no
 // link between them, where a receiver is eligible when it is not
-// Byzantine and survives the whole round. Every gather counts the
-// sending in-neighbors it meets (heard), so an eligible receiver v adds
+// Byzantine and survives the whole round. Every arm counts the sending
+// in-neighbors it meets (heard), so an eligible receiver v adds
 // senders − 1 − heard: v is itself a sender, and (v, v) is never a
 // link. On a pruned set (e.pruned: see prune) every in-neighbor sends,
 // so heard is the row's length.
 //
-// One arm fills no delivery buffer: a round with identity ports, no
-// wire sizes, no sender crashing partially, no shuffle and no
-// per-delivery watcher goes by word on a dense set of at most 64 nodes
+// A round with identity ports, no wire sizes, no sender crashing
+// partially, no shuffle and no per-delivery watcher fills no delivery
+// buffer. On a dense set of at most 64 nodes it goes by word
 // (deliverWords: one population call over the in-row words, Byzantine
-// senders included), and by row elsewhere when no node is Byzantine
-// (byRow). A by-row round is one population call on a CSR set whose
-// rows list only senders (clean: every node sends, or the set was
-// pruned; deliverCSR, over the receiver-major view as it stands). That
-// is the run goroutine's critical path on round-sparse-er2 and
-// round-sparse-regular; the word round is sweep-byz-dense's and
-// sweep-small-local's. Otherwise each receiver's sending in-neighbors,
-// ascending, go to Population.DeliverRow as an ID list collected into
-// e.rowbuf — off a dense bitmap row, or a CSR row with crashed senders
-// left in — so a DAC population reads its senders' 16-byte
-// start-of-round entries instead of copying 40-byte Messages into
-// 48-byte Deliveries. Every other round gathers into the buffer and
-// calls DeliverAll.
+// senders included); that is sweep-byz-dense's and sweep-small-local's
+// round. With no Byzantine node, a CSR set whose rows list only senders
+// (clean: every node sends, or the set was pruned) goes in one
+// population call too (deliverCSR, over the receiver-major view as it
+// stands), the run goroutine's critical path on round-sparse-er2 and
+// round-sparse-regular; and a larger dense set goes by row, each
+// receiver's sending in-neighbors, ascending, to Population.DeliverRow
+// as an ID list collected into e.rowbuf, so a DAC population reads its
+// senders' 16-byte start-of-round entries instead of copying 40-byte
+// Messages into 48-byte Deliveries. Every other round gathers into the
+// buffer (gather) and calls DeliverAll.
 //
 // Of a sparse set's two lazily built CSR views the loop reads only the
-// receiver-major one — directly (the direct gather below) or through
-// InNeighborsInto (gatherInNeighbors) — so a round never pays for the
-// sender-major build; only an adversary that walks its own output
-// (Has, or ForEachEdge on a log that is not sorted) forces that.
+// receiver-major one — directly (deliverCSR) or through InNeighborsInto
+// (gather) — so a round never pays for the sender-major build; only an
+// adversary that walks its own output (Has, or ForEachEdge on a log that
+// is not sorted) forces that.
 func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost int) {
 	liveView := !e.viewSkip
-	// With identity ports and no wire sizes to price, the gather reads
-	// the in-row straight into the buffer or the row list.
-	direct := !e.needSize && e.allIdentity
 	sparse := edges.IsSparse()
-	clean := e.senders == e.cfg.N || e.pruned
-	byRow := direct && !e.partial && !e.cfg.ShuffleDelivery && !e.trackPhases
+	byRow := !e.needSize && e.allIdentity && !e.partial && !e.cfg.ShuffleDelivery && !e.trackPhases
 	if byRow && e.cfg.N <= wordN && !sparse {
 		return e.deliverWords(t, edges)
 	}
 	byRow = byRow && !e.hasByz
-	if byRow && sparse && clean {
+	if byRow && sparse && (e.senders == e.cfg.N || e.pruned) {
 		return e.deliverCSR(t, edges)
 	}
-	var inStarts, inIDs []int32
+	byRow = byRow && !sparse
 	pop, broadcasts := e.pop, e.broadcasts
-	if direct && sparse {
-		inStarts, inIDs = edges.InCSR()
-	}
 	for v := 0; v < e.cfg.N; v++ {
 		// A node receives in round t only if it survives the whole
 		// round: its crash round delivers nothing to it.
@@ -747,28 +733,12 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 		if byRow {
 			// Every listed in-neighbor delivers its broadcast at port ==
 			// node ID, already ascending.
-			var row []int32
-			if sparse {
-				row = e.sendingIDs(inIDs[inStarts[v]:inStarts[v+1]])
-			} else {
-				row = e.sendingBits(edges.InRow(v))
-			}
+			row := e.sendingBits(edges.InRow(v))
 			lost += e.senders - 1 - len(row)
 			delivered += len(row)
 			pop.DeliverRow(v, row, broadcasts)
 		} else {
-			var (
-				ds    []core.Delivery
-				heard int
-			)
-			switch {
-			case direct && sparse:
-				ds, heard = e.gatherRow(t, v, inIDs[inStarts[v]:inStarts[v+1]])
-			case direct:
-				ds, heard = e.gatherBits(t, v, edges.InRow(v))
-			default:
-				ds, heard = e.gatherInNeighbors(t, v, edges)
-			}
+			ds, heard := e.gather(t, v, edges)
 			lost += e.senders - 1 - heard
 			if e.cfg.ShuffleDelivery {
 				shuffleDeliveries(ds, e.cfg.ShuffleSeed, t, v)
@@ -812,7 +782,7 @@ func (e *Engine) deliverRange(t int, edges *network.EdgeSet) (delivered, lost in
 // the set's in-row words, the census words and the Byzantine nodes'
 // messages. Receiver v hears the senders in its in-row word, so the
 // counts are popcounts, less the Byzantine senders silent towards v
-// for the delivered count, as gatherBits counts them.
+// for the delivered count, as gather counts them.
 func (e *Engine) deliverWords(t int, edges *network.EdgeSet) (delivered, lost int) {
 	in, sends, recv, byz := edges.InWords(), e.sendWord, e.recvMask[0], e.byzWord
 	for r := recv; r != 0; r &= r - 1 {
@@ -886,22 +856,8 @@ func (e *Engine) endBatch(t int) {
 	}
 }
 
-// sendingIDs is the by-row arm's list for a CSR in-row that may hold
-// crashed senders: the in-neighbors that send this round, ascending, in
-// e.rowbuf.
-func (e *Engine) sendingIDs(row []int32) []int32 {
-	buf := e.rowbuf
-	k := 0
-	for _, u := range row {
-		if e.sends[u] {
-			buf[k] = u
-			k++
-		}
-	}
-	return buf[:k]
-}
-
-// sendingBits is sendingIDs over a dense in-row's bitmap words.
+// sendingBits is the dense-row arm's list for a dense in-row's bitmap
+// words: the in-neighbors that send this round, ascending, in e.rowbuf.
 func (e *Engine) sendingBits(row []uint64) []int32 {
 	buf := e.rowbuf
 	k := 0
@@ -919,98 +875,29 @@ func (e *Engine) sendingBits(row []uint64) []int32 {
 	return buf[:k]
 }
 
-// gatherRow is the direct gather over a CSR in-row in a round that does
-// not go by row (a partial crash or a Byzantine node, or shuffled or
-// watched per delivery): in-neighbors that no longer send are skipped,
-// and the others deliver what sent resolves. It returns the filled
-// prefix of e.deliveries and the number of sending in-neighbors.
-func (e *Engine) gatherRow(t, v int, row []int32) ([]core.Delivery, int) {
-	ds := e.deliveries
-	byz := e.hasByz
-	k, heard := 0, 0
-	for _, u := range row {
-		if !e.sends[u] {
-			continue
-		}
-		heard++
-		m := e.sent(t, int(u), v, byz)
-		if m == nil {
-			continue
-		}
-		d := &ds[k]
-		d.Port = int(u)
-		d.Msg = *m
-		k++
-	}
-	return ds[:k], heard
-}
-
-// sent is the message sending node u delivers to receiver v in round t
-// on the direct gather, nil for none: a Byzantine sender's message for
-// v (a nil entry is silence, though v still hears from u), and
-// otherwise u's broadcast unless u crashes in this round with a
-// DeliverTo list that leaves v out (checked only when openRound saw
-// such a crash). byz is e.hasByz, hoisted by the caller, so a round of
-// a run without Byzantine nodes never loads isByz.
-func (e *Engine) sent(t, u, v int, byz bool) *core.Message {
-	if byz && e.isByz[u] {
-		return e.byzOut[u][v]
-	}
-	if e.partial && e.crashRound[u] == t && !e.crashInfo[u].AllowsFinalDelivery(v) {
-		return nil
-	}
-	return &e.broadcasts[u]
-}
-
-// gatherBits is gatherRow over a dense in-row's bitmap words, ascending.
-func (e *Engine) gatherBits(t, v int, row []uint64) ([]core.Delivery, int) {
-	ds := e.deliveries
-	byz := e.hasByz
-	k, heard := 0, 0
-	for w, word := range row {
-		base := w * 64
-		for word != 0 {
-			u := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			if !e.sends[u] {
-				continue
-			}
-			heard++
-			m := e.sent(t, u, v, byz)
-			if m == nil {
-				continue
-			}
-			d := &ds[k]
-			d.Port = u
-			d.Msg = *m
-			k++
-		}
-	}
-	return ds[:k], heard
-}
-
-// gatherInNeighbors is the general gather, for rounds the direct one
-// cannot serve (non-identity ports, link caps, bandwidth accounting): it
-// iterates only v's actual in-neighbors off the edge set's transposed
-// structure — the bitmap in-row dense, the CSR in-list sparse, both
-// O(in-degree) — resolves each sender's message through outgoing
-// (Byzantine per-receiver choice, crash partial delivery), applies the
-// link cap, maps the sender to v's local port in O(1), and restores the
-// documented ascending-port delivery order — bit-for-bit the order a
-// walk over all n ports produces (the test oracle's gather), because
-// ports are a bijection. Under the identity numbering ascending node
-// order already IS ascending port order and the sort is skipped
-// entirely.
+// gather is the delivery buffer's fill, for every round the word, CSR
+// and dense-row arms do not take (non-identity ports, link caps,
+// bandwidth accounting, a partial crash, a Byzantine node past the word
+// round, shuffled or watched delivery, a CSR set that still lists
+// crashed senders): it iterates only v's actual in-neighbors off the
+// edge set's transposed structure — the bitmap in-row dense, the CSR
+// in-list sparse, both O(in-degree) — resolves each sender's message
+// through outgoing (Byzantine per-receiver choice, crash partial
+// delivery), applies the link cap, maps the sender to v's local port in
+// O(1), and restores the documented ascending-port delivery order —
+// bit-for-bit the order a walk over all n ports produces (the test
+// oracle's gather), because ports are a bijection. Under the identity
+// numbering ascending node order already IS ascending port order and
+// the sort is skipped entirely.
 //
 // It fills e.deliveries and returns the filled prefix and the number of
 // sending in-neighbors. Port and Msg are stored field-wise into the
-// buffer by index, as the direct gathers do: appending a composite
-// Delivery literal builds the 48-byte value on the stack and copies it,
-// and DeliverAll's loads right behind stall on that copy's store
-// forwarding (21 % of the sweep-byz-dense profile before this). The
-// buffer holds n entries and a receiver has at most n−1 in-neighbors,
-// so the index never leaves it.
-func (e *Engine) gatherInNeighbors(t, v int, edges *network.EdgeSet) ([]core.Delivery, int) {
+// buffer by index: appending a composite Delivery literal builds the
+// 48-byte value on the stack and copies it, and DeliverAll's loads right
+// behind stall on that copy's store forwarding (21 % of the
+// sweep-byz-dense profile before this). The buffer holds n entries and a
+// receiver has at most n−1 in-neighbors, so the index never leaves it.
+func (e *Engine) gather(t, v int, edges *network.EdgeSet) ([]core.Delivery, int) {
 	ds := e.deliveries
 	k := 0
 	numbering := e.ports[v]
