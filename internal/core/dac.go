@@ -38,8 +38,7 @@ type DAC struct {
 	vmax float64
 	// R as a bitset — bit port set: phase-p state received from port —
 	// whose word w is r[w*stride+col] (see word): r is the node's tile of
-	// its population's R matrix, col its column there. A logging node's
-	// r also reaches, through its capacity, the matrix's scratch words.
+	// its population's R matrix, col its column there.
 	r        []uint64
 	nr       int // |R|: number of set bits; while logging, 1 + logged ports
 	selfPort int
@@ -106,11 +105,10 @@ const tileWidth = 8
 //
 // A population with no skipped slot — so every sender is an honest DAC
 // node — of minLogN to maxLogN nodes also logs each phase's ports in
-// R's words (see extend); the matrix then carries one column of
-// scratch past its last tile for materialize, which is why such a
-// population's nodes take deliveries on one goroutine at a time. Random
-// senders then write a node's own first line instead of a random line
-// of R.
+// R's words (see extend). Random senders then write a node's own first
+// line instead of a random line of R. A node's deliveries touch only its
+// own state and the words of its own column, so two goroutines may
+// deliver to the nodes of disjoint tiles at once.
 func NewDACPopulation(pEnd, quorum int, noJump bool, selfPort func(i int) int, inputs []float64, skip func(i int) bool) ([]DAC, error) {
 	ds, bad, err := buildDACs(len(inputs), tileWidth, pEnd, quorum, noJump, selfPort, inputs, skip)
 	if err != nil {
@@ -139,10 +137,6 @@ func newDAC(n, selfPort, pEnd, quorum int, noJump bool, input float64) (*DAC, er
 func buildDACs(n, width, pEnd, quorum int, noJump bool, selfPort func(int) int, inputs []float64, skip func(int) bool) ([]DAC, int, error) {
 	words := (n + 63) / 64
 	tile := words * width
-	scratch := 0 // words of materialize scratch past the last tile
-	if width == tileWidth && n >= minLogN && n <= maxLogN {
-		scratch = words
-	}
 	ds := make([]DAC, len(inputs))
 	var bits []uint64
 	checked, skipped := false, false
@@ -161,7 +155,7 @@ func buildDACs(n, width, pEnd, quorum int, noJump bool, selfPort func(int) int, 
 			if quorum < 1 || quorum > n {
 				return nil, i, fmt.Errorf("core: quorum %d out of range [1,%d]", quorum, n)
 			}
-			bits = make([]uint64, (len(inputs)+width-1)/width*tile+scratch)
+			bits = make([]uint64, (len(inputs)+width-1)/width*tile)
 			checked = true
 		}
 		sp := selfPort(i)
@@ -176,13 +170,13 @@ func buildDACs(n, width, pEnd, quorum int, noJump bool, selfPort func(int) int, 
 		*d = DAC{
 			n: n, pEnd: pEnd, quorum: quorum, noJump: noJump,
 			v: input, vmin: input, vmax: input,
-			r: bits[t : t+tile], stride: int32(width), col: int32(i % width), // capacity: to the matrix end
+			r: bits[t : t+tile : t+tile], stride: int32(width), col: int32(i % width),
 			selfPort: sp,
 		}
 		d.openR() // the matrix is fresh: R is already empty
 		d.maybeDecide()
 	}
-	if scratch > 0 && !skipped {
+	if width == tileWidth && n >= minLogN && n <= maxLogN && !skipped {
 		for i := range ds {
 			d := &ds[i]
 			d.logCap = int32(4*words - 1) // one entry held back for closeRun
@@ -366,15 +360,14 @@ func (d *DAC) after(port int) int32 {
 }
 
 // materialize turns the log into the bitset it stands for: it moves the
-// entries to the population's scratch (one column's worth of words past
-// the matrix's last tile), zeroes the words they used, and sets self and
+// entries to a buffer of its own call (a column holds at most
+// maxLogN/64 words), zeroes the words they used, and sets self and
 // every logged port as bits, so nr is exact. The rest of the phase runs
 // on the bitset.
 func (d *DAC) materialize() {
 	d.closeRun()
 	ne := d.ne
-	all := d.r[:cap(d.r)]
-	scratch := all[len(all)-(d.n+63)/64:]
+	var scratch [maxLogN / 64]uint64
 	for k := int32(0); k < ne; k += 4 {
 		w := d.logWord(k)
 		scratch[k>>2] = *w

@@ -54,37 +54,42 @@ func (pop *dbacPopulation) BroadcastAll(_ []bool, msgs []Message) {
 			pop.put(i, ds[i].v, ds[i].p, msgs)
 		}
 		pop.stale = true
-	} else if len(pop.changed) > 0 {
-		for _, i := range pop.changed {
-			pop.put(int(i), ds[i].v, ds[i].p, msgs)
+	} else {
+		for _, c := range pop.changed {
+			for _, i := range c {
+				pop.put(int(i), ds[i].v, ds[i].p, msgs)
+			}
+			pop.stale = pop.stale || len(c) > 0
 		}
-		pop.stale = true
 	}
-	pop.changed = pop.changed[:0]
+	pop.clearChanged()
 }
 
-func (pop *dbacPopulation) DeliverRow(v int, row []int32, _ []Message) {
+func (pop *dbacPopulation) DeliverRow(v int, row []int32, _ []Message) { pop.deliverRow(0, v, row) }
+
+// deliverRow is DeliverRow listing v in part's changed list.
+func (pop *dbacPopulation) deliverRow(part, v int, row []int32) {
 	d := &pop.ds[v]
 	for _, u := range row {
 		s := &pop.sent[u]
 		d.deliver(int(u), s.v, s.p)
 	}
-	pop.note(v, d.v, d.p)
+	pop.note(part, v, d.v, d.p)
 }
 
 func (pop *dbacPopulation) DeliverAll(v int, ds []Delivery) {
 	d := &pop.ds[v]
 	d.DeliverAll(ds)
-	pop.note(v, d.v, d.p)
+	pop.note(0, v, d.v, d.p)
 }
 
 // DeliverCSR is DeliverRow over each receiver's CSR row.
-func (pop *dbacPopulation) DeliverCSR(recv []uint64, starts, ids []int32, _ []Message, decided []uint64) {
-	for w, word := range recv {
+func (pop *dbacPopulation) DeliverCSR(part, lo, hi int, recv []uint64, starts, ids []int32, _ []Message, decided []uint64) {
+	for w := lo; w < hi; w++ {
 		var dw uint64
-		for r := word; r != 0; r &= r - 1 {
+		for r := recv[w]; r != 0; r &= r - 1 {
 			v := w<<6 | bits.TrailingZeros64(r)
-			pop.DeliverRow(v, ids[starts[v]:starts[v+1]], nil)
+			pop.deliverRow(part, v, ids[starts[v]:starts[v+1]])
 			if pop.ds[v].decided {
 				dw |= r & -r
 			}
@@ -102,7 +107,7 @@ func (pop *dbacPopulation) DeliverWords(recv uint64, in []uint64, sends uint64, 
 		v := bits.TrailingZeros64(r)
 		pop.deliverWord(v, in[v]&sends, byz, out)
 		d := &pop.ds[v]
-		pop.note(v, d.v, d.p)
+		pop.note(0, v, d.v, d.p)
 		if d.decided {
 			decided |= r & -r
 		}

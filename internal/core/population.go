@@ -23,6 +23,10 @@ import (
 //
 // Self-delivery is never routed through it, as for Process. The engine
 // never addresses a Byzantine node's ID, and live is false at every one.
+// Calls are made one at a time, but for DeliverCSR: CSRParts calls of it
+// may run at once on different goroutines, each with its own part and
+// its own words of recv, with nothing else called meanwhile. A node's
+// delivery touches only that node's state and its part's scratch.
 // Between two BroadcastAll calls on the same msgs slice nothing but the
 // population writes msgs, and its nodes change only through its own
 // methods: a population may then rewrite only the entries of the nodes
@@ -59,14 +63,17 @@ type Population interface {
 	// Output reports a decision at the end of the round.
 	DeliverWords(recv uint64, in []uint64, sends uint64, msgs []Message, byz uint64, out [][]*Message) (decided uint64)
 
-	// DeliverCSR delivers a whole round whose rows are those of a
-	// receiver-major CSR, every row as DeliverRow takes it: for each
-	// receiver v in recv, in ascending order, it is DeliverRow(v,
-	// ids[starts[v]:starts[v+1]], msgs) and then EndRound(v). recv is a
-	// node set of bit v&63 of word v>>6 for node v, and decided is as
-	// long: the call overwrites it with the receivers of recv whose
-	// Output reports a decision at the end of the round.
-	DeliverCSR(recv []uint64, starts, ids []int32, msgs []Message, decided []uint64)
+	// DeliverCSR delivers the receivers in words lo…hi−1 of recv in a
+	// round whose rows are those of a receiver-major CSR, every row as
+	// DeliverRow takes it: for each such receiver v, in ascending order,
+	// it is DeliverRow(v, ids[starts[v]:starts[v+1]], msgs) and then
+	// EndRound(v). recv is a node set of bit v&63 of word v>>6 for node
+	// v, and decided is as long: the call overwrites its words lo…hi−1
+	// with the receivers there whose Output reports a decision at the
+	// end of the round. part, below CSRParts, names the scratch the call
+	// uses, so calls with different parts over disjoint words may run at
+	// once (see above).
+	DeliverCSR(part, lo, hi int, recv []uint64, starts, ids []int32, msgs []Message, decided []uint64)
 
 	// DeliverAll is Process.DeliverAll for node v.
 	DeliverAll(v int, ds []Delivery)
@@ -81,16 +88,21 @@ type Population interface {
 	Reinit(i int, input float64)
 }
 
+// CSRParts is how many Population.DeliverCSR calls may run at once.
+const CSRParts = 2
+
 // PerNode is the Population of per-node processes, indexed by node ID
 // (nil at Byzantine IDs): every call goes to the node's own Process, and
 // DeliverRow and each receiver of DeliverWords and DeliverCSR fill a
-// Delivery slice for one DeliverAll call.
+// Delivery slice for one DeliverAll call. Its processes may run on two
+// goroutines at once, one per DeliverCSR part, so no two of them may
+// share state that a delivery writes.
 func PerNode(procs []Process) Population { return &perNode{procs: procs} }
 
 type perNode struct {
 	procs []Process
-	ds    []Delivery // DeliverRow's fill, n entries once used
-	row   [64]int32  // DeliverWords' rows, as rowOf lists them
+	ds    [CSRParts][]Delivery // DeliverRow's fill, per DeliverCSR part; n entries once used
+	row   [64]int32            // DeliverWords' rows, as rowOf lists them
 }
 
 func (a *perNode) BroadcastAll(live []bool, msgs []Message) {
@@ -101,11 +113,14 @@ func (a *perNode) BroadcastAll(live []bool, msgs []Message) {
 	}
 }
 
-func (a *perNode) DeliverRow(v int, row []int32, msgs []Message) {
-	if a.ds == nil {
-		a.ds = make([]Delivery, len(a.procs)) // a row has at most n−1 entries
+func (a *perNode) DeliverRow(v int, row []int32, msgs []Message) { a.deliverRow(0, v, row, msgs) }
+
+// deliverRow is DeliverRow with part's Delivery buffer.
+func (a *perNode) deliverRow(part, v int, row []int32, msgs []Message) {
+	if a.ds[part] == nil {
+		a.ds[part] = make([]Delivery, len(a.procs)) // a row has at most n−1 entries
 	}
-	ds := a.ds[:len(row)]
+	ds := a.ds[part][:len(row)]
 	for k, u := range row {
 		d := &ds[k]
 		d.Port = int(u)
@@ -132,10 +147,10 @@ func (a *perNode) DeliverWords(recv uint64, in []uint64, sends uint64, msgs []Me
 // deliverMixed is DeliverWords' fold of a row with a Byzantine sender,
 // kept out of line: no word round of a fault-free run takes it.
 func (a *perNode) deliverMixed(v int, row, byz uint64, msgs []Message, out [][]*Message) {
-	if a.ds == nil {
-		a.ds = make([]Delivery, len(a.procs))
+	if a.ds[0] == nil {
+		a.ds[0] = make([]Delivery, len(a.procs))
 	}
-	a.procs[v].DeliverAll(fillRow(a.ds, v, row, byz, msgs, out))
+	a.procs[v].DeliverAll(fillRow(a.ds[0], v, row, byz, msgs, out))
 }
 
 // fillRow fills ds with receiver v's deliveries from the senders in
@@ -160,12 +175,12 @@ func fillRow(ds []Delivery, v int, row, byz uint64, msgs []Message, out [][]*Mes
 	return ds[:k]
 }
 
-func (a *perNode) DeliverCSR(recv []uint64, starts, ids []int32, msgs []Message, decided []uint64) {
-	for w, word := range recv {
+func (a *perNode) DeliverCSR(part, lo, hi int, recv []uint64, starts, ids []int32, msgs []Message, decided []uint64) {
+	for w := lo; w < hi; w++ {
 		var dw uint64
-		for r := word; r != 0; r &= r - 1 {
+		for r := recv[w]; r != 0; r &= r - 1 {
 			v := w<<6 | bits.TrailingZeros64(r)
-			a.DeliverRow(v, ids[starts[v]:starts[v+1]], msgs)
+			a.deliverRow(part, v, ids[starts[v]:starts[v+1]], msgs)
 			if a.end(v) {
 				dw |= r & -r
 			}
@@ -228,16 +243,23 @@ type dacPopulation struct {
 // startTable is a population's start-of-round table: each node's ⟨v, p⟩
 // as BroadcastAll last copied it, and the nodes whose ⟨v, p⟩ has
 // changed since (see note), which are all a BroadcastAll copies once
-// due has reported a full copy done.
+// due has reported a full copy done. Each DeliverCSR part lists the
+// nodes it delivered to in its own list; every other call lists in part
+// 0's.
 type startTable struct {
 	sent    []vp
-	changed []int32   // nodes whose ⟨v, p⟩ differs from sent, each listed once a round (see note)
-	full    bool      // the next BroadcastAll copies every node
-	filled  []Message // the msgs the last BroadcastAll filled
+	changed [CSRParts][]int32 // nodes whose ⟨v, p⟩ differs from sent, each listed once a round (see note)
+	full    bool              // the next BroadcastAll copies every node
+	filled  []Message         // the msgs the last BroadcastAll filled
 }
 
 func newStartTable(n int) startTable {
-	return startTable{sent: make([]vp, n), changed: make([]int32, 0, n), full: true}
+	t := startTable{sent: make([]vp, n), full: true}
+	lists := make([]int32, CSRParts*n)
+	for k := range t.changed {
+		t.changed[k] = lists[k*n : k*n : (k+1)*n]
+	}
+	return t
 }
 
 // vp is one broadcast as Algorithms 1 and 2 read it.
@@ -263,19 +285,28 @@ func (t *startTable) put(i int, v float64, p int, msgs []Message) {
 	msgs[i] = Message{Value: v, Phase: p}
 }
 
-// note lists node i in changed once its ⟨v, p⟩ differs from its table
-// entry. It compares the bits of v: a jump clamped at pEnd changes v
-// alone, and −0 == +0. A receiver's deliveries in a round are made back
-// to back, so a node already listed this round is the list's last entry.
-func (t *startTable) note(i int, v float64, p int) {
+// note lists node i in part's changed list once its ⟨v, p⟩ differs
+// from its table entry. It compares the bits of v: a jump clamped at
+// pEnd changes v alone, and −0 == +0. A receiver's deliveries in a round
+// are made back to back by one part, so a node already listed this
+// round is that list's last entry.
+func (t *startTable) note(part, i int, v float64, p int) {
 	s := &t.sent[i]
 	if p == s.p && math.Float64bits(v) == math.Float64bits(s.v) {
 		return
 	}
-	if k := len(t.changed); k > 0 && t.changed[k-1] == int32(i) {
+	c := t.changed[part]
+	if k := len(c); k > 0 && c[k-1] == int32(i) {
 		return
 	}
-	t.changed = append(t.changed, int32(i))
+	t.changed[part] = append(c, int32(i))
+}
+
+// clearChanged empties every part's changed list.
+func (t *startTable) clearChanged() {
+	for k := range t.changed {
+		t.changed[k] = t.changed[k][:0]
+	}
 }
 
 func (pop *dacPopulation) BroadcastAll(_ []bool, msgs []Message) {
@@ -285,18 +316,23 @@ func (pop *dacPopulation) BroadcastAll(_ []bool, msgs []Message) {
 			pop.put(i, ds[i].v, ds[i].p, msgs)
 		}
 	} else {
-		for _, i := range pop.changed {
-			pop.put(int(i), ds[i].v, ds[i].p, msgs)
+		for _, c := range pop.changed {
+			for _, i := range c {
+				pop.put(int(i), ds[i].v, ds[i].p, msgs)
+			}
 		}
 	}
-	pop.changed = pop.changed[:0]
+	pop.clearChanged()
 }
 
 // DeliverRow is DAC.DeliverAll over the row, reading each sender's
 // broadcast from the start-of-round table: the same fold, with the
 // same-phase case inline and jumps, stale messages and the ablation
 // through deliver.
-func (pop *dacPopulation) DeliverRow(v int, row []int32, _ []Message) {
+func (pop *dacPopulation) DeliverRow(v int, row []int32, _ []Message) { pop.deliverRow(0, v, row) }
+
+// deliverRow is DeliverRow listing v in part's changed list.
+func (pop *dacPopulation) deliverRow(part, v int, row []int32) {
 	d, sent := &pop.ds[v], pop.sent
 	for _, u := range row {
 		m := &sent[u]
@@ -326,7 +362,7 @@ func (pop *dacPopulation) DeliverRow(v int, row []int32, _ []Message) {
 			d.maybeDecide()
 		}
 	}
-	pop.note(v, d.v, d.p)
+	pop.note(part, v, d.v, d.p)
 }
 
 // DeliverWords is DeliverRow over each receiver's row word, or
@@ -350,12 +386,12 @@ func (pop *dacPopulation) DeliverWords(recv uint64, in []uint64, sends uint64, m
 
 // DeliverCSR is DeliverRow over each receiver's CSR row, as DeliverWords
 // is over its row word.
-func (pop *dacPopulation) DeliverCSR(recv []uint64, starts, ids []int32, _ []Message, decided []uint64) {
-	for w, word := range recv {
+func (pop *dacPopulation) DeliverCSR(part, lo, hi int, recv []uint64, starts, ids []int32, _ []Message, decided []uint64) {
+	for w := lo; w < hi; w++ {
 		var dw uint64
-		for r := word; r != 0; r &= r - 1 {
+		for r := recv[w]; r != 0; r &= r - 1 {
 			v := w<<6 | bits.TrailingZeros64(r)
-			pop.DeliverRow(v, ids[starts[v]:starts[v+1]], nil)
+			pop.deliverRow(part, v, ids[starts[v]:starts[v+1]])
 			if pop.ds[v].decided {
 				dw |= r & -r
 			}
@@ -375,7 +411,7 @@ func (pop *dacPopulation) deliverMixed(v int, row, byz uint64, msgs []Message, o
 func (pop *dacPopulation) DeliverAll(v int, ds []Delivery) {
 	d := &pop.ds[v]
 	d.DeliverAll(ds)
-	pop.note(v, d.v, d.p)
+	pop.note(0, v, d.v, d.p)
 }
 
 func (pop *dacPopulation) EndRound(int)                 {}

@@ -20,7 +20,11 @@ const SparseThreshold = 2048
 // each view is compacted from the log the first time a reader asks for
 // THAT direction, deduplicating on the way (adversaries that layer
 // extra links over a copied schedule may log one link twice; it must
-// still deliver once).
+// still deliver once). The one exception is a set InRegularInto wrote:
+// it writes the receiver-major view directly and leaves the log empty
+// (fromView). Links added after that go to the log, and the view's
+// links are moved into the log ahead of them (syncLog) only when a
+// reader or another mutator needs the log.
 //
 // The views are lazy and independent because their readers are: a
 // round reads only the receiver-major view (the gather), and building
@@ -37,30 +41,37 @@ const SparseThreshold = 2048
 // Retain on a strictly ascending log (what the er and er2 samplers
 // emit) forces neither: it filters the log in place, so a storm filter
 // over er2 never builds the sender-major view at all. KeepBetween forces
-// neither on any log.
+// neither on any log, and on a set InRegularInto wrote it filters the
+// receiver-major view in place, so the view stays the source of truth.
 //
-// Which compaction arm builds which view: a strictly ascending log (the
-// er and er2 samplers') takes compactAscending for both. A log whose
-// receivers never decrease — InRegularInto's, receiver by receiver, and
-// that log after KeepBetween, which keeps the log's order — has its
-// receiver-major view copied off the log in order, with no scatter
-// (compactGeneral's copy arm), and its sender-major view scattered. Any
-// other log is scattered into either view (compactGeneral).
+// Which log takes which arm: a strictly ascending log (the er and er2
+// samplers') takes compactAscending for both views. InRegularInto's
+// set needs no compaction for its receiver-major view (its rows are
+// written ascending and distinct, also after KeepBetween), and its
+// derived log — receiver by receiver, each row ascending — is what
+// every other reader works from. A log whose receivers never decrease
+// (that derived log, after a mutation) has its receiver-major view
+// copied off the log in order, with no scatter (compactGeneral's copy
+// arm), and its sender-major view scattered. Any other log is
+// scattered into either view (compactGeneral).
 //
 // The sim engine's round reads only the receiver-major view, and on a
-// CSR round of a run with crashes it first prunes the log with
+// CSR round of a run with crashes it first prunes the set with
 // KeepBetween to the links from nodes that still send to nodes that
 // still receive, so the transpose and the gather never see a dead
 // node's links.
 //
-// Any mutation invalidates both. A build writes the state, so a view
-// read on another goroutine must be forced before the hand-off (the
-// sim pipeline's build stage forces the receiver-major view of the set
-// it hands to the round).
+// Any mutation invalidates both views, deriving the log first if the
+// view held it. A build writes the state, so a view read on another
+// goroutine must be forced before the hand-off (the sim pipeline's
+// build stage forces the receiver-major view of the set it hands to the
+// round), and so must the log of a set another goroutine may mutate or
+// read the sender-major view of.
 type csrState struct {
-	pairs []uint64 // mutation log, u<<32 | v per link (duplicates allowed)
-	built uint8    // viewIn|viewOut: the views current with the log
-	edges int      // distinct links, valid while built != 0
+	pairs    []uint64 // mutation log, u<<32 | v per link (duplicates allowed); empty while fromView
+	built    uint8    // viewIn|viewOut: the views current with the log
+	edges    int      // distinct links, valid while built != 0
+	fromView bool     // inStart/inList hold links InRegularInto wrote that the log does not (see syncLog)
 
 	outStart []int32 // n+1 prefix offsets into outList
 	outList  []int32 // receivers, ascending within each sender row
@@ -182,6 +193,7 @@ func (e *EdgeSet) sparseLen() int {
 // compactGeneral (see csrState for which log takes which). Cost
 // O(n + log length).
 func (c *csrState) compact(n int, start, list []int32, keyShift uint) ([]int32, int) {
+	c.syncLog()
 	if ascendingPairs(c.pairs) {
 		return c.compactAscending(n, start, list, keyShift)
 	}
@@ -299,6 +311,7 @@ func (c *csrState) countRows(n int, start []int32, keyShift uint) {
 // the link set.
 func (e *EdgeSet) sparseRetain(keep func(u, v int) bool) {
 	c := e.csr
+	c.syncLog()
 	w := 0
 	if ascendingPairs(c.pairs) {
 		for _, p := range c.pairs {
@@ -337,6 +350,11 @@ func (e *EdgeSet) sparseRetain(keep func(u, v int) bool) {
 // order.
 func (e *EdgeSet) sparseKeepBetween(roles []uint8) {
 	c := e.csr
+	if c.fromView && len(c.pairs) == 0 {
+		c.keepViewBetween(roles)
+		return
+	}
+	c.syncLog()
 	pairs := c.pairs
 	w := 0
 	for _, p := range pairs {
@@ -347,6 +365,59 @@ func (e *EdgeSet) sparseKeepBetween(roles []uint8) {
 	if w != len(pairs) {
 		c.pairs = pairs[:w]
 		c.built = 0
+	}
+}
+
+// keepViewBetween is KeepBetween on a set whose receiver-major view
+// holds every link (fromView, nothing added since): each row is
+// filtered in place, in order,
+// so the rows stay ascending and distinct and the log stays underived.
+// Like the log's pass it takes no branch per link.
+func (c *csrState) keepViewBetween(roles []uint8) {
+	start, list := c.inStart, c.inList
+	n := len(start) - 1
+	w := int32(0)
+	for v := 0; v < n; v++ {
+		row := list[start[v]:start[v+1]]
+		start[v] = w
+		if roles[v]&Receives == 0 {
+			continue
+		}
+		for _, u := range row {
+			list[w] = u
+			w += int32(roles[u] & Sends)
+		}
+	}
+	start[n] = w
+	c.edges = int(w)
+}
+
+// syncLog makes the log hold every link: on a fromView set it moves
+// the view's links into the log, ahead of the links added since —
+// receiver by receiver, each row ascending, so a log with nothing added
+// is one whose receivers never decrease. The log grows with 50 %
+// headroom when it must, as sparseReset grows it. Every reader and
+// mutator of the log calls it first, but Add, AddUnchecked and
+// AddOutWord, which only append.
+func (c *csrState) syncLog() {
+	if !c.fromView {
+		return
+	}
+	c.fromView = false
+	start, list := c.inStart, c.inList
+	viewed, added := int(start[len(start)-1]), len(c.pairs)
+	if total := viewed + added; cap(c.pairs) < total {
+		grown := make([]uint64, total, total+total/2)
+		copy(grown[viewed:], c.pairs)
+		c.pairs = grown
+	} else {
+		c.pairs = c.pairs[:total]
+		copy(c.pairs[viewed:], c.pairs[:added])
+	}
+	for v := 0; v+1 < len(start); v++ {
+		for k := start[v]; k < start[v+1]; k++ {
+			c.pairs[k] = uint64(list[k])<<32 | uint64(v)
+		}
 	}
 }
 
@@ -378,7 +449,7 @@ func (e *EdgeSet) sparseReset() {
 	} else {
 		c.pairs = c.pairs[:0]
 	}
-	c.built = 0
+	c.built, c.fromView = 0, false
 }
 
 // sparseHas binary-searches u's out row.
@@ -401,6 +472,7 @@ func (e *EdgeSet) sparseHas(u, v int) bool {
 // sparseRemove filters every occurrence of u→v out of the log.
 func (e *EdgeSet) sparseRemove(u, v int) {
 	c := e.csr
+	c.syncLog()
 	pair := uint64(u)<<32 | uint64(uint32(v))
 	w := 0
 	for _, p := range c.pairs {
@@ -418,7 +490,7 @@ func (e *EdgeSet) sparseRemove(u, v int) {
 // sparseLogFromDense rebuilds the log from a dense set's bit rows.
 func (e *EdgeSet) sparseLogFromDense(other *EdgeSet) {
 	c := e.csr
-	c.pairs = c.pairs[:0]
+	c.pairs, c.fromView = c.pairs[:0], false
 	for u := 0; u < other.n; u++ {
 		base := u * other.words
 		for w := 0; w < other.words; w++ {
@@ -442,6 +514,7 @@ func (e *EdgeSet) makeDense() {
 	if e.csr == nil {
 		return
 	}
+	e.csr.syncLog()
 	pairs := e.csr.pairs
 	backing := make([]uint64, 2*e.n*e.words)
 	e.out = backing[: e.n*e.words : e.n*e.words]

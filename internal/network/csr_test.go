@@ -1,7 +1,9 @@
 package network
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -373,6 +375,81 @@ func TestLazyViewsProperty(t *testing.T) {
 		}
 		check(inFirst, dense, "in-first, mutated")
 		check(outFirst, dense, "out-first, mutated")
+	}
+}
+
+// TestViewFirstSetProperty: a set InRegularInto wrote (its
+// receiver-major view holds the links; the log is derived on demand)
+// answers every reader and takes every mutation as the same graph
+// logged link by link does, through a random sequence of operations
+// that each read the view, append to the log beside it, derive the log,
+// or filter the view in place. Most steps are not compared right away,
+// so an operation often meets a set whose log is still underived.
+func TestViewFirstSetProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	sizes := []int{2, 3, 9, 63, 64, 65, 130}
+	for trial := 0; trial < 300; trial++ {
+		n := sizes[rng.Intn(len(sizes))]
+		d, offset := rng.Intn(n), rng.Intn(3*n)
+		got, want := NewEdgeSetSparse(n), NewEdgeSetSparse(n)
+		InRegularInto(got, d, offset)
+		for v := 0; v < n; v++ { // the same links, logged one by one
+			for _, u := range got.InList(v) {
+				want.AddUnchecked(int(u), v)
+			}
+		}
+		for step := 0; step < 4; step++ {
+			op := rng.Intn(9)
+			switch u, v := rng.Intn(n), rng.Intn(n); op {
+			case 0:
+				got.Add(u, v)
+				want.Add(u, v)
+			case 1:
+				got.Remove(u, v)
+				want.Remove(u, v)
+			case 2:
+				roles := randomRoles(rng, n, 0.6)
+				got.KeepBetween(roles)
+				want.KeepBetween(roles)
+			case 3:
+				keep := func(u, v int) bool { return (u*7+v*3)%4 != 0 }
+				got.Retain(keep)
+				want.Retain(keep)
+			case 4:
+				if got.Has(u, v) != want.Has(u, v) {
+					t.Fatalf("trial %d step %d: Has(%d, %d) = %v", trial, step, u, v, !want.Has(u, v))
+				}
+			case 5:
+				got = got.Clone()
+			case 6:
+				other := NewEdgeSetSparse(n)
+				InRegularInto(other, rng.Intn(n), rng.Intn(n))
+				ref := other.Clone()
+				got.IntersectWith(other)
+				want.IntersectWith(ref)
+			case 7:
+				word := rng.Uint64() // word 0 of u's out-row
+				if n < 64 {
+					word &= 1<<uint(n) - 1
+				}
+				if u < 64 {
+					word &^= 1 << uint(u)
+				}
+				got.AddOutWord(u, 0, word)
+				want.AddOutWord(u, 0, word)
+			default:
+				d, offset = rng.Intn(n), rng.Intn(n)
+				InRegularInto(got, d, offset)
+				inRegularModular(want, d, offset)
+			}
+			if step < 3 && rng.Intn(3) != 0 {
+				continue // compare later: the comparison derives got's log
+			}
+			if !slices.Equal(got.Edges(), want.Edges()) || got.Len() != want.Len() {
+				t.Fatalf("trial %d (n=%d) step %d op %d: links %v, want %v", trial, n, step, op, got.Edges(), want.Edges())
+			}
+			assertSameInCSR(t, got, want, fmt.Sprintf("trial %d (n=%d) step %d op %d", trial, n, step, op))
+		}
 	}
 }
 

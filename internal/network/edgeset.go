@@ -326,8 +326,9 @@ func (e *EdgeSet) CopyFrom(other *EdgeSet) {
 	}
 	switch {
 	case e.csr != nil && other.csr != nil:
+		other.csr.syncLog()
 		e.csr.pairs = append(e.csr.pairs[:0], other.csr.pairs...)
-		e.csr.built = 0
+		e.csr.built, e.csr.fromView = 0, false
 	case e.csr != nil:
 		e.sparseLogFromDense(other)
 	case other.csr != nil:
@@ -381,6 +382,7 @@ func (e *EdgeSet) IntersectWith(other *EdgeSet) {
 	case e.csr != nil:
 		// Filter the log through other's membership; dedup happens at build.
 		c := e.csr
+		c.syncLog()
 		w := 0
 		for _, p := range c.pairs {
 			if other.Has(int(p>>32), int(uint32(p))) {

@@ -29,10 +29,13 @@ func Ring(n int) *EdgeSet {
 // adversaries guarantee distinctness across windows.
 //
 // Receiver v hears from (v+offset+1) mod n, (v+offset+2) mod n, …,
-// skipping v itself, and the links go to the log in that order, receiver
-// by receiver. The sender steps with a wrap compare rather than a
+// skipping v itself. A sparse set gets its receiver-major view written
+// directly, each row its d senders ascending — the run of senders
+// rotated where it wraps past n−1 — and its log derived from the view
+// only if something reads or changes it (see csrState); a dense set
+// gets the bits. The sender steps with a wrap compare rather than a
 // modulo, and every link is in range and no self-loop by construction,
-// so it is appended unchecked.
+// so it is set unchecked.
 func InRegularInto(e *EdgeSet, d, offset int) {
 	n := e.N()
 	if d < 0 || d > n-1 {
@@ -40,6 +43,10 @@ func InRegularInto(e *EdgeSet, d, offset int) {
 	}
 	e.Reset()
 	first := ((offset+1)%n + n) % n // v's first sender, for v = 0
+	if e.csr != nil {
+		e.csr.inRegular(d, first)
+		return
+	}
 	for v := 0; v < n; v++ {
 		u := first
 		for added := 0; added < d; {
@@ -55,6 +62,63 @@ func InRegularInto(e *EdgeSet, d, offset int) {
 			first = 0
 		}
 	}
+}
+
+// inRegular writes InRegularInto's receiver-major view into a reset
+// sparse set, v's first sender being first for v = 0. Receiver v's
+// senders are the span of m nodes from s = first+v (mod n), v left out:
+// m is d+1 when v falls in the span's first d nodes, which, as v − s
+// is the same for every v, holds for every row or for none. Each row is
+// listed ascending, the part of a wrapping span below s first.
+func (c *csrState) inRegular(d, first int) {
+	n := len(c.inStart) - 1
+	m := d
+	if (n-first)%n < d {
+		m++
+	}
+	c.inList = growInt32(c.inList, n*d)
+	start, list := c.inStart, c.inList
+	k := 0
+	s := first
+	for v := 0; v < n; v++ {
+		start[v] = int32(k)
+		if end := s + m; end <= n && m == d { // v is not in the span
+			row := list[k : k+d]
+			for j := range row {
+				row[j] = int32(s + j)
+			}
+			k += d
+		} else {
+			k = inRegularRow(list, k, v, s, end, n)
+		}
+		if s++; s == n {
+			s = 0
+		}
+	}
+	start[n] = int32(k)
+	c.built, c.edges, c.fromView = viewIn, k, true
+}
+
+// inRegularRow writes the row of receiver v whose span is s…end−1, end
+// past n where it wraps, at list[k:], ascending and without v, and
+// returns the end of the row.
+func inRegularRow(list []int32, k, v, s, end, n int) int {
+	if end > n {
+		for u := 0; u < end-n; u++ {
+			if u != v {
+				list[k] = int32(u)
+				k++
+			}
+		}
+		end = n
+	}
+	for u := s; u < end; u++ {
+		if u != v {
+			list[k] = int32(u)
+			k++
+		}
+	}
+	return k
 }
 
 // GroupComplete returns the graph whose links are exactly the complete

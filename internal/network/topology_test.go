@@ -83,13 +83,14 @@ func inRegularModular(e *EdgeSet, d, offset int) {
 
 // TestInRegularIntoMatchesModularLoop: InRegularInto builds the modular
 // reference's graph over every size, degree and offset class (offsets
-// past n wrap), in both representations: the same bits dense (Equal)
-// and the same link log in the same order sparse — a stronger check
-// than Equal, and what keeps the CSR compaction and every digest
-// downstream unchanged. Its receiver-major view, which compactGeneral
-// copies off the log without a scatter, equals the scattered one (see
-// assertReceiverMajorView), also after KeepBetween. An out-of-range
-// degree still panics.
+// past n wrap), in both representations: the same bits dense (Equal),
+// and sparse the receiver-major view compacted from the modular loop's
+// log — written directly, with no log — also after KeepBetween, which
+// filters that view in place. The log derived from the view on demand
+// is receiver-major and compacts to the same view (see
+// assertReceiverMajorView), before and after KeepBetween, and the set
+// it stands for equals the dense one. An out-of-range degree still
+// panics.
 func TestInRegularIntoMatchesModularLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, n := range []int{2, 3, 9, 2049} {
@@ -104,24 +105,38 @@ func TestInRegularIntoMatchesModularLoop(t *testing.T) {
 				for _, p := range wantLog.csr.pairs {
 					want.Add(int(p>>32), int(uint32(p)))
 				}
+				name := fmt.Sprintf("n=%d d=%d offset=%d", n, d, offset)
 				for _, got := range []*EdgeSet{NewEdgeSet(n), NewEdgeSetSparse(n)} {
 					got.Add(1, 0) // stale content must vanish
 					InRegularInto(got, d, offset)
-					if got.IsSparse() {
-						if !slices.Equal(got.csr.pairs, wantLog.csr.pairs) {
-							t.Fatalf("sparse n=%d d=%d offset=%d: link log differs from the modular loop's", n, d, offset)
+					if !got.IsSparse() {
+						if !got.Equal(want) {
+							t.Fatalf("dense %s: graph differs from the modular loop's", name)
 						}
-						// The view checks rebuild the log; for its 4M links at
-						// n = 2049, d = n−1, one wrapping offset is enough.
-						if n*d < 1<<20 || offset == n-1 {
-							name := fmt.Sprintf("n=%d d=%d offset=%d", n, d, offset)
-							assertReceiverMajorView(t, got, name)
-							got.KeepBetween(randomRoles(rng, n, 0.7))
-							assertReceiverMajorView(t, got, name+" after KeepBetween")
-						}
-					} else if !got.Equal(want) {
-						t.Fatalf("dense n=%d d=%d offset=%d: graph differs from the modular loop's", n, d, offset)
+						continue
 					}
+					if !got.csr.fromView || len(got.csr.pairs) != 0 {
+						t.Fatalf("sparse %s: InRegularInto wrote a log", name)
+					}
+					assertSameInCSR(t, got, wantLog, name)
+					// The derived-log checks rebuild the log; for its 4M links
+					// at n = 2049, d = n−1, one wrapping offset is enough.
+					if n*d >= 1<<20 && offset != n-1 {
+						continue
+					}
+					derived := NewEdgeSetSparse(n)
+					InRegularInto(derived, d, offset)
+					assertReceiverMajorView(t, derived, name+" derived log")
+					if !derived.Equal(want) {
+						t.Fatalf("sparse %s: derived log's graph differs from the modular loop's", name)
+					}
+					roles := randomRoles(rng, n, 0.7)
+					got.KeepBetween(roles)
+					wantLog.KeepBetween(roles)
+					derived.KeepBetween(roles)
+					assertSameInCSR(t, got, wantLog, name+" after KeepBetween")
+					assertReceiverMajorView(t, derived, name+" derived log after KeepBetween")
+					assertSameInCSR(t, derived, wantLog, name+" derived log after KeepBetween")
 				}
 			}
 		}
@@ -132,13 +147,15 @@ func TestInRegularIntoMatchesModularLoop(t *testing.T) {
 	}
 }
 
-// assertReceiverMajorView checks a receiver-major log's view: the log's
-// receivers never decrease, so its receiver-major view takes the copy in
+// assertReceiverMajorView checks a receiver-major log's view, deriving
+// the log first if the view holds it: the log's receivers never
+// decrease, so its receiver-major view takes the copy in
 // compactGeneral, and that view equals the one compactGeneral scatters
 // from the same log with its first row moved to the end (where the
 // receivers decrease, unless the log has at most one row).
 func assertReceiverMajorView(t *testing.T, s *EdgeSet, name string) {
 	t.Helper()
+	s.csr.syncLog()
 	pairs := s.csr.pairs
 	if !copyReceiverMajor(pairs, make([]int32, s.N()+1), make([]int32, len(pairs))) {
 		t.Fatalf("%s: log is not receiver-major", name)
@@ -151,6 +168,7 @@ func assertReceiverMajorView(t *testing.T, s *EdgeSet, name string) {
 	for _, p := range append(slices.Clone(pairs[k:]), pairs[:k]...) {
 		moved.AddUnchecked(int(p>>32), int(uint32(p)))
 	}
+	s.csr.built = 0 // compact the log itself
 	assertSameInCSR(t, s, moved, name)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"anondyn/internal/adversary"
@@ -24,16 +25,22 @@ import (
 // (delivery order is visible through the recorder) compared to the
 // test-only reference oracle (referenceStep: port-loop gather, eager
 // per-round view refresh, one DeliverAll call per message, pairwise
-// lost count).
+// lost count). The last trials are clean draws past 64 nodes (no
+// Byzantine node, no partial crash, no shuffle), whose plain dense runs
+// take the dense-row arm.
 func TestDeliveryEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	words, csr, rows, gatherByz, gatherCrash := 0, 0, 0, 0, 0 // plain runs (two a trial) that took the arm
 	// Sizes straddle the 64-bit word boundary on purpose: the word-wise
 	// path must be exact in the multi-word regime too.
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 72; trial++ {
+		clean := trial >= 60
 		n := []int{3, 7, 13, 33, 63, 64, 65, 70}[rng.Intn(8)]
+		if clean {
+			n = []int{65, 70, 100, 129, 200, 257}[rng.Intn(6)]
+		}
 		seed := rng.Int63()
-		cfg := func() Config { return randomDeliveryConfig(t, n, seed) }
+		cfg := func() Config { return randomDeliveryConfig(t, n, seed, clean) }
 
 		refCfg, refRec := cfg(), trace.NewRecorder()
 		refCfg.Hooks.Recorder = refRec
@@ -130,7 +137,7 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 			assertEqualResults(t, rr, ww, "trial %d (n=%d, seed=%d, csr=%v) plain pair", trial, n, seed, forceCSR)
 			assertEqualStates(t, spRefEng, spEng, "trial %d (n=%d, seed=%d, csr=%v) plain pair", trial, n, seed, forceCSR)
 			words += min(arms.words, 1)
-			csr += min(arms.csr, 1)
+			csr += min(int(arms.csr.Load()), 1)
 			rows += min(arms.rows, 1)
 			switch {
 			case arms.gathers == 0:
@@ -143,7 +150,7 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 	}
 	t.Logf("plain runs by arm: %d word, %d CSR, %d dense row; gather %d Byzantine, %d crash-only",
 		words, csr, rows, gatherByz, gatherCrash)
-	if words < 10 || csr < 10 || rows < 2 {
+	if words < 10 || csr < 10 || rows < 10 {
 		t.Errorf("plain runs took the word round %d times, the CSR round %d times and the dense-row arm %d times — property nearly vacuous",
 			words, csr, rows)
 	}
@@ -158,7 +165,8 @@ func TestDeliveryEquivalenceProperty(t *testing.T) {
 // round, DeliverRow the dense-row arm and DeliverAll the gather.
 type armCount struct {
 	core.Population
-	words, csr, rows, gathers int
+	words, rows, gathers int
+	csr                  atomic.Int32 // counted on both goroutines of a helped round
 }
 
 func (a *armCount) DeliverWords(recv uint64, in []uint64, sends uint64, msgs []core.Message, byz uint64, out [][]*core.Message) uint64 {
@@ -166,9 +174,9 @@ func (a *armCount) DeliverWords(recv uint64, in []uint64, sends uint64, msgs []c
 	return a.Population.DeliverWords(recv, in, sends, msgs, byz, out)
 }
 
-func (a *armCount) DeliverCSR(recv []uint64, starts, ids []int32, msgs []core.Message, decided []uint64) {
-	a.csr++
-	a.Population.DeliverCSR(recv, starts, ids, msgs, decided)
+func (a *armCount) DeliverCSR(part, lo, hi int, recv []uint64, starts, ids []int32, msgs []core.Message, decided []uint64) {
+	a.csr.Add(1)
+	a.Population.DeliverCSR(part, lo, hi, recv, starts, ids, msgs, decided)
 }
 
 func (a *armCount) DeliverRow(v int, row []int32, msgs []core.Message) {
@@ -243,12 +251,12 @@ func TestGatherCrashKinds(t *testing.T) {
 						batch := arms.rows // the calls of the arm the other rounds take
 						switch {
 						case forceCSR:
-							batch = arms.csr
+							batch = int(arms.csr.Load())
 						case n <= wordN:
 							batch = arms.words
 						}
-						if shuffle && arms.words+arms.csr+arms.rows > 0 || !shuffle && batch == 0 {
-							t.Fatalf("%s: rounds by arm %+v", name, *arms)
+						if shuffle && arms.words+int(arms.csr.Load())+arms.rows > 0 || !shuffle && batch == 0 {
+							t.Fatalf("%s: rounds by arm: %d words, %d CSR, %d rows, %d gathers", name, arms.words, arms.csr.Load(), arms.rows, arms.gathers)
 						}
 					}
 				}
@@ -304,10 +312,11 @@ func describeAt(events []trace.Event, i int) string {
 // distribution: sparse/dense adversaries, optional crashes (clean,
 // silent and partial), optional Byzantine senders, random port
 // numberings, delivery shuffling, bandwidth accounting, per-link caps,
-// and the algorithm — DBAC one time in three, DAC otherwise. Everything
-// is a deterministic
-// function of (n, seed) so both runs see identical configurations.
-func randomDeliveryConfig(t *testing.T, n int, seed int64) Config {
+// and the algorithm — DBAC one time in three, DAC otherwise. A clean
+// draw has no Byzantine node, only clean crashes and no shuffling.
+// Everything is a deterministic function of (n, seed, clean) so both
+// runs see identical configurations.
+func randomDeliveryConfig(t *testing.T, n int, seed int64, clean bool) Config {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -367,6 +376,8 @@ func randomDeliveryConfig(t *testing.T, n int, seed int64) Config {
 		faulty := perm[:rng.Intn(3)]
 		for i, node := range faulty {
 			switch {
+			case clean:
+				crashes[node] = fault.CrashAt(rng.Intn(6))
 			case rng.Intn(2) == 0:
 				// RandomNoise reads receiver phases off the view — it
 				// gates the incremental snapshots even under oblivious
@@ -429,7 +440,7 @@ func randomDeliveryConfig(t *testing.T, n int, seed int64) Config {
 	if rng.Intn(2) == 0 {
 		cfg.Ports = network.RandomPorts(n, rng)
 	}
-	if rng.Intn(2) == 0 {
+	if rng.Intn(2) == 0 && !clean {
 		cfg.ShuffleDelivery = true
 		cfg.ShuffleSeed = rng.Int63()
 	}
@@ -492,7 +503,7 @@ func TestDeliveryEquivalenceAcrossReset(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		n := []int{5, 9, 70}[rng.Intn(3)]
 		seed := rng.Int63()
-		refCfg, wwCfg := randomDeliveryConfig(t, n, seed), randomDeliveryConfig(t, n, seed)
+		refCfg, wwCfg := randomDeliveryConfig(t, n, seed, false), randomDeliveryConfig(t, n, seed, false)
 		// Flip the representation across Resets on the SAME engine: a
 		// recycled scratch in the wrong representation must be rebuilt,
 		// with no state leak.

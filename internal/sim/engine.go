@@ -68,6 +68,9 @@ type Engine struct {
 	pending     bool             // spare holds E(round), built ahead by the last pipelined round
 	pruneAhead  bool             // the build stage prunes what it builds: no Recorder, no KeepTrace
 	prunedAhead bool             // the pending set was pruned; written by the build stage before its reply
+	helper      *buildStage      // the stage building ahead of the round in flight, which deliverCSR lets help; nil otherwise
+	csr         csrRound         // the round deliverCSR shares with the helper
+	helped      int              // chunks the build stage has delivered over the engine's life; written by it before its reply
 
 	// Crash-aware pruning (see prune): pruned says E(round) is a CSR set
 	// holding only links from round senders to nodes alive through the
@@ -363,7 +366,9 @@ func (e *Engine) ResetPopulation(cfg Config, pop core.Population) error {
 // graph it built of the links dead nodes cannot use (see prune) before
 // it forces the receiver-major view, unless a Recorder or KeepTrace
 // must see the graph whole: the crash schedule is static, so it needs
-// nothing from the round in flight. The goroutine has done its last
+// nothing from the round in flight. Once it has built, it helps deliver
+// the round in flight if that is a clean CSR round (see deliverCSR),
+// which no result can tell either. The goroutine has done its last
 // work when Run returns and exits right after. The adversary may then
 // have rendered one round past the decision round: the engine keeps that
 // graph for a later Step or RunRounds.
@@ -812,12 +817,15 @@ func (e *Engine) silentLinks(recv uint64, in []uint64) int {
 	return silent
 }
 
-// deliverCSR is deliverRange's by-row round on a clean CSR set: one
-// Population.DeliverCSR call for every receiver, over the set's
-// receiver-major view and the census's receiver set. Every listed
-// sender sends, so a receiver hears its whole row, and the round
-// delivers every link but those into the nodes that no longer receive —
-// crash-scheduled ones, as a by-row round has no Byzantine node.
+// deliverCSR is deliverRange's by-row round on a clean CSR set:
+// Population.DeliverCSR over the set's receiver-major view and the
+// census's receiver set — one call for every receiver, or, while the
+// build stage builds ahead (helper), chunks of receivers delivered by
+// both goroutines (see pipeline.go), waiting for the stage's reply
+// before endBatch reads what they decided. Every listed sender sends,
+// so a receiver hears its whole row, and the round delivers every link
+// but those into the nodes that no longer receive — crash-scheduled
+// ones, as a by-row round has no Byzantine node.
 func (e *Engine) deliverCSR(t int, edges *network.EdgeSet) (delivered, lost int) {
 	starts, ids := edges.InCSR()
 	receivers := e.cfg.N
@@ -829,7 +837,16 @@ func (e *Engine) deliverCSR(t int, edges *network.EdgeSet) (delivered, lost int)
 		}
 	}
 	lost = receivers*(e.senders-1) - delivered
-	e.pop.DeliverCSR(e.recvMask, starts, ids, e.broadcasts, e.decidedMask)
+	if h := e.helper; h != nil {
+		r := &e.csr
+		r.pop, r.recv, r.starts, r.ids, r.msgs, r.decided = e.pop, e.recvMask, starts, ids, e.broadcasts, e.decidedMask
+		r.next.Store(0)
+		h.post(r)
+		r.deliver(0)
+		h.wait()
+	} else {
+		e.pop.DeliverCSR(0, 0, len(e.recvMask), e.recvMask, starts, ids, e.broadcasts, e.decidedMask)
+	}
 	e.endBatch(t)
 	return delivered, lost
 }

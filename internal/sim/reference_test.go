@@ -4,6 +4,7 @@ import (
 	"anondyn/internal/core"
 	"anondyn/internal/network"
 	"anondyn/internal/trace"
+	"anondyn/internal/wire"
 )
 
 // referenceStep executes one round of e the way §II-A states it, with
@@ -78,8 +79,10 @@ func lostPairwise(e *Engine, t int, edges *network.EdgeSet) int {
 
 // gatherPortLoop is the reference gather: walk all n ports in ascending
 // order and probe the edge set per sender — O(n) per receiver, delivery
-// order by construction. It appends to the engine's gather buffer and
-// adds the byte and oversize counters to the Result.
+// order by construction. Each sender's message comes from refMessage and
+// its size from wire.Size, not from the engine's round scratch. It
+// appends to the engine's gather buffer and adds the byte and oversize
+// counters to the Result.
 func gatherPortLoop(e *Engine, t, v int, edges *network.EdgeSet) []core.Delivery {
 	ds := e.deliveries[:0]
 	numbering := e.ports[v]
@@ -88,10 +91,11 @@ func gatherPortLoop(e *Engine, t, v int, edges *network.EdgeSet) []core.Delivery
 		if u == v || !edges.Has(u, v) {
 			continue
 		}
-		m, size, ok := e.outgoing(t, u, v)
-		if !ok {
+		m := refMessage(e, t, u, v)
+		if m == nil {
 			continue
 		}
+		size := wire.Size(*m)
 		if limit := e.cfg.MaxMessageBytes; limit > 0 && size > limit {
 			e.result.MessagesOversized++
 			continue
@@ -102,6 +106,22 @@ func gatherPortLoop(e *Engine, t, v int, edges *network.EdgeSet) []core.Delivery
 		}
 	}
 	return ds
+}
+
+// refMessage is the message sender u directs at receiver v in round t,
+// or nil when u is silent towards v, read off the configuration: a
+// Byzantine sender's message for v, as its strategy wrote it this
+// round; otherwise u's broadcast, unless u's crash (from the crash
+// schedule) has passed or, in its crash round, does not allow the final
+// delivery to v. It reads none of the engine's dense crash state.
+func refMessage(e *Engine, t, u, v int) *core.Message {
+	if _, byz := e.cfg.Byzantine[u]; byz {
+		return e.byzOut[u][v]
+	}
+	if c, crashes := e.cfg.Crashes[u]; crashes && (t > c.Round || t == c.Round && !c.AllowsFinalDelivery(v)) {
+		return nil
+	}
+	return &e.broadcasts[u]
 }
 
 // referenceRun mirrors Engine.Run on the oracle.

@@ -2,6 +2,9 @@ package anondyn_test
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"anondyn"
@@ -261,5 +264,58 @@ func TestThresholdReexports(t *testing.T) {
 	}
 	if anondyn.PEndDBAC(0.5, 6) < 1 {
 		t.Error("PEndDBAC re-export broken")
+	}
+}
+
+// TestScenarioPipelinedMatchesSequential: a lone DAC or fault-free DBAC
+// scenario past network.SparseThreshold builds each next round on a
+// second goroutine while a core is idle, and that goroutine helps
+// deliver each clean CSR round into the population's nodes; its Result
+// equals the same scenario's at GOMAXPROCS=1, which never builds ahead,
+// on rotating and er2 graphs, with a crash wave and without.
+func TestScenarioPipelinedMatchesSequential(t *testing.T) {
+	const n = 2049
+	for _, algo := range []anondyn.Algo{anondyn.AlgoDAC, anondyn.AlgoDBAC} {
+		for _, adv := range []string{"rotating", "er2"} {
+			for _, crashes := range []bool{false, true} {
+				s := anondyn.Scenario{
+					N: n, Eps: 1e-2, PEndOverride: 2,
+					Algorithm: algo,
+					Inputs:    anondyn.SpreadInputs(n),
+					MaxRounds: 150,
+				}
+				mk := func() anondyn.Adversary { return anondyn.Rotating(48) }
+				if adv == "er2" {
+					mk = func() anondyn.Adversary { return anondyn.SparseProbabilistic(0.03, 5) }
+				}
+				if crashes && algo == anondyn.AlgoDAC {
+					s.Crashes = map[int]anondyn.Crash{}
+					for k := 0; k < n/4; k++ {
+						s.Crashes[(5+k*37)%n] = anondyn.CrashSilent(2 + k%3*3)
+					}
+				} else if crashes {
+					continue // DBAC runs have Byzantine faults, not crashes
+				}
+				run := func(procs int) *anondyn.Result {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					s.Adversary = mk()
+					res, err := s.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				name := fmt.Sprintf("%v/%s/crashes=%v", algo, adv, crashes)
+				want := run(1)
+				if !want.Decided {
+					t.Fatalf("%s: undecided after %d rounds", name, want.Rounds)
+				}
+				for _, procs := range []int{2, 4} {
+					if got := run(procs); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: GOMAXPROCS=%d Result differs from GOMAXPROCS=1's", name, procs)
+					}
+				}
+			}
+		}
 	}
 }
