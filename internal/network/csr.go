@@ -41,19 +41,18 @@ const SparseThreshold = 2048
 // Retain on a strictly ascending log (what the er and er2 samplers
 // emit) forces neither: it filters the log in place, so a storm filter
 // over er2 never builds the sender-major view at all. KeepBetween forces
-// neither on any log, and on a set InRegularInto wrote it filters the
-// receiver-major view in place, so the view stays the source of truth.
+// neither on any log.
 //
 // Which log takes which arm: a strictly ascending log (the er and er2
 // samplers') takes compactAscending for both views. InRegularInto's
 // set needs no compaction for its receiver-major view (its rows are
-// written ascending and distinct, also after KeepBetween), and its
-// derived log — receiver by receiver, each row ascending — is what
-// every other reader works from. A log whose receivers never decrease
-// (that derived log, after a mutation) has its receiver-major view
-// copied off the log in order, with no scatter (compactGeneral's copy
-// arm), and its sender-major view scattered. Any other log is
-// scattered into either view (compactGeneral).
+// written ascending and distinct), and its derived log — receiver by
+// receiver, each row ascending — is what every other reader works
+// from. A log whose receivers never decrease — that derived log, also
+// once KeepBetween, which keeps the log's order, has pruned it — has
+// its receiver-major view copied off the log in order, with no scatter
+// (compactGeneral's copy arm), and its sender-major view scattered. Any
+// other log is scattered into either view (compactGeneral).
 //
 // The sim engine's round reads only the receiver-major view, and on a
 // CSR round of a run with crashes it first prunes the set with
@@ -350,10 +349,6 @@ func (e *EdgeSet) sparseRetain(keep func(u, v int) bool) {
 // order.
 func (e *EdgeSet) sparseKeepBetween(roles []uint8) {
 	c := e.csr
-	if c.fromView && len(c.pairs) == 0 {
-		c.keepViewBetween(roles)
-		return
-	}
 	c.syncLog()
 	pairs := c.pairs
 	w := 0
@@ -366,30 +361,6 @@ func (e *EdgeSet) sparseKeepBetween(roles []uint8) {
 		c.pairs = pairs[:w]
 		c.built = 0
 	}
-}
-
-// keepViewBetween is KeepBetween on a set whose receiver-major view
-// holds every link (fromView, nothing added since): each row is
-// filtered in place, in order,
-// so the rows stay ascending and distinct and the log stays underived.
-// Like the log's pass it takes no branch per link.
-func (c *csrState) keepViewBetween(roles []uint8) {
-	start, list := c.inStart, c.inList
-	n := len(start) - 1
-	w := int32(0)
-	for v := 0; v < n; v++ {
-		row := list[start[v]:start[v+1]]
-		start[v] = w
-		if roles[v]&Receives == 0 {
-			continue
-		}
-		for _, u := range row {
-			list[w] = u
-			w += int32(roles[u] & Sends)
-		}
-	}
-	start[n] = w
-	c.edges = int(w)
 }
 
 // syncLog makes the log hold every link: on a fromView set it moves

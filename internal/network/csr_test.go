@@ -382,9 +382,9 @@ func TestLazyViewsProperty(t *testing.T) {
 // receiver-major view holds the links; the log is derived on demand)
 // answers every reader and takes every mutation as the same graph
 // logged link by link does, through a random sequence of operations
-// that each read the view, append to the log beside it, derive the log,
-// or filter the view in place. Most steps are not compared right away,
-// so an operation often meets a set whose log is still underived.
+// that each read the view, append to the log beside it, or derive the
+// log and filter it. Most steps are not compared right away, so an
+// operation often meets a set whose log is still underived.
 func TestViewFirstSetProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	sizes := []int{2, 3, 9, 63, 64, 65, 130}

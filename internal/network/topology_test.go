@@ -86,8 +86,8 @@ func inRegularModular(e *EdgeSet, d, offset int) {
 // past n wrap), in both representations: the same bits dense (Equal),
 // and sparse the receiver-major view compacted from the modular loop's
 // log — written directly, with no log — also after KeepBetween, which
-// filters that view in place. The log derived from the view on demand
-// is receiver-major and compacts to the same view (see
+// derives the log and filters it. The log derived from the view on
+// demand is receiver-major and compacts to the same view (see
 // assertReceiverMajorView), before and after KeepBetween, and the set
 // it stands for equals the dense one. An out-of-range degree still
 // panics.

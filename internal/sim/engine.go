@@ -819,13 +819,13 @@ func (e *Engine) silentLinks(recv uint64, in []uint64) int {
 
 // deliverCSR is deliverRange's by-row round on a clean CSR set:
 // Population.DeliverCSR over the set's receiver-major view and the
-// census's receiver set — one call for every receiver, or, while the
-// build stage builds ahead (helper), chunks of receivers delivered by
-// both goroutines (see pipeline.go), waiting for the stage's reply
-// before endBatch reads what they decided. Every listed sender sends,
-// so a receiver hears its whole row, and the round delivers every link
-// but those into the nodes that no longer receive — crash-scheduled
-// ones, as a by-row round has no Byzantine node.
+// census's receiver set, in chunks of receivers (see csrRound). The run
+// goroutine claims every chunk, or, while the build stage builds ahead
+// (helper), shares them with it (see pipeline.go) and waits for the
+// stage's reply before endBatch reads what they decided. Every listed
+// sender sends, so a receiver hears its whole row, and the round
+// delivers every link but those into the nodes that no longer receive
+// — crash-scheduled ones, as a by-row round has no Byzantine node.
 func (e *Engine) deliverCSR(t int, edges *network.EdgeSet) (delivered, lost int) {
 	starts, ids := edges.InCSR()
 	receivers := e.cfg.N
@@ -837,15 +837,15 @@ func (e *Engine) deliverCSR(t int, edges *network.EdgeSet) (delivered, lost int)
 		}
 	}
 	lost = receivers*(e.senders-1) - delivered
-	if h := e.helper; h != nil {
-		r := &e.csr
-		r.pop, r.recv, r.starts, r.ids, r.msgs, r.decided = e.pop, e.recvMask, starts, ids, e.broadcasts, e.decidedMask
-		r.next.Store(0)
-		h.post(r)
-		r.deliver(0)
-		h.wait()
-	} else {
-		e.pop.DeliverCSR(0, 0, len(e.recvMask), e.recvMask, starts, ids, e.broadcasts, e.decidedMask)
+	r := &e.csr
+	r.pop, r.recv, r.starts, r.ids, r.msgs, r.decided = e.pop, e.recvMask, starts, ids, e.broadcasts, e.decidedMask
+	r.next.Store(0)
+	if e.helper != nil {
+		e.helper.post(r)
+	}
+	r.deliver(0)
+	if e.helper != nil {
+		e.helper.wait()
 	}
 	e.endBatch(t)
 	return delivered, lost

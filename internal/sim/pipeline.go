@@ -106,7 +106,7 @@ func (s *buildStage) wait() {
 	}
 }
 
-// csrChunk is how many words of a helped round's receiver set one claim
+// csrChunk is how many words of a CSR round's receiver set one claim
 // takes: 256 receivers, 32 of a DAC population's 8-node tiles, so the
 // two goroutines never share a tile.
 const csrChunk = 4
@@ -186,6 +186,7 @@ func (e *Engine) run(end int, untilDecided bool) {
 			if stage != nil {
 				stage.stop()
 			}
+			e.helper = nil // a panic out of the round skipped the clear below
 		}()
 		procs = runtime.GOMAXPROCS(0)
 	}

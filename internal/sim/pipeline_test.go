@@ -433,7 +433,8 @@ func (g *gated) Oblivious() bool { return true }
 // the build of round t+1 is still running. The panic leaves Run only
 // once that build has finished — Run never leaves a build behind — so
 // the Reset that follows cannot race it on the spare set or the
-// adversary, and the recycled engine matches a fresh one.
+// adversary, and the recycled engine matches a fresh one, also when it
+// first Steps through a clean CSR round, which no build stage helps.
 func TestResetAfterPanicMidBuild(t *testing.T) {
 	atLeastTwoProcs(t)
 	tc := pipeCases()[0]
@@ -470,5 +471,6 @@ func TestResetAfterPanicMidBuild(t *testing.T) {
 	if err := eng.Reset(tc.mk(t)); err != nil {
 		t.Fatal(err)
 	}
-	assertEqualResults(t, referenceRun(must(NewEngine(tc.mk(t)))), eng.Run(), "Run after Reset")
+	eng.Step()
+	assertEqualResults(t, referenceRun(must(NewEngine(tc.mk(t)))), eng.Run(), "Step and Run after Reset")
 }
